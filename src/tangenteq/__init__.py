@@ -12,11 +12,12 @@ from .errors import (TangentEqError, PointNotInSet, BoundViolated,
                      EmptyIntersection, NoSignChange, CertificateFailed,
                      InvalidSpec, SingularSystem)
 from .convex import (CONE_TOL, ConeQueryResult, ConvexBody, Box, Ball,
-                     Simplex, HalfspaceIntersection, numeric_tangent_quotient)
+                     Simplex, HalfspaceIntersection, MovingBox, NodewiseBox,
+                     numeric_tangent_quotient, selection_on_intervals)
 from .fields import (SetValue, GraphApproxConfig, NonlinearityField,
                      SingleValued, IntervalValued, FilippovHull,
-                     selection_on_intervals, tangent_selection,
-                     validate_graph_approximation, semicontinuity_probe)
+                     tangent_selection, validate_graph_approximation,
+                     semicontinuity_probe)
 from .miranda import (Cube, FaceVerdict, MirandaCertificate, ZeroResult,
                       bolzano_bisect, miranda_check, miranda_solve,
                       brute_force_zero)
@@ -27,7 +28,7 @@ from .operators import (Grid1D, OperatorSpec, DiscreteOperator, assemble,
 from .equilibrium import (SolverConfig, SolveReport, TrajectoryReport,
                           resolvent_iterate, truncation_iterate,
                           viability_simulate, residual)
-from .problems import (MovingBox, NONLINEARITY_NAMES, make_nonlinearity,
+from .problems import (NONLINEARITY_NAMES, make_nonlinearity,
                        StateShiftedField, as_field, make_bernstein_problem,
                        ConditionItem, ConditionReport, verify_tangency,
                        verify_bernstein, verify_subsuper)
@@ -39,7 +40,8 @@ __all__ = [
     "TangentEqError", "PointNotInSet", "BoundViolated", "EmptyIntersection",
     "NoSignChange", "CertificateFailed", "InvalidSpec", "SingularSystem",
     "CONE_TOL", "ConeQueryResult", "ConvexBody", "Box", "Ball", "Simplex",
-    "HalfspaceIntersection", "numeric_tangent_quotient",
+    "HalfspaceIntersection", "MovingBox", "NodewiseBox",
+    "numeric_tangent_quotient",
     "SetValue", "GraphApproxConfig", "NonlinearityField", "SingleValued",
     "IntervalValued", "FilippovHull", "selection_on_intervals",
     "tangent_selection", "validate_graph_approximation",
@@ -51,7 +53,7 @@ __all__ = [
     "semigroup_powers", "InvarianceReport", "invariance_audit",
     "SolverConfig", "SolveReport", "TrajectoryReport", "resolvent_iterate",
     "truncation_iterate", "viability_simulate", "residual",
-    "MovingBox", "NONLINEARITY_NAMES", "make_nonlinearity",
+    "NONLINEARITY_NAMES", "make_nonlinearity",
     "StateShiftedField", "as_field", "make_bernstein_problem",
     "ConditionItem", "ConditionReport", "verify_tangency",
     "verify_bernstein", "verify_subsuper",

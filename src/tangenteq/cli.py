@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .convex import Ball, Box, Simplex
+from .convex import Ball, Box, MovingBox, Simplex
 from .equilibrium import (resolvent_iterate, truncation_iterate,
                           viability_simulate)
 from .errors import (BoundViolated, CertificateFailed, EmptyIntersection,
@@ -34,8 +34,8 @@ from .errors import (BoundViolated, CertificateFailed, EmptyIntersection,
                      TangentEqError)
 from .miranda import Cube, miranda_solve
 from .operators import invariance_audit
-from .problems import (ConditionReport, MovingBox, verify_bernstein,
-                       verify_subsuper, verify_tangency)
+from .problems import (ConditionReport, verify_bernstein, verify_subsuper,
+                       verify_tangency)
 
 _HYPOTHESIS_ERRORS = (BoundViolated, CertificateFailed, NoSignChange,
                       EmptyIntersection, PointNotInSet)
@@ -149,14 +149,10 @@ def _cmd_solve(spec, args):
             return 2
 
     if spec.method == "truncation":
-        if isinstance(C, Box):
-            alpha = np.tile(C.lo, (grid.n, 1))
-            beta = np.tile(C.hi, (grid.n, 1))
-        elif isinstance(C, MovingBox):
-            alpha, beta = C.alpha, C.beta
-        else:
+        if not isinstance(C, (Box, MovingBox)):
             raise InvalidSpec("truncation method needs box bounds")
-        report = truncation_iterate(op, field, alpha, beta, cfg,
+        box = C.lift(grid.n)
+        report = truncation_iterate(op, field, box.lo, box.hi, cfg,
                                     u0=spec.initial_state(grid))
     else:
         if C is None:

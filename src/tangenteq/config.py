@@ -26,11 +26,11 @@ import io
 
 import numpy as np
 
-from .convex import Ball, Box, Simplex
+from .convex import Ball, Box, MovingBox, Simplex
 from .equilibrium import SolverConfig
 from .errors import InvalidSpec
 from .operators import Grid1D, OperatorSpec, assemble
-from .problems import (MovingBox, StateShiftedField, make_nonlinearity,
+from .problems import (StateShiftedField, make_nonlinearity,
                        NONLINEARITY_NAMES, NONLINEARITY_PARAMS)
 
 _KIND_BC = {
@@ -212,10 +212,8 @@ class ProblemSpec:
             return Ball(np.zeros(N), _fnum(self._get("bernstein", "radius")))
         if self.kind == "moving_rectangles":
             grid = grid or self.build_grid()
-            alpha = _sample_profile(sec["alpha"], grid.nodes)
-            beta = _sample_profile(sec["beta"], grid.nodes)
-            return MovingBox(np.tile(alpha[:, None], (1, N)),
-                             np.tile(beta[:, None], (1, N)))
+            return MovingBox(_sample_profile(sec["alpha"], grid.nodes),
+                             _sample_profile(sec["beta"], grid.nodes))
         if ckind == "none":
             return None
         if ckind == "box":

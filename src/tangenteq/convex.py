@@ -9,7 +9,8 @@ resolvent invariance audits.
 The tangent cone of a convex set at ``x`` is the closure of the feasible
 rays ``h*(K - x)``, ``h > 0``.  For the sets below it has closed form:
 
-* ``Box``      componentwise sign rules on the active faces,
+* ``Box``      componentwise sign rules on the active faces (``lift``
+  gives the ``NodewiseBox`` the grid solvers use, as does ``MovingBox``),
 * ``Ball``     a halfspace through the outward normal on the boundary,
 * ``Simplex``  zero-sum directions, nonnegative on the zero coordinates,
 * ``HalfspaceIntersection``  the cone cut out by the active halfspaces.
@@ -124,6 +125,116 @@ class Box(ConvexBody):
             out.append((e.copy(), float(self.hi[i])))
             out.append((-e, float(-self.lo[i])))
         return out
+
+    def lift(self, n):
+        """The same box at each of ``n`` grid nodes."""
+        return NodewiseBox(np.tile(self.lo, (n, 1)), np.tile(self.hi, (n, 1)))
+
+
+@dataclass
+class MovingBox:
+    """Nodewise box bounds alpha(x) <= u(x) <= beta(x).
+
+    ``alpha`` and ``beta`` are arrays over grid nodes, one row per node
+    (scalar problems may pass flat arrays, and a single column bounds
+    every component alike).  The equilibrium solvers treat this exactly
+    like a box constraint whose faces move with x.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    def __post_init__(self):
+        self.alpha = np.asarray(self.alpha, dtype=float)
+        self.beta = np.asarray(self.beta, dtype=float)
+        if self.alpha.shape != self.beta.shape:
+            raise ValueError("bound arrays must share a shape")
+        if np.any(self.alpha > self.beta):
+            raise ValueError("alpha must stay below beta")
+
+    def lift(self, n):
+        """The bounds as a NodewiseBox; scalars hold at every node."""
+        def rows(b):
+            return (np.full(n, float(b)) if b.ndim == 0 else b).reshape(n, -1)
+        return NodewiseBox(rows(self.alpha), rows(self.beta))
+
+
+class NodewiseBox:
+    """Box bounds per grid node, ``lo[j] <= u_j <= hi[j]``, acting on grid
+    functions ``U`` of shape ``(n, N)``.
+
+    ``lo`` and ``hi`` have one row per node.  Faces and cones are taken
+    at the projection of the state onto the box.
+    """
+
+    def __init__(self, lo, hi):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        if self.lo.ndim != 2 or self.lo.shape != self.hi.shape:
+            raise ValueError("nodewise bounds need matching (n, N) shapes")
+        if np.any(self.lo > self.hi):
+            raise ValueError("lower bound exceeds upper bound somewhere")
+
+    def broadcast(self, N):
+        """This box for ``N`` components; one column bounds them all."""
+        n, dim = self.lo.shape
+        if dim not in (1, N):
+            raise ValueError("constraint dimension %d != components %d"
+                             % (dim, N))
+        return NodewiseBox(np.broadcast_to(self.lo, (n, N)),
+                           np.broadcast_to(self.hi, (n, N)))
+
+    def project(self, U):
+        return np.clip(U, self.lo, self.hi)
+
+    def distances(self, U):
+        """Euclidean distance of each nodal state to its box."""
+        return np.linalg.norm(U - self.project(U), axis=1)
+
+    def active_faces(self, U, tol=CONE_TOL):
+        """Boolean masks (lower, upper) of the faces active at ``proj U``."""
+        W = self.project(U)
+        return W - self.lo <= tol, self.hi - W <= tol
+
+    def select(self, U, vlo, vhi, P=None, tol=CONE_TOL, gap_tol=CONE_TOL):
+        """Minimal-norm values in ``[vlo, vhi]`` tangent to the box at ``U``.
+
+        The face cones are intervals, so this is componentwise clipping.
+        Returns ``(V, None)``, or ``(None, (node, reason))`` for the first
+        node whose values miss its face cone by more than ``gap_tol``; the
+        default matches ``tol``, so a state within ``tol`` of a face may
+        overshoot it by as much.  Gradients ``P`` play no part for a box.
+        """
+        low, up = self.active_faces(U, tol)
+        V, empty = selection_on_intervals(vlo, vhi,
+                                          np.where(low, 0.0, -np.inf),
+                                          np.where(up, 0.0, np.inf), gap_tol)
+        if np.any(empty):
+            j, k = np.argwhere(empty)[0]
+            return None, (int(j), "component %d: values [%.6g, %.6g] miss "
+                          "the face cone" % (k, vlo[j, k], vhi[j, k]))
+        return V, None
+
+    def tangency(self, U, V, tol=CONE_TOL):
+        """``max_j dist(V_j, T(proj U_j))``: the largest nodal directional
+        derivative of the distance to the box along ``V``."""
+        low, up = self.active_faces(U, tol)
+        out = np.where(low & (V < 0), -V, 0.0) + np.where(up & (V > 0), V, 0.0)
+        return float(np.max(np.linalg.norm(out, axis=1)))
+
+
+def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=1e-10):
+    """Minimal-norm point of ``[vlo,vhi] & [clo,chi]``, componentwise.
+
+    Works on arrays of any matching shape.  Returns ``(v, empty)`` where
+    ``empty`` flags components whose intervals miss each other by more
+    than ``gap_tol``.
+    """
+    ilo = np.maximum(vlo, clo)
+    ihi = np.minimum(vhi, chi)
+    empty = ilo > ihi + gap_tol
+    v = np.clip(0.0, ilo, np.maximum(ilo, ihi))
+    return v, empty
 
 
 class Ball(ConvexBody):

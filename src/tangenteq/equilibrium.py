@@ -23,6 +23,11 @@ Harmonic step schedules advance ``h_k = h0 / k`` exactly at checkpoints,
 so the checkpoint sequence mirrors the per-step-size fixed points that
 drive the vanishing-residual argument.
 
+Every solver reports one tangency residual, ``max_j dist(v_j, T_K(proj
+u_j))`` at its final state: the largest nodal directional derivative of
+the distance to the constraint along the selected value.  It is 0 when
+every selection is tangent and ``inf`` on ``tangency_failure``.
+
 ``truncation_iterate`` is the alternative scheme for Dirichlet problems
 with nodewise box bounds: Picard on ``u -> A^{-1}(-v(clamp(u)))`` with an
 a-posteriori localization check.  ``viability_simulate`` integrates the
@@ -34,9 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import CONE_TOL, Box
+from .convex import CONE_TOL, Box, MovingBox
 from .errors import EmptyIntersection
-from .fields import selection_on_intervals, tangent_selection
+from .fields import tangent_selection
 
 _CHECKPOINT_FACTOR = 1e-9
 
@@ -64,6 +69,9 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """Outcome of a solve.  ``tangency_residual`` is the tangency
+    residual of the module docstring at ``u_star``."""
+
     u_star: np.ndarray
     residual_history: list
     tangency_residual: float
@@ -89,80 +97,51 @@ class SolveReport:
         }
 
 
-class _NodewiseConstraint:
-    """Uniform or node-dependent constraint applied at every grid node.
+class _NodewiseBody:
+    """A convex body applied at every grid node, one row at a time.
 
-    Boxes (including nodewise bound arrays) get vectorized projections and
-    closed-form cone clipping; any other convex body falls back to the
-    per-node selection machinery.
+    It offers the methods of ``NodewiseBox``; selections re-evaluate the
+    field at each node's projected state and run ``tangent_selection``.
     """
 
-    def __init__(self, C, n, N):
-        self.body = None
-        self.lo = None
-        self.hi = None
-        if isinstance(C, Box):
-            self.lo = np.tile(C.lo, (n, 1))
-            self.hi = np.tile(C.hi, (n, 1))
-        elif hasattr(C, "alpha") and hasattr(C, "beta"):
-            self.lo = np.broadcast_to(
-                np.asarray(C.alpha, dtype=float).reshape(n, -1), (n, N)).copy()
-            self.hi = np.broadcast_to(
-                np.asarray(C.beta, dtype=float).reshape(n, -1), (n, N)).copy()
-            if np.any(self.lo > self.hi):
-                raise ValueError("lower bound exceeds upper bound somewhere")
-        else:
-            self.body = C
-            if C.dim != N:
-                raise ValueError("constraint dimension %d != components %d"
-                                 % (C.dim, N))
-
-    def is_box(self):
-        return self.lo is not None
+    def __init__(self, body, N, field_, xs):
+        if body.dim != N:
+            raise ValueError("constraint dimension %d != components %d"
+                             % (body.dim, N))
+        self.body = body
+        self.field = field_
+        self.xs = xs
 
     def project(self, U):
-        if self.is_box():
-            return np.clip(U, self.lo, self.hi)
         return np.array([self.body.project(row) for row in U])
 
     def distances(self, U):
-        if self.is_box():
-            gap = U - np.clip(U, self.lo, self.hi)
-            return np.linalg.norm(gap, axis=1)
         return np.array([self.body.distance(row) for row in U])
 
-    def select(self, field_, xs, U, P, vlo, vhi, tol=CONE_TOL):
-        """Nodewise minimal-norm tangent selection.
-
-        Returns (v, failure) where failure is None or a witness dict for
-        the first node whose admissible values miss the tangent cone.
-        The interval gap tolerance matches the face activation tolerance:
-        a state within ``tol`` of a face may carry values that overshoot
-        the face cone by the same amount without leaving the set's
-        distance derivative above ``tol``.
-        """
-        if self.is_box():
-            low = U - self.lo <= tol
-            up = self.hi - U <= tol
-            clo = np.where(low, 0.0, -np.inf)
-            chi = np.where(up, 0.0, np.inf)
-            v, empty = selection_on_intervals(vlo, vhi, clo, chi,
-                                              gap_tol=tol)
-            bad = np.nonzero(np.any(empty, axis=1))[0]
-            if bad.size:
-                j = int(bad[0])
-                return None, _witness(j, xs[j], U[j],
-                                      "admissible values miss the face cone")
-            return v, None
-        v = np.empty_like(U)
+    def select(self, U, vlo, vhi, P):
+        V = np.empty_like(U)
         for j in range(U.shape[0]):
             try:
-                v[j] = tangent_selection(field_, self.body, xs[j],
-                                         self.project(U[j:j + 1])[0], P[j],
-                                         tol=tol, gap_tol=tol)
+                V[j] = tangent_selection(self.field, self.body, self.xs[j],
+                                         self.body.project(U[j]), P[j],
+                                         tol=CONE_TOL, gap_tol=CONE_TOL)
             except EmptyIntersection as exc:
-                return None, _witness(j, xs[j], U[j], str(exc))
-        return v, None
+                return None, (j, str(exc))
+        return V, None
+
+    def tangency(self, U, V):
+        return float(max(
+            self.body.tangent_cone_contains(self.body.project(u), v)
+            .directional_derivative for u, v in zip(U, V)))
+
+
+def _nodewise(C, op, field_):
+    """The constraint at every node of ``op``'s grid: a NodewiseBox for
+    boxes and bound pairs, a per-node wrapper for any other body."""
+    n, N = op.grid.n, op.spec.components
+    if isinstance(C, (Box, MovingBox)):
+        return C.lift(n).broadcast(N)
+    return _NodewiseBody(C, N, field_, op.grid.nodes)
 
 
 def _witness(node, x, u, reason):
@@ -179,6 +158,32 @@ def _field_boxes(field_, xs, U, P):
         vlo[j] = val.lo
         vhi[j] = val.hi
     return vlo, vhi
+
+
+def _select(op, field_, K, U):
+    """The sweep kernel at state ``U``: gradients, value boxes of the
+    field and, unless ``K`` is None, the tangent selection.
+
+    Returns ``(vlo, vhi, v, failure)``; ``failure`` is None or the witness
+    of the first node whose admissible values miss the tangent cone.
+    """
+    xs = op.grid.nodes
+    P = op.gradient(U)
+    vlo, vhi = _field_boxes(field_, xs, U, P)
+    if K is None:
+        return vlo, vhi, None, None
+    v, miss = K.select(U, vlo, vhi, P)
+    if miss is None:
+        return vlo, vhi, v, None
+    j, reason = miss
+    return vlo, vhi, None, _witness(j, xs[j], U[j], reason)
+
+
+def _tangency(op, field_, K, U):
+    """Tangency residual at ``U``: zero when every selection is tangent,
+    ``inf`` when some node has no admissible tangent value."""
+    v, failure = _select(op, field_, K, U)[2:]
+    return float("inf") if failure is not None else K.tangency(U, v)
 
 
 def _equation_residual(op, AU, vlo, vhi):
@@ -222,10 +227,8 @@ def resolvent_iterate(op, field_, C, u0, config=None):
     status/failure fields (node, position, state) rather than raised.
     """
     config = config or SolverConfig()
-    n, N = op.grid.n, op.spec.components
-    xs = op.grid.nodes
-    K = _NodewiseConstraint(C, n, N)
-    u = K.project(_as_grid_function(u0, n, N))
+    K = _nodewise(C, op, field_)
+    u = K.project(_as_grid_function(u0, op.grid.n, op.spec.components))
 
     history = []
     checks = []
@@ -239,10 +242,8 @@ def resolvent_iterate(op, field_, C, u0, config=None):
     for it in range(1, config.max_iter + 1):
         h = config.step(k_outer)
         AU = op.apply(u)
-        P = op.gradient(u)
-        vlo, vhi = _field_boxes(field_, xs, u, P)
+        vlo, vhi, v, failure = _select(op, field_, K, u)
         history.append(_equation_residual(op, AU, vlo, vhi))
-        v, failure = K.select(field_, xs, u, P, vlo, vhi)
         if failure is not None:
             status = "tangency_failure"
             break
@@ -280,20 +281,8 @@ def resolvent_iterate(op, field_, C, u0, config=None):
         status = _plateau_status(history, config.tol_residual)
 
     violation = float(np.max(K.distances(u)))
-    tangency = 0.0
-    if status != "tangency_failure":
-        try:
-            P = op.gradient(u)
-            vlo, vhi = _field_boxes(field_, xs, u, P)
-            v, fail2 = K.select(field_, xs, u, P, vlo, vhi)
-            if fail2 is None:
-                tangency = op.grid.norm(K.distances(u + h * v)) / h
-            else:
-                tangency = float("inf")
-        except EmptyIntersection:
-            tangency = float("inf")
-    else:
-        tangency = float("inf")
+    tangency = float("inf") if status == "tangency_failure" \
+        else _tangency(op, field_, K, u)
 
     return SolveReport(u_star=_in_caller_shape(u, u0),
                        residual_history=history,
@@ -301,15 +290,6 @@ def resolvent_iterate(op, field_, C, u0, config=None):
                        constraint_violation=violation, status=status,
                        iterations=it, h_final=h, method="resolvent",
                        bound_checks=checks, failure=failure)
-
-
-def _nodewise_bound(b, n, N):
-    arr = np.asarray(b, dtype=float)
-    if arr.ndim == 0:
-        return np.full((n, N), float(arr))
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return np.broadcast_to(arr, (n, N)).astype(float).copy()
 
 
 def truncation_iterate(op, field_, alpha, beta, config=None, u0=None):
@@ -322,31 +302,19 @@ def truncation_iterate(op, field_, alpha, beta, config=None, u0=None):
     """
     config = config or SolverConfig()
     n, N = op.grid.n, op.spec.components
-    xs = op.grid.nodes
-    lo = _nodewise_bound(alpha, n, N)
-    hi = _nodewise_bound(beta, n, N)
-    if np.any(lo > hi):
-        raise ValueError("alpha must stay below beta")
-
-    class _Bounds:
-        alpha = lo
-        beta = hi
-
-    K = _NodewiseConstraint(_Bounds, n, N)
+    K = MovingBox(*np.broadcast_arrays(alpha, beta)).lift(n).broadcast(N)
     u = _as_grid_function(u0, n, N) if u0 is not None \
-        else np.clip(np.zeros((n, N)), lo, hi)
+        else K.project(np.zeros((n, N)))
 
     history = []
     status = None
     failure = None
     it = 0
     for it in range(1, config.max_iter + 1):
-        uc = np.clip(u, lo, hi)
+        uc = K.project(u)
         AUc = op.apply(uc)
-        P = op.gradient(uc)
-        vlo, vhi = _field_boxes(field_, xs, uc, P)
+        vlo, vhi, v, failure = _select(op, field_, K, uc)
         history.append(_equation_residual(op, AUc, vlo, vhi))
-        v, failure = K.select(field_, xs, uc, P, vlo, vhi)
         if failure is not None:
             status = "tangency_failure"
             break
@@ -361,25 +329,16 @@ def truncation_iterate(op, field_, alpha, beta, config=None, u0=None):
     if status is None:
         status = _plateau_status(history, config.tol_residual)
 
-    escape = u - np.clip(u, lo, hi)
-    violation = float(np.max(np.linalg.norm(escape, axis=1)))
+    escape = K.distances(u)
+    violation = float(np.max(escape))
     if status == "converged" and violation > max(10.0 * config.tol_step, 1e-9):
         status = "localization_failed"
-        j = int(np.argmax(np.linalg.norm(escape, axis=1)))
-        failure = _witness(j, xs[j], u[j], "solution escapes the bounds")
+        j = int(np.argmax(escape))
+        failure = _witness(j, op.grid.nodes[j], u[j],
+                           "solution escapes the bounds")
 
-    tangency = 0.0
-    if status in ("converged", "max_iter", "non_convergence"):
-        uc = np.clip(u, lo, hi)
-        P = op.gradient(uc)
-        vlo, vhi = _field_boxes(field_, xs, uc, P)
-        v, fail2 = K.select(field_, xs, uc, P, vlo, vhi)
-        if fail2 is None:
-            dd = np.abs(v) * ((uc - lo <= CONE_TOL) & (v < 0)) \
-                + np.abs(v) * ((hi - uc <= CONE_TOL) & (v > 0))
-            tangency = float(np.max(np.linalg.norm(dd, axis=1)))
-        else:
-            tangency = float("inf")
+    tangency = float("inf") if status == "tangency_failure" \
+        else _tangency(op, field_, K, K.project(u))
 
     return SolveReport(u_star=_in_caller_shape(u, u0),
                        residual_history=history,
@@ -420,29 +379,22 @@ def viability_simulate(op, field_, C, u0, t_end, h):
     """
     if t_end <= 0 or h <= 0:
         raise ValueError("horizon and step must be positive")
-    n, N = op.grid.n, op.spec.components
-    xs = op.grid.nodes
-    K = _NodewiseConstraint(C, n, N)
-    u = _as_grid_function(u0, n, N)
+    K = _nodewise(C, op, field_)
+    u = _as_grid_function(u0, op.grid.n, op.spec.components)
     steps = int(np.ceil(t_end / h))
 
     worst = float(np.max(K.distances(u)))
     status = "completed"
     failure = None
     for _ in range(steps):
-        shadow = K.project(u)
-        P = op.gradient(shadow)
-        vlo, vhi = _field_boxes(field_, xs, shadow, P)
-        v, failure = K.select(field_, xs, shadow, P, vlo, vhi)
+        v, failure = _select(op, field_, K, K.project(u))[2:]
         if failure is not None:
             status = "tangency_failure"
             break
         u = op.resolvent(h, u + h * v)
         worst = max(worst, float(np.max(K.distances(u))))
 
-    shadow = K.project(u)
-    P = op.gradient(shadow)
-    vlo, vhi = _field_boxes(field_, xs, shadow, P)
+    vlo, vhi = _select(op, field_, None, K.project(u))[:2]
     terminal = _equation_residual(op, op.apply(u), vlo, vhi)
     return TrajectoryReport(terminal_state=_in_caller_shape(u, u0),
                             max_constraint_distance=worst,
@@ -454,27 +406,14 @@ def residual(op, field_, C, u):
     """(equation_residual, tangency_residual) at a given state.
 
     The equation part is the grid-weighted distance of ``-A u`` to the
-    admissible value boxes; the tangency part is the largest directional
-    derivative of the nodewise constraint distance along the selected
-    tangent values (zero when every selection is genuinely tangent).
+    admissible value boxes; the tangency part is the solvers' tangency
+    residual, except that a node with no tangent value raises
+    EmptyIntersection.
     """
-    n, N = op.grid.n, op.spec.components
-    xs = op.grid.nodes
-    K = _NodewiseConstraint(C, n, N)
-    U = _as_grid_function(u, n, N)
-    P = op.gradient(U)
-    vlo, vhi = _field_boxes(field_, xs, U, P)
+    K = _nodewise(C, op, field_)
+    U = _as_grid_function(u, op.grid.n, op.spec.components)
+    vlo, vhi, v, failure = _select(op, field_, K, U)
     eq = _equation_residual(op, op.apply(U), vlo, vhi)
-    v, failure = K.select(field_, xs, U, P, vlo, vhi)
     if failure is not None:
         raise EmptyIntersection(failure["reason"])
-    if K.is_box():
-        low = U - K.lo <= CONE_TOL
-        up = K.hi - U <= CONE_TOL
-        bad = np.where(low & (v < 0), -v, 0.0) + np.where(up & (v > 0), v, 0.0)
-        tang = float(np.max(np.linalg.norm(bad, axis=1)))
-    else:
-        dds = [K.body.tangent_cone_contains(K.project(U[j:j + 1])[0], v[j])
-               .directional_derivative for j in range(n)]
-        tang = float(np.max(dds))
-    return eq, tang
+    return eq, K.tangency(U, v)

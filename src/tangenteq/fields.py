@@ -192,20 +192,6 @@ def unit_ball_rays(rng, count, dim):
     return out
 
 
-def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=1e-10):
-    """Minimal-norm point of ``[vlo,vhi] & [clo,chi]``, componentwise.
-
-    Works on arrays of any matching shape.  Returns ``(v, empty)`` where
-    ``empty`` flags components whose intervals miss each other by more
-    than ``gap_tol``.
-    """
-    ilo = np.maximum(vlo, clo)
-    ihi = np.minimum(vhi, chi)
-    empty = ilo > ihi + gap_tol
-    v = np.clip(0.0, ilo, np.maximum(ilo, ihi))
-    return v, empty
-
-
 def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
                       gap_tol=1e-10, max_iter=5000):
     """Minimal-norm admissible value tangent to ``body`` at ``u``.
@@ -224,16 +210,11 @@ def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
     val = field.evaluate(x, u, p)
 
     if isinstance(body, Box):
-        low, up = body.active_faces(u, tol)
-        clo = np.where(low, 0.0, -np.inf)
-        chi = np.where(up, 0.0, np.inf)
-        v, empty = selection_on_intervals(val.lo, val.hi, clo, chi, gap_tol)
-        if np.any(empty):
-            k = int(np.nonzero(empty)[0][0])
-            raise EmptyIntersection(
-                "component %d: values [%.6g, %.6g] miss the face cone"
-                % (k, val.lo[k], val.hi[k]))
-        return v
+        v, miss = body.lift(1).select(u[None], val.lo[None], val.hi[None],
+                                      tol=tol, gap_tol=gap_tol)
+        if miss is not None:
+            raise EmptyIntersection(miss[1])
+        return v[0]
 
     y = np.zeros(field.components)
     pc = np.zeros_like(y)

@@ -1,10 +1,9 @@
 """Problem catalog and hypothesis verifiers.
 
 The catalog side builds the pieces a concrete run needs: named
-nonlinearities (single-valued, interval, relay hulls, tabulated data),
-nodewise bound pairs for moving rectangles, and the second-order
-boundary-value assembly used for gradient-dependent problems on a ball
-constraint.
+nonlinearities (single-valued, interval, relay hulls, tabulated data)
+and the second-order boundary-value assembly used for gradient-dependent
+problems on a ball constraint.
 
 The verifier side turns the structural hypotheses behind the solvers into
 sampled checks with margins and witnesses:
@@ -24,31 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import Ball, Box
+from .convex import Ball, Box, MovingBox
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
                      SetValue, SingleValued)
 from .operators import Grid1D, OperatorSpec, assemble
-
-
-@dataclass
-class MovingBox:
-    """Nodewise box bounds alpha(x) <= u(x) <= beta(x).
-
-    ``alpha`` and ``beta`` are arrays over grid nodes, one row per node
-    (scalar problems may pass flat arrays).  The equilibrium solvers
-    treat this exactly like a box constraint whose faces move with x.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
-        if self.alpha.shape != self.beta.shape:
-            raise ValueError("bound arrays must share a shape")
-        if np.any(self.alpha > self.beta):
-            raise ValueError("alpha must stay below beta")
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +211,9 @@ def _witness(x, u, p, value, violation):
 
 
 def _node_bounds(C, grid, components):
-    n = grid.n
-    if isinstance(C, Box):
-        lo = np.tile(C.lo, (n, 1))
-        hi = np.tile(C.hi, (n, 1))
-        glo = np.zeros_like(lo)
-        ghi = np.zeros_like(hi)
-    else:
-        lo = np.asarray(C.alpha, dtype=float).reshape(n, -1)
-        hi = np.asarray(C.beta, dtype=float).reshape(n, -1)
-        glo = np.gradient(lo, grid.dx, axis=0)
-        ghi = np.gradient(hi, grid.dx, axis=0)
-    if lo.shape[1] != components:
-        raise ValueError("constraint dimension %d != components %d"
-                         % (lo.shape[1], components))
-    return lo, hi, glo, ghi
+    box = C.lift(grid.n).broadcast(components)
+    return (box.lo, box.hi, np.gradient(box.lo, grid.dx, axis=0),
+            np.gradient(box.hi, grid.dx, axis=0))
 
 
 def _box_face_items(field, C, grid, components, samples, rng, tol):

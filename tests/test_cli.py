@@ -115,9 +115,8 @@ def test_solve_moving_rectangles(tmp_path):
     assert abs(data[50, 1] - mid) <= 1e-3
 
 
-def test_truncation_config_runs(tmp_path):
-    cfg = tmp_path / "trunc.cfg"
-    cfg.write_text("""\
+TRUNCATION_CFGS = {
+    "box": """\
 [problem]
 kind = dirichlet_rd
 
@@ -133,10 +132,38 @@ hi = 1.0
 
 [solver]
 method = truncation
-""")
+""",
+    "moving_rectangles": """\
+[problem]
+kind = moving_rectangles
+
+[grid]
+nodes = 101
+
+[nonlinearity]
+name = linear
+a = 1.0
+b = -1.0
+
+[constraint]
+alpha = quad:-1.0,0.0,0.5
+beta = 1.0
+
+[solver]
+method = truncation
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATION_CFGS))
+def test_truncation_config_runs(tmp_path, name):
+    cfg = tmp_path / "trunc.cfg"
+    cfg.write_text(TRUNCATION_CFGS[name])
     assert run_cli(["solve", str(cfg), "--out", str(tmp_path)]) == 0
     rep = _report(tmp_path)
     assert rep["method"] == "truncation"
+    assert rep["status"] == "converged"
+    assert rep["tangency_residual"] == 0.0
 
 
 # ---------------------------------------------------------------------------

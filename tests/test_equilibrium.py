@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from tangenteq import (Grid1D, OperatorSpec, assemble, Box, SingleValued,
-                       SolverConfig, resolvent_iterate, truncation_iterate,
-                       viability_simulate, residual, EmptyIntersection,
-                       MovingBox)
+from tangenteq import (Grid1D, OperatorSpec, assemble, Ball, Box, Simplex,
+                       SingleValued, SolverConfig, resolvent_iterate,
+                       truncation_iterate, viability_simulate, residual,
+                       EmptyIntersection, MovingBox)
 
 
 def _neumann_op(n=101, components=1):
@@ -128,6 +128,62 @@ def test_moving_box_constraint_behaves_like_the_fixed_box():
     rep = resolvent_iterate(op, _relaxing_field(), moving, np.zeros(101))
     assert rep.status == "converged"
     assert np.max(np.abs(rep.u_star - 0.5)) <= 1e-8
+
+
+def test_single_column_moving_box_bounds_every_component():
+    op = _neumann_op(components=2)
+    field = SingleValued(lambda x, u, p: 0.5 - u, components=2)
+    moving = MovingBox(np.zeros((101, 1)), np.ones((101, 1)))
+    rep = resolvent_iterate(op, field, moving, np.zeros((101, 2)))
+    assert rep.status == "converged"
+    assert np.max(np.abs(rep.u_star - 0.5)) <= 1e-8
+
+
+def _dirichlet_box_stall():
+    # pinned walls at 0 against a box that starts at 0.5
+    op = _dirichlet_op(51)
+    field = SingleValued(lambda x, u, p: 0.5 - u)
+    C = Box([0.5], [1.0])
+    rep = resolvent_iterate(op, field, C, np.zeros(51),
+                            SolverConfig(max_iter=60))
+    assert rep.status == "non_convergence"
+    assert rep.constraint_violation >= 0.5
+    return op, field, C, rep
+
+
+def _ball_solve():
+    op = _neumann_op(41, components=2)
+    field = SingleValued(lambda x, u, p: 0.5 - u, components=2)
+    C = Ball(np.zeros(2), 1.0)
+    rep = resolvent_iterate(op, field, C, np.zeros((41, 2)))
+    assert rep.status == "converged"
+    return op, field, C, rep
+
+
+def _simplex_solve():
+    op = _neumann_op(11, components=3)
+    field = SingleValued(lambda x, u, p: 1.0 / 3.0 - u, components=3)
+    C = Simplex(1.0, 3)
+    u0 = np.tile([0.6, 0.3, 0.1], (11, 1))
+    rep = resolvent_iterate(op, field, C, u0)
+    assert rep.status == "converged"
+    return op, field, C, rep
+
+
+def _truncation_solve():
+    op = _dirichlet_op()
+    rep = truncation_iterate(op, _bvp_field(), alpha=-1.0, beta=1.0)
+    assert rep.status == "converged"
+    return op, _bvp_field(), Box([-1.0], [1.0]), rep
+
+
+@pytest.mark.parametrize("case", [_dirichlet_box_stall, _ball_solve,
+                                  _simplex_solve, _truncation_solve],
+                         ids=["dirichlet_box_stall", "ball", "simplex",
+                              "truncation"])
+def test_reported_tangency_is_the_residual_tangency(case):
+    op, field, C, rep = case()
+    assert rep.tangency_residual == residual(op, field, C, rep.u_star)[1]
 
 
 def test_oscillating_sweep_reports_non_convergence():

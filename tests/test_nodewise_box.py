@@ -1,0 +1,133 @@
+"""Property tests for the nodewise box the grid solvers share."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tangenteq import (CONE_TOL, Box, EmptyIntersection, IntervalValued,
+                       MovingBox, NodewiseBox, tangent_selection)
+
+_VALUES = (-1.0, -0.5, -1e-4, 0.0, 1e-4, 0.5, 1.0)
+# where a state component sits relative to its interval
+_PLACES = ("lo", "hi", "inside", "below", "above")
+
+
+@st.composite
+def box_problems(draw):
+    """A Box, states that touch, cross or miss its faces, and value boxes."""
+    n = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 3))
+    lo = np.array(draw(st.lists(st.sampled_from((-1.0, 0.0, 0.5)),
+                                min_size=N, max_size=N)))
+    width = np.array(draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)),
+                                   min_size=N, max_size=N)))
+    hi = lo + width
+    offset = {"lo": lambda k: lo[k], "hi": lambda k: hi[k],
+              "inside": lambda k: 0.5 * (lo[k] + hi[k]),
+              "below": lambda k: lo[k] - 0.25, "above": lambda k: hi[k] + 0.25}
+    U = np.array([[offset[draw(st.sampled_from(_PLACES))](k) for k in range(N)]
+                  for _ in range(n)])
+    pairs = [sorted(draw(st.lists(st.sampled_from(_VALUES), min_size=2,
+                                  max_size=2)))
+             for _ in range(n * N)]
+    vlo = np.array([p[0] for p in pairs]).reshape(n, N)
+    vhi = np.array([p[1] for p in pairs]).reshape(n, N)
+    return Box(lo, hi), U, vlo, vhi
+
+
+def _node_selection(box, U, vlo, vhi, j, gap_tol):
+    field = IntervalValued(lambda x, u, p: vlo[j], lambda x, u, p: vhi[j],
+                           components=U.shape[1])
+    return tangent_selection(field, box, 0.0, U[j], np.zeros(U.shape[1]),
+                             tol=CONE_TOL, gap_tol=gap_tol)
+
+
+def _smallest_tangent_value(box, u, lo, hi, k):
+    """Smallest |y| over the candidates 0, lo, hi of component ``k`` that
+    are admissible and tangent by ``Box.tangent_project``, or None."""
+    best = None
+    for y in (0.0, lo, hi):
+        e = np.zeros(box.dim)
+        e[k] = y
+        if lo <= y <= hi and box.tangent_project(u, e)[k] == y:
+            best = y if best is None or abs(y) < abs(best) else best
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_problems(), st.sampled_from((1e-10, CONE_TOL)))
+def test_lifted_rows_match_the_single_node_selection(problem, gap_tol):
+    box, U, vlo, vhi = problem
+    lifted = box.lift(U.shape[0])
+    V, miss = lifted.select(U, vlo, vhi, gap_tol=gap_tol)
+    assume(miss is None)
+    for j in range(U.shape[0]):
+        v = _node_selection(box, U, vlo, vhi, j, gap_tol)
+        assert np.array_equal(V[j], v)
+        u = box.project(U[j])
+        for k in range(box.dim):
+            # the value grid is coarse, so exact minimal values exist
+            want = _smallest_tangent_value(box, u, vlo[j, k], vhi[j, k], k)
+            assert want is not None and V[j, k] == want
+    assert lifted.tangency(U, V) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_problems(), st.sampled_from((1e-10, CONE_TOL)))
+def test_failure_witness_is_the_first_empty_node(problem, gap_tol):
+    box, U, vlo, vhi = problem
+    V, miss = box.lift(U.shape[0]).select(U, vlo, vhi, gap_tol=gap_tol)
+    assume(miss is not None)
+    assert V is None
+    node, reason = miss
+    for j in range(node):
+        _node_selection(box, U, vlo, vhi, j, gap_tol)
+    try:
+        _node_selection(box, U, vlo, vhi, node, gap_tol)
+    except EmptyIntersection as exc:
+        assert str(exc) == reason
+    else:
+        raise AssertionError("node %d has a tangent value" % node)
+
+
+_coords = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def boxes_and_states(draw):
+    n = draw(st.integers(1, 5))
+    N = draw(st.integers(1, 3))
+
+    def grid():
+        return np.array(draw(st.lists(_coords, min_size=n * N,
+                                      max_size=n * N))).reshape(n, N)
+
+    a, b = grid(), grid()
+    return NodewiseBox(np.minimum(a, b), np.maximum(a, b)), grid(), grid()
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes_and_states())
+def test_projection_is_an_idempotent_contraction(case):
+    box, U, W = case
+    PU, PW = box.project(U), box.project(W)
+    assert np.all((box.lo <= PU) & (PU <= box.hi))
+    assert np.array_equal(box.project(PU), PU)
+    assert np.all(box.distances(PU) == 0.0)
+    gap = np.linalg.norm(PU - PW, axis=1)
+    assert np.all(gap <= np.linalg.norm(U - W, axis=1) * (1 + 1e-12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_problems())
+def test_constant_moving_box_selects_like_the_box(problem):
+    box, U, vlo, vhi = problem
+    n = U.shape[0]
+    moving = MovingBox(np.tile(box.lo, (n, 1)), np.tile(box.hi, (n, 1)))
+    a, b = box.lift(n), moving.lift(n)
+    assert np.array_equal(a.project(U), b.project(U))
+    (Va, miss_a), (Vb, miss_b) = a.select(U, vlo, vhi), b.select(U, vlo, vhi)
+    assert miss_a == miss_b
+    if miss_a is None:
+        assert np.array_equal(Va, Vb)
+        assert a.tangency(U, Va) == b.tangency(U, Vb)

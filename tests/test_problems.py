@@ -197,6 +197,15 @@ def test_tangency_ball_constraint():
     assert rep.items[0].margin == pytest.approx(1.0)
 
 
+def test_single_column_moving_box_checks_every_component():
+    inward = as_field(lambda x, u, p: 0.5 - u, components=2)
+    moving = MovingBox(np.zeros((21, 1)), np.ones((21, 1)))
+    rep = verify_tangency(inward, moving, _grid(21), samples=200, seed=3)
+    assert rep.passed
+    assert [i.name for i in rep.items] == [
+        "face[0].low", "face[0].high", "face[1].low", "face[1].high"]
+
+
 def test_tangency_needs_a_constraint():
     with pytest.raises(ValueError, match="constraint"):
         verify_tangency(make_nonlinearity("linear"))
