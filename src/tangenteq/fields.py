@@ -164,17 +164,11 @@ class FilippovHull(NonlinearityField):
         return np.random.default_rng(int.from_bytes(h.digest(), "little"))
 
     def _value(self, x, u, p):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        dim = 1 + u.size + p.size
         rng = self._state_rng(x, u, p)
-        rays = unit_ball_rays(rng, self.sample_count, dim)
         lo = hi = _components(self.g(x, u, p), self.components)
-        for ray in rays:
-            dx = self.delta * ray
-            y = _components(
-                self.g(x + dx[0], u + dx[1:1 + u.size], p + dx[1 + u.size:]),
-                self.components)
+        for state in _probe_states(rng, self.sample_count, self.delta,
+                                   x, u, p):
+            y = _components(self.g(*state), self.components)
             lo = np.minimum(lo, y)
             hi = np.maximum(hi, y)
         return SetValue(lo=lo, hi=hi)
@@ -190,6 +184,20 @@ def unit_ball_rays(rng, count, dim):
             nd = 1.0
         out[i] = (rng.random() ** (1.0 / dim) / nd) * d
     return out
+
+
+def _probe_states(rng, count, radius, x, u, p):
+    """States ``(x, u, p) + radius * ray`` for ``count`` unit-ball rays.
+
+    All rays are drawn before the first state is yielded, so a caller
+    that stops early leaves ``rng`` where a full pass would.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    k = u.size
+    for ray in unit_ball_rays(rng, count, 1 + k + p.size):
+        dx = radius * ray
+        yield x + dx[0], u + dx[1:1 + k], p + dx[1 + k:]
 
 
 def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
@@ -270,17 +278,12 @@ def validate_graph_approximation(f, field, cfg, states, seed=0):
     gaps = []
     failures = []
     for idx, (x, u, p) in enumerate(states):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        p = np.atleast_1d(np.asarray(p, dtype=float))
         y = np.atleast_1d(np.asarray(f(x, u, p), dtype=float))
-        dim = 1 + u.size + p.size
         best = field.evaluate(x, u, p).distance(y)
         if best > 0.0:
-            for ray in unit_ball_rays(rng, cfg.sample_count, dim):
-                dx = cfg.radius() * ray
-                val = field.evaluate(x + dx[0], u + dx[1:1 + u.size],
-                                     p + dx[1 + u.size:])
-                best = min(best, val.distance(y))
+            for state in _probe_states(rng, cfg.sample_count, cfg.radius(),
+                                       x, u, p):
+                best = min(best, field.evaluate(*state).distance(y))
                 if best == 0.0:
                     break
         gaps.append(best)
@@ -300,15 +303,9 @@ def semicontinuity_probe(field, x, u, p, delta, sample_count=64, seed=0):
     signature of upper semicontinuity; a jump that stays out of the value
     box keeps the excess pinned at the jump size.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
     base = field.evaluate(x, u, p)
-    dim = 1 + u.size + p.size
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for ray in unit_ball_rays(rng, sample_count, dim):
-        dx = delta * ray
-        val = field.evaluate(x + dx[0], u + dx[1:1 + u.size],
-                             p + dx[1 + u.size:])
-        worst = max(worst, val.excess_over(base))
+    for state in _probe_states(rng, sample_count, delta, x, u, p):
+        worst = max(worst, field.evaluate(*state).excess_over(base))
     return worst

@@ -109,6 +109,11 @@ def _face_points(cube, axis, side, resolution):
             axes.append(np.array([cube.lo[axis] if side == "-" else cube.hi[axis]]))
         else:
             axes.append(np.linspace(cube.lo[j], cube.hi[j], resolution))
+    return _mesh_points(axes)
+
+
+def _mesh_points(axes):
+    """Every point of the tensor grid over ``axes``, one row each."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -220,8 +225,7 @@ def _sampled_argmin(f, cube, resolution, levels=3):
         for j in range(cube.dim):
             off = 0.5 * (hi[j] - lo[j]) / resolution
             axes.append(np.linspace(lo[j] + off, hi[j] - off, resolution))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = _mesh_points(axes)
         vals = [float(np.linalg.norm(np.atleast_1d(f(pt)))) for pt in pts]
         i = int(np.argmin(vals))
         if vals[i] < best_val:
@@ -242,9 +246,8 @@ def brute_force_zero(f, cube, grid, batched=False):
         raise ValueError("brute force supports dimension <= 3")
     if grid ** cube.dim > 1e7:
         raise ValueError("grid too fine: %d^%d points" % (grid, cube.dim))
-    axes = [np.linspace(cube.lo[j], cube.hi[j], grid) for j in range(cube.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = _mesh_points([np.linspace(cube.lo[j], cube.hi[j], grid)
+                        for j in range(cube.dim)])
     if batched:
         vals = np.asarray(f(pts))
         norms = np.linalg.norm(np.atleast_2d(vals), axis=-1)

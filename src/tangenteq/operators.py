@@ -17,7 +17,6 @@ The centered drift stencil is an M-matrix only while
 ``dx <= 2 d0 / max|gamma|``; assembly warns when a grid violates that.
 """
 
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -45,16 +44,13 @@ class Grid1D:
         self.length = float(length)
         self.n = int(n)
         self.periodic = bool(periodic)
-
-    @property
-    def dx(self):
-        return self.length / (self.n if self.periodic else self.n - 1)
-
-    @property
-    def nodes(self):
+        self.dx = self.length / (self.n if self.periodic else self.n - 1)
         if self.periodic:
-            return self.dx * np.arange(self.n)
-        return np.linspace(0.0, self.length, self.n)
+            self.nodes = self.dx * np.arange(self.n)
+        else:
+            self.nodes = np.linspace(0.0, self.length, self.n)
+        # shared by every caller, so no caller may write into it
+        self.nodes.flags.writeable = False
 
     def weights(self):
         """Trapezoid quadrature weights (uniform dx on periodic grids)."""
@@ -150,7 +146,6 @@ class DiscreteOperator:
 
         self._build_bands()
         self._cache = {}
-        self._cache_lock = threading.Lock()
 
     # -- assembly ---------------------------------------------------------
 
@@ -234,12 +229,11 @@ class DiscreteOperator:
     # -- resolvent --------------------------------------------------------
 
     def _prepared(self, h):
-        with self._cache_lock:
-            prep = self._cache.get(h)
-            if prep is None:
-                prep = self._prepare(h)
-                self._cache[h] = prep
-            return prep
+        prep = self._cache.get(h)
+        if prep is None:
+            prep = self._prepare(h)
+            self._cache[h] = prep
+        return prep
 
     def _prepare(self, h):
         n = self.grid.n

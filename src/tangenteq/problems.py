@@ -9,14 +9,18 @@ The verifier side turns the structural hypotheses behind the solvers into
 sampled checks with margins and witnesses:
 
 * ``verify_tangency``   - admissible values meet the constraint's tangent
-  cone on every face of the boundary,
+  cone on every face of the boundary; boxes, nodewise bound pairs and
+  balls have a verifier, any other body (a simplex) raises InvalidSpec,
+  so simplex configs run only through ``solve --force``,
 * ``verify_bernstein``  - sign, quadratic-growth, and sphere conditions
   for gradient-dependent two-point problems,
 * ``verify_subsuper``   - discrete sub/supersolution inequalities for
   nodewise bound pairs.
 
 A margin is always "distance to violation": positive means the condition
-holds strictly, negative means a witness was found.
+holds strictly, negative means a witness was found.  Every sampled check
+folds its draws through ``_sampled_item``, which states the margin and
+witness rules once.
 """
 
 from dataclasses import dataclass
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import Ball, Box, MovingBox
+from .errors import InvalidSpec
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
                      SetValue, SingleValued)
 from .operators import Grid1D, OperatorSpec, assemble
@@ -206,6 +211,35 @@ def _witness(x, u, p, value, violation):
             "value": value, "violation": float(violation)}
 
 
+def _sampled_item(name, field, states, margin, tol):
+    """Fold sampled states of one condition into its ``ConditionItem``.
+
+    ``states`` yields ``(x, u, p, arg)``; the field is evaluated at
+    ``(x, u, p)`` and ``margin(value_box, arg)`` is that state's distance
+    to violation, ``arg`` being whatever else the margin needs from the
+    draw.  The item carries the smallest margin and passes when it is at
+    least ``-tol``.  Its witness is the first state that reaches the
+    smallest margin, and it is recorded only when that margin is below
+    ``-tol``.
+    """
+    worst = np.inf
+    witness = None
+    for x, u, p, arg in states:
+        val = field.evaluate(x, u, p)
+        m = margin(val, arg)
+        if m < worst:
+            worst = m
+            if m < -tol:
+                witness = _witness(x, u, p,
+                                   [val.lo.tolist(), val.hi.tolist()], -m)
+    return ConditionItem(name, bool(worst >= -tol), float(worst), witness)
+
+
+def _min_dot(w, val):
+    """``min w . y`` over the values ``y`` in the box ``val``."""
+    return np.sum(np.minimum(w * val.lo, w * val.hi))
+
+
 # ---------------------------------------------------------------------------
 # tangency of admissible values on the constraint boundary
 
@@ -216,88 +250,62 @@ def _node_bounds(C, grid, components):
             np.gradient(box.hi, grid.dx, axis=0))
 
 
-def _box_face_items(field, C, grid, components, samples, rng, tol):
+def _box_face_items(field, C, grid, samples, rng, tol):
     # At a state touching a bound from inside, the touching component's
     # gradient matches the bound's; free components carry the bound mean
     # slope as a neutral stand-in.
+    components = field.components
     lo, hi, glo, ghi = _node_bounds(C, grid, components)
-    n = grid.n
+
+    def touching(i, bound, slope):
+        for _ in range(samples):
+            j = int(rng.integers(grid.n))
+            u = lo[j] + rng.random(components) * (hi[j] - lo[j])
+            p = 0.5 * (glo[j] + ghi[j])
+            u[i] = bound[j, i]
+            p[i] = slope[j, i]
+            yield grid.nodes[j], u, p, None
+
     items = []
     for i in range(components):
-        for side in ("low", "high"):
-            worst = np.inf
-            witness = None
-            for _ in range(samples):
-                j = int(rng.integers(n))
-                u = lo[j] + rng.random(components) * (hi[j] - lo[j])
-                p = 0.5 * (glo[j] + ghi[j])
-                if side == "low":
-                    u[i] = lo[j, i]
-                    p[i] = glo[j, i]
-                else:
-                    u[i] = hi[j, i]
-                    p[i] = ghi[j, i]
-                val = field.evaluate(grid.nodes[j], u, p)
-                margin = val.hi[i] if side == "low" else -val.lo[i]
-                if margin < worst:
-                    worst = margin
-                    if margin < -tol:
-                        witness = _witness(grid.nodes[j], u, p,
-                                           [val.lo.tolist(), val.hi.tolist()],
-                                           -margin)
-            items.append(ConditionItem("face[%d].%s" % (i, side),
-                                       worst >= -tol, float(worst), witness))
+        items.append(_sampled_item("face[%d].low" % i, field,
+                                   touching(i, lo, glo),
+                                   lambda val, _: val.hi[i], tol))
+        items.append(_sampled_item("face[%d].high" % i, field,
+                                   touching(i, hi, ghi),
+                                   lambda val, _: -val.lo[i], tol))
     return items
 
 
 def _ball_items(field, C, grid, samples, rng, tol):
-    N = C.dim
-    worst = np.inf
-    witness = None
-    for _ in range(samples):
-        j = int(rng.integers(grid.n))
-        d = rng.standard_normal(N)
-        d /= np.linalg.norm(d)
-        u = C.center + C.radius * d
-        p = np.zeros(N)
-        val = field.evaluate(grid.nodes[j], u, p)
-        # inward admissibility: some value y with outward component <= 0
-        inner_min = np.sum(np.minimum(d * val.lo, d * val.hi))
-        margin = -inner_min
-        if margin < worst:
-            worst = margin
-            if margin < -tol:
-                witness = _witness(grid.nodes[j], u, p,
-                                   [val.lo.tolist(), val.hi.tolist()], -margin)
-    return [ConditionItem("sphere", worst >= -tol, float(worst), witness)]
+    def boundary():
+        for _ in range(samples):
+            j = int(rng.integers(grid.n))
+            d = rng.standard_normal(C.dim)
+            d /= np.linalg.norm(d)
+            yield grid.nodes[j], C.center + C.radius * d, np.zeros(C.dim), d
+
+    # inward admissibility: some value y with outward component <= 0
+    return [_sampled_item("sphere", field, boundary(),
+                          lambda val, d: -_min_dot(d, val), tol)]
 
 
-def verify_tangency(field, C=None, grid=None, samples=10000, seed=42,
-                    tol=1e-9):
+def verify_tangency(field, C, grid, samples=10000, seed=42, tol=1e-9):
     """Sampled check that admissible values point into the constraint.
 
-    The first argument may be a parsed problem description (constraint
-    and grid are then built from it) or a bare nonlinearity paired with
-    an explicit constraint and grid.  Boxes and nodewise bound pairs are
-    checked face by face; balls over sampled boundary directions.
-    Gradient arguments at a face follow the bound's own slope, since a
-    touching state has to share it.
+    Boxes and nodewise bound pairs are checked face by face; balls over
+    sampled boundary directions.  Gradient arguments at a face follow the
+    bound's own slope, since a touching state has to share it.  Any other
+    body raises InvalidSpec.
     """
-    if C is None and hasattr(field, "build_field"):
-        spec = field
-        grid = spec.build_grid()
-        C = spec.build_constraint(grid)
-        field = spec.build_field()
-    if C is None or grid is None:
-        raise ValueError("need a constraint set and a grid")
     rng = np.random.default_rng(seed)
-    N = field.components
     if isinstance(C, Ball):
         items = _ball_items(field, C, grid, samples, rng, tol)
     elif isinstance(C, (Box, MovingBox)):
-        items = _box_face_items(field, C, grid, N, samples, rng, tol)
+        items = _box_face_items(field, C, grid, samples, rng, tol)
     else:
-        raise ValueError("no tangency verifier for %r" % type(C).__name__)
+        raise InvalidSpec("no tangency verifier for %r (box, nodewise bound"
+                          " pair and ball only)" % type(C).__name__)
     return ConditionReport(items=items)
 
 
@@ -321,63 +329,41 @@ def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42,
     xs = rng.random(samples) * length
     pmax = max(1.0, 2.0 * R)
 
+    # Each generator draws from rng only while it is consumed, and each
+    # is consumed in full before the next one starts.
     def directions(count):
         d = rng.standard_normal((count, N))
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
-    sign_worst, sign_wit = np.inf, None
-    for x, d in zip(xs, directions(samples)):
-        radius = R + rng.random() * (R + 1.0)
-        u = radius * d
-        val = fld.evaluate(x, u, np.zeros(N))
-        inner_min = np.sum(np.minimum(u * val.lo, u * val.hi))
-        margin = -inner_min
-        if margin < sign_worst:
-            sign_worst = margin
-            if margin < -tol:
-                sign_wit = _witness(x, u, np.zeros(N),
-                                    [val.lo.tolist(), val.hi.tolist()],
-                                    -margin)
+    def outside():
+        for x, d in zip(xs, directions(samples)):
+            u = (R + rng.random() * (R + 1.0)) * d
+            yield x, u, np.zeros(N), u
 
-    growth_worst, growth_wit = np.inf, None
-    for x in xs:
-        u = R * (2.0 * rng.random(N) - 1.0)
-        p = pmax * (2.0 * rng.random(N) - 1.0)
-        val = fld.evaluate(x, u, p)
-        margin = a * float(np.dot(p, p)) + b - val.sup_norm()
-        if margin < growth_worst:
-            growth_worst = margin
-            if margin < -tol:
-                growth_wit = _witness(x, u, p,
-                                      [val.lo.tolist(), val.hi.tolist()],
-                                      -margin)
+    def inside():
+        for x in xs:
+            u = R * (2.0 * rng.random(N) - 1.0)
+            p = pmax * (2.0 * rng.random(N) - 1.0)
+            yield x, u, p, p
 
-    sphere_worst, sphere_wit = np.inf, None
-    for x, d in zip(xs, directions(samples)):
-        u = R * d
-        if N == 1:
-            p = np.zeros(1)
-        else:
-            raw = rng.standard_normal(N)
-            raw -= d * np.dot(raw, d)
-            p = raw
-        val = fld.evaluate(x, u, p)
-        inner_min = np.sum(np.minimum(u * val.lo, u * val.hi))
-        margin = c * R * R - inner_min
-        if margin < sphere_worst:
-            sphere_worst = margin
-            if margin < -tol:
-                sphere_wit = _witness(x, u, p,
-                                      [val.lo.tolist(), val.hi.tolist()],
-                                      -margin)
+    def on_sphere():
+        for x, d in zip(xs, directions(samples)):
+            u = R * d
+            if N == 1:
+                p = np.zeros(1)
+            else:
+                p = rng.standard_normal(N)
+                p -= d * np.dot(p, d)
+            yield x, u, p, u
 
     items = [
-        ConditionItem("sign_outside_ball", bool(sign_worst >= -tol),
-                      float(sign_worst), sign_wit),
-        ConditionItem("quadratic_growth", bool(growth_worst >= -tol),
-                      float(growth_worst), growth_wit),
-        ConditionItem("sphere_tangency", bool(sphere_worst >= -tol),
-                      float(sphere_worst), sphere_wit),
+        _sampled_item("sign_outside_ball", fld, outside(),
+                      lambda val, u: -_min_dot(u, val), tol),
+        _sampled_item("quadratic_growth", fld, inside(),
+                      lambda val, p: a * float(np.dot(p, p)) + b
+                      - val.sup_norm(), tol),
+        _sampled_item("sphere_tangency", fld, on_sphere(),
+                      lambda val, u: c * R * R - _min_dot(u, val), tol),
     ]
     return ConditionReport(items=items)
 

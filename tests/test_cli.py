@@ -245,6 +245,57 @@ def test_seed_override_is_accepted(tmp_path):
                     "--out", str(tmp_path), "--seed", "7"]) == 0
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data",
+                          "check_conditions")
+
+
+@pytest.mark.parametrize("name", sorted(
+    f[:-5] for f in os.listdir(GOLDEN_DIR) if f.endswith(".json")))
+def test_conditions_report_matches_golden_bytes(tmp_path, name):
+    # the verifiers' margins and witnesses at --seed 7, pinned byte for byte
+    assert run_cli(["check-conditions", _cfg(name + ".cfg"),
+                    "--out", str(tmp_path), "--seed", "7"]) == 0
+    with open(os.path.join(GOLDEN_DIR, name + ".json"), "rb") as fh:
+        want = fh.read()
+    assert (tmp_path / "report.json").read_bytes() == want
+
+
+SIMPLEX_CFG = """\
+[problem]
+kind = neumann_rd
+
+[grid]
+nodes = 11
+
+[operator]
+components = 3
+
+[nonlinearity]
+name = linear
+a = 0.3333333333333333
+b = -1.0
+
+[constraint]
+kind = simplex
+total = 1.0
+
+[solver]
+u0 = 0.25
+"""
+
+
+def test_simplex_config_has_no_gate_and_needs_force(tmp_path, capsys):
+    cfg = tmp_path / "simplex.cfg"
+    cfg.write_text(SIMPLEX_CFG)
+    out = str(tmp_path / "out")
+    assert run_cli(["check-conditions", str(cfg), "--out", out]) == 1
+    assert "error: no tangency verifier for 'Simplex'" in \
+        capsys.readouterr().err
+    assert run_cli(["solve", str(cfg), "--out", out]) == 1
+    assert run_cli(["solve", str(cfg), "--out", out, "--force"]) == 0
+    assert _report(out)["status"] == "converged"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

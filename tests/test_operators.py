@@ -25,6 +25,15 @@ def _single_node_op(h_shift=None):
     return assemble(OperatorSpec(bc="dirichlet", shift=h_shift), grid)
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+def test_grid_nodes_are_built_once_and_read_only(periodic):
+    grid = Grid1D(1.0, 11, periodic=periodic)
+    assert grid.nodes is grid.nodes
+    assert not grid.nodes.flags.writeable
+    with pytest.raises(ValueError):
+        grid.nodes[0] = 1.0
+
+
 def test_neumann_annihilates_constants():
     op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, 41))
     assert np.max(np.abs(op.apply(np.full(41, 3.7)))) == 0.0

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from tangenteq import (Ball, Box, Grid1D, InvalidSpec, MovingBox,
+from tangenteq import (Ball, Box, Grid1D, InvalidSpec, MovingBox, Simplex,
                        StateShiftedField, load_config, make_bernstein_problem,
                        make_nonlinearity, parse_config, resolvent_iterate,
                        serialize, verify_bernstein, verify_subsuper,
@@ -179,7 +179,9 @@ def test_tangency_constant_push_fails_at_the_upper_face():
 
 def test_tangency_from_a_parsed_spec():
     spec = load_config(os.path.join(CONFIG_DIR, "moving_rectangles.cfg"))
-    rep = verify_tangency(spec, samples=1500)
+    grid = spec.build_grid()
+    rep = verify_tangency(spec.build_field(), spec.build_constraint(grid),
+                          grid, samples=1500)
     assert rep.passed
     by_name = {item.name: item for item in rep.items}
     # 1 - u at the lower bound alpha(x) = -1 + x^2/2 leaves at least 1.5
@@ -207,8 +209,47 @@ def test_single_column_moving_box_checks_every_component():
 
 
 def test_tangency_needs_a_constraint():
-    with pytest.raises(ValueError, match="constraint"):
-        verify_tangency(make_nonlinearity("linear"))
+    for body in (None, Simplex(1.0, 1)):
+        with pytest.raises(InvalidSpec, match="no tangency verifier"):
+            verify_tangency(make_nonlinearity("linear"), body, _grid())
+
+
+def _box_face_high():
+    field = as_field(lambda x, u, p: x + u - 0.5)
+    rep = verify_tangency(field, Box([0.0], [1.0]), _grid(), samples=300,
+                          seed=1)
+    return field, rep, "face[0].high"
+
+
+def _ball_sphere():
+    field = as_field(lambda x, u, p: u + np.array([0.3, -0.1]) * x,
+                     components=2)
+    rep = verify_tangency(field, Ball(np.array([0.1, 0.2]), 1.5), _grid(21),
+                          samples=300, seed=5)
+    return field, rep, "sphere"
+
+
+def _bernstein(name):
+    def case():
+        field = as_field(lambda x, u, p: u + p - x, components=2)
+        rep = verify_bernstein(field, R=1.0, a=0.1, b=0.5, c=0.2,
+                               samples=300, seed=9)
+        return field, rep, name
+    return case
+
+
+@pytest.mark.parametrize("case", [
+    _box_face_high, _ball_sphere, _bernstein("sign_outside_ball"),
+    _bernstein("quadratic_growth"), _bernstein("sphere_tangency")],
+    ids=["box_face", "ball", "sign", "growth", "sphere"])
+def test_witness_reproduces_the_worst_margin(case):
+    field, rep, name = case()
+    item = {i.name: i for i in rep.items}[name]
+    assert not item.passed
+    wit = item.witness
+    val = field.evaluate(wit["x"], np.array(wit["u"]), np.array(wit["p"]))
+    assert [val.lo.tolist(), val.hi.tolist()] == wit["value"]
+    assert -wit["violation"] == item.margin
 
 
 # ---------------------------------------------------------------------------
