@@ -29,7 +29,7 @@ import numpy as np
 from .convex import Ball, Box, MovingBox, Simplex
 from .equilibrium import SolverConfig
 from .errors import InvalidSpec
-from .operators import Grid1D, OperatorSpec, assemble
+from .operators import Grid1D, OperatorSpec, _sample, assemble
 from .problems import (StateShiftedField, make_nonlinearity,
                        NONLINEARITY_NAMES, NONLINEARITY_PARAMS)
 
@@ -140,11 +140,8 @@ def _profile_fn(text):
     raise InvalidSpec("unknown profile %r" % (name,))
 
 
-def _sample_profile(text, xs):
-    fn = _profile_fn(text)
-    if callable(fn):
-        return np.asarray([float(fn(x)) for x in xs])
-    return np.full(len(xs), fn)
+def _sample_profile(text, xs, name):
+    return _sample(_profile_fn(text), xs, name)
 
 
 class ProblemSpec:
@@ -212,8 +209,9 @@ class ProblemSpec:
             return Ball(np.zeros(N), _fnum(self._get("bernstein", "radius")))
         if self.kind == "moving_rectangles":
             grid = grid or self.build_grid()
-            return MovingBox(_sample_profile(sec["alpha"], grid.nodes),
-                             _sample_profile(sec["beta"], grid.nodes))
+            return MovingBox(
+                _sample_profile(sec["alpha"], grid.nodes, "alpha"),
+                _sample_profile(sec["beta"], grid.nodes, "beta"))
         if ckind == "none":
             return None
         if ckind == "box":
@@ -245,7 +243,7 @@ class ProblemSpec:
         text = self.sections["solver"]["u0"]
         if text == "zeros":
             return np.zeros((grid.n, N))
-        vals = _sample_profile(text, grid.nodes)
+        vals = _sample_profile(text, grid.nodes, "u0")
         return np.tile(vals[:, None], (1, N))
 
     def verify_params(self):

@@ -1,18 +1,21 @@
 """End-to-end runs of the command line front end.
 
 Everything goes through ``run_cli`` with an explicit --out directory so
-the tests never touch the working tree; one test exercises the installed
-``tangenteq`` script for real.
+the tests never touch the working tree; one test exercises the process
+entry point for real (the installed ``tangenteq`` script when it is on
+PATH).
 """
 
 import json
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tangenteq
 from tangenteq.cli import run_cli
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -260,6 +263,28 @@ def test_conditions_report_matches_golden_bytes(tmp_path, name):
     assert (tmp_path / "report.json").read_bytes() == want
 
 
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+RESOLVENT_COMMANDS = ("solve", "simulate", "check_invariance", "miranda")
+
+
+@pytest.mark.parametrize("command,name", sorted(
+    (command, name) for command in RESOLVENT_COMMANDS
+    for name in os.listdir(os.path.join(DATA_DIR, command))))
+def test_resolvent_outputs_match_golden_bytes(tmp_path, command, name):
+    # exit code and every file written at --seed 7, pinned byte for byte
+    want_dir = os.path.join(DATA_DIR, command, name)
+    with open(os.path.join(want_dir, "exit_code"), encoding="utf-8") as fh:
+        want_code = int(fh.read())
+    out = tmp_path / "out"
+    assert run_cli([command.replace("_", "-"), _cfg(name + ".cfg"),
+                    "--out", str(out), "--seed", "7"]) == want_code
+    files = sorted(f for f in os.listdir(want_dir) if f != "exit_code")
+    assert sorted(os.listdir(out)) == files
+    for f in files:
+        with open(os.path.join(want_dir, f), "rb") as fh:
+            assert (out / f).read_bytes() == fh.read(), f
+
+
 SIMPLEX_CFG = """\
 [problem]
 kind = neumann_rd
@@ -294,6 +319,21 @@ def test_simplex_config_has_no_gate_and_needs_force(tmp_path, capsys):
     assert run_cli(["solve", str(cfg), "--out", out]) == 1
     assert run_cli(["solve", str(cfg), "--out", out, "--force"]) == 0
     assert _report(out)["status"] == "converged"
+
+
+@pytest.mark.parametrize("command,text,name", [
+    ("solve", "[problem]\nkind = neumann_rd\n\n[solver]\nu0 = sin:1,0,0\n",
+     "u0"),
+    ("check-conditions", "[problem]\nkind = moving_rectangles\n\n"
+     "[constraint]\nalpha = sin:1,0,0\nbeta = 1.0\n", "alpha"),
+], ids=["u0", "alpha"])
+def test_nonfinite_profile_exits_one(tmp_path, capsys, command, text, name):
+    # a zero period samples 0/0 and x/0: the config error names the key
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(text)
+    assert run_cli([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "error: %s produced non-finite values" % name in \
+        capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +389,14 @@ def test_command_kind_mismatch_exits_one(capsys):
 
 
 def test_installed_script_runs(tmp_path):
+    # the console script when installed, else the same entry point as a
+    # module, found through the import path of this test run
     exe = shutil.which("tangenteq")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "miranda", _cfg("affine.cfg"),
-                           "--out", str(tmp_path)],
-                          capture_output=True, text=True)
+    cmd = [exe] if exe else [sys.executable, "-m", "tangenteq.cli"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(tangenteq.__file__)))
+    proc = subprocess.run(cmd + ["miranda", _cfg("affine.cfg"),
+                                 "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "status converged" in proc.stdout

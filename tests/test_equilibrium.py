@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tangenteq import operators
 from tangenteq import (Grid1D, OperatorSpec, assemble, Ball, Box, Simplex,
                        SingleValued, SolverConfig, resolvent_iterate,
                        truncation_iterate, viability_simulate, residual,
@@ -104,6 +105,53 @@ def test_harmonic_schedule_shrinks_the_step():
     assert cfg.step(1) == 0.6
     assert cfg.step(4) == pytest.approx(0.15)
     assert SolverConfig(step_schedule="fixed", h0=0.6).step(9) == 0.6
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    real = operators.dgttrf
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return real(*args)
+
+    monkeypatch.setattr(operators, "dgttrf", counted)
+    return calls
+
+
+def test_fixed_step_solve_factors_once(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    rep = resolvent_iterate(_neumann_op(), _relaxing_field(), UNIT_BOX,
+                            np.zeros(101))
+    assert rep.status == "converged" and rep.iterations > 1
+    assert calls == [101]
+
+
+def test_harmonic_solve_factors_once_per_step(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    op = _neumann_op()
+    steps = []
+    resolvent = op.resolvent
+
+    def recorded(h, F):
+        steps.append(h)
+        return resolvent(h, F)
+
+    monkeypatch.setattr(op, "resolvent", recorded)
+    # tol_step = 0 keeps the sweep going past several checkpoints
+    resolvent_iterate(op, _relaxing_field(), UNIT_BOX, np.zeros(101),
+                      SolverConfig(step_schedule="harmonic", h0=0.8,
+                                   max_iter=300, tol_step=0.0))
+    assert len(set(steps)) >= 3
+    assert len(calls) == len(set(steps))
+
+
+def test_truncation_factors_once(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    rep = truncation_iterate(_dirichlet_op(), _bvp_field(), alpha=-1.0,
+                             beta=1.0)
+    assert rep.status == "converged" and rep.iterations > 1
+    assert calls == [99]
 
 
 def test_singleton_field_against_face_reports_tangency_failure():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from tangenteq import operators
 from tangenteq import (Grid1D, OperatorSpec, assemble, quadratic_form,
                        gradient_seminorm_sq, garding_constants,
                        semigroup_powers, invariance_audit, Box,
@@ -88,27 +89,78 @@ def test_resolvent_single_node_arithmetic():
     assert u[0] == 0.0 and u[2] == 0.0
 
 
-@pytest.mark.parametrize("bc", ["neumann", "dirichlet", "periodic"])
-def test_resolvent_matches_dense_lu(bc):
-    """Banded kernel (plus the periodic corner trick) against a dense LU
-    solve of the same system on n = 31."""
-    periodic = bc == "periodic"
-    grid = Grid1D(1.0, 31, periodic=periodic)
+def _varying_op(bc, n):
     spec = OperatorSpec(d=lambda x: 1.0 + 0.4 * np.sin(2 * np.pi * x),
                         gamma=0.3, bc=bc, shift=0.0)
-    op = assemble(spec, grid)
-    A = _dense_matrix(op)
+    return assemble(spec, Grid1D(1.0, n, periodic=bc == "periodic"))
+
+
+def _dense_solve(op, a0, c, F):
+    """``(a0 I - c A) u = F`` by dense LU on the equation rows."""
+    rows = op.equation_mask()
+    M = a0 * np.eye(op.grid.n) - c * _dense_matrix(op)
+    out = np.zeros_like(F)
+    out[rows] = sla.solve(M[np.ix_(rows, rows)], F[rows])
+    return out
+
+
+WALLS = ["neumann", "dirichlet", "periodic"]
+# Dirichlet grids of 3 and 4 nodes leave 1 and 2 unknowns; n = 31 keeps
+# the plain wall-type ids
+SOLVE_CASES = [pytest.param(bc, n, id=bc if n == 31 else "%s-n%d" % (bc, n))
+               for bc in WALLS for n in (31, 3, 4)]
+
+
+@pytest.mark.parametrize("bc,n", SOLVE_CASES)
+def test_resolvent_matches_dense_lu(bc, n):
+    """Tridiagonal kernel (plus the periodic corner trick) against a dense
+    LU solve of the same system, for one and for three stacked columns."""
+    op = _varying_op(bc, n)
     rng = np.random.default_rng(6)
     for h in (1e-3, 0.05, 0.7):
-        f = rng.uniform(-1.0, 1.0, 31)
-        M = np.eye(31) - h * A
-        if bc == "dirichlet":
-            ref = np.zeros(31)
-            ref[1:-1] = sla.solve(M[1:-1, 1:-1], f[1:-1])
-        else:
-            ref = sla.solve(M, f)
-        got = op.resolvent(h, f)
-        assert np.max(np.abs(got - ref)) <= 1e-12
+        F = rng.uniform(-1.0, 1.0, (n, 3))
+        ref = _dense_solve(op, 1.0, h, F)
+        assert np.max(np.abs(op.resolvent(h, F) - ref)) <= 1e-12
+        assert np.max(np.abs(op.resolvent(h, F[:, 0]) - ref[:, 0])) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [31, 3, 4])
+def test_stationary_solve_matches_dense_lu(n):
+    op = _varying_op("dirichlet", n)
+    F = np.random.default_rng(8).uniform(-1.0, 1.0, (n, 3))
+    ref = _dense_solve(op, 0.0, -1.0, F)
+    assert np.max(np.abs(op.solve_stationary(F) - ref)) <= 1e-12
+    assert np.max(np.abs(op.solve_stationary(F[:, 1]) - ref[:, 1])) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bc", WALLS)
+def test_nonfinite_right_hand_side_raises(bc, bad):
+    op = _varying_op(bc, 31)
+    F = np.ones(31)
+    F[7] = bad
+    with pytest.raises(SingularSystem):
+        op.resolvent(0.1, F)
+    if bc == "dirichlet":
+        with pytest.raises(SingularSystem):
+            op.solve_stationary(F)
+
+
+@pytest.mark.parametrize("bc", WALLS)
+def test_residual_guard_rejects_a_perturbed_solve(bc, monkeypatch):
+    exact = operators.dgttrs
+
+    def perturbed(*args):
+        x, info = exact(*args)
+        return x + 1e-6, info
+
+    monkeypatch.setattr(operators, "dgttrs", perturbed)
+    op = _varying_op(bc, 31)
+    with pytest.raises(SingularSystem, match="resolvent residual"):
+        op.resolvent(0.1, np.ones(31))
+    if bc == "dirichlet":
+        with pytest.raises(SingularSystem, match="stationary residual"):
+            op.solve_stationary(np.ones(31))
 
 
 def test_resolvent_stacked_components_match_separate_solves():
