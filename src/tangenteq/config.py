@@ -29,6 +29,7 @@ import numpy as np
 from .convex import Ball, Box, MovingBox, Simplex
 from .equilibrium import SolverConfig
 from .errors import InvalidSpec
+from .miranda import Cube
 from .operators import Grid1D, OperatorSpec, _sample, assemble
 from .problems import (StateShiftedField, make_nonlinearity,
                        NONLINEARITY_NAMES, NONLINEARITY_PARAMS)
@@ -112,13 +113,22 @@ def _canon_list(text):
     return ",".join(repr(_fnum(t)) for t in str(text).split(","))
 
 
+# the arguments each profile takes, with the values that pad a short list
+_PROFILE_DEFAULTS = {"sin": (0.0, 1.0, 0.0), "quad": (0.0, 0.0, 0.0),
+                     "const": (0.0,)}
+
+
 def _canon_profile(text):
     t = str(text).strip().lower()
     if ":" in t:
         name, args = t.split(":", 1)
-        if name not in ("sin", "quad", "const"):
+        if name not in _PROFILE_DEFAULTS:
             raise InvalidSpec("unknown profile %r" % (name,))
-        return name + ":" + _canon_list(args)
+        vals = _canon_list(args)
+        if vals.count(",") >= len(_PROFILE_DEFAULTS[name]):
+            raise InvalidSpec("profile %r takes at most %d arguments"
+                              % (name, len(_PROFILE_DEFAULTS[name])))
+        return name + ":" + vals
     return _canon_float(t)
 
 
@@ -128,16 +138,17 @@ def _profile_fn(text):
     if ":" not in t:
         return float(t)
     name, args = t.split(":", 1)
+    if name not in _PROFILE_DEFAULTS:
+        raise InvalidSpec("unknown profile %r" % (name,))
     vals = [float(a) for a in args.split(",")]
+    vals += _PROFILE_DEFAULTS[name][len(vals):]
     if name == "const":
-        return float(vals[0])
+        return vals[0]
     if name == "sin":
-        amp, period, offset = (vals + [0.0, 1.0, 0.0])[:3]
+        amp, period, offset = vals
         return lambda x: offset + amp * np.sin(2.0 * np.pi * x / period)
-    if name == "quad":
-        a, b, c = (vals + [0.0, 0.0, 0.0])[:3]
-        return lambda x: a + b * x + c * x * x
-    raise InvalidSpec("unknown profile %r" % (name,))
+    a, b, c = vals
+    return lambda x: a + b * x + c * x * x
 
 
 def _sample_profile(text, xs, name):
@@ -248,12 +259,14 @@ class ProblemSpec:
 
     def verify_params(self):
         sec = self.sections["verify"]
-        return {"samples": _inum(sec["samples"]), "seed": _inum(sec["seed"])}
+        return {"samples": _count(sec["samples"], "[verify] samples"),
+                "seed": _inum(sec["seed"])}
 
     def invariance_params(self):
         sec = self.sections["invariance"]
         return {"h_list": [float(t) for t in sec["h"].split(",")],
-                "sample_count": _inum(sec["samples"]),
+                "sample_count": _count(sec["samples"],
+                                       "[invariance] samples"),
                 "seed": _inum(sec["seed"]),
                 "overshoot_tol": _fnum(sec["tol"])}
 
@@ -263,7 +276,10 @@ class ProblemSpec:
 
     def simulate_params(self):
         sec = self.sections["simulate"]
-        return {"t_end": _fnum(sec["t_end"]), "h": _fnum(sec["h"])}
+        t_end, h = _fnum(sec["t_end"]), _fnum(sec["h"])
+        if t_end <= 0 or h <= 0:
+            raise InvalidSpec("[simulate] t_end and h must be positive")
+        return {"t_end": t_end, "h": h}
 
     def miranda_params(self):
         sec = self.sections["miranda"]
@@ -286,6 +302,13 @@ def _is_floatish(text):
         return True
     except ValueError:
         return False
+
+
+def _count(text, name):
+    k = _inum(text)
+    if k < 1:
+        raise InvalidSpec("%s must be at least 1" % name)
+    return k
 
 
 def _vector(text, N):
@@ -336,9 +359,7 @@ def parse_config(text):
             "resolution": _canon_int(m.get("resolution", "9")),
             "max_depth": _canon_int(m.get("max_depth", "200")),
         }
-        spec = ProblemSpec(out)
-        spec.miranda_params()    # validates shapes
-        return spec
+        return _touched(ProblemSpec(out))
 
     g = raw.get("grid", {})
     out["grid"] = {"length": _canon_float(g.get("length", "1.0")),
@@ -446,13 +467,27 @@ def parse_config(text):
                             "a": _canon_float(bz.get("a", "0.0")),
                             "b": _canon_float(bz.get("b", "3.0"))}
 
-    spec = ProblemSpec(out)
-    # touch every builder that only needs the table, so bad values fail
-    # at parse time rather than mid-run
+    return _touched(ProblemSpec(out))
+
+
+def _touched(spec):
+    """``spec`` after every builder that only needs the table has run, so
+    that bad values fail at parse time, for every command, rather than
+    mid-run (a builder's ValueError or a missing data file becomes
+    InvalidSpec)."""
     try:
+        if spec.kind == "miranda":
+            mp = spec.miranda_params()
+            Cube(mp["lo"], mp["hi"])
+            return spec
         spec.build_grid()
         spec.build_solver()
-    except ValueError as exc:
+        spec.build_field()
+        spec.build_constraint()
+        spec.simulate_params()
+        spec.verify_params()
+        spec.invariance_params()
+    except (ValueError, OSError) as exc:
         raise InvalidSpec(str(exc)) from None
     return spec
 

@@ -3,14 +3,18 @@
 Every set here exposes the same small surface: ``distance`` / ``project``
 (the metric projection, which is a 1-Lipschitz retraction), membership
 queries for the tangent cone at a point of the set, the metric projection
-onto that cone, and a finite list of supporting halfspaces used by the
-resolvent invariance audits.
+onto that cone, a finite list of supporting halfspaces used by the
+resolvent invariance audits, and what the grid solvers need: ``lift(n)``
+(the set at each of ``n`` nodes, a ``NodewiseBox`` for boxes and
+``MovingBox``, a row-by-row ``NodewiseBody`` otherwise),
+``tangent_value(u, lo, hi)`` (the minimal-norm point of the value box
+``[lo, hi]`` in the tangent cone at ``u``) and ``sample(rng, count, n)``
+(seeded grid functions with every nodal value in the set).
 
 The tangent cone of a convex set at ``x`` is the closure of the feasible
 rays ``h*(K - x)``, ``h > 0``.  For the sets below it has closed form:
 
-* ``Box``      componentwise sign rules on the active faces (``lift``
-  gives the ``NodewiseBox`` the grid solvers use, as does ``MovingBox``),
+* ``Box``      componentwise sign rules on the active faces,
 * ``Ball``     a halfspace through the outward normal on the boundary,
 * ``Simplex``  zero-sum directions, nonnegative on the zero coordinates,
 * ``HalfspaceIntersection``  the cone cut out by the active halfspaces.
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PointNotInSet
+from .errors import EmptyIntersection, PointNotInSet, TangentEqError
 
 #: default tolerance for active-face detection and cone membership
 CONE_TOL = 1e-9
@@ -83,6 +87,59 @@ class ConvexBody:
     def supporting_halfspaces(self):
         raise NotImplementedError
 
+    def lift(self, n):
+        """The body at every grid node, applied one row at a time."""
+        return NodewiseBody(self)
+
+    def tangent_value(self, u, lo, hi, tol=CONE_TOL, gap_tol=1e-10,
+                      max_iter=5000):
+        """Minimal-norm value in ``[lo, hi]`` tangent to the body at ``u``.
+
+        Dykstra's alternating projections between the value box and the
+        tangent cone run from the origin; Dykstra converges to the
+        projection of the start point onto the intersection, which is
+        exactly the minimal-norm point.  The scheme declares the
+        intersection empty when the box-to-cone gap stalls above
+        tolerance (reduction below 1e-14 across 50 iterations).
+
+        Raises EmptyIntersection when no admissible tangent value exists.
+        """
+        sweeps = _dykstra_sweeps(np.zeros(lo.size), [
+            lambda z: np.clip(z, lo, hi),
+            lambda z: self.tangent_project(u, z, tol=tol)])
+        gaps = []
+        gap = np.inf
+        for i, (b, y) in zip(range(max_iter), sweeps):
+            gap = float(np.linalg.norm(b - y))
+            gaps.append(gap)
+            if gap <= gap_tol:
+                break
+            if i >= 50 and gaps[i - 50] - gap < 1e-14 and gap > gap_tol:
+                raise EmptyIntersection(
+                    "alternating projections stalled at gap %.3g" % gap)
+        if gap > gap_tol:
+            raise EmptyIntersection(
+                "no admissible tangent value found (gap %.3g)" % gap)
+
+        check_tol = max(tol, 100.0 * gap_tol)
+        res = self.tangent_cone_contains(u, y, tol=check_tol)
+        if not res.contains or \
+                np.linalg.norm(y - np.clip(y, lo, hi)) > check_tol:
+            raise TangentEqError("selection failed its a-posteriori validation")
+        return y
+
+    def sample(self, rng, count, n):
+        """``count`` seeded ``(n, dim)`` grid functions with every nodal
+        value in the body: projected Gaussian draws around a centre."""
+        base = self._draw_centre()
+        draws = base + (1.0 + np.linalg.norm(base)) * rng.standard_normal(
+            (count, n, self.dim))
+        return np.array([self.project(u) for u in
+                         draws.reshape(-1, self.dim)]).reshape(draws.shape)
+
+    def _draw_centre(self):
+        return np.zeros(self.dim)
+
 
 class Box(ConvexBody):
     """Axis-aligned box ``[lo, hi]``; degenerate components are allowed.
@@ -104,18 +161,9 @@ class Box(ConvexBody):
     def project(self, x):
         return np.clip(_as1d(x), self.lo, self.hi)
 
-    def active_faces(self, x, tol=CONE_TOL):
-        """Boolean masks (lower, upper) of the faces active at ``x``."""
-        x = _as1d(x)
-        return x - self.lo <= tol, self.hi - x <= tol
-
     def tangent_project(self, x, v, tol=CONE_TOL):
-        low, up = self.active_faces(x, tol)
-        w = _as1d(v).copy()
-        w[low] = np.maximum(w[low], 0.0)
-        w[up] = np.minimum(w[up], 0.0)
-        w[low & up] = 0.0
-        return w
+        clo, chi = self.lift(1).face_cone(_as1d(x)[None], tol)
+        return np.clip(_as1d(v), clo[0], chi[0])
 
     def supporting_halfspaces(self):
         out = []
@@ -129,6 +177,19 @@ class Box(ConvexBody):
     def lift(self, n):
         """The same box at each of ``n`` grid nodes."""
         return NodewiseBox(np.tile(self.lo, (n, 1)), np.tile(self.hi, (n, 1)))
+
+    def tangent_value(self, u, lo, hi, tol=CONE_TOL, gap_tol=1e-10,
+                      max_iter=5000):
+        """Closed form: componentwise clipping (no iterations)."""
+        v, miss = self.lift(1).select(u[None], lo[None], hi[None],
+                                      tol=tol, gap_tol=gap_tol)
+        if miss is not None:
+            raise EmptyIntersection(miss[1])
+        return v[0]
+
+    def sample(self, rng, count, n):
+        width = np.where(self.hi > self.lo, self.hi - self.lo, 0.0)
+        return self.lo + width * rng.random((count, n, self.dim))
 
 
 @dataclass
@@ -191,10 +252,12 @@ class NodewiseBox:
         """Euclidean distance of each nodal state to its box."""
         return np.linalg.norm(U - self.project(U), axis=1)
 
-    def active_faces(self, U, tol=CONE_TOL):
-        """Boolean masks (lower, upper) of the faces active at ``proj U``."""
+    def face_cone(self, U, tol=CONE_TOL):
+        """Interval bounds ``(clo, chi)`` of the tangent cone at ``proj U``:
+        ``clo = 0`` on an active lower face, ``chi = 0`` on an upper one."""
         W = self.project(U)
-        return W - self.lo <= tol, self.hi - W <= tol
+        return (np.where(W - self.lo <= tol, 0.0, -np.inf),
+                np.where(self.hi - W <= tol, 0.0, np.inf))
 
     def select(self, U, vlo, vhi, P=None, tol=CONE_TOL, gap_tol=CONE_TOL):
         """Minimal-norm values in ``[vlo, vhi]`` tangent to the box at ``U``.
@@ -205,10 +268,8 @@ class NodewiseBox:
         default matches ``tol``, so a state within ``tol`` of a face may
         overshoot it by as much.  Gradients ``P`` play no part for a box.
         """
-        low, up = self.active_faces(U, tol)
         V, empty = selection_on_intervals(vlo, vhi,
-                                          np.where(low, 0.0, -np.inf),
-                                          np.where(up, 0.0, np.inf), gap_tol)
+                                          *self.face_cone(U, tol), gap_tol)
         if np.any(empty):
             j, k = np.argwhere(empty)[0]
             return None, (int(j), "component %d: values [%.6g, %.6g] miss "
@@ -218,9 +279,44 @@ class NodewiseBox:
     def tangency(self, U, V, tol=CONE_TOL):
         """``max_j dist(V_j, T(proj U_j))``: the largest nodal directional
         derivative of the distance to the box along ``V``."""
-        low, up = self.active_faces(U, tol)
-        out = np.where(low & (V < 0), -V, 0.0) + np.where(up & (V > 0), V, 0.0)
-        return float(np.max(np.linalg.norm(out, axis=1)))
+        clo, chi = self.face_cone(U, tol)
+        return float(np.max(np.linalg.norm(V - np.clip(V, clo, chi), axis=1)))
+
+
+class NodewiseBody:
+    """A convex body at every grid node, with the methods of
+    ``NodewiseBox`` applied one row of ``U`` at a time."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def broadcast(self, N):
+        if self.body.dim != N:
+            raise ValueError("constraint dimension %d != components %d"
+                             % (self.body.dim, N))
+        return self
+
+    def project(self, U):
+        return np.array([self.body.project(row) for row in U])
+
+    def distances(self, U):
+        return np.array([self.body.distance(row) for row in U])
+
+    def select(self, U, vlo, vhi, P=None, tol=CONE_TOL, gap_tol=CONE_TOL):
+        """``NodewiseBox.select`` by ``tangent_value`` at ``proj U_j``."""
+        V = np.empty_like(U)
+        for j, u in enumerate(U):
+            try:
+                V[j] = self.body.tangent_value(self.body.project(u), vlo[j],
+                                               vhi[j], tol, gap_tol)
+            except EmptyIntersection as exc:
+                return None, (j, str(exc))
+        return V, None
+
+    def tangency(self, U, V, tol=CONE_TOL):
+        return float(max(
+            self.body.tangent_cone_contains(self.body.project(u), v, tol)
+            .directional_derivative for u, v in zip(U, V)))
 
 
 def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=1e-10):
@@ -268,6 +364,12 @@ class Ball(ConvexBody):
             return v
         n = r / nr
         return v - max(0.0, float(n @ v)) * n
+
+    def sample(self, rng, count, n):
+        d = rng.standard_normal((count, n, self.dim))
+        d /= np.maximum(np.linalg.norm(d, axis=2, keepdims=True), 1e-300)
+        r = self.radius * rng.random((count, n, 1)) ** (1.0 / self.dim)
+        return self.center + r * d
 
     def supporting_halfspaces(self, count=64, seed=0):
         """Outer polyhedral approximation by ``count`` tangent halfspaces.
@@ -356,6 +458,10 @@ class Simplex(ConvexBody):
         w = v - lam
         return np.where(act, np.maximum(w, 0.0), w)
 
+    def sample(self, rng, count, n):
+        e = rng.exponential(1.0, (count, n, self.dim))
+        return self.total_mass * e / np.sum(e, axis=2, keepdims=True)
+
     def supporting_halfspaces(self):
         out = []
         for i in range(self.dim):
@@ -417,6 +523,9 @@ class HalfspaceIntersection(ConvexBody):
         return [(p.copy(), float(a))
                 for p, a in zip(self.normals, self.offsets)]
 
+    def _draw_centre(self):
+        return self.point
+
 
 def _halfspace_projector(p, a):
     def proj(y):
@@ -427,18 +536,28 @@ def _halfspace_projector(p, a):
     return proj
 
 
-def _dykstra(x, projectors, tol=1e-13, max_sweeps=20000):
-    """Dykstra's scheme: converges to the metric projection of ``x`` onto
-    the intersection of the projectors' sets (plain alternation does not)."""
+def _dykstra_sweeps(x, projectors):
+    """Dykstra's scheme from ``x``, yielding each sweep's list of projector
+    outputs: it converges to the metric projection of ``x`` onto the
+    intersection of the projectors' sets (plain alternation does not)."""
     y = x.copy()
     corr = [np.zeros_like(y) for _ in projectors]
-    scale = max(1.0, float(np.linalg.norm(x)))
-    for _ in range(max_sweeps):
-        y_prev = y.copy()
+    while True:
+        outs = []
         for i, proj in enumerate(projectors):
             z = y + corr[i]
             y = proj(z)
             corr[i] = z - y
+            outs.append(y)
+        yield outs
+
+
+def _dykstra(x, projectors, tol=1e-13, max_sweeps=20000):
+    """Dykstra's scheme run until a sweep moves less than ``tol`` relative."""
+    y = x
+    scale = max(1.0, float(np.linalg.norm(x)))
+    for _, outs in zip(range(max_sweeps), _dykstra_sweeps(x, projectors)):
+        y_prev, y = y, outs[-1]
         if np.linalg.norm(y - y_prev) <= tol * scale:
             break
     return y

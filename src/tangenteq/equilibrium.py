@@ -39,9 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import CONE_TOL, Box, MovingBox
+from .convex import MovingBox
 from .errors import EmptyIntersection
-from .fields import tangent_selection
 
 _CHECKPOINT_FACTOR = 1e-9
 
@@ -95,53 +94,6 @@ class SolveReport:
             "bound_checks": self.bound_checks,
             "failure": self.failure,
         }
-
-
-class _NodewiseBody:
-    """A convex body applied at every grid node, one row at a time.
-
-    It offers the methods of ``NodewiseBox``; selections re-evaluate the
-    field at each node's projected state and run ``tangent_selection``.
-    """
-
-    def __init__(self, body, N, field_, xs):
-        if body.dim != N:
-            raise ValueError("constraint dimension %d != components %d"
-                             % (body.dim, N))
-        self.body = body
-        self.field = field_
-        self.xs = xs
-
-    def project(self, U):
-        return np.array([self.body.project(row) for row in U])
-
-    def distances(self, U):
-        return np.array([self.body.distance(row) for row in U])
-
-    def select(self, U, vlo, vhi, P):
-        V = np.empty_like(U)
-        for j in range(U.shape[0]):
-            try:
-                V[j] = tangent_selection(self.field, self.body, self.xs[j],
-                                         self.body.project(U[j]), P[j],
-                                         tol=CONE_TOL, gap_tol=CONE_TOL)
-            except EmptyIntersection as exc:
-                return None, (j, str(exc))
-        return V, None
-
-    def tangency(self, U, V):
-        return float(max(
-            self.body.tangent_cone_contains(self.body.project(u), v)
-            .directional_derivative for u, v in zip(U, V)))
-
-
-def _nodewise(C, op, field_):
-    """The constraint at every node of ``op``'s grid: a NodewiseBox for
-    boxes and bound pairs, a per-node wrapper for any other body."""
-    n, N = op.grid.n, op.spec.components
-    if isinstance(C, (Box, MovingBox)):
-        return C.lift(n).broadcast(N)
-    return _NodewiseBody(C, N, field_, op.grid.nodes)
 
 
 def _witness(node, x, u, reason):
@@ -227,7 +179,7 @@ def resolvent_iterate(op, field_, C, u0, config=None):
     status/failure fields (node, position, state) rather than raised.
     """
     config = config or SolverConfig()
-    K = _nodewise(C, op, field_)
+    K = C.lift(op.grid.n).broadcast(op.spec.components)
     u = K.project(_as_grid_function(u0, op.grid.n, op.spec.components))
 
     history = []
@@ -379,7 +331,7 @@ def viability_simulate(op, field_, C, u0, t_end, h):
     """
     if t_end <= 0 or h <= 0:
         raise ValueError("horizon and step must be positive")
-    K = _nodewise(C, op, field_)
+    K = C.lift(op.grid.n).broadcast(op.spec.components)
     u = _as_grid_function(u0, op.grid.n, op.spec.components)
     steps = int(np.ceil(t_end / h))
 
@@ -410,7 +362,7 @@ def residual(op, field_, C, u):
     residual, except that a node with no tangent value raises
     EmptyIntersection.
     """
-    K = _nodewise(C, op, field_)
+    K = C.lift(op.grid.n).broadcast(op.spec.components)
     U = _as_grid_function(u, op.grid.n, op.spec.components)
     vlo, vhi, v, failure = _select(op, field_, K, U)
     eq = _equation_residual(op, op.apply(U), vlo, vhi)

@@ -7,9 +7,11 @@ and the sampled interval hull of a possibly discontinuous function over a
 small ball (the regularization that turns jumps into intervals).
 
 ``tangent_selection`` picks the minimal-norm admissible value that is also
-tangent to the constraint set at ``u``.  That selection is what the
-equilibrium iterations feed through the resolvent, and its emptiness is
-exactly the tangency failure the verifiers hunt for.
+tangent to the constraint set at ``u``: it evaluates the field once and
+leaves the selection to the body's ``tangent_value``.  The equilibrium
+sweeps make the same selection at every node through the lifted body's
+``select``, and its emptiness is exactly the tangency failure the
+verifiers hunt for.
 """
 
 import hashlib
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import CONE_TOL, Box
-from .errors import BoundViolated, EmptyIntersection, TangentEqError
+from .convex import CONE_TOL
+from .errors import BoundViolated
 
 
 @dataclass
@@ -202,57 +204,14 @@ def _probe_states(rng, count, radius, x, u, p):
 
 def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
                       gap_tol=1e-10, max_iter=5000):
-    """Minimal-norm admissible value tangent to ``body`` at ``u``.
-
-    Box constraints reduce to componentwise interval clipping.  Otherwise
-    Dykstra's alternating projections between the value box and the
-    tangent cone are run from the origin; Dykstra converges to the
-    projection of the start point onto the intersection, which is exactly
-    the minimal-norm point.  The scheme declares the intersection empty
-    when the box-to-cone gap stalls above tolerance (reduction below
-    1e-14 across 50 iterations).
+    """Minimal-norm admissible value tangent to ``body`` at ``u``: the
+    field's value box at ``(x, u, p)`` handed to ``body.tangent_value``.
 
     Raises EmptyIntersection when no admissible tangent value exists.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     val = field.evaluate(x, u, p)
-
-    if isinstance(body, Box):
-        v, miss = body.lift(1).select(u[None], val.lo[None], val.hi[None],
-                                      tol=tol, gap_tol=gap_tol)
-        if miss is not None:
-            raise EmptyIntersection(miss[1])
-        return v[0]
-
-    y = np.zeros(field.components)
-    pc = np.zeros_like(y)
-    qc = np.zeros_like(y)
-    gaps = []
-    gap = np.inf
-    for i in range(max_iter):
-        zb = y + pc
-        b = np.clip(zb, val.lo, val.hi)
-        pc = zb - b
-        zt = b + qc
-        t = body.tangent_project(u, zt, tol=tol)
-        qc = zt - t
-        y = t
-        gap = float(np.linalg.norm(b - t))
-        gaps.append(gap)
-        if gap <= gap_tol:
-            break
-        if i >= 50 and gaps[i - 50] - gap < 1e-14 and gap > gap_tol:
-            raise EmptyIntersection(
-                "alternating projections stalled at gap %.3g" % gap)
-    if gap > gap_tol:
-        raise EmptyIntersection(
-            "no admissible tangent value found (gap %.3g)" % gap)
-
-    check_tol = max(tol, 100.0 * gap_tol)
-    res = body.tangent_cone_contains(u, y, tol=check_tol)
-    if not res.contains or val.distance(y) > check_tol:
-        raise TangentEqError("selection failed its a-posteriori validation")
-    return y
+    return body.tangent_value(u, val.lo, val.hi, tol, gap_tol, max_iter)
 
 
 @dataclass

@@ -325,7 +325,13 @@ def _tridiagonal_solver(dl, d, du):
     if info > 0:
         raise SingularSystem("banded solve failed: zero pivot in row %d"
                              % info)
-    return lambda B: dgttrs(dl, d, du, du2, ipiv, B)[0]
+
+    def solve(B):
+        # dgttrs corrupts the heap on a right-hand side without columns
+        if B.shape[1] == 0:
+            return np.zeros_like(B)
+        return dgttrs(dl, d, du, du2, ipiv, B)[0]
+    return solve
 
 
 def _as_operator(spec, grid):
@@ -422,31 +428,6 @@ class InvarianceReport:
         }
 
 
-def _sample_in_body(body, rng, count, n):
-    """Seeded grid functions with every nodal value inside ``body``."""
-    from . import convex as cx
-
-    N = body.dim
-    if isinstance(body, cx.Box):
-        width = np.where(body.hi > body.lo, body.hi - body.lo, 0.0)
-        return body.lo + width * rng.random((count, n, N))
-    if isinstance(body, cx.Ball):
-        d = rng.standard_normal((count, n, N))
-        d /= np.maximum(np.linalg.norm(d, axis=2, keepdims=True), 1e-300)
-        r = body.radius * rng.random((count, n, 1)) ** (1.0 / N)
-        return body.center + r * d
-    if isinstance(body, cx.Simplex):
-        e = rng.exponential(1.0, (count, n, N))
-        return body.total_mass * e / np.sum(e, axis=2, keepdims=True)
-    out = np.empty((count, n, N))
-    spread = 1.0 + np.linalg.norm(getattr(body, "point", np.zeros(N)))
-    base = getattr(body, "point", np.zeros(N))
-    for i in range(count):
-        for j in range(n):
-            out[i, j] = body.project(base + spread * rng.standard_normal(N))
-    return out
-
-
 def invariance_audit(op, body, h_list, sample_count=1000, seed=0,
                      overshoot_tol=1e-10):
     """Check that resolvents map K-valued grid functions into K.
@@ -465,7 +446,7 @@ def invariance_audit(op, body, h_list, sample_count=1000, seed=0,
     n = op.grid.n
     N = body.dim
     halfspaces = body.supporting_halfspaces()
-    samples = _sample_in_body(body, rng, sample_count, n)
+    samples = body.sample(rng, sample_count, n)
 
     worst = -np.inf
     per_halfspace = [{"normal": [float(c) for c in p], "offset": float(a),

@@ -136,7 +136,10 @@ class StateShiftedField(NonlinearityField):
         self.c = float(c)
 
     def _value(self, x, u, p):
+        # the envelope bounds the base values; ``base.evaluate`` would
+        # make one call two field evaluations in the perfbench trace
         val = self.base._value(x, u, p)
+        self.base._check_bound(x, val)
         return SetValue(val.lo - self.c * u, val.hi - self.c * u)
 
 

@@ -1,0 +1,152 @@
+"""The contract every convex body offers the grid solvers: ``lift(n)``,
+``tangent_value`` and ``sample``."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tangenteq import (CONE_TOL, Ball, Box, EmptyIntersection, Grid1D,
+                       HalfspaceIntersection, IntervalValued, OperatorSpec,
+                       Simplex, SingleValued, SolverConfig, assemble,
+                       invariance_audit, resolvent_iterate,
+                       tangent_selection)
+
+_VALUES = (-1.0, -0.5, -1e-4, 0.0, 1e-4, 0.5, 1.0)
+_COORDS = (-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5)
+
+
+def _triangle():
+    """``x >= 0, y >= 0, x + y <= 1`` with its certificate point."""
+    return HalfspaceIntersection([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                                 [0.0, 0.0, 1.0], [0.25, 0.25])
+
+
+@st.composite
+def body_problems(draw):
+    """A non-box body, states on, inside and outside it, and value boxes."""
+    kind = draw(st.sampled_from(("ball", "simplex", "halfspaces")))
+    if kind == "halfspaces":
+        body = _triangle()
+    else:
+        dim = draw(st.integers(1, 3))
+        if kind == "ball":
+            center = draw(st.lists(st.sampled_from((-0.5, 0.0, 0.5)),
+                                   min_size=dim, max_size=dim))
+            body = Ball(center, draw(st.sampled_from((0.5, 1.0))))
+        else:
+            body = Simplex(draw(st.sampled_from((0.5, 1.0))), dim)
+    n = draw(st.integers(1, 3))
+    N = body.dim
+    rows = []
+    for _ in range(n):
+        point = np.array(draw(st.lists(st.sampled_from(_COORDS),
+                                       min_size=N, max_size=N)))
+        rows.append(body.project(point) if draw(st.booleans()) else point)
+    pairs = [sorted(draw(st.lists(st.sampled_from(_VALUES), min_size=2,
+                                  max_size=2)))
+             for _ in range(n * N)]
+    vlo = np.array([p[0] for p in pairs]).reshape(n, N)
+    vhi = np.array([p[1] for p in pairs]).reshape(n, N)
+    return body, np.array(rows), vlo, vhi
+
+
+def _node_selection(body, U, vlo, vhi, j, gap_tol):
+    """``tangent_selection`` of a field whose value box is node ``j``'s."""
+    field = IntervalValued(lambda x, u, p: vlo[j], lambda x, u, p: vhi[j],
+                           components=body.dim)
+    return tangent_selection(field, body, 0.0, body.project(U[j]),
+                             np.zeros(body.dim), tol=CONE_TOL,
+                             gap_tol=gap_tol)
+
+
+@settings(max_examples=120, deadline=None)
+@given(body_problems(), st.sampled_from((1e-10, CONE_TOL)))
+def test_lifted_rows_are_the_single_node_selections(problem, gap_tol):
+    body, U, vlo, vhi = problem
+    lifted = body.lift(U.shape[0]).broadcast(body.dim)
+    V, miss = lifted.select(U, vlo, vhi, gap_tol=gap_tol)
+    assume(miss is None)
+    check_tol = max(CONE_TOL, 100.0 * gap_tol)
+    for j in range(U.shape[0]):
+        assert np.array_equal(V[j],
+                              _node_selection(body, U, vlo, vhi, j, gap_tol))
+        assert np.all(V[j] >= vlo[j] - 100.0 * gap_tol)
+        assert np.all(V[j] <= vhi[j] + 100.0 * gap_tol)
+        assert body.tangent_cone_contains(body.project(U[j]), V[j],
+                                          tol=check_tol).contains
+    assert lifted.tangency(U, V, tol=check_tol) <= check_tol
+
+
+@settings(max_examples=120, deadline=None)
+@given(body_problems(), st.sampled_from((1e-10, CONE_TOL)))
+def test_a_miss_names_the_first_empty_node(problem, gap_tol):
+    body, U, vlo, vhi = problem
+    V, miss = body.lift(U.shape[0]).select(U, vlo, vhi, gap_tol=gap_tol)
+    assume(miss is not None)
+    assert V is None
+    node, reason = miss
+    for j in range(node):
+        _node_selection(body, U, vlo, vhi, j, gap_tol)
+    with pytest.raises(EmptyIntersection) as exc:
+        _node_selection(body, U, vlo, vhi, node, gap_tol)
+    assert str(exc.value) == reason
+
+
+def test_lift_rejects_a_component_count_other_than_the_body_dimension():
+    with pytest.raises(ValueError, match="constraint dimension 2 != "
+                                         "components 3"):
+        Ball([0.0, 0.0], 1.0).lift(5).broadcast(3)
+
+
+class _CountingField(SingleValued):
+    def __init__(self, g, components):
+        super().__init__(g, components=components)
+        self.calls = 0
+
+    def evaluate(self, x, u, p):
+        self.calls += 1
+        return super().evaluate(x, u, p)
+
+
+def test_ball_sweep_evaluates_the_field_once_per_node():
+    # the start projects onto the boundary, where the cone takes part
+    n = 11
+    op = assemble(OperatorSpec(bc="neumann", components=2), Grid1D(1.0, n))
+    field = _CountingField(lambda x, u, p: 0.5 - u, 2)
+    rep = resolvent_iterate(op, field, Ball([0.0, 0.0], 1.0),
+                            np.ones((n, 2)), SolverConfig(max_iter=6))
+    assert rep.failure is None and rep.iterations == 6
+    # one evaluation per node and sweep, plus one per node for the
+    # final tangency residual
+    assert field.calls == n * rep.iterations + n
+
+
+_BODIES = {
+    "box": Box([-1.0, 0.0], [0.5, 0.0]),
+    "ball": Ball([0.5, -1.0, 0.0], 2.0),
+    "simplex": Simplex(1.5, 3),
+    "halfspaces": _triangle(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BODIES))
+def test_samples_are_seeded_grid_functions_in_the_body(name):
+    body = _BODIES[name]
+    count, n = 7, 5
+    draws = body.sample(np.random.default_rng(4), count, n)
+    assert draws.shape == (count, n, body.dim)
+    assert all(body.contains(u, tol=1e-12)
+               for u in draws.reshape(-1, body.dim))
+    again = body.sample(np.random.default_rng(4), count, n)
+    assert np.array_equal(draws, again)
+    other = body.sample(np.random.default_rng(5), count, n)
+    assert not np.array_equal(draws, other)
+
+
+def test_invariance_audit_keeps_a_halfspace_body():
+    op = assemble(OperatorSpec(bc="neumann", components=2), Grid1D(1.0, 21))
+    rep = invariance_audit(op, _triangle(), [1e-2, 0.5], sample_count=20,
+                           seed=3)
+    assert rep.passed
+    assert len(rep.per_halfspace) == 3

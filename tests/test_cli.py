@@ -336,6 +336,55 @@ def test_nonfinite_profile_exits_one(tmp_path, capsys, command, text, name):
         capsys.readouterr().err
 
 
+MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
+    "offset = 0,0\n"
+
+
+@pytest.mark.parametrize("command,text,code,message", [
+    ("check-invariance", "[problem]\nkind = neumann_rd\n\n[constraint]\n"
+     "kind = box\nlo = 1.0\nhi = 0.0\n", 1, "box needs lo <= hi"),
+    ("check-invariance", "[problem]\nkind = neumann_rd\n\n[constraint]\n"
+     "kind = ball\nradius = -1\n", 1, "radius must be positive"),
+    ("check-invariance", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = heaviside\ndelta = 0\n", 1, "delta must be positive"),
+    ("check-invariance", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = tabulated\n", 1, "needs a 'path' parameter"),
+    ("check-invariance", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = tabulated\npath = no_such_table.csv\n", 1, "no_such_table.csv"),
+    ("check-conditions", "[problem]\nkind = neumann_rd\n\n[simulate]\n"
+     "h = 0\n", 1, "[simulate] t_end and h must be positive"),
+    ("miranda", MIRANDA_HEAD + "lo = 0,0\nhi = 1\n", 1, "lo and hi must match"),
+    ("miranda", MIRANDA_HEAD + "lo = 0,0\nhi = 1,0\n", 1,
+     "cube sides must have positive length"),
+    ("check-conditions", "[problem]\nkind = neumann_rd\n\n[verify]\n"
+     "samples = 0\n", 1, "[verify] samples must be at least 1"),
+    ("check-conditions", "[problem]\nkind = neumann_rd\n\n[invariance]\n"
+     "samples = 0\n", 1, "[invariance] samples must be at least 1"),
+    ("check-invariance", "[problem]\nkind = neumann_rd\n\n[operator]\n"
+     "d = sin:0.5,1,2,99\n", 1, "profile 'sin' takes at most 3 arguments"),
+    ("check-invariance", "[problem]\nkind = neumann_rd\n\n[solver]\n"
+     "u0 = const:1,2\n", 1, "profile 'const' takes at most 1 arguments"),
+    # a short list pads from the defaults: period 1, offset 0
+    ("check-invariance", "[problem]\nkind = drift_rd\n\n[operator]\n"
+     "gamma = sin:0.5\n", 0, None),
+], ids=["box_lo_above_hi", "negative_radius", "heaviside_delta_zero",
+        "tabulated_without_path", "tabulated_missing_file",
+        "simulate_h_zero", "miranda_hi_short", "miranda_hi_not_above_lo",
+        "verify_no_samples", "invariance_no_samples", "sin_extra_argument",
+        "const_extra_argument", "sin_short_list"])
+def test_bad_config_values_fail_at_parse_time(tmp_path, capsys, command,
+                                              text, code, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run_cli([command, str(cfg), "--out", str(tmp_path / "out")]) \
+        == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == ""
+    else:
+        assert "error: " in err and message in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -179,7 +179,7 @@ def test_selection_minimality_and_membership_by_sampling():
         assert val.distance(y) <= 1e-10
         assert body.tangent_cone_contains(u, y, tol=1e-8).contains
         # the admissible set is itself a box here, so sample it directly
-        low, up = body.active_faces(u, 1e-9)
+        low, up = u - body.lo <= 1e-9, body.hi - u <= 1e-9
         ilo = np.maximum(vlo, np.where(low, 0.0, -np.inf))
         ihi = np.minimum(vhi, np.where(up, 0.0, np.inf))
         ilo = np.where(np.isfinite(ilo), ilo, vlo)

@@ -1,0 +1,38 @@
+"""Static check of the package sources: no module imports a name it never
+uses (the package re-exports from ``__init__`` only)."""
+
+import ast
+import os
+
+import pytest
+
+import tangenteq
+
+PACKAGE_DIR = os.path.dirname(tangenteq.__file__)
+MODULES = sorted(f for f in os.listdir(PACKAGE_DIR)
+                 if f.endswith(".py") and f != "__init__.py")
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_the_check_sees_an_unused_import():
+    assert _unused_imports("import os\nimport sys\nsys.exit()\n") \
+        == [(1, "os")]
+    assert _unused_imports("from a import b as c, d\nd()\n") == [(1, "c")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_name_it_imports(module):
+    with open(os.path.join(PACKAGE_DIR, module), encoding="utf-8") as fh:
+        assert _unused_imports(fh.read()) == []

@@ -1,9 +1,15 @@
 """Banded drift-diffusion operators: assembly, resolvents, form, audits."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import tangenteq
 from tangenteq import operators
 from tangenteq import (Grid1D, OperatorSpec, assemble, quadratic_form,
                        gradient_seminorm_sq, garding_constants,
@@ -161,6 +167,31 @@ def test_residual_guard_rejects_a_perturbed_solve(bc, monkeypatch):
     if bc == "dirichlet":
         with pytest.raises(SingularSystem, match="stationary residual"):
             op.solve_stationary(np.ones(31))
+
+
+def test_zero_column_right_hand_sides_solve_to_empty_arrays():
+    # run in a child process: a heap corruption kills the process, which
+    # then fails this test instead of ending the whole test run
+    script = textwrap.dedent("""
+        import numpy as np
+        from tangenteq import Grid1D, OperatorSpec, assemble
+        for bc in ("neumann", "dirichlet", "periodic"):
+            for n in (101, 4):
+                grid = Grid1D(1.0, n, periodic=bc == "periodic")
+                op = assemble(OperatorSpec(bc=bc), grid)
+                for h in (0.25, 0.5) * 10:
+                    assert op.resolvent(h, np.zeros((n, 0))).shape == (n, 0)
+                if bc == "dirichlet":
+                    assert op.solve_stationary(
+                        np.zeros((n, 0))).shape == (n, 0)
+        print("ok")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(tangenteq.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_resolvent_stacked_components_match_separate_solves():

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from tangenteq import (Ball, Box, Grid1D, InvalidSpec, MovingBox, Simplex,
+from tangenteq import (Ball, BoundViolated, Box, Grid1D, InvalidSpec,
+                       MovingBox, Simplex,
                        StateShiftedField, load_config, make_bernstein_problem,
                        make_nonlinearity, parse_config, resolvent_iterate,
                        serialize, verify_bernstein, verify_subsuper,
@@ -105,6 +106,17 @@ def test_state_shift_moves_mass_between_parts():
     val = fld.evaluate(0.2, np.array([0.5]), np.zeros(1))
     assert val.lo[0] == pytest.approx(0.0)   # (1 - u) - u at u = 1/2
     assert val.hi[0] == pytest.approx(0.0)
+
+
+def test_state_shift_enforces_the_base_envelope():
+    # the envelope bounds phi itself, before the shift by c * u
+    op, fld, C = make_bernstein_problem(lambda x, u, p: 5.0, R=2.0, c=1.0,
+                                        n=21, bound=0.1)
+    with pytest.raises(BoundViolated, match="exceeds envelope 0.1"):
+        fld.evaluate(0.5, np.zeros(1), np.zeros(1))
+    ok = make_bernstein_problem(lambda x, u, p: 0.05, R=2.0, c=1.0, n=21,
+                                bound=0.1)[1]
+    assert ok.evaluate(0.5, np.array([1.0]), np.zeros(1)).lo[0] == -0.95
 
 
 def test_bernstein_problem_recovers_the_analytic_bvp():
