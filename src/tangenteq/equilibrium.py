@@ -101,17 +101,6 @@ def _witness(node, x, u, reason):
             "u": [float(c) for c in np.atleast_1d(u)], "reason": reason}
 
 
-def _field_boxes(field_, xs, U, P):
-    n, N = U.shape
-    vlo = np.empty((n, N))
-    vhi = np.empty((n, N))
-    for j in range(n):
-        val = field_.evaluate(xs[j], U[j], P[j])
-        vlo[j] = val.lo
-        vhi[j] = val.hi
-    return vlo, vhi
-
-
 def _select(op, field_, K, U):
     """The sweep kernel at state ``U``: gradients, value boxes of the
     field and, unless ``K`` is None, the tangent selection.
@@ -121,7 +110,7 @@ def _select(op, field_, K, U):
     """
     xs = op.grid.nodes
     P = op.gradient(U)
-    vlo, vhi = _field_boxes(field_, xs, U, P)
+    vlo, vhi = field_.evaluate_grid(xs, U, P)
     if K is None:
         return vlo, vhi, None, None
     v, miss = K.select(U, vlo, vhi, P)

@@ -437,11 +437,15 @@ def invariance_audit(op, body, h_list, sample_count=1000, seed=0,
     every supporting halfspace (p, a) of the body, the worst positive
     excess ``max_j (p . u_j - a)`` of the output.  Exact halfspace lists
     make the check conclusive for boxes and simplices; ball audits use the
-    documented outer approximation.
+    documented outer approximation.  A ``sample_count`` below 1 raises
+    InvalidSpec.
     """
     if body.dim != op.spec.components:
         raise InvalidSpec("body dimension %d != operator components %d"
                           % (body.dim, op.spec.components))
+    if sample_count < 1:
+        raise InvalidSpec("sample_count must be at least 1, got %r"
+                          % (sample_count,))
     rng = np.random.default_rng(seed)
     n = op.grid.n
     N = body.dim

@@ -30,7 +30,7 @@ import numpy as np
 from .convex import Ball, Box, MovingBox
 from .errors import InvalidSpec
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
-                     SetValue, SingleValued)
+                     SetValue, SingleValued, _row_dots, _sup_norms)
 from .operators import Grid1D, OperatorSpec, assemble
 
 
@@ -42,14 +42,14 @@ def _linear(params, components, bound, seed):
     a = float(params.get("a", 0.5))
     b = float(params.get("b", -1.0))
     return SingleValued(lambda x, u, p: a + b * u,
-                        components=components, bound=bound)
+                        components=components, bound=bound, vectorized=True)
 
 
 def _logistic(params, components, bound, seed):
     r = float(params.get("r", 1.0))
     theta = float(params.get("theta", 0.4))
     return SingleValued(lambda x, u, p: r * u * (1.0 - u) * (u - theta),
-                        components=components, bound=bound)
+                        components=components, bound=bound, vectorized=True)
 
 
 def _constant(params, components, bound, seed):
@@ -57,7 +57,7 @@ def _constant(params, components, bound, seed):
     hi = float(params.get("hi", lo))
     return IntervalValued(lambda x, u, p: np.full(components, lo),
                           lambda x, u, p: np.full(components, hi),
-                          components=components, bound=bound)
+                          components=components, bound=bound, vectorized=True)
 
 
 def _heaviside(params, components, bound, seed):
@@ -72,7 +72,8 @@ def _heaviside(params, components, bound, seed):
         return np.where(u < threshold, off, on)
 
     return FilippovHull(relay, delta, sample_count=count,
-                        components=components, bound=bound, base_seed=seed)
+                        components=components, bound=bound, base_seed=seed,
+                        vectorized=True)
 
 
 def _tabulated(params, components, bound, seed):
@@ -85,7 +86,7 @@ def _tabulated(params, components, bound, seed):
     order = np.argsort(data[:, 0])
     knots, vals = data[order, 0], data[order, 1]
     return SingleValued(lambda x, u, p: np.interp(u, knots, vals),
-                        components=components, bound=bound)
+                        components=components, bound=bound, vectorized=True)
 
 
 _CATALOG = {
@@ -141,6 +142,10 @@ class StateShiftedField(NonlinearityField):
         val = self.base._value(x, u, p)
         self.base._check_bound(x, val)
         return SetValue(val.lo - self.c * u, val.hi - self.c * u)
+
+    def evaluate_grid(self, xs, U, P):
+        lo, hi = self.base.evaluate_grid(xs, U, P)
+        return lo - self.c * U, hi - self.c * U
 
 
 def as_field(phi, components=1, bound=None):
@@ -214,33 +219,53 @@ def _witness(x, u, p, value, violation):
             "value": value, "violation": float(violation)}
 
 
-def _sampled_item(name, field, states, margin, tol):
-    """Fold sampled states of one condition into its ``ConditionItem``.
+def _sampled_item(name, field, count, states, margin, tol):
+    """Fold ``count`` sampled states of one condition into its
+    ``ConditionItem``.
 
-    ``states`` yields ``(x, u, p, arg)``; the field is evaluated at
-    ``(x, u, p)`` and ``margin(value_box, arg)`` is that state's distance
-    to violation, ``arg`` being whatever else the margin needs from the
-    draw.  The item carries the smallest margin and passes when it is at
-    least ``-tol``.  Its witness is the first state that reaches the
-    smallest margin, and it is recorded only when that margin is below
-    ``-tol``.
+    ``states`` yields ``(x, u, p, arg)``; the states fill ``(count, N)``
+    arrays, the field is evaluated on all of them in one
+    ``evaluate_grid`` call, and ``margin(lo, hi, args)`` gives every
+    state's distance to violation from its value box and the ``arg`` rows
+    (whatever else the margin needs from the draw; ``arg`` may be None
+    when it needs nothing).  The item carries the smallest margin and
+    passes when it is at least ``-tol``.  Its witness is the first state
+    that reaches the smallest margin, and it is recorded only when that
+    margin is below ``-tol``.  A NaN margin never counts as smallest.
     """
-    worst = np.inf
+    N = field.components
+    X = np.empty(count)
+    U = np.empty((count, N))
+    P = np.empty((count, N))
+    args = np.empty((count, N))
+    for k, (x, u, p, arg) in enumerate(states):
+        X[k] = x
+        U[k] = u
+        P[k] = p
+        if arg is not None:
+            args[k] = arg
+    lo, hi = field.evaluate_grid(X, U, P)
+    m = margin(lo, hi, args)
+    m = np.where(np.isnan(m), np.inf, m)
+    k = int(np.argmin(m))
+    worst = float(m[k])
     witness = None
-    for x, u, p, arg in states:
-        val = field.evaluate(x, u, p)
-        m = margin(val, arg)
-        if m < worst:
-            worst = m
-            if m < -tol:
-                witness = _witness(x, u, p,
-                                   [val.lo.tolist(), val.hi.tolist()], -m)
-    return ConditionItem(name, bool(worst >= -tol), float(worst), witness)
+    if worst < -tol:
+        witness = _witness(X[k], U[k], P[k], [lo[k].tolist(), hi[k].tolist()],
+                           -worst)
+    return ConditionItem(name, bool(worst >= -tol), worst, witness)
 
 
-def _min_dot(w, val):
-    """``min w . y`` over the values ``y`` in the box ``val``."""
-    return np.sum(np.minimum(w * val.lo, w * val.hi))
+def _require_samples(samples):
+    # an empty sample would pass every condition with margin inf
+    if samples < 1:
+        raise InvalidSpec("samples must be at least 1, got %r" % (samples,))
+
+
+def _min_dot(W, lo, hi):
+    """``min w . y`` over the values ``y`` in the box ``[lo, hi]``, row by
+    row (``np.sum`` along a row rounds as it does on the row alone)."""
+    return np.sum(np.minimum(W * lo, W * hi), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +296,12 @@ def _box_face_items(field, C, grid, samples, rng, tol):
 
     items = []
     for i in range(components):
-        items.append(_sampled_item("face[%d].low" % i, field,
+        items.append(_sampled_item("face[%d].low" % i, field, samples,
                                    touching(i, lo, glo),
-                                   lambda val, _: val.hi[i], tol))
-        items.append(_sampled_item("face[%d].high" % i, field,
+                                   lambda vlo, vhi, _: vhi[:, i], tol))
+        items.append(_sampled_item("face[%d].high" % i, field, samples,
                                    touching(i, hi, ghi),
-                                   lambda val, _: -val.lo[i], tol))
+                                   lambda vlo, vhi, _: -vlo[:, i], tol))
     return items
 
 
@@ -289,8 +314,8 @@ def _ball_items(field, C, grid, samples, rng, tol):
             yield grid.nodes[j], C.center + C.radius * d, np.zeros(C.dim), d
 
     # inward admissibility: some value y with outward component <= 0
-    return [_sampled_item("sphere", field, boundary(),
-                          lambda val, d: -_min_dot(d, val), tol)]
+    return [_sampled_item("sphere", field, samples, boundary(),
+                          lambda lo, hi, d: -_min_dot(d, lo, hi), tol)]
 
 
 def verify_tangency(field, C, grid, samples=10000, seed=42, tol=1e-9):
@@ -299,8 +324,9 @@ def verify_tangency(field, C, grid, samples=10000, seed=42, tol=1e-9):
     Boxes and nodewise bound pairs are checked face by face; balls over
     sampled boundary directions.  Gradient arguments at a face follow the
     bound's own slope, since a touching state has to share it.  Any other
-    body raises InvalidSpec.
+    body, and fewer than one sample, raise InvalidSpec.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     if isinstance(C, Ball):
         items = _ball_items(field, C, grid, samples, rng, tol)
@@ -325,7 +351,10 @@ def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42,
     * growth: every admissible value obeys |y| <= a|p|^2 + b on |u| <= R;
     * sphere: some admissible y has  y . u <= c R^2  when |u| = R and
               u . p = 0.
+
+    Fewer than one sample raises InvalidSpec.
     """
+    _require_samples(samples)
     fld = as_field(phi)
     N = fld.components
     rng = np.random.default_rng(seed)
@@ -360,13 +389,14 @@ def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42,
             yield x, u, p, u
 
     items = [
-        _sampled_item("sign_outside_ball", fld, outside(),
-                      lambda val, u: -_min_dot(u, val), tol),
-        _sampled_item("quadratic_growth", fld, inside(),
-                      lambda val, p: a * float(np.dot(p, p)) + b
-                      - val.sup_norm(), tol),
-        _sampled_item("sphere_tangency", fld, on_sphere(),
-                      lambda val, u: c * R * R - _min_dot(u, val), tol),
+        _sampled_item("sign_outside_ball", fld, samples, outside(),
+                      lambda lo, hi, u: -_min_dot(u, lo, hi), tol),
+        _sampled_item("quadratic_growth", fld, samples, inside(),
+                      lambda lo, hi, p: a * _row_dots(p, p) + b
+                      - _sup_norms(lo, hi), tol),
+        _sampled_item("sphere_tangency", fld, samples, on_sphere(),
+                      lambda lo, hi, u: c * R * R - _min_dot(u, lo, hi),
+                      tol),
     ]
     return ConditionReport(items=items)
 

@@ -421,6 +421,12 @@ def test_invariance_audit_neumann_box_passes():
     assert len(rep.per_halfspace) == 2
 
 
+def test_invariance_audit_needs_a_sample():
+    op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, 11))
+    with pytest.raises(InvalidSpec, match="sample_count must be at least 1"):
+        invariance_audit(op, Box([0.0], [1.0]), [0.25], sample_count=0)
+
+
 def test_invariance_audit_periodic_with_drift_passes():
     # dx = 1/128 stays below the M-matrix bound 2*d0/|gamma| = 2
     grid = Grid1D(1.0, 128, periodic=True)

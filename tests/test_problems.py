@@ -226,6 +226,15 @@ def test_tangency_needs_a_constraint():
             verify_tangency(make_nonlinearity("linear"), body, _grid())
 
 
+def test_empty_samples_raise_instead_of_passing():
+    # the field points out of the box, so a pass could only be vacuous
+    push = as_field(lambda x, u, p: 5.0 + 0.0 * u)
+    with pytest.raises(InvalidSpec, match="samples must be at least 1"):
+        verify_tangency(push, Box([0.0], [1.0]), _grid(11), samples=0)
+    with pytest.raises(InvalidSpec, match="samples must be at least 1"):
+        verify_bernstein(push, R=1.0, a=0.0, b=1.0, c=0.0, samples=0)
+
+
 def _box_face_high():
     field = as_field(lambda x, u, p: x + u - 0.5)
     rep = verify_tangency(field, Box([0.0], [1.0]), _grid(), samples=300,
