@@ -33,6 +33,14 @@ with nodewise box bounds: Picard on ``u -> A^{-1}(-v(clamp(u)))`` with an
 a-posteriori localization check.  ``viability_simulate`` integrates the
 same dynamics without the projection step and tracks the distance to the
 constraint as the viability certificate.
+
+All three are one sweep loop, ``_drive``: it lifts the constraint, selects
+at the state (or at its projection), records the equation residual,
+stops on a tangency failure or on the tolerances, and takes the final
+measures.  Each solver hands it a step map: the projected resolvent with
+its checkpoints and step schedule, the clamped stationary solve, or the
+unprojected implicit Euler step run to a fixed horizon.  ``residual`` is
+one sweep head of the same loop.
 """
 
 from dataclasses import dataclass, field
@@ -45,7 +53,7 @@ from .errors import EmptyIntersection
 _CHECKPOINT_FACTOR = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     step_schedule: str = "fixed"     # "fixed" or "harmonic"
     h0: float = 0.5
@@ -59,6 +67,8 @@ class SolverConfig:
             raise ValueError("unknown step schedule %r" % (self.step_schedule,))
         if self.h0 <= 0:
             raise ValueError("h0 must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
 
@@ -153,12 +163,74 @@ def _in_caller_shape(U, u0):
 
 def _plateau_status(history, tol_residual):
     tail = history[-max(1, len(history) // 5):]
-    if not tail:
-        return "max_iter"
     flat = tail[0] - tail[-1] <= 0.05 * max(tail[0], 1e-300)
     if min(tail) > 10.0 * tol_residual and flat:
         return "non_convergence"
     return "max_iter"
+
+
+def _head(op, field_, K, X):
+    """One sweep's measures at ``X``: the equation residual, the tangent
+    selection (None on a failure), the failure witness and ``A X``."""
+    AX = op.apply(X)
+    vlo, vhi, v, failure = _select(op, field_, K, X)
+    return _equation_residual(op, AX, vlo, vhi), v, failure, AX
+
+
+def _drive(op, field_, C, u0, config, step, project_start=False,
+           at_projection=False, accept=None, post=None, tangency=True):
+    """The sweep loop behind every solver.
+
+    Lifts ``C`` to the grid and starts from ``u0`` (zeros when None,
+    projected when ``project_start``).  Each sweep selects at ``X = u``,
+    or ``X = proj u`` when ``at_projection``, records the equation
+    residual at ``X`` and stops on a tangency failure; otherwise it takes
+    ``u = step(sweep, K, u, A X, v)`` and stops as converged when the
+    residual and the step norm meet ``config``'s tolerances and
+    ``accept(K, u)``, if given, holds.  A run that uses all
+    ``config.max_iter`` sweeps gets its status from ``_plateau_status``.
+
+    ``post(K, u, distances, report)`` then sees the final ``(n, N)`` state
+    and its nodal distances to the constraint; the tangency residual is
+    measured at the final ``X`` unless ``tangency`` is off or the run
+    ended on a tangency failure.  Returns a SolveReport.
+    """
+    n, N = op.grid.n, op.spec.components
+    K = C.lift(n).broadcast(N)
+    u = np.zeros((n, N)) if u0 is None else _as_grid_function(u0, n, N)
+    if project_start:
+        u = K.project(u)
+
+    history = []
+    status = failure = None
+    for it in range(1, config.max_iter + 1):
+        r, v, failure, AX = _head(op, field_, K,
+                                  K.project(u) if at_projection else u)
+        history.append(r)
+        if failure is not None:
+            status = "tangency_failure"
+            break
+        u_next = step(it, K, u, AX, v)
+        step_norm = op.grid.norm(u_next - u)
+        u = u_next
+        if r <= config.tol_residual and step_norm <= config.tol_step \
+                and (accept is None or accept(K, u)):
+            status = "converged"
+            break
+
+    distances = K.distances(u)
+    report = SolveReport(
+        u_star=u, residual_history=history, tangency_residual=float("inf"),
+        constraint_violation=float(np.max(distances)),
+        status=status or _plateau_status(history, config.tol_residual),
+        iterations=it, failure=failure)
+    if post is not None:
+        post(K, u, distances, report)
+    if tangency and report.status != "tangency_failure":
+        report.tangency_residual = _tangency(
+            op, field_, K, K.project(u) if at_projection else u)
+    report.u_star = _in_caller_shape(u, u0)
+    return report
 
 
 def resolvent_iterate(op, field_, C, u0, config=None):
@@ -168,69 +240,37 @@ def resolvent_iterate(op, field_, C, u0, config=None):
     status/failure fields (node, position, state) rather than raised.
     """
     config = config or SolverConfig()
-    K = C.lift(op.grid.n).broadcast(op.spec.components)
-    u = K.project(_as_grid_function(u0, op.grid.n, op.spec.components))
-
-    history = []
     checks = []
-    k_outer = 1
-    prev_defect = np.inf
-    status = None
-    failure = None
-    h = config.step(k_outer)
-    it = 0
+    h, prev_defect = None, np.inf
 
-    for it in range(1, config.max_iter + 1):
-        h = config.step(k_outer)
-        AU = op.apply(u)
-        vlo, vhi, v, failure = _select(op, field_, K, u)
-        history.append(_equation_residual(op, AU, vlo, vhi))
-        if failure is not None:
-            status = "tangency_failure"
-            break
-
+    def step(it, K, u, AU, v):
+        nonlocal h, prev_defect
+        # a harmonic schedule advances h_k = h0 / k at every checkpoint
+        h = config.step(1 + len(checks))
         lifted = u + h * v
-        d_lift = op.grid.norm(K.distances(lifted))
-        w = K.project(lifted)
-        z = op.resolvent(h, w)
+        z = op.resolvent(h, K.project(lifted))
         defect = op.grid.norm(z - u)
-
         cp_tol = _CHECKPOINT_FACTOR * h
-        at_checkpoint = defect <= cp_tol and prev_defect <= cp_tol
-        if at_checkpoint:
+        if defect <= cp_tol and prev_defect <= cp_tol:
             lhs = op.grid.norm(AU + v, mask=op.equation_mask())
+            d_lift = op.grid.norm(K.distances(lifted))
             checks.append({"iteration": it, "h": float(h),
                            "residual_norm": float(lhs),
                            "distance_bound": float(d_lift / h)})
-            if config.step_schedule == "harmonic":
-                k_outer += 1
         prev_defect = defect
-
         # near the fixed point the undamped step is the checkpointed one
-        u_next = z if defect <= cp_tol else (1.0 - config.damping) * u \
-            + config.damping * z
-        step_norm = op.grid.norm(u_next - u)
-        u = u_next
+        if defect <= cp_tol:
+            return z
+        return (1.0 - config.damping) * u + config.damping * z
 
-        violation = float(np.max(K.distances(u)))
-        if history[-1] <= config.tol_residual and step_norm <= config.tol_step \
-                and violation <= max(config.tol_step, 1e-12):
-            status = "converged"
-            break
-
-    if status is None:
-        status = _plateau_status(history, config.tol_residual)
-
-    violation = float(np.max(K.distances(u)))
-    tangency = float("inf") if status == "tangency_failure" \
-        else _tangency(op, field_, K, u)
-
-    return SolveReport(u_star=_in_caller_shape(u, u0),
-                       residual_history=history,
-                       tangency_residual=tangency,
-                       constraint_violation=violation, status=status,
-                       iterations=it, h_final=h, method="resolvent",
-                       bound_checks=checks, failure=failure)
+    report = _drive(op, field_, C, u0, config, step, project_start=True,
+                    accept=lambda K, u: float(np.max(K.distances(u)))
+                    <= max(config.tol_step, 1e-12))
+    # a failing sweep takes no step, so it would have run at the next h
+    report.h_final = config.step(1 + len(checks)) \
+        if report.status == "tangency_failure" else h
+    report.bound_checks = checks
+    return report
 
 
 def truncation_iterate(op, field_, alpha, beta, config=None, u0=None):
@@ -242,51 +282,24 @@ def truncation_iterate(op, field_, alpha, beta, config=None, u0=None):
     inside them or the report flags ``localization_failed``.
     """
     config = config or SolverConfig()
-    n, N = op.grid.n, op.spec.components
-    K = MovingBox(*np.broadcast_arrays(alpha, beta)).lift(n).broadcast(N)
-    u = _as_grid_function(u0, n, N) if u0 is not None \
-        else K.project(np.zeros((n, N)))
 
-    history = []
-    status = None
-    failure = None
-    it = 0
-    for it in range(1, config.max_iter + 1):
-        uc = K.project(u)
-        AUc = op.apply(uc)
-        vlo, vhi, v, failure = _select(op, field_, K, uc)
-        history.append(_equation_residual(op, AUc, vlo, vhi))
-        if failure is not None:
-            status = "tangency_failure"
-            break
-        target = op.solve_stationary(-v)
-        u_next = (1.0 - config.damping) * u + config.damping * target
-        step_norm = op.grid.norm(u_next - u)
-        u = u_next
-        if history[-1] <= config.tol_residual and step_norm <= config.tol_step:
-            status = "converged"
-            break
+    def step(it, K, u, AU, v):
+        return (1.0 - config.damping) * u \
+            + config.damping * op.solve_stationary(-v)
 
-    if status is None:
-        status = _plateau_status(history, config.tol_residual)
+    def localize(K, u, escape, report):
+        if report.status == "converged" and report.constraint_violation \
+                > max(10.0 * config.tol_step, 1e-9):
+            j = int(np.argmax(escape))
+            report.status = "localization_failed"
+            report.failure = _witness(j, op.grid.nodes[j], u[j],
+                                      "solution escapes the bounds")
 
-    escape = K.distances(u)
-    violation = float(np.max(escape))
-    if status == "converged" and violation > max(10.0 * config.tol_step, 1e-9):
-        status = "localization_failed"
-        j = int(np.argmax(escape))
-        failure = _witness(j, op.grid.nodes[j], u[j],
-                           "solution escapes the bounds")
-
-    tangency = float("inf") if status == "tangency_failure" \
-        else _tangency(op, field_, K, K.project(u))
-
-    return SolveReport(u_star=_in_caller_shape(u, u0),
-                       residual_history=history,
-                       tangency_residual=tangency,
-                       constraint_violation=violation, status=status,
-                       iterations=it, h_final=None, method="truncation",
-                       bound_checks=[], failure=failure)
+    report = _drive(op, field_, MovingBox(*np.broadcast_arrays(alpha, beta)),
+                    u0, config, step, project_start=u0 is None,
+                    at_projection=True, post=localize)
+    report.method = "truncation"
+    return report
 
 
 @dataclass
@@ -317,30 +330,35 @@ def viability_simulate(op, field_, C, u0, t_end, h):
     viability certificate: tangency keeps it at discretization level.
     Selections are queried at the nodewise projection of the state (the
     cone lives on the set) while the state itself evolves unprojected.
+    ``steps`` counts the steps taken: a tangency failure stops the run
+    before the step it could not take.
     """
     if t_end <= 0 or h <= 0:
         raise ValueError("horizon and step must be positive")
-    K = C.lift(op.grid.n).broadcast(op.spec.components)
-    u = _as_grid_function(u0, op.grid.n, op.spec.components)
-    steps = int(np.ceil(t_end / h))
+    left = []           # the worst distance of every state a step leaves
+    terminal = None
 
-    worst = float(np.max(K.distances(u)))
-    status = "completed"
-    failure = None
-    for _ in range(steps):
-        v, failure = _select(op, field_, K, K.project(u))[2:]
-        if failure is not None:
-            status = "tangency_failure"
-            break
-        u = op.resolvent(h, u + h * v)
-        worst = max(worst, float(np.max(K.distances(u))))
+    def step(it, K, u, AU, v):
+        left.append(float(np.max(K.distances(u))))
+        return op.resolvent(h, u + h * v)
 
-    vlo, vhi = _select(op, field_, None, K.project(u))[:2]
-    terminal = _equation_residual(op, op.apply(u), vlo, vhi)
-    return TrajectoryReport(terminal_state=_in_caller_shape(u, u0),
-                            max_constraint_distance=worst,
-                            terminal_residual=terminal, steps=steps, h=h,
-                            status=status, failure=failure)
+    def measure(K, u, distances, report):
+        nonlocal terminal
+        vlo, vhi = _select(op, field_, None, K.project(u))[:2]
+        terminal = _equation_residual(op, op.apply(u), vlo, vhi)
+
+    # no residual meets -inf, so the run goes on to the horizon
+    horizon = SolverConfig(max_iter=int(np.ceil(t_end / h)),
+                           tol_residual=-np.inf)
+    report = _drive(op, field_, C, u0, horizon, step, at_projection=True,
+                    post=measure, tangency=False)
+    return TrajectoryReport(
+        terminal_state=report.u_star,
+        max_constraint_distance=max(left + [report.constraint_violation]),
+        terminal_residual=terminal, steps=len(left), h=h,
+        status="completed" if report.failure is None
+        else "tangency_failure",
+        failure=report.failure)
 
 
 def residual(op, field_, C, u):
@@ -349,12 +367,11 @@ def residual(op, field_, C, u):
     The equation part is the grid-weighted distance of ``-A u`` to the
     admissible value boxes; the tangency part is the solvers' tangency
     residual, except that a node with no tangent value raises
-    EmptyIntersection.
+    EmptyIntersection.  Both come from one sweep head of the driver.
     """
     K = C.lift(op.grid.n).broadcast(op.spec.components)
     U = _as_grid_function(u, op.grid.n, op.spec.components)
-    vlo, vhi, v, failure = _select(op, field_, K, U)
-    eq = _equation_residual(op, op.apply(U), vlo, vhi)
+    eq, v, failure, _ = _head(op, field_, K, U)
     if failure is not None:
         raise EmptyIntersection(failure["reason"])
     return eq, K.tangency(U, v)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import CONE_TOL
-from .errors import BoundViolated
+from .errors import BoundViolated, InvalidSpec
 
 
 @dataclass
@@ -264,20 +264,15 @@ class FilippovHull(NonlinearityField):
         return np.random.default_rng(int.from_bytes(h.digest(), "little"))
 
     def _value(self, x, u, p):
-        rng = self._state_rng(x, u, p)
+        X, U, P = _probe_grid(self._state_rng(x, u, p), self.sample_count,
+                              self.delta, x, u, p)
         if self.vectorized:
-            X, U, P = _probe_grid(rng, self.sample_count, self.delta,
-                                  x, u, p)
             y = _grid_components(self.g(X[:, None], U, P),
                                  (len(X), self.components))
-            return SetValue(lo=y.min(axis=0), hi=y.max(axis=0))
-        lo = hi = _components(self.g(x, u, p), self.components)
-        for state in _probe_states(rng, self.sample_count, self.delta,
-                                   x, u, p):
-            y = _components(self.g(*state), self.components)
-            lo = np.minimum(lo, y)
-            hi = np.maximum(hi, y)
-        return SetValue(lo=lo, hi=hi)
+        else:
+            y = np.array([_components(self.g(*state), self.components)
+                          for state in zip(X, U, P)])
+        return SetValue(lo=y.min(axis=0), hi=y.max(axis=0))
 
 
 def unit_ball_rays(rng, count, dim):
@@ -345,6 +340,9 @@ def validate_graph_approximation(f, field, cfg, states, seed=0):
     ``epsilon`` of ``f``; the reported gap per state is the best distance
     found, and the report carries the failing indices.
     """
+    if len(states) < 1:
+        # an empty state list would pass with no evidence
+        raise InvalidSpec("states must hold at least one state")
     rng = np.random.default_rng(seed)
     gaps = []
     failures = []
@@ -360,9 +358,8 @@ def validate_graph_approximation(f, field, cfg, states, seed=0):
         gaps.append(best)
         if best > cfg.epsilon + 1e-12:
             failures.append((idx, best))
-    gaps = np.asarray(gaps) if gaps else np.zeros(1)
     return GraphCheckReport(
-        pass_fraction=1.0 - len(failures) / max(1, len(states)),
+        pass_fraction=1.0 - len(failures) / len(states),
         worst_gap=float(np.max(gaps)),
         tested=len(states),
         failures=failures)

@@ -267,22 +267,25 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 RESOLVENT_COMMANDS = ("solve", "simulate", "check_invariance", "miranda")
 
 
-@pytest.mark.parametrize("command,name", sorted(
-    (command, name) for command in RESOLVENT_COMMANDS
-    for name in os.listdir(os.path.join(DATA_DIR, command))))
-def test_resolvent_outputs_match_golden_bytes(tmp_path, command, name):
+def _assert_matches_golden(argv, out, want_dir):
     # exit code and every file written at --seed 7, pinned byte for byte
-    want_dir = os.path.join(DATA_DIR, command, name)
     with open(os.path.join(want_dir, "exit_code"), encoding="utf-8") as fh:
         want_code = int(fh.read())
-    out = tmp_path / "out"
-    assert run_cli([command.replace("_", "-"), _cfg(name + ".cfg"),
-                    "--out", str(out), "--seed", "7"]) == want_code
+    assert run_cli(argv + ["--out", str(out), "--seed", "7"]) == want_code
     files = sorted(f for f in os.listdir(want_dir) if f != "exit_code")
     assert sorted(os.listdir(out)) == files
     for f in files:
         with open(os.path.join(want_dir, f), "rb") as fh:
             assert (out / f).read_bytes() == fh.read(), f
+
+
+@pytest.mark.parametrize("command,name", sorted(
+    (command, name) for command in RESOLVENT_COMMANDS
+    for name in os.listdir(os.path.join(DATA_DIR, command))))
+def test_resolvent_outputs_match_golden_bytes(tmp_path, command, name):
+    _assert_matches_golden([command.replace("_", "-"), _cfg(name + ".cfg")],
+                           tmp_path / "out",
+                           os.path.join(DATA_DIR, command, name))
 
 
 SIMPLEX_CFG = """\
@@ -307,6 +310,25 @@ total = 1.0
 [solver]
 u0 = 0.25
 """
+
+
+# solve outputs of the inline configs: the truncation scheme and a
+# non-box resolvent sweep
+INLINE_GOLDEN = {
+    "truncation_box": (TRUNCATION_CFGS["box"], []),
+    "truncation_moving_rectangles": (TRUNCATION_CFGS["moving_rectangles"],
+                                     []),
+    "simplex": (SIMPLEX_CFG, ["--force"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INLINE_GOLDEN))
+def test_inline_solve_matches_golden_bytes(tmp_path, name):
+    text, flags = INLINE_GOLDEN[name]
+    cfg = tmp_path / "inline.cfg"
+    cfg.write_text(text)
+    _assert_matches_golden(["solve", str(cfg)] + flags, tmp_path / "out",
+                           os.path.join(DATA_DIR, "solve_inline", name))
 
 
 def test_simplex_config_has_no_gate_and_needs_force(tmp_path, capsys):
@@ -367,11 +389,17 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
     # a short list pads from the defaults: period 1, offset 0
     ("check-invariance", "[problem]\nkind = drift_rd\n\n[operator]\n"
      "gamma = sin:0.5\n", 0, None),
+    # no sweep would run: an empty history and residual nan
+    ("solve", "[problem]\nkind = neumann_rd\n\n[solver]\nmax_iter = 0\n",
+     1, "max_iter must be at least 1"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[solver]\nmax_iter = -3\n",
+     1, "max_iter must be at least 1"),
 ], ids=["box_lo_above_hi", "negative_radius", "heaviside_delta_zero",
         "tabulated_without_path", "tabulated_missing_file",
         "simulate_h_zero", "miranda_hi_short", "miranda_hi_not_above_lo",
         "verify_no_samples", "invariance_no_samples", "sin_extra_argument",
-        "const_extra_argument", "sin_short_list"])
+        "const_extra_argument", "sin_short_list", "max_iter_zero",
+        "max_iter_negative"])
 def test_bad_config_values_fail_at_parse_time(tmp_path, capsys, command,
                                               text, code, message):
     cfg = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 """Constrained equilibrium sweeps, truncation scheme, viability runs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -264,6 +265,12 @@ def test_solver_config_validation():
         SolverConfig(damping=0.0)
     with pytest.raises(ValueError):
         SolverConfig(damping=1.5)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            SolverConfig(max_iter=max_iter)
+    # frozen, so the checks above hold for the config's lifetime
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SolverConfig().max_iter = 0
 
 
 def test_truncation_linear_decay_gives_zero():
@@ -330,6 +337,21 @@ def test_viability_positive_field_fails_at_upper_face():
                              t_end=1.0, h=0.05)
     assert rep.status == "tangency_failure"
     assert rep.failure is not None
+
+
+def test_viability_reports_the_steps_it_took():
+    # the first step out of the upper face fails: no step is taken
+    field = SingleValued(lambda x, u, p: np.ones_like(u))
+    rep = viability_simulate(_neumann_op(), field, UNIT_BOX, np.ones(101),
+                             t_end=1.0, h=0.05)
+    assert rep.status == "tangency_failure"
+    assert rep.steps == 0
+    # from the middle of the box the state reaches the face after a while
+    rep = viability_simulate(_neumann_op(), field, UNIT_BOX,
+                             np.full(101, 0.5), t_end=1.0, h=0.05)
+    assert rep.status == "tangency_failure"
+    assert 0 < rep.steps < 20
+    assert rep.to_dict()["steps"] == rep.steps
 
 
 def test_viability_terminal_state_matches_equilibrium():

@@ -8,7 +8,7 @@ from tangenteq import (SetValue, GraphApproxConfig, SingleValued,
                        HalfspaceIntersection, selection_on_intervals,
                        tangent_selection, validate_graph_approximation,
                        semicontinuity_probe, BoundViolated,
-                       EmptyIntersection)
+                       EmptyIntersection, InvalidSpec)
 from tangenteq.fields import unit_ball_rays
 
 ALPHA = 0.4
@@ -279,6 +279,14 @@ def test_graph_validation_shifted_selection_fails():
     assert rep.pass_fraction == 0.0
     assert rep.worst_gap >= eps
     assert len(rep.failures) == 50
+
+
+def test_graph_validation_needs_a_state():
+    # with nothing tested, a selection far off the graph would pass
+    with pytest.raises(InvalidSpec, match="at least one state"):
+        validate_graph_approximation(
+            lambda x, u, p: 99.0, SingleValued(lambda x, u, p: 0.5 - u),
+            GraphApproxConfig(epsilon=1e-3), [])
 
 
 def test_graph_config_radius_never_exceeds_epsilon():
