@@ -6,7 +6,9 @@ queries for the tangent cone at a point of the set, the metric projection
 onto that cone, a finite list of supporting halfspaces used by the
 resolvent invariance audits, and what the grid solvers need: ``lift(n)``
 (the set at each of ``n`` nodes, a ``NodewiseBox`` for boxes and
-``MovingBox``, a row-by-row ``NodewiseBody`` otherwise),
+``MovingBox``, a ``NodewiseBody`` otherwise, which works on all nodes at
+once through the body's row-batched ``project_rows``, ``distances`` and
+``tangent_project_rows`` and selects by one Dykstra run over every row),
 ``tangent_value(u, lo, hi)`` (the minimal-norm point of the value box
 ``[lo, hi]`` in the tangent cone at ``u``) and ``sample(rng, count, n)``
 (seeded grid functions with every nodal value in the set).
@@ -53,14 +55,49 @@ def _as1d(x):
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def _row_dots(A, B):
+    """``np.dot(A[j], B[j])`` for every row, rounded as ``np.dot`` rounds
+    (a batched matmul of 1 x N by N x 1 takes the same dot kernel)."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _row_norms(A):
+    """``np.linalg.norm(A[j])`` for every row, bit for bit."""
+    return np.sqrt(_row_dots(A, A))
+
+
+def _positive_part(a):
+    """``max(0.0, a)`` elementwise as Python rounds it: NaN and ``-0.0``
+    give ``0.0``."""
+    return np.where(a > 0.0, a, 0.0)
+
+
 class ConvexBody:
-    """Shared plumbing for the concrete sets."""
+    """Shared plumbing for the concrete sets.
+
+    A set gives either the one-point ``project`` and ``tangent_project``
+    or their row-batched forms ``project_rows(X)`` and
+    ``tangent_project_rows(X, V, tol)`` on ``(n, dim)`` arrays; the
+    defaults below build the batched forms row by row.
+    """
 
     dim = None
 
     def distance(self, x):
-        x = _as1d(x)
-        return float(np.linalg.norm(x - self.project(x)))
+        return float(self.distances(_as1d(x)[None])[0])
+
+    def distances(self, X):
+        """Euclidean distance of each row of ``X`` to the set."""
+        return _row_norms(X - self.project_rows(X))
+
+    def project_rows(self, X):
+        """``project`` of each row of ``X``."""
+        return np.array([self.project(x) for x in X]).reshape(X.shape)
+
+    def tangent_project_rows(self, X, V, tol=CONE_TOL):
+        """``tangent_project(X[j], V[j])`` for each row."""
+        return np.array([self.tangent_project(x, v, tol)
+                         for x, v in zip(X, V)]).reshape(V.shape)
 
     def contains(self, x, tol=CONE_TOL):
         return self.distance(x) <= tol
@@ -88,45 +125,22 @@ class ConvexBody:
         raise NotImplementedError
 
     def lift(self, n):
-        """The body at every grid node, applied one row at a time."""
+        """The body at every grid node."""
         return NodewiseBody(self)
 
     def tangent_value(self, u, lo, hi, tol=CONE_TOL, gap_tol=1e-10,
                       max_iter=5000):
-        """Minimal-norm value in ``[lo, hi]`` tangent to the body at ``u``.
-
-        Dykstra's alternating projections between the value box and the
-        tangent cone run from the origin; Dykstra converges to the
-        projection of the start point onto the intersection, which is
-        exactly the minimal-norm point.  The scheme declares the
-        intersection empty when the box-to-cone gap stalls above
-        tolerance (reduction below 1e-14 across 50 iterations).
+        """Minimal-norm value in ``[lo, hi]`` tangent to the body at
+        ``proj u``: the one-node case of ``NodewiseBody.select``.
 
         Raises EmptyIntersection when no admissible tangent value exists.
         """
-        sweeps = _dykstra_sweeps(np.zeros(lo.size), [
-            lambda z: np.clip(z, lo, hi),
-            lambda z: self.tangent_project(u, z, tol=tol)])
-        gaps = []
-        gap = np.inf
-        for i, (b, y) in zip(range(max_iter), sweeps):
-            gap = float(np.linalg.norm(b - y))
-            gaps.append(gap)
-            if gap <= gap_tol:
-                break
-            if i >= 50 and gaps[i - 50] - gap < 1e-14 and gap > gap_tol:
-                raise EmptyIntersection(
-                    "alternating projections stalled at gap %.3g" % gap)
-        if gap > gap_tol:
-            raise EmptyIntersection(
-                "no admissible tangent value found (gap %.3g)" % gap)
-
-        check_tol = max(tol, 100.0 * gap_tol)
-        res = self.tangent_cone_contains(u, y, tol=check_tol)
-        if not res.contains or \
-                np.linalg.norm(y - np.clip(y, lo, hi)) > check_tol:
-            raise TangentEqError("selection failed its a-posteriori validation")
-        return y
+        v, miss = self.lift(1).select(_as1d(u)[None], _as1d(lo)[None],
+                                      _as1d(hi)[None], tol=tol,
+                                      gap_tol=gap_tol, max_iter=max_iter)
+        if miss is not None:
+            raise EmptyIntersection(miss[1])
+        return v[0]
 
     def sample(self, rng, count, n):
         """``count`` seeded ``(n, dim)`` grid functions with every nodal
@@ -134,8 +148,8 @@ class ConvexBody:
         base = self._draw_centre()
         draws = base + (1.0 + np.linalg.norm(base)) * rng.standard_normal(
             (count, n, self.dim))
-        return np.array([self.project(u) for u in
-                         draws.reshape(-1, self.dim)]).reshape(draws.shape)
+        return self.project_rows(
+            draws.reshape(-1, self.dim)).reshape(draws.shape)
 
     def _draw_centre(self):
         return np.zeros(self.dim)
@@ -285,7 +299,7 @@ class NodewiseBox:
 
 class NodewiseBody:
     """A convex body at every grid node, with the methods of
-    ``NodewiseBox`` applied one row of ``U`` at a time."""
+    ``NodewiseBox`` on all rows of ``U`` at once."""
 
     def __init__(self, body):
         self.body = body
@@ -297,26 +311,103 @@ class NodewiseBody:
         return self
 
     def project(self, U):
-        return np.array([self.body.project(row) for row in U])
+        return self.body.project_rows(U)
 
     def distances(self, U):
-        return np.array([self.body.distance(row) for row in U])
+        return self.body.distances(U)
 
-    def select(self, U, vlo, vhi, P=None, tol=CONE_TOL, gap_tol=CONE_TOL):
-        """``NodewiseBox.select`` by ``tangent_value`` at ``proj U_j``."""
-        V = np.empty_like(U)
-        for j, u in enumerate(U):
-            try:
-                V[j] = self.body.tangent_value(self.body.project(u), vlo[j],
-                                               vhi[j], tol, gap_tol)
-            except EmptyIntersection as exc:
-                return None, (j, str(exc))
-        return V, None
+    def select(self, U, vlo, vhi, P=None, tol=CONE_TOL, gap_tol=CONE_TOL,
+               max_iter=5000):
+        """Minimal-norm values in ``[vlo, vhi]`` tangent to the body at
+        ``proj U``, by ``_dykstra_select``; returns what
+        ``NodewiseBox.select`` returns.  Gradients ``P`` play no part."""
+        return _dykstra_select(self.body, self.body.project_rows(U), vlo,
+                               vhi, tol, gap_tol, max_iter)
 
     def tangency(self, U, V, tol=CONE_TOL):
-        return float(max(
-            self.body.tangent_cone_contains(self.body.project(u), v, tol)
-            .directional_derivative for u, v in zip(U, V)))
+        """``max_j dist(V_j, T(proj U_j))``."""
+        X = self.body.project_rows(U)
+        return float(np.max(_row_norms(
+            V - self.body.tangent_project_rows(X, V, tol))))
+
+
+#: the stall test compares each Dykstra gap with the one this many
+#: iterations earlier
+_STALL_WINDOW = 50
+
+
+def _dykstra_select(body, X, vlo, vhi, tol, gap_tol, max_iter):
+    """Minimal-norm point of ``[vlo[j], vhi[j]]`` in the tangent cone of
+    ``body`` at ``X[j]``, for every row ``j`` at once.
+
+    Dykstra's alternating projections between the value box and the
+    tangent cone run from the origin; Dykstra converges to the projection
+    of the start point onto the intersection, which is exactly the
+    minimal-norm point.  A row stops when its box-to-cone gap is at most
+    ``gap_tol``, and its intersection is declared empty when the gap
+    stalls above it (reduction below 1e-14 across ``_STALL_WINDOW``
+    iterations) or ``max_iter`` iterations end above it.  Each row sees
+    the same arithmetic as it would alone; rows past the first failure
+    stop early, since only the first failing row is reported.
+
+    Returns ``(V, None)``, or ``(None, (node, reason))`` for the first
+    node without an admissible value.  Raises TangentEqError when, before
+    that node, a selection fails its a-posteriori check against the cone
+    and the value box at ``max(tol, 100 gap_tol)``.
+    """
+    n = X.shape[0]
+    V = np.empty_like(X)
+    failed = {}
+    rows = np.arange(n)
+    x, lo, hi = X, vlo, vhi
+    y = np.zeros_like(X)
+    corr_box = np.zeros_like(X)
+    corr_cone = np.zeros_like(X)
+    # the last _STALL_WINDOW + 1 gaps of each live row, by iteration
+    gaps = np.empty((_STALL_WINDOW + 1, n))
+    gap = np.full(n, np.inf)
+    for i in range(max_iter):
+        if rows.size == 0:
+            break
+        z = y + corr_box
+        b = np.clip(z, lo, hi)
+        corr_box = z - b
+        z = b + corr_cone
+        y = body.tangent_project_rows(x, z, tol)
+        corr_cone = z - y
+        gap = _row_norms(b - y)
+        gaps[i % gaps.shape[0]] = gap
+        done = gap <= gap_tol
+        stalled = ~done & (i >= _STALL_WINDOW) & (
+            gaps[(i + 1) % gaps.shape[0]] - gap < 1e-14)
+        V[rows[done]] = y[done]
+        for k in np.flatnonzero(stalled):
+            failed[int(rows[k])] = ("alternating projections stalled at "
+                                    "gap %.3g" % gap[k])
+        live = ~(done | stalled)
+        if failed:
+            live &= rows < min(failed)
+        if not np.all(live):
+            rows, x, lo, hi = rows[live], x[live], lo[live], hi[live]
+            y, corr_box, corr_cone = y[live], corr_box[live], corr_cone[live]
+            gaps, gap = gaps[:, live], gap[live]
+    short = gap > gap_tol
+    for k in np.flatnonzero(short):
+        failed[int(rows[k])] = ("no admissible tangent value found "
+                                "(gap %.3g)" % gap[k])
+    V[rows[~short]] = y[~short]
+
+    first = min(failed, default=n)
+    check_tol = max(tol, 100.0 * gap_tol)
+    cone_gap = _row_norms(V[:first] - body.tangent_project_rows(
+        X[:first], V[:first], tol))
+    box_gap = _row_norms(V[:first] - np.clip(V[:first], vlo[:first],
+                                             vhi[:first]))
+    if np.any(~(cone_gap <= check_tol) | (box_gap > check_tol)):
+        raise TangentEqError("selection failed its a-posteriori validation")
+    if failed:
+        return None, (first, failed[first])
+    return V, None
 
 
 def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=1e-10):
@@ -345,25 +436,29 @@ class Ball(ConvexBody):
         self.dim = self.center.size
 
     def project(self, x):
-        x = _as1d(x)
-        r = x - self.center
-        nr = np.linalg.norm(r)
-        if nr <= self.radius:
-            return x.copy()
-        return self.center + (self.radius / nr) * r
+        return self.project_rows(_as1d(x)[None])[0]
 
-    def distance(self, x):
-        return max(0.0, float(np.linalg.norm(_as1d(x) - self.center)) - self.radius)
+    def project_rows(self, X):
+        R = X - self.center
+        nr = _row_norms(R)
+        scale = self.radius / np.maximum(nr, self.radius)
+        return np.where((nr <= self.radius)[:, None], X,
+                        self.center + scale[:, None] * R)
+
+    def distances(self, X):
+        return _positive_part(_row_norms(X - self.center) - self.radius)
 
     def tangent_project(self, x, v, tol=CONE_TOL):
-        x = _as1d(x)
-        v = _as1d(v).copy()
-        r = x - self.center
-        nr = np.linalg.norm(r)
-        if self.radius - nr > tol:
-            return v
-        n = r / nr
-        return v - max(0.0, float(n @ v)) * n
+        return self.tangent_project_rows(_as1d(x)[None], _as1d(v)[None],
+                                         tol)[0]
+
+    def tangent_project_rows(self, X, V, tol=CONE_TOL):
+        R = X - self.center
+        nr = _row_norms(R)
+        inner = self.radius - nr > tol
+        normal = R / np.where(inner, 1.0, nr)[:, None]
+        push = _positive_part(_row_dots(normal, V))
+        return np.where(inner[:, None], V, V - push[:, None] * normal)
 
     def sample(self, rng, count, n):
         d = rng.standard_normal((count, n, self.dim))
@@ -418,45 +513,56 @@ class Simplex(ConvexBody):
             raise ValueError("dim must be at least 1")
 
     def project(self, x):
+        return self.project_rows(_as1d(x)[None])[0]
+
+    def project_rows(self, X):
         # sort-based exact projection (Held/Wolfe/Crowder pivot rule)
-        v = _as1d(x)
         s = self.total_mass
-        u = np.sort(v)[::-1]
-        cssv = np.cumsum(u) - s
-        idx = np.arange(1, v.size + 1)
-        rho = np.nonzero(u * idx > cssv)[0][-1]
-        theta = cssv[rho] / (rho + 1.0)
-        return np.maximum(v - theta, 0.0)
+        u = np.sort(X, axis=1)[:, ::-1]
+        cssv = np.cumsum(u, axis=1) - s
+        idx = np.arange(1, X.shape[1] + 1)
+        rho = X.shape[1] - 1 - np.argmax((u * idx > cssv)[:, ::-1], axis=1)
+        theta = cssv[np.arange(X.shape[0]), rho] / (rho + 1.0)
+        return np.maximum(X - theta[:, None], 0.0)
 
     def active_zeros(self, x, tol=CONE_TOL):
         return _as1d(x) <= tol
 
     def tangent_project(self, x, v, tol=CONE_TOL):
-        """Exact projection onto ``{w: sum w = 0, w_i >= 0 on zeros}``.
+        return self.tangent_project_rows(_as1d(x)[None], _as1d(v)[None],
+                                         tol)[0]
+
+    def tangent_project_rows(self, X, V, tol=CONE_TOL):
+        """Exact projection of each ``V[j]`` onto the cone at ``X[j]``,
+        ``{w: sum w = 0, w_i >= 0 on the zeros of X[j]}``.
 
         KKT reduces to one scalar equation: free components give
         ``w_i = v_i - lam``, active ones ``w_i = max(v_i - lam, 0)``, and
-        ``lam`` solves zero total sum (monotone, bisected to 1e-14).
+        ``lam`` makes the sum zero.  That sum is piecewise linear and
+        decreasing in ``lam``, with breakpoints at the active ``v_i``.
+        With the ``k`` largest active ``v_i`` above it,
+        ``lam_k = (sum of free v_i + sum of those k) / (free + k)``; over
+        the active values sorted in descending order ``lam_k`` rises
+        while the ``k``-th value lies above the root and falls after, so
+        the root is the largest ``lam_k`` (the pivot rule of ``project``;
+        Condat, Math. Prog. 2016).  ``k = 0`` is a candidate only when
+        some component is free.
         """
-        v = _as1d(v)
-        act = self.active_zeros(x, tol)
-
-        def total(lam):
-            w = v - lam
-            w = np.where(act, np.maximum(w, 0.0), w)
-            return w.sum()
-
-        scale = float(np.max(np.abs(v))) + 1.0
-        lo, hi = -scale * (self.dim + 1), scale * (self.dim + 1)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if total(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
-        w = v - lam
-        return np.where(act, np.maximum(w, 0.0), w)
+        act = self.active_zeros(X, tol)
+        n_act = np.sum(act, axis=1)[:, None]
+        n_free = X.shape[1] - n_act
+        k = np.arange(1, X.shape[1] + 1)
+        top = -np.sort(np.where(act, -V, np.inf), axis=1)
+        within = k <= n_act
+        free_sum = np.sum(np.where(act, 0.0, V), axis=1)[:, None]
+        lam_k = (free_sum + np.cumsum(np.where(within, top, 0.0), axis=1)) \
+            / (n_free + k)
+        # lam_0 fills the columns past the active count, which exist
+        # exactly when some component is free
+        lam_0 = free_sum / np.maximum(n_free, 1)
+        lam = np.max(np.where(within, lam_k, lam_0), axis=1)[:, None]
+        W = V - lam
+        return np.where(act, np.maximum(W, 0.0), W)
 
     def sample(self, rng, count, n):
         e = rng.exponential(1.0, (count, n, self.dim))
@@ -536,28 +642,20 @@ def _halfspace_projector(p, a):
     return proj
 
 
-def _dykstra_sweeps(x, projectors):
-    """Dykstra's scheme from ``x``, yielding each sweep's list of projector
-    outputs: it converges to the metric projection of ``x`` onto the
-    intersection of the projectors' sets (plain alternation does not)."""
+def _dykstra(x, projectors, tol=1e-13, max_sweeps=20000):
+    """Dykstra's scheme from ``x``, run until a sweep moves less than
+    ``tol`` relative: it converges to the metric projection of ``x`` onto
+    the intersection of the projectors' sets (plain alternation does
+    not)."""
     y = x.copy()
     corr = [np.zeros_like(y) for _ in projectors]
-    while True:
-        outs = []
+    scale = max(1.0, float(np.linalg.norm(x)))
+    for _ in range(max_sweeps):
+        y_prev = y
         for i, proj in enumerate(projectors):
             z = y + corr[i]
             y = proj(z)
             corr[i] = z - y
-            outs.append(y)
-        yield outs
-
-
-def _dykstra(x, projectors, tol=1e-13, max_sweeps=20000):
-    """Dykstra's scheme run until a sweep moves less than ``tol`` relative."""
-    y = x
-    scale = max(1.0, float(np.linalg.norm(x)))
-    for _, outs in zip(range(max_sweeps), _dykstra_sweeps(x, projectors)):
-        y_prev, y = y, outs[-1]
         if np.linalg.norm(y - y_prev) <= tol * scale:
             break
     return y

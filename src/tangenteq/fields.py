@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import CONE_TOL
+from .convex import CONE_TOL, _row_norms
 from .errors import BoundViolated, InvalidSpec
 
 
@@ -100,16 +100,9 @@ def _grid_components(value, shape):
                          % (v.shape, shape)) from None
 
 
-def _row_dots(A, B):
-    """``np.dot(A[j], B[j])`` for every row, rounded as ``np.dot`` rounds
-    (a batched matmul of 1 x N by N x 1 takes the same dot kernel)."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
 def _sup_norms(lo, hi):
     """``SetValue(lo[j], hi[j]).sup_norm()`` for every row, bit for bit."""
-    corner = np.maximum(np.abs(lo), np.abs(hi))
-    return np.sqrt(_row_dots(corner, corner))
+    return _row_norms(np.maximum(np.abs(lo), np.abs(hi)))
 
 
 def _rows(value, xs, U, P):

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import Ball, Box, MovingBox
+from .convex import Ball, Box, MovingBox, _row_dots
 from .errors import InvalidSpec
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
-                     SetValue, SingleValued, _row_dots, _sup_norms)
+                     SetValue, SingleValued, _sup_norms)
 from .operators import Grid1D, OperatorSpec, assemble
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_convex import _simplex_cone_bisection
+
 from tangenteq import (CONE_TOL, Ball, Box, EmptyIntersection, Grid1D,
                        HalfspaceIntersection, IntervalValued, OperatorSpec,
                        Simplex, SingleValued, SolverConfig, assemble,
@@ -51,13 +53,48 @@ def body_problems(draw):
     return body, np.array(rows), vlo, vhi
 
 
-def _node_selection(body, U, vlo, vhi, j, gap_tol):
-    """``tangent_selection`` of a field whose value box is node ``j``'s."""
-    field = IntervalValued(lambda x, u, p: vlo[j], lambda x, u, p: vhi[j],
-                           components=body.dim)
-    return tangent_selection(field, body, 0.0, body.project(U[j]),
-                             np.zeros(body.dim), tol=CONE_TOL,
-                             gap_tol=gap_tol)
+def _scalar_selection(body, u, lo, hi, gap_tol, cone=None, tol=CONE_TOL,
+                      max_iter=5000):
+    """The minimal tangent value at one node by a scalar Dykstra loop
+    over ``cone(u, z)``, by default ``body.tangent_project``: the per-row
+    reference for the batched selection, with the same stall rule,
+    messages and a-posteriori check.
+
+    Raises EmptyIntersection when the node has no admissible value.
+    """
+    cone = cone or (lambda u, z: body.tangent_project(u, z, tol=tol))
+    projectors = [lambda z: np.clip(z, lo, hi), lambda z: cone(u, z)]
+    y = np.zeros(lo.size)
+    corr = [np.zeros_like(y) for _ in projectors]
+    gaps = []
+    gap = np.inf
+    for i in range(max_iter):
+        outs = []
+        for k, proj in enumerate(projectors):
+            z = y + corr[k]
+            y = proj(z)
+            corr[k] = z - y
+            outs.append(y)
+        b, y = outs
+        gap = float(np.linalg.norm(b - y))
+        gaps.append(gap)
+        if gap <= gap_tol:
+            break
+        if i >= 50 and gaps[i - 50] - gap < 1e-14 and gap > gap_tol:
+            raise EmptyIntersection(
+                "alternating projections stalled at gap %.3g" % gap)
+    if gap > gap_tol:
+        raise EmptyIntersection(
+            "no admissible tangent value found (gap %.3g)" % gap)
+    check_tol = max(tol, 100.0 * gap_tol)
+    assert body.tangent_cone_contains(u, y, tol=check_tol).contains
+    assert np.linalg.norm(y - np.clip(y, lo, hi)) <= check_tol
+    return y
+
+
+def _node_selection(body, U, vlo, vhi, j, gap_tol, cone=None):
+    return _scalar_selection(body, body.project(U[j]), vlo[j], vhi[j],
+                             gap_tol, cone)
 
 
 @settings(max_examples=120, deadline=None)
@@ -69,13 +106,26 @@ def test_lifted_rows_are_the_single_node_selections(problem, gap_tol):
     assume(miss is None)
     check_tol = max(CONE_TOL, 100.0 * gap_tol)
     for j in range(U.shape[0]):
-        assert np.array_equal(V[j],
-                              _node_selection(body, U, vlo, vhi, j, gap_tol))
+        if isinstance(body, Simplex):
+            # against the loop over the bisected cone projection
+            want = _node_selection(
+                body, U, vlo, vhi, j, gap_tol,
+                lambda u, z: _simplex_cone_bisection(body, u, z))
+            assert np.max(np.abs(V[j] - want)) <= 1e-12
+        else:
+            want = _node_selection(body, U, vlo, vhi, j, gap_tol)
+            assert np.array_equal(V[j], want)
         assert np.all(V[j] >= vlo[j] - 100.0 * gap_tol)
         assert np.all(V[j] <= vhi[j] + 100.0 * gap_tol)
         assert body.tangent_cone_contains(body.project(U[j]), V[j],
                                           tol=check_tol).contains
     assert lifted.tangency(U, V, tol=check_tol) <= check_tol
+    # one node through the public single-node entry point
+    one = tangent_selection(IntervalValued(
+        lambda x, u, p: vlo[0], lambda x, u, p: vhi[0],
+        components=body.dim), body, 0.0, U[0], np.zeros(body.dim),
+        gap_tol=gap_tol)
+    assert np.array_equal(one, V[0])
 
 
 @settings(max_examples=120, deadline=None)

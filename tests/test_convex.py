@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tangenteq import (Box, Ball, Simplex, HalfspaceIntersection,
                        PointNotInSet, numeric_tangent_quotient)
@@ -77,6 +79,69 @@ def test_simplex_projection_matches_dual_bisection_oracle():
         assert np.all(w >= 0.0)
         assert abs(w.sum() - mass) <= 1e-10
         assert np.max(np.abs(w - _simplex_project_oracle(v, mass))) <= 1e-9
+
+
+def _simplex_cone_bisection(body, x, v, tol=1e-9):
+    # the cone projection by 200 bisection steps on the KKT multiplier:
+    # free components give v_i - lam, active ones max(v_i - lam, 0), and
+    # lam zeroes the sum
+    v = np.asarray(v, dtype=float)
+    act = np.asarray(x) <= tol
+
+    def total(lam):
+        w = v - lam
+        return np.where(act, np.maximum(w, 0.0), w).sum()
+
+    scale = float(np.max(np.abs(v))) + 1.0
+    lo, hi = -scale * (body.dim + 1), scale * (body.dim + 1)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if total(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    w = v - 0.5 * (lo + hi)
+    return np.where(act, np.maximum(w, 0.0), w)
+
+
+@st.composite
+def simplex_cone_queries(draw):
+    """A simplex, a point of it with some zero coordinates, and a
+    direction whose size runs from 1e-6 to 1e3."""
+    dim = draw(st.integers(1, 6))
+    free = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    free[draw(st.integers(0, dim - 1))] = True
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=dim,
+                            max_size=dim))
+    mass = draw(st.sampled_from((0.5, 1.0, 3.0)))
+    x = np.where(free, weights, 0.0)
+    x = mass * x / x.sum()
+    size = 10.0 ** draw(st.floats(-6.0, 3.0))
+    v = size * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim,
+                                      max_size=dim)))
+    return Simplex(mass, dim), x, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_cone_queries())
+@example((Simplex(1.0, 1), np.array([1.0]), np.array([0.7])))
+@example((Simplex(1.0, 3), np.array([0.2, 0.3, 0.5]), np.zeros(3)))
+@example((Simplex(2.0, 4), np.array([0.0, 2.0, 0.0, 0.0]),
+          np.array([0.3, -1.0, -0.2, 0.9])))
+@example((Simplex(1.0, 3), np.array([0.0, 0.0, 1.0]),
+          np.array([1e-6, -1e-6, 5e-7])))
+@example((Simplex(1.0, 3), np.array([0.0, 0.5, 0.5]),
+          np.array([1e3, -1e3, 2e2])))
+def test_exact_simplex_cone_projection(query):
+    body, x, v = query
+    w = body.tangent_project(x, v)
+    scale = 1.0 + float(np.max(np.abs(v)))
+    assert np.max(np.abs(w - _simplex_cone_bisection(body, x, v))) \
+        <= 1e-12 * scale
+    # in the cone: zero sum, nonnegative on the active zeros
+    assert abs(w.sum()) <= 1e-12 * scale
+    assert np.all(w[x <= 1e-9] >= 0.0)
+    assert np.max(np.abs(body.tangent_project(x, w) - w)) <= 1e-12 * scale
 
 
 def test_box_cone_sign_rule_against_numeric_quotient():
