@@ -48,14 +48,13 @@ _SECTION_ORDER = ("problem", "grid", "operator", "nonlinearity", "constraint",
                   "solver", "simulate", "verify", "invariance", "bernstein",
                   "miranda")
 
-# every option a section accepts; [nonlinearity] is handled separately
-# because its parameters depend on the catalog name
+# every option a section accepts; [nonlinearity] and [constraint] are
+# handled separately because their options depend on the catalog name or
+# the constraint kind
 _SECTION_KEYS = {
     "problem": ("kind",),
     "grid": ("length", "nodes"),
     "operator": ("bc", "components", "d", "gamma", "shift"),
-    "constraint": ("alpha", "beta", "center", "hi", "kind", "lo",
-                   "radius", "total"),
     "solver": ("damping", "h0", "max_iter", "method", "schedule",
                "tol_residual", "tol_step", "u0"),
     "simulate": ("h", "t_end"),
@@ -80,7 +79,7 @@ def _check_layout(raw, kind):
             raise InvalidSpec("unknown section [%s]" % (name,))
         if name not in allowed:
             raise InvalidSpec("[%s] does not apply to kind %r" % (name, kind))
-        if name == "nonlinearity":
+        if name in ("nonlinearity", "constraint"):
             continue
         for key in body:
             if key not in _SECTION_KEYS[name]:
@@ -130,6 +129,48 @@ def _canon_profile(text):
                               % (name, len(_PROFILE_DEFAULTS[name])))
         return name + ":" + vals
     return _canon_float(t)
+
+
+# canonical form and default of each [constraint] option, by constraint
+# kind; bernstein_bvp fixes a ball (radius in [bernstein]) and
+# moving_rectangles a nodewise bound pair
+_CONSTRAINT_OPTIONS = {
+    "none": {},
+    "box": {"lo": (_canon_list, "0.0"), "hi": (_canon_list, "1.0")},
+    "ball": {"center": (_canon_list, "0.0"), "radius": (_canon_float, "1.0")},
+    "simplex": {"total": (_canon_float, "1.0")},
+}
+_FIXED_CONSTRAINTS = {
+    "bernstein_bvp": ("ball", {}),
+    "moving_rectangles": ("moving_box", {"alpha": (_canon_profile, None),
+                                         "beta": (_canon_profile, None)}),
+}
+
+
+def _canon_constraint(kind, c):
+    """The canonical ``[constraint]`` table of problem ``kind`` from the
+    raw one ``c``; rejects a constraint kind the problem kind does not
+    take and an option the constraint kind would ignore."""
+    if kind in _FIXED_CONSTRAINTS:
+        ckind, options = _FIXED_CONSTRAINTS[kind]
+        if c.get("kind", ckind).strip().lower() != ckind:
+            raise InvalidSpec("kind %r fixes [constraint] kind = %s"
+                              % (kind, ckind))
+    else:
+        ckind = c.get("kind", "box").strip().lower()
+        if ckind not in _CONSTRAINT_OPTIONS:
+            raise InvalidSpec("unknown constraint kind %r" % (ckind,))
+        options = _CONSTRAINT_OPTIONS[ckind]
+    extra = sorted(set(c) - {"kind"} - set(options))
+    if extra:
+        raise InvalidSpec("option %r in [constraint] does not apply to "
+                          "constraint kind %r" % (extra[0], ckind))
+    out = {"kind": ckind}
+    for key, (canon, default) in options.items():
+        if default is None and key not in c:
+            raise InvalidSpec("%s needs %s" % (kind, " and ".join(options)))
+        out[key] = canon(c.get(key, default))
+    return out
 
 
 def _profile_fn(text):
@@ -226,9 +267,7 @@ class ProblemSpec:
         if ckind == "none":
             return None
         if ckind == "box":
-            lo = _vector(sec["lo"], N)
-            hi = _vector(sec["hi"], N)
-            return Box(lo, hi)
+            return Box(_vector(sec["lo"], N), _vector(sec["hi"], N))
         if ckind == "ball":
             return Ball(_vector(sec["center"], N), _fnum(sec["radius"]))
         if ckind == "simplex":
@@ -398,32 +437,7 @@ def parse_config(text):
         fsec[key] = val.strip() if key == "path" else _canon_float(val)
     out["nonlinearity"] = fsec
 
-    c = raw.get("constraint", {})
-    if kind == "bernstein_bvp":
-        out["constraint"] = {"kind": "ball"}
-    elif kind == "moving_rectangles":
-        if "alpha" not in c or "beta" not in c:
-            raise InvalidSpec("moving_rectangles needs alpha and beta")
-        out["constraint"] = {"kind": "moving_box",
-                             "alpha": _canon_profile(c["alpha"]),
-                             "beta": _canon_profile(c["beta"])}
-    else:
-        ckind = c.get("kind", "box").strip().lower()
-        if ckind == "none":
-            out["constraint"] = {"kind": "none"}
-        elif ckind == "box":
-            out["constraint"] = {"kind": "box",
-                                 "lo": _canon_list(c.get("lo", "0.0")),
-                                 "hi": _canon_list(c.get("hi", "1.0"))}
-        elif ckind == "ball":
-            out["constraint"] = {"kind": "ball",
-                                 "center": _canon_list(c.get("center", "0.0")),
-                                 "radius": _canon_float(c.get("radius", "1.0"))}
-        elif ckind == "simplex":
-            out["constraint"] = {"kind": "simplex",
-                                 "total": _canon_float(c.get("total", "1.0"))}
-        else:
-            raise InvalidSpec("unknown constraint kind %r" % (ckind,))
+    out["constraint"] = _canon_constraint(kind, raw.get("constraint", {}))
 
     s = raw.get("solver", {})
     method = s.get("method", "resolvent").strip().lower()

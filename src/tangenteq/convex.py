@@ -1,25 +1,26 @@
 """Convex constraint sets: distances, projections and tangent cones.
 
-Every set here exposes the same small surface: ``distance`` / ``project``
-(the metric projection, which is a 1-Lipschitz retraction), membership
-queries for the tangent cone at a point of the set, the metric projection
-onto that cone, a finite list of supporting halfspaces used by the
-resolvent invariance audits, and what the grid solvers need: ``lift(n)``
-(the set at each of ``n`` nodes, a ``NodewiseBox`` for boxes and
-``MovingBox``, a ``NodewiseBody`` otherwise, which works on all nodes at
-once through the body's row-batched ``project_rows``, ``distances`` and
-``tangent_project_rows`` and selects by one Dykstra run over every row),
-``tangent_value(u, lo, hi)`` (the minimal-norm point of the value box
-``[lo, hi]`` in the tangent cone at ``u``) and ``sample(rng, count, n)``
-(seeded grid functions with every nodal value in the set).
+Rows are the only primitive: a set implements ``project_rows`` (the
+metric projection of each row, a 1-Lipschitz retraction) and
+``tangent_project_rows`` (the metric projection onto the tangent cone at
+each row) and lists supporting halfspaces for the invariance audits.
+``ConvexBody`` builds the rest on them once: the one-point ``project``
+and ``tangent_project``, distances, cone membership, ``lift(n)`` (the
+set at each of ``n`` nodes: a ``NodewiseBox`` for boxes and
+``MovingBox``, else a ``NodewiseBody`` that selects by one Dykstra run
+over every row), ``tangent_value(u, lo, hi)`` (the minimal-norm point of
+the value box ``[lo, hi]`` in the tangent cone at ``u``) and
+``sample(rng, count, n)`` (seeded grid functions in the set).
 
 The tangent cone of a convex set at ``x`` is the closure of the feasible
-rays ``h*(K - x)``, ``h > 0``.  For the sets below it has closed form:
+rays ``h*(K - x)``, ``h > 0``.  For every set below both projections are
+exact:
 
-* ``Box``      componentwise sign rules on the active faces,
-* ``Ball``     a halfspace through the outward normal on the boundary,
-* ``Simplex``  zero-sum directions, nonnegative on the zero coordinates,
-* ``HalfspaceIntersection``  the cone cut out by the active halfspaces.
+* ``Box``      clipping; sign rules on the active faces,
+* ``Ball``     radial scaling; a halfspace through the outward normal,
+* ``Simplex``  a sort-based pivot rule; zero-sum directions,
+  nonnegative on the zero coordinates,
+* ``HalfspaceIntersection``  one least-distance program per row.
 
 Directional derivatives of the distance function are reported alongside
 membership: for a convex set the one-sided derivative of ``d_K`` at
@@ -73,13 +74,10 @@ def _positive_part(a):
 
 
 class ConvexBody:
-    """Shared plumbing for the concrete sets.
-
-    A set gives either the one-point ``project`` and ``tangent_project``
-    or their row-batched forms ``project_rows(X)`` and
-    ``tangent_project_rows(X, V, tol)`` on ``(n, dim)`` arrays; the
-    defaults below build the batched forms row by row.
-    """
+    """Shared plumbing for the concrete sets, built once on the two row
+    methods each set implements: ``project_rows(X)`` and
+    ``tangent_project_rows(X, V, tol)`` (faces within ``tol`` of ``X[j]``
+    are active).  The one-point methods are their one-row case."""
 
     dim = None
 
@@ -90,14 +88,12 @@ class ConvexBody:
         """Euclidean distance of each row of ``X`` to the set."""
         return _row_norms(X - self.project_rows(X))
 
-    def project_rows(self, X):
-        """``project`` of each row of ``X``."""
-        return np.array([self.project(x) for x in X]).reshape(X.shape)
+    def project(self, x):
+        return self.project_rows(_as1d(x)[None])[0]
 
-    def tangent_project_rows(self, X, V, tol=CONE_TOL):
-        """``tangent_project(X[j], V[j])`` for each row."""
-        return np.array([self.tangent_project(x, v, tol)
-                         for x, v in zip(X, V)]).reshape(V.shape)
+    def tangent_project(self, x, v, tol=CONE_TOL):
+        return self.tangent_project_rows(_as1d(x)[None], _as1d(v)[None],
+                                         tol)[0]
 
     def contains(self, x, tol=CONE_TOL):
         return self.distance(x) <= tol
@@ -118,9 +114,6 @@ class ConvexBody:
         dd = float(np.linalg.norm(_as1d(v) - w))
         return ConeQueryResult(contains=dd <= tol, directional_derivative=dd)
 
-    def tangent_project(self, x, v, tol=CONE_TOL):
-        raise NotImplementedError
-
     def supporting_halfspaces(self):
         raise NotImplementedError
 
@@ -128,16 +121,15 @@ class ConvexBody:
         """The body at every grid node."""
         return NodewiseBody(self)
 
-    def tangent_value(self, u, lo, hi, tol=CONE_TOL, gap_tol=1e-10,
-                      max_iter=5000):
+    def tangent_value(self, u, lo, hi, tol=CONE_TOL, gap_tol=1e-10):
         """Minimal-norm value in ``[lo, hi]`` tangent to the body at
-        ``proj u``: the one-node case of ``NodewiseBody.select``.
+        ``proj u``: the one-node case of the lifted body's ``select``.
 
         Raises EmptyIntersection when no admissible tangent value exists.
         """
         v, miss = self.lift(1).select(_as1d(u)[None], _as1d(lo)[None],
                                       _as1d(hi)[None], tol=tol,
-                                      gap_tol=gap_tol, max_iter=max_iter)
+                                      gap_tol=gap_tol)
         if miss is not None:
             raise EmptyIntersection(miss[1])
         return v[0]
@@ -172,34 +164,19 @@ class Box(ConvexBody):
             raise ValueError("box needs lo <= hi componentwise")
         self.dim = self.lo.size
 
-    def project(self, x):
-        return np.clip(_as1d(x), self.lo, self.hi)
+    def project_rows(self, X):
+        return np.clip(X, self.lo, self.hi)
 
-    def tangent_project(self, x, v, tol=CONE_TOL):
-        clo, chi = self.lift(1).face_cone(_as1d(x)[None], tol)
-        return np.clip(_as1d(v), clo[0], chi[0])
+    def tangent_project_rows(self, X, V, tol=CONE_TOL):
+        return np.clip(V, *self.lift(X.shape[0]).face_cone(X, tol))
 
     def supporting_halfspaces(self):
-        out = []
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            out.append((e.copy(), float(self.hi[i])))
-            out.append((-e, float(-self.lo[i])))
-        return out
+        return [face for e, lo, hi in zip(np.eye(self.dim), self.lo, self.hi)
+                for face in ((e, float(hi)), (-e, float(-lo)))]
 
     def lift(self, n):
         """The same box at each of ``n`` grid nodes."""
         return NodewiseBox(np.tile(self.lo, (n, 1)), np.tile(self.hi, (n, 1)))
-
-    def tangent_value(self, u, lo, hi, tol=CONE_TOL, gap_tol=1e-10,
-                      max_iter=5000):
-        """Closed form: componentwise clipping (no iterations)."""
-        v, miss = self.lift(1).select(u[None], lo[None], hi[None],
-                                      tol=tol, gap_tol=gap_tol)
-        if miss is not None:
-            raise EmptyIntersection(miss[1])
-        return v[0]
 
     def sample(self, rng, count, n):
         width = np.where(self.hi > self.lo, self.hi - self.lo, 0.0)
@@ -273,14 +250,14 @@ class NodewiseBox:
         return (np.where(W - self.lo <= tol, 0.0, -np.inf),
                 np.where(self.hi - W <= tol, 0.0, np.inf))
 
-    def select(self, U, vlo, vhi, P=None, tol=CONE_TOL, gap_tol=CONE_TOL):
+    def select(self, U, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
         """Minimal-norm values in ``[vlo, vhi]`` tangent to the box at ``U``.
 
         The face cones are intervals, so this is componentwise clipping.
         Returns ``(V, None)``, or ``(None, (node, reason))`` for the first
         node whose values miss its face cone by more than ``gap_tol``; the
         default matches ``tol``, so a state within ``tol`` of a face may
-        overshoot it by as much.  Gradients ``P`` play no part for a box.
+        overshoot it by as much.
         """
         V, empty = selection_on_intervals(vlo, vhi,
                                           *self.face_cone(U, tol), gap_tol)
@@ -316,13 +293,12 @@ class NodewiseBody:
     def distances(self, U):
         return self.body.distances(U)
 
-    def select(self, U, vlo, vhi, P=None, tol=CONE_TOL, gap_tol=CONE_TOL,
-               max_iter=5000):
+    def select(self, U, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
         """Minimal-norm values in ``[vlo, vhi]`` tangent to the body at
         ``proj U``, by ``_dykstra_select``; returns what
-        ``NodewiseBox.select`` returns.  Gradients ``P`` play no part."""
+        ``NodewiseBox.select`` returns."""
         return _dykstra_select(self.body, self.body.project_rows(U), vlo,
-                               vhi, tol, gap_tol, max_iter)
+                               vhi, tol, gap_tol)
 
     def tangency(self, U, V, tol=CONE_TOL):
         """``max_j dist(V_j, T(proj U_j))``."""
@@ -335,8 +311,11 @@ class NodewiseBody:
 #: iterations earlier
 _STALL_WINDOW = 50
 
+#: Dykstra iterations after which a row still above ``gap_tol`` is empty
+_SELECT_MAX_ITER = 5000
 
-def _dykstra_select(body, X, vlo, vhi, tol, gap_tol, max_iter):
+
+def _dykstra_select(body, X, vlo, vhi, tol, gap_tol):
     """Minimal-norm point of ``[vlo[j], vhi[j]]`` in the tangent cone of
     ``body`` at ``X[j]``, for every row ``j`` at once.
 
@@ -346,9 +325,9 @@ def _dykstra_select(body, X, vlo, vhi, tol, gap_tol, max_iter):
     minimal-norm point.  A row stops when its box-to-cone gap is at most
     ``gap_tol``, and its intersection is declared empty when the gap
     stalls above it (reduction below 1e-14 across ``_STALL_WINDOW``
-    iterations) or ``max_iter`` iterations end above it.  Each row sees
-    the same arithmetic as it would alone; rows past the first failure
-    stop early, since only the first failing row is reported.
+    iterations) or ``_SELECT_MAX_ITER`` iterations end above it.  Each
+    row sees the same arithmetic as it would alone; rows past the first
+    failure stop early, since only the first failing row is reported.
 
     Returns ``(V, None)``, or ``(None, (node, reason))`` for the first
     node without an admissible value.  Raises TangentEqError when, before
@@ -366,7 +345,7 @@ def _dykstra_select(body, X, vlo, vhi, tol, gap_tol, max_iter):
     # the last _STALL_WINDOW + 1 gaps of each live row, by iteration
     gaps = np.empty((_STALL_WINDOW + 1, n))
     gap = np.full(n, np.inf)
-    for i in range(max_iter):
+    for i in range(_SELECT_MAX_ITER):
         if rows.size == 0:
             break
         z = y + corr_box
@@ -435,22 +414,12 @@ class Ball(ConvexBody):
             raise ValueError("radius must be positive")
         self.dim = self.center.size
 
-    def project(self, x):
-        return self.project_rows(_as1d(x)[None])[0]
-
     def project_rows(self, X):
         R = X - self.center
         nr = _row_norms(R)
         scale = self.radius / np.maximum(nr, self.radius)
         return np.where((nr <= self.radius)[:, None], X,
                         self.center + scale[:, None] * R)
-
-    def distances(self, X):
-        return _positive_part(_row_norms(X - self.center) - self.radius)
-
-    def tangent_project(self, x, v, tol=CONE_TOL):
-        return self.tangent_project_rows(_as1d(x)[None], _as1d(v)[None],
-                                         tol)[0]
 
     def tangent_project_rows(self, X, V, tol=CONE_TOL):
         R = X - self.center
@@ -512,9 +481,6 @@ class Simplex(ConvexBody):
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
 
-    def project(self, x):
-        return self.project_rows(_as1d(x)[None])[0]
-
     def project_rows(self, X):
         # sort-based exact projection (Held/Wolfe/Crowder pivot rule)
         s = self.total_mass
@@ -524,13 +490,6 @@ class Simplex(ConvexBody):
         rho = X.shape[1] - 1 - np.argmax((u * idx > cssv)[:, ::-1], axis=1)
         theta = cssv[np.arange(X.shape[0]), rho] / (rho + 1.0)
         return np.maximum(X - theta[:, None], 0.0)
-
-    def active_zeros(self, x, tol=CONE_TOL):
-        return _as1d(x) <= tol
-
-    def tangent_project(self, x, v, tol=CONE_TOL):
-        return self.tangent_project_rows(_as1d(x)[None], _as1d(v)[None],
-                                         tol)[0]
 
     def tangent_project_rows(self, X, V, tol=CONE_TOL):
         """Exact projection of each ``V[j]`` onto the cone at ``X[j]``,
@@ -548,7 +507,7 @@ class Simplex(ConvexBody):
         Condat, Math. Prog. 2016).  ``k = 0`` is a candidate only when
         some component is free.
         """
-        act = self.active_zeros(X, tol)
+        act = X <= tol
         n_act = np.sum(act, axis=1)[:, None]
         n_free = X.shape[1] - n_act
         k = np.arange(1, X.shape[1] + 1)
@@ -585,10 +544,10 @@ class HalfspaceIntersection(ConvexBody):
     """Finite intersection of halfspaces ``p_k . x <= a_k``.
 
     Normals are normalized at construction and a feasible point must be
-    supplied as a certificate of nonemptiness.  Projections (and the cone
-    projection on the active constraints) run Dykstra's alternating
-    projections, so distances here carry the iteration tolerance rather
-    than being exact.
+    supplied as a certificate of nonemptiness.  Both projections are
+    exact: each row is one least-distance program, ``x - z`` for the
+    shortest ``z`` with ``P z >= P x - a``, and ``v - z`` for the shortest
+    ``z`` with ``P_act z >= P_act v`` on the active halfspaces.
     """
 
     def __init__(self, normals, offsets, point):
@@ -607,23 +566,16 @@ class HalfspaceIntersection(ConvexBody):
         if np.max(slack) > 1e-9:
             raise ValueError("certificate point is not feasible")
 
-    def contains(self, x, tol=CONE_TOL):
-        return float(np.max(self.normals @ _as1d(x) - self.offsets)) <= tol
+    def project_rows(self, X):
+        P, a = self.normals, self.offsets
+        return np.array([x - _least_distance(P, P @ x - a)
+                         for x in X]).reshape(X.shape)
 
-    def project(self, x):
-        x = _as1d(x)
-        if self.contains(x, tol=0.0):
-            return x.copy()
-        projs = [_halfspace_projector(p, a)
-                 for p, a in zip(self.normals, self.offsets)]
-        return _dykstra(x, projs)
-
-    def tangent_project(self, x, v, tol=CONE_TOL):
-        act = self.normals @ _as1d(x) - self.offsets >= -tol
-        if not np.any(act):
-            return _as1d(v).copy()
-        projs = [_halfspace_projector(p, 0.0) for p in self.normals[act]]
-        return _dykstra(_as1d(v), projs)
+    def tangent_project_rows(self, X, V, tol=CONE_TOL):
+        P, a = self.normals, self.offsets
+        active = [P @ x - a >= -tol for x in X]
+        return np.array([v - _least_distance(P[act], P[act] @ v)
+                         for act, v in zip(active, V)]).reshape(V.shape)
 
     def supporting_halfspaces(self):
         return [(p.copy(), float(a))
@@ -633,32 +585,23 @@ class HalfspaceIntersection(ConvexBody):
         return self.point
 
 
-def _halfspace_projector(p, a):
-    def proj(y):
-        excess = float(p @ y) - a
-        if excess <= 0:
-            return y.copy()
-        return y - excess * p
-    return proj
-
-
-def _dykstra(x, projectors, tol=1e-13, max_sweeps=20000):
-    """Dykstra's scheme from ``x``, run until a sweep moves less than
-    ``tol`` relative: it converges to the metric projection of ``x`` onto
-    the intersection of the projectors' sets (plain alternation does
-    not)."""
-    y = x.copy()
-    corr = [np.zeros_like(y) for _ in projectors]
-    scale = max(1.0, float(np.linalg.norm(x)))
-    for _ in range(max_sweeps):
-        y_prev = y
-        for i, proj in enumerate(projectors):
-            z = y + corr[i]
-            y = proj(z)
-            corr[i] = z - y
-        if np.linalg.norm(y - y_prev) <= tol * scale:
-            break
-    return y
+def _least_distance(G, h):
+    """The shortest ``z`` with ``G z >= h`` (a feasible system), by Lawson
+    and Hanson's least-distance program (*Solving Least Squares Problems*,
+    1974, ch. 23): with ``u >= 0`` the least-squares solution of
+    ``E u = f``, ``E = [G^T; h^T]``, ``f = (0, ..., 0, 1)``, the residual
+    ``r = E u - f`` gives ``z = -r[:-1] / r[-1]``; no positive ``h`` gives
+    exactly ``z = 0``."""
+    if not np.any(h > 0.0):
+        return np.zeros(G.shape[1])
+    # imported here because scipy.optimize adds about 0.3 s to
+    # ``import tangenteq``, which no box or ball run needs
+    from scipy.optimize import nnls
+    E = np.vstack([G.T, h])
+    f = np.zeros(E.shape[0])
+    f[-1] = 1.0
+    r = E @ nnls(E, f)[0] - f
+    return -r[:-1] / r[-1]
 
 
 def numeric_tangent_quotient(body, x, v, h):

@@ -123,7 +123,7 @@ def _select(op, field_, K, U):
     vlo, vhi = field_.evaluate_grid(xs, U, P)
     if K is None:
         return vlo, vhi, None, None
-    v, miss = K.select(U, vlo, vhi, P)
+    v, miss = K.select(U, vlo, vhi)
     if miss is None:
         return vlo, vhi, v, None
     j, reason = miss

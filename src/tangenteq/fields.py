@@ -243,6 +243,9 @@ class FilippovHull(NonlinearityField):
         super().__init__(components, bound, vectorized)
         if delta <= 0:
             raise ValueError("delta must be positive")
+        if not (float(sample_count).is_integer() and sample_count >= 1):
+            raise ValueError("samples must be an integer of at least 1, "
+                             "got %r" % (sample_count,))
         self.g = g
         self.delta = float(delta)
         self.sample_count = int(sample_count)
@@ -303,7 +306,7 @@ def _probe_states(rng, count, radius, x, u, p):
 
 
 def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
-                      gap_tol=1e-10, max_iter=5000):
+                      gap_tol=1e-10):
     """Minimal-norm admissible value tangent to ``body`` at ``u``: the
     field's value box at ``(x, u, p)`` handed to ``body.tangent_value``.
 
@@ -311,7 +314,7 @@ def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     val = field.evaluate(x, u, p)
-    return body.tangent_value(u, val.lo, val.hi, tol, gap_tol, max_iter)
+    return body.tangent_value(u, val.lo, val.hi, tol, gap_tol)
 
 
 @dataclass

@@ -164,8 +164,7 @@ class ZeroResult:
     final_cube: Cube
 
 
-def miranda_solve(f, cube, tol=1e-9, resolution=9, max_depth=200,
-                  accept_degenerate=True):
+def miranda_solve(f, cube, tol=1e-9, resolution=9, max_depth=200):
     """Certified bisection toward a zero inside the cube.
 
     The initial certificate must hold (else CertificateFailed).  Each step
@@ -176,11 +175,9 @@ def miranda_solve(f, cube, tol=1e-9, resolution=9, max_depth=200,
     exhausted, returning the center with a post-verified residual.
     """
     cert = miranda_check(f, cube, resolution)
-    ok = cert.holds and (accept_degenerate or not cert.degenerate)
-    if not ok:
+    if not cert.holds:
         raise CertificateFailed(
-            "initial certificate %s (margin %.3g)"
-            % ("degenerate" if cert.holds else "fails", cert.margin))
+            "initial certificate fails (margin %.3g)" % cert.margin)
 
     certified_path = True
     fallback_steps = 0
@@ -190,7 +187,7 @@ def miranda_solve(f, cube, tol=1e-9, resolution=9, max_depth=200,
         chosen = None
         for child in (lower, upper):
             c = miranda_check(f, child, resolution)
-            if c.holds and (accept_degenerate or not c.degenerate):
+            if c.holds:
                 chosen = child
                 break
         if chosen is None:
@@ -210,17 +207,17 @@ def miranda_solve(f, cube, tol=1e-9, resolution=9, max_depth=200,
                       fallback_steps=fallback_steps, final_cube=cube)
 
 
-def _sampled_argmin(f, cube, resolution, levels=3):
+def _sampled_argmin(f, cube, resolution):
     """Approximate argmin of |f| over the cube by zooming grids.
 
     Samples at cell centers (so siblings never share a sample, which
-    would tie the fallback choice) and refines around the best point a
-    few times; a zero strictly inside one child wins the comparison even
+    would tie the fallback choice) and refines around the best point
+    three times; a zero strictly inside one child wins the comparison even
     when it hugs the splitting plane.
     """
     lo, hi = cube.lo.copy(), cube.hi.copy()
     best_pt, best_val = None, np.inf
-    for _ in range(levels):
+    for _ in range(3):
         axes = []
         for j in range(cube.dim):
             off = 0.5 * (hi[j] - lo[j]) / resolution

@@ -65,13 +65,13 @@ def _heaviside(params, components, bound, seed):
     on = float(params.get("on", -1.0))
     threshold = float(params.get("threshold", 0.5))
     delta = float(params.get("delta", 0.05))
-    count = int(params.get("samples", 64))
 
     def relay(x, u, p):
         u = np.atleast_1d(u)
         return np.where(u < threshold, off, on)
 
-    return FilippovHull(relay, delta, sample_count=count,
+    return FilippovHull(relay, delta,
+                        sample_count=params.get("samples", 64),
                         components=components, bound=bound, base_seed=seed,
                         vectorized=True)
 

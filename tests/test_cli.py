@@ -394,12 +394,47 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
      1, "max_iter must be at least 1"),
     ("solve", "[problem]\nkind = neumann_rd\n\n[solver]\nmax_iter = -3\n",
      1, "max_iter must be at least 1"),
+    # options the constraint kind would ignore
+    ("solve", "[problem]\nkind = neumann_rd\n\n[constraint]\n"
+     "kind = box\nradius = 5\n", 1,
+     "option 'radius' in [constraint] does not apply to constraint kind "
+     "'box'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[constraint]\n"
+     "kind = none\nlo = 0\n", 1,
+     "option 'lo' in [constraint] does not apply to constraint kind "
+     "'none'"),
+    ("solve", "[problem]\nkind = moving_rectangles\n\n[constraint]\n"
+     "kind = ball\nalpha = -1\nbeta = 1\n", 1,
+     "kind 'moving_rectangles' fixes [constraint] kind = moving_box"),
+    ("solve", "[problem]\nkind = bernstein_bvp\n\n[constraint]\n"
+     "kind = box\n", 1,
+     "kind 'bernstein_bvp' fixes [constraint] kind = ball"),
+    ("solve", "[problem]\nkind = bernstein_bvp\n\n[constraint]\n"
+     "kind = ball\nradius = 3\n", 1,
+     "option 'radius' in [constraint] does not apply to constraint kind "
+     "'ball'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = heaviside\nsamples = -3\n", 1,
+     "samples must be an integer of at least 1, got -3.0"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = heaviside\nsamples = 2.5\n", 1,
+     "samples must be an integer of at least 1, got 2.5"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = heaviside\nsamples = 0\n", 1,
+     "samples must be an integer of at least 1, got 0.0"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = heaviside\nsamples = inf\n", 1,
+     "samples must be an integer of at least 1, got inf"),
 ], ids=["box_lo_above_hi", "negative_radius", "heaviside_delta_zero",
         "tabulated_without_path", "tabulated_missing_file",
         "simulate_h_zero", "miranda_hi_short", "miranda_hi_not_above_lo",
         "verify_no_samples", "invariance_no_samples", "sin_extra_argument",
         "const_extra_argument", "sin_short_list", "max_iter_zero",
-        "max_iter_negative"])
+        "max_iter_negative", "box_with_radius", "none_with_lo",
+        "moving_rectangles_as_ball", "bernstein_as_box",
+        "bernstein_ball_radius", "heaviside_negative_samples",
+        "heaviside_fractional_samples", "heaviside_zero_samples",
+        "heaviside_infinite_samples"])
 def test_bad_config_values_fail_at_parse_time(tmp_path, capsys, command,
                                               text, code, message):
     cfg = tmp_path / "bad.cfg"

@@ -6,13 +6,17 @@ acceptance test and a post-check; the sweep loop itself, with its
 stopping rule and final measures, is written once in ``_drive``.
 
 In ``convex`` a lifted body works on all grid nodes at once: no
-``NodewiseBody`` method loops over rows; the one Dykstra loop is
-``_dykstra_select``, and a row loop survives only in the ``ConvexBody``
-defaults for a body without row-batched projections.
+``NodewiseBody`` method loops over rows and the one Dykstra loop is
+``_dykstra_select``.  Bodies implement only their row methods, and
+``ConvexBody`` builds the rest on them without a loop; only
+``HalfspaceIntersection`` loops over rows, one least-distance program
+per row, and the other bodies loop only to list their faces.
 """
 
 import ast
 import inspect
+
+import pytest
 
 from tangenteq import convex, equilibrium
 
@@ -61,8 +65,18 @@ def _methods_with_row_loops(cls):
 
 
 def test_the_row_loop_check_sees_comprehensions():
-    assert _methods_with_row_loops(convex.ConvexBody) == [
-        "project_rows", "tangent_project_rows"]
+    assert _methods_with_row_loops(convex.HalfspaceIntersection) == [
+        "project_rows", "supporting_halfspaces", "tangent_project_rows"]
+
+
+@pytest.mark.parametrize("cls, face_listings", [
+    (convex.ConvexBody, []),
+    (convex.Box, ["supporting_halfspaces"]),
+    (convex.Ball, ["outer_gap", "supporting_halfspaces"]),
+    (convex.Simplex, ["supporting_halfspaces"]),
+], ids=["ConvexBody", "Box", "Ball", "Simplex"])
+def test_closed_form_bodies_hold_no_row_loop(cls, face_listings):
+    assert _methods_with_row_loops(cls) == face_listings
 
 
 def test_no_nodewise_body_method_loops_over_rows():
