@@ -210,10 +210,11 @@ def _drive(op, field_, C, u0, config, step, project_start=False,
         if failure is not None:
             status = "tangency_failure"
             break
-        u_next = step(it, K, u, AX, v)
-        step_norm = op.grid.norm(u_next - u)
-        u = u_next
-        if r <= config.tol_residual and step_norm <= config.tol_step \
+        u, u_prev = step(it, K, u, AX, v), u
+        # a run to the horizon never meets the residual test, so the step
+        # norm is taken only once it holds
+        if r <= config.tol_residual \
+                and op.grid.norm(u - u_prev) <= config.tol_step \
                 and (accept is None or accept(K, u)):
             status = "converged"
             break

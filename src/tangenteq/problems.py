@@ -19,15 +19,15 @@ sampled checks with margins and witnesses:
 
 A margin is always "distance to violation": positive means the condition
 holds strictly, negative means a witness was found.  Every sampled check
-folds its draws through ``_sampled_item``, which states the margin and
-witness rules once.
+draws its states in whole arrays and folds them through
+``_sampled_item``, which states the margin and witness rules once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import Ball, Box, MovingBox, _row_dots
+from .convex import Ball, Box, MovingBox, _row_dots, _row_norms
 from .errors import InvalidSpec
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
                      SetValue, SingleValued, _sup_norms)
@@ -219,31 +219,19 @@ def _witness(x, u, p, value, violation):
             "value": value, "violation": float(violation)}
 
 
-def _sampled_item(name, field, count, states, margin, tol):
-    """Fold ``count`` sampled states of one condition into its
-    ``ConditionItem``.
+def _sampled_item(name, field, X, U, P, args, margin, tol):
+    """Fold the sampled states ``(X[k], U[k], P[k])`` of one condition
+    into its ``ConditionItem``.
 
-    ``states`` yields ``(x, u, p, arg)``; the states fill ``(count, N)``
-    arrays, the field is evaluated on all of them in one
-    ``evaluate_grid`` call, and ``margin(lo, hi, args)`` gives every
-    state's distance to violation from its value box and the ``arg`` rows
-    (whatever else the margin needs from the draw; ``arg`` may be None
-    when it needs nothing).  The item carries the smallest margin and
-    passes when it is at least ``-tol``.  Its witness is the first state
-    that reaches the smallest margin, and it is recorded only when that
-    margin is below ``-tol``.  A NaN margin never counts as smallest.
+    The field is evaluated on all states in one ``evaluate_grid`` call,
+    and ``margin(lo, hi, args)`` gives every state's distance to violation
+    from its value box and the ``args`` rows (whatever else the margin
+    needs from the draw; None when it needs nothing).  The item carries
+    the smallest margin and passes when it is at least ``-tol``.  Its
+    witness is the first state that reaches the smallest margin, and it
+    is recorded only when that margin is below ``-tol``.  A NaN margin
+    never counts as smallest.
     """
-    N = field.components
-    X = np.empty(count)
-    U = np.empty((count, N))
-    P = np.empty((count, N))
-    args = np.empty((count, N))
-    for k, (x, u, p, arg) in enumerate(states):
-        X[k] = x
-        U[k] = u
-        P[k] = p
-        if arg is not None:
-            args[k] = arg
     lo, hi = field.evaluate_grid(X, U, P)
     m = margin(lo, hi, args)
     m = np.where(np.isnan(m), np.inf, m)
@@ -284,38 +272,30 @@ def _box_face_items(field, C, grid, samples, rng, tol):
     # slope as a neutral stand-in.
     components = field.components
     lo, hi, glo, ghi = _node_bounds(C, grid, components)
+    mean_slope = 0.5 * (glo + ghi)
 
-    def touching(i, bound, slope):
-        for _ in range(samples):
-            j = int(rng.integers(grid.n))
-            u = lo[j] + rng.random(components) * (hi[j] - lo[j])
-            p = 0.5 * (glo[j] + ghi[j])
-            u[i] = bound[j, i]
-            p[i] = slope[j, i]
-            yield grid.nodes[j], u, p, None
+    def face(i, side, bound, slope, margin):
+        J = rng.integers(grid.n, size=samples)
+        U = lo[J] + rng.random((samples, components)) * (hi[J] - lo[J])
+        P = mean_slope[J]
+        U[:, i] = bound[J, i]
+        P[:, i] = slope[J, i]
+        return _sampled_item("face[%d].%s" % (i, side), field, grid.nodes[J],
+                             U, P, None, margin, tol)
 
-    items = []
-    for i in range(components):
-        items.append(_sampled_item("face[%d].low" % i, field, samples,
-                                   touching(i, lo, glo),
-                                   lambda vlo, vhi, _: vhi[:, i], tol))
-        items.append(_sampled_item("face[%d].high" % i, field, samples,
-                                   touching(i, hi, ghi),
-                                   lambda vlo, vhi, _: -vlo[:, i], tol))
-    return items
+    return [item for i in range(components) for item in (
+        face(i, "low", lo, glo, lambda vlo, vhi, _: vhi[:, i]),
+        face(i, "high", hi, ghi, lambda vlo, vhi, _: -vlo[:, i]))]
 
 
 def _ball_items(field, C, grid, samples, rng, tol):
-    def boundary():
-        for _ in range(samples):
-            j = int(rng.integers(grid.n))
-            d = rng.standard_normal(C.dim)
-            d /= np.linalg.norm(d)
-            yield grid.nodes[j], C.center + C.radius * d, np.zeros(C.dim), d
-
+    J = rng.integers(grid.n, size=samples)
+    D = rng.standard_normal((samples, C.dim))
+    D /= _row_norms(D)[:, None]
     # inward admissibility: some value y with outward component <= 0
-    return [_sampled_item("sphere", field, samples, boundary(),
-                          lambda lo, hi, d: -_min_dot(d, lo, hi), tol)]
+    return [_sampled_item("sphere", field, grid.nodes[J],
+                          C.center + C.radius * D, np.zeros((samples, C.dim)),
+                          D, lambda lo, hi, d: -_min_dot(d, lo, hi), tol)]
 
 
 def verify_tangency(field, C, grid, samples=10000, seed=42, tol=1e-9):
@@ -361,40 +341,31 @@ def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42,
     xs = rng.random(samples) * length
     pmax = max(1.0, 2.0 * R)
 
-    # Each generator draws from rng only while it is consumed, and each
-    # is consumed in full before the next one starts.
-    def directions(count):
-        d = rng.standard_normal((count, N))
+    def directions():
+        d = rng.standard_normal((samples, N))
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
-    def outside():
-        for x, d in zip(xs, directions(samples)):
-            u = (R + rng.random() * (R + 1.0)) * d
-            yield x, u, np.zeros(N), u
-
-    def inside():
-        for x in xs:
-            u = R * (2.0 * rng.random(N) - 1.0)
-            p = pmax * (2.0 * rng.random(N) - 1.0)
-            yield x, u, p, p
-
-    def on_sphere():
-        for x, d in zip(xs, directions(samples)):
-            u = R * d
-            if N == 1:
-                p = np.zeros(1)
-            else:
-                p = rng.standard_normal(N)
-                p -= d * np.dot(p, d)
-            yield x, u, p, u
+    # the draws come in item order: outside, inside, on the sphere
+    d = directions()
+    u_out = (R + rng.random(samples) * (R + 1.0))[:, None] * d
+    inside = rng.random((samples, 2 * N))
+    u_in = R * (2.0 * inside[:, :N] - 1.0)
+    p_in = pmax * (2.0 * inside[:, N:] - 1.0)
+    d = directions()
+    u_on = R * d
+    p_on = np.zeros((samples, N))
+    if N > 1:
+        p_on = rng.standard_normal((samples, N))
+        p_on -= d * _row_dots(p_on, d)[:, None]
 
     items = [
-        _sampled_item("sign_outside_ball", fld, samples, outside(),
+        _sampled_item("sign_outside_ball", fld, xs, u_out,
+                      np.zeros((samples, N)), u_out,
                       lambda lo, hi, u: -_min_dot(u, lo, hi), tol),
-        _sampled_item("quadratic_growth", fld, samples, inside(),
+        _sampled_item("quadratic_growth", fld, xs, u_in, p_in, p_in,
                       lambda lo, hi, p: a * _row_dots(p, p) + b
                       - _sup_norms(lo, hi), tol),
-        _sampled_item("sphere_tangency", fld, samples, on_sphere(),
+        _sampled_item("sphere_tangency", fld, xs, u_on, p_on, u_on,
                       lambda lo, hi, u: c * R * R - _min_dot(u, lo, hi),
                       tol),
     ]

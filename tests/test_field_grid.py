@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangenteq import (Box, BoundViolated, FilippovHull, Grid1D,
+from tangenteq import (Ball, Box, BoundViolated, FilippovHull, Grid1D,
                        IntervalValued, OperatorSpec, SingleValued,
                        SolverConfig, StateShiftedField, assemble,
                        make_nonlinearity, resolvent_iterate,
-                       verify_tangency)
+                       verify_bernstein, verify_tangency)
 
 _PARAMS = {
     "linear": {"a": 0.5, "b": -1.0},
@@ -155,6 +155,19 @@ def test_vectorized_gate_calls_the_field_once_per_item():
                           samples=300)
     assert rep.passed and len(rep.items) == 4
     assert g.rows == [300] * 4
+
+    g = _CountingGrid(lambda x, u, p: -u)
+    rep = verify_tangency(SingleValued(g, components=2, vectorized=True),
+                          Ball(np.zeros(2), 1.0), Grid1D(1.0, 11),
+                          samples=250)
+    assert rep.passed and [i.name for i in rep.items] == ["sphere"]
+    assert g.rows == [250]
+
+    g = _CountingGrid(lambda x, u, p: -u)
+    rep = verify_bernstein(SingleValued(g, components=2, vectorized=True),
+                           R=1.0, a=0.0, b=2.0, c=0.0, samples=200)
+    assert rep.passed and len(rep.items) == 3
+    assert g.rows == [200] * 3
 
 
 def test_batched_hull_calls_g_once_per_state_on_centre_and_probes():

@@ -1,5 +1,7 @@
 """Set-valued nonlinearities: interval hulls, selections, graph checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -320,3 +322,42 @@ def test_semicontinuity_probe_raw_jump_stays_at_one():
     for delta in (1e-1, 1e-2, 1e-3):
         assert semicontinuity_probe(raw, 0.0, u, p, delta) == pytest.approx(
             1.0, abs=1e-12)
+
+
+def _probe_rows(field, x, u, p, delta, sample_count, seed):
+    """The probe excesses of ``semicontinuity_probe``, one probe at a
+    time in draw order."""
+    base = field.evaluate(x, u, p)
+    rng = np.random.default_rng(seed)
+    rays = delta * unit_ball_rays(rng, sample_count, 1 + u.size + p.size)
+    return [field.evaluate(x + r[0], u + r[1:1 + u.size],
+                           p + r[1 + u.size:]).excess_over(base)
+            for r in rays]
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_semicontinuity_probe_is_the_worst_probe_and_skips_nan(vectorized):
+    # the value is NaN on the upper half of the probes, where a NaN excess
+    # must not win over the finite ones
+    f = IntervalValued(lambda x, u, p: np.where(u < 0.31, np.sin(3.0 * u),
+                                                np.nan) - 0.2 * p,
+                       lambda x, u, p: np.sin(3.0 * u) + x,
+                       components=2, vectorized=vectorized)
+    x, u, p = 0.5, np.array([0.3, 0.29]), np.array([0.1, -0.2])
+    rows = _probe_rows(f, x, u, p, 0.05, 40, seed=3)
+    assert any(np.isnan(rows)) and not all(np.isnan(rows))
+    worst = max([0.0] + rows)
+    assert semicontinuity_probe(f, x, u, p, 0.05, sample_count=40,
+                                seed=3) == worst
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_semicontinuity_probe_raises_at_a_breaching_probe(vectorized):
+    f = SingleValued(lambda x, u, p: 10.0 * u, bound=1.0,
+                     vectorized=vectorized)
+    u, p = np.array([0.099]), np.array([0.0])
+    assert f.evaluate(0.0, u, p).lo[0] <= 1.0
+    with pytest.raises(BoundViolated) as first:
+        _probe_rows(f, 0.0, u, p, 0.01, 64, seed=0)
+    with pytest.raises(BoundViolated, match=re.escape(str(first.value))):
+        semicontinuity_probe(f, 0.0, u, p, 0.01)

@@ -12,8 +12,11 @@ from tangenteq import (Ball, BoundViolated, Box, Grid1D, InvalidSpec,
                        make_nonlinearity, parse_config, resolvent_iterate,
                        serialize, verify_bernstein, verify_subsuper,
                        verify_tangency)
+from tangenteq.convex import _row_dots
+from tangenteq.fields import _sup_norms
 from tangenteq.problems import (ConditionItem, ConditionReport,
-                                NONLINEARITY_NAMES, as_field)
+                                NONLINEARITY_NAMES, _min_dot, _sampled_item,
+                                as_field)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -301,6 +304,70 @@ def test_bernstein_sign_violation_carries_a_witness():
     assert by_name["quadratic_growth"].passed
     # and on the sphere u.u = R^2 = c R^2 exactly
     assert by_name["sphere_tangency"].margin == pytest.approx(0.0, abs=1e-12)
+
+
+def _per_sample_bernstein(phi, R, a, b, c, samples, seed, tol=1e-9):
+    """The Bernstein items from per-sample draws, one state at a time in
+    the order of the original sampling loop."""
+    fld = as_field(phi)
+    N = fld.components
+    rng = np.random.default_rng(seed)
+    xs = rng.random(samples)
+    pmax = max(1.0, 2.0 * R)
+
+    def directions():
+        d = rng.standard_normal((samples, N))
+        return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+    def outside():
+        for d in directions():
+            u = (R + rng.random() * (R + 1.0)) * d
+            yield u, np.zeros(N), u
+
+    def inside():
+        for _ in range(samples):
+            u = R * (2.0 * rng.random(N) - 1.0)
+            p = pmax * (2.0 * rng.random(N) - 1.0)
+            yield u, p, p
+
+    def on_sphere():
+        for d in directions():
+            p = np.zeros(1)
+            if N > 1:
+                p = rng.standard_normal(N)
+                p -= d * np.dot(p, d)
+            yield R * d, p, R * d
+
+    items = []
+    for name, states, margin in [
+            ("sign_outside_ball", outside(),
+             lambda lo, hi, u: -_min_dot(u, lo, hi)),
+            ("quadratic_growth", inside(),
+             lambda lo, hi, p: a * _row_dots(p, p) + b
+             - _sup_norms(lo, hi)),
+            ("sphere_tangency", on_sphere(),
+             lambda lo, hi, u: c * R * R - _min_dot(u, lo, hi))]:
+        U, P, args = (np.array(col) for col in zip(*states))
+        items.append(_sampled_item(name, fld, xs, U, P, args, margin, tol))
+    return items
+
+
+@pytest.mark.parametrize("phi, components, passes", [
+    (lambda x, u, p: 0.5 * np.tanh(p) - u, 1, True),
+    (lambda x, u, p: u + p - x, 2, False),
+    (lambda x, u, p: u * np.abs(p) + 2.0, 1, False),
+], ids=["N1", "N2", "failing"])
+def test_bernstein_draws_match_the_per_sample_loop(phi, components, passes):
+    field = as_field(phi, components=components)
+    rep = verify_bernstein(field, R=1.5, a=0.2, b=2.0, c=0.3, samples=400,
+                           seed=11)
+    want = _per_sample_bernstein(field, R=1.5, a=0.2, b=2.0, c=0.3,
+                                 samples=400, seed=11)
+    assert rep.passed is passes
+    assert [i.name for i in rep.items] == [i.name for i in want]
+    for got, ref in zip(rep.items, want):
+        assert got.margin == ref.margin
+        assert got.witness == ref.witness
 
 
 def test_bernstein_pure_gradient_growth_is_tight():

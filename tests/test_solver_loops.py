@@ -5,6 +5,10 @@ differ only in the step map, the state they select at, an extra
 acceptance test and a post-check; the sweep loop itself, with its
 stopping rule and final measures, is written once in ``_drive``.
 
+In ``problems`` every sampled hypothesis check draws its states in
+batched array calls: the module holds no generator, and no verifier
+loops over its samples.
+
 In ``convex`` a lifted body works on all grid nodes at once: no
 ``NodewiseBody`` method loops over rows and the one Dykstra loop is
 ``_dykstra_select``.  Bodies implement only their row methods, and
@@ -18,7 +22,7 @@ import inspect
 
 import pytest
 
-from tangenteq import convex, equilibrium
+from tangenteq import convex, equilibrium, problems
 
 DRIVER = "_drive"
 
@@ -81,3 +85,19 @@ def test_closed_form_bodies_hold_no_row_loop(cls, face_listings):
 
 def test_no_nodewise_body_method_loops_over_rows():
     assert _methods_with_row_loops(convex.NodewiseBody) == []
+
+
+_VERIFIERS = ("_sampled_item", "_box_face_items", "_ball_items",
+              "verify_tangency", "verify_bernstein")
+
+
+def test_verifiers_draw_whole_arrays():
+    tree = ast.parse(inspect.getsource(problems))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    looping = [name for name in _VERIFIERS
+               if any(isinstance(inner, (ast.For, ast.While, ast.AsyncFor))
+                      for inner in ast.walk(defs[name]))]
+    assert looping == []
