@@ -18,8 +18,8 @@ a user callable may take scalars only) ``evaluate_grid`` is the row loop
 over ``evaluate``.  The catalog fields of ``problems`` all set it.
 Either way every row is checked against the envelope, and the first row
 that breaches it raises BoundViolated with the message ``evaluate`` gives.
-A vectorized relay hull keeps its per-state draws and calls ``g`` once
-per state, on the centre and all its probes together.
+A vectorized relay hull draws each state's rays in one call and calls
+``g`` once per grid, on every state's centre and probes together.
 
 ``tangent_selection`` picks the minimal-norm admissible value that is also
 tangent to the constraint set at ``u``: it evaluates the field once and
@@ -149,8 +149,7 @@ class NonlinearityField:
         raise NotImplementedError
 
     def _grid_value(self, xs, U, P):
-        # a field whose ``_value`` batches its own work state by state
-        return _rows(self._value, xs, U, P)
+        raise NotImplementedError
 
     def _check_bound(self, x, val):
         if self.bound is None:
@@ -229,13 +228,14 @@ class FilippovHull(NonlinearityField):
 
     The hull is an inner approximation of the exact convexification that
     grows with ``sample_count``.  Sampling is deterministic: the rng seed
-    is derived from the state itself, draws are sequential (so a larger
-    sample count extends, never reshuffles, a smaller one) and rays are
-    scaled by delta (so a larger delta moves each probe outward along the
-    same direction).  Both monotonicity properties follow for monotone
-    jumps, and concurrent evaluations at different states are independent.
-    With ``vectorized=True``, ``g`` is called once per state, on the
-    centre and all its probes.
+    is derived from the state itself (``-0.0`` counts as ``0.0``), each
+    state's rays come from one row-major draw (so a larger sample count
+    extends, never reshuffles, a smaller one) and rays are scaled by
+    delta (so a larger delta moves each probe outward along the same
+    direction).  Both monotonicity properties follow for monotone jumps,
+    and concurrent evaluations at different states are independent.
+    With ``vectorized=True``, ``g`` is called once per grid, on every
+    state's centre and probes.
     """
 
     def __init__(self, g, delta, sample_count=64, components=1,
@@ -251,36 +251,57 @@ class FilippovHull(NonlinearityField):
         self.sample_count = int(sample_count)
         self.base_seed = int(base_seed)
 
-    def _state_rng(self, x, u, p):
+    def _state_rng(self, state):
+        """The rng of one stacked state row ``(x, u..., p...)``."""
         h = hashlib.blake2b(digest_size=8)
         h.update(np.int64(self.base_seed).tobytes())
-        h.update(np.float64(x).tobytes())
-        h.update(np.asarray(u, dtype=float).tobytes())
-        h.update(np.asarray(p, dtype=float).tobytes())
+        h.update(state.tobytes())
         return np.random.default_rng(int.from_bytes(h.digest(), "little"))
 
     def _value(self, x, u, p):
-        X, U, P = _probe_grid(self._state_rng(x, u, p), self.sample_count,
-                              self.delta, x, u, p)
+        lo, hi = self._grid_value(
+            np.atleast_1d(np.asarray(x, dtype=float)),
+            np.atleast_2d(np.asarray(u, dtype=float)),
+            np.atleast_2d(np.asarray(p, dtype=float)))
+        return SetValue(lo=lo[0], hi=hi[0])
+
+    def _grid_value(self, xs, U, P):
+        # adding 0.0 turns -0.0 into 0.0, so signed zeros share a seed
+        S = np.column_stack([xs, U, P]) + 0.0
+        m, dim = S.shape
+        count = self.sample_count
+        rays = np.empty((m, count, dim))
+        for j in range(m):
+            rays[j] = unit_ball_rays(self._state_rng(S[j]), count, dim)
+        # every state's centre, then its probes
+        probes = np.concatenate([S[:, None, :],
+                                 S[:, None, :] + self.delta * rays], axis=1)
+        probes = probes.reshape(m * (1 + count), dim)
+        k = np.shape(U)[1]
+        X, Ur, Pr = probes[:, 0], probes[:, 1:1 + k], probes[:, 1 + k:]
+        N = self.components
         if self.vectorized:
-            y = _grid_components(self.g(X[:, None], U, P),
-                                 (len(X), self.components))
+            y = _grid_components(self.g(X[:, None], Ur, Pr), (len(X), N))
         else:
-            y = np.array([_components(self.g(*state), self.components)
-                          for state in zip(X, U, P)])
-        return SetValue(lo=y.min(axis=0), hi=y.max(axis=0))
+            y = np.array([_components(self.g(*state), N)
+                          for state in zip(X, Ur, Pr)])
+        y = y.reshape(m, 1 + count, N)
+        return y.min(axis=1), y.max(axis=1)
 
 
 def unit_ball_rays(rng, count, dim):
-    """``count`` points of the closed unit ball, drawn sequentially."""
-    out = np.empty((count, dim))
-    for i in range(count):
-        d = rng.standard_normal(dim)
-        nd = np.linalg.norm(d)
-        if nd == 0.0:
-            nd = 1.0
-        out[i] = (rng.random() ** (1.0 / dim) / nd) * d
-    return out
+    """``count`` points of the closed unit ball in one draw.
+
+    The first ``dim`` coordinates of a uniform point on the sphere
+    S^(dim+1) are uniform in the ``dim``-ball (Voelker, Gosmann and
+    Stewart, "Efficiently sampling vectors and coordinates from the
+    n-sphere and n-ball", 2017).  The normals are drawn row-major, so a
+    larger ``count`` extends a smaller one.
+    """
+    d = rng.standard_normal((count, dim + 2))
+    nd = _row_norms(d)
+    nd[nd == 0.0] = 1.0
+    return d[:, :dim] / nd[:, None]
 
 
 def _probe_grid(rng, count, radius, x, u, p):

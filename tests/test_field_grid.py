@@ -9,7 +9,7 @@ from tangenteq import (Ball, Box, BoundViolated, FilippovHull, Grid1D,
                        IntervalValued, OperatorSpec, SingleValued,
                        SolverConfig, StateShiftedField, assemble,
                        make_nonlinearity, resolvent_iterate,
-                       verify_bernstein, verify_tangency)
+                       verify_bernstein, verify_tangency, viability_simulate)
 
 _PARAMS = {
     "linear": {"a": 0.5, "b": -1.0},
@@ -170,14 +170,28 @@ def test_vectorized_gate_calls_the_field_once_per_item():
     assert g.rows == [200] * 3
 
 
-def test_batched_hull_calls_g_once_per_state_on_centre_and_probes():
+def test_batched_hull_calls_g_once_per_grid_on_centres_and_probes():
     g = _CountingGrid(lambda x, u, p: np.where(u < 0.5, 1.0, -1.0))
     hull = FilippovHull(g, 0.05, sample_count=32, vectorized=True)
     lo, hi = hull.evaluate_grid(np.zeros(3), np.array([[0.0], [0.5], [1.0]]),
                                 np.zeros((3, 1)))
-    assert g.rows == [33] * 3
+    assert g.rows == [3 * 33]
     assert lo.tolist() == [[1.0], [-1.0], [-1.0]]
     assert hi.tolist() == [[1.0], [1.0], [-1.0]]
+
+
+def test_relay_simulation_calls_g_once_per_sweep():
+    n = 101
+    op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, n))
+    relay = make_nonlinearity("heaviside", {}, seed=5)
+    g = _CountingGrid(relay.g)
+    relay.g = g
+    u0 = np.random.default_rng(5).random(n)
+    rep = viability_simulate(op, relay, Box([0.0], [1.0]), u0, 1.0, 0.05)
+    assert rep.status == "completed"
+    assert rep.max_constraint_distance == 0.0
+    # one call per step plus one for the terminal measure
+    assert g.rows == [n * 65] * 21
 
 
 @pytest.mark.parametrize("cross, breach, error", [(2, 1, BoundViolated),

@@ -102,6 +102,29 @@ def test_ray_draws_are_prefix_stable():
     assert np.all(np.linalg.norm(long, axis=1) <= 1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_rays_are_uniform_in_the_ball(dim):
+    rays = unit_ball_rays(np.random.default_rng(2017), 200_000, dim)
+    assert rays.shape == (200_000, dim)
+    r = np.linalg.norm(rays, axis=1)
+    assert np.all(r <= 1.0)
+    # uniform in the dim-ball: P(|ray| <= t) = t^dim, centred at 0
+    t = np.linspace(0.05, 1.0, 20)
+    cdf = np.searchsorted(np.sort(r), t, side="right") / r.size
+    assert np.max(np.abs(cdf - t ** dim)) <= 0.01
+    assert np.max(np.abs(rays.mean(axis=0))) <= 0.01
+
+
+def test_filippov_hull_seeds_signed_zeros_alike():
+    hull = FilippovHull(lambda x, u, p: 1.0 if x + p[0] < 0.0 else -1.0,
+                        delta=0.05, sample_count=3)
+    for x in np.linspace(-0.1, 0.1, 41):
+        plus = hull.evaluate(x, np.array([0.0]), np.array([0.0]))
+        minus = hull.evaluate(x, np.array([0.0]), np.array([-0.0]))
+        assert np.array_equal(plus.lo, minus.lo)
+        assert np.array_equal(plus.hi, minus.hi)
+
+
 def test_filippov_evaluation_is_deterministic():
     hull = FilippovHull(_heaviside, delta=0.05, sample_count=64, base_seed=3)
     a = hull.evaluate(0.2, np.array([ALPHA - 0.01]), np.array([0.1]))

@@ -9,6 +9,9 @@ In ``problems`` every sampled hypothesis check draws its states in
 batched array calls: the module holds no generator, and no verifier
 loops over its samples.
 
+In ``fields`` the relay hull draws each state's rays in one call:
+``unit_ball_rays`` holds no loop over its rays.
+
 In ``convex`` a lifted body works on all grid nodes at once: no
 ``NodewiseBody`` method loops over rows and the one Dykstra loop is
 ``_dykstra_select``.  Bodies implement only their row methods, and
@@ -22,7 +25,7 @@ import inspect
 
 import pytest
 
-from tangenteq import convex, equilibrium, problems
+from tangenteq import convex, equilibrium, fields, problems
 
 DRIVER = "_drive"
 
@@ -101,3 +104,11 @@ def test_verifiers_draw_whole_arrays():
                if any(isinstance(inner, (ast.For, ast.While, ast.AsyncFor))
                       for inner in ast.walk(defs[name]))]
     assert looping == []
+
+
+def test_ray_draws_hold_no_loop():
+    tree = ast.parse(inspect.getsource(fields))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    assert not [inner for inner in ast.walk(defs["unit_ball_rays"])
+                if isinstance(inner, (ast.For, ast.While, ast.AsyncFor))]
