@@ -34,6 +34,12 @@ import numpy as np
 
 from .errors import EmptyIntersection, PointNotInSet, TangentEqError
 
+try:
+    # the ufunc behind np.clip, called without np.clip's Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:     # numpy < 2 keeps its ufuncs in numpy.core
+    from numpy.core.umath import clip as _clip
+
 #: default tolerance for active-face detection and cone membership
 CONE_TOL = 1e-9
 
@@ -165,10 +171,11 @@ class Box(ConvexBody):
         self.dim = self.lo.size
 
     def project_rows(self, X):
-        return np.clip(X, self.lo, self.hi)
+        return _clip(X, self.lo, self.hi)
 
     def tangent_project_rows(self, X, V, tol=CONE_TOL):
-        return np.clip(V, *self.lift(X.shape[0]).face_cone(X, tol))
+        return _clip(V, *self.lift(X.shape[0]).face_cone(
+            self.project_rows(X), tol))
 
     def supporting_halfspaces(self):
         return [face for e, lo, hi in zip(np.eye(self.dim), self.lo, self.hi)
@@ -211,7 +218,25 @@ class MovingBox:
         return NodewiseBox(rows(self.alpha), rows(self.beta))
 
 
-class NodewiseBox:
+class _Lifted:
+    """The state-level methods of a lifted set, built on its ``project``
+    and on the same methods taken at a state's projection,
+    ``_select_at(W, ...)`` and ``_tangency_at(W, ...)``.  A sweep that
+    already holds ``W = project(U)`` calls those directly."""
+
+    def select(self, U, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
+        """Minimal-norm values in ``[vlo, vhi]`` tangent to the set at
+        ``proj U``.  Returns ``(V, None)``, or ``(None, (node, reason))``
+        for the first node without an admissible value."""
+        return self._select_at(self.project(U), vlo, vhi, tol, gap_tol)
+
+    def tangency(self, U, V, tol=CONE_TOL):
+        """``max_j dist(V_j, T(proj U_j))``: the largest nodal directional
+        derivative of the distance to the set along ``V``."""
+        return self._tangency_at(self.project(U), V, tol)
+
+
+class NodewiseBox(_Lifted):
     """Box bounds per grid node, ``lo[j] <= u_j <= hi[j]``, acting on grid
     functions ``U`` of shape ``(n, N)``.
 
@@ -237,44 +262,38 @@ class NodewiseBox:
                            np.broadcast_to(self.hi, (n, N)))
 
     def project(self, U):
-        return np.clip(U, self.lo, self.hi)
+        return _clip(U, self.lo, self.hi)
 
     def distances(self, U):
         """Euclidean distance of each nodal state to its box."""
         return np.linalg.norm(U - self.project(U), axis=1)
 
-    def face_cone(self, U, tol=CONE_TOL):
-        """Interval bounds ``(clo, chi)`` of the tangent cone at ``proj U``:
-        ``clo = 0`` on an active lower face, ``chi = 0`` on an upper one."""
-        W = self.project(U)
+    def face_cone(self, W, tol=CONE_TOL):
+        """Interval bounds ``(clo, chi)`` of the tangent cone at ``W``, a
+        state in the box: ``clo = 0`` on an active lower face, ``chi = 0``
+        on an upper one."""
         return (np.where(W - self.lo <= tol, 0.0, -np.inf),
                 np.where(self.hi - W <= tol, 0.0, np.inf))
 
-    def select(self, U, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
-        """Minimal-norm values in ``[vlo, vhi]`` tangent to the box at ``U``.
-
-        The face cones are intervals, so this is componentwise clipping.
-        Returns ``(V, None)``, or ``(None, (node, reason))`` for the first
-        node whose values miss its face cone by more than ``gap_tol``; the
-        default matches ``tol``, so a state within ``tol`` of a face may
-        overshoot it by as much.
-        """
+    def _select_at(self, W, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
+        """The face cones are intervals, so selection is componentwise
+        clipping.  A node misses when its values miss its face cone by
+        more than ``gap_tol``; the default matches ``tol``, so a state
+        within ``tol`` of a face may overshoot it by as much."""
         V, empty = selection_on_intervals(vlo, vhi,
-                                          *self.face_cone(U, tol), gap_tol)
-        if np.any(empty):
+                                          *self.face_cone(W, tol), gap_tol)
+        if empty.any():
             j, k = np.argwhere(empty)[0]
             return None, (int(j), "component %d: values [%.6g, %.6g] miss "
                           "the face cone" % (k, vlo[j, k], vhi[j, k]))
         return V, None
 
-    def tangency(self, U, V, tol=CONE_TOL):
-        """``max_j dist(V_j, T(proj U_j))``: the largest nodal directional
-        derivative of the distance to the box along ``V``."""
-        clo, chi = self.face_cone(U, tol)
-        return float(np.max(np.linalg.norm(V - np.clip(V, clo, chi), axis=1)))
+    def _tangency_at(self, W, V, tol=CONE_TOL):
+        clo, chi = self.face_cone(W, tol)
+        return float(np.max(np.linalg.norm(V - _clip(V, clo, chi), axis=1)))
 
 
-class NodewiseBody:
+class NodewiseBody(_Lifted):
     """A convex body at every grid node, with the methods of
     ``NodewiseBox`` on all rows of ``U`` at once."""
 
@@ -293,18 +312,13 @@ class NodewiseBody:
     def distances(self, U):
         return self.body.distances(U)
 
-    def select(self, U, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
-        """Minimal-norm values in ``[vlo, vhi]`` tangent to the body at
-        ``proj U``, by ``_dykstra_select``; returns what
-        ``NodewiseBox.select`` returns."""
-        return _dykstra_select(self.body, self.body.project_rows(U), vlo,
-                               vhi, tol, gap_tol)
+    def _select_at(self, W, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
+        """By ``_dykstra_select``."""
+        return _dykstra_select(self.body, W, vlo, vhi, tol, gap_tol)
 
-    def tangency(self, U, V, tol=CONE_TOL):
-        """``max_j dist(V_j, T(proj U_j))``."""
-        X = self.body.project_rows(U)
+    def _tangency_at(self, W, V, tol=CONE_TOL):
         return float(np.max(_row_norms(
-            V - self.body.tangent_project_rows(X, V, tol))))
+            V - self.body.tangent_project_rows(W, V, tol))))
 
 
 #: the stall test compares each Dykstra gap with the one this many
@@ -349,7 +363,7 @@ def _dykstra_select(body, X, vlo, vhi, tol, gap_tol):
         if rows.size == 0:
             break
         z = y + corr_box
-        b = np.clip(z, lo, hi)
+        b = _clip(z, lo, hi)
         corr_box = z - b
         z = b + corr_cone
         y = body.tangent_project_rows(x, z, tol)
@@ -380,8 +394,8 @@ def _dykstra_select(body, X, vlo, vhi, tol, gap_tol):
     check_tol = max(tol, 100.0 * gap_tol)
     cone_gap = _row_norms(V[:first] - body.tangent_project_rows(
         X[:first], V[:first], tol))
-    box_gap = _row_norms(V[:first] - np.clip(V[:first], vlo[:first],
-                                             vhi[:first]))
+    box_gap = _row_norms(V[:first] - _clip(V[:first], vlo[:first],
+                                           vhi[:first]))
     if np.any(~(cone_gap <= check_tol) | (box_gap > check_tol)):
         raise TangentEqError("selection failed its a-posteriori validation")
     if failed:
@@ -399,7 +413,7 @@ def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=1e-10):
     ilo = np.maximum(vlo, clo)
     ihi = np.minimum(vhi, chi)
     empty = ilo > ihi + gap_tol
-    v = np.clip(0.0, ilo, np.maximum(ilo, ihi))
+    v = _clip(0.0, ilo, np.maximum(ilo, ihi))
     return v, empty
 
 

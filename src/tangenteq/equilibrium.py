@@ -34,21 +34,24 @@ a-posteriori localization check.  ``viability_simulate`` integrates the
 same dynamics without the projection step and tracks the distance to the
 constraint as the viability certificate.
 
-All three are one sweep loop, ``_drive``: it lifts the constraint, selects
-at the state (or at its projection), records the equation residual,
-stops on a tangency failure or on the tolerances, and takes the final
-measures.  Each solver hands it a step map: the projected resolvent with
-its checkpoints and step schedule, the clamped stationary solve, or the
-unprojected implicit Euler step run to a fixed horizon.  ``residual`` is
-one sweep head of the same loop.
+All three are one sweep loop, ``_drive``: it lifts the constraint, projects
+the state once, selects at the state (or at that projection), records
+the equation residual, stops on a tangency failure or on the tolerances,
+and takes the final measures.  Each solver hands it a step map: the
+projected resolvent with its checkpoints and step schedule, the clamped
+stationary solve, or the unprojected implicit Euler step run to a fixed
+horizon.  A resolvent step hands on the ``A u`` its solve computed for
+the residual guard, so an undamped sweep makes one banded product.
+``residual`` is one sweep head of the same loop.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import MovingBox
+from .convex import MovingBox, _clip
 from .errors import EmptyIntersection
+from .operators import _row_sums
 
 _CHECKPOINT_FACTOR = 1e-9
 
@@ -111,37 +114,46 @@ def _witness(node, x, u, reason):
             "u": [float(c) for c in np.atleast_1d(u)], "reason": reason}
 
 
-def _select(op, field_, K, U):
-    """The sweep kernel at state ``U``: gradients, value boxes of the
-    field and, unless ``K`` is None, the tangent selection.
+def _select(op, field_, K, X, W):
+    """The sweep kernel at state ``X``, whose projection onto ``K`` is
+    ``W``: gradients, value boxes of the field and, unless ``K`` is None,
+    the tangent selection at ``W``.
 
     Returns ``(vlo, vhi, v, failure)``; ``failure`` is None or the witness
     of the first node whose admissible values miss the tangent cone.
     """
     xs = op.grid.nodes
-    P = op.gradient(U)
-    vlo, vhi = field_.evaluate_grid(xs, U, P)
+    P = op.gradient(X)
+    vlo, vhi = field_.evaluate_grid(xs, X, P)
     if K is None:
         return vlo, vhi, None, None
-    v, miss = K.select(U, vlo, vhi)
+    v, miss = K._select_at(W, vlo, vhi)
     if miss is None:
         return vlo, vhi, v, None
     j, reason = miss
-    return vlo, vhi, None, _witness(j, xs[j], U[j], reason)
+    return vlo, vhi, None, _witness(j, xs[j], X[j], reason)
 
 
-def _tangency(op, field_, K, U):
-    """Tangency residual at ``U``: zero when every selection is tangent,
-    ``inf`` when some node has no admissible tangent value."""
-    v, failure = _select(op, field_, K, U)[2:]
-    return float("inf") if failure is not None else K.tangency(U, v)
+def _tangency(op, field_, K, X, W):
+    """Tangency residual at ``X`` (projection ``W``): zero when every
+    selection is tangent, ``inf`` when some node has no admissible
+    tangent value."""
+    v, failure = _select(op, field_, K, X, W)[2:]
+    return float("inf") if failure is not None else K._tangency_at(W, v)
+
+
+def _equation_norm(op, R):
+    """Grid norm of the nodal values ``R`` over the equation rows."""
+    if op.equation_rows == slice(None):
+        return op.grid.norm(R)
+    return op.grid.norm(R, mask=op.equation_mask())
 
 
 def _equation_residual(op, AU, vlo, vhi):
     target = -AU
-    gap = target - np.clip(target, vlo, vhi)
-    r = np.linalg.norm(gap, axis=1)
-    return op.grid.norm(r, mask=op.equation_mask())
+    gap = target - _clip(target, vlo, vhi)
+    # np.linalg.norm(gap, axis=1), without its wrapper
+    return _equation_norm(op, np.sqrt(_row_sums(gap * gap)))
 
 
 def _as_grid_function(u0, n, N):
@@ -162,6 +174,8 @@ def _in_caller_shape(U, u0):
 
 
 def _plateau_status(history, tol_residual):
+    if not history:         # a run that measured no residual
+        return "max_iter"
     tail = history[-max(1, len(history) // 5):]
     flat = tail[0] - tail[-1] <= 0.05 * max(tail[0], 1e-300)
     if min(tail) > 10.0 * tol_residual and flat:
@@ -169,26 +183,35 @@ def _plateau_status(history, tol_residual):
     return "max_iter"
 
 
-def _head(op, field_, K, X):
-    """One sweep's measures at ``X``: the equation residual, the tangent
-    selection (None on a failure), the failure witness and ``A X``."""
-    AX = op.apply(X)
-    vlo, vhi, v, failure = _select(op, field_, K, X)
+def _head(op, field_, K, X, W, AX=None):
+    """One sweep's measures at ``X`` (projection ``W``): the equation
+    residual, the tangent selection (None on a failure), the failure
+    witness and ``A X``, which is applied here unless ``AX`` brings it."""
+    vlo, vhi, v, failure = _select(op, field_, K, X, W)
+    if AX is None:
+        AX = op.apply(X)
     return _equation_residual(op, AX, vlo, vhi), v, failure, AX
 
 
 def _drive(op, field_, C, u0, config, step, project_start=False,
-           at_projection=False, accept=None, post=None, tangency=True):
+           at_projection=False, accept=None, post=None, tangency=True,
+           residuals=True):
     """The sweep loop behind every solver.
 
     Lifts ``C`` to the grid and starts from ``u0`` (zeros when None,
-    projected when ``project_start``).  Each sweep selects at ``X = u``,
-    or ``X = proj u`` when ``at_projection``, records the equation
-    residual at ``X`` and stops on a tangency failure; otherwise it takes
-    ``u = step(sweep, K, u, A X, v)`` and stops as converged when the
-    residual and the step norm meet ``config``'s tolerances and
-    ``accept(K, u)``, if given, holds.  A run that uses all
-    ``config.max_iter`` sweeps gets its status from ``_plateau_status``.
+    projected when ``project_start``).  Each sweep projects ``u`` once,
+    selects at ``X = u``, or ``X = proj u`` when ``at_projection``,
+    records the equation residual at ``X`` and stops on a tangency
+    failure; otherwise it takes ``u, AU = step(sweep, K, u, A X, v)`` and
+    stops as converged when the residual and the step norm meet
+    ``config``'s tolerances and ``accept(K, u)``, if given, holds.  A
+    step that knows the new state's image ``A u`` returns it as ``AU``
+    (else None), and the next head at ``X = u`` uses it in place of
+    applying ``A``.  With ``residuals`` off no sweep measures the
+    equation residual or applies ``A`` for it (the step sees ``A X`` only
+    as a handed-on image, else None), so the run goes on to
+    ``config.max_iter``.  A run that uses all its sweeps gets its status
+    from ``_plateau_status``.
 
     ``post(K, u, distances, report)`` then sees the final ``(n, N)`` state
     and its nodal distances to the constraint; the tangency residual is
@@ -202,18 +225,21 @@ def _drive(op, field_, C, u0, config, step, project_start=False,
         u = K.project(u)
 
     history = []
-    status = failure = None
+    status = failure = AU = None
     for it in range(1, config.max_iter + 1):
-        r, v, failure, AX = _head(op, field_, K,
-                                  K.project(u) if at_projection else u)
-        history.append(r)
+        W = K.project(u)
+        X, AX = (W, None) if at_projection else (u, AU)
+        if residuals:
+            r, v, failure, AX = _head(op, field_, K, X, W, AX)
+            history.append(r)
+        else:
+            v, failure = _select(op, field_, K, X, W)[2:]
         if failure is not None:
             status = "tangency_failure"
             break
-        u, u_prev = step(it, K, u, AX, v), u
-        # a run to the horizon never meets the residual test, so the step
-        # norm is taken only once it holds
-        if r <= config.tol_residual \
+        (u, AU), u_prev = step(it, K, u, AX, v), u
+        # the step norm is taken only once the residual test holds
+        if residuals and r <= config.tol_residual \
                 and op.grid.norm(u - u_prev) <= config.tol_step \
                 and (accept is None or accept(K, u)):
             status = "converged"
@@ -228,8 +254,9 @@ def _drive(op, field_, C, u0, config, step, project_start=False,
     if post is not None:
         post(K, u, distances, report)
     if tangency and report.status != "tangency_failure":
+        W = K.project(u)
         report.tangency_residual = _tangency(
-            op, field_, K, K.project(u) if at_projection else u)
+            op, field_, K, W if at_projection else u, W)
     report.u_star = _in_caller_shape(u, u0)
     return report
 
@@ -249,11 +276,11 @@ def resolvent_iterate(op, field_, C, u0, config=None):
         # a harmonic schedule advances h_k = h0 / k at every checkpoint
         h = config.step(1 + len(checks))
         lifted = u + h * v
-        z = op.resolvent(h, K.project(lifted))
+        z, Az = op._resolvent(h, K.project(lifted))
         defect = op.grid.norm(z - u)
         cp_tol = _CHECKPOINT_FACTOR * h
         if defect <= cp_tol and prev_defect <= cp_tol:
-            lhs = op.grid.norm(AU + v, mask=op.equation_mask())
+            lhs = _equation_norm(op, AU + v)
             d_lift = op.grid.norm(K.distances(lifted))
             checks.append({"iteration": it, "h": float(h),
                            "residual_norm": float(lhs),
@@ -261,8 +288,11 @@ def resolvent_iterate(op, field_, C, u0, config=None):
         prev_defect = defect
         # near the fixed point the undamped step is the checkpointed one
         if defect <= cp_tol:
-            return z
-        return (1.0 - config.damping) * u + config.damping * z
+            return z, Az
+        # at damping 1 the step is z up to the sign of a zero, so A z
+        # equals its image
+        return (1.0 - config.damping) * u + config.damping * z, \
+            Az if config.damping == 1.0 else None
 
     report = _drive(op, field_, C, u0, config, step, project_start=True,
                     accept=lambda K, u: float(np.max(K.distances(u)))
@@ -286,7 +316,7 @@ def truncation_iterate(op, field_, alpha, beta, config=None, u0=None):
 
     def step(it, K, u, AU, v):
         return (1.0 - config.damping) * u \
-            + config.damping * op.solve_stationary(-v)
+            + config.damping * op.solve_stationary(-v), None
 
     def localize(K, u, escape, report):
         if report.status == "converged" and report.constraint_violation \
@@ -341,18 +371,18 @@ def viability_simulate(op, field_, C, u0, t_end, h):
 
     def step(it, K, u, AU, v):
         left.append(float(np.max(K.distances(u))))
-        return op.resolvent(h, u + h * v)
+        return op._resolvent(h, u + h * v)
 
     def measure(K, u, distances, report):
         nonlocal terminal
-        vlo, vhi = _select(op, field_, None, K.project(u))[:2]
+        W = K.project(u)
+        vlo, vhi = _select(op, field_, None, W, W)[:2]
         terminal = _equation_residual(op, op.apply(u), vlo, vhi)
 
-    # no residual meets -inf, so the run goes on to the horizon
-    horizon = SolverConfig(max_iter=int(np.ceil(t_end / h)),
-                           tol_residual=-np.inf)
+    # no residual is measured, so the run goes on to the horizon
+    horizon = SolverConfig(max_iter=int(np.ceil(t_end / h)))
     report = _drive(op, field_, C, u0, horizon, step, at_projection=True,
-                    post=measure, tangency=False)
+                    post=measure, tangency=False, residuals=False)
     return TrajectoryReport(
         terminal_state=report.u_star,
         max_constraint_distance=max(left + [report.constraint_violation]),
@@ -372,7 +402,8 @@ def residual(op, field_, C, u):
     """
     K = C.lift(op.grid.n).broadcast(op.spec.components)
     U = _as_grid_function(u, op.grid.n, op.spec.components)
-    eq, v, failure, _ = _head(op, field_, K, U)
+    W = K.project(U)
+    eq, v, failure, _ = _head(op, field_, K, U, W)
     if failure is not None:
         raise EmptyIntersection(failure["reason"])
-    return eq, K.tangency(U, v)
+    return eq, K._tangency_at(W, v)

@@ -12,12 +12,21 @@ wrapped indices on periodic grids.  Every linear solve is
 ``(a0 I - c A) u = f`` on the equation rows (the resolvent is ``(1, h)``,
 the stationary solve ``(0, -1)``), factored once per system with a
 Sherman-Morrison corner correction on periodic grids, and accepts stacked
-right-hand sides, which is what keeps the invariance audits cheap.
+right-hand sides, which is what keeps the invariance audits cheap.  The
+equation rows are a slice fixed at assembly, so a grid whose every node
+carries an equation solves and checks without a mask.
+
+Each solve checks its residual against the assembled stencil, and that
+check is the solve's one banded product ``A u``.  The sweeps take it
+with the solution (``_resolvent``), so a sweep that starts from a
+resolvent's output measures its equation residual without applying
+``A`` again: one banded product per sweep.
 
 The centered drift stencil is an M-matrix only while
 ``dx <= 2 d0 / max|gamma|``; assembly warns when a grid violates that.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +36,12 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .errors import InvalidSpec, SingularSystem
 
 _RESIDUAL_RTOL = 1e-10
+
+
+def _row_sums(S):
+    """``np.add.reduce(S, axis=1)`` bit for bit: a single column is its
+    own sum, taken without a reduction over 1-element rows."""
+    return S[:, 0] if S.shape[1] == 1 else np.add.reduce(S, axis=1)
 
 
 class Grid1D:
@@ -50,25 +65,26 @@ class Grid1D:
             self.nodes = self.dx * np.arange(self.n)
         else:
             self.nodes = np.linspace(0.0, self.length, self.n)
-        # shared by every caller, so no caller may write into it
-        self.nodes.flags.writeable = False
-
-    def weights(self):
-        """Trapezoid quadrature weights (uniform dx on periodic grids)."""
         w = np.full(self.n, self.dx)
         if not self.periodic:
             w[0] *= 0.5
             w[-1] *= 0.5
-        return w
+        self._weights = w
+        # shared by every caller, so no caller may write into them
+        self.nodes.flags.writeable = False
+        self._weights.flags.writeable = False
+
+    def weights(self):
+        """Trapezoid quadrature weights (uniform dx on periodic grids)."""
+        return self._weights.copy()
 
     def norm(self, U, mask=None):
         """Grid-weighted L2 norm; ``mask`` restricts the nodes counted."""
         U = np.asarray(U, dtype=float)
-        sq = U * U if U.ndim == 1 else np.sum(U * U, axis=1)
-        w = self.weights()
+        sq = U * U if U.ndim == 1 else _row_sums(U * U)
         if mask is not None:
             sq = sq * mask
-        return float(np.sqrt(np.sum(w * sq)))
+        return math.sqrt(np.add.reduce(self._weights * sq))
 
 
 @dataclass
@@ -147,6 +163,9 @@ class DiscreteOperator:
                 (dx, 2.0 * self.d_floor / self.gamma_sup))
 
         self._build_bands()
+        # the nodes that carry an equation row
+        self.equation_rows = slice(1, -1) if spec.bc == "dirichlet" \
+            else slice(None)
         self._factored = None    # ((a0, c), solve) of the last system
 
     # -- assembly ---------------------------------------------------------
@@ -183,9 +202,8 @@ class DiscreteOperator:
 
     def equation_mask(self):
         """Nodes carrying an equation row (False at Dirichlet walls)."""
-        mask = np.ones(self.grid.n, dtype=bool)
-        if self.spec.bc == "dirichlet":
-            mask[0] = mask[-1] = False
+        mask = np.zeros(self.grid.n, dtype=bool)
+        mask[self.equation_rows] = True
         return mask
 
     # -- action -----------------------------------------------------------
@@ -195,10 +213,15 @@ class DiscreteOperator:
         U = np.asarray(U, dtype=float)
         flat = U.reshape(self.grid.n, -1)
         if self.grid.periodic:
-            up = np.roll(flat, 1, axis=0)
-            dn = np.roll(flat, -1, axis=0)
-            out = (self.sub[:, None] * up + self.diag[:, None] * flat
-                   + self.sup[:, None] * dn)
+            # sub * u_{j-1} + diag * u_j + sup * u_{j+1}, summed in that
+            # order, with the wrapped neighbours taken by slicing
+            sub, sup = self.sub[:, None], self.sup[:, None]
+            out = np.empty_like(flat)
+            np.multiply(sub[1:], flat[:-1], out=out[1:])
+            np.multiply(sub[0], flat[-1], out=out[0])
+            out += self.diag[:, None] * flat
+            out[:-1] += sup[:-1] * flat[1:]
+            out[-1] += sup[-1] * flat[0]
         else:
             out = self.diag[:, None] * flat
             out[:-1] += self.sup[:-1, None] * flat[1:]
@@ -215,17 +238,19 @@ class DiscreteOperator:
         U = np.asarray(U, dtype=float)
         flat = U.reshape(self.grid.n, -1)
         dx = self.grid.dx
+        out = np.empty_like(flat)
+        np.subtract(flat[2:], flat[:-2], out=out[1:-1])
         if self.grid.periodic:
-            out = (np.roll(flat, -1, axis=0) - np.roll(flat, 1, axis=0)) / (2 * dx)
-            return out.reshape(U.shape)
-        out = np.zeros_like(flat)
-        out[1:-1] = (flat[2:] - flat[:-2]) / (2 * dx)
-        if self.spec.bc == "neumann":
-            out[0] = 0.0
-            out[-1] = 0.0
+            np.subtract(flat[1], flat[-1], out=out[0])
+            np.subtract(flat[0], flat[-2], out=out[-1])
+            out /= 2 * dx
         else:
-            out[0] = (flat[1] - flat[0]) / dx
-            out[-1] = (flat[-1] - flat[-2]) / dx
+            out[1:-1] /= 2 * dx
+            if self.spec.bc == "neumann":
+                out[0] = out[-1] = 0.0
+            else:
+                out[0] = (flat[1] - flat[0]) / dx
+                out[-1] = (flat[-1] - flat[-2]) / dx
         return out.reshape(U.shape)
 
     # -- linear solves ----------------------------------------------------
@@ -238,7 +263,7 @@ class DiscreteOperator:
         whose ``q = T^-1 u`` and ``1 + v.q`` are computed here, once."""
         if self._factored is not None and self._factored[0] == (a0, c):
             return self._factored[1]
-        rows = self.equation_mask()
+        rows = self.equation_rows
         dl = -c * self.sub[rows][1:]
         d = a0 - c * self.diag[rows]
         du = -c * self.sup[rows][:-1]
@@ -267,33 +292,40 @@ class DiscreteOperator:
         return solve
 
     def _solve(self, a0, c, F):
-        """Solve ``(a0 I - c A) u = F``, u = 0 off the equation rows.  The
-        residual's max over those rows must stay within relative 1e-10 of
-        ``max|F|`` there; a larger or non-finite one (a NaN in F) raises
-        SingularSystem."""
+        """Solve ``(a0 I - c A) u = F``, u = 0 off the equation rows, and
+        return ``(u, A u)``, both in F's shape.
+
+        The residual's max over the equation rows must stay within
+        relative 1e-10 of ``max|F|`` there; a larger or non-finite one (a
+        NaN in F) raises SingularSystem.  ``A u`` is the product that
+        residual is built from, handed on so that a sweep need not apply
+        ``A`` to the same state again.
+        """
         F = np.asarray(F, dtype=float)
         flat = F.reshape(self.grid.n, -1)
-        rows = self.equation_mask()
-        out = np.zeros_like(flat)
-        out[rows] = self._factor(a0, c)(flat[rows])
-        out = out.reshape(F.shape)
-        r = (a0 * out - c * self.apply(out) - F).reshape(self.grid.n, -1)
-        worst = np.max(np.abs(r[rows]), initial=0.0)
-        scale = np.max(np.abs(flat[rows]), initial=0.0)
+        rows = self.equation_rows
+        solve = self._factor(a0, c)
+        if rows == slice(None):
+            out = solve(flat)
+        else:
+            out = np.zeros_like(flat)
+            out[rows] = solve(flat[rows])
+        AU = self.apply(out)
+        r = a0 * out
+        r -= c * AU
+        r -= flat
+        worst = np.maximum.reduce(np.abs(r[rows]), axis=None, initial=0.0)
+        scale = np.maximum.reduce(np.abs(flat[rows]), axis=None,
+                                  initial=0.0)
         if not worst <= _RESIDUAL_RTOL * max(scale, 1e-30) + 1e-300:
             raise SingularSystem(
                 "%s residual %.3g exceeds %.3g * |F| (system near singular%s)"
                 % ("resolvent" if a0 else "stationary", worst, _RESIDUAL_RTOL,
                    " at h=%.3g" % c if a0 else ""))
-        return out
+        return out.reshape(F.shape), AU.reshape(F.shape)
 
-    def resolvent(self, h, F):
-        """Solve ``(I - h A) u = F``; F may stack extra trailing axes.
-
-        The per-solve residual is verified against the assembled stencil
-        (max-norm, relative 1e-10); failure raises SingularSystem, as does
-        the step guard ``h * shift < 1`` for positive shifts.
-        """
+    def _resolvent(self, h, F):
+        """``resolvent(h, F)`` together with ``A u``."""
         if h <= 0:
             raise InvalidSpec("resolvent step must be positive")
         if self.shift > 0 and h * self.shift >= 1.0:
@@ -302,12 +334,21 @@ class DiscreteOperator:
                 % (h, self.shift))
         return self._solve(1.0, h, F)
 
+    def resolvent(self, h, F):
+        """Solve ``(I - h A) u = F``; F may stack extra trailing axes.
+
+        The per-solve residual is verified against the assembled stencil
+        (max-norm, relative 1e-10); failure raises SingularSystem, as does
+        the step guard ``h * shift < 1`` for positive shifts.
+        """
+        return self._resolvent(h, F)[0]
+
     def solve_stationary(self, F):
         """Solve ``A u = F`` directly (Dirichlet only, where A is regular),
         under the same residual guard as the resolvent."""
         if self.spec.bc != "dirichlet":
             raise InvalidSpec("stationary solve requires Dirichlet walls")
-        return self._solve(0.0, -1.0, F)
+        return self._solve(0.0, -1.0, F)[0]
 
 
 def _tridiagonal_solver(dl, d, du):

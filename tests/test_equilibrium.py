@@ -1,16 +1,17 @@
 """Constrained equilibrium sweeps, truncation scheme, viability runs."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from tangenteq import operators
+from tangenteq import equilibrium, operators
 from tangenteq import (Grid1D, OperatorSpec, assemble, Ball, Box, Simplex,
                        SingleValued, SolverConfig, resolvent_iterate,
                        truncation_iterate, viability_simulate, residual,
-                       EmptyIntersection, MovingBox)
+                       EmptyIntersection, MovingBox, make_nonlinearity)
 
 
 def _neumann_op(n=101, components=1):
@@ -132,19 +133,83 @@ def test_harmonic_solve_factors_once_per_step(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     op = _neumann_op()
     steps = []
-    resolvent = op.resolvent
+    resolvent = op._resolvent
 
     def recorded(h, F):
         steps.append(h)
         return resolvent(h, F)
 
-    monkeypatch.setattr(op, "resolvent", recorded)
+    monkeypatch.setattr(op, "_resolvent", recorded)
     # tol_step = 0 keeps the sweep going past several checkpoints
     resolvent_iterate(op, _relaxing_field(), UNIT_BOX, np.zeros(101),
                       SolverConfig(step_schedule="harmonic", h0=0.8,
                                    max_iter=300, tol_step=0.0))
     assert len(set(steps)) >= 3
     assert len(calls) == len(set(steps))
+
+
+def _fine_logistic(bc, n=1001):
+    """The n = 1001 logistic solve of the grid-refinement benchmark."""
+    op = assemble(OperatorSpec(d=0.02, bc=bc),
+                  Grid1D(1.0, n, periodic=bc == "periodic"))
+    u0 = np.clip(0.25 + np.random.default_rng(11).uniform(-0.05, 0.05, n),
+                 0.0, 1.0)
+    return op, make_nonlinearity("logistic", {"r": 1.0, "theta": 0.4}), u0
+
+
+def _count_applies(monkeypatch, op):
+    calls = []
+    apply = op.apply
+
+    def counted(U):
+        calls.append(1)
+        return apply(U)
+
+    monkeypatch.setattr(op, "apply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bc, digest", [("neumann", "464505c5c139b2eb"),
+                                        ("dirichlet", "22d8f910a1106032"),
+                                        ("periodic", "3774bfe3af9b5100")])
+def test_fine_logistic_solve_keeps_its_bits(bc, digest):
+    op, field, u0 = _fine_logistic(bc)
+    rep = resolvent_iterate(op, field, UNIT_BOX, u0)
+    assert rep.status == "converged"
+    blob = rep.u_star.tobytes() + np.array(rep.residual_history).tobytes()
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet", "periodic"])
+def test_undamped_sweep_makes_one_banded_product(bc, monkeypatch):
+    # the first head applies A; every later head reuses the image the
+    # resolvent's guard computed
+    op, field, u0 = _fine_logistic(bc)
+    calls = _count_applies(monkeypatch, op)
+    rep = resolvent_iterate(op, field, UNIT_BOX, u0)
+    assert rep.status == "converged"
+    assert len(calls) == rep.iterations + 1
+
+
+def test_damped_sweep_heads_see_the_image_of_their_state(monkeypatch):
+    op = _neumann_op()
+    seen = []
+    head = equilibrium._head
+
+    def recorded(*args):
+        out = head(*args)
+        seen.append((args[3].copy(), out[3]))
+        return out
+
+    monkeypatch.setattr(equilibrium, "_head", recorded)
+    calls = _count_applies(monkeypatch, op)
+    rep = resolvent_iterate(op, _relaxing_field(), UNIT_BOX, np.zeros(101),
+                            SolverConfig(damping=0.7))
+    assert rep.status == "converged"
+    # the checkpointed sweeps near the fixed point hand their image on
+    assert len(calls) < 2 * rep.iterations
+    for X, AX in seen:
+        assert np.all(AX == op.apply(X))
 
 
 def test_truncation_factors_once(monkeypatch):

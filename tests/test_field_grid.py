@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangenteq import (Ball, Box, BoundViolated, FilippovHull, Grid1D,
-                       IntervalValued, OperatorSpec, SingleValued,
+                       IntervalValued, NodewiseBox, OperatorSpec, SingleValued,
                        SolverConfig, StateShiftedField, assemble,
                        make_nonlinearity, resolvent_iterate,
                        verify_bernstein, verify_tangency, viability_simulate)
@@ -192,6 +192,54 @@ def test_relay_simulation_calls_g_once_per_sweep():
     assert rep.max_constraint_distance == 0.0
     # one call per step plus one for the terminal measure
     assert g.rows == [n * 65] * 21
+
+
+def test_relay_simulation_projects_and_applies_once_per_step(monkeypatch):
+    n = 101
+    op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, n))
+    relay = make_nonlinearity("heaviside", {}, seed=5)
+    projections, applies = [], []
+    project, apply = NodewiseBox.project, op.apply
+
+    def counted_project(self, U):
+        projections.append(1)
+        return project(self, U)
+
+    def counted_apply(U):
+        applies.append(1)
+        return apply(U)
+
+    monkeypatch.setattr(NodewiseBox, "project", counted_project)
+    monkeypatch.setattr(op, "apply", counted_apply)
+    u0 = np.random.default_rng(5).random(n)
+    rep = viability_simulate(op, relay, Box([0.0], [1.0]), u0, 1.0, 0.05)
+    assert rep.status == "completed" and rep.steps == 20
+    # per step: the sweep's one projection, which the selection reuses,
+    # and the distance of the state it leaves; then the final distances
+    # and the terminal measure
+    assert len(projections) == 2 * 20 + 2
+    # per step: the resolvent's guard, since no sweep measures a residual
+    # the run throws away; then the terminal measure
+    assert len(applies) == 20 + 1
+
+
+def test_body_simulation_projects_once_per_step():
+    n = 41
+    op = assemble(OperatorSpec(bc="neumann", components=2), Grid1D(1.0, n))
+    field = SingleValued(lambda x, u, p: 0.5 - u, components=2,
+                         vectorized=True)
+    ball = Ball(np.zeros(2), 1.0)
+    calls = []
+    project_rows = ball.project_rows
+
+    def counted(X):
+        calls.append(1)
+        return project_rows(X)
+
+    ball.project_rows = counted
+    rep = viability_simulate(op, field, ball, np.zeros((n, 2)), 1.0, 0.05)
+    assert rep.status == "completed" and rep.steps == 20
+    assert len(calls) == 2 * 20 + 2
 
 
 @pytest.mark.parametrize("cross, breach, error", [(2, 1, BoundViolated),

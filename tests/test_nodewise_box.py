@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tangenteq import (CONE_TOL, Box, EmptyIntersection, IntervalValued,
-                       MovingBox, NodewiseBox, tangent_selection)
+                       MovingBox, NodewiseBox, selection_on_intervals,
+                       tangent_selection)
 
 _VALUES = (-1.0, -0.5, -1e-4, 0.0, 1e-4, 0.5, 1.0)
 # where a state component sits relative to its interval
@@ -131,3 +132,22 @@ def test_constant_moving_box_selects_like_the_box(problem):
     if miss_a is None:
         assert np.array_equal(Va, Vb)
         assert a.tangency(U, Va) == b.tangency(U, Vb)
+
+
+_SPECIAL = np.array([-np.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, np.inf,
+                     np.nan])
+
+
+def test_the_clip_kernels_equal_np_clip():
+    # every ordered pair of special values as bounds, every value as state
+    lo, hi, U = (a.reshape(-1, 1) for a in np.meshgrid(
+        _SPECIAL, _SPECIAL, _SPECIAL, indexing="ij"))
+    keep = ~(lo > hi)[:, 0]
+    box = NodewiseBox(lo[keep], hi[keep])
+    U = U[keep]
+    assert np.array_equal(box.project(U), np.clip(U, box.lo, box.hi),
+                          equal_nan=True)
+    v, _ = selection_on_intervals(U, U, box.lo, box.hi)
+    ilo, ihi = np.maximum(U, box.lo), np.minimum(U, box.hi)
+    assert np.array_equal(v, np.clip(0.0, ilo, np.maximum(ilo, ihi)),
+                          equal_nan=True)

@@ -64,6 +64,27 @@ def test_periodic_sine_is_near_eigenfunction():
     assert errs[1] <= errs[0] / 3.5  # second order in dx
 
 
+def _rolled_stencil(op, U):
+    """The periodic ``A U`` and gradient written with ``np.roll``, in the
+    stencil's operand order: the reference for the sliced kernels."""
+    flat = U.reshape(op.grid.n, -1)
+    up, dn = np.roll(flat, 1, axis=0), np.roll(flat, -1, axis=0)
+    AU = op.sub[:, None] * up + op.diag[:, None] * flat + op.sup[:, None] * dn
+    grad = (dn - up) / (2 * op.grid.dx)
+    return AU.reshape(U.shape), grad.reshape(U.shape)
+
+
+@pytest.mark.parametrize("n", [3, 4, 101])
+@pytest.mark.parametrize("N", [1, 3])
+def test_periodic_stencil_matches_the_rolled_reference(n, N):
+    op = _varying_op("periodic", n)
+    U = np.random.default_rng(n + N).standard_normal((n, N))
+    for V in [U, U[:, 0]] if N == 1 else [U]:
+        AU, grad = _rolled_stencil(op, V)
+        assert np.array_equal(op.apply(V), AU)
+        assert np.array_equal(op.gradient(V), grad)
+
+
 def test_gradient_conventions():
     grid = Grid1D(1.0, 21)
     ramp = grid.nodes.copy()
@@ -278,6 +299,23 @@ def test_grid_weights_and_norm():
     assert gp.norm(u) == pytest.approx(1.0, abs=1e-12)
     mask = np.zeros(21, dtype=bool)
     assert g.norm(np.ones(21), mask) == 0.0
+
+
+def test_grid_weights_are_built_once_and_handed_out_as_copies():
+    g = Grid1D(2.0, 21)
+    g.weights()[:] = 0.0
+    assert g.weights().sum() == pytest.approx(2.0, abs=1e-14)
+    assert g.norm(np.ones(21)) == pytest.approx(np.sqrt(2.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("bc", WALLS)
+def test_equation_mask_marks_the_equation_rows(bc):
+    op = _varying_op(bc, 7)
+    mask = op.equation_mask()
+    assert mask.tolist() == [bc != "dirichlet"] + [True] * 5 \
+        + [bc != "dirichlet"]
+    mask[:] = False
+    assert op.equation_mask()[3]
 
 
 def test_quadratic_form_on_ramp_and_constants():
