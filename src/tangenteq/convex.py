@@ -221,8 +221,13 @@ class MovingBox:
 class _Lifted:
     """The state-level methods of a lifted set, built on its ``project``
     and on the same methods taken at a state's projection,
-    ``_select_at(W, ...)`` and ``_tangency_at(W, ...)``.  A sweep that
-    already holds ``W = project(U)`` calls those directly."""
+    ``_distances_at(U, W)``, ``_select_at(W, ...)`` and
+    ``_tangency_at(W, ...)``.  A sweep that already holds
+    ``W = project(U)`` calls those directly."""
+
+    def distances(self, U):
+        """Euclidean distance of each nodal state to the set."""
+        return self._distances_at(U, self.project(U))
 
     def select(self, U, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
         """Minimal-norm values in ``[vlo, vhi]`` tangent to the set at
@@ -264,9 +269,8 @@ class NodewiseBox(_Lifted):
     def project(self, U):
         return _clip(U, self.lo, self.hi)
 
-    def distances(self, U):
-        """Euclidean distance of each nodal state to its box."""
-        return np.linalg.norm(U - self.project(U), axis=1)
+    def _distances_at(self, U, W):
+        return np.linalg.norm(U - W, axis=1)
 
     def face_cone(self, W, tol=CONE_TOL):
         """Interval bounds ``(clo, chi)`` of the tangent cone at ``W``, a
@@ -309,8 +313,9 @@ class NodewiseBody(_Lifted):
     def project(self, U):
         return self.body.project_rows(U)
 
-    def distances(self, U):
-        return self.body.distances(U)
+    def _distances_at(self, U, W):
+        """As ``body.distances`` takes them."""
+        return _row_norms(U - W)
 
     def _select_at(self, W, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
         """By ``_dykstra_select``."""

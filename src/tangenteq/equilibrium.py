@@ -202,12 +202,12 @@ def _drive(op, field_, C, u0, config, step, project_start=False,
     projected when ``project_start``).  Each sweep projects ``u`` once,
     selects at ``X = u``, or ``X = proj u`` when ``at_projection``,
     records the equation residual at ``X`` and stops on a tangency
-    failure; otherwise it takes ``u, AU = step(sweep, K, u, A X, v)`` and
-    stops as converged when the residual and the step norm meet
-    ``config``'s tolerances and ``accept(K, u)``, if given, holds.  A
-    step that knows the new state's image ``A u`` returns it as ``AU``
-    (else None), and the next head at ``X = u`` uses it in place of
-    applying ``A``.  With ``residuals`` off no sweep measures the
+    failure; otherwise it takes ``u, AU = step(sweep, K, u, W, A X, v)``,
+    with ``W = proj u``, and stops as converged when the residual and the
+    step norm meet ``config``'s tolerances and ``accept(K, u)``, if given,
+    holds.  A step that knows the new state's image ``A u`` returns it
+    as ``AU`` (else None), and the next head at ``X = u`` uses it in
+    place of applying ``A``.  With ``residuals`` off no sweep measures the
     equation residual or applies ``A`` for it (the step sees ``A X`` only
     as a handed-on image, else None), so the run goes on to
     ``config.max_iter``.  A run that uses all its sweeps gets its status
@@ -237,7 +237,7 @@ def _drive(op, field_, C, u0, config, step, project_start=False,
         if failure is not None:
             status = "tangency_failure"
             break
-        (u, AU), u_prev = step(it, K, u, AX, v), u
+        (u, AU), u_prev = step(it, K, u, W, AX, v), u
         # the step norm is taken only once the residual test holds
         if residuals and r <= config.tol_residual \
                 and op.grid.norm(u - u_prev) <= config.tol_step \
@@ -271,7 +271,7 @@ def resolvent_iterate(op, field_, C, u0, config=None):
     checks = []
     h, prev_defect = None, np.inf
 
-    def step(it, K, u, AU, v):
+    def step(it, K, u, W, AU, v):
         nonlocal h, prev_defect
         # a harmonic schedule advances h_k = h0 / k at every checkpoint
         h = config.step(1 + len(checks))
@@ -314,7 +314,7 @@ def truncation_iterate(op, field_, alpha, beta, config=None, u0=None):
     """
     config = config or SolverConfig()
 
-    def step(it, K, u, AU, v):
+    def step(it, K, u, W, AU, v):
         return (1.0 - config.damping) * u \
             + config.damping * op.solve_stationary(-v), None
 
@@ -369,8 +369,8 @@ def viability_simulate(op, field_, C, u0, t_end, h):
     left = []           # the worst distance of every state a step leaves
     terminal = None
 
-    def step(it, K, u, AU, v):
-        left.append(float(np.max(K.distances(u))))
+    def step(it, K, u, W, AU, v):
+        left.append(float(np.max(K._distances_at(u, W))))
         return op._resolvent(h, u + h * v)
 
     def measure(K, u, distances, report):

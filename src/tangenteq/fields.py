@@ -6,20 +6,22 @@ cover the use cases: single-valued functions, explicit interval bounds,
 and the sampled interval hull of a possibly discontinuous function over a
 small ball (the regularization that turns jumps into intervals).
 
-Every field evaluates whole grids: ``evaluate_grid(xs, U, P)`` takes the
+Fields evaluate whole grids only: ``evaluate_grid(xs, U, P)`` takes the
 ``m`` states ``(xs[j], U[j], P[j])`` as a length-``m`` position vector and
 ``(m, N)`` and ``(m, q)`` arrays and returns the value boxes as two
-``(m, N)`` arrays ``(lo, hi)``.  A field built with ``vectorized=True``
-calls its function once on the whole grid: the function receives the
-positions as an ``(m, 1)`` column and ``U``, ``P`` as they are, and must
-return an array that broadcasts to ``(m, N)``, with elementwise the same
-values as ``m`` calls on the rows.  Without the flag (the default, since
-a user callable may take scalars only) ``evaluate_grid`` is the row loop
-over ``evaluate``.  The catalog fields of ``problems`` all set it.
-Either way every row is checked against the envelope, and the first row
-that breaches it raises BoundViolated with the message ``evaluate`` gives.
-A vectorized relay hull draws each state's rays in one call and calls
-``g`` once per grid, on every state's centre and probes together.
+``(m, N)`` arrays ``(lo, hi)``.  ``evaluate(x, u, p)`` is its one-row
+case, returned as a ``SetValue``.  Every row is checked against the
+envelope, and the first row that breaches it raises BoundViolated.
+
+``vectorized`` only chooses how a field's functions are called.  With
+it, a function is called once per grid: it receives the positions as an
+``(m, 1)`` column and ``U``, ``P`` as they are, and must return an array
+that broadcasts to ``(m, N)``, with elementwise the same values as ``m``
+calls on the rows.  Without it (the default, since a user callable may
+take scalars only) the function is called row by row on a position and
+two 1-D rows, and must return ``N`` components.  The catalog fields of
+``problems`` all set it.  A relay hull draws each state's rays in one
+call and calls ``g`` on every state's centre and probes together.
 
 ``tangent_selection`` picks the minimal-norm admissible value that is also
 tangent to the constraint set at ``u``: it evaluates the field once and
@@ -105,15 +107,15 @@ def _sup_norms(lo, hi):
     return _row_norms(np.maximum(np.abs(lo), np.abs(hi)))
 
 
-def _rows(value, xs, U, P):
-    """Value boxes ``(lo, hi)`` from ``value(x, u, p)`` called row by row."""
-    lo = np.empty(np.shape(U))
-    hi = np.empty(np.shape(U))
+def _call(g, vectorized, xs, U, P, N):
+    """``g`` at the states ``(xs[j], U[j], P[j])`` as an ``(m, N)`` array:
+    one call on the whole grid when ``vectorized``, else one per row."""
+    if vectorized:
+        return _grid_components(g(xs[:, None], U, P), (len(xs), N))
+    y = np.empty((len(xs), N))
     for j in range(len(xs)):
-        val = value(xs[j], U[j], P[j])
-        lo[j] = val.lo
-        hi[j] = val.hi
-    return lo, hi
+        y[j] = _components(g(xs[j], U[j], P[j]), N)
+    return y
 
 
 class NonlinearityField:
@@ -121,8 +123,8 @@ class NonlinearityField:
 
     ``bound`` may be a constant or a function of position; when set,
     every evaluation is checked against it and BoundViolated is raised
-    on escape.  ``vectorized`` says the field's functions take whole
-    grids (see the module docstring).
+    on escape.  ``vectorized`` says how the field's functions are called
+    (see the module docstring).
     """
 
     def __init__(self, components, bound=None, vectorized=False):
@@ -131,49 +133,39 @@ class NonlinearityField:
         self.vectorized = bool(vectorized)
 
     def evaluate(self, x, u, p):
-        val = self._value(x, u, p)
-        self._check_bound(x, val)
-        return val
+        """The value box at the one state ``(x, u, p)``: the one-row case
+        of ``evaluate_grid``."""
+        lo, hi = self.evaluate_grid(
+            np.atleast_1d(np.asarray(x, dtype=float)),
+            np.atleast_2d(np.asarray(u, dtype=float)),
+            np.atleast_2d(np.asarray(p, dtype=float)))
+        return SetValue(lo=lo[0], hi=hi[0])
 
     def evaluate_grid(self, xs, U, P):
-        """Value boxes ``(lo, hi)`` at the states ``(xs[j], U[j], P[j])``:
-        one call of a vectorized field, the row loop otherwise."""
+        """Value boxes ``(lo, hi)`` at the states ``(xs[j], U[j], P[j])``."""
         xs = np.asarray(xs, dtype=float)
-        if not self.vectorized:
-            return _rows(self.evaluate, xs, U, P)
         lo, hi = self._grid_value(xs, U, P)
-        self._check_grid_bound(xs, lo, hi)
+        self._check_bound(xs, lo, hi)
         return lo, hi
-
-    def _value(self, x, u, p):
-        raise NotImplementedError
 
     def _grid_value(self, xs, U, P):
         raise NotImplementedError
 
-    def _check_bound(self, x, val):
-        if self.bound is None:
-            return
-        b = self.bound(x) if callable(self.bound) else float(self.bound)
-        worst = val.sup_norm()
-        if worst > b + 1e-9 * (1.0 + abs(b)):
-            raise BoundViolated(
-                "field value norm %.6g exceeds envelope %.6g at x=%.6g"
-                % (worst, b, x))
-
-    def _check_grid_bound(self, xs, lo, hi):
-        """``_check_bound`` on every row; the first breach raises."""
+    def _check_bound(self, xs, lo, hi):
+        """The envelope on every row; the first breach raises."""
         if self.bound is None:
             return
         if callable(self.bound):
             b = np.array([self.bound(x) for x in xs], dtype=float)
         else:
-            b = float(self.bound)
-        breach = np.flatnonzero(_sup_norms(lo, hi)
-                                > b + 1e-9 * (1.0 + np.abs(b)))
+            b = np.full(len(xs), float(self.bound))
+        worst = _sup_norms(lo, hi)
+        breach = np.flatnonzero(worst > b + 1e-9 * (1.0 + np.abs(b)))
         if breach.size:
             j = breach[0]
-            self._check_bound(xs[j], SetValue(lo=lo[j], hi=hi[j]))
+            raise BoundViolated(
+                "field value norm %.6g exceeds envelope %.6g at x=%.6g"
+                % (worst[j], b[j], xs[j]))
 
 
 class SingleValued(NonlinearityField):
@@ -183,13 +175,8 @@ class SingleValued(NonlinearityField):
         super().__init__(components, bound, vectorized)
         self.g = g
 
-    def _value(self, x, u, p):
-        y = _components(self.g(x, u, p), self.components)
-        return SetValue(lo=y, hi=y.copy())
-
     def _grid_value(self, xs, U, P):
-        y = _grid_components(self.g(xs[:, None], U, P),
-                             (len(xs), self.components))
+        y = _call(self.g, self.vectorized, xs, U, P, self.components)
         return y, y.copy()
 
 
@@ -202,23 +189,14 @@ class IntervalValued(NonlinearityField):
         self.g_lo = g_lo
         self.g_hi = g_hi
 
-    def _value(self, x, u, p):
-        lo = _components(self.g_lo(x, u, p), self.components)
-        hi = _components(self.g_hi(x, u, p), self.components)
-        if np.any(lo > hi):
-            raise ValueError("interval endpoints crossed (lo > hi)")
-        return SetValue(lo=lo, hi=hi)
-
     def _grid_value(self, xs, U, P):
-        shape = (len(xs), self.components)
-        X = xs[:, None]
-        lo = _grid_components(self.g_lo(X, U, P), shape)
-        hi = _grid_components(self.g_hi(X, U, P), shape)
+        lo, hi = (_call(g, self.vectorized, xs, U, P, self.components)
+                  for g in (self.g_lo, self.g_hi))
         crossed = np.flatnonzero(np.any(lo > hi, axis=1))
         if crossed.size:
-            # the row loop checks the rows before the crossing first
+            # the rows before the crossing meet the envelope first
             j = crossed[0]
-            self._check_grid_bound(xs[:j], lo[:j], hi[:j])
+            self._check_bound(xs[:j], lo[:j], hi[:j])
             raise ValueError("interval endpoints crossed (lo > hi)")
         return lo, hi
 
@@ -234,8 +212,8 @@ class FilippovHull(NonlinearityField):
     delta (so a larger delta moves each probe outward along the same
     direction).  Both monotonicity properties follow for monotone jumps,
     and concurrent evaluations at different states are independent.
-    With ``vectorized=True``, ``g`` is called once per grid, on every
-    state's centre and probes.
+    ``g`` is called on every state's centre and probes together: once
+    per grid with ``vectorized=True``, once per probe without.
     """
 
     def __init__(self, g, delta, sample_count=64, components=1,
@@ -258,13 +236,6 @@ class FilippovHull(NonlinearityField):
         h.update(state.tobytes())
         return np.random.default_rng(int.from_bytes(h.digest(), "little"))
 
-    def _value(self, x, u, p):
-        lo, hi = self._grid_value(
-            np.atleast_1d(np.asarray(x, dtype=float)),
-            np.atleast_2d(np.asarray(u, dtype=float)),
-            np.atleast_2d(np.asarray(p, dtype=float)))
-        return SetValue(lo=lo[0], hi=hi[0])
-
     def _grid_value(self, xs, U, P):
         # adding 0.0 turns -0.0 into 0.0, so signed zeros share a seed
         S = np.column_stack([xs, U, P]) + 0.0
@@ -278,14 +249,9 @@ class FilippovHull(NonlinearityField):
                                  S[:, None, :] + self.delta * rays], axis=1)
         probes = probes.reshape(m * (1 + count), dim)
         k = np.shape(U)[1]
-        X, Ur, Pr = probes[:, 0], probes[:, 1:1 + k], probes[:, 1 + k:]
         N = self.components
-        if self.vectorized:
-            y = _grid_components(self.g(X[:, None], Ur, Pr), (len(X), N))
-        else:
-            y = np.array([_components(self.g(*state), N)
-                          for state in zip(X, Ur, Pr)])
-        y = y.reshape(m, 1 + count, N)
+        y = _call(self.g, self.vectorized, probes[:, 0], probes[:, 1:1 + k],
+                  probes[:, 1 + k:], N).reshape(m, 1 + count, N)
         return y.min(axis=1), y.max(axis=1)
 
 
@@ -314,16 +280,6 @@ def _probe_grid(rng, count, radius, x, u, p):
     dx = radius * unit_ball_rays(rng, count, 1 + k + p.size)
     return (np.r_[x, x + dx[:, 0]], np.vstack([u, u + dx[:, 1:1 + k]]),
             np.vstack([p, p + dx[:, 1 + k:]]))
-
-
-def _probe_states(rng, count, radius, x, u, p):
-    """The probes of ``_probe_grid`` one by one, without the centre.
-
-    All rays are drawn before the first state is yielded, so a caller
-    that stops early leaves ``rng`` where a full pass would.
-    """
-    yield from zip(*(a[1:] for a in _probe_grid(rng, count, radius,
-                                                x, u, p)))
 
 
 def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
@@ -367,9 +323,12 @@ def validate_graph_approximation(f, field, cfg, states, seed=0):
         y = np.atleast_1d(np.asarray(f(x, u, p), dtype=float))
         best = field.evaluate(x, u, p).distance(y)
         if best > 0.0:
-            for state in _probe_states(rng, cfg.sample_count, cfg.radius(),
-                                       x, u, p):
-                best = min(best, field.evaluate(*state).distance(y))
+            # every ray is drawn before the first probe, so stopping
+            # early leaves ``rng`` where a full pass would
+            X, U, P = _probe_grid(rng, cfg.sample_count, cfg.radius(),
+                                  x, u, p)
+            for j in range(1, len(X)):
+                best = min(best, field.evaluate(X[j], U[j], P[j]).distance(y))
                 if best == 0.0:
                     break
         gaps.append(best)

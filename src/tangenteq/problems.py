@@ -30,7 +30,7 @@ import numpy as np
 from .convex import Ball, Box, MovingBox, _row_dots, _row_norms
 from .errors import InvalidSpec
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
-                     SetValue, SingleValued, _sup_norms)
+                     SingleValued, _sup_norms)
 from .operators import Grid1D, OperatorSpec, assemble
 
 
@@ -135,13 +135,6 @@ class StateShiftedField(NonlinearityField):
         super().__init__(components=base.components, bound=None)
         self.base = base
         self.c = float(c)
-
-    def _value(self, x, u, p):
-        # the envelope bounds the base values; ``base.evaluate`` would
-        # make one call two field evaluations in the perfbench trace
-        val = self.base._value(x, u, p)
-        self.base._check_bound(x, val)
-        return SetValue(val.lo - self.c * u, val.hi - self.c * u)
 
     def evaluate_grid(self, xs, U, P):
         lo, hi = self.base.evaluate_grid(xs, U, P)

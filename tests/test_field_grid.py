@@ -47,8 +47,23 @@ def grid_states(draw):
     return xs, U.reshape(m, N), P.reshape(m, N)
 
 
+def _unflagged(field):
+    """The same field with its functions called on one state at a time."""
+    if isinstance(field, StateShiftedField):
+        return StateShiftedField(_unflagged(field.base), field.c)
+    kw = dict(components=field.components, bound=field.bound)
+    if isinstance(field, FilippovHull):
+        return FilippovHull(field.g, field.delta, field.sample_count,
+                            base_seed=field.base_seed, **kw)
+    if isinstance(field, IntervalValued):
+        return IntervalValued(field.g_lo, field.g_hi, **kw)
+    return SingleValued(field.g, **kw)
+
+
 def _row_loop(field, xs, U, P):
-    vals = [field.evaluate(xs[j], U[j], P[j]) for j in range(len(xs))]
+    """The row loop over the unflagged twin of ``field``."""
+    twin = _unflagged(field)
+    vals = [twin.evaluate(xs[j], U[j], P[j]) for j in range(len(xs))]
     return (np.array([v.lo for v in vals]), np.array([v.hi for v in vals]))
 
 
@@ -122,6 +137,53 @@ def test_unflagged_callable_goes_through_the_row_fallback():
     lo, hi = field.evaluate_grid(xs, U, np.zeros((5, 2)))
     assert seen == [(0, (2,))] * 5
     assert np.array_equal(lo, 0.5 - U) and np.array_equal(hi, 0.5 - U)
+
+
+def _wrong_fields(vectorized):
+    """Two-component fields whose function returns three components per
+    state: a whole grid's worth when ``vectorized``, one state's worth
+    otherwise."""
+    def g(x, u, p):
+        return np.zeros((len(u), 3)) if vectorized else np.zeros(3)
+
+    def ok(x, u, p):
+        return np.zeros(np.shape(u))
+
+    return {"single": SingleValued(g, 2, vectorized=vectorized),
+            "interval": IntervalValued(g, ok, 2, vectorized=vectorized),
+            "hull": FilippovHull(g, 0.05, sample_count=4, components=2,
+                                 vectorized=vectorized)}
+
+
+@pytest.mark.parametrize("name", ["single", "interval", "hull"])
+def test_shape_errors_name_what_the_field_returned(name):
+    xs, U = np.arange(3.0), np.zeros((3, 2))
+    rows = 3 * 5 if name == "hull" else 3
+    with pytest.raises(ValueError, match=r"^field returned shape \(%d, 3\), "
+                       r"expected \(%d, 2\)$" % (rows, rows)):
+        _wrong_fields(True)[name].evaluate_grid(xs, U, U)
+    message = "^field returned 3 components, expected 2$"
+    with pytest.raises(ValueError, match=message):
+        _wrong_fields(False)[name].evaluate_grid(xs, U, U)
+    with pytest.raises(ValueError, match=message):
+        _wrong_fields(False)[name].evaluate(0.5, [0.0, 0.0], [0.0, 0.0])
+    # a hull calls its function on the centre and the probes together
+    with pytest.raises(ValueError, match=r"^field returned shape \(5, 3\), "
+                       r"expected \(5, 2\)$"):
+        _wrong_fields(True)["hull"].evaluate(0.5, [0.0, 0.0], [0.0, 0.0])
+
+
+def test_evaluate_is_the_one_row_grid_call():
+    seen = []
+
+    def g(x, u, p):
+        seen.append((np.shape(x), np.shape(u), np.shape(p)))
+        return 0.5 - u
+
+    val = SingleValued(g, components=2, vectorized=True).evaluate(
+        0.5, [1.0, 2.0], [0.0, 0.0])
+    assert seen == [((1, 1), (1, 2), (1, 2))]
+    assert val.lo.tolist() == val.hi.tolist() == [-0.5, -1.5]
 
 
 class _CountingGrid:
@@ -214,10 +276,10 @@ def test_relay_simulation_projects_and_applies_once_per_step(monkeypatch):
     u0 = np.random.default_rng(5).random(n)
     rep = viability_simulate(op, relay, Box([0.0], [1.0]), u0, 1.0, 0.05)
     assert rep.status == "completed" and rep.steps == 20
-    # per step: the sweep's one projection, which the selection reuses,
-    # and the distance of the state it leaves; then the final distances
-    # and the terminal measure
-    assert len(projections) == 2 * 20 + 2
+    # per step: the sweep's one projection, which the selection and the
+    # distance of the state it leaves reuse; then the final distances and
+    # the terminal measure
+    assert len(projections) == 20 + 2
     # per step: the resolvent's guard, since no sweep measures a residual
     # the run throws away; then the terminal measure
     assert len(applies) == 20 + 1
@@ -239,7 +301,7 @@ def test_body_simulation_projects_once_per_step():
     ball.project_rows = counted
     rep = viability_simulate(op, field, ball, np.zeros((n, 2)), 1.0, 0.05)
     assert rep.status == "completed" and rep.steps == 20
-    assert len(calls) == 2 * 20 + 2
+    assert len(calls) == 20 + 2
 
 
 @pytest.mark.parametrize("cross, breach, error", [(2, 1, BoundViolated),

@@ -10,7 +10,12 @@ batched array calls: the module holds no generator, and no verifier
 loops over its samples.
 
 In ``fields`` the relay hull draws each state's rays in one call:
-``unit_ball_rays`` holds no loop over its rays.
+``unit_ball_rays`` holds no loop over its rays.  Fields evaluate on rows
+only: ``evaluate`` is written once, on ``NonlinearityField``, as the
+one-row case of ``evaluate_grid``; no field keeps a scalar twin
+(``_value``, ``_rows``, a second envelope check), each field class calls
+its functions at one site, through ``_call``, and ``StateShiftedField``
+in ``problems`` defines only ``evaluate_grid``.
 
 In ``convex`` a lifted body works on all grid nodes at once: no
 ``NodewiseBody`` method loops over rows and the one Dykstra loop is
@@ -112,3 +117,40 @@ def test_ray_draws_hold_no_loop():
             if isinstance(node, ast.FunctionDef)}
     assert not [inner for inner in ast.walk(defs["unit_ball_rays"])
                 if isinstance(inner, (ast.For, ast.While, ast.AsyncFor))]
+
+
+def _methods(tree):
+    """Method names of every class in ``tree``, by class name."""
+    return {node.name: [inner.name for inner in node.body
+                        if isinstance(inner, ast.FunctionDef)]
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def _calls_of(node, name):
+    return [inner for inner in ast.walk(node)
+            if isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Name) and inner.func.id == name]
+
+
+def test_fields_evaluate_on_rows_only():
+    tree = ast.parse(inspect.getsource(fields))
+    methods = _methods(tree)
+    assert [cls for cls, names in methods.items()
+            if "evaluate" in names] == ["NonlinearityField"]
+    names = [node.name for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)]
+    assert names.count("evaluate") == 1
+    assert not {"_value", "_rows", "_check_grid_bound"} & set(names)
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    for cls in ("SingleValued", "IntervalValued", "FilippovHull"):
+        # the functions are called through ``_call`` alone, at one site
+        assert len(_calls_of(classes[cls], "_call")) == 1
+        assert not [inner for inner in ast.walk(classes[cls])
+                    if isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Attribute)
+                    and inner.func.attr in ("g", "g_lo", "g_hi")]
+
+    methods = _methods(ast.parse(inspect.getsource(problems)))
+    assert not [cls for cls, names in methods.items() if "_value" in names]
+    assert methods["StateShiftedField"] == ["__init__", "evaluate_grid"]
