@@ -50,6 +50,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text):
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) \
+            from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError("seed must be non-negative, got %d"
+                                         % (seed,))
+    return seed
+
+
 def _build_parser():
     parser = _Parser(prog="tangenteq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -58,7 +70,7 @@ def _build_parser():
         p = sub.add_parser(name, help=help_)
         p.add_argument("config", help="problem description (INI)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the configured sampling seed")
         return p
 
@@ -98,12 +110,12 @@ def _write_state_csv(out, name, grid, U):
 
 def _gate_report(spec, seed_override):
     """All hypothesis verifiers that apply to the problem kind."""
-    params = spec.verify_params()
+    params = spec.params("verify")
     if seed_override is not None:
         params["seed"] = seed_override
     grid = spec.build_grid()
     if spec.kind == "bernstein_bvp":
-        bz = spec.bernstein_params()
+        bz = spec.params("bernstein")
         return verify_bernstein(spec.build_field(wrapped=False),
                                 R=bz["radius"], a=bz["a"], b=bz["b"],
                                 c=bz["c"], length=grid.length, **params)
@@ -240,7 +252,7 @@ def _cmd_simulate(spec, args):
     C = spec.build_constraint(grid)
     if C is None:
         raise InvalidSpec("simulation needs a constraint set")
-    sim = spec.simulate_params()
+    sim = spec.params("simulate")
     report = viability_simulate(op, field, C, spec.initial_state(grid),
                                 sim["t_end"], sim["h"])
     _write_json(out, "report.json", {"kind": spec.kind,

@@ -19,10 +19,14 @@ Problem kinds and their fixed boundary conditions:
 Coefficient and profile values accept a float literal, ``sin:amp,period,
 offset`` for offset + amp*sin(2*pi*x/period), or ``quad:a,b,c`` for
 a + b*x + c*x**2.
+
+Every fixed-layout option is declared once, in ``_SCHEMA``; the options of
+``[nonlinearity]`` and ``[constraint]`` depend on the name or kind given.
 """
 
 import configparser
 import io
+import math
 
 import numpy as np
 
@@ -44,53 +48,30 @@ _KIND_BC = {
     "miranda": None,
 }
 
-_SECTION_ORDER = ("problem", "grid", "operator", "nonlinearity", "constraint",
-                  "solver", "simulate", "verify", "invariance", "bernstein",
-                  "miranda")
-
-# every option a section accepts; [nonlinearity] and [constraint] are
-# handled separately because their options depend on the catalog name or
-# the constraint kind
-_SECTION_KEYS = {
-    "problem": ("kind",),
-    "grid": ("length", "nodes"),
-    "operator": ("bc", "components", "d", "gamma", "shift"),
-    "solver": ("damping", "h0", "max_iter", "method", "schedule",
-               "tol_residual", "tol_step", "u0"),
-    "simulate": ("h", "t_end"),
-    "verify": ("samples", "seed"),
-    "invariance": ("h", "samples", "seed", "tol"),
-    "bernstein": ("a", "b", "c", "radius"),
-    "miranda": ("hi", "lo", "matrix", "max_depth", "offset",
-                "resolution", "tol"),
-}
+# the problem kinds each section applies to, in serialize order
+_PDE = frozenset(_KIND_BC) - {"miranda"}
+_SECTION_KINDS = {"problem": frozenset(_KIND_BC), "grid": _PDE,
+                  "operator": _PDE, "nonlinearity": _PDE, "constraint": _PDE,
+                  "solver": _PDE, "simulate": _PDE, "verify": _PDE,
+                  "invariance": _PDE, "bernstein": {"bernstein_bvp"},
+                  "miranda": {"miranda"}}
+_SECTION_ORDER = tuple(_SECTION_KINDS)
 
 
-def _check_layout(raw, kind):
-    """Reject unknown sections and options instead of silently defaulting."""
-    if kind == "miranda":
-        allowed = {"problem", "miranda"}
-    elif kind == "bernstein_bvp":
-        allowed = set(_SECTION_ORDER) - {"miranda"}
-    else:
-        allowed = set(_SECTION_ORDER) - {"miranda", "bernstein"}
-    for name, body in raw.items():
-        if name not in _SECTION_ORDER:
-            raise InvalidSpec("unknown section [%s]" % (name,))
-        if name not in allowed:
-            raise InvalidSpec("[%s] does not apply to kind %r" % (name, kind))
-        if name in ("nonlinearity", "constraint"):
-            continue
-        for key in body:
-            if key not in _SECTION_KEYS[name]:
-                raise InvalidSpec("unknown option %r in [%s]" % (key, name))
+# ---------------------------------------------------------------------------
+# option types: each is a (canonicaliser, reader) pair; the canonicaliser
+# turns raw text into the canonical string or raises InvalidSpec, the
+# reader turns a canonical string into the typed value
 
 
-def _fnum(text):
+def _fnum(text, finite=True):
     try:
-        return float(text)
+        value = float(text)
     except (TypeError, ValueError):
         raise InvalidSpec("expected a number, got %r" % (text,)) from None
+    if finite and not math.isfinite(value):
+        raise InvalidSpec("expected a finite number, got %r" % (text,))
+    return value
 
 
 def _inum(text):
@@ -104,12 +85,12 @@ def _canon_float(text):
     return repr(_fnum(text))
 
 
-def _canon_int(text):
-    return repr(_inum(text))
-
-
 def _canon_list(text):
     return ",".join(repr(_fnum(t)) for t in str(text).split(","))
+
+
+def _floats(text):
+    return [float(t) for t in text.split(",")]
 
 
 # the arguments each profile takes, with the values that pad a short list
@@ -131,57 +112,12 @@ def _canon_profile(text):
     return _canon_float(t)
 
 
-# canonical form and default of each [constraint] option, by constraint
-# kind; bernstein_bvp fixes a ball (radius in [bernstein]) and
-# moving_rectangles a nodewise bound pair
-_CONSTRAINT_OPTIONS = {
-    "none": {},
-    "box": {"lo": (_canon_list, "0.0"), "hi": (_canon_list, "1.0")},
-    "ball": {"center": (_canon_list, "0.0"), "radius": (_canon_float, "1.0")},
-    "simplex": {"total": (_canon_float, "1.0")},
-}
-_FIXED_CONSTRAINTS = {
-    "bernstein_bvp": ("ball", {}),
-    "moving_rectangles": ("moving_box", {"alpha": (_canon_profile, None),
-                                         "beta": (_canon_profile, None)}),
-}
-
-
-def _canon_constraint(kind, c):
-    """The canonical ``[constraint]`` table of problem ``kind`` from the
-    raw one ``c``; rejects a constraint kind the problem kind does not
-    take and an option the constraint kind would ignore."""
-    if kind in _FIXED_CONSTRAINTS:
-        ckind, options = _FIXED_CONSTRAINTS[kind]
-        if c.get("kind", ckind).strip().lower() != ckind:
-            raise InvalidSpec("kind %r fixes [constraint] kind = %s"
-                              % (kind, ckind))
-    else:
-        ckind = c.get("kind", "box").strip().lower()
-        if ckind not in _CONSTRAINT_OPTIONS:
-            raise InvalidSpec("unknown constraint kind %r" % (ckind,))
-        options = _CONSTRAINT_OPTIONS[ckind]
-    extra = sorted(set(c) - {"kind"} - set(options))
-    if extra:
-        raise InvalidSpec("option %r in [constraint] does not apply to "
-                          "constraint kind %r" % (extra[0], ckind))
-    out = {"kind": ckind}
-    for key, (canon, default) in options.items():
-        if default is None and key not in c:
-            raise InvalidSpec("%s needs %s" % (kind, " and ".join(options)))
-        out[key] = canon(c.get(key, default))
-    return out
-
-
 def _profile_fn(text):
     """Turn a canonical profile string into a callable of x (or a float)."""
-    t = str(text).strip()
-    if ":" not in t:
-        return float(t)
-    name, args = t.split(":", 1)
-    if name not in _PROFILE_DEFAULTS:
-        raise InvalidSpec("unknown profile %r" % (name,))
-    vals = [float(a) for a in args.split(",")]
+    if ":" not in text:
+        return float(text)
+    name, args = text.split(":", 1)
+    vals = _floats(args)
     vals += _PROFILE_DEFAULTS[name][len(vals):]
     if name == "const":
         return vals[0]
@@ -192,8 +128,168 @@ def _profile_fn(text):
     return lambda x: a + b * x + c * x * x
 
 
-def _sample_profile(text, xs, name):
-    return _sample(_profile_fn(text), xs, name)
+def _choice(noun, *names):
+    def canon(text):
+        t = str(text).strip().lower()
+        if t not in names:
+            raise InvalidSpec("unknown %s %r (have: %s)"
+                              % (noun, t, ", ".join(sorted(names))))
+        return t
+    return canon, str
+
+
+def _or_word(word, value, canon, read):
+    """``word`` itself, reading as ``value``, or a value of the type
+    ``(canon, read)``."""
+    def canon_or(text):
+        t = str(text).strip().lower()
+        return word if t == word else canon(t)
+    return canon_or, lambda t: value if t == word else read(t)
+
+
+_FLOAT = (_canon_float, float)
+_INT = (lambda t: repr(_inum(t)), int)
+_FLOATS = (_canon_list, _floats)
+_PROFILE = (_canon_profile, _profile_fn)
+_MATRIX = (lambda t: ";".join(_canon_list(r) for r in str(t).split(";")),
+           lambda t: np.asarray([_floats(r) for r in t.split(";")]))
+
+# checks: a (predicate, message) pair on the read value; the message is
+# reported as "[section] message", with the option name for %(key)s
+_AT_LEAST_1 = (lambda v: v >= 1, "%(key)s must be at least 1")
+_POSITIVE = (lambda v: v > 0, "%(key)s must be positive")
+_SEED = (lambda v: v >= 0, "%(key)s must be non-negative")
+_SIMULATE = (lambda v: v > 0, "t_end and h must be positive")
+
+# {section: {key: (type, default, check)}}; a None default marks a
+# required key
+_SCHEMA = {
+    "problem": {"kind": (_choice("problem kind", *_KIND_BC), None, None)},
+    "grid": {"length": (_FLOAT, "1.0", None), "nodes": (_INT, "101", None)},
+    "operator": {"d": (_PROFILE, "1.0", None),
+                 "gamma": (_PROFILE, "0.0", None),
+                 "shift": (_or_word("auto", None, *_FLOAT), "auto", None),
+                 "components": (_INT, "1", _AT_LEAST_1)},
+    "solver": {"method": (_choice("solver method", "resolvent", "truncation"),
+                          "resolvent", None),
+               "schedule": (_choice("schedule", "fixed", "harmonic"), "fixed",
+                            None),
+               "h0": (_FLOAT, "0.5", None),
+               "max_iter": (_INT, "500", None),
+               "tol_residual": (_FLOAT, "1e-9", None),
+               "tol_step": (_FLOAT, "1e-10", None),
+               "damping": (_FLOAT, "1.0", None),
+               "u0": (_or_word("zeros", 0.0, *_PROFILE), "zeros", None)},
+    "simulate": {"t_end": (_FLOAT, "1.0", _SIMULATE),
+                 "h": (_FLOAT, "0.05", _SIMULATE)},
+    "verify": {"samples": (_INT, "10000", _AT_LEAST_1),
+               "seed": (_INT, "42", _SEED)},
+    "invariance": {"h": (_FLOATS, "0.25,0.125,0.0625", None),
+                   "samples": (_INT, "400", _AT_LEAST_1),
+                   "seed": (_INT, "0", _SEED),
+                   "tol": (_FLOAT, "1e-10", None)},
+    "bernstein": {"radius": (_FLOAT, "2.0", None), "c": (_FLOAT, "1.0", None),
+                  "a": (_FLOAT, "0.0", None), "b": (_FLOAT, "3.0", None)},
+    "miranda": {"lo": (_FLOATS, None, None), "hi": (_FLOATS, None, None),
+                "matrix": (_MATRIX, None, None),
+                "offset": (_FLOATS, None, None),
+                "tol": (_FLOAT, "1e-9", _POSITIVE),
+                "resolution": (_INT, "9", None),
+                "max_depth": (_INT, "200", None)},
+}
+
+
+def _canon_option(section, key, given):
+    """Canonical ``[section] key`` from the raw options ``given``, checked."""
+    (canon, read), default, check = _SCHEMA[section][key]
+    if default is None and key not in given:
+        raise InvalidSpec("[%s] needs %r" % (section, key))
+    value = canon(given.get(key, default))
+    if check is not None and not check[0](read(value)):
+        raise InvalidSpec("[%s] %s" % (section, check[1] % {"key": key}))
+    return value
+
+
+def _check_layout(raw, kind):
+    """Reject unknown sections and options instead of silently defaulting."""
+    for name, body in raw.items():
+        if name not in _SECTION_KINDS:
+            raise InvalidSpec("unknown section [%s]" % (name,))
+        if kind not in _SECTION_KINDS[name]:
+            raise InvalidSpec("[%s] does not apply to kind %r" % (name, kind))
+        for key in body:
+            if name in _SCHEMA and key not in _SCHEMA[name]:
+                raise InvalidSpec("unknown option %r in [%s]" % (key, name))
+
+
+# type and default of each [constraint] option, by constraint kind;
+# bernstein_bvp fixes a ball (radius in [bernstein]) and moving_rectangles
+# a nodewise bound pair
+_CONSTRAINT_OPTIONS = {
+    "none": {},
+    "box": {"lo": (_FLOATS, "0.0"), "hi": (_FLOATS, "1.0")},
+    "ball": {"center": (_FLOATS, "0.0"), "radius": (_FLOAT, "1.0")},
+    "simplex": {"total": (_FLOAT, "1.0")},
+}
+_FIXED_CONSTRAINTS = {
+    "bernstein_bvp": ("ball", {}),
+    "moving_rectangles": ("moving_box", {"alpha": (_PROFILE, None),
+                                         "beta": (_PROFILE, None)}),
+}
+
+
+def _constraint_options(kind, c):
+    """The constraint kind in the ``[constraint]`` table ``c`` of problem
+    ``kind``, with its options; rejects one the problem kind does not take."""
+    if kind in _FIXED_CONSTRAINTS:
+        ckind, options = _FIXED_CONSTRAINTS[kind]
+        if c.get("kind", ckind).strip().lower() != ckind:
+            raise InvalidSpec("kind %r fixes [constraint] kind = %s"
+                              % (kind, ckind))
+        return ckind, options
+    ckind = c.get("kind", "box").strip().lower()
+    if ckind not in _CONSTRAINT_OPTIONS:
+        raise InvalidSpec("unknown constraint kind %r" % (ckind,))
+    return ckind, _CONSTRAINT_OPTIONS[ckind]
+
+
+def _canon_constraint(kind, c):
+    """The canonical ``[constraint]`` table of problem ``kind`` from the
+    raw one ``c``; rejects an option the constraint kind would ignore."""
+    ckind, options = _constraint_options(kind, c)
+    extra = sorted(set(c) - {"kind"} - set(options))
+    if extra:
+        raise InvalidSpec("option %r in [constraint] does not apply to "
+                          "constraint kind %r" % (extra[0], ckind))
+    out = {"kind": ckind}
+    for key, ((canon, _), default) in options.items():
+        if default is None and key not in c:
+            raise InvalidSpec("%s needs %s" % (kind, " and ".join(options)))
+        out[key] = canon(c.get(key, default))
+    return out
+
+
+def _canon_nonlinearity(f):
+    """The canonical ``[nonlinearity]`` table: the catalog name, ``bound``
+    and ``seed`` when given, and the name's own parameters (a non-finite
+    one fails in ``build_field``, after the catalog's own checks)."""
+    fname = f.get("name", "linear").strip().lower()
+    if fname not in NONLINEARITY_NAMES:
+        raise InvalidSpec("unknown nonlinearity %r" % (fname,))
+    out = {"name": fname}
+    if "bound" in f:
+        out["bound"] = _canon_float(f["bound"])
+    if "seed" in f:
+        out["seed"] = repr(_inum(f["seed"]))
+    for key, val in f.items():
+        if key in ("name", "bound", "seed"):
+            continue
+        if key not in NONLINEARITY_PARAMS[fname]:
+            raise InvalidSpec("%r is not a parameter of the %s nonlinearity"
+                              % (key, fname))
+        out[key] = val.strip() if key == "path" \
+            else repr(_fnum(val, finite=False))
+    return out
 
 
 class ProblemSpec:
@@ -209,149 +305,109 @@ class ProblemSpec:
     def kind(self):
         return self.sections["problem"]["kind"]
 
-    def _get(self, section, key):
-        return self.sections[section][key]
+    def value(self, section, key):
+        """The typed value of the fixed-layout option ``[section] key``."""
+        read = _SCHEMA[section][key][0][1]
+        return read(self.sections[section][key])
+
+    def params(self, section):
+        """Every option of a fixed-layout section, typed, by key."""
+        return {key: self.value(section, key) for key in _SCHEMA[section]}
 
     # -- builders ----------------------------------------------------------
 
     def build_grid(self):
-        periodic = self.kind == "periodic_rd"
-        return Grid1D(_fnum(self._get("grid", "length")),
-                      _inum(self._get("grid", "nodes")), periodic=periodic)
+        g = self.params("grid")
+        return Grid1D(g["length"], g["nodes"],
+                      periodic=self.kind == "periodic_rd")
 
     @property
     def components(self):
-        return _inum(self._get("operator", "components"))
+        return self.value("operator", "components")
 
     def build_operator(self, grid=None):
         grid = grid or self.build_grid()
-        sec = self.sections["operator"]
-        shift_txt = sec["shift"]
+        op = self.params("operator")
         if self.kind == "bernstein_bvp":
-            shift = -_fnum(self._get("bernstein", "c"))
-        elif shift_txt == "auto":
-            shift = None
-        else:
-            shift = _fnum(shift_txt)
-        spec = OperatorSpec(d=_profile_fn(sec["d"]),
-                            gamma=_profile_fn(sec["gamma"]),
-                            bc=_KIND_BC[self.kind], shift=shift,
-                            components=self.components)
+            op["shift"] = -self.value("bernstein", "c")
+        spec = OperatorSpec(d=op["d"], gamma=op["gamma"],
+                            bc=_KIND_BC[self.kind], shift=op["shift"],
+                            components=op["components"])
         return assemble(spec, grid)
 
     def build_field(self, wrapped=True):
         sec = dict(self.sections["nonlinearity"])
-        name = sec.pop("name")
-        bound = sec.pop("bound", None)
-        seed = _inum(sec.pop("seed", "0"))
-        params = {k: (v if ":" in v or not _is_floatish(v) else float(v))
-                  for k, v in sec.items()}
+        name, bound = sec.pop("name"), sec.pop("bound", None)
+        seed = int(sec.pop("seed", "0"))
+        params = {k: v if k == "path" else float(v) for k, v in sec.items()}
         base = make_nonlinearity(name, params, components=self.components,
-                                 bound=None if bound in (None, "none")
-                                 else _fnum(bound), seed=seed)
+                                 bound=None if bound is None else float(bound),
+                                 seed=seed)
+        for key, val in params.items():
+            if key != "path" and not math.isfinite(val):
+                raise InvalidSpec("[nonlinearity] %s must be finite, got %r"
+                                  % (key, val))
         if wrapped and self.kind == "bernstein_bvp":
-            return StateShiftedField(base, _fnum(self._get("bernstein", "c")))
+            return StateShiftedField(base, self.value("bernstein", "c"))
         return base
 
     def build_constraint(self, grid=None):
         N = self.components
-        sec = self.sections.get("constraint", {})
-        ckind = sec.get("kind", "none")
+        sec = self.sections["constraint"]
+        c = {key: read(sec[key]) for key, ((_, read), _)
+             in _constraint_options(self.kind, sec)[1].items()}
         if self.kind == "bernstein_bvp":
-            return Ball(np.zeros(N), _fnum(self._get("bernstein", "radius")))
+            return Ball(np.zeros(N), self.value("bernstein", "radius"))
         if self.kind == "moving_rectangles":
             grid = grid or self.build_grid()
-            return MovingBox(
-                _sample_profile(sec["alpha"], grid.nodes, "alpha"),
-                _sample_profile(sec["beta"], grid.nodes, "beta"))
-        if ckind == "none":
-            return None
-        if ckind == "box":
-            return Box(_vector(sec["lo"], N), _vector(sec["hi"], N))
-        if ckind == "ball":
-            return Ball(_vector(sec["center"], N), _fnum(sec["radius"]))
-        if ckind == "simplex":
-            return Simplex(_fnum(sec["total"]), N)
-        raise InvalidSpec("unknown constraint kind %r" % (ckind,))
+            return MovingBox(_sample(c["alpha"], grid.nodes, "alpha"),
+                             _sample(c["beta"], grid.nodes, "beta"))
+        if sec["kind"] == "box":
+            return Box(_vector(c["lo"], N), _vector(c["hi"], N))
+        if sec["kind"] == "ball":
+            return Ball(_vector(c["center"], N), c["radius"])
+        if sec["kind"] == "simplex":
+            return Simplex(c["total"], N)
+        return None
 
     def build_solver(self):
-        sec = self.sections["solver"]
-        return SolverConfig(step_schedule=sec["schedule"],
-                            h0=_fnum(sec["h0"]),
-                            max_iter=_inum(sec["max_iter"]),
-                            tol_residual=_fnum(sec["tol_residual"]),
-                            tol_step=_fnum(sec["tol_step"]),
-                            damping=_fnum(sec["damping"]))
+        s = self.params("solver")
+        return SolverConfig(step_schedule=s["schedule"], h0=s["h0"],
+                            max_iter=s["max_iter"],
+                            tol_residual=s["tol_residual"],
+                            tol_step=s["tol_step"], damping=s["damping"])
 
     @property
     def method(self):
-        return self.sections["solver"]["method"]
+        return self.value("solver", "method")
 
     def initial_state(self, grid=None):
         grid = grid or self.build_grid()
-        N = self.components
-        text = self.sections["solver"]["u0"]
-        if text == "zeros":
-            return np.zeros((grid.n, N))
-        vals = _sample_profile(text, grid.nodes, "u0")
-        return np.tile(vals[:, None], (1, N))
-
-    def verify_params(self):
-        sec = self.sections["verify"]
-        return {"samples": _count(sec["samples"], "[verify] samples"),
-                "seed": _inum(sec["seed"])}
+        vals = _sample(self.value("solver", "u0"), grid.nodes, "u0")
+        return np.tile(vals[:, None], (1, self.components))
 
     def invariance_params(self):
-        sec = self.sections["invariance"]
-        return {"h_list": [float(t) for t in sec["h"].split(",")],
-                "sample_count": _count(sec["samples"],
-                                       "[invariance] samples"),
-                "seed": _inum(sec["seed"]),
-                "overshoot_tol": _fnum(sec["tol"])}
-
-    def bernstein_params(self):
-        sec = self.sections["bernstein"]
-        return {k: _fnum(sec[k]) for k in ("radius", "c", "a", "b")}
-
-    def simulate_params(self):
-        sec = self.sections["simulate"]
-        t_end, h = _fnum(sec["t_end"]), _fnum(sec["h"])
-        if t_end <= 0 or h <= 0:
-            raise InvalidSpec("[simulate] t_end and h must be positive")
-        return {"t_end": t_end, "h": h}
+        """``[invariance]`` under ``invariance_audit``'s keyword names."""
+        inv = self.params("invariance")
+        return {"h_list": inv["h"], "sample_count": inv["samples"],
+                "seed": inv["seed"], "overshoot_tol": inv["tol"]}
 
     def miranda_params(self):
-        sec = self.sections["miranda"]
-        lo = np.asarray([float(t) for t in sec["lo"].split(",")])
-        hi = np.asarray([float(t) for t in sec["hi"].split(",")])
-        matrix = np.asarray([[float(t) for t in row.split(",")]
-                             for row in sec["matrix"].split(";")])
-        offset = np.asarray([float(t) for t in sec["offset"].split(",")])
-        if matrix.shape != (lo.size, lo.size) or offset.size != lo.size:
+        """``[miranda]`` with the cube and the affine map as arrays, after
+        the checks that need the cube's dimension."""
+        mp = self.params("miranda")
+        for key in ("lo", "hi", "offset"):
+            mp[key] = np.asarray(mp[key])
+        dim = mp["lo"].size
+        if mp["matrix"].shape != (dim, dim) or mp["offset"].size != dim:
             raise InvalidSpec("affine map shape does not fit the cube")
-        return {"lo": lo, "hi": hi, "matrix": matrix, "offset": offset,
-                "tol": _fnum(sec["tol"]),
-                "resolution": _inum(sec["resolution"]),
-                "max_depth": _inum(sec["max_depth"])}
+        if mp["resolution"] < 2 and dim > 1:
+            raise InvalidSpec("[miranda] resolution must be at least 2 on a "
+                              "cube of dimension %d" % (dim,))
+        return mp
 
 
-def _is_floatish(text):
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
-
-
-def _count(text, name):
-    k = _inum(text)
-    if k < 1:
-        raise InvalidSpec("%s must be at least 1" % name)
-    return k
-
-
-def _vector(text, N):
-    vals = [float(t) for t in str(text).split(",")]
+def _vector(vals, N):
     if len(vals) == 1:
         vals = vals * N
     if len(vals) != N:
@@ -374,113 +430,25 @@ def parse_config(text):
     raw = {s: dict(cp.items(s)) for s in cp.sections()}
     if "problem" not in raw or "kind" not in raw["problem"]:
         raise InvalidSpec("missing [problem] kind")
-    kind = raw["problem"]["kind"].strip().lower()
-    if kind not in _KIND_BC:
-        raise InvalidSpec("unknown problem kind %r (have: %s)"
-                          % (kind, ", ".join(sorted(_KIND_BC))))
+    kind = _canon_option("problem", "kind", raw["problem"])
+    # the wall type is fixed by the kind: [operator] bc may only repeat it
+    bc = raw.get("operator", {}).pop("bc", None)
     _check_layout(raw, kind)
-
-    out = {"problem": {"kind": kind}}
-
-    if kind == "miranda":
-        m = raw.get("miranda", {})
-        for key in ("lo", "hi", "offset"):
-            if key not in m:
-                raise InvalidSpec("[miranda] needs %r" % (key,))
-        if "matrix" not in m:
-            raise InvalidSpec("[miranda] needs 'matrix'")
-        out["miranda"] = {
-            "lo": _canon_list(m["lo"]),
-            "hi": _canon_list(m["hi"]),
-            "matrix": ";".join(_canon_list(r) for r in m["matrix"].split(";")),
-            "offset": _canon_list(m["offset"]),
-            "tol": _canon_float(m.get("tol", "1e-9")),
-            "resolution": _canon_int(m.get("resolution", "9")),
-            "max_depth": _canon_int(m.get("max_depth", "200")),
-        }
-        return _touched(ProblemSpec(out))
-
-    g = raw.get("grid", {})
-    out["grid"] = {"length": _canon_float(g.get("length", "1.0")),
-                   "nodes": _canon_int(g.get("nodes", "101"))}
-
-    o = raw.get("operator", {})
-    if "bc" in o and o["bc"].strip().lower() != _KIND_BC[kind]:
+    if bc is not None and bc.strip().lower() != _KIND_BC[kind]:
         raise InvalidSpec("kind %r fixes bc=%s" % (kind, _KIND_BC[kind]))
-    shift = o.get("shift", "auto").strip().lower()
-    out["operator"] = {
-        "d": _canon_profile(o.get("d", "1.0")),
-        "gamma": _canon_profile(o.get("gamma",
-                                      "0.5" if kind == "drift_rd" else "0.0")),
-        "shift": shift if shift == "auto" else _canon_float(shift),
-        "components": _canon_int(o.get("components", "1")),
-    }
-    N = int(out["operator"]["components"])
-    if N < 1:
-        raise InvalidSpec("components must be at least 1")
+    if kind == "drift_rd":
+        raw.setdefault("operator", {}).setdefault("gamma", "0.5")
 
-    f = raw.get("nonlinearity", {})
-    fname = f.get("name", "linear").strip().lower()
-    if fname not in NONLINEARITY_NAMES:
-        raise InvalidSpec("unknown nonlinearity %r" % (fname,))
-    fsec = {"name": fname}
-    if "bound" in f:
-        fsec["bound"] = _canon_float(f["bound"])
-    if "seed" in f:
-        fsec["seed"] = _canon_int(f["seed"])
-    for key, val in f.items():
-        if key in ("name", "bound", "seed"):
-            continue
-        if key not in NONLINEARITY_PARAMS[fname]:
-            raise InvalidSpec("%r is not a parameter of the %s nonlinearity"
-                              % (key, fname))
-        fsec[key] = val.strip() if key == "path" else _canon_float(val)
-    out["nonlinearity"] = fsec
-
-    out["constraint"] = _canon_constraint(kind, raw.get("constraint", {}))
-
-    s = raw.get("solver", {})
-    method = s.get("method", "resolvent").strip().lower()
-    if method not in ("resolvent", "truncation"):
-        raise InvalidSpec("unknown solver method %r" % (method,))
-    if method == "truncation" and _KIND_BC[kind] != "dirichlet":
-        raise InvalidSpec("truncation method needs a dirichlet kind")
-    schedule = s.get("schedule", "fixed").strip().lower()
-    if schedule not in ("fixed", "harmonic"):
-        raise InvalidSpec("unknown schedule %r" % (schedule,))
-    out["solver"] = {
-        "method": method,
-        "schedule": schedule,
-        "h0": _canon_float(s.get("h0", "0.5")),
-        "max_iter": _canon_int(s.get("max_iter", "500")),
-        "tol_residual": _canon_float(s.get("tol_residual", "1e-9")),
-        "tol_step": _canon_float(s.get("tol_step", "1e-10")),
-        "damping": _canon_float(s.get("damping", "1.0")),
-        "u0": _canon_profile(s.get("u0", "zeros"))
-        if s.get("u0", "zeros").strip().lower() != "zeros" else "zeros",
-    }
-
-    sim = raw.get("simulate", {})
-    out["simulate"] = {"t_end": _canon_float(sim.get("t_end", "1.0")),
-                       "h": _canon_float(sim.get("h", "0.05"))}
-
-    v = raw.get("verify", {})
-    out["verify"] = {"samples": _canon_int(v.get("samples", "10000")),
-                     "seed": _canon_int(v.get("seed", "42"))}
-
-    inv = raw.get("invariance", {})
-    out["invariance"] = {"h": _canon_list(inv.get("h", "0.25,0.125,0.0625")),
-                         "samples": _canon_int(inv.get("samples", "400")),
-                         "seed": _canon_int(inv.get("seed", "0")),
-                         "tol": _canon_float(inv.get("tol", "1e-10"))}
-
-    if kind == "bernstein_bvp":
-        bz = raw.get("bernstein", {})
-        out["bernstein"] = {"radius": _canon_float(bz.get("radius", "2.0")),
-                            "c": _canon_float(bz.get("c", "1.0")),
-                            "a": _canon_float(bz.get("a", "0.0")),
-                            "b": _canon_float(bz.get("b", "3.0"))}
-
+    out = {section: {key: _canon_option(section, key, raw.get(section, {}))
+                     for key in options}
+           for section, options in _SCHEMA.items()
+           if kind in _SECTION_KINDS[section]}
+    if kind != "miranda":
+        out["nonlinearity"] = _canon_nonlinearity(raw.get("nonlinearity", {}))
+        out["constraint"] = _canon_constraint(kind, raw.get("constraint", {}))
+        if out["solver"]["method"] == "truncation" \
+                and _KIND_BC[kind] != "dirichlet":
+            raise InvalidSpec("truncation method needs a dirichlet kind")
     return _touched(ProblemSpec(out))
 
 
@@ -498,9 +466,6 @@ def _touched(spec):
         spec.build_solver()
         spec.build_field()
         spec.build_constraint()
-        spec.simulate_params()
-        spec.verify_params()
-        spec.invariance_params()
     except (ValueError, OSError) as exc:
         raise InvalidSpec(str(exc)) from None
     return spec

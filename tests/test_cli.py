@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import tangenteq
+from tangenteq import load_config
 from tangenteq.cli import run_cli
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -217,6 +218,15 @@ def test_invariance_pass_and_fail(tmp_path, capsys):
                               "overshoot": 0.5, "sample": 0}
 
 
+def test_invariance_summary_line_is_pinned(tmp_path, capsys):
+    # the step list prints as plain floats, the same list as report.json
+    assert run_cli(["check-invariance", _cfg("neumann_linear.cfg"),
+                    "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "invariance holds (worst overshoot 0.000e+00 over h in "
+        "[0.25, 0.125, 0.0625])\n")
+
+
 def test_conditions_bernstein_margins(tmp_path, capsys):
     code = run_cli(["check-conditions", _cfg("bernstein.cfg"),
                     "--out", str(tmp_path)])
@@ -246,6 +256,16 @@ def test_conditions_gate_failure_exits_two(tmp_path):
 def test_seed_override_is_accepted(tmp_path):
     assert run_cli(["check-conditions", _cfg("neumann_linear.cfg"),
                     "--out", str(tmp_path), "--seed", "7"]) == 0
+
+
+@pytest.mark.parametrize("command", ["check-conditions", "check-invariance",
+                                     "solve"])
+def test_negative_seed_override_is_a_usage_error(tmp_path, capsys, command):
+    assert run_cli([command, _cfg("neumann_linear.cfg"),
+                    "--out", str(tmp_path), "--seed=-1"]) == 1
+    err = capsys.readouterr().err
+    assert "error: argument --seed: seed must be non-negative, got -1" in err
+    assert not os.listdir(tmp_path)
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data",
@@ -425,6 +445,57 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
     ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
      "name = heaviside\nsamples = inf\n", 1,
      "samples must be an integer of at least 1, got inf"),
+    # non-finite numbers
+    ("simulate", "[problem]\nkind = neumann_rd\n\n[simulate]\n"
+     "t_end = inf\n", 1, "expected a finite number, got 'inf'"),
+    ("simulate", "[problem]\nkind = neumann_rd\n\n[simulate]\nh = nan\n",
+     1, "expected a finite number, got 'nan'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[grid]\nlength = nan\n", 1,
+     "expected a finite number, got 'nan'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[solver]\nh0 = nan\n", 1,
+     "expected a finite number, got 'nan'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[operator]\nshift = nan\n",
+     1, "expected a finite number, got 'nan'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[operator]\n"
+     "d = sin:1,-inf\n", 1, "expected a finite number, got '-inf'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[constraint]\nlo = nan\n",
+     1, "expected a finite number, got 'nan'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = linear\na = nan\n", 1,
+     "[nonlinearity] a must be finite, got nan"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = linear\nb = -inf\n", 1,
+     "[nonlinearity] b must be finite, got -inf"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[solver]\n"
+     "tol_residual = nan\n", 1, "expected a finite number, got 'nan'"),
+    ("check-invariance", "[problem]\nkind = neumann_rd\n\n[invariance]\n"
+     "tol = nan\n", 1, "expected a finite number, got 'nan'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = linear\nbound = nan\n", 1,
+     "expected a finite number, got 'nan'"),
+    ("miranda", MIRANDA_HEAD + "lo = 0,0\nhi = 1,inf\n", 1,
+     "expected a finite number, got 'inf'"),
+    # negative seeds
+    ("check-conditions", "[problem]\nkind = neumann_rd\n\n[verify]\n"
+     "seed = -1\n", 1, "[verify] seed must be non-negative"),
+    ("check-invariance", "[problem]\nkind = neumann_rd\n\n[invariance]\n"
+     "seed = -1\n", 1, "[invariance] seed must be non-negative"),
+    # [miranda] values that would fail mid-run
+    ("miranda", MIRANDA_HEAD + "lo = -1,-1\nhi = 1,1\nresolution = 0\n", 1,
+     "[miranda] resolution must be at least 2 on a cube of dimension 2"),
+    ("miranda", MIRANDA_HEAD + "lo = -1,-1\nhi = 1,1\nresolution = 1\n", 1,
+     "[miranda] resolution must be at least 2 on a cube of dimension 2"),
+    ("miranda", MIRANDA_HEAD + "lo = -1,-1\nhi = 1,1\ntol = 0\n", 1,
+     "[miranda] tol must be positive"),
+    ("miranda", MIRANDA_HEAD + "lo = -1,-1\nhi = 1,1\ntol = -1\n", 1,
+     "[miranda] tol must be positive"),
+    # a one-dimensional cube needs no face grid; a zero depth budget is a
+    # legitimate depth_exceeded result
+    ("miranda", "[problem]\nkind = miranda\n\n[miranda]\nlo = -1\nhi = 1\n"
+     "matrix = -1\noffset = 0.25\nresolution = 1\n", 0, None),
+    ("miranda", "[problem]\nkind = miranda\n\n[miranda]\nlo = -1,-1\n"
+     "hi = 1,1\nmatrix = -1,0;0,-1\noffset = 0.25,-0.5\nmax_depth = 0\n", 3,
+     None),
 ], ids=["box_lo_above_hi", "negative_radius", "heaviside_delta_zero",
         "tabulated_without_path", "tabulated_missing_file",
         "simulate_h_zero", "miranda_hi_short", "miranda_hi_not_above_lo",
@@ -434,7 +505,14 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
         "moving_rectangles_as_ball", "bernstein_as_box",
         "bernstein_ball_radius", "heaviside_negative_samples",
         "heaviside_fractional_samples", "heaviside_zero_samples",
-        "heaviside_infinite_samples"])
+        "heaviside_infinite_samples", "simulate_t_end_inf", "simulate_h_nan",
+        "grid_length_nan", "solver_h0_nan", "operator_shift_nan",
+        "profile_argument_inf", "box_lo_nan", "linear_a_nan",
+        "linear_b_minus_inf", "solver_tol_residual_nan", "invariance_tol_nan",
+        "bound_nan", "miranda_hi_inf", "verify_negative_seed",
+        "invariance_negative_seed", "miranda_resolution_zero",
+        "miranda_resolution_one", "miranda_tol_zero", "miranda_tol_negative",
+        "miranda_1d_resolution_one", "miranda_max_depth_zero"])
 def test_bad_config_values_fail_at_parse_time(tmp_path, capsys, command,
                                               text, code, message):
     cfg = tmp_path / "bad.cfg"
@@ -493,11 +571,19 @@ def test_unreadable_config_exits_one(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
-def test_command_kind_mismatch_exits_one(capsys):
-    assert run_cli(["miranda", _cfg("neumann_linear.cfg")]) == 1
+ALL_COMMANDS = ("solve", "miranda", "check-invariance", "check-conditions",
+                "simulate")
+
+
+@pytest.mark.parametrize("name,command", sorted(
+    (f[:-4], command) for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg")
+    for command in ALL_COMMANDS
+    if (load_config(_cfg(f)).kind == "miranda") != (command == "miranda")))
+def test_command_kind_mismatch_exits_one(tmp_path, capsys, name, command):
+    out = tmp_path / "out"
+    assert run_cli([command, _cfg(name + ".cfg"), "--out", str(out)]) == 1
     assert "does not apply" in capsys.readouterr().err
-    assert run_cli(["solve", _cfg("affine.cfg")]) == 1
-    assert "does not apply" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_installed_script_runs(tmp_path):

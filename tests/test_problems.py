@@ -1,5 +1,6 @@
 """Catalog, condition verifiers, and config round-trips."""
 
+import configparser
 import glob
 import os
 
@@ -12,6 +13,7 @@ from tangenteq import (Ball, BoundViolated, Box, Grid1D, InvalidSpec,
                        make_nonlinearity, parse_config, resolvent_iterate,
                        serialize, verify_bernstein, verify_subsuper,
                        verify_tangency)
+from tangenteq.config import _CONSTRAINT_OPTIONS, _KIND_BC, _SCHEMA
 from tangenteq.convex import _row_dots
 from tangenteq.fields import _sup_norms
 from tangenteq.problems import (ConditionItem, ConditionReport,
@@ -446,7 +448,7 @@ def test_parsed_builders_assemble_live_objects():
     val = fld.evaluate(0.5, np.zeros(spec.components),
                        np.zeros(spec.components))
     assert val.hi[0] > 0.0
-    vp = spec.verify_params()
+    vp = spec.params("verify")
     assert set(vp) == {"samples", "seed"}
     ip = spec.invariance_params()
     assert len(ip["h_list"]) >= 1
@@ -509,6 +511,77 @@ def test_config_rejections():
     for text, needle in cases:
         with pytest.raises(InvalidSpec, match=needle):
             parse_config(text)
+
+
+def _ini(sections):
+    return "".join("[%s]\n%s\n" % (name, "".join("%s = %s\n" % kv
+                                                  for kv in body.items()))
+                   for name, body in sections.items())
+
+
+def _minimal(kind, constraint=None):
+    """The sections of the smallest valid config of problem ``kind``."""
+    sections = {"problem": {"kind": kind}}
+    if kind == "miranda":
+        sections["miranda"] = {"lo": "-1,-1", "hi": "1,1",
+                               "matrix": "-1,0;0,-1", "offset": "0.25,-0.5"}
+    if kind == "moving_rectangles":
+        sections["constraint"] = {"alpha": "-1", "beta": "sin:0.5,2,1"}
+    if constraint is not None:
+        sections["constraint"] = {"kind": constraint}
+    return sections
+
+
+def _kind_of(section):
+    return {"miranda": "miranda",
+            "bernstein": "bernstein_bvp"}.get(section, "neumann_rd")
+
+
+@pytest.mark.parametrize("section,key", [
+    (section, key) for section, options in _SCHEMA.items()
+    for key, (_, default, _) in options.items() if default is not None])
+def test_writing_a_default_out_parses_the_same(section, key):
+    omitted = _minimal(_kind_of(section))
+    explicit = {name: dict(body) for name, body in omitted.items()}
+    explicit.setdefault(section, {})[key] = _SCHEMA[section][key][1]
+    spec = parse_config(_ini(explicit))
+    assert spec == parse_config(_ini(omitted))
+    assert spec.value(section, key) == spec.params(section)[key]
+
+
+@pytest.mark.parametrize("section", sorted(_SCHEMA))
+def test_a_misspelt_option_is_unknown(section):
+    sections = _minimal(_kind_of(section))
+    key = next(iter(_SCHEMA[section])) + "s"
+    sections.setdefault(section, {})[key] = "1"
+    with pytest.raises(InvalidSpec, match=r"unknown option '%s' in \[%s\]"
+                       % (key, section)):
+        parse_config(_ini(sections))
+
+
+@pytest.mark.parametrize("kind,constraint", [
+    (kind, None) for kind in sorted(_KIND_BC)] + [
+    ("neumann_rd", constraint) for constraint in sorted(_CONSTRAINT_OPTIONS)])
+def test_every_canonical_kind_round_trips(kind, constraint):
+    spec = parse_config(_ini(_minimal(kind, constraint)))
+    assert spec.kind == kind
+    again = parse_config(serialize(spec))
+    assert again == spec
+    assert serialize(again) == serialize(spec)
+
+
+def test_readme_lists_every_option_with_its_default():
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path, encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1]
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    cp.read_string(block.split("```", 1)[0])
+    for section, options in _SCHEMA.items():
+        assert list(cp[section]) == list(options), section
+        for key, (_, default, _) in options.items():
+            if default is not None:
+                assert cp[section][key] == default, (section, key)
 
 
 def test_bad_solver_values_fail_at_parse_time():
