@@ -199,8 +199,8 @@ def _cmd_miranda(spec, args):
     mp = spec.miranda_params()
     matrix, offset = mp["matrix"], mp["offset"]
 
-    def f(x):
-        return matrix @ np.asarray(x, dtype=float) + offset
+    def f(X):
+        return X @ matrix.T + offset
 
     cube = Cube(mp["lo"], mp["hi"])
     result = miranda_solve(f, cube, tol=mp["tol"],

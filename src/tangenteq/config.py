@@ -158,7 +158,8 @@ _MATRIX = (lambda t: ";".join(_canon_list(r) for r in str(t).split(";")),
 # reported as "[section] message", with the option name for %(key)s
 _AT_LEAST_1 = (lambda v: v >= 1, "%(key)s must be at least 1")
 _POSITIVE = (lambda v: v > 0, "%(key)s must be positive")
-_SEED = (lambda v: v >= 0, "%(key)s must be non-negative")
+_ALL_POSITIVE = (lambda v: min(v) > 0, "every %(key)s must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "%(key)s must be non-negative")
 _SIMULATE = (lambda v: v > 0, "t_end and h must be positive")
 
 # {section: {key: (type, default, check)}}; a None default marks a
@@ -176,18 +177,18 @@ _SCHEMA = {
                             None),
                "h0": (_FLOAT, "0.5", None),
                "max_iter": (_INT, "500", None),
-               "tol_residual": (_FLOAT, "1e-9", None),
-               "tol_step": (_FLOAT, "1e-10", None),
+               "tol_residual": (_FLOAT, "1e-9", _NON_NEGATIVE),
+               "tol_step": (_FLOAT, "1e-10", _NON_NEGATIVE),
                "damping": (_FLOAT, "1.0", None),
                "u0": (_or_word("zeros", 0.0, *_PROFILE), "zeros", None)},
     "simulate": {"t_end": (_FLOAT, "1.0", _SIMULATE),
                  "h": (_FLOAT, "0.05", _SIMULATE)},
     "verify": {"samples": (_INT, "10000", _AT_LEAST_1),
-               "seed": (_INT, "42", _SEED)},
-    "invariance": {"h": (_FLOATS, "0.25,0.125,0.0625", None),
+               "seed": (_INT, "42", _NON_NEGATIVE)},
+    "invariance": {"h": (_FLOATS, "0.25,0.125,0.0625", _ALL_POSITIVE),
                    "samples": (_INT, "400", _AT_LEAST_1),
-                   "seed": (_INT, "0", _SEED),
-                   "tol": (_FLOAT, "1e-10", None)},
+                   "seed": (_INT, "0", _NON_NEGATIVE),
+                   "tol": (_FLOAT, "1e-10", _NON_NEGATIVE)},
     "bernstein": {"radius": (_FLOAT, "2.0", None), "c": (_FLOAT, "1.0", None),
                   "a": (_FLOAT, "0.0", None), "b": (_FLOAT, "3.0", None)},
     "miranda": {"lo": (_FLOATS, None, None), "hi": (_FLOATS, None, None),
@@ -195,7 +196,7 @@ _SCHEMA = {
                 "offset": (_FLOATS, None, None),
                 "tol": (_FLOAT, "1e-9", _POSITIVE),
                 "resolution": (_INT, "9", None),
-                "max_depth": (_INT, "200", None)},
+                "max_depth": (_INT, "200", _NON_NEGATIVE)},
 }
 
 
@@ -204,7 +205,10 @@ def _canon_option(section, key, given):
     (canon, read), default, check = _SCHEMA[section][key]
     if default is None and key not in given:
         raise InvalidSpec("[%s] needs %r" % (section, key))
-    value = canon(given.get(key, default))
+    try:
+        value = canon(given.get(key, default))
+    except InvalidSpec as exc:
+        raise InvalidSpec("[%s] %s: %s" % (section, key, exc)) from None
     if check is not None and not check[0](read(value)):
         raise InvalidSpec("[%s] %s" % (section, check[1] % {"key": key}))
     return value

@@ -199,24 +199,25 @@ def _drive(op, field_, C, u0, config, step, project_start=False,
     """The sweep loop behind every solver.
 
     Lifts ``C`` to the grid and starts from ``u0`` (zeros when None,
-    projected when ``project_start``).  Each sweep projects ``u`` once,
-    selects at ``X = u``, or ``X = proj u`` when ``at_projection``,
-    records the equation residual at ``X`` and stops on a tangency
-    failure; otherwise it takes ``u, AU = step(sweep, K, u, W, A X, v)``,
-    with ``W = proj u``, and stops as converged when the residual and the
-    step norm meet ``config``'s tolerances and ``accept(K, u)``, if given,
-    holds.  A step that knows the new state's image ``A u`` returns it
-    as ``AU`` (else None), and the next head at ``X = u`` uses it in
-    place of applying ``A``.  With ``residuals`` off no sweep measures the
-    equation residual or applies ``A`` for it (the step sees ``A X`` only
-    as a handed-on image, else None), so the run goes on to
-    ``config.max_iter``.  A run that uses all its sweeps gets its status
-    from ``_plateau_status``.
+    projected when ``project_start``).  Each state ``u`` is projected
+    once, to ``W``.  A sweep selects at ``X = u``, or ``X = W`` when
+    ``at_projection``, records the equation residual at ``X`` and stops
+    on a tangency failure; otherwise it takes
+    ``u, AU = step(sweep, K, u, W, A X, v)`` and stops as converged when
+    the residual and the step norm meet ``config``'s tolerances and
+    ``accept(distances)``, if given, holds on the new state's nodal
+    distances to the constraint.  A step that knows the new state's
+    image ``A u`` returns it as ``AU`` (else None), and the next head at
+    ``X = u`` uses it in place of applying ``A``.  With ``residuals`` off
+    no sweep measures the equation residual or applies ``A`` for it (the
+    step sees ``A X`` only as a handed-on image, else None), so the run
+    goes on to ``config.max_iter``.  A run that uses all its sweeps gets
+    its status from ``_plateau_status``.
 
-    ``post(K, u, distances, report)`` then sees the final ``(n, N)`` state
-    and its nodal distances to the constraint; the tangency residual is
-    measured at the final ``X`` unless ``tangency`` is off or the run
-    ended on a tangency failure.  Returns a SolveReport.
+    ``post(K, u, W, distances, report)`` then sees the final ``(n, N)``
+    state, its projection and its nodal distances to the constraint; the
+    tangency residual is measured at the final ``X`` unless ``tangency``
+    is off or the run ended on a tangency failure.  Returns a SolveReport.
     """
     n, N = op.grid.n, op.spec.components
     K = C.lift(n).broadcast(N)
@@ -226,8 +227,8 @@ def _drive(op, field_, C, u0, config, step, project_start=False,
 
     history = []
     status = failure = AU = None
+    W = K.project(u)
     for it in range(1, config.max_iter + 1):
-        W = K.project(u)
         X, AX = (W, None) if at_projection else (u, AU)
         if residuals:
             r, v, failure, AX = _head(op, field_, K, X, W, AX)
@@ -238,23 +239,23 @@ def _drive(op, field_, C, u0, config, step, project_start=False,
             status = "tangency_failure"
             break
         (u, AU), u_prev = step(it, K, u, W, AX, v), u
+        W = K.project(u)
         # the step norm is taken only once the residual test holds
         if residuals and r <= config.tol_residual \
                 and op.grid.norm(u - u_prev) <= config.tol_step \
-                and (accept is None or accept(K, u)):
+                and (accept is None or accept(K._distances_at(u, W))):
             status = "converged"
             break
 
-    distances = K.distances(u)
+    distances = K._distances_at(u, W)
     report = SolveReport(
         u_star=u, residual_history=history, tangency_residual=float("inf"),
         constraint_violation=float(np.max(distances)),
         status=status or _plateau_status(history, config.tol_residual),
         iterations=it, failure=failure)
     if post is not None:
-        post(K, u, distances, report)
+        post(K, u, W, distances, report)
     if tangency and report.status != "tangency_failure":
-        W = K.project(u)
         report.tangency_residual = _tangency(
             op, field_, K, W if at_projection else u, W)
     report.u_star = _in_caller_shape(u, u0)
@@ -295,7 +296,7 @@ def resolvent_iterate(op, field_, C, u0, config=None):
             Az if config.damping == 1.0 else None
 
     report = _drive(op, field_, C, u0, config, step, project_start=True,
-                    accept=lambda K, u: float(np.max(K.distances(u)))
+                    accept=lambda distances: float(np.max(distances))
                     <= max(config.tol_step, 1e-12))
     # a failing sweep takes no step, so it would have run at the next h
     report.h_final = config.step(1 + len(checks)) \
@@ -318,7 +319,7 @@ def truncation_iterate(op, field_, alpha, beta, config=None, u0=None):
         return (1.0 - config.damping) * u \
             + config.damping * op.solve_stationary(-v), None
 
-    def localize(K, u, escape, report):
+    def localize(K, u, W, escape, report):
         if report.status == "converged" and report.constraint_violation \
                 > max(10.0 * config.tol_step, 1e-9):
             j = int(np.argmax(escape))
@@ -373,9 +374,8 @@ def viability_simulate(op, field_, C, u0, t_end, h):
         left.append(float(np.max(K._distances_at(u, W))))
         return op._resolvent(h, u + h * v)
 
-    def measure(K, u, distances, report):
+    def measure(K, u, W, distances, report):
         nonlocal terminal
-        W = K.project(u)
         vlo, vhi = _select(op, field_, None, W, W)[:2]
         terminal = _equation_residual(op, op.apply(u), vlo, vhi)
 

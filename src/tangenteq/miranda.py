@@ -6,12 +6,19 @@ nonpositive on the upper face.  When it holds (checked here on a sampled
 face grid) the cube contains a zero, and bisecting the longest axis while
 re-certifying children homes in on one.  A brute-force grid argmin backs
 the subdivision solver as an oracle in low dimension.
+
+Maps take an ``(m, dim)`` array of points, one per row, and return the
+``(m, dim)`` array of their values, so each certificate, zoom level and
+oracle grid is one call.  A map written with ``X[..., k]`` and
+``np.stack(..., axis=-1)`` serves a single point too; a pointwise ``g``
+is wrapped as ``lambda X: np.array([g(x) for x in X])``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convex import _row_norms
 from .errors import CertificateFailed, NoSignChange
 
 #: sampled margins at or below this count as exactly zero ("degenerate")
@@ -102,14 +109,13 @@ class MirandaCertificate:
         return min(f.margin for f in self.faces)
 
 
-def _face_points(cube, axis, side, resolution):
-    axes = []
-    for j in range(cube.dim):
-        if j == axis:
-            axes.append(np.array([cube.lo[axis] if side == "-" else cube.hi[axis]]))
-        else:
-            axes.append(np.linspace(cube.lo[j], cube.hi[j], resolution))
-    return _mesh_points(axes)
+def _values(f, X):
+    """``f`` on the rows of ``X``: the one place a map is called."""
+    Y = np.asarray(f(X), dtype=float)
+    if Y.shape != X.shape:
+        raise ValueError("map returned shape %s, expected %s"
+                         % (Y.shape, X.shape))
+    return Y
 
 
 def _mesh_points(axes):
@@ -127,29 +133,28 @@ def miranda_check(f, cube, resolution=9):
     """
     if resolution < 2 and cube.dim > 1:
         raise ValueError("resolution must be at least 2")
+    axes = [np.linspace(cube.lo[j], cube.hi[j], resolution)
+            for j in range(cube.dim)]
+    sides = [(k, side) for k in range(cube.dim) for side in "-+"]
+    pts = np.stack([_mesh_points(
+        axes[:k] + [(cube.lo if side == "-" else cube.hi)[k:k + 1]]
+        + axes[k + 1:]) for k, side in sides])
+    vals = _values(f, pts.reshape(-1, cube.dim)).reshape(pts.shape)
     faces = []
-    bad_point = None
-    for k in range(cube.dim):
-        for side in ("-", "+"):
-            pts = _face_points(cube, k, side, resolution)
-            vals = np.array([np.atleast_1d(f(pt))[k] for pt in pts])
-            if side == "-":
-                i = int(np.argmin(vals))
-                extreme = float(vals[i])
-                margin = extreme
-            else:
-                i = int(np.argmax(vals))
-                extreme = float(vals[i])
-                margin = -extreme
-            faces.append(FaceVerdict(axis=k, side=side, extreme_value=extreme,
-                                     margin=margin, witness=pts[i]))
-            if margin < 0 and bad_point is None:
-                bad_point = pts[i]
+    for (k, side), face_pts, face_vals in zip(sides, pts, vals):
+        # margin = f_k on the lower face, -f_k on the upper face
+        margins = (1.0 if side == "-" else -1.0) * face_vals[:, k]
+        i = int(np.argmin(margins))
+        faces.append(FaceVerdict(axis=k, side=side,
+                                 extreme_value=float(face_vals[i, k]),
+                                 margin=float(margins[i]),
+                                 witness=face_pts[i]))
     holds = all(fv.margin >= 0 for fv in faces)
     degenerate = holds and any(fv.margin <= _DEGENERATE_EPS for fv in faces)
-    return MirandaCertificate(holds=holds, degenerate=degenerate,
-                              resolution=resolution, faces=faces,
-                              witness=bad_point)
+    return MirandaCertificate(
+        holds=holds, degenerate=degenerate, resolution=resolution,
+        faces=faces,
+        witness=next((fv.witness for fv in faces if fv.margin < 0), None))
 
 
 @dataclass
@@ -199,7 +204,7 @@ def miranda_solve(f, cube, tol=1e-9, resolution=9, max_depth=200):
         depth += 1
 
     point = cube.center()
-    fval = np.atleast_1d(f(point))
+    fval = _values(f, point[None])[0]
     status = "converged" if cube.diameter() <= tol else "depth_exceeded"
     return ZeroResult(point=point, status=status, depth=depth,
                       residual_norm=float(np.linalg.norm(fval)),
@@ -218,12 +223,10 @@ def _sampled_argmin(f, cube, resolution):
     lo, hi = cube.lo.copy(), cube.hi.copy()
     best_pt, best_val = None, np.inf
     for _ in range(3):
-        axes = []
-        for j in range(cube.dim):
-            off = 0.5 * (hi[j] - lo[j]) / resolution
-            axes.append(np.linspace(lo[j] + off, hi[j] - off, resolution))
-        pts = _mesh_points(axes)
-        vals = [float(np.linalg.norm(np.atleast_1d(f(pt)))) for pt in pts]
+        off = 0.5 * (hi - lo) / resolution
+        pts = _mesh_points([np.linspace(lo[j] + off[j], hi[j] - off[j],
+                                        resolution) for j in range(cube.dim)])
+        vals = _row_norms(_values(f, pts))
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_pt, best_val = pts[i], float(vals[i])
@@ -233,21 +236,12 @@ def _sampled_argmin(f, cube, resolution):
     return best_pt, best_val
 
 
-def brute_force_zero(f, cube, grid, batched=False):
-    """Grid argmin of |f| over the cube (oracle; dimensions 1 to 3 only).
-
-    With ``batched=True`` the map is called once on an array whose last
-    axis indexes components, which is much faster for vectorized maps.
-    """
+def brute_force_zero(f, cube, grid):
+    """Grid argmin of |f| over the cube (oracle; dimensions 1 to 3 only)."""
     if cube.dim > 3:
         raise ValueError("brute force supports dimension <= 3")
     if grid ** cube.dim > 1e7:
         raise ValueError("grid too fine: %d^%d points" % (grid, cube.dim))
     pts = _mesh_points([np.linspace(cube.lo[j], cube.hi[j], grid)
                         for j in range(cube.dim)])
-    if batched:
-        vals = np.asarray(f(pts))
-        norms = np.linalg.norm(np.atleast_2d(vals), axis=-1)
-    else:
-        norms = np.array([np.linalg.norm(np.atleast_1d(f(pt))) for pt in pts])
-    return pts[int(np.argmin(norms))]
+    return pts[int(np.argmin(_row_norms(_values(f, pts))))]

@@ -211,7 +211,7 @@ def test_criterion_6_miranda_against_brute_force():
 
             res = miranda_solve(f, cube)
             assert res.status == "converged"
-            z = brute_force_zero(f, cube, grid_pts, batched=True)
+            z = brute_force_zero(f, cube, grid_pts)
             gap = float(np.max(np.abs(res.point - z))) / cell
             assert gap <= 2.0, (dim, k, gap)
             worst_cells = max(worst_cells, gap)
@@ -232,14 +232,13 @@ def test_criterion_6_miranda_against_brute_force():
             continue
         f1 = poly if poly(-1.0) > 0 else (lambda x, c=c: -poly(x, c))
         root = bolzano_bisect(f1, -1.0, 1.0, tol=1e-12)
-        res = miranda_solve(lambda x, f1=f1: np.atleast_1d(f1(float(np.ravel(x)[0]))),
-                            Cube([-1.0], [1.0]), tol=1e-12)
+        res = miranda_solve(f1, Cube([-1.0], [1.0]), tol=1e-12)
         worst_1d = max(worst_1d, abs(root - float(res.point[0])))
         made += 1
     assert worst_1d <= 1e-10
 
     elapsed = time.monotonic() - start
-    assert elapsed < 60.0
+    assert elapsed < 15.0
     _pass(6, "20 maps within %.2f oracle cells, 100 cubics within %.1e of "
              "bisection, %.1fs" % (worst_cells, worst_1d, elapsed))
 

@@ -451,7 +451,9 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
     ("simulate", "[problem]\nkind = neumann_rd\n\n[simulate]\nh = nan\n",
      1, "expected a finite number, got 'nan'"),
     ("solve", "[problem]\nkind = neumann_rd\n\n[grid]\nlength = nan\n", 1,
-     "expected a finite number, got 'nan'"),
+     "error: [grid] length: expected a finite number, got 'nan'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[grid]\nnodes = lots\n", 1,
+     "error: [grid] nodes: expected an integer, got 'lots'"),
     ("solve", "[problem]\nkind = neumann_rd\n\n[solver]\nh0 = nan\n", 1,
      "expected a finite number, got 'nan'"),
     ("solve", "[problem]\nkind = neumann_rd\n\n[operator]\nshift = nan\n",
@@ -489,6 +491,17 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
      "[miranda] tol must be positive"),
     ("miranda", MIRANDA_HEAD + "lo = -1,-1\nhi = 1,1\ntol = -1\n", 1,
      "[miranda] tol must be positive"),
+    # tolerances and budgets no run can meet
+    ("check-invariance", "[problem]\nkind = neumann_rd\n\n[invariance]\n"
+     "tol = -1\n", 1, "[invariance] tol must be non-negative"),
+    ("check-invariance", "[problem]\nkind = neumann_rd\n\n[invariance]\n"
+     "h = 0.25,0\n", 1, "[invariance] every h must be positive"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[solver]\n"
+     "tol_residual = -1\n", 1, "[solver] tol_residual must be non-negative"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[solver]\n"
+     "tol_step = -1\n", 1, "[solver] tol_step must be non-negative"),
+    ("miranda", MIRANDA_HEAD + "lo = -1,-1\nhi = 1,1\nmax_depth = -1\n", 1,
+     "[miranda] max_depth must be non-negative"),
     # a one-dimensional cube needs no face grid; a zero depth budget is a
     # legitimate depth_exceeded result
     ("miranda", "[problem]\nkind = miranda\n\n[miranda]\nlo = -1\nhi = 1\n"
@@ -506,13 +519,17 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
         "bernstein_ball_radius", "heaviside_negative_samples",
         "heaviside_fractional_samples", "heaviside_zero_samples",
         "heaviside_infinite_samples", "simulate_t_end_inf", "simulate_h_nan",
-        "grid_length_nan", "solver_h0_nan", "operator_shift_nan",
+        "grid_length_nan", "grid_nodes_word", "solver_h0_nan",
+        "operator_shift_nan",
         "profile_argument_inf", "box_lo_nan", "linear_a_nan",
         "linear_b_minus_inf", "solver_tol_residual_nan", "invariance_tol_nan",
         "bound_nan", "miranda_hi_inf", "verify_negative_seed",
         "invariance_negative_seed", "miranda_resolution_zero",
         "miranda_resolution_one", "miranda_tol_zero", "miranda_tol_negative",
-        "miranda_1d_resolution_one", "miranda_max_depth_zero"])
+        "invariance_tol_negative", "invariance_h_zero",
+        "solver_tol_residual_negative", "solver_tol_step_negative",
+        "miranda_max_depth_negative", "miranda_1d_resolution_one",
+        "miranda_max_depth_zero"])
 def test_bad_config_values_fail_at_parse_time(tmp_path, capsys, command,
                                               text, code, message):
     cfg = tmp_path / "bad.cfg"

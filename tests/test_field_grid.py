@@ -276,13 +276,37 @@ def test_relay_simulation_projects_and_applies_once_per_step(monkeypatch):
     u0 = np.random.default_rng(5).random(n)
     rep = viability_simulate(op, relay, Box([0.0], [1.0]), u0, 1.0, 0.05)
     assert rep.status == "completed" and rep.steps == 20
-    # per step: the sweep's one projection, which the selection and the
-    # distance of the state it leaves reuse; then the final distances and
-    # the terminal measure
-    assert len(projections) == 20 + 2
+    # one per state: the start and the state each step makes, which the
+    # selection, the distance of the state a step leaves, the final
+    # distances and the terminal measure reuse
+    assert len(projections) == 1 + 20
     # per step: the resolvent's guard, since no sweep measures a residual
     # the run throws away; then the terminal measure
     assert len(applies) == 20 + 1
+
+
+def test_converged_solve_projects_its_final_state_once(monkeypatch):
+    n = 101
+    op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, n))
+    linear = make_nonlinearity("linear", _PARAMS["linear"])
+    projected = []
+    project = NodewiseBox.project
+
+    def counted_project(self, U):
+        projected.append(np.array(U))
+        return project(self, U)
+
+    monkeypatch.setattr(NodewiseBox, "project", counted_project)
+    rep = resolvent_iterate(op, linear, Box([0.0], [1.0]), np.full(n, 0.2),
+                            SolverConfig(h0=0.5, max_iter=400))
+    assert rep.status == "converged" and rep.iterations == 32
+    # the start and its projection, per sweep the lifted state and the
+    # state the step makes, and the lift's distance at each checkpoint;
+    # the acceptance test, the constraint violation and the final
+    # tangency reuse the last projection
+    assert len(rep.bound_checks) == 2
+    assert len(projected) == 2 + 2 * 32 + 2
+    assert not np.array_equal(projected[-1], projected[-2])
 
 
 def test_body_simulation_projects_once_per_step():
@@ -301,7 +325,7 @@ def test_body_simulation_projects_once_per_step():
     ball.project_rows = counted
     rep = viability_simulate(op, field, ball, np.zeros((n, 2)), 1.0, 0.05)
     assert rep.status == "completed" and rep.steps == 20
-    assert len(calls) == 20 + 2
+    assert len(calls) == 1 + 20
 
 
 @pytest.mark.parametrize("cross, breach, error", [(2, 1, BoundViolated),

@@ -5,21 +5,33 @@ import pytest
 
 from tangenteq import (Cube, bolzano_bisect, miranda_check, miranda_solve,
                        brute_force_zero, NoSignChange, CertificateFailed)
+from tangenteq.miranda import _sampled_argmin
 
 
+# maps take one point per row (and so a single point too)
 def _affine(pt):
-    x, y = pt
-    return np.array([0.25 - x, -0.5 - y])
+    x, y = pt[..., 0], pt[..., 1]
+    return np.stack([0.25 - x, -0.5 - y], axis=-1)
 
 
 def _rotation(pt):
-    x, y = pt
-    return np.array([y - x, -x - y])
+    x, y = pt[..., 0], pt[..., 1]
+    return np.stack([y - x, -x - y], axis=-1)
 
 
 def _warped(pt):
-    x, y = pt
-    return np.array([np.sin(np.pi * y) - x ** 3, -x - y ** 3])
+    x, y = pt[..., 0], pt[..., 1]
+    return np.stack([np.sin(np.pi * y) - x ** 3, -x - y ** 3], axis=-1)
+
+
+def _weighted3(pt):
+    # weak cyclic coupling on the truncated weighted cube |x_k| <= 1/k
+    x, y, z = pt[..., 0], pt[..., 1], pt[..., 2]
+    return np.stack([-x + 0.3 * y, -y + 0.2 * z, -z + 0.1 * x], axis=-1)
+
+
+_SQUARE = Cube([-1.0, -1.0], [1.0, 1.0])
+_WEIGHTED_CUBE = Cube([-1.0, -0.5, -1.0 / 3.0], [1.0, 0.5, 1.0 / 3.0])
 
 
 def test_bolzano_linear():
@@ -63,8 +75,7 @@ def test_one_dimensional_solver_agrees_with_bolzano():
             continue
         f = poly if poly(a) > 0 else (lambda x, c=c: -poly(x, c))
         root = bolzano_bisect(f, a, b, tol=1e-12)
-        res = miranda_solve(lambda p, f=f: np.array([f(p[0])]),
-                            Cube([a], [b]), tol=1e-12)
+        res = miranda_solve(f, Cube([a], [b]), tol=1e-12)
         assert res.status == "converged"
         assert abs(res.point[0] - root) <= 1e-10
         done += 1
@@ -113,8 +124,8 @@ def test_failing_verdict_survives_nested_refinement():
     # the sample grids nest for resolutions 2^k + 1, so a recorded witness
     # is re-tested at every finer level and the verdict cannot flip back
     def f(pt):
-        x, y = pt
-        return np.array([0.25 - x - 1.6 * np.exp(-8.0 * y * y), -y])
+        x, y = pt[..., 0], pt[..., 1]
+        return np.stack([0.25 - x - 1.6 * np.exp(-8.0 * y * y), -y], axis=-1)
 
     cube = Cube([-1.0, -1.0], [1.0, 1.0])
     assert miranda_check(f, cube, resolution=2).holds  # spike missed
@@ -178,17 +189,60 @@ def test_solve_depth_exhaustion_still_returns_point():
 
 
 def test_weighted_three_dimensional_box():
-    # truncated weighted cube |x_k| <= 1/k with weak cyclic coupling
-    def f(pt):
-        return np.array([-pt[0] + 0.3 * pt[1],
-                         -pt[1] + 0.2 * pt[2],
-                         -pt[2] + 0.1 * pt[0]])
-
-    cube = Cube([-1.0, -0.5, -1.0 / 3.0], [1.0, 0.5, 1.0 / 3.0])
-    assert miranda_check(f, cube, resolution=5).holds
-    res = miranda_solve(f, cube, tol=1e-9)
+    assert miranda_check(_weighted3, _WEIGHTED_CUBE, resolution=5).holds
+    res = miranda_solve(_weighted3, _WEIGHTED_CUBE, tol=1e-9)
     assert res.status == "converged"
     assert np.max(np.abs(res.point)) <= 1e-9
+
+
+@pytest.mark.parametrize("f,cube,pin", [
+    (_warped, _SQUARE,
+     ([-4.656612873077393e-10, -4.656612873077393e-10], 62, 62, False)),
+    (_weighted3, _WEIGHTED_CUBE,
+     ([-4.656612873077393e-10, -4.656612873077393e-10,
+       -3.104408582051595e-10], 91, 3, False)),
+], ids=["warped", "weighted3"])
+def test_solve_pins_point_depth_and_fallbacks(f, cube, pin):
+    # the values of the point-by-point evaluation, to the last bit: the
+    # row calls change neither the child choice nor the fallback rule
+    res = miranda_solve(f, cube, tol=1e-9)
+    assert ([float(v) for v in res.point], res.depth, res.fallback_steps,
+            res.certified_path) == pin
+
+
+def test_one_map_call_per_check_zoom_level_and_grid():
+    shapes = []
+
+    def f(X):
+        shapes.append(X.shape)
+        return _affine(X)
+
+    miranda_check(f, _SQUARE, resolution=9)
+    assert shapes == [(4 * 9, 2)]
+    del shapes[:]
+    _sampled_argmin(f, _SQUARE, 9)
+    assert shapes == [(9 * 9, 2)] * 3
+    del shapes[:]
+    brute_force_zero(f, _SQUARE, grid=31)
+    assert shapes == [(31 * 31, 2)]
+    del shapes[:]
+    # the solve: whole-face checks, then the residual at the centre
+    res = miranda_solve(f, _SQUARE, tol=1e-3)
+    assert set(shapes[:-1]) == {(4 * 9, 2)} and shapes[-1] == (1, 2)
+    assert res.depth + 1 <= len(shapes) - 1 <= 2 * res.depth + 1
+
+
+@pytest.mark.parametrize("pointwise", [
+    lambda p: np.array([0.25 - p[0], -0.5 - p[1]]),
+    lambda p: np.array([1.0, -1.0]),
+], ids=["indexed", "constant"])
+def test_pointwise_map_is_rejected_by_shape(pointwise):
+    for call in (lambda: miranda_check(pointwise, _SQUARE),
+                 lambda: miranda_solve(pointwise, _SQUARE),
+                 lambda: _sampled_argmin(pointwise, _SQUARE, 9),
+                 lambda: brute_force_zero(pointwise, _SQUARE, grid=11)):
+        with pytest.raises(ValueError, match=r"map returned shape \("):
+            call()
 
 
 def test_brute_force_affine_and_gridded_roots():
@@ -196,22 +250,22 @@ def test_brute_force_affine_and_gridded_roots():
     z = brute_force_zero(_affine, cube2, grid=101)
     assert abs(z[0] - 0.25) <= 0.011
     assert z[1] == pytest.approx(-0.5, abs=1e-12)
-    z1 = brute_force_zero(lambda p: np.array([p[0] - 0.3]),
-                          Cube([0.0], [1.0]), grid=11)
+    z1 = brute_force_zero(lambda p: p - 0.3, Cube([0.0], [1.0]), grid=11)
     assert z1[0] == pytest.approx(0.3, abs=1e-12)
     zr = brute_force_zero(_rotation, cube2, grid=101)
     assert np.max(np.abs(zr)) <= 1e-12
 
 
-def test_brute_force_batched_matches_loop():
-    cube = Cube([-1.0, -1.0], [1.0, 1.0])
-
-    def fb(pts):
-        x, y = pts[..., 0], pts[..., 1]
-        return np.stack([0.25 - x, -0.5 - y], axis=-1)
-
-    assert np.array_equal(brute_force_zero(_affine, cube, grid=31),
-                          brute_force_zero(fb, cube, grid=31, batched=True))
+def test_brute_force_matches_a_loop_over_the_grid():
+    xs = np.linspace(-1.0, 1.0, 31)
+    best, best_norm = None, np.inf
+    for x in xs:
+        for y in xs:
+            pt = np.array([x, y])
+            norm = np.linalg.norm(_warped(pt))
+            if norm < best_norm:
+                best, best_norm = pt, norm
+    assert np.array_equal(brute_force_zero(_warped, _SQUARE, grid=31), best)
 
 
 def test_brute_force_guards():
