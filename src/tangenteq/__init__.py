@@ -14,24 +14,21 @@ from .errors import (TangentEqError, PointNotInSet, BoundViolated,
 from .convex import (CONE_TOL, ConeQueryResult, ConvexBody, Box, Ball,
                      Simplex, HalfspaceIntersection, MovingBox, NodewiseBox,
                      numeric_tangent_quotient, selection_on_intervals)
-from .fields import (SetValue, GraphApproxConfig, NonlinearityField,
-                     SingleValued, IntervalValued, FilippovHull,
-                     tangent_selection, validate_graph_approximation,
+from .fields import (SetValue, NonlinearityField, SingleValued,
+                     IntervalValued, FilippovHull, tangent_selection,
                      semicontinuity_probe)
 from .miranda import (Cube, FaceVerdict, MirandaCertificate, ZeroResult,
                       bolzano_bisect, miranda_check, miranda_solve,
                       brute_force_zero)
 from .operators import (Grid1D, OperatorSpec, DiscreteOperator, assemble,
-                        quadratic_form, gradient_seminorm_sq,
-                        garding_constants, semigroup_powers,
-                        InvarianceReport, invariance_audit)
+                        semigroup_powers, InvarianceReport, invariance_audit)
 from .equilibrium import (SolverConfig, SolveReport, TrajectoryReport,
                           resolvent_iterate, truncation_iterate,
                           viability_simulate, residual)
 from .problems import (NONLINEARITY_NAMES, make_nonlinearity,
-                       StateShiftedField, as_field, make_bernstein_problem,
-                       ConditionItem, ConditionReport, verify_tangency,
-                       verify_bernstein, verify_subsuper)
+                       StateShiftedField, as_field, ConditionItem,
+                       ConditionReport, verify_tangency, verify_bernstein,
+                       verify_subsuper)
 from .config import ProblemSpec, parse_config, load_config, serialize
 
 __version__ = "0.1.0"
@@ -42,19 +39,17 @@ __all__ = [
     "CONE_TOL", "ConeQueryResult", "ConvexBody", "Box", "Ball", "Simplex",
     "HalfspaceIntersection", "MovingBox", "NodewiseBox",
     "numeric_tangent_quotient",
-    "SetValue", "GraphApproxConfig", "NonlinearityField", "SingleValued",
-    "IntervalValued", "FilippovHull", "selection_on_intervals",
-    "tangent_selection", "validate_graph_approximation",
+    "SetValue", "NonlinearityField", "SingleValued", "IntervalValued",
+    "FilippovHull", "selection_on_intervals", "tangent_selection",
     "semicontinuity_probe",
     "Cube", "FaceVerdict", "MirandaCertificate", "ZeroResult",
     "bolzano_bisect", "miranda_check", "miranda_solve", "brute_force_zero",
     "Grid1D", "OperatorSpec", "DiscreteOperator", "assemble",
-    "quadratic_form", "gradient_seminorm_sq", "garding_constants",
     "semigroup_powers", "InvarianceReport", "invariance_audit",
     "SolverConfig", "SolveReport", "TrajectoryReport", "resolvent_iterate",
     "truncation_iterate", "viability_simulate", "residual",
     "NONLINEARITY_NAMES", "make_nonlinearity",
-    "StateShiftedField", "as_field", "make_bernstein_problem",
+    "StateShiftedField", "as_field",
     "ConditionItem", "ConditionReport", "verify_tangency",
     "verify_bernstein", "verify_subsuper",
     "ProblemSpec", "parse_config", "load_config", "serialize",

@@ -13,15 +13,21 @@ Fields evaluate whole grids only: ``evaluate_grid(xs, U, P)`` takes the
 case, returned as a ``SetValue``.  Every row is checked against the
 envelope, and the first row that breaches it raises BoundViolated.
 
-``vectorized`` only chooses how a field's functions are called.  With
-it, a function is called once per grid: it receives the positions as an
-``(m, 1)`` column and ``U``, ``P`` as they are, and must return an array
-that broadcasts to ``(m, N)``, with elementwise the same values as ``m``
-calls on the rows.  Without it (the default, since a user callable may
-take scalars only) the function is called row by row on a position and
-two 1-D rows, and must return ``N`` components.  The catalog fields of
-``problems`` all set it.  A relay hull draws each state's rays in one
-call and calls ``g`` on every state's centre and probes together.
+A field calls each of its functions once per grid: a function receives
+the positions as an ``(m, 1)`` column and ``U``, ``P`` as they are, and
+must return an array that broadcasts to ``(m, N)``.  A callable
+``bound`` is called once, on the length-``m`` position vector.  A
+pointwise ``g`` that takes one state at a time is wrapped as
+
+    lambda x, u, p: np.array([g(a, b, c)
+                              for a, b, c in zip(x[:, 0], u, p)])
+
+Every probe comes from one table, ``_probe_table(seed, count, dim)``:
+the ``2 * dim`` axis points ``+-e_i`` first, then unit-ball rays drawn
+from ``seed``, cut to ``count`` rows.  A relay hull probes every state
+with the same table, scaled by delta, and calls ``g`` on every state's
+centre and probes together; ``semicontinuity_probe`` draws its probes
+from the same table.
 
 ``tangent_selection`` picks the minimal-norm admissible value that is also
 tangent to the constraint set at ``u``: it evaluates the field once and
@@ -31,13 +37,12 @@ sweeps make the same selection at every node through the lifted body's
 verifiers hunt for.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convex import CONE_TOL, _row_norms
-from .errors import BoundViolated, InvalidSpec
+from .errors import BoundViolated
 
 
 @dataclass
@@ -71,51 +76,20 @@ class SetValue:
         return bool(np.all(self.hi - self.lo <= tol))
 
 
-@dataclass
-class GraphApproxConfig:
-    """Knobs for the sampled graph-approximation check."""
-
-    epsilon: float
-    sample_count: int = 128
-    perturbation_radius: float = None
-
-    def radius(self):
-        r = self.epsilon if self.perturbation_radius is None else self.perturbation_radius
-        # membership is quantified over perturbations strictly inside the
-        # epsilon ball, so never search past it
-        return min(r, self.epsilon) * (1.0 - 1e-9)
-
-
-def _components(value, n):
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    if v.size != n:
-        raise ValueError("field returned %d components, expected %d" % (v.size, n))
-    return v.astype(float)
-
-
-def _grid_components(value, shape):
-    v = np.asarray(value, dtype=float)
-    try:
-        return np.array(np.broadcast_to(v, shape))
-    except ValueError:
-        raise ValueError("field returned shape %s, expected %s"
-                         % (v.shape, shape)) from None
-
-
 def _sup_norms(lo, hi):
     """``SetValue(lo[j], hi[j]).sup_norm()`` for every row, bit for bit."""
     return _row_norms(np.maximum(np.abs(lo), np.abs(hi)))
 
 
-def _call(g, vectorized, xs, U, P, N):
-    """``g`` at the states ``(xs[j], U[j], P[j])`` as an ``(m, N)`` array:
-    one call on the whole grid when ``vectorized``, else one per row."""
-    if vectorized:
-        return _grid_components(g(xs[:, None], U, P), (len(xs), N))
-    y = np.empty((len(xs), N))
-    for j in range(len(xs)):
-        y[j] = _components(g(xs[j], U[j], P[j]), N)
-    return y
+def _call(g, xs, U, P, N):
+    """``g`` at the states ``(xs[j], U[j], P[j])`` as an ``(m, N)`` array,
+    from one call on the whole grid."""
+    v = np.asarray(g(xs[:, None], U, P), dtype=float)
+    try:
+        return np.array(np.broadcast_to(v, (len(xs), N)))
+    except ValueError:
+        raise ValueError("field returned shape %s, expected %s"
+                         % (v.shape, (len(xs), N))) from None
 
 
 class NonlinearityField:
@@ -123,14 +97,12 @@ class NonlinearityField:
 
     ``bound`` may be a constant or a function of position; when set,
     every evaluation is checked against it and BoundViolated is raised
-    on escape.  ``vectorized`` says how the field's functions are called
-    (see the module docstring).
+    on escape.
     """
 
-    def __init__(self, components, bound=None, vectorized=False):
+    def __init__(self, components, bound=None):
         self.components = int(components)
         self.bound = bound
-        self.vectorized = bool(vectorized)
 
     def evaluate(self, x, u, p):
         """The value box at the one state ``(x, u, p)``: the one-row case
@@ -155,10 +127,8 @@ class NonlinearityField:
         """The envelope on every row; the first breach raises."""
         if self.bound is None:
             return
-        if callable(self.bound):
-            b = np.array([self.bound(x) for x in xs], dtype=float)
-        else:
-            b = np.full(len(xs), float(self.bound))
+        b = self.bound(xs) if callable(self.bound) else self.bound
+        b = np.broadcast_to(np.asarray(b, dtype=float), xs.shape)
         worst = _sup_norms(lo, hi)
         breach = np.flatnonzero(worst > b + 1e-9 * (1.0 + np.abs(b)))
         if breach.size:
@@ -171,27 +141,26 @@ class NonlinearityField:
 class SingleValued(NonlinearityField):
     """Pointwise function ``g(x, u, p)`` seen as a singleton interval."""
 
-    def __init__(self, g, components=1, bound=None, vectorized=False):
-        super().__init__(components, bound, vectorized)
+    def __init__(self, g, components=1, bound=None):
+        super().__init__(components, bound)
         self.g = g
 
     def _grid_value(self, xs, U, P):
-        y = _call(self.g, self.vectorized, xs, U, P, self.components)
+        y = _call(self.g, xs, U, P, self.components)
         return y, y.copy()
 
 
 class IntervalValued(NonlinearityField):
     """Explicit interval bounds ``[g_lo(x,u,p), g_hi(x,u,p)]``."""
 
-    def __init__(self, g_lo, g_hi, components=1, bound=None,
-                 vectorized=False):
-        super().__init__(components, bound, vectorized)
+    def __init__(self, g_lo, g_hi, components=1, bound=None):
+        super().__init__(components, bound)
         self.g_lo = g_lo
         self.g_hi = g_hi
 
     def _grid_value(self, xs, U, P):
-        lo, hi = (_call(g, self.vectorized, xs, U, P, self.components)
-                  for g in (self.g_lo, self.g_hi))
+        lo = _call(self.g_lo, xs, U, P, self.components)
+        hi = _call(self.g_hi, xs, U, P, self.components)
         crossed = np.flatnonzero(np.any(lo > hi, axis=1))
         if crossed.size:
             # the rows before the crossing meet the envelope first
@@ -204,55 +173,44 @@ class IntervalValued(NonlinearityField):
 class FilippovHull(NonlinearityField):
     """Sampled interval hull of ``g`` over a delta-ball around the state.
 
-    The hull is an inner approximation of the exact convexification that
-    grows with ``sample_count``.  Sampling is deterministic: the rng seed
-    is derived from the state itself (``-0.0`` counts as ``0.0``), each
-    state's rays come from one row-major draw (so a larger sample count
-    extends, never reshuffles, a smaller one) and rays are scaled by
-    delta (so a larger delta moves each probe outward along the same
-    direction).  Both monotonicity properties follow for monotone jumps,
-    and concurrent evaluations at different states are independent.
-    ``g`` is called on every state's centre and probes together: once
-    per grid with ``vectorized=True``, once per probe without.
+    The hull spans ``g`` at the state and at the state plus delta times
+    each row of the probe table drawn from ``base_seed``.  Every probe
+    lies in the closed delta-ball, so the hull is an inner approximation
+    of the exact convexification, and it grows with ``sample_count``: a
+    larger count extends the table, never reshuffles it.  A larger delta
+    moves each probe outward along the same direction.  Both
+    monotonicity properties follow for monotone jumps.  The axis points
+    put into the hull a jump along any one coordinate within delta of
+    the state.  Every state uses the same table, so the hull is a pure
+    function of the state.  ``g`` is called once per grid, on every
+    state's centre and probes together.
     """
 
     def __init__(self, g, delta, sample_count=64, components=1,
-                 bound=None, base_seed=0, vectorized=False):
-        super().__init__(components, bound, vectorized)
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        if not (float(sample_count).is_integer() and sample_count >= 1):
-            raise ValueError("samples must be an integer of at least 1, "
-                             "got %r" % (sample_count,))
+                 bound=None, base_seed=0):
+        super().__init__(components, bound)
         self.g = g
-        self.delta = float(delta)
-        self.sample_count = int(sample_count)
+        self.delta, self.sample_count = _probe_args(delta, sample_count)
         self.base_seed = int(base_seed)
 
-    def _state_rng(self, state):
-        """The rng of one stacked state row ``(x, u..., p...)``."""
-        h = hashlib.blake2b(digest_size=8)
-        h.update(np.int64(self.base_seed).tobytes())
-        h.update(state.tobytes())
-        return np.random.default_rng(int.from_bytes(h.digest(), "little"))
-
     def _grid_value(self, xs, U, P):
-        # adding 0.0 turns -0.0 into 0.0, so signed zeros share a seed
-        S = np.column_stack([xs, U, P]) + 0.0
-        m, dim = S.shape
-        count = self.sample_count
-        rays = np.empty((m, count, dim))
-        for j in range(m):
-            rays[j] = unit_ball_rays(self._state_rng(S[j]), count, dim)
-        # every state's centre, then its probes
-        probes = np.concatenate([S[:, None, :],
-                                 S[:, None, :] + self.delta * rays], axis=1)
-        probes = probes.reshape(m * (1 + count), dim)
-        k = np.shape(U)[1]
         N = self.components
-        y = _call(self.g, self.vectorized, probes[:, 0], probes[:, 1:1 + k],
-                  probes[:, 1 + k:], N).reshape(m, 1 + count, N)
+        y = _call(self.g, *_probe_grid(self.base_seed, self.sample_count,
+                                       self.delta, xs, U, P), N)
+        y = y.reshape(len(xs), -1, N)
         return y.min(axis=1), y.max(axis=1)
+
+
+def _probe_args(delta, count):
+    """``(delta, count)`` as a probe radius and a probe count, checked
+    once for every user of the probe table: a finite positive float and
+    an integer of at least 1."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive")
+    if not (float(count).is_integer() and count >= 1):
+        raise ValueError("samples must be an integer of at least 1, "
+                         "got %r" % (count,))
+    return float(delta), int(count)
 
 
 def unit_ball_rays(rng, count, dim):
@@ -270,16 +228,30 @@ def unit_ball_rays(rng, count, dim):
     return d[:, :dim] / nd[:, None]
 
 
-def _probe_grid(rng, count, radius, x, u, p):
-    """The state ``(x, u, p)`` and the ``count`` probes ``(x, u, p) +
-    radius * ray`` over unit-ball rays, as arrays ``(X, U, P)`` with one
-    row per state, the centre first."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    k = u.size
-    dx = radius * unit_ball_rays(rng, count, 1 + k + p.size)
-    return (np.r_[x, x + dx[:, 0]], np.vstack([u, u + dx[:, 1:1 + k]]),
-            np.vstack([p, p + dx[:, 1 + k:]]))
+def _probe_table(seed, count, dim):
+    """The probe table: ``count`` points of the closed unit ball in
+    ``dim`` dimensions.  The axis points ``e_0, -e_0, e_1, -e_1, ...``
+    come first, then ``unit_ball_rays`` drawn from ``seed``, and the
+    table is cut to ``count`` rows, so a larger ``count`` extends a
+    smaller table."""
+    axes = np.stack([np.eye(dim), -np.eye(dim)], axis=1).reshape(-1, dim)
+    rays = unit_ball_rays(np.random.default_rng(seed),
+                          max(count - 2 * dim, 0), dim)
+    return np.vstack([axes, rays])[:count]
+
+
+def _probe_grid(seed, count, radius, xs, U, P):
+    """Every state ``(xs[j], U[j], P[j])``, then its ``count`` probes: the
+    state plus ``radius`` times each row of the probe table drawn from
+    ``seed``.  Returned as arrays ``(X, U, P)`` with ``1 + count`` rows
+    per state, the state first."""
+    S = np.column_stack([xs, U, P])
+    dim = S.shape[1]
+    offsets = np.vstack([np.zeros(dim),
+                         radius * _probe_table(seed, count, dim)])
+    probes = (S[:, None, :] + offsets).reshape(-1, dim)
+    k = np.shape(U)[1]
+    return probes[:, 0], probes[:, 1:1 + k], probes[:, 1 + k:]
 
 
 def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
@@ -294,66 +266,24 @@ def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
     return body.tangent_value(u, val.lo, val.hi, tol, gap_tol)
 
 
-@dataclass
-class GraphCheckReport:
-    """Outcome of the sampled graph-approximation validation."""
-
-    pass_fraction: float
-    worst_gap: float
-    tested: int
-    failures: list
-
-
-def validate_graph_approximation(f, field, cfg, states, seed=0):
-    """Check that ``f`` lands within ``epsilon`` of field values taken at
-    perturbed states (search radius inside the epsilon ball).
-
-    ``states`` is a sequence of ``(x, u, p)`` triples.  For each one the
-    check looks for some nearby state whose value box comes within
-    ``epsilon`` of ``f``; the reported gap per state is the best distance
-    found, and the report carries the failing indices.
-    """
-    if len(states) < 1:
-        # an empty state list would pass with no evidence
-        raise InvalidSpec("states must hold at least one state")
-    rng = np.random.default_rng(seed)
-    gaps = []
-    failures = []
-    for idx, (x, u, p) in enumerate(states):
-        y = np.atleast_1d(np.asarray(f(x, u, p), dtype=float))
-        best = field.evaluate(x, u, p).distance(y)
-        if best > 0.0:
-            # every ray is drawn before the first probe, so stopping
-            # early leaves ``rng`` where a full pass would
-            X, U, P = _probe_grid(rng, cfg.sample_count, cfg.radius(),
-                                  x, u, p)
-            for j in range(1, len(X)):
-                best = min(best, field.evaluate(X[j], U[j], P[j]).distance(y))
-                if best == 0.0:
-                    break
-        gaps.append(best)
-        if best > cfg.epsilon + 1e-12:
-            failures.append((idx, best))
-    return GraphCheckReport(
-        pass_fraction=1.0 - len(failures) / len(states),
-        worst_gap=float(np.max(gaps)),
-        tested=len(states),
-        failures=failures)
-
-
 def semicontinuity_probe(field, x, u, p, delta, sample_count=64, seed=0):
     """Worst one-sided excess of nearby value boxes over the one at the
     probed state.  Small excess across shrinking delta is the numerical
     signature of upper semicontinuity; a jump that stays out of the value
-    box keeps the excess pinned at the jump size.  The probes are
-    evaluated in one ``evaluate_grid`` call, so a probe that breaches the
-    envelope raises as ``evaluate`` would at the first such probe.
+    box keeps the excess pinned at the jump size.  The probes are the
+    rows of the probe table drawn from ``seed``, scaled by ``delta``.  The
+    state and its probes are evaluated in one ``evaluate_grid`` call, so
+    a state or probe that breaches the envelope raises as ``evaluate``
+    would at the first such one.  A delta that is not finite and
+    positive, or a ``sample_count`` that is not an integer of at least 1,
+    raises ValueError.
     """
-    base = field.evaluate(x, u, p)
-    X, U, P = (a[1:] for a in _probe_grid(np.random.default_rng(seed),
-                                          sample_count, delta, x, u, p))
-    lo, hi = field.evaluate_grid(X, U, P)
-    # ``SetValue.excess_over(base)`` row by row; a NaN excess never wins
-    excess = _row_norms(np.maximum(0.0, np.maximum(base.lo - lo,
-                                                   hi - base.hi)))
+    delta, count = _probe_args(delta, sample_count)
+    lo, hi = field.evaluate_grid(*_probe_grid(
+        seed, count, delta, np.atleast_1d(x), np.atleast_2d(u),
+        np.atleast_2d(p)))
+    # ``SetValue.excess_over`` of each probe over the state; a NaN excess
+    # never wins
+    excess = _row_norms(np.maximum(0.0, np.maximum(lo[:1] - lo[1:],
+                                                   hi[1:] - hi[:1])))
     return float(np.max(excess, initial=0.0, where=~np.isnan(excess)))

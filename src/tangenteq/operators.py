@@ -375,62 +375,6 @@ def _tridiagonal_solver(dl, d, du):
     return solve
 
 
-def _as_operator(spec, grid):
-    if isinstance(spec, DiscreteOperator):
-        return spec
-    return assemble(spec, grid)
-
-
-def quadratic_form(spec, grid, U, V):
-    """Discrete drift-diffusion form  sum_cells dx * (d u' v' + gamma u' vbar).
-
-    ``spec`` may be an OperatorSpec (assembled on ``grid``) or an already
-    assembled operator.  Gradients live on cell midpoints, the drift
-    factor pairs them with the midpoint average of v, and the diffusion
-    part matches -<A u, u> under trapezoid weights exactly (for gamma = 0,
-    no shift).  The operator's diagonal shift is deliberately not part of
-    the form.
-    """
-    op = _as_operator(spec, grid)
-    U = np.asarray(U, dtype=float).reshape(op.grid.n, -1)
-    V = np.asarray(V, dtype=float).reshape(op.grid.n, -1)
-    dx = op.grid.dx
-    if op.grid.periodic:
-        du = (np.roll(U, -1, axis=0) - U) / dx
-        dv = (np.roll(V, -1, axis=0) - V) / dx
-        vbar = 0.5 * (np.roll(V, -1, axis=0) + V)
-        gmid = 0.5 * (np.roll(op.gamma_nodes, -1) + op.gamma_nodes)
-        dmid = op.d_mid
-    else:
-        du = np.diff(U, axis=0) / dx
-        dv = np.diff(V, axis=0) / dx
-        vbar = 0.5 * (V[1:] + V[:-1])
-        gmid = 0.5 * (op.gamma_nodes[1:] + op.gamma_nodes[:-1])
-        dmid = op.d_mid
-    diff_part = np.sum(dmid[:, None] * du * dv) * dx
-    drift_part = np.sum(gmid[:, None] * du * vbar) * dx
-    return float(diff_part + drift_part)
-
-
-def gradient_seminorm_sq(spec, grid, U):
-    """``sum_cells dx |u'|^2`` with midpoint gradients (periodic wraps)."""
-    op = _as_operator(spec, grid)
-    U = np.asarray(U, dtype=float).reshape(op.grid.n, -1)
-    dx = op.grid.dx
-    if op.grid.periodic:
-        du = (np.roll(U, -1, axis=0) - U) / dx
-    else:
-        du = np.diff(U, axis=0) / dx
-    return float(np.sum(du * du) * dx)
-
-
-def garding_constants(op):
-    """(c, C) with  c * |u'|^2 <= form(u,u) + C * |u|^2  for every u."""
-    c = 0.5 * op.d_floor
-    C = op.gamma_sup ** 2 / (2.0 * op.d_floor) if op.gamma_sup > 0 else 0.0
-    return c, C
-
-
 def semigroup_powers(op, t, m, U):
     """Repeated resolvent steps ``(I - (t/m) A)^{-m} U`` (first-order
     approximation of the flow at time t; exact as m grows)."""

@@ -2,8 +2,8 @@
 
 The catalog side builds the pieces a concrete run needs: named
 nonlinearities (single-valued, interval, relay hulls, tabulated data)
-and the second-order boundary-value assembly used for gradient-dependent
-problems on a ball constraint.
+and the state shift that ``ProblemSpec`` wraps around the field of a
+gradient-dependent problem on a ball constraint (``bernstein_bvp``).
 
 The verifier side turns the structural hypotheses behind the solvers into
 sampled checks with margins and witnesses:
@@ -31,7 +31,6 @@ from .convex import Ball, Box, MovingBox, _row_dots, _row_norms
 from .errors import InvalidSpec
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
                      SingleValued, _sup_norms)
-from .operators import Grid1D, OperatorSpec, assemble
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +41,14 @@ def _linear(params, components, bound, seed):
     a = float(params.get("a", 0.5))
     b = float(params.get("b", -1.0))
     return SingleValued(lambda x, u, p: a + b * u,
-                        components=components, bound=bound, vectorized=True)
+                        components=components, bound=bound)
 
 
 def _logistic(params, components, bound, seed):
     r = float(params.get("r", 1.0))
     theta = float(params.get("theta", 0.4))
     return SingleValued(lambda x, u, p: r * u * (1.0 - u) * (u - theta),
-                        components=components, bound=bound, vectorized=True)
+                        components=components, bound=bound)
 
 
 def _constant(params, components, bound, seed):
@@ -57,7 +56,7 @@ def _constant(params, components, bound, seed):
     hi = float(params.get("hi", lo))
     return IntervalValued(lambda x, u, p: np.full(components, lo),
                           lambda x, u, p: np.full(components, hi),
-                          components=components, bound=bound, vectorized=True)
+                          components=components, bound=bound)
 
 
 def _heaviside(params, components, bound, seed):
@@ -66,14 +65,9 @@ def _heaviside(params, components, bound, seed):
     threshold = float(params.get("threshold", 0.5))
     delta = float(params.get("delta", 0.05))
 
-    def relay(x, u, p):
-        u = np.atleast_1d(u)
-        return np.where(u < threshold, off, on)
-
-    return FilippovHull(relay, delta,
-                        sample_count=params.get("samples", 64),
-                        components=components, bound=bound, base_seed=seed,
-                        vectorized=True)
+    return FilippovHull(lambda x, u, p: np.where(u < threshold, off, on),
+                        delta, sample_count=params.get("samples", 64),
+                        components=components, bound=bound, base_seed=seed)
 
 
 def _tabulated(params, components, bound, seed):
@@ -86,7 +80,7 @@ def _tabulated(params, components, bound, seed):
     order = np.argsort(data[:, 0])
     knots, vals = data[order, 0], data[order, 1]
     return SingleValued(lambda x, u, p: np.interp(u, knots, vals),
-                        components=components, bound=bound, vectorized=True)
+                        components=components, bound=bound)
 
 
 _CATALOG = {
@@ -145,23 +139,6 @@ def as_field(phi, components=1, bound=None):
     if isinstance(phi, NonlinearityField):
         return phi
     return SingleValued(phi, components=components, bound=bound)
-
-
-def make_bernstein_problem(phi, R, c, n, length=1.0, bound=None):
-    """Assemble u'' + phi(x, u, u') = 0, |u| <= R, zero boundary values.
-
-    The operator carries the ``+c*u`` zeroth-order term (negative shift)
-    and the field hands back ``phi - c*u``, so their sum is the original
-    equation while the resolvent sees the coercive linear part.
-    Returns (operator, field, ball_constraint).
-    """
-    if R <= 0:
-        raise ValueError("radius must be positive")
-    spec = OperatorSpec(d=1.0, gamma=0.0, bc="dirichlet", shift=-float(c),
-                        components=1)
-    op = assemble(spec, Grid1D(length, n))
-    fld = StateShiftedField(as_field(phi, bound=bound), c)
-    return op, fld, Ball(np.zeros(1), float(R))
 
 
 # ---------------------------------------------------------------------------

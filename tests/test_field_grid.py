@@ -1,4 +1,4 @@
-"""Whole-grid field evaluation: ``evaluate_grid`` against the row loop."""
+"""Whole-grid field evaluation: ``evaluate_grid`` against one-row calls."""
 
 import numpy as np
 import pytest
@@ -47,24 +47,12 @@ def grid_states(draw):
     return xs, U.reshape(m, N), P.reshape(m, N)
 
 
-def _unflagged(field):
-    """The same field with its functions called on one state at a time."""
-    if isinstance(field, StateShiftedField):
-        return StateShiftedField(_unflagged(field.base), field.c)
-    kw = dict(components=field.components, bound=field.bound)
-    if isinstance(field, FilippovHull):
-        return FilippovHull(field.g, field.delta, field.sample_count,
-                            base_seed=field.base_seed, **kw)
-    if isinstance(field, IntervalValued):
-        return IntervalValued(field.g_lo, field.g_hi, **kw)
-    return SingleValued(field.g, **kw)
-
-
 def _row_loop(field, xs, U, P):
-    """The row loop over the unflagged twin of ``field``."""
-    twin = _unflagged(field)
-    vals = [twin.evaluate(xs[j], U[j], P[j]) for j in range(len(xs))]
-    return (np.array([v.lo for v in vals]), np.array([v.hi for v in vals]))
+    """``field`` on one state at a time: one-row ``evaluate_grid`` calls,
+    stacked."""
+    rows = [field.evaluate_grid(xs[j:j + 1], U[j:j + 1], P[j:j + 1])
+            for j in range(len(xs))]
+    return tuple(np.concatenate(side) for side in zip(*rows))
 
 
 def _assert_same_boxes(grid_boxes, row_boxes):
@@ -86,25 +74,11 @@ def _outcome(fn):
 def test_grid_evaluation_equals_the_row_loop(table, name, states, c, seed):
     xs, U, P = states
     field = _catalog(name, U.shape[1], table, seed=seed)
-    assert field.vectorized
     _assert_same_boxes(field.evaluate_grid(xs, U, P),
                        _row_loop(field, xs, U, P))
     shifted = StateShiftedField(field, c)
     _assert_same_boxes(shifted.evaluate_grid(xs, U, P),
                        _row_loop(shifted, xs, U, P))
-
-
-@settings(max_examples=40, deadline=None)
-@given(states=grid_states(), seed=st.integers(0, 3))
-def test_batched_hull_keeps_the_scalar_draw_stream(states, seed):
-    xs, U, P = states
-    hull = _catalog("heaviside", U.shape[1], None, seed=seed)
-    scalar = FilippovHull(hull.g, hull.delta, sample_count=hull.sample_count,
-                          components=hull.components,
-                          base_seed=hull.base_seed)
-    assert not scalar.vectorized
-    _assert_same_boxes(hull.evaluate_grid(xs, U, P),
-                       scalar.evaluate_grid(xs, U, P))
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,53 +98,32 @@ def test_grid_envelope_breach_names_the_row_loop_node(name, states, level,
         _assert_same_boxes(got, want)
 
 
-def test_unflagged_callable_goes_through_the_row_fallback():
-    seen = []
-
-    def g(x, u, p):
-        seen.append((np.ndim(x), np.shape(u)))
-        return 0.5 - u
-
-    field = SingleValued(g, components=2)
-    xs = np.linspace(0.0, 1.0, 5)
-    U = np.arange(10.0).reshape(5, 2)
-    lo, hi = field.evaluate_grid(xs, U, np.zeros((5, 2)))
-    assert seen == [(0, (2,))] * 5
-    assert np.array_equal(lo, 0.5 - U) and np.array_equal(hi, 0.5 - U)
-
-
-def _wrong_fields(vectorized):
+def _wrong_fields():
     """Two-component fields whose function returns three components per
-    state: a whole grid's worth when ``vectorized``, one state's worth
-    otherwise."""
+    state."""
     def g(x, u, p):
-        return np.zeros((len(u), 3)) if vectorized else np.zeros(3)
+        return np.zeros((len(u), 3))
 
     def ok(x, u, p):
         return np.zeros(np.shape(u))
 
-    return {"single": SingleValued(g, 2, vectorized=vectorized),
-            "interval": IntervalValued(g, ok, 2, vectorized=vectorized),
-            "hull": FilippovHull(g, 0.05, sample_count=4, components=2,
-                                 vectorized=vectorized)}
+    return {"single": SingleValued(g, 2),
+            "interval": IntervalValued(g, ok, 2),
+            "hull": FilippovHull(g, 0.05, sample_count=4, components=2)}
 
 
 @pytest.mark.parametrize("name", ["single", "interval", "hull"])
 def test_shape_errors_name_what_the_field_returned(name):
     xs, U = np.arange(3.0), np.zeros((3, 2))
+    # a hull calls its function on the centres and the probes together
     rows = 3 * 5 if name == "hull" else 3
     with pytest.raises(ValueError, match=r"^field returned shape \(%d, 3\), "
                        r"expected \(%d, 2\)$" % (rows, rows)):
-        _wrong_fields(True)[name].evaluate_grid(xs, U, U)
-    message = "^field returned 3 components, expected 2$"
-    with pytest.raises(ValueError, match=message):
-        _wrong_fields(False)[name].evaluate_grid(xs, U, U)
-    with pytest.raises(ValueError, match=message):
-        _wrong_fields(False)[name].evaluate(0.5, [0.0, 0.0], [0.0, 0.0])
-    # a hull calls its function on the centre and the probes together
-    with pytest.raises(ValueError, match=r"^field returned shape \(5, 3\), "
-                       r"expected \(5, 2\)$"):
-        _wrong_fields(True)["hull"].evaluate(0.5, [0.0, 0.0], [0.0, 0.0])
+        _wrong_fields()[name].evaluate_grid(xs, U, U)
+    rows = 5 if name == "hull" else 1
+    with pytest.raises(ValueError, match=r"^field returned shape \(%d, 3\), "
+                       r"expected \(%d, 2\)$" % (rows, rows)):
+        _wrong_fields()[name].evaluate(0.5, [0.0, 0.0], [0.0, 0.0])
 
 
 def test_evaluate_is_the_one_row_grid_call():
@@ -180,14 +133,30 @@ def test_evaluate_is_the_one_row_grid_call():
         seen.append((np.shape(x), np.shape(u), np.shape(p)))
         return 0.5 - u
 
-    val = SingleValued(g, components=2, vectorized=True).evaluate(
+    val = SingleValued(g, components=2).evaluate(
         0.5, [1.0, 2.0], [0.0, 0.0])
     assert seen == [((1, 1), (1, 2), (1, 2))]
     assert val.lo.tolist() == val.hi.tolist() == [-0.5, -1.5]
 
 
+def test_a_callable_envelope_is_called_once_on_the_positions():
+    seen = []
+
+    def bound(x):
+        seen.append(np.shape(x))
+        return 1.0 + x
+
+    field = SingleValued(lambda x, u, p: u, bound=bound)
+    xs, U = np.linspace(0.0, 1.0, 7), np.full((7, 1), 0.9)
+    field.evaluate_grid(xs, U, np.zeros((7, 1)))
+    assert seen == [(7,)]
+    U[2] = 1.5
+    with pytest.raises(BoundViolated, match="envelope 1.33333 at x=0.333333$"):
+        field.evaluate_grid(xs, U, np.zeros((7, 1)))
+
+
 class _CountingGrid:
-    """A vectorized field function that counts its calls and their rows."""
+    """A field function that counts its calls and their rows."""
 
     def __init__(self, g):
         self.g = g
@@ -202,7 +171,7 @@ def test_vectorized_sweep_calls_the_field_once_per_sweep():
     n = 1001
     op = assemble(OperatorSpec(bc="dirichlet"), Grid1D(1.0, n))
     g = _CountingGrid(lambda x, u, p: 0.5 - u)
-    field = SingleValued(g, vectorized=True)
+    field = SingleValued(g)
     rep = resolvent_iterate(op, field, Box([0.0], [1.0]), np.full(n, 0.5),
                             SolverConfig(max_iter=5))
     assert rep.failure is None and rep.iterations == 5
@@ -212,21 +181,21 @@ def test_vectorized_sweep_calls_the_field_once_per_sweep():
 
 def test_vectorized_gate_calls_the_field_once_per_item():
     g = _CountingGrid(lambda x, u, p: 0.5 - u)
-    rep = verify_tangency(SingleValued(g, components=2, vectorized=True),
+    rep = verify_tangency(SingleValued(g, components=2),
                           Box([0.0, 0.0], [1.0, 1.0]), Grid1D(1.0, 11),
                           samples=300)
     assert rep.passed and len(rep.items) == 4
     assert g.rows == [300] * 4
 
     g = _CountingGrid(lambda x, u, p: -u)
-    rep = verify_tangency(SingleValued(g, components=2, vectorized=True),
+    rep = verify_tangency(SingleValued(g, components=2),
                           Ball(np.zeros(2), 1.0), Grid1D(1.0, 11),
                           samples=250)
     assert rep.passed and [i.name for i in rep.items] == ["sphere"]
     assert g.rows == [250]
 
     g = _CountingGrid(lambda x, u, p: -u)
-    rep = verify_bernstein(SingleValued(g, components=2, vectorized=True),
+    rep = verify_bernstein(SingleValued(g, components=2),
                            R=1.0, a=0.0, b=2.0, c=0.0, samples=200)
     assert rep.passed and len(rep.items) == 3
     assert g.rows == [200] * 3
@@ -234,7 +203,7 @@ def test_vectorized_gate_calls_the_field_once_per_item():
 
 def test_batched_hull_calls_g_once_per_grid_on_centres_and_probes():
     g = _CountingGrid(lambda x, u, p: np.where(u < 0.5, 1.0, -1.0))
-    hull = FilippovHull(g, 0.05, sample_count=32, vectorized=True)
+    hull = FilippovHull(g, 0.05, sample_count=32)
     lo, hi = hull.evaluate_grid(np.zeros(3), np.array([[0.0], [0.5], [1.0]]),
                                 np.zeros((3, 1)))
     assert g.rows == [3 * 33]
@@ -312,8 +281,7 @@ def test_converged_solve_projects_its_final_state_once(monkeypatch):
 def test_body_simulation_projects_once_per_step():
     n = 41
     op = assemble(OperatorSpec(bc="neumann", components=2), Grid1D(1.0, n))
-    field = SingleValued(lambda x, u, p: 0.5 - u, components=2,
-                         vectorized=True)
+    field = SingleValued(lambda x, u, p: 0.5 - u, components=2)
     ball = Ball(np.zeros(2), 1.0)
     calls = []
     project_rows = ball.project_rows
@@ -337,11 +305,7 @@ def test_interval_grid_raises_what_the_row_loop_meets_first(cross, breach,
     lo[cross] = 2.0
     hi[breach] = 5.0
     field = IntervalValued(lambda x, u, p: lo, lambda x, u, p: hi,
-                           bound=3.0, vectorized=True)
-    xs = np.arange(4.0)
+                           bound=3.0)
     with pytest.raises(error):
-        field.evaluate_grid(xs, np.zeros((4, 1)), np.zeros((4, 1)))
-    rows = IntervalValued(lambda x, u, p: lo[int(x)],
-                          lambda x, u, p: hi[int(x)], bound=3.0)
-    with pytest.raises(error):
-        rows.evaluate_grid(xs, np.zeros((4, 1)), np.zeros((4, 1)))
+        field.evaluate_grid(np.arange(4.0), np.zeros((4, 1)),
+                            np.zeros((4, 1)))

@@ -1,24 +1,30 @@
-"""Set-valued nonlinearities: interval hulls, selections, graph checks."""
+"""Set-valued nonlinearities: interval hulls, probe tables, selections."""
 
 import re
 
 import numpy as np
 import pytest
 
-from tangenteq import (SetValue, GraphApproxConfig, SingleValued,
-                       IntervalValued, FilippovHull, Box, Ball,
-                       HalfspaceIntersection, selection_on_intervals,
-                       tangent_selection, validate_graph_approximation,
-                       semicontinuity_probe, BoundViolated,
-                       EmptyIntersection, InvalidSpec)
-from tangenteq.fields import unit_ball_rays
+from tangenteq import (SetValue, SingleValued, IntervalValued,
+                       FilippovHull, Box, Ball, HalfspaceIntersection,
+                       selection_on_intervals, tangent_selection,
+                       semicontinuity_probe, make_nonlinearity, BoundViolated,
+                       EmptyIntersection)
+from tangenteq.fields import _probe_table, unit_ball_rays
 
 ALPHA = 0.4
 
 
 def _heaviside(x, u, p):
     # jump at u = ALPHA; the canonical discontinuous right-hand side
-    return 0.0 if np.atleast_1d(u)[0] < ALPHA else 1.0
+    return np.where(u < ALPHA, 0.0, 1.0)
+
+
+def _pointwise(g):
+    """``g`` of one state at a time, wrapped as a whole-grid function the
+    way the ``fields`` docstring shows."""
+    return lambda x, u, p: np.array([g(a, b, c)
+                                     for a, b, c in zip(x[:, 0], u, p)])
 
 
 def test_single_valued_evaluates_to_singleton():
@@ -116,13 +122,53 @@ def test_rays_are_uniform_in_the_ball(dim):
 
 
 def test_filippov_hull_seeds_signed_zeros_alike():
-    hull = FilippovHull(lambda x, u, p: 1.0 if x + p[0] < 0.0 else -1.0,
+    hull = FilippovHull(lambda x, u, p: np.where(x + p < 0.0, 1.0, -1.0),
                         delta=0.05, sample_count=3)
     for x in np.linspace(-0.1, 0.1, 41):
         plus = hull.evaluate(x, np.array([0.0]), np.array([0.0]))
         minus = hull.evaluate(x, np.array([0.0]), np.array([-0.0]))
         assert np.array_equal(plus.lo, minus.lo)
         assert np.array_equal(plus.hi, minus.hi)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.05, np.nan, np.inf, -np.inf])
+def test_filippov_hull_rejects_a_delta_that_is_not_finite_and_positive(
+        delta):
+    with pytest.raises(ValueError, match="^delta must be positive$"):
+        FilippovHull(_heaviside, delta=delta)
+
+
+def test_probe_table_puts_the_axis_points_first_and_extends():
+    dim = 3
+    table = _probe_table(7, 40, dim)
+    assert table.shape == (40, dim)
+    axes = np.zeros((2 * dim, dim))
+    axes[np.arange(2 * dim), np.arange(2 * dim) // 2] = [1.0, -1.0] * dim
+    assert np.array_equal(table[:2 * dim], axes)
+    rays = unit_ball_rays(np.random.default_rng(7), 40 - 2 * dim, dim)
+    assert np.array_equal(table[2 * dim:], rays)
+    assert np.all(np.linalg.norm(table, axis=1) <= 1.0)
+    # a larger count extends a smaller table, a short one cuts the axes
+    assert np.array_equal(_probe_table(7, 100, dim)[:40], table)
+    assert np.array_equal(_probe_table(7, 4, dim), axes[:4])
+    assert not np.array_equal(_probe_table(8, 40, dim), table)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+def test_relay_hull_sees_a_jump_within_delta_at_every_state(side):
+    """States a hair inside delta of the relay's jump, along ``u``, have
+    the jump in their hull at every one of 2000 states; states a hair
+    outside have it at none."""
+    delta, threshold = 0.05, 0.5
+    hull = make_nonlinearity("heaviside", {"threshold": threshold,
+                                           "delta": delta}, seed=3)
+    rng = np.random.default_rng(11)
+    xs = rng.random(2000)
+    P = rng.uniform(-1.0, 1.0, (2000, 1))
+    for reach, seen in ((0.999, True), (1.001, False)):
+        U = np.full((2000, 1), threshold + side * reach * delta)
+        lo, hi = hull.evaluate_grid(xs, U, P)
+        assert np.all((lo < hi) == seen)
 
 
 def test_filippov_evaluation_is_deterministic():
@@ -264,63 +310,6 @@ def test_selection_on_intervals_componentwise():
     assert empty[2]
 
 
-def test_graph_validation_exact_selection_passes():
-    f = SingleValued(lambda x, u, p: 0.5 - u)
-    states = [(float(x), np.array([ux]), np.array([0.0]))
-              for x, ux in zip(np.linspace(0, 1, 40), np.linspace(0, 1, 40))]
-    rep = validate_graph_approximation(
-        lambda x, u, p: 0.5 - u, f, GraphApproxConfig(epsilon=1e-6), states)
-    assert rep.pass_fraction == 1.0
-    assert rep.worst_gap == 0.0
-
-
-def test_graph_validation_tangent_selection_passes():
-    """Minimal-norm selections of a continuous interval field are exact
-    members of the value set, hence 1.0 pass fraction at any epsilon."""
-    field = IntervalValued(lambda x, u, p: -u - 0.1, lambda x, u, p: -u + 0.1)
-    body = Box([-1.0], [1.0])
-    rng = np.random.default_rng(8)
-    states = [(rng.uniform(0, 1), rng.uniform(-1.0, 1.0, 1), np.zeros(1))
-              for _ in range(1000)]
-
-    def f(x, u, p):
-        return tangent_selection(field, body, x, u, p)
-
-    rep = validate_graph_approximation(
-        f, field, GraphApproxConfig(epsilon=1e-3), states, seed=2)
-    assert rep.tested == 1000
-    assert rep.pass_fraction == 1.0
-    assert rep.worst_gap <= 1e-3
-
-
-def test_graph_validation_shifted_selection_fails():
-    field = SingleValued(lambda x, u, p: -u)
-    eps = 1e-3
-    states = [(0.0, np.array([ux]), np.zeros(1))
-              for ux in np.linspace(-1.0, 1.0, 50)]
-    rep = validate_graph_approximation(
-        lambda x, u, p: -u + 2.0 * eps, field,
-        GraphApproxConfig(epsilon=eps), states)
-    assert rep.pass_fraction == 0.0
-    assert rep.worst_gap >= eps
-    assert len(rep.failures) == 50
-
-
-def test_graph_validation_needs_a_state():
-    # with nothing tested, a selection far off the graph would pass
-    with pytest.raises(InvalidSpec, match="at least one state"):
-        validate_graph_approximation(
-            lambda x, u, p: 99.0, SingleValued(lambda x, u, p: 0.5 - u),
-            GraphApproxConfig(epsilon=1e-3), [])
-
-
-def test_graph_config_radius_never_exceeds_epsilon():
-    cfg = GraphApproxConfig(epsilon=1e-3, perturbation_radius=5.0)
-    assert cfg.radius() < 1e-3
-    cfg2 = GraphApproxConfig(epsilon=1e-3, perturbation_radius=1e-4)
-    assert cfg2.radius() == pytest.approx(1e-4, rel=1e-6)
-
-
 def test_semicontinuity_probe_continuous_field_shrinks():
     f = SingleValued(lambda x, u, p: np.sin(3.0 * u) + x)
     u, p = np.array([0.3]), np.array([0.0])
@@ -349,23 +338,26 @@ def test_semicontinuity_probe_raw_jump_stays_at_one():
 
 def _probe_rows(field, x, u, p, delta, sample_count, seed):
     """The probe excesses of ``semicontinuity_probe``, one probe at a
-    time in draw order."""
+    time in table order."""
     base = field.evaluate(x, u, p)
-    rng = np.random.default_rng(seed)
-    rays = delta * unit_ball_rays(rng, sample_count, 1 + u.size + p.size)
+    rays = delta * _probe_table(seed, sample_count, 1 + u.size + p.size)
     return [field.evaluate(x + r[0], u + r[1:1 + u.size],
                            p + r[1 + u.size:]).excess_over(base)
             for r in rays]
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_semicontinuity_probe_is_the_worst_probe_and_skips_nan(vectorized):
+@pytest.mark.parametrize("whole_grid", [False, True])
+def test_semicontinuity_probe_is_the_worst_probe_and_skips_nan(whole_grid):
     # the value is NaN on the upper half of the probes, where a NaN excess
     # must not win over the finite ones
-    f = IntervalValued(lambda x, u, p: np.where(u < 0.31, np.sin(3.0 * u),
-                                                np.nan) - 0.2 * p,
-                       lambda x, u, p: np.sin(3.0 * u) + x,
-                       components=2, vectorized=vectorized)
+    def lower(x, u, p):
+        return np.where(u < 0.31, np.sin(3.0 * u), np.nan) - 0.2 * p
+
+    def upper(x, u, p):
+        return np.sin(3.0 * u) + x
+
+    wrap = (lambda g: g) if whole_grid else _pointwise
+    f = IntervalValued(wrap(lower), wrap(upper), components=2)
     x, u, p = 0.5, np.array([0.3, 0.29]), np.array([0.1, -0.2])
     rows = _probe_rows(f, x, u, p, 0.05, 40, seed=3)
     assert any(np.isnan(rows)) and not all(np.isnan(rows))
@@ -374,13 +366,34 @@ def test_semicontinuity_probe_is_the_worst_probe_and_skips_nan(vectorized):
                                 seed=3) == worst
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_semicontinuity_probe_raises_at_a_breaching_probe(vectorized):
-    f = SingleValued(lambda x, u, p: 10.0 * u, bound=1.0,
-                     vectorized=vectorized)
+@pytest.mark.parametrize("whole_grid", [False, True])
+def test_semicontinuity_probe_raises_at_a_breaching_probe(whole_grid):
+    def g(x, u, p):
+        return 10.0 * u
+
+    f = SingleValued(g if whole_grid else _pointwise(g), bound=1.0)
     u, p = np.array([0.099]), np.array([0.0])
     assert f.evaluate(0.0, u, p).lo[0] <= 1.0
     with pytest.raises(BoundViolated) as first:
         _probe_rows(f, 0.0, u, p, 0.01, 64, seed=0)
     with pytest.raises(BoundViolated, match=re.escape(str(first.value))):
         semicontinuity_probe(f, 0.0, u, p, 0.01)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"sample_count": 0}, "samples must be an integer of at least 1, got 0"),
+    ({"sample_count": -3},
+     "samples must be an integer of at least 1, got -3"),
+    ({"sample_count": 2.5},
+     "samples must be an integer of at least 1, got 2.5"),
+    ({"delta": np.nan}, "delta must be positive"),
+    ({"delta": np.inf}, "delta must be positive"),
+    ({"delta": 0.0}, "delta must be positive"),
+], ids=["no_probes", "negative_count", "fractional_count", "delta_nan",
+        "delta_inf", "delta_zero"])
+def test_semicontinuity_probe_needs_probes_to_give_a_verdict(kw, message):
+    # with no probe, or every probe at NaN, the excess would read 0.0
+    args = {"delta": 0.01, "sample_count": 64, **kw}
+    f = SingleValued(lambda x, u, p: 0.5 - u)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        semicontinuity_probe(f, 0.0, np.array([0.3]), np.zeros(1), **args)

@@ -1,5 +1,6 @@
 """Static check of the package sources: no module imports a name it never
-uses (the package re-exports from ``__init__`` only)."""
+uses (the package re-exports from ``__init__`` only), and ``__all__``
+lists exactly what ``__init__`` imports."""
 
 import ast
 import os
@@ -36,3 +37,13 @@ def test_the_check_sees_an_unused_import():
 def test_module_uses_every_name_it_imports(module):
     with open(os.path.join(PACKAGE_DIR, module), encoding="utf-8") as fh:
         assert _unused_imports(fh.read()) == []
+
+
+def test_all_lists_every_name_the_package_imports():
+    with open(os.path.join(PACKAGE_DIR, "__init__.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(tangenteq.__all__) == len(set(tangenteq.__all__))
+    assert set(tangenteq.__all__) == imported | {"__version__"}

@@ -11,8 +11,7 @@ import scipy.linalg as sla
 
 import tangenteq
 from tangenteq import operators
-from tangenteq import (Grid1D, OperatorSpec, assemble, quadratic_form,
-                       gradient_seminorm_sq, garding_constants,
+from tangenteq import (Grid1D, OperatorSpec, DiscreteOperator, assemble,
                        semigroup_powers, invariance_audit, Box,
                        InvalidSpec, SingularSystem)
 
@@ -318,6 +317,46 @@ def test_equation_mask_marks_the_equation_rows(bc):
     assert op.equation_mask()[3]
 
 
+def _midpoint_gradients(op, U):
+    """Cell-midpoint differences ``u'`` of the grid function ``U``, with
+    the wrap-around cell on periodic grids."""
+    U = np.asarray(U, dtype=float).reshape(op.grid.n, -1)
+    if op.grid.periodic:
+        return (np.roll(U, -1, axis=0) - U) / op.grid.dx
+    return np.diff(U, axis=0) / op.grid.dx
+
+
+def quadratic_form(spec, grid, U, V):
+    """Discrete drift-diffusion form  sum_cells dx * (d u' v' + gamma u' vbar).
+
+    ``spec`` may be an OperatorSpec (assembled on ``grid``) or an already
+    assembled operator.  Gradients live on cell midpoints, the drift
+    factor pairs them with the midpoint average of v, and the diffusion
+    part matches -<A u, u> under trapezoid weights exactly (for gamma = 0,
+    no shift).  The operator's diagonal shift is deliberately not part of
+    the form.
+    """
+    op = spec if isinstance(spec, DiscreteOperator) else assemble(spec, grid)
+    V = np.asarray(V, dtype=float).reshape(op.grid.n, -1)
+    g = op.gamma_nodes
+    if op.grid.periodic:
+        vbar = 0.5 * (np.roll(V, -1, axis=0) + V)
+        gmid = 0.5 * (np.roll(g, -1) + g)
+    else:
+        vbar = 0.5 * (V[1:] + V[:-1])
+        gmid = 0.5 * (g[1:] + g[:-1])
+    du, dv = _midpoint_gradients(op, U), _midpoint_gradients(op, V)
+    diff_part = np.sum(op.d_mid[:, None] * du * dv) * op.grid.dx
+    drift_part = np.sum(gmid[:, None] * du * vbar) * op.grid.dx
+    return float(diff_part + drift_part)
+
+
+def gradient_seminorm_sq(op, U):
+    """``sum_cells dx |u'|^2`` with midpoint gradients (periodic wraps)."""
+    du = _midpoint_gradients(op, U)
+    return float(np.sum(du * du) * op.grid.dx)
+
+
 def test_quadratic_form_on_ramp_and_constants():
     grid = Grid1D(1.0, 51)
     spec = OperatorSpec(bc="neumann")
@@ -376,21 +415,20 @@ def test_quadratic_form_ignores_the_shift():
 
 def test_garding_inequality_with_drift():
     """c |u'|^2 <= a(u,u) + C |u|^2 with c = d0/2 and C = |gamma|^2/(2 d0),
-    checked on random grid functions."""
+    checked on random grid functions.  C is the default shift, and the
+    form leaves the shift out."""
     grid = Grid1D(1.0, 101)
-    anchor = assemble(OperatorSpec(d=0.8, gamma=1.2, bc="neumann",
-                                   shift=0.0), grid)
-    c, C = garding_constants(anchor)
+    anchor = assemble(OperatorSpec(d=0.8, gamma=1.2, bc="neumann"), grid)
+    c, C = 0.5 * anchor.d_floor, anchor.shift
     assert c == pytest.approx(0.4, abs=1e-12)
     assert C == pytest.approx(1.2 ** 2 / 1.6, abs=1e-12)
-    spec = OperatorSpec(d=lambda x: 0.8 + 0.3 * x, gamma=1.2, bc="neumann",
-                        shift=0.0)
+    spec = OperatorSpec(d=lambda x: 0.8 + 0.3 * x, gamma=1.2, bc="neumann")
     op = assemble(spec, grid)
-    c, C = garding_constants(op)
+    c, C = 0.5 * op.d_floor, op.shift
     rng = np.random.default_rng(21)
     for _ in range(200):
         u = rng.uniform(-2.0, 2.0, 101)
-        lhs = c * gradient_seminorm_sq(op, grid, u)
+        lhs = c * gradient_seminorm_sq(op, u)
         rhs = quadratic_form(op, grid, u, u) + C * grid.norm(u) ** 2
         assert lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
 

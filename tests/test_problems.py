@@ -9,7 +9,7 @@ import pytest
 
 from tangenteq import (Ball, BoundViolated, Box, Grid1D, InvalidSpec,
                        MovingBox, Simplex,
-                       StateShiftedField, load_config, make_bernstein_problem,
+                       StateShiftedField, load_config,
                        make_nonlinearity, parse_config, resolvent_iterate,
                        serialize, verify_bernstein, verify_subsuper,
                        verify_tangency)
@@ -115,13 +115,19 @@ def test_state_shift_moves_mass_between_parts():
 
 def test_state_shift_enforces_the_base_envelope():
     # the envelope bounds phi itself, before the shift by c * u
-    op, fld, C = make_bernstein_problem(lambda x, u, p: 5.0, R=2.0, c=1.0,
-                                        n=21, bound=0.1)
+    fld = StateShiftedField(as_field(lambda x, u, p: 5.0, bound=0.1), 1.0)
     with pytest.raises(BoundViolated, match="exceeds envelope 0.1"):
         fld.evaluate(0.5, np.zeros(1), np.zeros(1))
-    ok = make_bernstein_problem(lambda x, u, p: 0.05, R=2.0, c=1.0, n=21,
-                                bound=0.1)[1]
+    ok = StateShiftedField(as_field(lambda x, u, p: 0.05, bound=0.1), 1.0)
     assert ok.evaluate(0.5, np.array([1.0]), np.zeros(1)).lo[0] == -0.95
+
+
+def _bernstein_spec(radius):
+    """The ``bernstein_bvp`` spec of phi = 1 - u, c = 1, on 201 nodes."""
+    return parse_config("[problem]\nkind = bernstein_bvp\n\n[grid]\n"
+                        "nodes = 201\n\n[nonlinearity]\nname = linear\n"
+                        "a = 1\nb = -1\n\n[bernstein]\nc = 1\n"
+                        "radius = %r\n" % radius)
 
 
 def test_bernstein_problem_recovers_the_analytic_bvp():
@@ -131,8 +137,9 @@ def test_bernstein_problem_recovers_the_analytic_bvp():
     -u'' = 1 - u pinned at zero, whose midpoint value is
     1 - 1/cosh(1/2).
     """
-    op, fld, C = make_bernstein_problem(lambda x, u, p: 1.0 - u,
-                                        R=2.0, c=1.0, n=201)
+    spec = _bernstein_spec(2.0)
+    op, fld, C = (spec.build_operator(), spec.build_field(),
+                  spec.build_constraint())
     assert isinstance(C, Ball) and C.radius == 2.0
     rep = resolvent_iterate(op, fld, C, np.zeros(201))
     assert rep.status == "converged"
@@ -141,8 +148,8 @@ def test_bernstein_problem_recovers_the_analytic_bvp():
 
 
 def test_bernstein_problem_rejects_bad_radius():
-    with pytest.raises(ValueError, match="radius"):
-        make_bernstein_problem(lambda x, u, p: -u, R=0.0, c=1.0, n=11)
+    with pytest.raises(InvalidSpec, match="radius must be positive"):
+        _bernstein_spec(0.0)
 
 
 # ---------------------------------------------------------------------------

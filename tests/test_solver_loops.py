@@ -9,13 +9,14 @@ In ``problems`` every sampled hypothesis check draws its states in
 batched array calls: the module holds no generator, and no verifier
 loops over its samples.
 
-In ``fields`` the relay hull draws each state's rays in one call:
-``unit_ball_rays`` holds no loop over its rays.  Fields evaluate on rows
-only: ``evaluate`` is written once, on ``NonlinearityField``, as the
-one-row case of ``evaluate_grid``; no field keeps a scalar twin
+In ``fields`` nothing loops: the probe table and the relay hull work on
+whole arrays, and no method of a ``NonlinearityField`` subclass (the
+ones in ``problems`` included) holds a comprehension.  Fields evaluate
+on rows only: ``evaluate`` is written once, on ``NonlinearityField``, as
+the one-row case of ``evaluate_grid``; no field keeps a scalar twin
 (``_value``, ``_rows``, a second envelope check), each field class calls
-its functions at one site, through ``_call``, and ``StateShiftedField``
-in ``problems`` defines only ``evaluate_grid``.
+each of its functions at one site, through ``_call``, and
+``StateShiftedField`` in ``problems`` defines only ``evaluate_grid``.
 
 In ``convex`` a lifted body works on all grid nodes at once: no
 ``NodewiseBody`` method loops over rows and the one Dykstra loop is
@@ -112,11 +113,24 @@ def test_verifiers_draw_whole_arrays():
 
 
 def test_ray_draws_hold_no_loop():
+    # nor does anything else in ``fields``: the table, the hull, the probe
     tree = ast.parse(inspect.getsource(fields))
-    defs = {node.name: node for node in tree.body
-            if isinstance(node, ast.FunctionDef)}
-    assert not [inner for inner in ast.walk(defs["unit_ball_rays"])
-                if isinstance(inner, (ast.For, ast.While, ast.AsyncFor))]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.For, ast.While, ast.AsyncFor))]
+
+
+def _field_classes(cls=fields.NonlinearityField):
+    return [cls] + [sub for child in cls.__subclasses__()
+                    for sub in _field_classes(child)]
+
+
+def test_no_field_method_holds_a_comprehension():
+    classes = _field_classes()
+    assert {cls.__name__ for cls in classes} >= {
+        "NonlinearityField", "SingleValued", "IntervalValued",
+        "FilippovHull", "StateShiftedField"}
+    assert {cls.__name__: _methods_with_row_loops(cls)
+            for cls in classes} == {cls.__name__: [] for cls in classes}
 
 
 def _methods(tree):
@@ -143,9 +157,10 @@ def test_fields_evaluate_on_rows_only():
     assert not {"_value", "_rows", "_check_grid_bound"} & set(names)
     classes = {node.name: node for node in tree.body
                if isinstance(node, ast.ClassDef)}
-    for cls in ("SingleValued", "IntervalValued", "FilippovHull"):
-        # the functions are called through ``_call`` alone, at one site
-        assert len(_calls_of(classes[cls], "_call")) == 1
+    for cls, functions in (("SingleValued", 1), ("IntervalValued", 2),
+                           ("FilippovHull", 1)):
+        # each function is called through ``_call`` alone, at one site
+        assert len(_calls_of(classes[cls], "_call")) == functions
         assert not [inner for inner in ast.walk(classes[cls])
                     if isinstance(inner, ast.Call)
                     and isinstance(inner.func, ast.Attribute)
