@@ -19,6 +19,7 @@ with fixed float formatting.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -62,7 +63,10 @@ def _seed(text):
     return seed
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process: built at the first command and
+    reused, since parsing keeps no state in it."""
     parser = _Parser(prog="tangenteq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -90,22 +94,33 @@ def _out_dir(args):
     return out
 
 
-def _write_json(out, name, payload):
+def _write_text(out, name, text):
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
     return path
+
+
+def _write_json(out, name, payload):
+    return _write_text(out, name,
+                       json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(out, name, header, fmt, columns):
+    """``columns`` side by side under ``header``, each entry formatted by
+    its column's %-format in ``fmt``: the bytes ``np.savetxt`` writes,
+    rendered as one string."""
+    table = np.column_stack(columns)
+    rows = (",".join(fmt) + "\n") * len(table)
+    return _write_text(out, name,
+                       header + "\n" + rows % tuple(table.ravel().tolist()))
 
 
 def _write_state_csv(out, name, grid, U):
     U = np.asarray(U, dtype=float).reshape(grid.n, -1)
-    cols = [grid.nodes] + [U[:, i] for i in range(U.shape[1])]
     header = ",".join(["x"] + ["u_%d" % (i + 1) for i in range(U.shape[1])])
-    path = os.path.join(out, name)
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-               comments="", fmt="%.17g")
-    return path
+    return _write_csv(out, name, header, ["%.17g"] * (1 + U.shape[1]),
+                      [grid.nodes, U])
 
 
 def _gate_report(spec, seed_override):
@@ -178,10 +193,8 @@ def _cmd_solve(spec, args):
     _write_json(out, "report.json", payload)
     _write_state_csv(out, "u_star.csv", grid, report.u_star)
     hist = np.asarray(report.residual_history, dtype=float)
-    np.savetxt(os.path.join(out, "residuals.csv"),
-               np.column_stack([np.arange(1, hist.size + 1), hist]),
-               delimiter=",", header="iteration,residual", comments="",
-               fmt=["%d", "%.17g"])
+    _write_csv(out, "residuals.csv", "iteration,residual", ["%d", "%.17g"],
+               [np.arange(1, hist.size + 1), hist])
 
     last = report.residual_history[-1] if report.residual_history else float("nan")
     print("status %s after %d sweeps" % (report.status, report.iterations))

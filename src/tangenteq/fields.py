@@ -276,14 +276,15 @@ def semicontinuity_probe(field, x, u, p, delta, sample_count=64, seed=0):
     a state or probe that breaches the envelope raises as ``evaluate``
     would at the first such one.  A delta that is not finite and
     positive, or a ``sample_count`` that is not an integer of at least 1,
-    raises ValueError.
+    raises ValueError.  A NaN excess is no evidence and never wins; when
+    every probe's excess is NaN the probe returns NaN, not 0.0.
     """
     delta, count = _probe_args(delta, sample_count)
     lo, hi = field.evaluate_grid(*_probe_grid(
         seed, count, delta, np.atleast_1d(x), np.atleast_2d(u),
         np.atleast_2d(p)))
-    # ``SetValue.excess_over`` of each probe over the state; a NaN excess
-    # never wins
+    # ``SetValue.excess_over`` of each probe over the state
     excess = _row_norms(np.maximum(0.0, np.maximum(lo[:1] - lo[1:],
                                                    hi[1:] - hi[:1])))
-    return float(np.max(excess, initial=0.0, where=~np.isnan(excess)))
+    kept = excess[~np.isnan(excess)]
+    return float(np.max(kept)) if kept.size else float("nan")

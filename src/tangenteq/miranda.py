@@ -14,6 +14,7 @@ oracle grid is one call.  A map written with ``X[..., k]`` and
 is wrapped as ``lambda X: np.array([g(x) for x in X])``.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,31 +125,46 @@ def _mesh_points(axes):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+@functools.cache
+def _face_rows(dim, resolution):
+    """Rows of ``[linspace(lo, hi, resolution); lo; hi]`` that the
+    coordinates of every face sample take, shape
+    ``(2 dim, resolution**(dim - 1), dim)``: face ``2k`` is the lower and
+    ``2k + 1`` the upper face of axis k, its samples in the ``ij`` order
+    of the tensor grid over the other axes.  Read-only, as every check
+    of that shape shares it."""
+    others = np.indices((resolution,) * (dim - 1)).reshape(
+        dim - 1, resolution ** (dim - 1)).T
+    rows = np.stack([np.insert(others, k, wall, axis=1) for k in range(dim)
+                     for wall in (resolution, resolution + 1)])
+    rows.flags.writeable = False
+    return rows
+
+
 def miranda_check(f, cube, resolution=9):
     """Sample the sign certificate on every face of the cube.
 
     resolution is the number of grid points per face axis (endpoints
     included).  A certificate with some face margin exactly zero still
-    holds but is flagged degenerate.
+    holds but is flagged degenerate.  All faces are sampled with one
+    index into the axis grids and checked in one map call.
     """
     if resolution < 2 and cube.dim > 1:
         raise ValueError("resolution must be at least 2")
-    axes = [np.linspace(cube.lo[j], cube.hi[j], resolution)
-            for j in range(cube.dim)]
-    sides = [(k, side) for k in range(cube.dim) for side in "-+"]
-    pts = np.stack([_mesh_points(
-        axes[:k] + [(cube.lo if side == "-" else cube.hi)[k:k + 1]]
-        + axes[k + 1:]) for k, side in sides])
-    vals = _values(f, pts.reshape(-1, cube.dim)).reshape(pts.shape)
-    faces = []
-    for (k, side), face_pts, face_vals in zip(sides, pts, vals):
-        # margin = f_k on the lower face, -f_k on the upper face
-        margins = (1.0 if side == "-" else -1.0) * face_vals[:, k]
-        i = int(np.argmin(margins))
-        faces.append(FaceVerdict(axis=k, side=side,
-                                 extreme_value=float(face_vals[i, k]),
-                                 margin=float(margins[i]),
-                                 witness=face_pts[i]))
+    dim = cube.dim
+    table = np.concatenate([np.linspace(cube.lo, cube.hi, resolution),
+                            cube.lo[None], cube.hi[None]])
+    pts = table[_face_rows(dim, resolution), np.arange(dim)]
+    vals = _values(f, pts.reshape(-1, dim)).reshape(pts.shape)
+    ids = np.arange(2 * dim)
+    # f_k on the two faces of each axis k; margin = f_k on the lower
+    # face, -f_k on the upper face
+    fk = vals[ids, :, ids // 2]
+    margins = np.array([1.0, -1.0] * dim)[:, None] * fk
+    faces = [FaceVerdict(axis=face // 2, side="-+"[face % 2],
+                         extreme_value=float(fk[face, i]),
+                         margin=float(margins[face, i]), witness=pts[face, i])
+             for face, i in enumerate(np.argmin(margins, axis=1).tolist())]
     holds = all(fv.margin >= 0 for fv in faces)
     degenerate = holds and any(fv.margin <= _DEGENERATE_EPS for fv in faces)
     return MirandaCertificate(

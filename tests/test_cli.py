@@ -615,3 +615,27 @@ def test_installed_script_runs(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "status converged" in proc.stdout
+
+
+def _fresh_cli(argv):
+    """``run_cli(argv)`` in a new interpreter; its exit code."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(tangenteq.__file__)))
+    return subprocess.run([sys.executable, "-m", "tangenteq.cli"] + argv,
+                          capture_output=True, env=env).returncode
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path):
+    # the second call sets neither flag: a leaked --force would skip the
+    # gate and a leaked --seed would change bernstein's gate samples
+    calls = [["solve", _cfg("bernstein.cfg"), "--force", "--seed", "3"],
+             ["solve", _cfg("bernstein.cfg")]]
+    for i, argv in enumerate(calls):
+        same, fresh = tmp_path / ("same%d" % i), tmp_path / ("fresh%d" % i)
+        assert run_cli(argv + ["--out", str(same)]) \
+            == _fresh_cli(argv + ["--out", str(fresh)])
+        assert sorted(os.listdir(same)) == sorted(os.listdir(fresh))
+        for name in os.listdir(same):
+            assert (same / name).read_bytes() == (fresh / name).read_bytes()
+    assert _report(tmp_path / "same0")["condition_reports"] is None
+    assert _report(tmp_path / "same1")["condition_reports"]["passed"]

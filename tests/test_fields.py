@@ -366,6 +366,14 @@ def test_semicontinuity_probe_is_the_worst_probe_and_skips_nan(whole_grid):
                                 seed=3) == worst
 
 
+def test_semicontinuity_probe_without_evidence_is_nan():
+    # every probe's excess is NaN: no evidence either way, so no 0.0
+    # ("continuous") verdict
+    f = SingleValued(lambda x, u, p: np.full_like(u, np.nan))
+    u, p = np.array([0.3]), np.array([0.0])
+    assert np.isnan(semicontinuity_probe(f, 0.0, u, p, 0.01))
+
+
 @pytest.mark.parametrize("whole_grid", [False, True])
 def test_semicontinuity_probe_raises_at_a_breaching_probe(whole_grid):
     def g(x, u, p):

@@ -1,9 +1,12 @@
 """Static check of the package sources: no module imports a name it never
 uses (the package re-exports from ``__init__`` only), and ``__all__``
-lists exactly what ``__init__`` imports."""
+lists exactly what ``__init__`` imports.  Importing the package leaves
+``scipy.linalg`` unloaded until the first factorization."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +50,14 @@ def test_all_lists_every_name_the_package_imports():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(tangenteq.__all__) == len(set(tangenteq.__all__))
     assert set(tangenteq.__all__) == imported | {"__version__"}
+
+
+def test_importing_the_package_leaves_lapack_unloaded():
+    script = ("import sys, tangenteq, tangenteq.cli\n"
+              "assert 'scipy.linalg' not in sys.modules\n"
+              "tangenteq.operators.dgttrf\n"
+              "assert 'scipy.linalg' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

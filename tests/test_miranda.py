@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tangenteq import (Cube, bolzano_bisect, miranda_check, miranda_solve,
                        brute_force_zero, NoSignChange, CertificateFailed)
@@ -230,6 +232,83 @@ def test_one_map_call_per_check_zoom_level_and_grid():
     res = miranda_solve(f, _SQUARE, tol=1e-3)
     assert set(shapes[:-1]) == {(4 * 9, 2)} and shapes[-1] == (1, 2)
     assert res.depth + 1 <= len(shapes) - 1 <= 2 * res.depth + 1
+
+
+def _faces_by_meshgrid(f, cube, resolution):
+    """The certificate one face at a time, each face a meshgrid over the
+    other axes: the reference for the one-index build of all faces."""
+    axes = [np.linspace(cube.lo[j], cube.hi[j], resolution)
+            for j in range(cube.dim)]
+    faces = []
+    for k in range(cube.dim):
+        for side, wall in (("-", cube.lo), ("+", cube.hi)):
+            mesh = np.meshgrid(*(axes[:k] + [wall[k:k + 1]] + axes[k + 1:]),
+                               indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            vals = f(pts)
+            margins = (1.0 if side == "-" else -1.0) * vals[:, k]
+            i = int(np.argmin(margins))
+            faces.append((k, side, float(vals[i, k]), float(margins[i]),
+                          pts[i]))
+    return faces
+
+
+@st.composite
+def _certificate_problems(draw):
+    """A cube of dimension 1 to 3, a resolution, and a row map whose
+    rounded values tie, vanish on faces and turn NaN."""
+    dim = draw(st.integers(1, 3))
+    resolution = draw(st.integers(1 if dim == 1 else 2, 9))
+    coords = st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
+    lo = np.array(draw(coords))
+    hi = lo + np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=dim,
+                                     max_size=dim)))
+    A = np.array(draw(st.lists(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
+                               min_size=dim * dim, max_size=dim * dim)))
+    b = np.array(draw(coords))
+    digits = draw(st.sampled_from((None, 0, 1)))
+    nan_above = draw(st.sampled_from((np.inf, 0.0, 5.0)))
+
+    def f(X):
+        # products summed in a fixed order per row, so the value at a
+        # point does not depend on which other rows share the call
+        Y = b + (X[:, None, :] * A.reshape(dim, dim)).sum(axis=2)
+        Y = Y if digits is None else np.round(Y, digits)
+        return np.where(X[:, :1] > nan_above, np.nan, Y)
+    return f, Cube(lo, hi), resolution
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certificate_problems())
+def test_one_index_faces_equal_the_meshgrid_faces_bit_for_bit(problem):
+    f, cube, resolution = problem
+    cert = miranda_check(f, cube, resolution)
+    want = _faces_by_meshgrid(f, cube, resolution)
+    assert len(cert.faces) == len(want)
+    for fv, (k, side, extreme, margin, witness) in zip(cert.faces, want):
+        assert (fv.axis, fv.side) == (k, side)
+        assert _bits(fv.extreme_value, fv.margin) == _bits(extreme, margin)
+        assert fv.witness.tobytes() == witness.tobytes()
+    margins = [margin for _, _, _, margin, _ in want]
+    holds = all(m >= 0 for m in margins)
+    assert cert.holds == holds
+    assert cert.degenerate == (holds and any(m <= 1e-15 for m in margins))
+    failing = [w for _, _, _, m, w in want if m < 0]
+    assert (cert.witness is None) == (not failing)
+    if failing:
+        assert cert.witness.tobytes() == failing[0].tobytes()
+
+
+def test_one_point_faces_in_one_dimension():
+    cert = miranda_check(lambda X: 0.5 - X, Cube([0.0], [1.0]), resolution=1)
+    assert [(fv.side, fv.witness.tolist(), fv.margin) for fv in cert.faces] \
+        == [("-", [0.0], 0.5), ("+", [1.0], 0.5)]
+    with pytest.raises(ValueError, match="at least 2"):
+        miranda_check(_affine, _SQUARE, resolution=1)
 
 
 @pytest.mark.parametrize("pointwise", [
