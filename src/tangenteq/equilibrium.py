@@ -51,7 +51,7 @@ import numpy as np
 
 from .convex import MovingBox, _clip
 from .errors import EmptyIntersection
-from .operators import _row_square_sums
+from .operators import _row_sums
 
 _CHECKPOINT_FACTOR = 1e-9
 
@@ -153,7 +153,7 @@ def _equation_residual(op, AU, vlo, vhi):
     target = -AU
     gap = target - _clip(target, vlo, vhi)
     # np.linalg.norm(gap, axis=1), without its wrapper
-    return _equation_norm(op, np.sqrt(_row_square_sums(gap)))
+    return _equation_norm(op, np.sqrt(_row_sums(gap * gap)))
 
 
 def _as_grid_function(u0, n, N):

@@ -35,41 +35,25 @@ import numpy as np
 from .errors import InvalidSpec, SingularSystem
 
 _RESIDUAL_RTOL = 1e-10
-_LAPACK = ("dgttrf", "dgttrs")
 
 
-def __getattr__(name):
-    # scipy.linalg takes about 0.2 s to import, more than most commands'
-    # own work, so LAPACK loads at the first factorization; the routines
-    # then sit in the module namespace, where they can be patched
-    if name not in _LAPACK:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    from scipy.linalg import lapack
-    for routine in _LAPACK:
-        globals().setdefault(routine, getattr(lapack, routine))
-    return globals()[name]
+# scipy.linalg takes about 0.2 s to import, more than most commands' own
+# work, so LAPACK loads at the first factorization.  Both wrappers are
+# module attributes, looked up at every call, so tests can patch them.
+def dgttrf(*args):
+    from scipy.linalg.lapack import dgttrf
+    return dgttrf(*args)
 
 
-def _lapack():
-    """``(dgttrf, dgttrs)`` as the module holds them, loaded on first use."""
-    return tuple(globals().get(name) or __getattr__(name)
-                 for name in _LAPACK)
+def dgttrs(*args):
+    from scipy.linalg.lapack import dgttrs
+    return dgttrs(*args)
 
 
-def _row_square_sums(X):
-    """``np.add.reduce(X * X, axis=1)`` bit for bit.  Numpy sums a row of
-    fewer than 8 entries left to right from ``+0.0``, which leaves a
-    square as it is, so such rows are summed one squared column at a
-    time: a few whole-column operations instead of one inner loop per
-    short row."""
-    if not 0 < X.shape[1] < 8:
-        return np.add.reduce(X * X, axis=1)
-    total = X[:, 0] * X[:, 0]
-    for j in range(1, X.shape[1]):
-        column = X[:, j]
-        total += column * column
-    return total
+def _row_sums(S):
+    """``np.add.reduce(S, axis=1)`` bit for bit: a single column is its
+    own sum, taken without a reduction over 1-element rows."""
+    return S[:, 0] if S.shape[1] == 1 else np.add.reduce(S, axis=1)
 
 
 class Grid1D:
@@ -109,7 +93,7 @@ class Grid1D:
     def norm(self, U, mask=None):
         """Grid-weighted L2 norm; ``mask`` restricts the nodes counted."""
         U = np.asarray(U, dtype=float)
-        sq = U * U if U.ndim == 1 else _row_square_sums(U)
+        sq = U * U if U.ndim == 1 else _row_sums(U * U)
         if mask is not None:
             sq = sq * mask
         return math.sqrt(np.add.reduce(self._weights * sq))
@@ -390,7 +374,6 @@ def _tridiagonal_solver(dl, d, du):
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("banded solve failed: %s" % exc) from exc
         return lambda B: inv @ B
-    dgttrf, dgttrs = _lapack()
     dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
     if info > 0:
         raise SingularSystem("banded solve failed: zero pivot in row %d"

@@ -55,7 +55,9 @@ def test_all_lists_every_name_the_package_imports():
 def test_importing_the_package_leaves_lapack_unloaded():
     script = ("import sys, tangenteq, tangenteq.cli\n"
               "assert 'scipy.linalg' not in sys.modules\n"
-              "tangenteq.operators.dgttrf\n"
+              "info = tangenteq.operators.dgttrf([1.0, 1.0], [2.0] * 3,"
+              " [1.0, 1.0])[-1]\n"
+              "assert info == 0\n"
               "assert 'scipy.linalg' in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
     proc = subprocess.run([sys.executable, "-c", script],

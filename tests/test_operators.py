@@ -8,9 +8,6 @@ import textwrap
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import tangenteq
 from tangenteq import operators
@@ -547,36 +544,3 @@ def test_invariance_report_serializes():
     assert d["passed"] is True
     assert isinstance(d["worst_overshoot"], float)
     assert d["h_list"] == [0.1]
-
-
-# comparable magnitudes, where the summation order shows in the last bit,
-# and the values that only the bit pattern tells apart
-_ENTRIES = (st.floats(-10.0, 10.0)
-            | st.sampled_from((-0.0, 0.0, np.inf, -np.inf, np.nan))
-            | st.floats())
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 9).flatmap(lambda cols: arrays(
-           np.float64, st.tuples(st.integers(0, 12), st.just(cols)),
-           elements=_ENTRIES)),
-       st.sampled_from("CF"))
-@example(np.array([[-0.0, -0.0]]), "C")
-def test_row_square_sums_equal_numpys_reduction_bit_for_bit(X, order):
-    # short rows are summed column by column, longer ones by numpy's
-    # pairwise reduction; signed zeros, infinities and NaN included
-    X = np.asarray(X, order=order)
-    with np.errstate(invalid="ignore", over="ignore"):
-        want = np.add.reduce(X * X, axis=1)
-        got = operators._row_square_sums(X)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("cols", range(1, 10))
-def test_row_square_sums_keep_numpys_order_on_random_rows(cols, order):
-    # random normal rows round differently under another summation order
-    X = np.asarray(np.random.default_rng(cols).standard_normal((500, cols)),
-                   order=order)
-    want = np.add.reduce(X * X, axis=1)
-    assert operators._row_square_sums(X).tobytes() == want.tobytes()
