@@ -347,11 +347,14 @@ def _dykstra_select(body, X, vlo, vhi, tol, gap_tol):
     iterations) or ``_SELECT_MAX_ITER`` iterations end above it.  Each
     row sees the same arithmetic as it would alone; rows past the first
     failure stop early, since only the first failing row is reported.
+    The loop ends in the iteration where every live row is done, with no
+    stall bookkeeping for it.
 
     Returns ``(V, None)``, or ``(None, (node, reason))`` for the first
     node without an admissible value.  Raises TangentEqError when, before
     that node, a selection fails its a-posteriori check against the cone
-    and the value box at ``max(tol, 100 gap_tol)``.
+    and the value box at ``max(tol, 100 gap_tol)``; the message names the
+    first such node, its state, both gaps and the check tolerance.
     """
     n = X.shape[0]
     V = np.empty_like(X)
@@ -363,7 +366,6 @@ def _dykstra_select(body, X, vlo, vhi, tol, gap_tol):
     corr_cone = np.zeros_like(X)
     # the last _STALL_WINDOW + 1 gaps of each live row, by iteration
     gaps = np.empty((_STALL_WINDOW + 1, n))
-    gap = np.full(n, np.inf)
     for i in range(_SELECT_MAX_ITER):
         if rows.size == 0:
             break
@@ -374,8 +376,11 @@ def _dykstra_select(body, X, vlo, vhi, tol, gap_tol):
         y = body.tangent_project_rows(x, z, tol)
         corr_cone = z - y
         gap = _row_norms(b - y)
-        gaps[i % gaps.shape[0]] = gap
         done = gap <= gap_tol
+        if done.all():
+            V[rows] = y
+            break
+        gaps[i % gaps.shape[0]] = gap
         stalled = ~done & (i >= _STALL_WINDOW) & (
             gaps[(i + 1) % gaps.shape[0]] - gap < 1e-14)
         V[rows[done]] = y[done]
@@ -389,11 +394,12 @@ def _dykstra_select(body, X, vlo, vhi, tol, gap_tol):
             rows, x, lo, hi = rows[live], x[live], lo[live], hi[live]
             y, corr_box, corr_cone = y[live], corr_box[live], corr_cone[live]
             gaps, gap = gaps[:, live], gap[live]
-    short = gap > gap_tol
-    for k in np.flatnonzero(short):
-        failed[int(rows[k])] = ("no admissible tangent value found "
-                                "(gap %.3g)" % gap[k])
-    V[rows[~short]] = y[~short]
+    else:
+        short = gap > gap_tol
+        for k in np.flatnonzero(short):
+            failed[int(rows[k])] = ("no admissible tangent value found "
+                                    "(gap %.3g)" % gap[k])
+        V[rows[~short]] = y[~short]
 
     first = min(failed, default=n)
     check_tol = max(tol, 100.0 * gap_tol)
@@ -401,8 +407,14 @@ def _dykstra_select(body, X, vlo, vhi, tol, gap_tol):
         X[:first], V[:first], tol))
     box_gap = _row_norms(V[:first] - _clip(V[:first], vlo[:first],
                                            vhi[:first]))
-    if np.any(~(cone_gap <= check_tol) | (box_gap > check_tol)):
-        raise TangentEqError("selection failed its a-posteriori validation")
+    bad = np.flatnonzero(~(cone_gap <= check_tol) | (box_gap > check_tol))
+    if bad.size:
+        j = bad[0]
+        raise TangentEqError(
+            "selection failed its a-posteriori validation at node %d, "
+            "state %s: cone gap %.3g, box gap %.3g, check_tol %.3g"
+            % (j, np.array2string(X[j], precision=6), cone_gap[j],
+               box_gap[j], check_tol))
     if failed:
         return None, (first, failed[first])
     return V, None

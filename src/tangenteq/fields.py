@@ -15,7 +15,11 @@ envelope, and the first row that breaches it raises BoundViolated.
 
 A field calls each of its functions once per grid: a function receives
 the positions as an ``(m, 1)`` column and ``U``, ``P`` as they are, and
-must return an array that broadcasts to ``(m, N)``.  A callable
+must return an array of at most two dims that broadcasts to ``(m, N)``.
+A 0-d or ``(N,)`` result is one value for every row, so a function
+written for one state that returns a scalar gives every row the value
+at the first: ``lambda x, u, p: 0.0 if np.atleast_1d(u)[0] < 0.4 else
+1.0`` returns ``[0, 0, 0]`` on the rows u = 0.1, 0.5, 0.9.  A callable
 ``bound`` is called once, on the length-``m`` position vector.  A
 pointwise ``g`` that takes one state at a time is wrapped as
 
@@ -27,7 +31,9 @@ the ``2 * dim`` axis points ``+-e_i`` first, then unit-ball rays drawn
 from ``seed``, cut to ``count`` rows.  A relay hull probes every state
 with the same table, scaled by delta, and calls ``g`` on every state's
 centre and probes together; ``semicontinuity_probe`` draws its probes
-from the same table.
+from the same table.  Both reach it through ``_probe_offsets``, which
+scales it once per ``(seed, count, radius, dim)`` and keeps it
+coordinate-first, so a probe grid is one array add.
 
 ``tangent_selection`` picks the minimal-norm admissible value that is also
 tangent to the constraint set at ``u``: it evaluates the field once and
@@ -37,6 +43,8 @@ sweeps make the same selection at every node through the lifted body's
 verifiers hunt for.
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +91,23 @@ def _sup_norms(lo, hi):
 
 def _call(g, xs, U, P, N):
     """``g`` at the states ``(xs[j], U[j], P[j])`` as an ``(m, N)`` array,
-    from one call on the whole grid."""
+    from one call on the whole grid.
+
+    The result must broadcast to ``(m, N)`` with at most two dims, so a
+    0-d or ``(N,)`` result is taken as one value for every row.  A
+    function written for one state can therefore go wrong without an
+    error: ``lambda x, u, p: 0.0 if np.atleast_1d(u)[0] < 0.4 else 1.0``
+    looks at the first row only and gives every row its value."""
     v = np.asarray(g(xs[:, None], U, P), dtype=float)
-    try:
-        return np.array(np.broadcast_to(v, (len(xs), N)))
-    except ValueError:
-        raise ValueError("field returned shape %s, expected %s"
-                         % (v.shape, (len(xs), N))) from None
+    out = np.empty((len(xs), N))
+    if v.ndim <= 2:
+        try:
+            out[...] = v
+            return out
+        except ValueError:
+            pass
+    raise ValueError("field returned shape %s, expected %s"
+                     % (v.shape, out.shape))
 
 
 class NonlinearityField:
@@ -240,18 +258,29 @@ def _probe_table(seed, count, dim):
     return np.vstack([axes, rays])[:count]
 
 
+@functools.lru_cache(maxsize=64)
+def _probe_offsets(seed, count, radius, dim):
+    """The offsets of a state's probes, coordinate-first: column 0 is the
+    state itself, column ``1 + i`` is ``radius`` times row ``i`` of the
+    probe table drawn from ``seed``.  Shape ``(dim, 1 + count)``.
+    Read-only, as every grid probed with the same table shares it."""
+    offsets = np.vstack([np.zeros(dim),
+                         radius * _probe_table(seed, count, dim)]).T.copy()
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _probe_grid(seed, count, radius, xs, U, P):
     """Every state ``(xs[j], U[j], P[j])``, then its ``count`` probes: the
     state plus ``radius`` times each row of the probe table drawn from
     ``seed``.  Returned as arrays ``(X, U, P)`` with ``1 + count`` rows
-    per state, the state first."""
-    S = np.column_stack([xs, U, P])
-    dim = S.shape[1]
-    offsets = np.vstack([np.zeros(dim),
-                         radius * _probe_table(seed, count, dim)])
-    probes = (S[:, None, :] + offsets).reshape(-1, dim)
+    per state, the state first; each coordinate is one contiguous
+    column."""
+    S = np.vstack([xs, np.transpose(U), np.transpose(P)])
+    offsets = _probe_offsets(seed, count, radius, S.shape[0])
+    probes = (S[:, :, None] + offsets[:, None, :]).reshape(S.shape[0], -1)
     k = np.shape(U)[1]
-    return probes[:, 0], probes[:, 1:1 + k], probes[:, 1 + k:]
+    return probes[0], probes[1:1 + k].T, probes[1 + k:].T
 
 
 def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
@@ -276,13 +305,14 @@ def semicontinuity_probe(field, x, u, p, delta, sample_count=64, seed=0):
     a state or probe that breaches the envelope raises as ``evaluate``
     would at the first such one.  A delta that is not finite and
     positive, or a ``sample_count`` that is not an integer of at least 1,
-    raises ValueError.  A NaN excess is no evidence and never wins; when
-    every probe's excess is NaN the probe returns NaN, not 0.0.
+    raises ValueError, and a ``seed`` that is not an integer TypeError.
+    A NaN excess is no evidence and never wins; when every probe's excess
+    is NaN the probe returns NaN, not 0.0.
     """
     delta, count = _probe_args(delta, sample_count)
     lo, hi = field.evaluate_grid(*_probe_grid(
-        seed, count, delta, np.atleast_1d(x), np.atleast_2d(u),
-        np.atleast_2d(p)))
+        operator.index(seed), count, delta, np.atleast_1d(x),
+        np.atleast_2d(u), np.atleast_2d(p)))
     # ``SetValue.excess_over`` of each probe over the state
     excess = _row_norms(np.maximum(0.0, np.maximum(lo[:1] - lo[1:],
                                                    hi[1:] - hi[:1])))

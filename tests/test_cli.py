@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tangenteq
-from tangenteq import load_config
+from tangenteq import CONE_TOL, Ball, load_config
 from tangenteq.cli import run_cli
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -106,6 +106,27 @@ def test_solve_nonconvergent_box_exits_three(tmp_path):
     rep = _report(tmp_path)
     assert rep["status"] == "non_convergence"
     assert rep["constraint_violation"] >= 0.5 - 1e-9
+
+
+def test_a_selection_failing_its_check_exits_three_with_a_witness(
+        tmp_path, capsys, monkeypatch):
+    # the ball's second cone projection disagrees with its first, so the
+    # first sweep's selection fails its a-posteriori check
+    project = Ball.tangent_project_rows
+    calls = []
+
+    def disagrees(self, X, V, tol=CONE_TOL):
+        calls.append(1)
+        Y = project(self, X, V, tol)
+        return Y + 1.0 if len(calls) == 2 else Y
+
+    monkeypatch.setattr(Ball, "tangent_project_rows", disagrees)
+    code = run_cli(["simulate", _cfg("bernstein.cfg"), "--out",
+                    str(tmp_path)])
+    assert code == 3 and len(calls) == 2
+    assert capsys.readouterr().err == (
+        "solver failure: selection failed its a-posteriori validation at "
+        "node 0, state [0.]: cone gap 1, box gap 0, check_tol 1e-07\n")
 
 
 def test_solve_moving_rectangles(tmp_path):

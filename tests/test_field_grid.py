@@ -1,5 +1,7 @@
 """Whole-grid field evaluation: ``evaluate_grid`` against one-row calls."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,36 @@ def test_shape_errors_name_what_the_field_returned(name):
     with pytest.raises(ValueError, match=r"^field returned shape \(%d, 3\), "
                        r"expected \(%d, 2\)$" % (rows, rows)):
         _wrong_fields()[name].evaluate(0.5, [0.0, 0.0], [0.0, 0.0])
+
+
+def test_a_result_without_rows_is_one_value_for_every_row():
+    xs, U = np.zeros(3), np.array([[0.1], [0.5], [0.9]])
+    # written for one state, it looks at the first row only
+    per_state = SingleValued(
+        lambda x, u, p: 0.0 if np.atleast_1d(u)[0] < 0.4 else 1.0)
+    lo, hi = per_state.evaluate_grid(xs, U, U)
+    assert lo.tolist() == hi.tolist() == [[0.0], [0.0], [0.0]]
+    rowwise = SingleValued(lambda x, u, p: np.where(u < 0.4, 0.0, 1.0))
+    assert rowwise.evaluate_grid(xs, U, U)[0].tolist() == [[0.0], [1.0],
+                                                           [1.0]]
+    pair = np.array([1.0, 2.0])
+    lo, _ = SingleValued(lambda x, u, p: pair, components=2).evaluate_grid(
+        xs, np.zeros((3, 2)), np.zeros((3, 2)))
+    assert lo.tolist() == [[1.0, 2.0]] * 3
+    # the value box is the field's own array, not the function's
+    full = np.ones((3, 2))
+    lo, hi = SingleValued(lambda x, u, p: full, components=2).evaluate_grid(
+        xs, np.zeros((3, 2)), np.zeros((3, 2)))
+    assert not np.shares_memory(lo, full) and lo.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 2), (1, 3, 2), (3, 2, 1),
+                                   (1, 1, 1)])
+def test_a_result_of_another_shape_or_more_dims_is_refused(shape):
+    field = SingleValued(lambda x, u, p: np.zeros(shape), components=2)
+    with pytest.raises(ValueError, match=r"^field returned shape %s, "
+                       r"expected \(3, 2\)$" % re.escape(str(shape))):
+        field.evaluate_grid(np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2)))
 
 
 def test_evaluate_is_the_one_row_grid_call():

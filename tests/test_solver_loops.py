@@ -10,10 +10,12 @@ batched array calls: the module holds no generator, and no verifier
 loops over its samples.
 
 In ``fields`` nothing loops: the probe table and the relay hull work on
-whole arrays, and no method of a ``NonlinearityField`` subclass (the
-ones in ``problems`` included) holds a comprehension.  Fields evaluate
-on rows only: ``evaluate`` is written once, on ``NonlinearityField``, as
-the one-row case of ``evaluate_grid``; no field keeps a scalar twin
+whole arrays, a probe grid reaches the table only through the memoised
+offsets (it draws no rays itself), and no method of a
+``NonlinearityField`` subclass (the ones in ``problems`` included) holds
+a comprehension.  Fields evaluate on rows only: ``evaluate`` is written
+once, on ``NonlinearityField``, as the one-row case of
+``evaluate_grid``; no field keeps a scalar twin
 (``_value``, ``_rows``, a second envelope check), each field class calls
 each of its functions at one site, through ``_call``, and
 ``StateShiftedField`` in ``problems`` defines only ``evaluate_grid``.
@@ -117,6 +119,23 @@ def test_ray_draws_hold_no_loop():
     tree = ast.parse(inspect.getsource(fields))
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, (ast.For, ast.While, ast.AsyncFor))]
+
+
+def _called_names(function):
+    """The names ``function`` calls, as ``name(...)`` or ``x.name(...)``."""
+    tree = ast.parse(inspect.getsource(function))
+    return {inner.func.id if isinstance(inner.func, ast.Name)
+            else inner.func.attr
+            for inner in ast.walk(tree) if isinstance(inner, ast.Call)
+            and isinstance(inner.func, (ast.Name, ast.Attribute))}
+
+
+def test_probe_grids_take_the_memoised_offsets():
+    called = _called_names(fields._probe_grid)
+    assert "_probe_offsets" in called
+    assert not {"default_rng", "_probe_table", "unit_ball_rays"} & called
+    assert hasattr(fields._probe_offsets, "cache_info")
+    assert "default_rng" in _called_names(fields._probe_table)
 
 
 def _field_classes(cls=fields.NonlinearityField):
