@@ -178,8 +178,8 @@ def _cmd_solve(spec, args):
     if spec.method == "truncation":
         if not isinstance(C, (Box, MovingBox)):
             raise InvalidSpec("truncation method needs box bounds")
-        box = C.lift(grid.n)
-        report = truncation_iterate(op, field, box.lo, box.hi, cfg,
+        box = C.lift(grid.n, op.spec.components)
+        report = truncation_iterate(op, field, box.alpha, box.beta, cfg,
                                     u0=spec.initial_state(grid))
     else:
         if C is None:

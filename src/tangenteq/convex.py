@@ -5,12 +5,16 @@ metric projection of each row, a 1-Lipschitz retraction) and
 ``tangent_project_rows`` (the metric projection onto the tangent cone at
 each row) and lists supporting halfspaces for the invariance audits.
 ``ConvexBody`` builds the rest on them once: the one-point ``project``
-and ``tangent_project``, distances, cone membership, ``lift(n)`` (the
-set at each of ``n`` nodes: a ``NodewiseBox`` for boxes and
-``MovingBox``, else a ``NodewiseBody`` that selects by one Dykstra run
-over every row), ``tangent_value(u, lo, hi)`` (the minimal-norm point of
-the value box ``[lo, hi]`` in the tangent cone at ``u``) and
+and ``tangent_project``, distances, cone membership, ``select`` (the
+minimal-norm point of each value box ``[vlo[j], vhi[j]]`` in the tangent
+cone at row ``j``, by one Dykstra run over every row) and
 ``sample(rng, count, n)`` (seeded grid functions in the set).
+
+A constraint is its own grid lift: ``lift(n, N)`` checks it against
+``n`` nodes of ``N`` components.  A body returns itself, since its row
+methods take every node at once; a ``Box`` lifts to a ``MovingBox`` of
+its tiled bounds, the one nodewise box, which selects by clipping to
+its interval face cones.
 
 The tangent cone of a convex set at ``x`` is the closure of the feasible
 rays ``h*(K - x)``, ``h > 0``.  For every set below both projections are
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyIntersection, PointNotInSet, TangentEqError
+from .errors import PointNotInSet, TangentEqError
 
 try:
     # the ufunc behind np.clip, called without np.clip's Python wrapper
@@ -79,7 +83,30 @@ def _positive_part(a):
     return np.where(a > 0.0, a, 0.0)
 
 
-class ConvexBody:
+class _Lifted:
+    """The state-level methods of a set lifted to the grid, built on its
+    ``project_rows`` and on the same methods taken at a state's
+    projection, ``_distances_at(U, W)``, ``_select_at(W, ...)`` and
+    ``_tangency_at(W, ...)``.  A sweep that already holds
+    ``W = project_rows(U)`` calls those directly."""
+
+    def distances(self, U):
+        """Euclidean distance of each nodal state to the set."""
+        return self._distances_at(U, self.project_rows(U))
+
+    def select(self, U, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
+        """Minimal-norm values in ``[vlo, vhi]`` tangent to the set at
+        ``proj U``.  Returns ``(V, None)``, or ``(None, (node, reason))``
+        for the first node without an admissible value."""
+        return self._select_at(self.project_rows(U), vlo, vhi, tol, gap_tol)
+
+    def tangency(self, U, V, tol=CONE_TOL):
+        """``max_j dist(V_j, T(proj U_j))``: the largest nodal directional
+        derivative of the distance to the set along ``V``."""
+        return self._tangency_at(self.project_rows(U), V, tol)
+
+
+class ConvexBody(_Lifted):
     """Shared plumbing for the concrete sets, built once on the two row
     methods each set implements: ``project_rows(X)`` and
     ``tangent_project_rows(X, V, tol)`` (faces within ``tol`` of ``X[j]``
@@ -89,10 +116,6 @@ class ConvexBody:
 
     def distance(self, x):
         return float(self.distances(_as1d(x)[None])[0])
-
-    def distances(self, X):
-        """Euclidean distance of each row of ``X`` to the set."""
-        return _row_norms(X - self.project_rows(X))
 
     def project(self, x):
         return self.project_rows(_as1d(x)[None])[0]
@@ -123,22 +146,24 @@ class ConvexBody:
     def supporting_halfspaces(self):
         raise NotImplementedError
 
-    def lift(self, n):
-        """The body at every grid node."""
-        return NodewiseBody(self)
+    def lift(self, n, N):
+        """The body at each of ``n`` grid nodes of ``N`` components: the
+        body itself, whose row methods take every node at once."""
+        if self.dim != N:
+            raise ValueError("constraint dimension %d != components %d"
+                             % (self.dim, N))
+        return self
 
-    def tangent_value(self, u, lo, hi, tol=CONE_TOL, gap_tol=1e-10):
-        """Minimal-norm value in ``[lo, hi]`` tangent to the body at
-        ``proj u``: the one-node case of the lifted body's ``select``.
+    def _distances_at(self, U, W):
+        return _row_norms(U - W)
 
-        Raises EmptyIntersection when no admissible tangent value exists.
-        """
-        v, miss = self.lift(1).select(_as1d(u)[None], _as1d(lo)[None],
-                                      _as1d(hi)[None], tol=tol,
-                                      gap_tol=gap_tol)
-        if miss is not None:
-            raise EmptyIntersection(miss[1])
-        return v[0]
+    def _select_at(self, W, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
+        """By ``_dykstra_select``."""
+        return _dykstra_select(self, W, vlo, vhi, tol, gap_tol)
+
+    def _tangency_at(self, W, V, tol=CONE_TOL):
+        return float(np.max(_row_norms(
+            V - self.tangent_project_rows(W, V, tol))))
 
     def sample(self, rng, count, n):
         """``count`` seeded ``(n, dim)`` grid functions with every nodal
@@ -174,30 +199,40 @@ class Box(ConvexBody):
         return _clip(X, self.lo, self.hi)
 
     def tangent_project_rows(self, X, V, tol=CONE_TOL):
-        return _clip(V, *self.lift(X.shape[0]).face_cone(
-            self.project_rows(X), tol))
+        return _clip(V, *_face_cone(self.project_rows(X), self.lo, self.hi,
+                                    tol))
 
     def supporting_halfspaces(self):
         return [face for e, lo, hi in zip(np.eye(self.dim), self.lo, self.hi)
                 for face in ((e, float(hi)), (-e, float(-lo)))]
 
-    def lift(self, n):
-        """The same box at each of ``n`` grid nodes."""
-        return NodewiseBox(np.tile(self.lo, (n, 1)), np.tile(self.hi, (n, 1)))
+    def lift(self, n, N):
+        """The same box at each of ``n`` grid nodes, as a ``MovingBox``."""
+        return MovingBox(np.tile(self.lo, (n, 1)),
+                         np.tile(self.hi, (n, 1))).lift(n, N)
 
     def sample(self, rng, count, n):
         width = np.where(self.hi > self.lo, self.hi - self.lo, 0.0)
         return self.lo + width * rng.random((count, n, self.dim))
 
 
+def _face_cone(W, lo, hi, tol):
+    """Interval bounds ``(clo, chi)`` of the tangent cone of the box
+    ``[lo, hi]`` at ``W``, a state in it: ``clo = 0`` on an active lower
+    face, ``chi = 0`` on an upper one."""
+    return (np.where(W - lo <= tol, 0.0, -np.inf),
+            np.where(hi - W <= tol, 0.0, np.inf))
+
+
 @dataclass
-class MovingBox:
+class MovingBox(_Lifted):
     """Nodewise box bounds alpha(x) <= u(x) <= beta(x).
 
     ``alpha`` and ``beta`` are arrays over grid nodes, one row per node
     (scalar problems may pass flat arrays, and a single column bounds
     every component alike).  The equilibrium solvers treat this exactly
-    like a box constraint whose faces move with x.
+    like a box constraint whose faces move with x.  The row methods take
+    ``(n, N)`` grid functions and need the bounds as ``lift`` gives them.
     """
 
     alpha: np.ndarray
@@ -211,81 +246,34 @@ class MovingBox:
         if np.any(self.alpha > self.beta):
             raise ValueError("alpha must stay below beta")
 
-    def lift(self, n):
-        """The bounds as a NodewiseBox; scalars hold at every node."""
+    def lift(self, n, N):
+        """The bounds with one row per node, ``(n, 1)`` or ``(n, N)``;
+        scalars hold at every node."""
         def rows(b):
-            return (np.full(n, float(b)) if b.ndim == 0 else b).reshape(n, -1)
-        return NodewiseBox(rows(self.alpha), rows(self.beta))
-
-
-class _Lifted:
-    """The state-level methods of a lifted set, built on its ``project``
-    and on the same methods taken at a state's projection,
-    ``_distances_at(U, W)``, ``_select_at(W, ...)`` and
-    ``_tangency_at(W, ...)``.  A sweep that already holds
-    ``W = project(U)`` calls those directly."""
-
-    def distances(self, U):
-        """Euclidean distance of each nodal state to the set."""
-        return self._distances_at(U, self.project(U))
-
-    def select(self, U, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
-        """Minimal-norm values in ``[vlo, vhi]`` tangent to the set at
-        ``proj U``.  Returns ``(V, None)``, or ``(None, (node, reason))``
-        for the first node without an admissible value."""
-        return self._select_at(self.project(U), vlo, vhi, tol, gap_tol)
-
-    def tangency(self, U, V, tol=CONE_TOL):
-        """``max_j dist(V_j, T(proj U_j))``: the largest nodal directional
-        derivative of the distance to the set along ``V``."""
-        return self._tangency_at(self.project(U), V, tol)
-
-
-class NodewiseBox(_Lifted):
-    """Box bounds per grid node, ``lo[j] <= u_j <= hi[j]``, acting on grid
-    functions ``U`` of shape ``(n, N)``.
-
-    ``lo`` and ``hi`` have one row per node.  Faces and cones are taken
-    at the projection of the state onto the box.
-    """
-
-    def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        if self.lo.ndim != 2 or self.lo.shape != self.hi.shape:
-            raise ValueError("nodewise bounds need matching (n, N) shapes")
-        if np.any(self.lo > self.hi):
-            raise ValueError("lower bound exceeds upper bound somewhere")
-
-    def broadcast(self, N):
-        """This box for ``N`` components; one column bounds them all."""
-        n, dim = self.lo.shape
-        if dim not in (1, N):
+            b = np.full(n, float(b)) if b.ndim == 0 else b
+            if b.shape[0] != n:
+                raise ValueError("bounds have %d rows for %d grid nodes"
+                                 % (b.shape[0], n))
+            return b.reshape(n, -1)
+        lo, hi = rows(self.alpha), rows(self.beta)
+        if lo.shape[1] not in (1, N):
             raise ValueError("constraint dimension %d != components %d"
-                             % (dim, N))
-        return NodewiseBox(np.broadcast_to(self.lo, (n, N)),
-                           np.broadcast_to(self.hi, (n, N)))
+                             % (lo.shape[1], N))
+        return MovingBox(lo, hi)
 
-    def project(self, U):
-        return _clip(U, self.lo, self.hi)
+    def project_rows(self, U):
+        return _clip(U, self.alpha, self.beta)
 
     def _distances_at(self, U, W):
         return np.linalg.norm(U - W, axis=1)
-
-    def face_cone(self, W, tol=CONE_TOL):
-        """Interval bounds ``(clo, chi)`` of the tangent cone at ``W``, a
-        state in the box: ``clo = 0`` on an active lower face, ``chi = 0``
-        on an upper one."""
-        return (np.where(W - self.lo <= tol, 0.0, -np.inf),
-                np.where(self.hi - W <= tol, 0.0, np.inf))
 
     def _select_at(self, W, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
         """The face cones are intervals, so selection is componentwise
         clipping.  A node misses when its values miss its face cone by
         more than ``gap_tol``; the default matches ``tol``, so a state
         within ``tol`` of a face may overshoot it by as much."""
-        V, empty = selection_on_intervals(vlo, vhi,
-                                          *self.face_cone(W, tol), gap_tol)
+        V, empty = selection_on_intervals(
+            vlo, vhi, *_face_cone(W, self.alpha, self.beta, tol), gap_tol)
         if empty.any():
             j, k = np.argwhere(empty)[0]
             return None, (int(j), "component %d: values [%.6g, %.6g] miss "
@@ -293,37 +281,8 @@ class NodewiseBox(_Lifted):
         return V, None
 
     def _tangency_at(self, W, V, tol=CONE_TOL):
-        clo, chi = self.face_cone(W, tol)
+        clo, chi = _face_cone(W, self.alpha, self.beta, tol)
         return float(np.max(np.linalg.norm(V - _clip(V, clo, chi), axis=1)))
-
-
-class NodewiseBody(_Lifted):
-    """A convex body at every grid node, with the methods of
-    ``NodewiseBox`` on all rows of ``U`` at once."""
-
-    def __init__(self, body):
-        self.body = body
-
-    def broadcast(self, N):
-        if self.body.dim != N:
-            raise ValueError("constraint dimension %d != components %d"
-                             % (self.body.dim, N))
-        return self
-
-    def project(self, U):
-        return self.body.project_rows(U)
-
-    def _distances_at(self, U, W):
-        """As ``body.distances`` takes them."""
-        return _row_norms(U - W)
-
-    def _select_at(self, W, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
-        """By ``_dykstra_select``."""
-        return _dykstra_select(self.body, W, vlo, vhi, tol, gap_tol)
-
-    def _tangency_at(self, W, V, tol=CONE_TOL):
-        return float(np.max(_row_norms(
-            V - self.body.tangent_project_rows(W, V, tol))))
 
 
 #: the stall test compares each Dykstra gap with the one this many

@@ -194,8 +194,7 @@ def _head(op, field_, K, X, W, AX=None):
 
 
 def _drive(op, field_, C, u0, config, step, project_start=False,
-           at_projection=False, accept=None, post=None, tangency=True,
-           residuals=True):
+           at_projection=False, accept=None, post=None, residuals=True):
     """The sweep loop behind every solver.
 
     Lifts ``C`` to the grid and starts from ``u0`` (zeros when None,
@@ -208,26 +207,27 @@ def _drive(op, field_, C, u0, config, step, project_start=False,
     ``accept(distances)``, if given, holds on the new state's nodal
     distances to the constraint.  A step that knows the new state's
     image ``A u`` returns it as ``AU`` (else None), and the next head at
-    ``X = u`` uses it in place of applying ``A``.  With ``residuals`` off
-    no sweep measures the equation residual or applies ``A`` for it (the
-    step sees ``A X`` only as a handed-on image, else None), so the run
-    goes on to ``config.max_iter``.  A run that uses all its sweeps gets
-    its status from ``_plateau_status``.
+    ``X = u`` uses it in place of applying ``A``.  A run that uses all
+    its sweeps gets its status from ``_plateau_status``.
 
     ``post(K, u, W, distances, report)`` then sees the final ``(n, N)``
     state, its projection and its nodal distances to the constraint; the
-    tangency residual is measured at the final ``X`` unless ``tangency``
-    is off or the run ended on a tangency failure.  Returns a SolveReport.
+    tangency residual is measured at the final ``X`` unless the run
+    ended on a tangency failure.  With ``residuals`` off the run measures
+    neither residual: no sweep measures the equation residual or applies
+    ``A`` for it (the step sees ``A X`` only as a handed-on image, else
+    None), so the run goes on to ``config.max_iter``, and the report
+    keeps a tangency residual of ``inf``.  Returns a SolveReport.
     """
     n, N = op.grid.n, op.spec.components
-    K = C.lift(n).broadcast(N)
+    K = C.lift(n, N)
     u = np.zeros((n, N)) if u0 is None else _as_grid_function(u0, n, N)
     if project_start:
-        u = K.project(u)
+        u = K.project_rows(u)
 
     history = []
     status = failure = AU = None
-    W = K.project(u)
+    W = K.project_rows(u)
     for it in range(1, config.max_iter + 1):
         X, AX = (W, None) if at_projection else (u, AU)
         if residuals:
@@ -239,7 +239,7 @@ def _drive(op, field_, C, u0, config, step, project_start=False,
             status = "tangency_failure"
             break
         (u, AU), u_prev = step(it, K, u, W, AX, v), u
-        W = K.project(u)
+        W = K.project_rows(u)
         # the step norm is taken only once the residual test holds
         if residuals and r <= config.tol_residual \
                 and op.grid.norm(u - u_prev) <= config.tol_step \
@@ -255,7 +255,7 @@ def _drive(op, field_, C, u0, config, step, project_start=False,
         iterations=it, failure=failure)
     if post is not None:
         post(K, u, W, distances, report)
-    if tangency and report.status != "tangency_failure":
+    if residuals and report.status != "tangency_failure":
         report.tangency_residual = _tangency(
             op, field_, K, W if at_projection else u, W)
     report.u_star = _in_caller_shape(u, u0)
@@ -277,7 +277,7 @@ def resolvent_iterate(op, field_, C, u0, config=None):
         # a harmonic schedule advances h_k = h0 / k at every checkpoint
         h = config.step(1 + len(checks))
         lifted = u + h * v
-        z, Az = op._resolvent(h, K.project(lifted))
+        z, Az = op._resolvent(h, K.project_rows(lifted))
         defect = op.grid.norm(z - u)
         cp_tol = _CHECKPOINT_FACTOR * h
         if defect <= cp_tol and prev_defect <= cp_tol:
@@ -382,7 +382,7 @@ def viability_simulate(op, field_, C, u0, t_end, h):
     # no residual is measured, so the run goes on to the horizon
     horizon = SolverConfig(max_iter=int(np.ceil(t_end / h)))
     report = _drive(op, field_, C, u0, horizon, step, at_projection=True,
-                    post=measure, tangency=False, residuals=False)
+                    post=measure, residuals=False)
     return TrajectoryReport(
         terminal_state=report.u_star,
         max_constraint_distance=max(left + [report.constraint_violation]),
@@ -400,9 +400,9 @@ def residual(op, field_, C, u):
     residual, except that a node with no tangent value raises
     EmptyIntersection.  Both come from one sweep head of the driver.
     """
-    K = C.lift(op.grid.n).broadcast(op.spec.components)
+    K = C.lift(op.grid.n, op.spec.components)
     U = _as_grid_function(u, op.grid.n, op.spec.components)
-    W = K.project(U)
+    W = K.project_rows(U)
     eq, v, failure, _ = _head(op, field_, K, U, W)
     if failure is not None:
         raise EmptyIntersection(failure["reason"])

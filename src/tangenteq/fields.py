@@ -37,10 +37,10 @@ coordinate-first, so a probe grid is one array add.
 
 ``tangent_selection`` picks the minimal-norm admissible value that is also
 tangent to the constraint set at ``u``: it evaluates the field once and
-leaves the selection to the body's ``tangent_value``.  The equilibrium
-sweeps make the same selection at every node through the lifted body's
-``select``, and its emptiness is exactly the tangency failure the
-verifiers hunt for.
+leaves the selection to ``select`` of the body lifted to one node.  The
+equilibrium sweeps make the same selection at every node through the
+same ``select`` of the constraint lifted to the grid, and its emptiness
+is exactly the tangency failure the verifiers hunt for.
 """
 
 import functools
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import CONE_TOL, _row_norms
-from .errors import BoundViolated
+from .errors import BoundViolated, EmptyIntersection
 
 
 @dataclass
@@ -286,13 +286,18 @@ def _probe_grid(seed, count, radius, xs, U, P):
 def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
                       gap_tol=1e-10):
     """Minimal-norm admissible value tangent to ``body`` at ``u``: the
-    field's value box at ``(x, u, p)`` handed to ``body.tangent_value``.
+    field's value box at ``(x, u, p)`` handed to the one-node lift's
+    ``select``.
 
     Raises EmptyIntersection when no admissible tangent value exists.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     val = field.evaluate(x, u, p)
-    return body.tangent_value(u, val.lo, val.hi, tol, gap_tol)
+    v, miss = body.lift(1, u.size).select(u[None], val.lo[None],
+                                          val.hi[None], tol, gap_tol)
+    if miss is not None:
+        raise EmptyIntersection(miss[1])
+    return v[0]
 
 
 def semicontinuity_probe(field, x, u, p, delta, sample_count=64, seed=0):

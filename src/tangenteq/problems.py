@@ -231,9 +231,11 @@ def _min_dot(W, lo, hi):
 
 
 def _node_bounds(C, grid, components):
-    box = C.lift(grid.n).broadcast(components)
-    return (box.lo, box.hi, np.gradient(box.lo, grid.dx, axis=0),
-            np.gradient(box.hi, grid.dx, axis=0))
+    box = C.lift(grid.n, components)
+    lo = np.broadcast_to(box.alpha, (grid.n, components))
+    hi = np.broadcast_to(box.beta, (grid.n, components))
+    return lo, hi, np.gradient(lo, grid.dx, axis=0), \
+        np.gradient(hi, grid.dx, axis=0)
 
 
 def _box_face_items(field, C, grid, samples, rng, tol):

@@ -1,5 +1,5 @@
-"""The contract every convex body offers the grid solvers: ``lift(n)``,
-``tangent_value`` and ``sample``."""
+"""The contract every convex body offers the grid solvers: ``lift(n, N)``,
+``select`` and ``sample``."""
 
 import numpy as np
 import pytest
@@ -101,7 +101,7 @@ def _node_selection(body, U, vlo, vhi, j, gap_tol, cone=None):
 @given(body_problems(), st.sampled_from((1e-10, CONE_TOL)))
 def test_lifted_rows_are_the_single_node_selections(problem, gap_tol):
     body, U, vlo, vhi = problem
-    lifted = body.lift(U.shape[0]).broadcast(body.dim)
+    lifted = body.lift(U.shape[0], body.dim)
     V, miss = lifted.select(U, vlo, vhi, gap_tol=gap_tol)
     assume(miss is None)
     check_tol = max(CONE_TOL, 100.0 * gap_tol)
@@ -132,7 +132,7 @@ def test_lifted_rows_are_the_single_node_selections(problem, gap_tol):
 @given(body_problems(), st.sampled_from((1e-10, CONE_TOL)))
 def test_a_miss_names_the_first_empty_node(problem, gap_tol):
     body, U, vlo, vhi = problem
-    V, miss = body.lift(U.shape[0]).select(U, vlo, vhi, gap_tol=gap_tol)
+    V, miss = body.lift(*U.shape).select(U, vlo, vhi, gap_tol=gap_tol)
     assume(miss is not None)
     assert V is None
     node, reason = miss
@@ -146,7 +146,7 @@ def test_a_miss_names_the_first_empty_node(problem, gap_tol):
 def test_lift_rejects_a_component_count_other_than_the_body_dimension():
     with pytest.raises(ValueError, match="constraint dimension 2 != "
                                          "components 3"):
-        Ball([0.0, 0.0], 1.0).lift(5).broadcast(3)
+        Ball([0.0, 0.0], 1.0).lift(5, 3)
 
 
 def test_ball_sweep_evaluates_the_field_once_per_node():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangenteq import (Ball, Box, BoundViolated, FilippovHull, Grid1D,
-                       IntervalValued, NodewiseBox, OperatorSpec, SingleValued,
+                       IntervalValued, MovingBox, OperatorSpec, SingleValued,
                        SolverConfig, StateShiftedField, assemble,
                        make_nonlinearity, resolvent_iterate,
                        verify_bernstein, verify_tangency, viability_simulate)
@@ -262,7 +262,7 @@ def test_relay_simulation_projects_and_applies_once_per_step(monkeypatch):
     op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, n))
     relay = make_nonlinearity("heaviside", {}, seed=5)
     projections, applies = [], []
-    project, apply = NodewiseBox.project, op.apply
+    project, apply = MovingBox.project_rows, op.apply
 
     def counted_project(self, U):
         projections.append(1)
@@ -272,7 +272,7 @@ def test_relay_simulation_projects_and_applies_once_per_step(monkeypatch):
         applies.append(1)
         return apply(U)
 
-    monkeypatch.setattr(NodewiseBox, "project", counted_project)
+    monkeypatch.setattr(MovingBox, "project_rows", counted_project)
     monkeypatch.setattr(op, "apply", counted_apply)
     u0 = np.random.default_rng(5).random(n)
     rep = viability_simulate(op, relay, Box([0.0], [1.0]), u0, 1.0, 0.05)
@@ -291,13 +291,13 @@ def test_converged_solve_projects_its_final_state_once(monkeypatch):
     op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, n))
     linear = make_nonlinearity("linear", _PARAMS["linear"])
     projected = []
-    project = NodewiseBox.project
+    project = MovingBox.project_rows
 
     def counted_project(self, U):
         projected.append(np.array(U))
         return project(self, U)
 
-    monkeypatch.setattr(NodewiseBox, "project", counted_project)
+    monkeypatch.setattr(MovingBox, "project_rows", counted_project)
     rep = resolvent_iterate(op, linear, Box([0.0], [1.0]), np.full(n, 0.2),
                             SolverConfig(h0=0.5, max_iter=400))
     assert rep.status == "converged" and rep.iterations == 32

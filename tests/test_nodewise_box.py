@@ -1,12 +1,14 @@
-"""Property tests for the nodewise box the grid solvers share."""
+"""Property tests for ``MovingBox``, the one nodewise box the grid
+solvers share."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from tangenteq import (CONE_TOL, Box, EmptyIntersection, IntervalValued,
-                       MovingBox, NodewiseBox, selection_on_intervals,
-                       tangent_selection)
+                       MovingBox, selection_on_intervals, tangent_selection)
 
 _VALUES = (-1.0, -0.5, -1e-4, 0.0, 1e-4, 0.5, 1.0)
 # where a state component sits relative to its interval
@@ -59,7 +61,7 @@ def _smallest_tangent_value(box, u, lo, hi, k):
 @given(box_problems(), st.sampled_from((1e-10, CONE_TOL)))
 def test_lifted_rows_match_the_single_node_selection(problem, gap_tol):
     box, U, vlo, vhi = problem
-    lifted = box.lift(U.shape[0])
+    lifted = box.lift(*U.shape)
     V, miss = lifted.select(U, vlo, vhi, gap_tol=gap_tol)
     assume(miss is None)
     for j in range(U.shape[0]):
@@ -77,7 +79,7 @@ def test_lifted_rows_match_the_single_node_selection(problem, gap_tol):
 @given(box_problems(), st.sampled_from((1e-10, CONE_TOL)))
 def test_failure_witness_is_the_first_empty_node(problem, gap_tol):
     box, U, vlo, vhi = problem
-    V, miss = box.lift(U.shape[0]).select(U, vlo, vhi, gap_tol=gap_tol)
+    V, miss = box.lift(*U.shape).select(U, vlo, vhi, gap_tol=gap_tol)
     assume(miss is not None)
     assert V is None
     node, reason = miss
@@ -104,16 +106,16 @@ def boxes_and_states(draw):
                                       max_size=n * N))).reshape(n, N)
 
     a, b = grid(), grid()
-    return NodewiseBox(np.minimum(a, b), np.maximum(a, b)), grid(), grid()
+    return MovingBox(np.minimum(a, b), np.maximum(a, b)), grid(), grid()
 
 
 @settings(max_examples=200, deadline=None)
 @given(boxes_and_states())
 def test_projection_is_an_idempotent_contraction(case):
     box, U, W = case
-    PU, PW = box.project(U), box.project(W)
-    assert np.all((box.lo <= PU) & (PU <= box.hi))
-    assert np.array_equal(box.project(PU), PU)
+    PU, PW = box.project_rows(U), box.project_rows(W)
+    assert np.all((box.alpha <= PU) & (PU <= box.beta))
+    assert np.array_equal(box.project_rows(PU), PU)
     assert np.all(box.distances(PU) == 0.0)
     gap = np.linalg.norm(PU - PW, axis=1)
     assert np.all(gap <= np.linalg.norm(U - W, axis=1) * (1 + 1e-12))
@@ -123,10 +125,10 @@ def test_projection_is_an_idempotent_contraction(case):
 @given(box_problems())
 def test_constant_moving_box_selects_like_the_box(problem):
     box, U, vlo, vhi = problem
-    n = U.shape[0]
+    n, N = U.shape
     moving = MovingBox(np.tile(box.lo, (n, 1)), np.tile(box.hi, (n, 1)))
-    a, b = box.lift(n), moving.lift(n)
-    assert np.array_equal(a.project(U), b.project(U))
+    a, b = box.lift(n, N), moving.lift(n, N)
+    assert np.array_equal(a.project_rows(U), b.project_rows(U))
     (Va, miss_a), (Vb, miss_b) = a.select(U, vlo, vhi), b.select(U, vlo, vhi)
     assert miss_a == miss_b
     if miss_a is None:
@@ -143,11 +145,31 @@ def test_the_clip_kernels_equal_np_clip():
     lo, hi, U = (a.reshape(-1, 1) for a in np.meshgrid(
         _SPECIAL, _SPECIAL, _SPECIAL, indexing="ij"))
     keep = ~(lo > hi)[:, 0]
-    box = NodewiseBox(lo[keep], hi[keep])
+    box = MovingBox(lo[keep], hi[keep])
     U = U[keep]
-    assert np.array_equal(box.project(U), np.clip(U, box.lo, box.hi),
-                          equal_nan=True)
-    v, _ = selection_on_intervals(U, U, box.lo, box.hi)
-    ilo, ihi = np.maximum(U, box.lo), np.minimum(U, box.hi)
+    assert np.array_equal(box.project_rows(U),
+                          np.clip(U, box.alpha, box.beta), equal_nan=True)
+    v, _ = selection_on_intervals(U, U, box.alpha, box.beta)
+    ilo, ihi = np.maximum(U, box.alpha), np.minimum(U, box.beta)
     assert np.array_equal(v, np.clip(0.0, ilo, np.maximum(ilo, ihi)),
                           equal_nan=True)
+
+
+@pytest.mark.parametrize("size", [22, 7])
+def test_bounds_with_another_row_count_than_the_grid_raise(size):
+    # 22 flat entries on 11 nodes used to be read as two columns
+    moving = MovingBox(np.zeros(size), np.linspace(0.0, 1.0, size))
+    for N in (1, 2):
+        with pytest.raises(ValueError, match="^bounds have %d rows for 11 "
+                                             "grid nodes$" % size):
+            moving.lift(11, N)
+
+
+def test_one_column_bounds_stay_one_column_on_every_component():
+    moving = MovingBox(np.zeros(4), np.ones(4)).lift(4, 3)
+    assert moving.alpha.shape == moving.beta.shape == (4, 1)
+    U = np.array([[-1.0, 0.5, 2.0]] * 4)
+    assert np.array_equal(moving.project_rows(U), [[0.0, 0.5, 1.0]] * 4)
+    with pytest.raises(ValueError, match="constraint dimension 2 != "
+                                         "components 3"):
+        MovingBox(np.zeros((4, 2)), np.ones((4, 2))).lift(4, 3)

@@ -20,19 +20,25 @@ once, on ``NonlinearityField``, as the one-row case of
 each of its functions at one site, through ``_call``, and
 ``StateShiftedField`` in ``problems`` defines only ``evaluate_grid``.
 
-In ``convex`` a lifted body works on all grid nodes at once: no
-``NodewiseBody`` method loops over rows and the one Dykstra loop is
-``_dykstra_select``.  Bodies implement only their row methods, and
-``ConvexBody`` builds the rest on them without a loop; only
+In ``convex`` a lifted constraint works on all grid nodes at once: no
+sweep method of ``ConvexBody`` (a body is its own lift) or
+``MovingBox`` (what a box lifts to) loops over rows, and the one Dykstra
+loop is ``_dykstra_select``.  Bodies implement only their row methods,
+and ``ConvexBody`` builds the rest on them without a loop; only
 ``HalfspaceIntersection`` loops over rows, one least-distance program
-per row, and the other bodies loop only to list their faces.
+per row, and the other bodies loop only to list their faces.  No module
+of the package lifts a constraint in two steps: every ``.lift(`` call
+passes the node and component counts, and nothing calls
+``.broadcast(``.
 """
 
 import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
+import tangenteq
 from tangenteq import convex, equilibrium, fields, problems
 
 DRIVER = "_drive"
@@ -94,8 +100,29 @@ def test_closed_form_bodies_hold_no_row_loop(cls, face_listings):
     assert _methods_with_row_loops(cls) == face_listings
 
 
-def test_no_nodewise_body_method_loops_over_rows():
-    assert _methods_with_row_loops(convex.NodewiseBody) == []
+def test_no_sweep_method_of_a_lifted_constraint_loops_over_rows():
+    for cls in (convex._Lifted, convex.ConvexBody, convex.MovingBox):
+        assert _methods_with_row_loops(cls) == []
+
+
+def _method_calls(name):
+    """``(file, line, argument count)`` of every ``.name(...)`` call in
+    the package source."""
+    calls = []
+    for path in sorted(Path(tangenteq.__file__).parent.glob("*.py")):
+        calls += [(path.name, node.lineno,
+                   len(node.args) + len(node.keywords))
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == name]
+    return calls
+
+
+def test_a_constraint_lifts_in_one_call():
+    assert _method_calls("broadcast") == []
+    lifts = _method_calls("lift")
+    assert lifts and [call for call in lifts if call[2] != 2] == []
 
 
 _VERIFIERS = ("_sampled_item", "_box_face_items", "_ball_items",
