@@ -88,12 +88,6 @@ def _build_parser():
     return parser
 
 
-def _out_dir(args):
-    out = args.out or os.environ.get("TANGENT_EQ_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _write_text(out, name, text):
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8") as fh:
@@ -128,24 +122,23 @@ def _gate_report(spec, seed_override):
     params = spec.params("verify")
     if seed_override is not None:
         params["seed"] = seed_override
-    grid = spec.build_grid()
+    grid, C = spec.grid, spec.constraint
     if spec.kind == "bernstein_bvp":
+        # the catalog field, without the state shift of the solver's field
         bz = spec.params("bernstein")
-        return verify_bernstein(spec.build_field(wrapped=False),
+        return verify_bernstein(spec.field.base,
                                 R=bz["radius"], a=bz["a"], b=bz["b"],
                                 c=bz["c"], length=grid.length, **params)
-    C = spec.build_constraint(grid)
     if C is None:
         raise InvalidSpec("this command needs a constraint set")
-    report = verify_tangency(spec.build_field(), C, grid, **params)
+    report = verify_tangency(spec.field, C, grid, **params)
     if isinstance(C, MovingBox):
         shape = verify_subsuper(C.alpha, C.beta, grid)
         report = ConditionReport(items=report.items + shape.items)
     return report
 
 
-def _cmd_check_conditions(spec, args):
-    out = _out_dir(args)
+def _cmd_check_conditions(spec, args, out):
     report = _gate_report(spec, args.seed)
     for line in report.lines():
         print(line)
@@ -155,13 +148,9 @@ def _cmd_check_conditions(spec, args):
     return 0 if report.passed else 2
 
 
-def _cmd_solve(spec, args):
-    out = _out_dir(args)
-    grid = spec.build_grid()
-    op = spec.build_operator(grid)
-    field = spec.build_field()
-    C = spec.build_constraint(grid)
-    cfg = spec.build_solver()
+def _cmd_solve(spec, args, out):
+    grid, field, C = spec.grid, spec.field, spec.constraint
+    op = spec.build_operator()
 
     gate = None
     if not args.force:
@@ -179,12 +168,13 @@ def _cmd_solve(spec, args):
         if not isinstance(C, (Box, MovingBox)):
             raise InvalidSpec("truncation method needs box bounds")
         box = C.lift(grid.n, op.spec.components)
-        report = truncation_iterate(op, field, box.alpha, box.beta, cfg,
-                                    u0=spec.initial_state(grid))
+        report = truncation_iterate(op, field, box.alpha, box.beta,
+                                    spec.solver, u0=spec.initial_state())
     else:
         if C is None:
             raise InvalidSpec("the resolvent method needs a constraint set")
-        report = resolvent_iterate(op, field, C, spec.initial_state(grid), cfg)
+        report = resolvent_iterate(op, field, C, spec.initial_state(),
+                                   spec.solver)
 
     payload = report.to_dict()
     payload["kind"] = spec.kind
@@ -207,8 +197,7 @@ def _cmd_solve(spec, args):
     return 0 if report.status == "converged" else 3
 
 
-def _cmd_miranda(spec, args):
-    out = _out_dir(args)
+def _cmd_miranda(spec, args, out):
     mp = spec.miranda_params()
     matrix, offset = mp["matrix"], mp["offset"]
 
@@ -235,11 +224,8 @@ def _cmd_miranda(spec, args):
     return 0 if result.status == "converged" else 3
 
 
-def _cmd_check_invariance(spec, args):
-    out = _out_dir(args)
-    grid = spec.build_grid()
-    op = spec.build_operator(grid)
-    C = spec.build_constraint(grid)
+def _cmd_check_invariance(spec, args, out):
+    op, C = spec.build_operator(), spec.constraint
     if not isinstance(C, (Box, Ball, Simplex)):
         raise InvalidSpec("invariance audit needs a box, ball, or simplex")
     params = spec.invariance_params()
@@ -257,20 +243,17 @@ def _cmd_check_invariance(spec, args):
     return 0 if report.passed else 2
 
 
-def _cmd_simulate(spec, args):
-    out = _out_dir(args)
-    grid = spec.build_grid()
-    op = spec.build_operator(grid)
-    field = spec.build_field()
-    C = spec.build_constraint(grid)
+def _cmd_simulate(spec, args, out):
+    op, C = spec.build_operator(), spec.constraint
     if C is None:
         raise InvalidSpec("simulation needs a constraint set")
     sim = spec.params("simulate")
-    report = viability_simulate(op, field, C, spec.initial_state(grid),
+    report = viability_simulate(op, spec.field, C, spec.initial_state(),
                                 sim["t_end"], sim["h"])
     _write_json(out, "report.json", {"kind": spec.kind,
                                      "report": report.to_dict()})
-    _write_state_csv(out, "terminal_state.csv", grid, report.terminal_state)
+    _write_state_csv(out, "terminal_state.csv", spec.grid,
+                     report.terminal_state)
     print("status %s after %d steps, max constraint distance %.3e"
           % (report.status, report.steps, report.max_constraint_distance))
     return 0 if report.status == "completed" else 3
@@ -311,8 +294,10 @@ def run_cli(argv):
         print("error: command %r does not apply to kind %r"
               % (args.command, spec.kind), file=sys.stderr)
         return 1
+    out = args.out or os.environ.get("TANGENT_EQ_OUT") or "."
     try:
-        return _COMMANDS[args.command](spec, args)
+        os.makedirs(out, exist_ok=True)
+        return _COMMANDS[args.command](spec, args, out)
     except InvalidSpec as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -3,8 +3,10 @@
 A run is described by a small INI file.  Parsing normalizes every value
 (floats through ``repr``, names lowercased, lists comma-joined) into a
 canonical section table, so parse -> serialize -> parse is the identity
-on that table.  The builder methods then assemble the live objects:
-grid, operator, nonlinearity, constraint, solver settings.
+on that table.  The ``ProblemSpec`` of the table then builds the objects
+of the run once, at parse: grid, solver settings, field and constraint.
+Commands run those objects; the operator and the initial state are
+assembled on the spec's grid when a command asks for them.
 
 Problem kinds and their fixed boundary conditions:
 
@@ -276,7 +278,8 @@ def _canon_constraint(kind, c):
 def _canon_nonlinearity(f):
     """The canonical ``[nonlinearity]`` table: the catalog name, ``bound``
     and ``seed`` when given, and the name's own parameters (a non-finite
-    one fails in ``build_field``, after the catalog's own checks)."""
+    one fails when ``ProblemSpec`` builds the field, after the catalog's
+    own checks)."""
     fname = f.get("name", "linear").strip().lower()
     if fname not in NONLINEARITY_NAMES:
         raise InvalidSpec("unknown nonlinearity %r" % (fname,))
@@ -297,10 +300,27 @@ def _canon_nonlinearity(f):
 
 
 class ProblemSpec:
-    """Canonical section table plus builders for the live objects."""
+    """A canonical section table and the objects of its run, built once
+    so that a bad value fails at parse time (a ValueError or a missing
+    data file becomes InvalidSpec): ``grid``, ``solver`` settings,
+    ``field`` (for ``bernstein_bvp`` the state shift of the catalog field
+    ``field.base``) and ``constraint`` (None for kind ``none``).  A
+    ``miranda`` spec only checks its cube and holds none of them."""
 
     def __init__(self, sections):
         self.sections = sections
+        self.grid = self.solver = self.field = self.constraint = None
+        try:
+            if self.kind == "miranda":
+                mp = self.miranda_params()
+                Cube(mp["lo"], mp["hi"])
+                return
+            self.grid = self.build_grid()
+            self.solver = self._build_solver()
+            self.field = self._build_field()
+            self.constraint = self._build_constraint()
+        except (ValueError, OSError) as exc:
+            raise InvalidSpec(str(exc)) from None
 
     def __eq__(self, other):
         return isinstance(other, ProblemSpec) and self.sections == other.sections
@@ -329,17 +349,13 @@ class ProblemSpec:
     def components(self):
         return self.value("operator", "components")
 
-    def build_operator(self, grid=None):
-        grid = grid or self.build_grid()
+    def build_operator(self):
         op = self.params("operator")
         if self.kind == "bernstein_bvp":
             op["shift"] = -self.value("bernstein", "c")
-        spec = OperatorSpec(d=op["d"], gamma=op["gamma"],
-                            bc=_KIND_BC[self.kind], shift=op["shift"],
-                            components=op["components"])
-        return assemble(spec, grid)
+        return assemble(OperatorSpec(bc=_KIND_BC[self.kind], **op), self.grid)
 
-    def build_field(self, wrapped=True):
+    def _build_field(self):
         sec = dict(self.sections["nonlinearity"])
         name, bound = sec.pop("name"), sec.pop("bound", None)
         seed = int(sec.pop("seed", "0"))
@@ -351,11 +367,11 @@ class ProblemSpec:
             if key != "path" and not math.isfinite(val):
                 raise InvalidSpec("[nonlinearity] %s must be finite, got %r"
                                   % (key, val))
-        if wrapped and self.kind == "bernstein_bvp":
+        if self.kind == "bernstein_bvp":
             return StateShiftedField(base, self.value("bernstein", "c"))
         return base
 
-    def build_constraint(self, grid=None):
+    def _build_constraint(self):
         N = self.components
         sec = self.sections["constraint"]
         c = {key: read(sec[key]) for key, ((_, read), _)
@@ -363,9 +379,8 @@ class ProblemSpec:
         if self.kind == "bernstein_bvp":
             return Ball(np.zeros(N), self.value("bernstein", "radius"))
         if self.kind == "moving_rectangles":
-            grid = grid or self.build_grid()
-            return MovingBox(_sample(c["alpha"], grid.nodes, "alpha"),
-                             _sample(c["beta"], grid.nodes, "beta"))
+            return MovingBox(_sample(c["alpha"], self.grid.nodes, "alpha"),
+                             _sample(c["beta"], self.grid.nodes, "beta"))
         if sec["kind"] == "box":
             return Box(_vector(c["lo"], N), _vector(c["hi"], N))
         if sec["kind"] == "ball":
@@ -374,7 +389,7 @@ class ProblemSpec:
             return Simplex(c["total"], N)
         return None
 
-    def build_solver(self):
+    def _build_solver(self):
         s = self.params("solver")
         return SolverConfig(step_schedule=s["schedule"], h0=s["h0"],
                             max_iter=s["max_iter"],
@@ -385,9 +400,8 @@ class ProblemSpec:
     def method(self):
         return self.value("solver", "method")
 
-    def initial_state(self, grid=None):
-        grid = grid or self.build_grid()
-        vals = _sample(self.value("solver", "u0"), grid.nodes, "u0")
+    def initial_state(self):
+        vals = _sample(self.value("solver", "u0"), self.grid.nodes, "u0")
         return np.tile(vals[:, None], (1, self.components))
 
     def invariance_params(self):
@@ -453,26 +467,7 @@ def parse_config(text):
         if out["solver"]["method"] == "truncation" \
                 and _KIND_BC[kind] != "dirichlet":
             raise InvalidSpec("truncation method needs a dirichlet kind")
-    return _touched(ProblemSpec(out))
-
-
-def _touched(spec):
-    """``spec`` after every builder that only needs the table has run, so
-    that bad values fail at parse time, for every command, rather than
-    mid-run (a builder's ValueError or a missing data file becomes
-    InvalidSpec)."""
-    try:
-        if spec.kind == "miranda":
-            mp = spec.miranda_params()
-            Cube(mp["lo"], mp["hi"])
-            return spec
-        spec.build_grid()
-        spec.build_solver()
-        spec.build_field()
-        spec.build_constraint()
-    except (ValueError, OSError) as exc:
-        raise InvalidSpec(str(exc)) from None
-    return spec
+    return ProblemSpec(out)
 
 
 def load_config(path):

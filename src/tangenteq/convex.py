@@ -400,7 +400,7 @@ class Ball(ConvexBody):
     def __init__(self, center, radius):
         self.center = _as1d(center)
         self.radius = float(radius)
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
         self.dim = self.center.size
 
@@ -465,7 +465,7 @@ class Simplex(ConvexBody):
 
     def __init__(self, total_mass, dim):
         self.total_mass = float(total_mass)
-        if self.total_mass <= 0:
+        if not self.total_mass > 0:
             raise ValueError("total_mass must be positive")
         self.dim = int(dim)
         if self.dim < 1:

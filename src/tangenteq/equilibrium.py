@@ -68,10 +68,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.step_schedule not in ("fixed", "harmonic"):
             raise ValueError("unknown step schedule %r" % (self.step_schedule,))
-        if self.h0 <= 0:
+        if not self.h0 > 0:
             raise ValueError("h0 must be positive")
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if not (self.tol_residual >= 0 and self.tol_step >= 0):
+            raise ValueError("tol_residual and tol_step must be non-negative")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
 
@@ -277,12 +281,13 @@ def resolvent_iterate(op, field_, C, u0, config=None):
         # a harmonic schedule advances h_k = h0 / k at every checkpoint
         h = config.step(1 + len(checks))
         lifted = u + h * v
-        z, Az = op._resolvent(h, K.project_rows(lifted))
+        P = K.project_rows(lifted)
+        z, Az = op._resolvent(h, P)
         defect = op.grid.norm(z - u)
         cp_tol = _CHECKPOINT_FACTOR * h
         if defect <= cp_tol and prev_defect <= cp_tol:
             lhs = _equation_norm(op, AU + v)
-            d_lift = op.grid.norm(K.distances(lifted))
+            d_lift = op.grid.norm(K._distances_at(lifted, P))
             checks.append({"iteration": it, "h": float(h),
                            "residual_norm": float(lhs),
                            "distance_bound": float(d_lift / h)})
@@ -365,8 +370,8 @@ def viability_simulate(op, field_, C, u0, t_end, h):
     ``steps`` counts the steps taken: a tangency failure stops the run
     before the step it could not take.
     """
-    if t_end <= 0 or h <= 0:
-        raise ValueError("horizon and step must be positive")
+    if not (0 < t_end < np.inf and 0 < h < np.inf):
+        raise ValueError("horizon and step must be positive and finite")
     left = []           # the worst distance of every state a step leaves
     terminal = None
 

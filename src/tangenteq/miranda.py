@@ -66,7 +66,7 @@ class Cube:
         self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if self.lo.shape != self.hi.shape:
             raise ValueError("lo and hi must match")
-        if np.any(self.hi <= self.lo):
+        if not np.all(self.hi > self.lo):
             raise ValueError("cube sides must have positive length")
         self.dim = self.lo.size
 

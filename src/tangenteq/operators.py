@@ -65,7 +65,7 @@ class Grid1D:
     """
 
     def __init__(self, length, n, periodic=False):
-        if length <= 0:
+        if not length > 0:
             raise InvalidSpec("length must be positive")
         if n < 3:
             raise InvalidSpec("need at least 3 nodes")
@@ -338,7 +338,7 @@ class DiscreteOperator:
 
     def _resolvent(self, h, F):
         """``resolvent(h, F)`` together with ``A u``."""
-        if h <= 0:
+        if not h > 0:
             raise InvalidSpec("resolvent step must be positive")
         if self.shift > 0 and h * self.shift >= 1.0:
             raise SingularSystem(
@@ -390,7 +390,7 @@ def _tridiagonal_solver(dl, d, du):
 def semigroup_powers(op, t, m, U):
     """Repeated resolvent steps ``(I - (t/m) A)^{-m} U`` (first-order
     approximation of the flow at time t; exact as m grows)."""
-    if t <= 0:
+    if not t > 0:
         raise InvalidSpec("time must be positive")
     if m < 1:
         raise InvalidSpec("need at least one factor")
@@ -435,7 +435,7 @@ def invariance_audit(op, body, h_list, sample_count=1000, seed=0,
     excess ``max_j (p . u_j - a)`` of the output.  Exact halfspace lists
     make the check conclusive for boxes and simplices; ball audits use the
     documented outer approximation.  A ``sample_count`` below 1 raises
-    InvalidSpec.
+    InvalidSpec, and so does an empty ``h_list``.
     """
     if body.dim != op.spec.components:
         raise InvalidSpec("body dimension %d != operator components %d"
@@ -443,11 +443,14 @@ def invariance_audit(op, body, h_list, sample_count=1000, seed=0,
     if sample_count < 1:
         raise InvalidSpec("sample_count must be at least 1, got %r"
                           % (sample_count,))
+    if len(h_list) == 0:
+        raise InvalidSpec("h_list must hold at least one step")
     rng = np.random.default_rng(seed)
     n = op.grid.n
     N = body.dim
     halfspaces = body.supporting_halfspaces()
-    samples = body.sample(rng, sample_count, n)
+    stacked = np.moveaxis(body.sample(rng, sample_count, n), 0, 2).reshape(
+        n, N * sample_count)
 
     worst = -np.inf
     per_halfspace = [{"normal": [float(c) for c in p], "offset": float(a),
@@ -455,7 +458,6 @@ def invariance_audit(op, body, h_list, sample_count=1000, seed=0,
                      for p, a in halfspaces]
     witness = None
     for h in h_list:
-        stacked = np.moveaxis(samples, 0, 2).reshape(n, N * sample_count)
         sol = op.resolvent(h, stacked)
         out = np.moveaxis(sol.reshape(n, N, sample_count), 2, 0)
         for ih, (p, a) in enumerate(halfspaces):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tangenteq
-from tangenteq import CONE_TOL, Ball, load_config
+from tangenteq import CONE_TOL, Ball, ProblemSpec, load_config
 from tangenteq.cli import run_cli
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -660,3 +660,30 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path):
             assert (same / name).read_bytes() == (fresh / name).read_bytes()
     assert _report(tmp_path / "same0")["condition_reports"] is None
     assert _report(tmp_path / "same1")["condition_reports"]["passed"]
+
+
+_BUILDERS = ("build_grid", "_build_solver", "_build_field",
+             "_build_constraint", "build_operator")
+_PDE_CONFIGS = [name for name in sorted(os.listdir(CONFIG_DIR))
+                if name.endswith(".cfg") and name != "affine.cfg"]
+
+
+@pytest.mark.parametrize("command", ["solve", "check-conditions",
+                                     "check-invariance", "simulate"])
+def test_a_run_builds_each_object_once(tmp_path, monkeypatch, command):
+    # the parse builds the grid, solver settings, field and constraint,
+    # and the command runs those; only a solve or an audit assembles an
+    # operator
+    built = []
+    for name in _BUILDERS:
+        def counted(self, _name=name, _method=getattr(ProblemSpec, name)):
+            built.append(_name)
+            return _method(self)
+        monkeypatch.setattr(ProblemSpec, name, counted)
+    want = dict.fromkeys(_BUILDERS, 1)
+    want["build_operator"] = int(command != "check-conditions")
+    for cfg in _PDE_CONFIGS:
+        del built[:]
+        run_cli([command, _cfg(cfg), "--out", str(tmp_path / cfg),
+                 "--seed", "7"])
+        assert {name: built.count(name) for name in _BUILDERS} == want, cfg

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from tangenteq import equilibrium, operators
 from tangenteq import (Grid1D, OperatorSpec, assemble, Ball, Box, Simplex,
                        SingleValued, SolverConfig, resolvent_iterate,
                        truncation_iterate, viability_simulate, residual,
-                       EmptyIntersection, MovingBox, make_nonlinearity)
+                       EmptyIntersection, InvalidSpec, MovingBox, Cube,
+                       make_nonlinearity, semigroup_powers)
 
 
 def _neumann_op(n=101, components=1):
@@ -336,6 +338,45 @@ def test_solver_config_validation():
     # frozen, so the checks above hold for the config's lifetime
     with pytest.raises(dataclasses.FrozenInstanceError):
         SolverConfig().max_iter = 0
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: Ball([0.0], _NAN), ValueError, "radius must be positive"),
+    (lambda: Simplex(_NAN, 2), ValueError, "total_mass must be positive"),
+    (lambda: Grid1D(_NAN, 11), InvalidSpec, "length must be positive"),
+    (lambda: Cube([0.0], [_NAN]), ValueError,
+     "cube sides must have positive length"),
+    (lambda: SolverConfig(h0=_NAN), ValueError, "h0 must be positive"),
+    (lambda: SolverConfig(tol_step=_NAN), ValueError,
+     "tol_step must be non-negative"),
+    (lambda: SolverConfig(tol_residual=-1.0, max_iter=5), ValueError,
+     "tol_residual and tol_step must be non-negative"),
+    (lambda: SolverConfig(max_iter=2.5), ValueError,
+     "max_iter must be an integer"),
+    (lambda: _neumann_op(11).resolvent(_NAN, np.zeros(11)), InvalidSpec,
+     "resolvent step must be positive"),
+    (lambda: semigroup_powers(_neumann_op(11), _NAN, 2, np.zeros(11)),
+     InvalidSpec, "time must be positive"),
+    (lambda: viability_simulate(_neumann_op(11), _relaxing_field(), UNIT_BOX,
+                                np.zeros(11), _NAN, 0.1), ValueError,
+     "horizon and step must be positive and finite"),
+    (lambda: viability_simulate(_neumann_op(11), _relaxing_field(), UNIT_BOX,
+                                np.zeros(11), np.inf, 0.1), ValueError,
+     "horizon and step must be positive and finite"),
+    (lambda: viability_simulate(_neumann_op(11), _relaxing_field(), UNIT_BOX,
+                                np.zeros(11), 1.0, _NAN), ValueError,
+     "horizon and step must be positive and finite"),
+], ids=["ball_radius", "simplex_total", "grid_length", "cube_hi",
+        "solver_h0", "solver_tol_step", "solver_tol_residual_negative",
+        "solver_max_iter_fractional", "resolvent_h", "semigroup_t",
+        "simulate_t_end_nan", "simulate_t_end_inf", "simulate_h_nan"])
+def test_nan_and_unbounded_arguments_fail_their_guards(build, error, message):
+    # NaN compares false, so a guard written ``x <= 0`` lets it through
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 def test_truncation_linear_decay_gives_zero():

@@ -301,12 +301,12 @@ def test_converged_solve_projects_its_final_state_once(monkeypatch):
     rep = resolvent_iterate(op, linear, Box([0.0], [1.0]), np.full(n, 0.2),
                             SolverConfig(h0=0.5, max_iter=400))
     assert rep.status == "converged" and rep.iterations == 32
-    # the start and its projection, per sweep the lifted state and the
-    # state the step makes, and the lift's distance at each checkpoint;
-    # the acceptance test, the constraint violation and the final
-    # tangency reuse the last projection
+    # the start and its projection, and per sweep the lifted state and
+    # the state the step makes; the lift's distance at each checkpoint
+    # reuses the lifted state's projection, and the acceptance test, the
+    # constraint violation and the final tangency reuse the last one
     assert len(rep.bound_checks) == 2
-    assert len(projected) == 2 + 2 * 32 + 2
+    assert len(projected) == 2 + 2 * 32
     assert not np.array_equal(projected[-1], projected[-2])
 
 

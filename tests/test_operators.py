@@ -503,6 +503,14 @@ def test_invariance_audit_needs_a_sample():
         invariance_audit(op, Box([0.0], [1.0]), [0.25], sample_count=0)
 
 
+def test_invariance_audit_needs_a_step():
+    # with no step the audit solves nothing, so a pass would carry no
+    # evidence
+    op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, 11))
+    with pytest.raises(InvalidSpec, match="h_list must hold at least one"):
+        invariance_audit(op, Box([0.0], [1.0]), [], sample_count=5)
+
+
 def test_invariance_audit_periodic_with_drift_passes():
     # dx = 1/128 stays below the M-matrix bound 2*d0/|gamma| = 2
     grid = Grid1D(1.0, 128, periodic=True)

@@ -138,8 +138,7 @@ def test_bernstein_problem_recovers_the_analytic_bvp():
     1 - 1/cosh(1/2).
     """
     spec = _bernstein_spec(2.0)
-    op, fld, C = (spec.build_operator(), spec.build_field(),
-                  spec.build_constraint())
+    op, fld, C = spec.build_operator(), spec.field, spec.constraint
     assert isinstance(C, Ball) and C.radius == 2.0
     rep = resolvent_iterate(op, fld, C, np.zeros(201))
     assert rep.status == "converged"
@@ -203,9 +202,8 @@ def test_tangency_constant_push_fails_at_the_upper_face():
 
 def test_tangency_from_a_parsed_spec():
     spec = load_config(os.path.join(CONFIG_DIR, "moving_rectangles.cfg"))
-    grid = spec.build_grid()
-    rep = verify_tangency(spec.build_field(), spec.build_constraint(grid),
-                          grid, samples=1500)
+    rep = verify_tangency(spec.field, spec.constraint, spec.grid,
+                          samples=1500)
     assert rep.passed
     by_name = {item.name: item for item in rep.items}
     # 1 - u at the lower bound alpha(x) = -1 + x^2/2 leaves at least 1.5
@@ -444,13 +442,11 @@ def test_every_shipped_config_round_trips():
 
 def test_parsed_builders_assemble_live_objects():
     spec = load_config(os.path.join(CONFIG_DIR, "neumann_linear.cfg"))
-    grid = spec.build_grid()
-    op = spec.build_operator(grid)
-    fld = spec.build_field()
-    C = spec.build_constraint(grid)
+    grid, fld, C = spec.grid, spec.field, spec.constraint
+    op = spec.build_operator()
     assert op.spec.bc == "neumann"
     assert isinstance(C, Box)
-    u0 = spec.initial_state(grid)
+    u0 = spec.initial_state()
     assert u0.shape == (grid.n, spec.components)
     val = fld.evaluate(0.5, np.zeros(spec.components),
                        np.zeros(spec.components))
