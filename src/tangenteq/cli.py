@@ -4,7 +4,7 @@ Subcommands:
 
     solve             run the configured equilibrium iteration
     miranda           sign-change zero search for an affine map
-    check-invariance  resolvent invariance audit for the constraint set
+    check-invariance  proof that the resolvents keep the constraint set
     check-conditions  structural hypothesis verification
     simulate          implicit trajectory with viability tracking
 
@@ -75,14 +75,14 @@ def _build_parser():
         p.add_argument("config", help="problem description (INI)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=_seed, default=None,
-                       help="override the configured sampling seed")
+                       help="override the [verify] sampling seed")
         return p
 
     p = add("solve", "run the configured equilibrium iteration")
     p.add_argument("--force", action="store_true",
                    help="skip the hypothesis gate")
     add("miranda", "sign-change zero search for an affine map")
-    add("check-invariance", "resolvent invariance audit")
+    add("check-invariance", "proof that the resolvents keep the constraint")
     add("check-conditions", "structural hypothesis verification")
     add("simulate", "implicit trajectory with viability tracking")
     return parser
@@ -229,8 +229,6 @@ def _cmd_check_invariance(spec, args, out):
     if not isinstance(C, (Box, Ball, Simplex)):
         raise InvalidSpec("invariance audit needs a box, ball, or simplex")
     params = spec.invariance_params()
-    if args.seed is not None:
-        params["seed"] = args.seed
     report = invariance_audit(op, C, **params)
     _write_json(out, "report.json", {"kind": spec.kind,
                                      "check": "invariance",

@@ -188,8 +188,6 @@ _SCHEMA = {
     "verify": {"samples": (_INT, "10000", _AT_LEAST_1),
                "seed": (_INT, "42", _NON_NEGATIVE)},
     "invariance": {"h": (_FLOATS, "0.25,0.125,0.0625", _ALL_POSITIVE),
-                   "samples": (_INT, "400", _AT_LEAST_1),
-                   "seed": (_INT, "0", _NON_NEGATIVE),
                    "tol": (_FLOAT, "1e-10", _NON_NEGATIVE)},
     "bernstein": {"radius": (_FLOAT, "2.0", None), "c": (_FLOAT, "1.0", None),
                   "a": (_FLOAT, "0.0", None), "b": (_FLOAT, "3.0", None)},
@@ -407,8 +405,7 @@ class ProblemSpec:
     def invariance_params(self):
         """``[invariance]`` under ``invariance_audit``'s keyword names."""
         inv = self.params("invariance")
-        return {"h_list": inv["h"], "sample_count": inv["samples"],
-                "seed": inv["seed"], "overshoot_tol": inv["tol"]}
+        return {"h_list": inv["h"], "overshoot_tol": inv["tol"]}
 
     def miranda_params(self):
         """``[miranda]`` with the cube and the affine map as arrays, after

@@ -3,12 +3,11 @@
 Rows are the only primitive: a set implements ``project_rows`` (the
 metric projection of each row, a 1-Lipschitz retraction) and
 ``tangent_project_rows`` (the metric projection onto the tangent cone at
-each row) and lists supporting halfspaces for the invariance audits.
+each row) and lists supporting halfspaces for the invariance audit.
 ``ConvexBody`` builds the rest on them once: the one-point ``project``
-and ``tangent_project``, distances, cone membership, ``select`` (the
+and ``tangent_project``, distances, cone membership and ``select`` (the
 minimal-norm point of each value box ``[vlo[j], vhi[j]]`` in the tangent
-cone at row ``j``, by one Dykstra run over every row) and
-``sample(rng, count, n)`` (seeded grid functions in the set).
+cone at row ``j``, by one Dykstra run over every row).
 
 A constraint is its own grid lift: ``lift(n, N)`` checks it against
 ``n`` nodes of ``N`` components.  A body returns itself, since its row
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PointNotInSet, TangentEqError
+from .errors import PointNotInSet, TangentEqError, check_finite
 
 try:
     # the ufunc behind np.clip, called without np.clip's Python wrapper
@@ -165,18 +164,6 @@ class ConvexBody(_Lifted):
         return float(np.max(_row_norms(
             V - self.tangent_project_rows(W, V, tol))))
 
-    def sample(self, rng, count, n):
-        """``count`` seeded ``(n, dim)`` grid functions with every nodal
-        value in the body: projected Gaussian draws around a centre."""
-        base = self._draw_centre()
-        draws = base + (1.0 + np.linalg.norm(base)) * rng.standard_normal(
-            (count, n, self.dim))
-        return self.project_rows(
-            draws.reshape(-1, self.dim)).reshape(draws.shape)
-
-    def _draw_centre(self):
-        return np.zeros(self.dim)
-
 
 class Box(ConvexBody):
     """Axis-aligned box ``[lo, hi]``; degenerate components are allowed.
@@ -193,6 +180,7 @@ class Box(ConvexBody):
             raise ValueError("lo and hi must have matching shapes")
         if np.any(self.hi < self.lo):
             raise ValueError("box needs lo <= hi componentwise")
+        check_finite(lo=self.lo, hi=self.hi)
         self.dim = self.lo.size
 
     def project_rows(self, X):
@@ -210,10 +198,6 @@ class Box(ConvexBody):
         """The same box at each of ``n`` grid nodes, as a ``MovingBox``."""
         return MovingBox(np.tile(self.lo, (n, 1)),
                          np.tile(self.hi, (n, 1))).lift(n, N)
-
-    def sample(self, rng, count, n):
-        width = np.where(self.hi > self.lo, self.hi - self.lo, 0.0)
-        return self.lo + width * rng.random((count, n, self.dim))
 
 
 def _face_cone(W, lo, hi, tol):
@@ -245,6 +229,7 @@ class MovingBox(_Lifted):
             raise ValueError("bound arrays must share a shape")
         if np.any(self.alpha > self.beta):
             raise ValueError("alpha must stay below beta")
+        check_finite(alpha=self.alpha, beta=self.beta)
 
     def lift(self, n, N):
         """The bounds with one row per node, ``(n, 1)`` or ``(n, N)``;
@@ -402,6 +387,7 @@ class Ball(ConvexBody):
         self.radius = float(radius)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
+        check_finite(center=self.center, radius=self.radius)
         self.dim = self.center.size
 
     def project_rows(self, X):
@@ -418,12 +404,6 @@ class Ball(ConvexBody):
         normal = R / np.where(inner, 1.0, nr)[:, None]
         push = _positive_part(_row_dots(normal, V))
         return np.where(inner[:, None], V, V - push[:, None] * normal)
-
-    def sample(self, rng, count, n):
-        d = rng.standard_normal((count, n, self.dim))
-        d /= np.maximum(np.linalg.norm(d, axis=2, keepdims=True), 1e-300)
-        r = self.radius * rng.random((count, n, 1)) ** (1.0 / self.dim)
-        return self.center + r * d
 
     def supporting_halfspaces(self, count=64, seed=0):
         """Outer polyhedral approximation by ``count`` tangent halfspaces.
@@ -444,21 +424,6 @@ class Ball(ConvexBody):
             ps = list(raw)
         return [(p, float(p @ self.center) + self.radius) for p in ps]
 
-    def outer_gap(self, count=64, seed=0, probes=4096):
-        """Hausdorff gap of the halfspace approximation over the ball."""
-        if self.dim == 1:
-            return 0.0
-        if self.dim == 2:
-            return self.radius * (1.0 / np.cos(np.pi / count) - 1.0)
-        ps = np.array([p for p, _ in self.supporting_halfspaces(count, seed)])
-        rng = np.random.default_rng(seed + 1)
-        dirs = rng.standard_normal((probes, self.dim))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        # worst angular hole between a probe direction and the normal fan
-        cosmax = np.max(dirs @ ps.T, axis=1)
-        cosmax = np.clip(cosmax, 1e-9, 1.0)
-        return float(self.radius * np.max(1.0 / cosmax - 1.0))
-
 
 class Simplex(ConvexBody):
     """Scaled probability simplex ``{u >= 0, sum(u) = total_mass}``."""
@@ -467,6 +432,7 @@ class Simplex(ConvexBody):
         self.total_mass = float(total_mass)
         if not self.total_mass > 0:
             raise ValueError("total_mass must be positive")
+        check_finite(total_mass=self.total_mass)
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
@@ -512,10 +478,6 @@ class Simplex(ConvexBody):
         lam = np.max(np.where(within, lam_k, lam_0), axis=1)[:, None]
         W = V - lam
         return np.where(act, np.maximum(W, 0.0), W)
-
-    def sample(self, rng, count, n):
-        e = rng.exponential(1.0, (count, n, self.dim))
-        return self.total_mass * e / np.sum(e, axis=2, keepdims=True)
 
     def supporting_halfspaces(self):
         out = []
@@ -570,9 +532,6 @@ class HalfspaceIntersection(ConvexBody):
     def supporting_halfspaces(self):
         return [(p.copy(), float(a))
                 for p, a in zip(self.normals, self.offsets)]
-
-    def _draw_centre(self):
-        return self.point
 
 
 def _least_distance(G, h):

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex import MovingBox, _clip
-from .errors import EmptyIntersection
+from .errors import EmptyIntersection, check_finite
 from .operators import _row_sums
 
 _CHECKPOINT_FACTOR = 1e-9
@@ -70,6 +70,7 @@ class SolverConfig:
             raise ValueError("unknown step schedule %r" % (self.step_schedule,))
         if not self.h0 > 0:
             raise ValueError("h0 must be positive")
+        check_finite(h0=self.h0)
         if not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check
+that constructors raise them from."""
+
+import numpy as np
 
 
 class TangentEqError(Exception):
@@ -22,7 +25,8 @@ class NoSignChange(TangentEqError):
 
 
 class CertificateFailed(TangentEqError):
-    """The sampled sign certificate does not hold on the initial cube."""
+    """A certificate does not hold: Miranda's sampled sign certificate on
+    the initial cube, or the M-matrix test of the invariance audit."""
 
 
 class InvalidSpec(TangentEqError):
@@ -31,3 +35,11 @@ class InvalidSpec(TangentEqError):
 
 class SingularSystem(TangentEqError):
     """The resolvent system is (numerically) singular."""
+
+
+def check_finite(error=ValueError, **values):
+    """Raise ``error`` naming the first of the keyword arguments that
+    holds NaN or an infinity."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise error("%s must be finite" % (name,))

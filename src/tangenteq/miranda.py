@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex import _row_norms
-from .errors import CertificateFailed, NoSignChange
+from .errors import CertificateFailed, NoSignChange, check_finite
 
 #: sampled margins at or below this count as exactly zero ("degenerate")
 _DEGENERATE_EPS = 1e-15
@@ -67,7 +67,9 @@ class Cube:
         if self.lo.shape != self.hi.shape:
             raise ValueError("lo and hi must match")
         if not np.all(self.hi > self.lo):
-            raise ValueError("cube sides must have positive length")
+            raise ValueError("cube sides must have positive length "
+                             "(hi > lo)")
+        check_finite(lo=self.lo, hi=self.hi)
         self.dim = self.lo.size
 
     def diameter(self):

@@ -12,9 +12,9 @@ wrapped indices on periodic grids.  Every linear solve is
 ``(a0 I - c A) u = f`` on the equation rows (the resolvent is ``(1, h)``,
 the stationary solve ``(0, -1)``), factored once per system with a
 Sherman-Morrison corner correction on periodic grids, and accepts stacked
-right-hand sides, which is what keeps the invariance audits cheap.  The
-equation rows are a slice fixed at assembly, so a grid whose every node
-carries an equation solves and checks without a mask.
+right-hand sides, one column per component.  The equation rows are a
+slice fixed at assembly, so a grid whose every node carries an equation
+solves and checks without a mask.
 
 Each solve checks its residual against the assembled stencil, and that
 check is the solve's one banded product ``A u``.  The sweeps take it
@@ -24,6 +24,8 @@ resolvent's output measures its equation residual without applying
 
 The centered drift stencil is an M-matrix only while
 ``dx <= 2 d0 / max|gamma|``; assembly warns when a grid violates that.
+``invariance_audit`` proves, with one resolvent solve per step, that the
+resolvents map a nodewise convex constraint into itself.
 """
 
 import math
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, SingularSystem
+from .errors import (CertificateFailed, InvalidSpec, SingularSystem,
+                     check_finite)
 
 _RESIDUAL_RTOL = 1e-10
 
@@ -67,6 +70,7 @@ class Grid1D:
     def __init__(self, length, n, periodic=False):
         if not length > 0:
             raise InvalidSpec("length must be positive")
+        check_finite(InvalidSpec, length=length)
         if n < 3:
             raise InvalidSpec("need at least 3 nodes")
         self.length = float(length)
@@ -407,8 +411,6 @@ class InvarianceReport:
     worst_overshoot: float
     tolerance: float
     h_list: list
-    sample_count: int
-    seed: int
     per_halfspace: list
     witness: dict = None
 
@@ -418,64 +420,68 @@ class InvarianceReport:
             "worst_overshoot": float(self.worst_overshoot),
             "tolerance": float(self.tolerance),
             "h_list": [float(h) for h in self.h_list],
-            "sample_count": int(self.sample_count),
-            "seed": int(self.seed),
             "per_halfspace": self.per_halfspace,
             "witness": self.witness,
         }
 
 
-def invariance_audit(op, body, h_list, sample_count=1000, seed=0,
-                     overshoot_tol=1e-10):
-    """Check that resolvents map K-valued grid functions into K.
+def invariance_audit(op, body, h_list, overshoot_tol=1e-10):
+    """Prove that resolvents map K-valued grid functions into K.
 
-    K is the lift of ``body`` applied nodewise.  For each step size the
-    audit solves all samples in one stacked banded solve and measures, for
-    every supporting halfspace (p, a) of the body, the worst positive
-    excess ``max_j (p . u_j - a)`` of the output.  Exact halfspace lists
-    make the check conclusive for boxes and simplices; ball audits use the
-    documented outer approximation.  A ``sample_count`` below 1 raises
-    InvalidSpec, and so does an empty ``h_list``.
+    K is the lift of ``body`` applied nodewise.  ``M = I - hA`` on the
+    equation rows is a Z-matrix when no coupling of A between two
+    equation rows is negative (corners included on periodic grids); if
+    also ``s = M^-1 1``, one banded solve, is positive on those rows, M
+    is a nonsingular M-matrix and ``G = M^-1 >= 0`` (Berman & Plemmons,
+    *Nonnegative Matrices in the Mathematical Sciences*, 1994, ch. 6).
+    Node j of the output ``sum_k G_jk F_k`` then ranges over exactly
+    ``s_j K``, so the worst excess over a supporting halfspace (p, a) of
+    the body is ``max_j (s_j - 1) a``: exact for boxes and simplices,
+    and for a ball against its listed tangent halfspaces.  The verdict
+    passes when no excess exceeds ``overshoot_tol``.
+
+    Raises CertificateFailed, naming h and the node, when M is not a
+    Z-matrix or s is not positive; InvalidSpec on an empty ``h_list``.
     """
     if body.dim != op.spec.components:
         raise InvalidSpec("body dimension %d != operator components %d"
                           % (body.dim, op.spec.components))
-    if sample_count < 1:
-        raise InvalidSpec("sample_count must be at least 1, got %r"
-                          % (sample_count,))
     if len(h_list) == 0:
         raise InvalidSpec("h_list must hold at least one step")
-    rng = np.random.default_rng(seed)
-    n = op.grid.n
-    N = body.dim
+    eq = op.equation_mask()
+    left, right = eq & np.roll(eq, 1), eq & np.roll(eq, -1)
+    if not op.grid.periodic:
+        left[0] = right[-1] = False
+    negative = np.flatnonzero(left & (op.sub < 0) | right & (op.sup < 0))
+    if negative.size:
+        raise CertificateFailed(
+            "I - hA is not a Z-matrix at h=%.6g: node %d couples to a "
+            "neighbour with a negative weight" % (h_list[0], negative[0]))
     halfspaces = body.supporting_halfspaces()
-    stacked = np.moveaxis(body.sample(rng, sample_count, n), 0, 2).reshape(
-        n, N * sample_count)
-
-    worst = -np.inf
-    per_halfspace = [{"normal": [float(c) for c in p], "offset": float(a),
-                      "worst_overshoot": -np.inf}
-                     for p, a in halfspaces]
-    witness = None
+    offsets = np.array([a for _, a in halfspaces])
+    per_halfspace = np.zeros(len(halfspaces))
+    worst, witness = -np.inf, None
     for h in h_list:
-        sol = op.resolvent(h, stacked)
-        out = np.moveaxis(sol.reshape(n, N, sample_count), 2, 0)
-        for ih, (p, a) in enumerate(halfspaces):
-            over = np.tensordot(out, p, axes=([2], [0])) - a
-            local = float(np.max(over))
-            if local > per_halfspace[ih]["worst_overshoot"]:
-                per_halfspace[ih]["worst_overshoot"] = local
-            if local > worst:
-                worst = local
-                si, nj = np.unravel_index(np.argmax(over), over.shape)
-                witness = {"h": float(h), "sample": int(si), "node": int(nj),
-                           "halfspace": ih, "overshoot": local}
+        s = op.resolvent(h, np.ones(op.grid.n))
+        short = np.flatnonzero(eq & ~(s > 0))
+        if short.size:
+            raise CertificateFailed(
+                "I - hA is not an M-matrix at h=%.6g: (I - hA)^-1 1 = %.3g "
+                "at node %d" % (h, s[short[0]], short[0]))
+        over = (s - 1.0)[:, None] * offsets
+        local = np.max(over, axis=0)
+        per_halfspace = np.maximum(per_halfspace, local)
+        ih = int(np.argmax(local))
+        if local[ih] > worst:
+            worst = float(local[ih])
+            witness = {"h": float(h), "node": int(np.argmax(over[:, ih])),
+                       "halfspace": ih, "overshoot": worst}
     worst = max(worst, 0.0)
-    for entry in per_halfspace:
-        entry["worst_overshoot"] = max(float(entry["worst_overshoot"]), 0.0)
     passed = worst <= overshoot_tol
-    return InvarianceReport(passed=passed, worst_overshoot=worst,
-                            tolerance=overshoot_tol,
-                            h_list=list(h_list), sample_count=sample_count,
-                            seed=seed, per_halfspace=per_halfspace,
-                            witness=None if passed else witness)
+    return InvarianceReport(
+        passed=passed, worst_overshoot=worst, tolerance=overshoot_tol,
+        h_list=list(h_list),
+        per_halfspace=[{"normal": [float(c) for c in p], "offset": float(a),
+                        "worst_overshoot": float(w)}
+                       for (p, a), w in zip(halfspaces, per_halfspace)],
+        witness=None if passed else witness)

@@ -1,5 +1,5 @@
 """The contract every convex body offers the grid solvers: ``lift(n, N)``,
-``select`` and ``sample``."""
+``select`` and ``supporting_halfspaces``."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from test_convex import _simplex_cone_bisection
 
-from tangenteq import (CONE_TOL, Ball, Box, EmptyIntersection, Grid1D,
+from tangenteq import (CONE_TOL, Ball, EmptyIntersection, Grid1D,
                        HalfspaceIntersection, IntervalValued, OperatorSpec,
                        Simplex, SingleValued, SolverConfig, assemble,
                        invariance_audit, resolvent_iterate,
@@ -168,31 +168,8 @@ def test_ball_sweep_evaluates_the_field_once_per_node():
     assert rows == [n] * (rep.iterations + 1)
 
 
-_BODIES = {
-    "box": Box([-1.0, 0.0], [0.5, 0.0]),
-    "ball": Ball([0.5, -1.0, 0.0], 2.0),
-    "simplex": Simplex(1.5, 3),
-    "halfspaces": _triangle(),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_BODIES))
-def test_samples_are_seeded_grid_functions_in_the_body(name):
-    body = _BODIES[name]
-    count, n = 7, 5
-    draws = body.sample(np.random.default_rng(4), count, n)
-    assert draws.shape == (count, n, body.dim)
-    assert all(body.contains(u, tol=1e-12)
-               for u in draws.reshape(-1, body.dim))
-    again = body.sample(np.random.default_rng(4), count, n)
-    assert np.array_equal(draws, again)
-    other = body.sample(np.random.default_rng(5), count, n)
-    assert not np.array_equal(draws, other)
-
-
 def test_invariance_audit_keeps_a_halfspace_body():
     op = assemble(OperatorSpec(bc="neumann", components=2), Grid1D(1.0, 21))
-    rep = invariance_audit(op, _triangle(), [1e-2, 0.5], sample_count=20,
-                           seed=3)
+    rep = invariance_audit(op, _triangle(), [1e-2, 0.5])
     assert rep.passed
     assert len(rep.per_halfspace) == 3

@@ -6,6 +6,7 @@ entry point for real (the installed ``tangenteq`` script when it is on
 PATH).
 """
 
+import importlib.util
 import json
 import os
 import shutil
@@ -236,7 +237,7 @@ def test_invariance_pass_and_fail(tmp_path, capsys):
     assert "invariance FAILS" in capsys.readouterr().out
     rep = _report(tmp_path / "bad")["report"]
     assert rep["witness"] == {"h": 0.25, "halfspace": 1, "node": 0,
-                              "overshoot": 0.5, "sample": 0}
+                              "overshoot": 0.5}
 
 
 def test_invariance_summary_line_is_pinned(tmp_path, capsys):
@@ -244,8 +245,39 @@ def test_invariance_summary_line_is_pinned(tmp_path, capsys):
     assert run_cli(["check-invariance", _cfg("neumann_linear.cfg"),
                     "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == (
-        "invariance holds (worst overshoot 0.000e+00 over h in "
+        "invariance holds (worst overshoot 1.177e-14 over h in "
         "[0.25, 0.125, 0.0625])\n")
+
+
+def test_invariance_finds_the_overshoot_of_a_constant_input(tmp_path,
+                                                           capsys):
+    # c = 12 lies above pi^2: the resolvent at h = 0.25 maps u = 2 to a
+    # peak of 5.4, out of the ball |u| <= 2, so the audit must fail
+    with open(_cfg("bernstein.cfg"), encoding="utf-8") as fh:
+        text = fh.read().replace("\nc = 1.0\n", "\nc = 12.0\n")
+    cfg = tmp_path / "bernstein_c12.cfg"
+    cfg.write_text(text)
+    assert run_cli(["check-invariance", str(cfg), "--out",
+                    str(tmp_path / "out")]) == 2
+    assert "invariance FAILS" in capsys.readouterr().out
+    witness = _report(tmp_path / "out")["report"]["witness"]
+    assert witness["h"] == 0.25 and witness["node"] == 50
+    assert witness["overshoot"] == pytest.approx(3.414, abs=1e-3)
+
+
+AUDITABLE = ("bernstein", "dirichlet_box", "drift", "neumann_linear",
+             "neumann_logistic", "periodic")
+
+
+@pytest.mark.parametrize("name", AUDITABLE)
+def test_invariance_report_does_not_depend_on_the_seed(tmp_path, name):
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        run_cli(["check-invariance", _cfg(name + ".cfg"), "--out", str(out),
+                 "--seed", seed])
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_conditions_bernstein_margins(tmp_path, capsys):
@@ -422,7 +454,7 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
     ("check-conditions", "[problem]\nkind = neumann_rd\n\n[verify]\n"
      "samples = 0\n", 1, "[verify] samples must be at least 1"),
     ("check-conditions", "[problem]\nkind = neumann_rd\n\n[invariance]\n"
-     "samples = 0\n", 1, "[invariance] samples must be at least 1"),
+     "samples = 0\n", 1, "unknown option 'samples' in [invariance]"),
     ("check-invariance", "[problem]\nkind = neumann_rd\n\n[operator]\n"
      "d = sin:0.5,1,2,99\n", 1, "profile 'sin' takes at most 3 arguments"),
     ("check-invariance", "[problem]\nkind = neumann_rd\n\n[solver]\n"
@@ -502,7 +534,7 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
     ("check-conditions", "[problem]\nkind = neumann_rd\n\n[verify]\n"
      "seed = -1\n", 1, "[verify] seed must be non-negative"),
     ("check-invariance", "[problem]\nkind = neumann_rd\n\n[invariance]\n"
-     "seed = -1\n", 1, "[invariance] seed must be non-negative"),
+     "seed = -1\n", 1, "unknown option 'seed' in [invariance]"),
     # [miranda] values that would fail mid-run
     ("miranda", MIRANDA_HEAD + "lo = -1,-1\nhi = 1,1\nresolution = 0\n", 1,
      "[miranda] resolution must be at least 2 on a cube of dimension 2"),
@@ -622,6 +654,34 @@ def test_command_kind_mismatch_exits_one(tmp_path, capsys, name, command):
     assert run_cli([command, _cfg(name + ".cfg"), "--out", str(out)]) == 1
     assert "does not apply" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, loaded from its file and used read-only."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("cfg,command", sorted(
+    (f, command) for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg")
+    for command in (("miranda",) if load_config(_cfg(f)).kind == "miranda"
+                    else WORKLOADS._GRID_COMMANDS)))
+def test_shipped_pairs_keep_the_benchmark_exit_codes(tmp_path, cfg, command):
+    # the exit code and report status the benchmark's correctness check
+    # expects of each pair it runs
+    code, statuses = WORKLOADS._DESIGNED.get((cfg, command),
+                                             WORKLOADS._DEFAULT[command])
+    assert run_cli([command, _cfg(cfg), "--out", str(tmp_path),
+                    "--seed", "1"]) == code
+    if statuses is not None:
+        assert WORKLOADS._report_status(_report(tmp_path)) in statuses
 
 
 def test_installed_script_runs(tmp_path):

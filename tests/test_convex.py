@@ -288,7 +288,6 @@ def test_ball_eight_normal_gap_formula():
     expected = 1.0 / np.cos(np.pi / 8.0) - 1.0
     assert expected == pytest.approx(0.0823922, abs=1e-7)
     ball = Ball([0.0, 0.0], 1.0)
-    assert ball.outer_gap(count=8) == pytest.approx(expected, abs=1e-12)
     hs = ball.supporting_halfspaces(count=8)
     assert len(hs) == 8
     # outer approximation: every ball point satisfies every halfspace,
@@ -300,13 +299,6 @@ def test_ball_eight_normal_gap_formula():
     corner = np.array([1.0 + expected, 0.0]) @ np.array([np.cos(np.pi / 8),
                                                          np.sin(np.pi / 8)])
     assert corner <= 1.0 + 1e-12
-
-
-def test_ball_gap_shrinks_with_more_normals():
-    ball = Ball([0.5, -0.5], 2.0)
-    gaps = [ball.outer_gap(count=m) for m in (8, 16, 32, 64)]
-    assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
-    assert gaps[-1] < 1e-2
 
 
 def test_halfspace_intersection_reproduces_box():

@@ -379,6 +379,34 @@ def test_nan_and_unbounded_arguments_fail_their_guards(build, error, message):
         build()
 
 
+# each constructor that takes numbers, with the one argument it is handed
+_CONSTRUCTORS = {
+    "Box.lo": (lambda v: Box([v], [1.0]), "lo"),
+    "Box.hi": (lambda v: Box([0.0], [v]), "hi"),
+    "MovingBox.alpha": (lambda v: MovingBox([v, 0.0, 0.0], [1.0] * 3),
+                        "alpha"),
+    "MovingBox.beta": (lambda v: MovingBox([0.0] * 3, [1.0, v, 1.0]),
+                       "beta"),
+    "Ball.center": (lambda v: Ball([v, 0.0], 1.0), "center"),
+    "Ball.radius": (lambda v: Ball([0.0], v), "radius"),
+    "Simplex.total_mass": (lambda v: Simplex(v, 2), "total_mass"),
+    "Cube.lo": (lambda v: Cube([v], [1.0]), "lo"),
+    "Cube.hi": (lambda v: Cube([0.0], [v]), "hi"),
+    "SolverConfig.h0": (lambda v: SolverConfig(h0=v), "h0"),
+    "Grid1D.length": (lambda v: Grid1D(v, 11), "length"),
+}
+
+
+@pytest.mark.parametrize("value", [_NAN, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+def test_constructors_refuse_non_finite_numbers(name, value):
+    build, argument = _CONSTRUCTORS[name]
+    with pytest.raises((ValueError, InvalidSpec),
+                       match=r"\b%s\b" % argument):
+        build(value)
+
+
 def test_truncation_linear_decay_gives_zero():
     op = _dirichlet_op()
     field = SingleValued(lambda x, u, p: -u)

@@ -8,12 +8,14 @@ import textwrap
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tangenteq
 from tangenteq import operators
 from tangenteq import (Grid1D, OperatorSpec, DiscreteOperator, assemble,
                        semigroup_powers, invariance_audit, Box,
-                       InvalidSpec, SingularSystem)
+                       CertificateFailed, InvalidSpec, SingularSystem)
 
 
 def _dense_matrix(op):
@@ -489,18 +491,11 @@ def test_stationary_solve_quadratic_is_exact():
 def test_invariance_audit_neumann_box_passes():
     grid = Grid1D(1.0, 101)
     op = assemble(OperatorSpec(bc="neumann"), grid)
-    rep = invariance_audit(op, Box([-0.3], [0.8]), [1e-2, 1e-1, 1.0],
-                           sample_count=300, seed=5)
+    rep = invariance_audit(op, Box([-0.3], [0.8]), [1e-2, 1e-1, 1.0])
     assert rep.passed
     assert rep.worst_overshoot <= 1e-10
     assert rep.witness is None
     assert len(rep.per_halfspace) == 2
-
-
-def test_invariance_audit_needs_a_sample():
-    op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, 11))
-    with pytest.raises(InvalidSpec, match="sample_count must be at least 1"):
-        invariance_audit(op, Box([0.0], [1.0]), [0.25], sample_count=0)
 
 
 def test_invariance_audit_needs_a_step():
@@ -508,26 +503,23 @@ def test_invariance_audit_needs_a_step():
     # evidence
     op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, 11))
     with pytest.raises(InvalidSpec, match="h_list must hold at least one"):
-        invariance_audit(op, Box([0.0], [1.0]), [], sample_count=5)
+        invariance_audit(op, Box([0.0], [1.0]), [])
 
 
 def test_invariance_audit_periodic_with_drift_passes():
     # dx = 1/128 stays below the M-matrix bound 2*d0/|gamma| = 2
     grid = Grid1D(1.0, 128, periodic=True)
     op = assemble(OperatorSpec(gamma=0.5, bc="periodic"), grid)
-    rep = invariance_audit(op, Box([0.0], [1.0]), [1e-3, 1e-1],
-                           sample_count=200, seed=8)
+    rep = invariance_audit(op, Box([0.0], [1.0]), [1e-3, 1e-1])
     assert rep.passed
 
 
 def test_invariance_audit_dirichlet_needs_zero_inside():
     grid = Grid1D(1.0, 51)
     op = assemble(OperatorSpec(bc="dirichlet"), grid)
-    ok = invariance_audit(op, Box([-0.5], [1.0]), [0.1],
-                          sample_count=100, seed=3)
+    ok = invariance_audit(op, Box([-0.5], [1.0]), [0.1])
     assert ok.passed
-    bad = invariance_audit(op, Box([0.5], [1.0]), [0.1],
-                           sample_count=100, seed=3)
+    bad = invariance_audit(op, Box([0.5], [1.0]), [0.1])
     assert not bad.passed
     assert bad.worst_overshoot >= 0.5 - 1e-12
     assert bad.witness is not None
@@ -538,16 +530,114 @@ def test_invariance_audit_simplex_two_components():
     grid = Grid1D(1.0, 41)
     op = assemble(OperatorSpec(bc="neumann", components=2), grid)
     from tangenteq import Simplex
-    rep = invariance_audit(op, Simplex(1.0, 2), [1e-2, 0.5],
-                           sample_count=150, seed=11)
+    rep = invariance_audit(op, Simplex(1.0, 2), [1e-2, 0.5])
     assert rep.passed
+
+
+def test_invariance_audit_finds_the_overshoot_of_a_constant_input():
+    # a negative shift lifts G.1 above 1 inside the domain: the exact
+    # overshoot against the upper face is max(G.1) - 1, which no uniform
+    # draw in [-1, 1] comes near
+    op = assemble(OperatorSpec(bc="dirichlet", shift=-20.0), Grid1D(1.0, 21))
+    rep = invariance_audit(op, Box([-1.0], [1.0]), [0.01])
+    s = op.resolvent(0.01, np.ones(21))
+    assert not rep.passed
+    assert rep.witness["overshoot"] == pytest.approx(0.2203867, abs=1e-7)
+    assert rep.witness["overshoot"] == pytest.approx(np.max(s) - 1.0,
+                                                     abs=1e-15)
+    assert rep.witness["node"] == 10 and rep.witness["halfspace"] == 0
+
+
+def test_invariance_audit_refuses_a_resolvent_that_is_not_nonnegative():
+    # 1 - h (12 - pi^2) < 0: I - hA is a Z-matrix but not an M-matrix, and
+    # (I - hA)^-1 1 is negative at every equation row
+    op = assemble(OperatorSpec(bc="dirichlet", shift=-12.0), Grid1D(1.0, 21))
+    with pytest.raises(CertificateFailed, match=r"not an M-matrix at h=1: "
+                       r".* = -0.169 at node 1$"):
+        invariance_audit(op, Box([-1.0], [1.0]), [0.25, 1.0])
+
+
+_WALLS = ("neumann", "dirichlet", "periodic")
+
+
+def _audited_operator(bc, n, d0, variable_d, frac, variable_gamma, shift,
+                      components=1):
+    """An operator whose drift is ``frac`` times the M-matrix bound
+    ``2 d_min / dx`` (for a variable d, of its lower bound ``d0 / 2``)."""
+    grid = Grid1D(1.0, n, periodic=bc == "periodic")
+    d_min = 0.5 * d0 if variable_d else d0
+    g0 = frac * 2.0 * d_min / grid.dx
+    d = (lambda x: d0 * (1.0 + 0.5 * np.sin(2 * np.pi * x))) \
+        if variable_d else d0
+    gamma = (lambda x: g0 * np.cos(2 * np.pi * x)) if variable_gamma else g0
+    return assemble(OperatorSpec(d=d, gamma=gamma, bc=bc, shift=shift,
+                                 components=components), grid)
+
+
+@st.composite
+def audited_boxes(draw):
+    """A wall, grid, diffusion, drift inside the M-matrix bound, shift,
+    step and box: the inputs of one invariance audit."""
+    N = draw(st.integers(1, 2))
+    op = _audited_operator(
+        draw(st.sampled_from(_WALLS)), draw(st.integers(5, 60)),
+        draw(st.floats(0.5, 2.0)), draw(st.booleans()),
+        draw(st.floats(-0.999, 0.999)), draw(st.booleans()),
+        draw(st.sampled_from((0.0, None, -1.0))), N)
+    h_cap = 0.9 if op.shift <= 0 else min(0.9, 0.9 / op.shift)
+    h = draw(st.floats(1e-3, 1.0)) * h_cap
+    lo = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(N)])
+    hi = lo + np.array([draw(st.floats(0.0, 2.0)) for _ in range(N)])
+    return op, h, Box(lo, hi), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _overshoot(U, box):
+    return max(0.0, float(np.max(U - box.hi)), float(np.max(box.lo - U)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(audited_boxes())
+def test_invariance_audit_is_exact_inside_the_drift_bound(problem):
+    op, h, box, seed = problem
+    rep = invariance_audit(op, box, [h])
+    # G >= 0, so the extremes of the output are the images of the
+    # constant inputs lo and hi
+    n = op.grid.n
+    exact = max(_overshoot(op.resolvent(h, np.tile(box.lo, (n, 1))), box),
+                _overshoot(op.resolvent(h, np.tile(box.hi, (n, 1))), box))
+    # the two sides round differently, by up to about 3e-13 relative when
+    # a negative shift brings I - hA near singular
+    assert rep.worst_overshoot == pytest.approx(exact, rel=1e-12,
+                                                abs=1e-12)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        F = box.lo + (box.hi - box.lo) * rng.random((n, box.dim))
+        assert _overshoot(op.resolvent(h, F), box) \
+            <= rep.worst_overshoot * (1.0 + 1e-12) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_WALLS), st.integers(5, 60), st.floats(0.5, 2.0),
+       st.floats(1.01, 4.0), st.sampled_from((1.0, -1.0)),
+       st.floats(1e-3, 1.0))
+def test_invariance_audit_past_the_drift_bound_names_the_node(
+        bc, n, d0, frac, sign, h):
+    with pytest.warns(UserWarning, match="positivity step bound"):
+        op = _audited_operator(bc, n, d0, False, sign * frac, False, 0.0)
+    # the first equation row with a negative coupling to an equation row:
+    # a Neumann wall row reflects without drift, and under Dirichlet walls
+    # row 1 couples leftward only to the eliminated wall node
+    node = {"neumann": 1, "periodic": 0,
+            "dirichlet": 1 if sign > 0 else 2}[bc]
+    with pytest.raises(CertificateFailed, match=r"not a Z-matrix at "
+                       r"h=%.6g: node %d " % (h, node)):
+        invariance_audit(op, Box([0.0], [1.0]), [h])
 
 
 def test_invariance_report_serializes():
     grid = Grid1D(1.0, 21)
     op = assemble(OperatorSpec(bc="neumann"), grid)
-    rep = invariance_audit(op, Box([0.0], [1.0]), [0.1], sample_count=20,
-                           seed=0)
+    rep = invariance_audit(op, Box([0.0], [1.0]), [0.1])
     d = rep.to_dict()
     assert d["passed"] is True
     assert isinstance(d["worst_overshoot"], float)

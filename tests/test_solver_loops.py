@@ -93,7 +93,7 @@ def test_the_row_loop_check_sees_comprehensions():
 @pytest.mark.parametrize("cls, face_listings", [
     (convex.ConvexBody, []),
     (convex.Box, ["supporting_halfspaces"]),
-    (convex.Ball, ["outer_gap", "supporting_halfspaces"]),
+    (convex.Ball, ["supporting_halfspaces"]),
     (convex.Simplex, ["supporting_halfspaces"]),
 ], ids=["ConvexBody", "Box", "Ball", "Simplex"])
 def test_closed_form_bodies_hold_no_row_loop(cls, face_listings):
