@@ -3,7 +3,8 @@
 Rows are the only primitive: a set implements ``project_rows`` (the
 metric projection of each row, a 1-Lipschitz retraction) and
 ``tangent_project_rows`` (the metric projection onto the tangent cone at
-each row) and lists supporting halfspaces for the invariance audit.
+each row), and states in closed form how far a scaled copy ``s K``
+reaches past K (``overshoot``, which decides the invariance audit).
 ``ConvexBody`` builds the rest on them once: the one-point ``project``
 and ``tangent_project``, distances, cone membership and ``select`` (the
 minimal-norm point of each value box ``[vlo[j], vhi[j]]`` in the tangent
@@ -65,15 +66,25 @@ def _as1d(x):
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def _row_sums(S):
+    """The sum of each row, taken column by column from the left: bit
+    for bit ``np.add.reduce(S, axis=1)`` on rows of up to 7 entries (past
+    that numpy sums pairwise), in C or Fortran order."""
+    total = S[:, 0]
+    for k in range(1, S.shape[1]):
+        total = total + S[:, k]
+    return total
+
+
 def _row_dots(A, B):
-    """``np.dot(A[j], B[j])`` for every row, rounded as ``np.dot`` rounds
-    (a batched matmul of 1 x N by N x 1 takes the same dot kernel)."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+    """The dot product of each row of ``A`` with the same row of ``B``."""
+    return _row_sums(A * B)
 
 
 def _row_norms(A):
-    """``np.linalg.norm(A[j])`` for every row, bit for bit."""
-    return np.sqrt(_row_dots(A, A))
+    """``np.linalg.norm(A, axis=1)``, bit for bit on rows of up to 7
+    entries."""
+    return np.sqrt(_row_sums(A * A))
 
 
 def _positive_part(a):
@@ -142,7 +153,11 @@ class ConvexBody(_Lifted):
         dd = float(np.linalg.norm(_as1d(v) - w))
         return ConeQueryResult(contains=dd <= tol, directional_derivative=dd)
 
-    def supporting_halfspaces(self):
+    def overshoot(self, s):
+        """How far ``s_j K`` reaches past K, for node factors ``s_j >= 0``:
+        the largest ``(s_j - 1) sigma_K(p)`` over the unit normals ``p`` of
+        K's faces (every unit vector for a ball), with ``sigma_K`` the
+        support function.  Positive exactly where ``s_j K`` leaves K."""
         raise NotImplementedError
 
     def lift(self, n, N):
@@ -190,9 +205,9 @@ class Box(ConvexBody):
         return _clip(V, *_face_cone(self.project_rows(X), self.lo, self.hi,
                                     tol))
 
-    def supporting_halfspaces(self):
-        return [face for e, lo, hi in zip(np.eye(self.dim), self.lo, self.hi)
-                for face in ((e, float(hi)), (-e, float(-lo)))]
+    def overshoot(self, s):
+        return np.max((s - 1.0)[:, None] * np.append(self.hi, -self.lo),
+                      axis=1)
 
     def lift(self, n, N):
         """The same box at each of ``n`` grid nodes, as a ``MovingBox``."""
@@ -250,7 +265,7 @@ class MovingBox(_Lifted):
         return _clip(U, self.alpha, self.beta)
 
     def _distances_at(self, U, W):
-        return np.linalg.norm(U - W, axis=1)
+        return _row_norms(U - W)
 
     def _select_at(self, W, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
         """The face cones are intervals, so selection is componentwise
@@ -267,7 +282,7 @@ class MovingBox(_Lifted):
 
     def _tangency_at(self, W, V, tol=CONE_TOL):
         clo, chi = _face_cone(W, self.alpha, self.beta, tol)
-        return float(np.max(np.linalg.norm(V - _clip(V, clo, chi), axis=1)))
+        return float(np.max(_row_norms(V - _clip(V, clo, chi))))
 
 
 #: the stall test compares each Dykstra gap with the one this many
@@ -405,24 +420,9 @@ class Ball(ConvexBody):
         push = _positive_part(_row_dots(normal, V))
         return np.where(inner[:, None], V, V - push[:, None] * normal)
 
-    def supporting_halfspaces(self, count=64, seed=0):
-        """Outer polyhedral approximation by ``count`` tangent halfspaces.
-
-        Exact for dim 1; equally spaced normals in dim 2 (circumscribed
-        polygon, Hausdorff gap ``r*(1/cos(pi/count) - 1)``); seeded unit
-        normals in higher dimension.  Always an outer approximation.
-        """
-        if self.dim == 1:
-            ps = [np.array([1.0]), np.array([-1.0])]
-        elif self.dim == 2:
-            th = 2.0 * np.pi * np.arange(count) / count
-            ps = [np.array([np.cos(t), np.sin(t)]) for t in th]
-        else:
-            rng = np.random.default_rng(seed)
-            raw = rng.standard_normal((count, self.dim))
-            raw /= np.linalg.norm(raw, axis=1)[:, None]
-            ps = list(raw)
-        return [(p, float(p @ self.center) + self.radius) for p in ps]
+    def overshoot(self, s):
+        return np.abs(s - 1.0) * np.linalg.norm(self.center) \
+            + (s - 1.0) * self.radius
 
 
 class Simplex(ConvexBody):
@@ -432,7 +432,7 @@ class Simplex(ConvexBody):
         self.total_mass = float(total_mass)
         if not self.total_mass > 0:
             raise ValueError("total_mass must be positive")
-        check_finite(total_mass=self.total_mass)
+        check_finite(total_mass=self.total_mass, dim=dim)
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
@@ -479,17 +479,10 @@ class Simplex(ConvexBody):
         W = V - lam
         return np.where(act, np.maximum(W, 0.0), W)
 
-    def supporting_halfspaces(self):
-        out = []
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = -1.0
-            out.append((e, 0.0))
-        one = np.ones(self.dim) / np.sqrt(self.dim)
-        mass = self.total_mass / np.sqrt(self.dim)
-        out.append((one, mass))
-        out.append((-one, -mass))
-        return out
+    def overshoot(self, s):
+        """The faces ``u_i >= 0`` never move; ``sum(u) = total_mass`` has
+        the normals ``+-1/sqrt(dim)``."""
+        return np.abs(s - 1.0) * (self.total_mass / np.sqrt(self.dim))
 
 
 class HalfspaceIntersection(ConvexBody):
@@ -505,6 +498,8 @@ class HalfspaceIntersection(ConvexBody):
     def __init__(self, normals, offsets, point):
         P = np.atleast_2d(np.asarray(normals, dtype=float))
         a = _as1d(offsets).astype(float)
+        self.point = _as1d(point)
+        check_finite(normals=P, offsets=a, point=self.point)
         if P.shape[0] != a.size:
             raise ValueError("one offset per normal required")
         norms = np.linalg.norm(P, axis=1)
@@ -512,7 +507,6 @@ class HalfspaceIntersection(ConvexBody):
             raise ValueError("zero normal supplied")
         self.normals = P / norms[:, None]
         self.offsets = a / norms
-        self.point = _as1d(point)
         self.dim = P.shape[1]
         slack = self.normals @ self.point - self.offsets
         if np.max(slack) > 1e-9:
@@ -529,9 +523,8 @@ class HalfspaceIntersection(ConvexBody):
         return np.array([v - _least_distance(P[act], P[act] @ v)
                          for act, v in zip(active, V)]).reshape(V.shape)
 
-    def supporting_halfspaces(self):
-        return [(p.copy(), float(a))
-                for p, a in zip(self.normals, self.offsets)]
+    def overshoot(self, s):
+        return np.max((s - 1.0)[:, None] * self.offsets, axis=1)
 
 
 def _least_distance(G, h):

@@ -49,9 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import MovingBox, _clip
+from .convex import MovingBox, _clip, _row_norms
 from .errors import EmptyIntersection, check_finite
-from .operators import _row_sums
 
 _CHECKPOINT_FACTOR = 1e-9
 
@@ -157,8 +156,7 @@ def _equation_norm(op, R):
 def _equation_residual(op, AU, vlo, vhi):
     target = -AU
     gap = target - _clip(target, vlo, vhi)
-    # np.linalg.norm(gap, axis=1), without its wrapper
-    return _equation_norm(op, np.sqrt(_row_sums(gap * gap)))
+    return _equation_norm(op, _row_norms(gap))
 
 
 def _as_grid_function(u0, n, N):

@@ -85,7 +85,9 @@ class SetValue:
 
 
 def _sup_norms(lo, hi):
-    """``SetValue(lo[j], hi[j]).sup_norm()`` for every row, bit for bit."""
+    """The largest Euclidean norm over each row's value box
+    ``[lo[j], hi[j]]``: ``SetValue.sup_norm`` row by row, rounded as
+    ``_row_norms`` rounds."""
     return _row_norms(np.maximum(np.abs(lo), np.abs(hi)))
 
 

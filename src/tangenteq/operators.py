@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convex import _row_sums
 from .errors import (CertificateFailed, InvalidSpec, SingularSystem,
                      check_finite)
 
@@ -51,12 +52,6 @@ def dgttrf(*args):
 def dgttrs(*args):
     from scipy.linalg.lapack import dgttrs
     return dgttrs(*args)
-
-
-def _row_sums(S):
-    """``np.add.reduce(S, axis=1)`` bit for bit: a single column is its
-    own sum, taken without a reduction over 1-element rows."""
-    return S[:, 0] if S.shape[1] == 1 else np.add.reduce(S, axis=1)
 
 
 class Grid1D:
@@ -411,7 +406,6 @@ class InvarianceReport:
     worst_overshoot: float
     tolerance: float
     h_list: list
-    per_halfspace: list
     witness: dict = None
 
     def to_dict(self):
@@ -420,7 +414,6 @@ class InvarianceReport:
             "worst_overshoot": float(self.worst_overshoot),
             "tolerance": float(self.tolerance),
             "h_list": [float(h) for h in self.h_list],
-            "per_halfspace": self.per_halfspace,
             "witness": self.witness,
         }
 
@@ -435,10 +428,9 @@ def invariance_audit(op, body, h_list, overshoot_tol=1e-10):
     is a nonsingular M-matrix and ``G = M^-1 >= 0`` (Berman & Plemmons,
     *Nonnegative Matrices in the Mathematical Sciences*, 1994, ch. 6).
     Node j of the output ``sum_k G_jk F_k`` then ranges over exactly
-    ``s_j K``, so the worst excess over a supporting halfspace (p, a) of
-    the body is ``max_j (s_j - 1) a``: exact for boxes and simplices,
-    and for a ball against its listed tangent halfspaces.  The verdict
-    passes when no excess exceeds ``overshoot_tol``.
+    ``s_j K``, and ``body.overshoot(s)`` states exactly how far that
+    reaches past K at each node.  The verdict passes when no overshoot
+    exceeds ``overshoot_tol``; the witness names the worst step and node.
 
     Raises CertificateFailed, naming h and the node, when M is not a
     Z-matrix or s is not positive; InvalidSpec on an empty ``h_list``.
@@ -457,9 +449,6 @@ def invariance_audit(op, body, h_list, overshoot_tol=1e-10):
         raise CertificateFailed(
             "I - hA is not a Z-matrix at h=%.6g: node %d couples to a "
             "neighbour with a negative weight" % (h_list[0], negative[0]))
-    halfspaces = body.supporting_halfspaces()
-    offsets = np.array([a for _, a in halfspaces])
-    per_halfspace = np.zeros(len(halfspaces))
     worst, witness = -np.inf, None
     for h in h_list:
         s = op.resolvent(h, np.ones(op.grid.n))
@@ -468,20 +457,13 @@ def invariance_audit(op, body, h_list, overshoot_tol=1e-10):
             raise CertificateFailed(
                 "I - hA is not an M-matrix at h=%.6g: (I - hA)^-1 1 = %.3g "
                 "at node %d" % (h, s[short[0]], short[0]))
-        over = (s - 1.0)[:, None] * offsets
-        local = np.max(over, axis=0)
-        per_halfspace = np.maximum(per_halfspace, local)
-        ih = int(np.argmax(local))
-        if local[ih] > worst:
-            worst = float(local[ih])
-            witness = {"h": float(h), "node": int(np.argmax(over[:, ih])),
-                       "halfspace": ih, "overshoot": worst}
-    worst = max(worst, 0.0)
+        over = body.overshoot(s)
+        j = int(np.argmax(over))
+        if over[j] > worst:
+            worst = float(over[j])
+            witness = {"h": float(h), "node": j, "overshoot": worst}
+    worst = max(0.0, worst)
     passed = worst <= overshoot_tol
     return InvarianceReport(
         passed=passed, worst_overshoot=worst, tolerance=overshoot_tol,
-        h_list=list(h_list),
-        per_halfspace=[{"normal": [float(c) for c in p], "offset": float(a),
-                        "worst_overshoot": float(w)}
-                       for (p, a), w in zip(halfspaces, per_halfspace)],
-        witness=None if passed else witness)
+        h_list=list(h_list), witness=None if passed else witness)

@@ -1,5 +1,5 @@
 """The contract every convex body offers the grid solvers: ``lift(n, N)``,
-``select`` and ``supporting_halfspaces``."""
+``select`` and ``overshoot``."""
 
 import numpy as np
 import pytest
@@ -172,4 +172,3 @@ def test_invariance_audit_keeps_a_halfspace_body():
     op = assemble(OperatorSpec(bc="neumann", components=2), Grid1D(1.0, 21))
     rep = invariance_audit(op, _triangle(), [1e-2, 0.5])
     assert rep.passed
-    assert len(rep.per_halfspace) == 3

@@ -236,8 +236,7 @@ def test_invariance_pass_and_fail(tmp_path, capsys):
                     "--out", str(tmp_path / "bad")]) == 2
     assert "invariance FAILS" in capsys.readouterr().out
     rep = _report(tmp_path / "bad")["report"]
-    assert rep["witness"] == {"h": 0.25, "halfspace": 1, "node": 0,
-                              "overshoot": 0.5}
+    assert rep["witness"] == {"h": 0.25, "node": 0, "overshoot": 0.5}
 
 
 def test_invariance_summary_line_is_pinned(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Constraint-set geometry: projections, tangent cones, halfspaces."""
+"""Constraint-set geometry: projections, tangent cones, overshoots."""
 
 import itertools
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tangenteq import (CONE_TOL, Box, Ball, Simplex, HalfspaceIntersection,
                        PointNotInSet, numeric_tangent_quotient)
+from tangenteq.convex import _row_norms, _row_sums
 
 
 def _random_body(rng, kind, dim):
@@ -248,57 +249,71 @@ def test_ball_cone_is_inward_halfspace():
     assert ball.tangent_cone_contains([0.1, 0.2], [5.0, -3.0]).contains
 
 
-def test_box_halfspace_enumeration():
-    hs = Box([0.0, 0.0], [1.0, 1.0]).supporting_halfspaces()
-    got = sorted((tuple(p), a) for p, a in hs)
-    expected = sorted([((1.0, 0.0), 1.0), ((-1.0, -0.0), 0.0),
-                       ((0.0, 1.0), 1.0), ((-0.0, -1.0), 0.0)])
-    assert len(got) == 4
-    for (p, a), (q, b) in zip(got, expected):
-        assert np.allclose(p, q) and a == pytest.approx(b, abs=1e-15)
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("width", range(1, 8))
+def test_row_sums_and_norms_round_as_numpy(width, order):
+    # column sums from the left are numpy's own reduction on rows this
+    # short, so distances keep the bytes of np.linalg.norm(axis=1)
+    rng = np.random.default_rng(width)
+    A = np.asarray(rng.standard_normal((500, width))
+                   * 10.0 ** rng.uniform(-3.0, 3.0, (500, width)),
+                   order=order)
+    assert _row_sums(A).tobytes() == np.add.reduce(A, axis=1).tobytes()
+    assert _row_norms(A).tobytes() == np.linalg.norm(A, axis=1).tobytes()
 
 
-def test_simplex_halfspace_enumeration():
-    hs = Simplex(1.0, 2).supporting_halfspaces()
-    assert len(hs) == 4
-    s = 1.0 / np.sqrt(2.0)
-    seen = {(round(p[0], 12), round(p[1], 12), round(a, 12)) for p, a in hs}
-    assert (-1.0, 0.0, 0.0) in seen
-    assert (0.0, -1.0, 0.0) in seen
-    assert (round(s, 12), round(s, 12), round(s, 12)) in seen
-    assert (round(-s, 12), round(-s, 12), round(-s, 12)) in seen
+def _deciding_points(body):
+    """The points of a box, ball or simplex whose images under
+    ``x -> s x`` decide whether ``s K`` lies in K: the box corners, the
+    simplex vertices, the ball points nearest to and farthest from 0."""
+    if isinstance(body, Box):
+        return np.array(list(itertools.product(*zip(body.lo, body.hi))))
+    if isinstance(body, Simplex):
+        return body.total_mass * np.eye(body.dim)
+    c, r = body.center, body.radius
+    norm = np.linalg.norm(c)
+    u = c / norm if norm > 0 else np.eye(body.dim)[0]
+    return np.array([c - r * u, c + r * u])
 
 
-def test_halfspaces_characterize_membership():
-    # exact for boxes and simplexes: inside iff every p.x <= a
-    rng = np.random.default_rng(29)
-    for _ in range(200):
-        dim = int(rng.integers(1, 7))
-        for kind in ("box", "simplex"):
-            body = _random_body(rng, kind, dim)
-            hs = body.supporting_halfspaces()
-            x = rng.uniform(-2.0, 3.0, dim)
-            slack = max(float(p @ x) - a for p, a in hs)
-            assert (slack <= 1e-9) == body.contains(x, tol=1e-9)
+@st.composite
+def scaled_bodies(draw):
+    """A box, ball or simplex of dimension 1-3 and node factors ``s`` in
+    [0, 3]."""
+    kind = draw(st.sampled_from(("box", "ball", "simplex")))
+    dim = draw(st.integers(1, 3))
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    if kind == "box":
+        lo = np.array(draw(coords))
+        body = Box(lo, lo + np.abs(draw(coords)))
+    elif kind == "ball":
+        body = Ball(draw(coords), draw(st.floats(0.1, 2.0)))
+    else:
+        body = Simplex(draw(st.floats(0.1, 3.0)), dim)
+    s = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=1,
+                               max_size=4)))
+    return body, s
 
 
-def test_ball_eight_normal_gap_formula():
-    """Circumscribing a disc by 8 tangent halfspaces misses it by exactly
-    r*(1/cos(pi/8) - 1)."""
-    expected = 1.0 / np.cos(np.pi / 8.0) - 1.0
-    assert expected == pytest.approx(0.0823922, abs=1e-7)
-    ball = Ball([0.0, 0.0], 1.0)
-    hs = ball.supporting_halfspaces(count=8)
-    assert len(hs) == 8
-    # outer approximation: every ball point satisfies every halfspace,
-    # and the worst corner sticks out by exactly the gap
-    th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    pts = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    for p, a in hs:
-        assert np.max(pts @ p) <= a + 1e-12
-    corner = np.array([1.0 + expected, 0.0]) @ np.array([np.cos(np.pi / 8),
-                                                         np.sin(np.pi / 8)])
-    assert corner <= 1.0 + 1e-12
+@settings(max_examples=300, deadline=None)
+@given(scaled_bodies())
+@example((Ball([np.cos(np.pi / 64), np.sin(np.pi / 64)], 0.9995),
+          np.array([0.0, 0.5, 1.0])))
+def test_overshoot_decides_whether_s_K_stays_in_K(case):
+    body, s = case
+    points = _deciding_points(body)
+    tol = 1e-12
+    over = body.overshoot(s)
+    assert over.shape == s.shape
+    for o, sj in zip(over, s):
+        far = max(body.distance(sj * x) for x in points)
+        # one excess in two norms: along a face normal, and Euclidean,
+        # which is at most sqrt(dim) times larger; the verdicts differ
+        # only where the distance falls between the two thresholds
+        assert o <= far + tol
+        assert far <= np.sqrt(body.dim) * max(o, 0.0) + tol
+        assert (o > tol) == (far > tol) \
+            or tol < far <= (np.sqrt(body.dim) + 1.0) * tol
 
 
 def test_halfspace_intersection_reproduces_box():
@@ -308,8 +323,9 @@ def test_halfspace_intersection_reproduces_box():
         lo = rng.uniform(-1.0, 0.0, dim)
         hi = lo + rng.uniform(0.5, 1.5, dim)
         box = Box(lo, hi)
-        normals, offsets = zip(*box.supporting_halfspaces())
-        poly = HalfspaceIntersection(normals, offsets, 0.5 * (lo + hi))
+        eye = np.eye(dim)
+        poly = HalfspaceIntersection(np.vstack([eye, -eye]),
+                                     np.append(hi, -lo), 0.5 * (lo + hi))
         for _ in range(4):
             x = rng.uniform(-2.0, 2.0, dim)
             assert np.max(np.abs(poly.project(x) - box.project(x))) <= 1e-8

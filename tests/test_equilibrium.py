@@ -13,7 +13,8 @@ from tangenteq import (Grid1D, OperatorSpec, assemble, Ball, Box, Simplex,
                        SingleValued, SolverConfig, resolvent_iterate,
                        truncation_iterate, viability_simulate, residual,
                        EmptyIntersection, InvalidSpec, MovingBox, Cube,
-                       make_nonlinearity, semigroup_powers)
+                       HalfspaceIntersection, make_nonlinearity,
+                       semigroup_powers)
 
 
 def _neumann_op(n=101, components=1):
@@ -390,6 +391,13 @@ _CONSTRUCTORS = {
     "Ball.center": (lambda v: Ball([v, 0.0], 1.0), "center"),
     "Ball.radius": (lambda v: Ball([0.0], v), "radius"),
     "Simplex.total_mass": (lambda v: Simplex(v, 2), "total_mass"),
+    "Simplex.dim": (lambda v: Simplex(1.0, v), "dim"),
+    "HalfspaceIntersection.normals": (
+        lambda v: HalfspaceIntersection([[v]], [1.0], [0.0]), "normals"),
+    "HalfspaceIntersection.offsets": (
+        lambda v: HalfspaceIntersection([[1.0]], [v], [0.0]), "offsets"),
+    "HalfspaceIntersection.point": (
+        lambda v: HalfspaceIntersection([[1.0]], [1.0], [v]), "point"),
     "Cube.lo": (lambda v: Cube([v], [1.0]), "lo"),
     "Cube.hi": (lambda v: Cube([0.0], [v]), "hi"),
     "SolverConfig.h0": (lambda v: SolverConfig(h0=v), "h0"),
@@ -437,6 +445,20 @@ def test_truncation_with_too_tight_ceiling_fails_localization():
     if rep.status == "localization_failed":
         assert rep.failure is not None
         assert rep.constraint_violation > 1e-3
+
+
+def test_truncation_reports_a_solution_that_escapes_its_bounds():
+    # the residual tolerance lets the second sweep converge; the walls
+    # hold u = 0, below the floor 0.2, so the containment check trips
+    op = _dirichlet_op(21)
+    field = make_nonlinearity("linear", {"a": 0.5, "b": -1.0})
+    rep = truncation_iterate(op, field, alpha=0.2, beta=1.0,
+                             config=SolverConfig(tol_residual=10.0))
+    assert rep.status == "localization_failed"
+    assert rep.iterations == 2
+    assert rep.constraint_violation == 0.2
+    assert rep.failure == {"node": 0, "x": 0.0, "u": [0.0],
+                           "reason": "solution escapes the bounds"}
 
 
 def test_truncation_requires_dirichlet_walls():

@@ -267,8 +267,9 @@ def test_selection_dykstra_agrees_with_box_shortcut():
     # generic alternating-projection path
     rng = np.random.default_rng(53)
     box = Box([0.0, 0.0], [1.0, 1.0])
-    normals, offsets = zip(*box.supporting_halfspaces())
-    poly = HalfspaceIntersection(normals, offsets, [0.5, 0.5])
+    poly = HalfspaceIntersection([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                  [0.0, -1.0]], [1.0, 0.0, 1.0, 0.0],
+                                 [0.5, 0.5])
     for _ in range(25):
         u = rng.uniform(0.0, 1.0, 2)
         snap = rng.random(2) < 0.5

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import tangenteq
 from tangenteq import operators
 from tangenteq import (Grid1D, OperatorSpec, DiscreteOperator, assemble,
-                       semigroup_powers, invariance_audit, Box,
+                       semigroup_powers, invariance_audit, Ball, Box,
                        CertificateFailed, InvalidSpec, SingularSystem)
 
 
@@ -495,7 +495,6 @@ def test_invariance_audit_neumann_box_passes():
     assert rep.passed
     assert rep.worst_overshoot <= 1e-10
     assert rep.witness is None
-    assert len(rep.per_halfspace) == 2
 
 
 def test_invariance_audit_needs_a_step():
@@ -545,7 +544,22 @@ def test_invariance_audit_finds_the_overshoot_of_a_constant_input():
     assert rep.witness["overshoot"] == pytest.approx(0.2203867, abs=1e-7)
     assert rep.witness["overshoot"] == pytest.approx(np.max(s) - 1.0,
                                                      abs=1e-15)
-    assert rep.witness["node"] == 10 and rep.witness["halfspace"] == 0
+    assert rep.witness["node"] == 10
+
+
+def test_invariance_audit_judges_a_ball_exactly():
+    # the Dirichlet walls map every input to 0: this ball misses 0 by
+    # |c| - r = 5e-4, though a 64-gon circumscribing it holds 0
+    op = assemble(OperatorSpec(bc="dirichlet", components=2),
+                  Grid1D(1.0, 11))
+    c = np.array([np.cos(np.pi / 64), np.sin(np.pi / 64)])
+    bad = invariance_audit(op, Ball(c, 0.9995), [0.1])
+    assert not bad.passed
+    assert bad.witness["node"] == 0
+    assert bad.witness["overshoot"] == pytest.approx(
+        np.linalg.norm(c) - 0.9995, abs=1e-12)
+    assert bad.worst_overshoot == bad.witness["overshoot"]
+    assert invariance_audit(op, Ball(c, 1.0005), [0.1]).passed
 
 
 def test_invariance_audit_refuses_a_resolvent_that_is_not_nonnegative():
