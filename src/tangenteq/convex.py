@@ -26,10 +26,11 @@ exact:
   nonnegative on the zero coordinates,
 * ``HalfspaceIntersection``  one least-distance program per row.
 
-Directional derivatives of the distance function are reported alongside
-membership: for a convex set the one-sided derivative of ``d_K`` at
-``x in K`` along ``v`` equals the distance from ``v`` to the tangent cone,
-so membership at tolerance ``tol`` is exactly ``derivative <= tol``.
+For a convex set the one-sided derivative of ``d_K`` at ``x in K`` along
+``v`` is the distance from ``v`` to the tangent cone, so cone membership
+at ``tol`` is exactly ``derivative <= tol``.  Each quantity has one row
+kernel on ``_row_sums``: that derivative is ``_cone_gaps``, a distance to
+a value box ``_box_distances``; every one-point form is its one-row case.
 """
 
 from dataclasses import dataclass
@@ -87,6 +88,17 @@ def _row_norms(A):
     return np.sqrt(_row_sums(A * A))
 
 
+def _cone_gaps(body, X, V, tol):
+    """Each row's tangency residual: the distance of ``V[j]`` to the
+    tangent cone of ``body`` at ``X[j]``."""
+    return _row_norms(V - body.tangent_project_rows(X, V, tol))
+
+
+def _box_distances(Y, lo, hi):
+    """The distance of each ``Y[j]`` to the box ``[lo[j], hi[j]]``."""
+    return _row_norms(Y - _clip(Y, lo, hi))
+
+
 def _positive_part(a):
     """``max(0.0, a)`` elementwise as Python rounds it: NaN and ``-0.0``
     give ``0.0``."""
@@ -114,6 +126,12 @@ class _Lifted:
         """``max_j dist(V_j, T(proj U_j))``: the largest nodal directional
         derivative of the distance to the set along ``V``."""
         return self._tangency_at(self.project_rows(U), V, tol)
+
+    def _distances_at(self, U, W):
+        return _row_norms(U - W)
+
+    def _tangency_at(self, W, V, tol=CONE_TOL):
+        return float(np.max(_cone_gaps(self, W, V, tol)))
 
 
 class ConvexBody(_Lifted):
@@ -149,8 +167,7 @@ class ConvexBody(_Lifted):
         Raises PointNotInSet when ``x`` is not a member (up to ``tol``).
         """
         self._require_member(x, tol)
-        w = self.tangent_project(x, v, tol=tol)
-        dd = float(np.linalg.norm(_as1d(v) - w))
+        dd = float(_cone_gaps(self, _as1d(x)[None], _as1d(v)[None], tol)[0])
         return ConeQueryResult(contains=dd <= tol, directional_derivative=dd)
 
     def overshoot(self, s):
@@ -168,16 +185,9 @@ class ConvexBody(_Lifted):
                              % (self.dim, N))
         return self
 
-    def _distances_at(self, U, W):
-        return _row_norms(U - W)
-
     def _select_at(self, W, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
         """By ``_dykstra_select``."""
         return _dykstra_select(self, W, vlo, vhi, tol, gap_tol)
-
-    def _tangency_at(self, W, V, tol=CONE_TOL):
-        return float(np.max(_row_norms(
-            V - self.tangent_project_rows(W, V, tol))))
 
 
 class Box(ConvexBody):
@@ -264,8 +274,9 @@ class MovingBox(_Lifted):
     def project_rows(self, U):
         return _clip(U, self.alpha, self.beta)
 
-    def _distances_at(self, U, W):
-        return _row_norms(U - W)
+    def tangent_project_rows(self, W, V, tol=CONE_TOL):
+        """The face-cone clip of ``V`` at states ``W`` inside the bounds."""
+        return _clip(V, *_face_cone(W, self.alpha, self.beta, tol))
 
     def _select_at(self, W, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
         """The face cones are intervals, so selection is componentwise
@@ -279,10 +290,6 @@ class MovingBox(_Lifted):
             return None, (int(j), "component %d: values [%.6g, %.6g] miss "
                           "the face cone" % (k, vlo[j, k], vhi[j, k]))
         return V, None
-
-    def _tangency_at(self, W, V, tol=CONE_TOL):
-        clo, chi = _face_cone(W, self.alpha, self.beta, tol)
-        return float(np.max(_row_norms(V - _clip(V, clo, chi))))
 
 
 #: the stall test compares each Dykstra gap with the one this many
@@ -362,10 +369,8 @@ def _dykstra_select(body, X, vlo, vhi, tol, gap_tol):
 
     first = min(failed, default=n)
     check_tol = max(tol, 100.0 * gap_tol)
-    cone_gap = _row_norms(V[:first] - body.tangent_project_rows(
-        X[:first], V[:first], tol))
-    box_gap = _row_norms(V[:first] - _clip(V[:first], vlo[:first],
-                                           vhi[:first]))
+    cone_gap = _cone_gaps(body, X[:first], V[:first], tol)
+    box_gap = _box_distances(V[:first], vlo[:first], vhi[:first])
     bad = np.flatnonzero(~(cone_gap <= check_tol) | (box_gap > check_tol))
     if bad.size:
         j = bad[0]
@@ -421,7 +426,7 @@ class Ball(ConvexBody):
         return np.where(inner[:, None], V, V - push[:, None] * normal)
 
     def overshoot(self, s):
-        return np.abs(s - 1.0) * np.linalg.norm(self.center) \
+        return np.abs(s - 1.0) * _row_norms(self.center[None])[0] \
             + (s - 1.0) * self.radius
 
 
@@ -433,9 +438,9 @@ class Simplex(ConvexBody):
         if not self.total_mass > 0:
             raise ValueError("total_mass must be positive")
         check_finite(total_mass=self.total_mass, dim=dim)
+        if not (float(dim).is_integer() and dim >= 1):
+            raise ValueError("dim must be an integer >= 1, got %r" % (dim,))
         self.dim = int(dim)
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
 
     def project_rows(self, X):
         # sort-based exact projection (Held/Wolfe/Crowder pivot rule)
@@ -464,12 +469,12 @@ class Simplex(ConvexBody):
         some component is free.
         """
         act = X <= tol
-        n_act = np.sum(act, axis=1)[:, None]
+        n_act = np.count_nonzero(act, axis=1)[:, None]
         n_free = X.shape[1] - n_act
         k = np.arange(1, X.shape[1] + 1)
         top = -np.sort(np.where(act, -V, np.inf), axis=1)
         within = k <= n_act
-        free_sum = np.sum(np.where(act, 0.0, V), axis=1)[:, None]
+        free_sum = _row_sums(np.where(act, 0.0, V))[:, None]
         lam_k = (free_sum + np.cumsum(np.where(within, top, 0.0), axis=1)) \
             / (n_free + k)
         # lam_0 fills the columns past the active count, which exist
@@ -502,7 +507,7 @@ class HalfspaceIntersection(ConvexBody):
         check_finite(normals=P, offsets=a, point=self.point)
         if P.shape[0] != a.size:
             raise ValueError("one offset per normal required")
-        norms = np.linalg.norm(P, axis=1)
+        norms = _row_norms(P)
         if np.any(norms <= 0):
             raise ValueError("zero normal supplied")
         self.normals = P / norms[:, None]

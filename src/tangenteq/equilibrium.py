@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import MovingBox, _clip, _row_norms
+from .convex import MovingBox, _box_distances
 from .errors import EmptyIntersection, check_finite
 
 _CHECKPOINT_FACTOR = 1e-9
@@ -154,9 +154,7 @@ def _equation_norm(op, R):
 
 
 def _equation_residual(op, AU, vlo, vhi):
-    target = -AU
-    gap = target - _clip(target, vlo, vhi)
-    return _equation_norm(op, _row_norms(gap))
+    return _equation_norm(op, _box_distances(-AU, vlo, vhi))
 
 
 def _as_grid_function(u0, n, N):

@@ -10,7 +10,9 @@ Fields evaluate whole grids only: ``evaluate_grid(xs, U, P)`` takes the
 ``m`` states ``(xs[j], U[j], P[j])`` as a length-``m`` position vector and
 ``(m, N)`` and ``(m, q)`` arrays and returns the value boxes as two
 ``(m, N)`` arrays ``(lo, hi)``.  ``evaluate(x, u, p)`` is its one-row
-case, returned as a ``SetValue``.  Every row is checked against the
+case, a ``SetValue``, whose ``distance``, ``sup_norm`` and
+``excess_over`` are the one-row case of ``_box_distances``,
+``_sup_norms`` and ``_excesses``.  Every row is checked against the
 envelope, and the first row that breaches it raises BoundViolated.
 
 A field calls each of its functions once per grid: a function receives
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import CONE_TOL, _row_norms
+from .convex import CONE_TOL, _box_distances, _row_norms
 from .errors import BoundViolated, EmptyIntersection
 
 
@@ -62,8 +64,7 @@ class SetValue:
 
     def distance(self, y):
         """Euclidean distance from ``y`` to the box."""
-        y = np.asarray(y, dtype=float)
-        return float(np.linalg.norm(y - np.clip(y, self.lo, self.hi)))
+        return float(_box_distances(np.atleast_2d(y), self.lo, self.hi)[0])
 
     def contains(self, y, tol=1e-12):
         return self.distance(y) <= tol
@@ -73,12 +74,12 @@ class SetValue:
 
     def sup_norm(self):
         """Largest Euclidean norm over the box (attained at a corner)."""
-        return float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi))))
+        return float(_sup_norms(*np.atleast_2d(self.lo, self.hi))[0])
 
     def excess_over(self, other):
         """One-sided Hausdorff excess of this box over ``other``."""
-        gap = np.maximum(0.0, np.maximum(other.lo - self.lo, self.hi - other.hi))
-        return float(np.linalg.norm(gap))
+        return float(_excesses(*np.atleast_2d(self.lo, self.hi, other.lo,
+                                              other.hi))[0])
 
     def is_singleton(self, tol=0.0):
         return bool(np.all(self.hi - self.lo <= tol))
@@ -86,9 +87,14 @@ class SetValue:
 
 def _sup_norms(lo, hi):
     """The largest Euclidean norm over each row's value box
-    ``[lo[j], hi[j]]``: ``SetValue.sup_norm`` row by row, rounded as
-    ``_row_norms`` rounds."""
+    ``[lo[j], hi[j]]``; ``SetValue.sup_norm`` is its one-row case."""
     return _row_norms(np.maximum(np.abs(lo), np.abs(hi)))
+
+
+def _excesses(lo, hi, olo, ohi):
+    """The one-sided Hausdorff excess of each row's value box over the
+    row's ``[olo, ohi]``; ``SetValue.excess_over`` is its one-row case."""
+    return _row_norms(np.maximum(0.0, np.maximum(olo - lo, hi - ohi)))
 
 
 def _call(g, xs, U, P, N):
@@ -320,8 +326,6 @@ def semicontinuity_probe(field, x, u, p, delta, sample_count=64, seed=0):
     lo, hi = field.evaluate_grid(*_probe_grid(
         operator.index(seed), count, delta, np.atleast_1d(x),
         np.atleast_2d(u), np.atleast_2d(p)))
-    # ``SetValue.excess_over`` of each probe over the state
-    excess = _row_norms(np.maximum(0.0, np.maximum(lo[:1] - lo[1:],
-                                                   hi[1:] - hi[:1])))
+    excess = _excesses(lo[1:], hi[1:], lo[:1], hi[:1])
     kept = excess[~np.isnan(excess)]
     return float(np.max(kept)) if kept.size else float("nan")

@@ -225,7 +225,7 @@ def miranda_solve(f, cube, tol=1e-9, resolution=9, max_depth=200):
     fval = _values(f, point[None])[0]
     status = "converged" if cube.diameter() <= tol else "depth_exceeded"
     return ZeroResult(point=point, status=status, depth=depth,
-                      residual_norm=float(np.linalg.norm(fval)),
+                      residual_norm=float(_row_norms(fval[None])[0]),
                       f_at_point=fval, certified_path=certified_path,
                       fallback_steps=fallback_steps, final_cube=cube)
 

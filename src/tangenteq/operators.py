@@ -66,6 +66,8 @@ class Grid1D:
         if not length > 0:
             raise InvalidSpec("length must be positive")
         check_finite(InvalidSpec, length=length)
+        if not float(n).is_integer():
+            raise InvalidSpec("n must be an integer, got %r" % (n,))
         if n < 3:
             raise InvalidSpec("need at least 3 nodes")
         self.length = float(length)
@@ -133,8 +135,8 @@ def assemble(spec, grid):
         raise InvalidSpec("unknown bc %r" % (spec.bc,))
     if (spec.bc == "periodic") != grid.periodic:
         raise InvalidSpec("bc %r does not match grid periodicity" % (spec.bc,))
-    if spec.components < 1:
-        raise InvalidSpec("components must be at least 1")
+    if not (float(spec.components).is_integer() and spec.components >= 1):
+        raise InvalidSpec("components must be an integer of at least 1")
     if np.ndim(spec.d) > 0 or np.ndim(spec.gamma) > 0:
         raise InvalidSpec("per-component coefficient arrays are not supported")
     return DiscreteOperator(spec, grid)

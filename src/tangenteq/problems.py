@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import Ball, Box, MovingBox, _row_dots, _row_norms
+from .convex import Ball, Box, MovingBox, _row_dots, _row_norms, _row_sums
 from .errors import InvalidSpec
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
                      SingleValued, _sup_norms)
@@ -222,8 +222,14 @@ def _require_samples(samples):
 
 def _min_dot(W, lo, hi):
     """``min w . y`` over the values ``y`` in the box ``[lo, hi]``, row by
-    row (``np.sum`` along a row rounds as it does on the row alone)."""
-    return np.sum(np.minimum(W * lo, W * hi), axis=1)
+    row, summed by the one row-sum rule ``_row_sums``."""
+    return _row_sums(np.minimum(W * lo, W * hi))
+
+
+def _unit_rows(rng, count, dim):
+    """``count`` normalised standard-normal rows: uniform unit vectors."""
+    d = rng.standard_normal((count, dim))
+    return d / _row_norms(d)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +268,7 @@ def _box_face_items(field, C, grid, samples, rng, tol):
 
 def _ball_items(field, C, grid, samples, rng, tol):
     J = rng.integers(grid.n, size=samples)
-    D = rng.standard_normal((samples, C.dim))
-    D /= _row_norms(D)[:, None]
+    D = _unit_rows(rng, samples, C.dim)
     # inward admissibility: some value y with outward component <= 0
     return [_sampled_item("sphere", field, grid.nodes[J],
                           C.center + C.radius * D, np.zeros((samples, C.dim)),
@@ -313,17 +318,13 @@ def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42,
     xs = rng.random(samples) * length
     pmax = max(1.0, 2.0 * R)
 
-    def directions():
-        d = rng.standard_normal((samples, N))
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
-
     # the draws come in item order: outside, inside, on the sphere
-    d = directions()
+    d = _unit_rows(rng, samples, N)
     u_out = (R + rng.random(samples) * (R + 1.0))[:, None] * d
     inside = rng.random((samples, 2 * N))
     u_in = R * (2.0 * inside[:, :N] - 1.0)
     p_in = pmax * (2.0 * inside[:, N:] - 1.0)
-    d = directions()
+    d = _unit_rows(rng, samples, N)
     u_on = R * d
     p_on = np.zeros((samples, N))
     if N > 1:

@@ -408,6 +408,14 @@ def test_halfspace_intersection_validates_inputs():
         HalfspaceIntersection([[0.0, 0.0]], [1.0], [0.0, 0.0])  # zero normal
 
 
+def test_simplex_dimension_must_be_integral():
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        Simplex(1.0, 2.5)
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        Simplex(1.0, 0)
+    assert Simplex(1.0, 3.0).dim == 3
+
+
 def test_box_rejects_crossed_bounds():
     with pytest.raises(ValueError):
         Box([1.0], [0.0])

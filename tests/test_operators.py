@@ -284,6 +284,20 @@ def test_assembly_rejects_bad_specs():
         assemble(OperatorSpec(d=np.ones(11), bc="neumann"), Grid1D(1.0, 11))
 
 
+def test_count_arguments_must_be_integral():
+    # a fractional count names its argument where it enters, instead of
+    # truncating (10.7 nodes) or failing later on a mismatched dimension
+    with pytest.raises(InvalidSpec, match="n must be an integer, got 10.7"):
+        Grid1D(1.0, 10.7)
+    with pytest.raises(InvalidSpec, match="components must be an integer"):
+        assemble(OperatorSpec(components=2.5), Grid1D(1.0, 11))
+    with pytest.raises(InvalidSpec, match="components must be an integer"):
+        assemble(OperatorSpec(components=float("nan")), Grid1D(1.0, 11))
+    # integral floats stay accepted
+    assert Grid1D(1.0, 11.0).n == 11
+    assert assemble(OperatorSpec(components=3.0), Grid1D(1.0, 11)).grid.n == 11
+
+
 def test_drift_step_bound_warns():
     spec = OperatorSpec(d=0.01, gamma=1.0, bc="neumann")
     with pytest.warns(UserWarning):

@@ -29,6 +29,12 @@ and ``ConvexBody`` builds the rest on them without a loop; only
 per row.  No module of the package lifts a constraint in two steps:
 every ``.lift(`` call passes the node and component counts, and nothing
 calls ``.broadcast(``.
+
+Every row norm and row sum in the package goes through ``convex``'s one
+row-sum rule (``_row_sums``, ``_row_norms``), so a one-point measure and
+its grid kernel round alike: nothing calls ``np.linalg.norm``, and
+nothing sums along rows with ``np.sum``, ``np.add.reduce`` or ``.sum``
+(an integer count along rows is ``np.count_nonzero``).
 """
 
 import ast
@@ -211,3 +217,65 @@ def test_fields_evaluate_on_rows_only():
     methods = _methods(ast.parse(inspect.getsource(problems)))
     assert not [cls for cls, names in methods.items() if "_value" in names]
     assert methods["StateShiftedField"] == ["__init__", "evaluate_grid"]
+
+
+def _dotted(node):
+    """``a.b.c`` for an attribute chain on a name, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) \
+        if isinstance(node, ast.Name) else ""
+
+
+def _row_reductions(source):
+    """``(line, callee)`` of each call that takes a norm by
+    ``np.linalg.norm`` or a sum along rows (axis 1 or -1) by ``np.sum``,
+    ``np.add.reduce`` or a ``.sum`` method."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _dotted(node.func)
+        if name.endswith("linalg.norm"):
+            found.append((node.lineno, name))
+            continue
+        if name in ("np.sum", "numpy.sum", "np.add.reduce"):
+            axis = node.args[1:2]
+        elif isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "sum":
+            axis = node.args[:1]
+        else:
+            continue
+        axis += [kw.value for kw in node.keywords if kw.arg == "axis"]
+        if any(_literal(a) in (1, -1) for a in axis):
+            found.append((node.lineno, name or node.func.attr))
+    return found
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_the_row_reduction_check_sees_every_form():
+    source = ("a = np.linalg.norm(x)\n"
+              "b = numpy.linalg.norm(x, axis=0)\n"
+              "c = np.sum(x, axis=1)\n"
+              "d = np.sum(x, 1)\n"
+              "e = np.add.reduce(x, axis=-1)\n"
+              "f = (x * x).sum(axis=1)\n"
+              "g = x.sum(-1)\n"
+              "h = np.sum(x, axis=0) + x.sum()\n"
+              "i = np.count_nonzero(x, axis=1)\n")
+    assert [line for line, _ in _row_reductions(source)] == [
+        1, 2, 3, 4, 5, 6, 7]
+
+
+def test_every_row_norm_and_sum_takes_the_one_row_rule():
+    found = {path.name: _row_reductions(path.read_text())
+             for path in sorted(Path(tangenteq.__file__).parent.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
