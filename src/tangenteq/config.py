@@ -200,15 +200,20 @@ _SCHEMA = {
 }
 
 
+def _canon_value(section, key, canon, text):
+    """``canon(text)``, its rejection prefixed by ``[section] key:``."""
+    try:
+        return canon(text)
+    except InvalidSpec as exc:
+        raise InvalidSpec("[%s] %s: %s" % (section, key, exc)) from None
+
+
 def _canon_option(section, key, given):
     """Canonical ``[section] key`` from the raw options ``given``, checked."""
     (canon, read), default, check = _SCHEMA[section][key]
     if default is None and key not in given:
         raise InvalidSpec("[%s] needs %r" % (section, key))
-    try:
-        value = canon(given.get(key, default))
-    except InvalidSpec as exc:
-        raise InvalidSpec("[%s] %s: %s" % (section, key, exc)) from None
+    value = _canon_value(section, key, canon, given.get(key, default))
     if check is not None and not check[0](read(value)):
         raise InvalidSpec("[%s] %s" % (section, check[1] % {"key": key}))
     return value
@@ -269,7 +274,7 @@ def _canon_constraint(kind, c):
     for key, ((canon, _), default) in options.items():
         if default is None and key not in c:
             raise InvalidSpec("%s needs %s" % (kind, " and ".join(options)))
-        out[key] = canon(c.get(key, default))
+        out[key] = _canon_value("constraint", key, canon, c.get(key, default))
     return out
 
 
@@ -282,18 +287,17 @@ def _canon_nonlinearity(f):
     if fname not in NONLINEARITY_NAMES:
         raise InvalidSpec("unknown nonlinearity %r" % (fname,))
     out = {"name": fname}
-    if "bound" in f:
-        out["bound"] = _canon_float(f["bound"])
-    if "seed" in f:
-        out["seed"] = repr(_inum(f["seed"]))
+    for key, canon in (("bound", _canon_float), ("seed", _INT[0])):
+        if key in f:
+            out[key] = _canon_value("nonlinearity", key, canon, f[key])
     for key, val in f.items():
         if key in ("name", "bound", "seed"):
             continue
         if key not in NONLINEARITY_PARAMS[fname]:
             raise InvalidSpec("%r is not a parameter of the %s nonlinearity"
                               % (key, fname))
-        out[key] = val.strip() if key == "path" \
-            else repr(_fnum(val, finite=False))
+        out[key] = val.strip() if key == "path" else _canon_value(
+            "nonlinearity", key, lambda t: repr(_fnum(t, finite=False)), val)
     return out
 
 

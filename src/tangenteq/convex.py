@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PointNotInSet, TangentEqError, check_finite
+from .errors import (PointNotInSet, TangentEqError, check_bounds,
+                     check_count, check_finite, check_positive)
 
 try:
     # the ufunc behind np.clip, called without np.clip's Python wrapper
@@ -152,8 +153,8 @@ class ConvexBody(_Lifted):
         return self.tangent_project_rows(_as1d(x)[None], _as1d(v)[None],
                                          tol)[0]
 
-    def contains(self, x, tol=CONE_TOL):
-        return self.distance(x) <= tol
+    def contains(self, x):
+        return self.distance(x) <= CONE_TOL
 
     def _require_member(self, x, tol):
         d = self.distance(x)
@@ -201,11 +202,7 @@ class Box(ConvexBody):
     def __init__(self, lo, hi):
         self.lo = _as1d(lo)
         self.hi = _as1d(hi)
-        if self.lo.shape != self.hi.shape:
-            raise ValueError("lo and hi must have matching shapes")
-        if np.any(self.hi < self.lo):
-            raise ValueError("box needs lo <= hi componentwise")
-        check_finite(lo=self.lo, hi=self.hi)
+        check_bounds(ValueError, False, lo=self.lo, hi=self.hi)
         self.dim = self.lo.size
 
     def project_rows(self, X):
@@ -250,11 +247,7 @@ class MovingBox(_Lifted):
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
-        if self.alpha.shape != self.beta.shape:
-            raise ValueError("bound arrays must share a shape")
-        if np.any(self.alpha > self.beta):
-            raise ValueError("alpha must stay below beta")
-        check_finite(alpha=self.alpha, beta=self.beta)
+        check_bounds(ValueError, False, alpha=self.alpha, beta=self.beta)
 
     def lift(self, n, N):
         """The bounds with one row per node, ``(n, 1)`` or ``(n, N)``;
@@ -384,7 +377,7 @@ def _dykstra_select(body, X, vlo, vhi, tol, gap_tol):
     return V, None
 
 
-def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=1e-10):
+def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=CONE_TOL):
     """Minimal-norm point of ``[vlo,vhi] & [clo,chi]``, componentwise.
 
     Works on arrays of any matching shape.  Returns ``(v, empty)`` where
@@ -405,9 +398,8 @@ class Ball(ConvexBody):
     def __init__(self, center, radius):
         self.center = _as1d(center)
         self.radius = float(radius)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        check_finite(center=self.center, radius=self.radius)
+        check_positive(radius=self.radius)
+        check_finite(center=self.center)
         self.dim = self.center.size
 
     def project_rows(self, X):
@@ -435,12 +427,8 @@ class Simplex(ConvexBody):
 
     def __init__(self, total_mass, dim):
         self.total_mass = float(total_mass)
-        if not self.total_mass > 0:
-            raise ValueError("total_mass must be positive")
-        check_finite(total_mass=self.total_mass, dim=dim)
-        if not (float(dim).is_integer() and dim >= 1):
-            raise ValueError("dim must be an integer >= 1, got %r" % (dim,))
-        self.dim = int(dim)
+        check_positive(total_mass=self.total_mass)
+        self.dim = check_count(ValueError, 1, dim=dim)
 
     def project_rows(self, X):
         # sort-based exact projection (Held/Wolfe/Crowder pivot rule)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex import MovingBox, _box_distances
-from .errors import EmptyIntersection, check_finite
+from .errors import EmptyIntersection, check_count, check_positive
 
 _CHECKPOINT_FACTOR = 1e-9
 
@@ -67,13 +67,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.step_schedule not in ("fixed", "harmonic"):
             raise ValueError("unknown step schedule %r" % (self.step_schedule,))
-        if not self.h0 > 0:
-            raise ValueError("h0 must be positive")
-        check_finite(h0=self.h0)
-        if not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError("max_iter must be an integer")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        check_positive(h0=self.h0)
+        object.__setattr__(self, "max_iter",
+                           check_count(ValueError, 1, max_iter=self.max_iter))
         if not (self.tol_residual >= 0 and self.tol_step >= 0):
             raise ValueError("tol_residual and tol_step must be non-negative")
         if not 0.0 < self.damping <= 1.0:
@@ -367,8 +363,7 @@ def viability_simulate(op, field_, C, u0, t_end, h):
     ``steps`` counts the steps taken: a tangency failure stops the run
     before the step it could not take.
     """
-    if not (0 < t_end < np.inf and 0 < h < np.inf):
-        raise ValueError("horizon and step must be positive and finite")
+    check_positive(t_end=t_end, h=h)
     left = []           # the worst distance of every state a step leaves
     terminal = None
 

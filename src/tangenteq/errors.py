@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the finiteness check
-that constructors raise them from."""
+"""Exception types shared across the package, and the one check of each
+kind of number (finite, positive, count, bound pair) that constructors
+and entry points raise them from, naming the argument."""
 
 import numpy as np
 
@@ -43,3 +44,36 @@ def check_finite(error=ValueError, **values):
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
             raise error("%s must be finite" % (name,))
+
+
+def check_positive(error=ValueError, **values):
+    """Raise ``error`` naming the first of the keyword arguments that is
+    not above zero (NaN included) or, past that, not finite."""
+    for name, value in values.items():
+        if not value > 0:
+            raise error("%s must be positive" % (name,))
+        if not np.isfinite(value):
+            raise error("%s must be finite" % (name,))
+
+
+def check_count(error, minimum, **value):
+    """The one keyword argument as an ``int``; raise ``error`` naming it
+    unless it is an integer (integral floats pass) of at least ``minimum``."""
+    [(name, count)] = value.items()
+    if not (float(count).is_integer() and count >= minimum):
+        raise error("%s must be an integer of at least %d, got %r"
+                    % (name, minimum, count))
+    return int(count)
+
+
+def check_bounds(error, strict, **pair):
+    """Raise ``error`` naming the two keyword arguments, a lower and an
+    upper bound, unless they share a shape, are finite and are ordered:
+    lower below upper where ``strict``, else not above it."""
+    (lo_name, lo), (hi_name, hi) = pair.items()
+    if np.shape(lo) != np.shape(hi):
+        raise error("%s and %s must have matching shapes" % tuple(pair))
+    check_finite(error, **pair)
+    if not np.all(lo < hi if strict else lo <= hi):
+        raise error("%s must stay %sbelow %s"
+                    % (lo_name, "strictly " if strict else "", hi_name))

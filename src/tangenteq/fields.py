@@ -52,7 +52,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import CONE_TOL, _box_distances, _row_norms
-from .errors import BoundViolated, EmptyIntersection
+from .errors import (BoundViolated, EmptyIntersection, check_count,
+                     check_positive)
+
+#: how far a point may lie from a value box and still belong to it
+_MEMBER_TOL = 1e-12
 
 
 @dataclass
@@ -66,8 +70,8 @@ class SetValue:
         """Euclidean distance from ``y`` to the box."""
         return float(_box_distances(np.atleast_2d(y), self.lo, self.hi)[0])
 
-    def contains(self, y, tol=1e-12):
-        return self.distance(y) <= tol
+    def contains(self, y):
+        return self.distance(y) <= _MEMBER_TOL
 
     def min_norm_point(self):
         return np.clip(0.0, self.lo, self.hi)
@@ -81,8 +85,8 @@ class SetValue:
         return float(_excesses(*np.atleast_2d(self.lo, self.hi, other.lo,
                                               other.hi))[0])
 
-    def is_singleton(self, tol=0.0):
-        return bool(np.all(self.hi - self.lo <= tol))
+    def is_singleton(self):
+        return bool(np.all(self.hi - self.lo <= 0.0))
 
 
 def _sup_norms(lo, hi):
@@ -127,7 +131,7 @@ class NonlinearityField:
     """
 
     def __init__(self, components, bound=None):
-        self.components = int(components)
+        self.components = check_count(ValueError, 1, components=components)
         self.bound = bound
 
     def evaluate(self, x, u, p):
@@ -216,7 +220,9 @@ class FilippovHull(NonlinearityField):
                  bound=None, base_seed=0):
         super().__init__(components, bound)
         self.g = g
-        self.delta, self.sample_count = _probe_args(delta, sample_count)
+        check_positive(delta=delta)
+        self.delta = float(delta)
+        self.sample_count = check_count(ValueError, 1, samples=sample_count)
         self.base_seed = int(base_seed)
 
     def _grid_value(self, xs, U, P):
@@ -225,18 +231,6 @@ class FilippovHull(NonlinearityField):
                                        self.delta, xs, U, P), N)
         y = y.reshape(len(xs), -1, N)
         return y.min(axis=1), y.max(axis=1)
-
-
-def _probe_args(delta, count):
-    """``(delta, count)`` as a probe radius and a probe count, checked
-    once for every user of the probe table: a finite positive float and
-    an integer of at least 1."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be positive")
-    if not (float(count).is_integer() and count >= 1):
-        raise ValueError("samples must be an integer of at least 1, "
-                         "got %r" % (count,))
-    return float(delta), int(count)
 
 
 def unit_ball_rays(rng, count, dim):
@@ -291,8 +285,7 @@ def _probe_grid(seed, count, radius, xs, U, P):
     return probes[0], probes[1:1 + k].T, probes[1 + k:].T
 
 
-def tangent_selection(field, body, x, u, p, tol=CONE_TOL,
-                      gap_tol=1e-10):
+def tangent_selection(field, body, x, u, p, tol=CONE_TOL, gap_tol=CONE_TOL):
     """Minimal-norm admissible value tangent to ``body`` at ``u``: the
     field's value box at ``(x, u, p)`` handed to the one-node lift's
     ``select``.
@@ -322,9 +315,10 @@ def semicontinuity_probe(field, x, u, p, delta, sample_count=64, seed=0):
     A NaN excess is no evidence and never wins; when every probe's excess
     is NaN the probe returns NaN, not 0.0.
     """
-    delta, count = _probe_args(delta, sample_count)
+    check_positive(delta=delta)
+    count = check_count(ValueError, 1, samples=sample_count)
     lo, hi = field.evaluate_grid(*_probe_grid(
-        operator.index(seed), count, delta, np.atleast_1d(x),
+        operator.index(seed), count, float(delta), np.atleast_1d(x),
         np.atleast_2d(u), np.atleast_2d(p)))
     excess = _excesses(lo[1:], hi[1:], lo[:1], hi[:1])
     kept = excess[~np.isnan(excess)]

@@ -20,20 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex import _row_norms
-from .errors import CertificateFailed, NoSignChange, check_finite
+from .errors import (CertificateFailed, NoSignChange, check_bounds,
+                     check_count)
 
 #: sampled margins at or below this count as exactly zero ("degenerate")
 _DEGENERATE_EPS = 1e-15
 
 
-def bolzano_bisect(f, a, b, tol=1e-12, max_iter=None):
+def bolzano_bisect(f, a, b, tol=1e-12):
     """Classic interval bisection for a scalar sign change.
 
     Raises NoSignChange when f(a) and f(b) have the same strict sign.
     """
     a, b = float(a), float(b)
-    if b <= a:
-        raise ValueError("need a < b")
+    check_bounds(ValueError, True, a=a, b=b)
     fa, fb = float(f(a)), float(f(b))
     if fa == 0.0:
         return a
@@ -42,8 +42,7 @@ def bolzano_bisect(f, a, b, tol=1e-12, max_iter=None):
     if np.sign(fa) == np.sign(fb):
         raise NoSignChange("f(%g)=%g and f(%g)=%g carry the same sign"
                            % (a, fa, b, fb))
-    if max_iter is None:
-        max_iter = int(np.ceil(np.log2(max((b - a) / tol, 2.0)))) + 2
+    max_iter = int(np.ceil(np.log2(max((b - a) / tol, 2.0)))) + 2
     for _ in range(max_iter):
         if (b - a) <= 2.0 * tol:
             break
@@ -64,12 +63,7 @@ class Cube:
     def __init__(self, lo, hi):
         self.lo = np.atleast_1d(np.asarray(lo, dtype=float))
         self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if self.lo.shape != self.hi.shape:
-            raise ValueError("lo and hi must match")
-        if not np.all(self.hi > self.lo):
-            raise ValueError("cube sides must have positive length "
-                             "(hi > lo)")
-        check_finite(lo=self.lo, hi=self.hi)
+        check_bounds(ValueError, True, lo=self.lo, hi=self.hi)
         self.dim = self.lo.size
 
     def diameter(self):
@@ -151,9 +145,9 @@ def miranda_check(f, cube, resolution=9):
     holds but is flagged degenerate.  All faces are sampled with one
     index into the axis grids and checked in one map call.
     """
-    if resolution < 2 and cube.dim > 1:
-        raise ValueError("resolution must be at least 2")
     dim = cube.dim
+    resolution = check_count(ValueError, 2 if dim > 1 else 0,
+                             resolution=resolution)
     table = np.concatenate([np.linspace(cube.lo, cube.hi, resolution),
                             cube.lo[None], cube.hi[None]])
     pts = table[_face_rows(dim, resolution), np.arange(dim)]
@@ -201,6 +195,7 @@ def miranda_solve(f, cube, tol=1e-9, resolution=9, max_depth=200):
     if not cert.holds:
         raise CertificateFailed(
             "initial certificate fails (margin %.3g)" % cert.margin)
+    resolution = cert.resolution
 
     certified_path = True
     fallback_steps = 0
@@ -258,6 +253,7 @@ def brute_force_zero(f, cube, grid):
     """Grid argmin of |f| over the cube (oracle; dimensions 1 to 3 only)."""
     if cube.dim > 3:
         raise ValueError("brute force supports dimension <= 3")
+    grid = check_count(ValueError, 1, grid=grid)
     if grid ** cube.dim > 1e7:
         raise ValueError("grid too fine: %d^%d points" % (grid, cube.dim))
     pts = _mesh_points([np.linspace(cube.lo[j], cube.hi[j], grid)

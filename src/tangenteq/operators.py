@@ -30,13 +30,13 @@ resolvents map a nodewise convex constraint into itself.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .convex import _row_sums
 from .errors import (CertificateFailed, InvalidSpec, SingularSystem,
-                     check_finite)
+                     check_count, check_positive)
 
 _RESIDUAL_RTOL = 1e-10
 
@@ -63,15 +63,9 @@ class Grid1D:
     """
 
     def __init__(self, length, n, periodic=False):
-        if not length > 0:
-            raise InvalidSpec("length must be positive")
-        check_finite(InvalidSpec, length=length)
-        if not float(n).is_integer():
-            raise InvalidSpec("n must be an integer, got %r" % (n,))
-        if n < 3:
-            raise InvalidSpec("need at least 3 nodes")
+        check_positive(InvalidSpec, length=length)
         self.length = float(length)
-        self.n = int(n)
+        self.n = check_count(InvalidSpec, 3, n=n)
         self.periodic = bool(periodic)
         self.dx = self.length / (self.n if self.periodic else self.n - 1)
         if self.periodic:
@@ -135,11 +129,10 @@ def assemble(spec, grid):
         raise InvalidSpec("unknown bc %r" % (spec.bc,))
     if (spec.bc == "periodic") != grid.periodic:
         raise InvalidSpec("bc %r does not match grid periodicity" % (spec.bc,))
-    if not (float(spec.components).is_integer() and spec.components >= 1):
-        raise InvalidSpec("components must be an integer of at least 1")
+    components = check_count(InvalidSpec, 1, components=spec.components)
     if np.ndim(spec.d) > 0 or np.ndim(spec.gamma) > 0:
         raise InvalidSpec("per-component coefficient arrays are not supported")
-    return DiscreteOperator(spec, grid)
+    return DiscreteOperator(replace(spec, components=components), grid)
 
 
 class DiscreteOperator:
@@ -339,8 +332,7 @@ class DiscreteOperator:
 
     def _resolvent(self, h, F):
         """``resolvent(h, F)`` together with ``A u``."""
-        if not h > 0:
-            raise InvalidSpec("resolvent step must be positive")
+        check_positive(InvalidSpec, h=h)
         if self.shift > 0 and h * self.shift >= 1.0:
             raise SingularSystem(
                 "step h=%.3g violates h * shift < 1 (shift %.3g)"
@@ -391,12 +383,10 @@ def _tridiagonal_solver(dl, d, du):
 def semigroup_powers(op, t, m, U):
     """Repeated resolvent steps ``(I - (t/m) A)^{-m} U`` (first-order
     approximation of the flow at time t; exact as m grows)."""
-    if not t > 0:
-        raise InvalidSpec("time must be positive")
-    if m < 1:
-        raise InvalidSpec("need at least one factor")
+    check_positive(InvalidSpec, t=t)
+    m = check_count(InvalidSpec, 1, m=m)
     out = np.asarray(U, dtype=float)
-    h = t / float(m)
+    h = t / m
     for _ in range(m):
         out = op.resolvent(h, out)
     return out

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import Ball, Box, MovingBox, _row_dots, _row_norms, _row_sums
-from .errors import InvalidSpec
+from .errors import InvalidSpec, check_count
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
                      SingleValued, _sup_norms)
 
@@ -144,6 +144,9 @@ def as_field(phi, components=1, bound=None):
 # ---------------------------------------------------------------------------
 # condition reports
 
+#: a condition passes when its margin is at least ``-_VERIFY_TOL``
+_VERIFY_TOL = 1e-9
+
 
 @dataclass
 class ConditionItem:
@@ -189,7 +192,7 @@ def _witness(x, u, p, value, violation):
             "value": value, "violation": float(violation)}
 
 
-def _sampled_item(name, field, X, U, P, args, margin, tol):
+def _sampled_item(name, field, X, U, P, args, margin):
     """Fold the sampled states ``(X[k], U[k], P[k])`` of one condition
     into its ``ConditionItem``.
 
@@ -197,10 +200,10 @@ def _sampled_item(name, field, X, U, P, args, margin, tol):
     and ``margin(lo, hi, args)`` gives every state's distance to violation
     from its value box and the ``args`` rows (whatever else the margin
     needs from the draw; None when it needs nothing).  The item carries
-    the smallest margin and passes when it is at least ``-tol``.  Its
-    witness is the first state that reaches the smallest margin, and it
-    is recorded only when that margin is below ``-tol``.  A NaN margin
-    never counts as smallest.
+    the smallest margin and passes when it is at least ``-_VERIFY_TOL``.
+    Its witness is the first state that reaches the smallest margin, and
+    it is recorded only when that margin is below ``-_VERIFY_TOL``.  A
+    NaN margin never counts as smallest.
     """
     lo, hi = field.evaluate_grid(X, U, P)
     m = margin(lo, hi, args)
@@ -208,16 +211,10 @@ def _sampled_item(name, field, X, U, P, args, margin, tol):
     k = int(np.argmin(m))
     worst = float(m[k])
     witness = None
-    if worst < -tol:
+    if worst < -_VERIFY_TOL:
         witness = _witness(X[k], U[k], P[k], [lo[k].tolist(), hi[k].tolist()],
                            -worst)
-    return ConditionItem(name, bool(worst >= -tol), worst, witness)
-
-
-def _require_samples(samples):
-    # an empty sample would pass every condition with margin inf
-    if samples < 1:
-        raise InvalidSpec("samples must be at least 1, got %r" % (samples,))
+    return ConditionItem(name, bool(worst >= -_VERIFY_TOL), worst, witness)
 
 
 def _min_dot(W, lo, hi):
@@ -244,7 +241,7 @@ def _node_bounds(C, grid, components):
         np.gradient(hi, grid.dx, axis=0)
 
 
-def _box_face_items(field, C, grid, samples, rng, tol):
+def _box_face_items(field, C, grid, samples, rng):
     # At a state touching a bound from inside, the touching component's
     # gradient matches the bound's; free components carry the bound mean
     # slope as a neutral stand-in.
@@ -259,36 +256,37 @@ def _box_face_items(field, C, grid, samples, rng, tol):
         U[:, i] = bound[J, i]
         P[:, i] = slope[J, i]
         return _sampled_item("face[%d].%s" % (i, side), field, grid.nodes[J],
-                             U, P, None, margin, tol)
+                             U, P, None, margin)
 
     return [item for i in range(components) for item in (
         face(i, "low", lo, glo, lambda vlo, vhi, _: vhi[:, i]),
         face(i, "high", hi, ghi, lambda vlo, vhi, _: -vlo[:, i]))]
 
 
-def _ball_items(field, C, grid, samples, rng, tol):
+def _ball_items(field, C, grid, samples, rng):
     J = rng.integers(grid.n, size=samples)
     D = _unit_rows(rng, samples, C.dim)
     # inward admissibility: some value y with outward component <= 0
     return [_sampled_item("sphere", field, grid.nodes[J],
                           C.center + C.radius * D, np.zeros((samples, C.dim)),
-                          D, lambda lo, hi, d: -_min_dot(d, lo, hi), tol)]
+                          D, lambda lo, hi, d: -_min_dot(d, lo, hi))]
 
 
-def verify_tangency(field, C, grid, samples=10000, seed=42, tol=1e-9):
+def verify_tangency(field, C, grid, samples=10000, seed=42):
     """Sampled check that admissible values point into the constraint.
 
     Boxes and nodewise bound pairs are checked face by face; balls over
     sampled boundary directions.  Gradient arguments at a face follow the
     bound's own slope, since a touching state has to share it.  Any other
-    body, and fewer than one sample, raise InvalidSpec.
+    body, and fewer than one or a fractional sample, raise InvalidSpec.
     """
-    _require_samples(samples)
+    # an empty sample would pass every condition with margin inf
+    samples = check_count(InvalidSpec, 1, samples=samples)
     rng = np.random.default_rng(seed)
     if isinstance(C, Ball):
-        items = _ball_items(field, C, grid, samples, rng, tol)
+        items = _ball_items(field, C, grid, samples, rng)
     elif isinstance(C, (Box, MovingBox)):
-        items = _box_face_items(field, C, grid, samples, rng, tol)
+        items = _box_face_items(field, C, grid, samples, rng)
     else:
         raise InvalidSpec("no tangency verifier for %r (box, nodewise bound"
                           " pair and ball only)" % type(C).__name__)
@@ -299,8 +297,7 @@ def verify_tangency(field, C, grid, samples=10000, seed=42, tol=1e-9):
 # Bernstein-type conditions for gradient-dependent problems
 
 
-def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42,
-                     tol=1e-9):
+def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42):
     """Check the sign, growth, and sphere conditions for phi on |u| <= R.
 
     * sign:   some admissible value y has  y . u <= 0  whenever |u| > R
@@ -309,9 +306,9 @@ def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42,
     * sphere: some admissible y has  y . u <= c R^2  when |u| = R and
               u . p = 0.
 
-    Fewer than one sample raises InvalidSpec.
+    Fewer than one or a fractional sample raises InvalidSpec.
     """
-    _require_samples(samples)
+    samples = check_count(InvalidSpec, 1, samples=samples)
     fld = as_field(phi)
     N = fld.components
     rng = np.random.default_rng(seed)
@@ -334,13 +331,12 @@ def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42,
     items = [
         _sampled_item("sign_outside_ball", fld, xs, u_out,
                       np.zeros((samples, N)), u_out,
-                      lambda lo, hi, u: -_min_dot(u, lo, hi), tol),
+                      lambda lo, hi, u: -_min_dot(u, lo, hi)),
         _sampled_item("quadratic_growth", fld, xs, u_in, p_in, p_in,
                       lambda lo, hi, p: a * _row_dots(p, p) + b
-                      - _sup_norms(lo, hi), tol),
+                      - _sup_norms(lo, hi)),
         _sampled_item("sphere_tangency", fld, xs, u_on, p_on, u_on,
-                      lambda lo, hi, u: c * R * R - _min_dot(u, lo, hi),
-                      tol),
+                      lambda lo, hi, u: c * R * R - _min_dot(u, lo, hi)),
     ]
     return ConditionReport(items=items)
 
@@ -349,13 +345,13 @@ def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42,
 # discrete sub/supersolution shape inequalities
 
 
-def verify_subsuper(alpha, beta, grid, tol=1e-9):
+def verify_subsuper(alpha, beta, grid):
     """Shape check for a bound pair on a Dirichlet problem.
 
-    alpha must be discretely subharmonic (second differences >= -tol at
-    interior nodes), beta superharmonic, alpha <= beta everywhere, and
-    the pinned boundary values must satisfy alpha <= 0 <= beta.  The
-    check is purely geometric; the nonlinearity plays no part.
+    alpha must be discretely subharmonic (second differences >=
+    ``-_VERIFY_TOL`` at interior nodes), beta superharmonic, alpha <= beta
+    everywhere, and the pinned boundary values must satisfy alpha <= 0 <=
+    beta.  The check is purely geometric; the nonlinearity plays no part.
     """
     n = grid.n
     alpha = np.asarray(alpha, dtype=float).reshape(n, -1)
@@ -365,29 +361,29 @@ def verify_subsuper(alpha, beta, grid, tol=1e-9):
     dx2 = grid.dx * grid.dx
 
     order = float(np.min(beta - alpha))
-    items = [ConditionItem("ordering", bool(order >= -tol), order)]
+    items = [ConditionItem("ordering", bool(order >= -_VERIFY_TOL), order)]
 
     d2a = (alpha[2:] - 2.0 * alpha[1:-1] + alpha[:-2]) / dx2
     d2b = (beta[2:] - 2.0 * beta[1:-1] + beta[:-2]) / dx2
 
     def _extreme(vals, sign, name, source):
-        # sign +1: need vals >= -tol; sign -1: need vals <= tol
+        # sign +1: need vals >= -_VERIFY_TOL; sign -1: need vals <= _VERIFY_TOL
         signed = sign * vals
         worst = float(np.min(signed))
         witness = None
-        if worst < -tol:
+        if worst < -_VERIFY_TOL:
             j, i = np.unravel_index(np.argmin(signed), signed.shape)
             witness = {"x": float(grid.nodes[j + 1]),
                        "u": [float(source[j + 1, i])],
                        "second_difference": float(vals[j, i]),
                        "violation": float(-worst)}
-        return ConditionItem(name, bool(worst >= -tol), worst, witness)
+        return ConditionItem(name, bool(worst >= -_VERIFY_TOL), worst, witness)
 
     items.append(_extreme(d2a, +1.0, "subharmonic_alpha", alpha))
     items.append(_extreme(d2b, -1.0, "superharmonic_beta", beta))
 
     bmargin = float(min(np.min(-alpha[0]), np.min(-alpha[-1]),
                         np.min(beta[0]), np.min(beta[-1])))
-    items.append(ConditionItem("boundary_signs", bool(bmargin >= -tol),
-                               bmargin))
+    items.append(ConditionItem("boundary_signs",
+                               bool(bmargin >= -_VERIFY_TOL), bmargin))
     return ConditionReport(items=items)

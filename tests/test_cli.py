@@ -436,7 +436,7 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
 
 @pytest.mark.parametrize("command,text,code,message", [
     ("check-invariance", "[problem]\nkind = neumann_rd\n\n[constraint]\n"
-     "kind = box\nlo = 1.0\nhi = 0.0\n", 1, "box needs lo <= hi"),
+     "kind = box\nlo = 1.0\nhi = 0.0\n", 1, "lo must stay below hi"),
     ("check-invariance", "[problem]\nkind = neumann_rd\n\n[constraint]\n"
      "kind = ball\nradius = -1\n", 1, "radius must be positive"),
     ("check-invariance", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
@@ -447,9 +447,10 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
      "name = tabulated\npath = no_such_table.csv\n", 1, "no_such_table.csv"),
     ("check-conditions", "[problem]\nkind = neumann_rd\n\n[simulate]\n"
      "h = 0\n", 1, "[simulate] t_end and h must be positive"),
-    ("miranda", MIRANDA_HEAD + "lo = 0,0\nhi = 1\n", 1, "lo and hi must match"),
+    ("miranda", MIRANDA_HEAD + "lo = 0,0\nhi = 1\n", 1,
+     "lo and hi must have matching shapes"),
     ("miranda", MIRANDA_HEAD + "lo = 0,0\nhi = 1,0\n", 1,
-     "cube sides must have positive length"),
+     "lo must stay strictly below hi"),
     ("check-conditions", "[problem]\nkind = neumann_rd\n\n[verify]\n"
      "samples = 0\n", 1, "[verify] samples must be at least 1"),
     ("check-conditions", "[problem]\nkind = neumann_rd\n\n[invariance]\n"
@@ -463,9 +464,9 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
      "gamma = sin:0.5\n", 0, None),
     # no sweep would run: an empty history and residual nan
     ("solve", "[problem]\nkind = neumann_rd\n\n[solver]\nmax_iter = 0\n",
-     1, "max_iter must be at least 1"),
+     1, "max_iter must be an integer of at least 1, got 0"),
     ("solve", "[problem]\nkind = neumann_rd\n\n[solver]\nmax_iter = -3\n",
-     1, "max_iter must be at least 1"),
+     1, "max_iter must be an integer of at least 1, got -3"),
     # options the constraint kind would ignore
     ("solve", "[problem]\nkind = neumann_rd\n\n[constraint]\n"
      "kind = box\nradius = 5\n", 1,
@@ -561,6 +562,21 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
     ("miranda", "[problem]\nkind = miranda\n\n[miranda]\nlo = -1,-1\n"
      "hi = 1,1\nmatrix = -1,0;0,-1\noffset = 0.25,-0.5\nmax_depth = 0\n", 3,
      None),
+    # a value of the wrong type names its option in every section
+    ("solve", "[problem]\nkind = neumann_rd\n\n[constraint]\n"
+     "kind = ball\nradius = abc\n", 1,
+     "error: [constraint] radius: expected a number, got 'abc'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[constraint]\nhi = 1,x\n",
+     1, "error: [constraint] hi: expected a number, got 'x'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = linear\na = abc\n", 1,
+     "error: [nonlinearity] a: expected a number, got 'abc'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = linear\nbound = abc\n", 1,
+     "error: [nonlinearity] bound: expected a number, got 'abc'"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = linear\nseed = abc\n", 1,
+     "error: [nonlinearity] seed: expected an integer, got 'abc'"),
 ], ids=["box_lo_above_hi", "negative_radius", "heaviside_delta_zero",
         "tabulated_without_path", "tabulated_missing_file",
         "simulate_h_zero", "miranda_hi_short", "miranda_hi_not_above_lo",
@@ -581,7 +597,8 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
         "invariance_tol_negative", "invariance_h_zero",
         "solver_tol_residual_negative", "solver_tol_step_negative",
         "miranda_max_depth_negative", "miranda_1d_resolution_one",
-        "miranda_max_depth_zero"])
+        "miranda_max_depth_zero", "ball_radius_word", "box_hi_word",
+        "linear_a_word", "bound_word", "seed_word"])
 def test_bad_config_values_fail_at_parse_time(tmp_path, capsys, command,
                                               text, code, message):
     cfg = tmp_path / "bad.cfg"

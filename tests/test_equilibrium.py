@@ -14,7 +14,9 @@ from tangenteq import (Grid1D, OperatorSpec, assemble, Ball, Box, Simplex,
                        truncation_iterate, viability_simulate, residual,
                        EmptyIntersection, InvalidSpec, MovingBox, Cube,
                        HalfspaceIntersection, make_nonlinearity,
-                       semigroup_powers)
+                       semigroup_powers, FilippovHull, semicontinuity_probe,
+                       verify_tangency, verify_bernstein, bolzano_bisect,
+                       miranda_check, brute_force_zero)
 
 
 def _neumann_op(n=101, components=1):
@@ -334,7 +336,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(damping=1.5)
     for max_iter in (0, -1):
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        with pytest.raises(ValueError, match="max_iter must be an integer "
+                           "of at least 1, got %d" % max_iter):
             SolverConfig(max_iter=max_iter)
     # frozen, so the checks above hold for the config's lifetime
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -348,8 +351,7 @@ _NAN = float("nan")
     (lambda: Ball([0.0], _NAN), ValueError, "radius must be positive"),
     (lambda: Simplex(_NAN, 2), ValueError, "total_mass must be positive"),
     (lambda: Grid1D(_NAN, 11), InvalidSpec, "length must be positive"),
-    (lambda: Cube([0.0], [_NAN]), ValueError,
-     "cube sides must have positive length"),
+    (lambda: Cube([0.0], [_NAN]), ValueError, "hi must be finite"),
     (lambda: SolverConfig(h0=_NAN), ValueError, "h0 must be positive"),
     (lambda: SolverConfig(tol_step=_NAN), ValueError,
      "tol_step must be non-negative"),
@@ -358,18 +360,18 @@ _NAN = float("nan")
     (lambda: SolverConfig(max_iter=2.5), ValueError,
      "max_iter must be an integer"),
     (lambda: _neumann_op(11).resolvent(_NAN, np.zeros(11)), InvalidSpec,
-     "resolvent step must be positive"),
+     "h must be positive"),
     (lambda: semigroup_powers(_neumann_op(11), _NAN, 2, np.zeros(11)),
-     InvalidSpec, "time must be positive"),
+     InvalidSpec, "t must be positive"),
     (lambda: viability_simulate(_neumann_op(11), _relaxing_field(), UNIT_BOX,
                                 np.zeros(11), _NAN, 0.1), ValueError,
-     "horizon and step must be positive and finite"),
+     "t_end must be positive"),
     (lambda: viability_simulate(_neumann_op(11), _relaxing_field(), UNIT_BOX,
                                 np.zeros(11), np.inf, 0.1), ValueError,
-     "horizon and step must be positive and finite"),
+     "t_end must be finite"),
     (lambda: viability_simulate(_neumann_op(11), _relaxing_field(), UNIT_BOX,
                                 np.zeros(11), 1.0, _NAN), ValueError,
-     "horizon and step must be positive and finite"),
+     "h must be positive"),
 ], ids=["ball_radius", "simplex_total", "grid_length", "cube_hi",
         "solver_h0", "solver_tol_step", "solver_tol_residual_negative",
         "solver_max_iter_fractional", "resolvent_h", "semigroup_t",
@@ -380,28 +382,100 @@ def test_nan_and_unbounded_arguments_fail_their_guards(build, error, message):
         build()
 
 
-# each constructor that takes numbers, with the one argument it is handed
+# each constructor and entry point that takes numbers, with the one
+# argument it is handed and the further values its kind rules out beside
+# NaN and +-inf: zero and negative reals, fractional and too small
+# counts, and bounds that cross or differ in shape
+_NOT_POSITIVE = (0.0, -1.0)
+
+
+def _not_counts(minimum):
+    return (2.5, minimum - 1)
+
+
+def _identity(X):
+    return X
+
+
+_SQUARE = Cube([-1.0, -1.0], [1.0, 1.0])
+
 _CONSTRUCTORS = {
-    "Box.lo": (lambda v: Box([v], [1.0]), "lo"),
-    "Box.hi": (lambda v: Box([0.0], [v]), "hi"),
-    "MovingBox.alpha": (lambda v: MovingBox([v, 0.0, 0.0], [1.0] * 3),
-                        "alpha"),
-    "MovingBox.beta": (lambda v: MovingBox([0.0] * 3, [1.0, v, 1.0]),
-                       "beta"),
-    "Ball.center": (lambda v: Ball([v, 0.0], 1.0), "center"),
-    "Ball.radius": (lambda v: Ball([0.0], v), "radius"),
-    "Simplex.total_mass": (lambda v: Simplex(v, 2), "total_mass"),
-    "Simplex.dim": (lambda v: Simplex(1.0, v), "dim"),
+    "Box.lo": (lambda v: Box(v, [1.0]), "lo", (2.0, [0.0, 0.0])),
+    "Box.hi": (lambda v: Box([0.0], v), "hi", (-1.0, [1.0, 1.0])),
+    "MovingBox.alpha": (
+        lambda v: MovingBox(np.append(v, [0.0, 0.0]), [1.0] * 3), "alpha",
+        (2.0, [0.0, 0.0])),
+    "MovingBox.beta": (
+        lambda v: MovingBox([0.0] * 3, np.append(v, [1.0, 1.0])), "beta",
+        (-1.0, [1.0, 1.0])),
+    "Ball.center": (lambda v: Ball([v, 0.0], 1.0), "center", ()),
+    "Ball.radius": (lambda v: Ball([0.0], v), "radius", _NOT_POSITIVE),
+    "Simplex.total_mass": (lambda v: Simplex(v, 2), "total_mass",
+                           _NOT_POSITIVE),
+    "Simplex.dim": (lambda v: Simplex(1.0, v), "dim", _not_counts(1)),
     "HalfspaceIntersection.normals": (
-        lambda v: HalfspaceIntersection([[v]], [1.0], [0.0]), "normals"),
+        lambda v: HalfspaceIntersection([[v]], [1.0], [0.0]), "normals", ()),
     "HalfspaceIntersection.offsets": (
-        lambda v: HalfspaceIntersection([[1.0]], [v], [0.0]), "offsets"),
+        lambda v: HalfspaceIntersection([[1.0]], [v], [0.0]), "offsets", ()),
     "HalfspaceIntersection.point": (
-        lambda v: HalfspaceIntersection([[1.0]], [1.0], [v]), "point"),
-    "Cube.lo": (lambda v: Cube([v], [1.0]), "lo"),
-    "Cube.hi": (lambda v: Cube([0.0], [v]), "hi"),
-    "SolverConfig.h0": (lambda v: SolverConfig(h0=v), "h0"),
-    "Grid1D.length": (lambda v: Grid1D(v, 11), "length"),
+        lambda v: HalfspaceIntersection([[1.0]], [1.0], [v]), "point", ()),
+    "Cube.lo": (lambda v: Cube(v, [1.0]), "lo", (1.0, 2.0, [0.0, 0.0])),
+    "Cube.hi": (lambda v: Cube([0.0], v), "hi", (0.0, -1.0, [1.0, 1.0])),
+    "SolverConfig.h0": (lambda v: SolverConfig(h0=v), "h0", _NOT_POSITIVE),
+    "SolverConfig.max_iter": (lambda v: SolverConfig(max_iter=v), "max_iter",
+                              _not_counts(1)),
+    "Grid1D.length": (lambda v: Grid1D(v, 11), "length", _NOT_POSITIVE),
+    "Grid1D.n": (lambda v: Grid1D(1.0, v), "n", _not_counts(3)),
+    "assemble.components": (
+        lambda v: assemble(OperatorSpec(components=v), Grid1D(1.0, 11)),
+        "components", _not_counts(1)),
+    "DiscreteOperator.resolvent.h": (
+        lambda v: _neumann_op(11).resolvent(v, np.zeros(11)), "h",
+        _NOT_POSITIVE),
+    "semigroup_powers.t": (
+        lambda v: semigroup_powers(_neumann_op(11), v, 2, np.zeros(11)), "t",
+        _NOT_POSITIVE),
+    "semigroup_powers.m": (
+        lambda v: semigroup_powers(_neumann_op(11), 1.0, v, np.zeros(11)),
+        "m", _not_counts(1)),
+    "viability_simulate.t_end": (
+        lambda v: viability_simulate(_neumann_op(11), _relaxing_field(),
+                                     UNIT_BOX, np.zeros(11), v, 0.1),
+        "t_end", _NOT_POSITIVE),
+    "viability_simulate.h": (
+        lambda v: viability_simulate(_neumann_op(11), _relaxing_field(),
+                                     UNIT_BOX, np.zeros(11), 1.0, v),
+        "h", _NOT_POSITIVE),
+    # the probe count's messages name it ``samples``, as the config does
+    "FilippovHull.delta": (lambda v: FilippovHull(_identity, delta=v),
+                           "delta", _NOT_POSITIVE),
+    "FilippovHull.sample_count": (
+        lambda v: FilippovHull(_identity, 0.1, sample_count=v), "samples",
+        _not_counts(1)),
+    "semicontinuity_probe.delta": (
+        lambda v: semicontinuity_probe(_relaxing_field(), 0.0, [0.3], [0.0],
+                                       v), "delta", _NOT_POSITIVE),
+    "semicontinuity_probe.sample_count": (
+        lambda v: semicontinuity_probe(_relaxing_field(), 0.0, [0.3], [0.0],
+                                       0.1, sample_count=v), "samples",
+        _not_counts(1)),
+    "verify_tangency.samples": (
+        lambda v: verify_tangency(_relaxing_field(), UNIT_BOX,
+                                  Grid1D(1.0, 11), samples=v), "samples",
+        _not_counts(1)),
+    "verify_bernstein.samples": (
+        lambda v: verify_bernstein(_relaxing_field(), 1.0, 0.0, 1.0, 0.0,
+                                   samples=v), "samples", _not_counts(1)),
+    "miranda_check.resolution": (
+        lambda v: miranda_check(_identity, _SQUARE, resolution=v),
+        "resolution", _not_counts(2)),
+    "brute_force_zero.grid": (
+        lambda v: brute_force_zero(_identity, _SQUARE, v), "grid",
+        _not_counts(1)),
+    "bolzano_bisect.a": (lambda v: bolzano_bisect(np.sin, v, 1.0), "a",
+                         (1.0, 2.0)),
+    "bolzano_bisect.b": (lambda v: bolzano_bisect(np.sin, -1.0, v), "b",
+                         (-1.0, -2.0)),
 }
 
 
@@ -409,10 +483,43 @@ _CONSTRUCTORS = {
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
 def test_constructors_refuse_non_finite_numbers(name, value):
-    build, argument = _CONSTRUCTORS[name]
+    build, argument, _ = _CONSTRUCTORS[name]
     with pytest.raises((ValueError, InvalidSpec),
                        match=r"\b%s\b" % argument):
         build(value)
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in sorted(_CONSTRUCTORS)
+    for value in _CONSTRUCTORS[name][2]],
+    ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_entry_points_refuse_numbers_out_of_their_kind(name, value):
+    build, argument, _ = _CONSTRUCTORS[name]
+    with pytest.raises((ValueError, InvalidSpec),
+                       match=r"\b%s\b" % argument):
+        build(value)
+
+
+def test_a_count_is_kept_as_the_int_it_was_checked_to_be():
+    config = SolverConfig(max_iter=3.0)
+    assert type(config.max_iter) is int and config.max_iter == 3
+    # a 3-component solve on an operator assembled from components = 3.0
+    op = assemble(OperatorSpec(components=3.0), Grid1D(1.0, 11.0))
+    assert type(op.spec.components) is int and type(op.grid.n) is int
+    rep = resolvent_iterate(op, SingleValued(lambda x, u, p: 0.5 - u,
+                                             components=3),
+                            Box([0.0] * 3, [1.0] * 3), None)
+    assert rep.status == "converged"
+    U = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(semigroup_powers(_neumann_op(11), 1.0, 2.0, U),
+                          semigroup_powers(_neumann_op(11), 1.0, 2, U))
+    assert type(Simplex(1.0, 3.0).dim) is int
+    assert type(FilippovHull(_identity, 0.1, sample_count=8.0)
+                .sample_count) is int
+    cert = miranda_check(lambda X: -X, _SQUARE, resolution=9.0)
+    assert cert.holds and type(cert.resolution) is int
+    assert np.array_equal(brute_force_zero(_identity, _SQUARE, 5.0),
+                          brute_force_zero(_identity, _SQUARE, 5))
 
 
 def test_truncation_linear_decay_gives_zero():

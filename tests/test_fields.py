@@ -134,7 +134,8 @@ def test_filippov_hull_seeds_signed_zeros_alike():
 @pytest.mark.parametrize("delta", [0.0, -0.05, np.nan, np.inf, -np.inf])
 def test_filippov_hull_rejects_a_delta_that_is_not_finite_and_positive(
         delta):
-    with pytest.raises(ValueError, match="^delta must be positive$"):
+    rule = "finite" if delta == np.inf else "positive"
+    with pytest.raises(ValueError, match="^delta must be %s$" % rule):
         FilippovHull(_heaviside, delta=delta)
 
 
@@ -191,6 +192,23 @@ def test_selection_singleton_against_face_is_empty():
     with pytest.raises(EmptyIntersection):
         tangent_selection(f, Box([0.0], [1.0]), 0.0, np.array([0.0]),
                           np.array([0.0]))
+
+
+def test_one_point_selection_is_the_one_row_select():
+    # the values miss the lower face by 5e-10, inside the sweep's CONE_TOL:
+    # the grid selects 0 there, so the one-point selection must too
+    f = IntervalValued(lambda x, u, p: -1.0 + 0.0 * u,
+                       lambda x, u, p: -5e-10 + 0.0 * u)
+    box = Box([0.0], [1.0])
+    u = np.array([0.0])
+    val = f.evaluate(0.0, u, np.zeros(1))
+    V, miss = box.lift(1, 1).select(u[None], val.lo[None], val.hi[None])
+    assert miss is None and V[0, 0] == 0.0
+    assert np.array_equal(tangent_selection(f, box, 0.0, u, np.zeros(1)),
+                          V[0])
+    v, empty = selection_on_intervals(val.lo, val.hi, np.zeros(1),
+                                      np.full(1, np.inf))
+    assert not empty[0] and v[0] == 0.0
 
 
 def test_selection_empty_second_component_grid_oracle():
@@ -396,7 +414,7 @@ def test_semicontinuity_probe_raises_at_a_breaching_probe(whole_grid):
     ({"sample_count": 2.5},
      "samples must be an integer of at least 1, got 2.5"),
     ({"delta": np.nan}, "delta must be positive"),
-    ({"delta": np.inf}, "delta must be positive"),
+    ({"delta": np.inf}, "delta must be finite"),
     ({"delta": 0.0}, "delta must be positive"),
 ], ids=["no_probes", "negative_count", "fractional_count", "delta_nan",
         "delta_inf", "delta_zero"])

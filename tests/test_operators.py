@@ -287,7 +287,7 @@ def test_assembly_rejects_bad_specs():
 def test_count_arguments_must_be_integral():
     # a fractional count names its argument where it enters, instead of
     # truncating (10.7 nodes) or failing later on a mismatched dimension
-    with pytest.raises(InvalidSpec, match="n must be an integer, got 10.7"):
+    with pytest.raises(InvalidSpec, match="n must be an integer of at least 3, got 10.7"):
         Grid1D(1.0, 10.7)
     with pytest.raises(InvalidSpec, match="components must be an integer"):
         assemble(OperatorSpec(components=2.5), Grid1D(1.0, 11))

@@ -239,9 +239,11 @@ def test_tangency_needs_a_constraint():
 def test_empty_samples_raise_instead_of_passing():
     # the field points out of the box, so a pass could only be vacuous
     push = as_field(lambda x, u, p: 5.0 + 0.0 * u)
-    with pytest.raises(InvalidSpec, match="samples must be at least 1"):
+    with pytest.raises(InvalidSpec, match="samples must be an integer of "
+                       "at least 1, got 0"):
         verify_tangency(push, Box([0.0], [1.0]), _grid(11), samples=0)
-    with pytest.raises(InvalidSpec, match="samples must be at least 1"):
+    with pytest.raises(InvalidSpec, match="samples must be an integer of "
+                       "at least 1, got 0"):
         verify_bernstein(push, R=1.0, a=0.0, b=1.0, c=0.0, samples=0)
 
 
@@ -313,7 +315,7 @@ def test_bernstein_sign_violation_carries_a_witness():
     assert by_name["sphere_tangency"].margin == pytest.approx(0.0, abs=1e-12)
 
 
-def _per_sample_bernstein(phi, R, a, b, c, samples, seed, tol=1e-9):
+def _per_sample_bernstein(phi, R, a, b, c, samples, seed):
     """The Bernstein items from per-sample draws, one state at a time in
     the order of the original sampling loop."""
     fld = as_field(phi)
@@ -355,7 +357,7 @@ def _per_sample_bernstein(phi, R, a, b, c, samples, seed, tol=1e-9):
             ("sphere_tangency", on_sphere(),
              lambda lo, hi, u: c * R * R - _min_dot(u, lo, hi))]:
         U, P, args = (np.array(col) for col in zip(*states))
-        items.append(_sampled_item(name, fld, xs, U, P, args, margin, tol))
+        items.append(_sampled_item(name, fld, xs, U, P, args, margin))
     return items
 
 

@@ -35,6 +35,11 @@ row-sum rule (``_row_sums``, ``_row_norms``), so a one-point measure and
 its grid kernel round alike: nothing calls ``np.linalg.norm``, and
 nothing sums along rows with ``np.sum``, ``np.add.reduce`` or ``.sum``
 (an integer count along rows is ``np.count_nonzero``).
+
+Every number an entry point takes is guarded by the one check of its
+kind in ``errors``: no ``raise`` in the numerical modules carries a
+message of its own that a number "must be positive", "must be finite"
+or "must be an integer".
 """
 
 import ast
@@ -279,3 +284,39 @@ def test_every_row_norm_and_sum_takes_the_one_row_rule():
     found = {path.name: _row_reductions(path.read_text())
              for path in sorted(Path(tangenteq.__file__).parent.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+# the phrases of the number checks in ``errors``, and the modules that
+# take numbers through them
+_NUMBER_RULES = ("must be positive", "must be finite", "must be an integer")
+_NUMBER_MODULES = ("operators", "equilibrium", "convex", "fields", "miranda",
+                   "problems")
+
+
+def _hand_written_guards(source):
+    """``(line, phrase)`` of each ``raise`` whose message holds a string
+    literal with one of the number checks' phrases."""
+    return [(node.lineno, phrase)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            for inner in ast.walk(node.exc)
+            if isinstance(inner, ast.Constant) and isinstance(inner.value, str)
+            for phrase in _NUMBER_RULES if phrase in inner.value]
+
+
+def test_the_guard_check_sees_every_raised_rule():
+    source = ("raise ValueError('h must be positive')\n"
+              "raise InvalidSpec('%s must be finite' % (name,))\n"
+              "raise E('n must be an '\n        'integer, got %r' % (n,))\n"
+              "message = 'h must be positive'\n"
+              "raise E('diffusion must be strictly positive')\n"
+              "check_positive(h=h)\n")
+    assert _hand_written_guards(source) == [
+        (1, "must be positive"), (2, "must be finite"),
+        (3, "must be an integer")]
+
+
+@pytest.mark.parametrize("module", _NUMBER_MODULES)
+def test_numbers_are_guarded_only_by_the_checks_in_errors(module):
+    path = Path(tangenteq.__file__).parent / ("%s.py" % module)
+    assert _hand_written_guards(path.read_text()) == []
