@@ -159,6 +159,7 @@ _MATRIX = (lambda t: ";".join(_canon_list(r) for r in str(t).split(";")),
 # checks: a (predicate, message) pair on the read value; the message is
 # reported as "[section] message", with the option name for %(key)s
 _AT_LEAST_1 = (lambda v: v >= 1, "%(key)s must be at least 1")
+_AT_LEAST_3 = (lambda v: v >= 3, "%(key)s must be at least 3")
 _POSITIVE = (lambda v: v > 0, "%(key)s must be positive")
 _ALL_POSITIVE = (lambda v: min(v) > 0, "every %(key)s must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "%(key)s must be non-negative")
@@ -168,7 +169,8 @@ _SIMULATE = (lambda v: v > 0, "t_end and h must be positive")
 # required key
 _SCHEMA = {
     "problem": {"kind": (_choice("problem kind", *_KIND_BC), None, None)},
-    "grid": {"length": (_FLOAT, "1.0", None), "nodes": (_INT, "101", None)},
+    "grid": {"length": (_FLOAT, "1.0", None),
+             "nodes": (_INT, "101", _AT_LEAST_3)},
     "operator": {"d": (_PROFILE, "1.0", None),
                  "gamma": (_PROFILE, "0.0", None),
                  "shift": (_or_word("auto", None, *_FLOAT), "auto", None),

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the one check of each
-kind of number (finite, positive, count, bound pair) that constructors
-and entry points raise them from, naming the argument."""
+kind of number (finite, positive, count, seed, bound pair) that
+constructors and entry points raise them from, naming the argument."""
+
+import operator
 
 import numpy as np
 
@@ -64,6 +66,17 @@ def check_count(error, minimum, **value):
         raise error("%s must be an integer of at least %d, got %r"
                     % (name, minimum, count))
     return int(count)
+
+
+def check_seed(**value):
+    """The one keyword argument as an ``int``; raise TypeError naming it
+    unless it is an integer (a float, even an integral one, is not)."""
+    [(name, seed)] = value.items()
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise TypeError("%s must be an integer, got %r"
+                        % (name, seed)) from None
 
 
 def check_bounds(error, strict, **pair):

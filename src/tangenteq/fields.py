@@ -46,14 +46,13 @@ is exactly the tangency failure the verifiers hunt for.
 """
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convex import CONE_TOL, _box_distances, _row_norms
 from .errors import (BoundViolated, EmptyIntersection, check_count,
-                     check_positive)
+                     check_positive, check_seed)
 
 #: how far a point may lie from a value box and still belong to it
 _MEMBER_TOL = 1e-12
@@ -223,7 +222,7 @@ class FilippovHull(NonlinearityField):
         check_positive(delta=delta)
         self.delta = float(delta)
         self.sample_count = check_count(ValueError, 1, samples=sample_count)
-        self.base_seed = int(base_seed)
+        self.base_seed = check_seed(base_seed=base_seed)
 
     def _grid_value(self, xs, U, P):
         N = self.components
@@ -311,14 +310,15 @@ def semicontinuity_probe(field, x, u, p, delta, sample_count=64, seed=0):
     a state or probe that breaches the envelope raises as ``evaluate``
     would at the first such one.  A delta that is not finite and
     positive, or a ``sample_count`` that is not an integer of at least 1,
-    raises ValueError, and a ``seed`` that is not an integer TypeError.
+    raises ValueError, and a ``seed`` that is not an integer TypeError,
+    as a hull's ``base_seed`` does.
     A NaN excess is no evidence and never wins; when every probe's excess
     is NaN the probe returns NaN, not 0.0.
     """
     check_positive(delta=delta)
     count = check_count(ValueError, 1, samples=sample_count)
     lo, hi = field.evaluate_grid(*_probe_grid(
-        operator.index(seed), count, float(delta), np.atleast_1d(x),
+        check_seed(seed=seed), count, float(delta), np.atleast_1d(x),
         np.atleast_2d(u), np.atleast_2d(p)))
     excess = _excesses(lo[1:], hi[1:], lo[:1], hi[:1])
     kept = excess[~np.isnan(excess)]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .convex import _row_norms
 from .errors import (CertificateFailed, NoSignChange, check_bounds,
-                     check_count)
+                     check_count, check_positive)
 
 #: sampled margins at or below this count as exactly zero ("degenerate")
 _DEGENERATE_EPS = 1e-15
@@ -189,8 +189,12 @@ def miranda_solve(f, cube, tol=1e-9, resolution=9, max_depth=200):
     certificate holds; with no certified child the child holding the
     smallest sampled |f| is kept instead (an uncertified but recorded
     fallback).  Stops when the cube diameter drops to ``tol`` or depth is
-    exhausted, returning the center with a post-verified residual.
+    exhausted, returning the center with a post-verified residual.  A
+    ``tol`` that is not finite and positive, or a ``max_depth`` that is not
+    an integer of at least 0, raises ValueError.
     """
+    check_positive(tol=tol)
+    max_depth = check_count(ValueError, 0, max_depth=max_depth)
     cert = miranda_check(f, cube, resolution)
     if not cert.holds:
         raise CertificateFailed(

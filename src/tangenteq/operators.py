@@ -28,7 +28,11 @@ The centered drift stencil is an M-matrix only while
 resolvents map a nodewise convex constraint into itself.
 """
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -41,17 +45,48 @@ from .errors import (CertificateFailed, InvalidSpec, SingularSystem,
 _RESIDUAL_RTOL = 1e-10
 
 
-# scipy.linalg takes about 0.2 s to import, more than most commands' own
-# work, so LAPACK loads at the first factorization.  Both wrappers are
-# module attributes, looked up at every call, so tests can patch them.
+def _flapack_file():
+    """Path of LAPACK's Fortran extension ``scipy/linalg/_flapack``, found
+    without importing scipy; ImportError when there is none."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.submodule_search_locations:
+        linalg = os.path.join(spec.submodule_search_locations[0], "linalg")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(linalg, "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    raise ImportError("scipy's _flapack extension not found")
+
+
+@functools.cache
+def _lapack():
+    """LAPACK's Fortran extension, loaded at the first factorization.
+
+    The package ``scipy.linalg`` takes about 0.2 s and 27 MiB to import
+    (it pulls in scipy.sparse), more than most commands' own work, while
+    its extension ``_flapack`` loads from its file in a few ms.  If the
+    file is missing or fails to load, the routines come from
+    ``scipy.linalg.lapack``, the same Fortran code.
+    """
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "scipy.linalg._flapack", _flapack_file())
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except (ImportError, OSError):
+        from scipy.linalg import lapack
+        return lapack
+
+
+# Both wrappers are module attributes, looked up at every call, so tests
+# can patch them.
 def dgttrf(*args):
-    from scipy.linalg.lapack import dgttrf
-    return dgttrf(*args)
+    return _lapack().dgttrf(*args)
 
 
 def dgttrs(*args):
-    from scipy.linalg.lapack import dgttrs
-    return dgttrs(*args)
+    return _lapack().dgttrs(*args)
 
 
 class Grid1D:

@@ -577,6 +577,9 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
     ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
      "name = linear\nseed = abc\n", 1,
      "error: [nonlinearity] seed: expected an integer, got 'abc'"),
+    # the grid's own minimum is reported against its option
+    ("solve", "[problem]\nkind = neumann_rd\n\n[grid]\nnodes = 2\n", 1,
+     "error: [grid] nodes must be at least 3"),
 ], ids=["box_lo_above_hi", "negative_radius", "heaviside_delta_zero",
         "tabulated_without_path", "tabulated_missing_file",
         "simulate_h_zero", "miranda_hi_short", "miranda_hi_not_above_lo",
@@ -598,7 +601,7 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
         "solver_tol_residual_negative", "solver_tol_step_negative",
         "miranda_max_depth_negative", "miranda_1d_resolution_one",
         "miranda_max_depth_zero", "ball_radius_word", "box_hi_word",
-        "linear_a_word", "bound_word", "seed_word"])
+        "linear_a_word", "bound_word", "seed_word", "grid_nodes_two"])
 def test_bad_config_values_fail_at_parse_time(tmp_path, capsys, command,
                                               text, code, message):
     cfg = tmp_path / "bad.cfg"

@@ -16,7 +16,7 @@ from tangenteq import (Grid1D, OperatorSpec, assemble, Ball, Box, Simplex,
                        HalfspaceIntersection, make_nonlinearity,
                        semigroup_powers, FilippovHull, semicontinuity_probe,
                        verify_tangency, verify_bernstein, bolzano_bisect,
-                       miranda_check, brute_force_zero)
+                       miranda_check, miranda_solve, brute_force_zero)
 
 
 def _neumann_op(n=101, components=1):
@@ -397,6 +397,10 @@ def _identity(X):
     return X
 
 
+def _pulled(X):
+    return 0.3 - X
+
+
 _SQUARE = Cube([-1.0, -1.0], [1.0, 1.0])
 
 _CONSTRUCTORS = {
@@ -469,6 +473,12 @@ _CONSTRUCTORS = {
     "miranda_check.resolution": (
         lambda v: miranda_check(_identity, _SQUARE, resolution=v),
         "resolution", _not_counts(2)),
+    "miranda_solve.tol": (
+        lambda v: miranda_solve(_pulled, _SQUARE, tol=v), "tol",
+        _NOT_POSITIVE),
+    "miranda_solve.max_depth": (
+        lambda v: miranda_solve(_pulled, _SQUARE, max_depth=v), "max_depth",
+        _not_counts(0)),
     "brute_force_zero.grid": (
         lambda v: brute_force_zero(_identity, _SQUARE, v), "grid",
         _not_counts(1)),

@@ -1,7 +1,8 @@
 """Static check of the package sources: no module imports a name it never
 uses (the package re-exports from ``__init__`` only), and ``__all__``
-lists exactly what ``__init__`` imports.  Importing the package leaves
-``scipy.linalg`` unloaded until the first factorization."""
+lists exactly what ``__init__`` imports.  Neither importing the package
+nor factoring loads the ``scipy.linalg`` package: LAPACK's extension
+loads from its file, and a later ``import scipy.linalg`` shares it."""
 
 import ast
 import os
@@ -52,14 +53,48 @@ def test_all_lists_every_name_the_package_imports():
     assert set(tangenteq.__all__) == imported | {"__version__"}
 
 
-def test_importing_the_package_leaves_lapack_unloaded():
-    script = ("import sys, tangenteq, tangenteq.cli\n"
-              "assert 'scipy.linalg' not in sys.modules\n"
-              "info = tangenteq.operators.dgttrf([1.0, 1.0], [2.0] * 3,"
-              " [1.0, 1.0])[-1]\n"
-              "assert info == 0\n"
-              "assert 'scipy.linalg' in sys.modules\n")
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+_UNLOADED = ("assert 'scipy.linalg' not in sys.modules, 'scipy.linalg'\n"
+             "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse'\n")
+
+
+def test_importing_the_package_leaves_lapack_unloaded(tmp_path):
+    # LAPACK's extension loads at the first factorization, from its file:
+    # neither then nor in a whole solve does scipy.linalg's package (and
+    # scipy.sparse with it) load
+    _run_fresh("import sys, tangenteq, tangenteq.cli\n"
+               "assert 'scipy.linalg._flapack' not in sys.modules\n"
+               + _UNLOADED +
+               "info = tangenteq.operators.dgttrf([1.0, 1.0], [2.0] * 3,"
+               " [1.0, 1.0])[-1]\n"
+               "assert info == 0\n"
+               "assert 'scipy.linalg._flapack' in sys.modules\n"
+               + _UNLOADED)
+    config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                          "neumann_linear.cfg")
+    _run_fresh("import sys\n"
+               "from tangenteq.cli import run_cli\n"
+               "assert run_cli(['solve', %r, '--out', %r]) == 0\n"
+               % (config, str(tmp_path)) + _UNLOADED)
+
+
+def test_scipy_linalg_imported_after_a_factorization_shares_its_routines():
+    _run_fresh("import numpy as np, tangenteq\n"
+               "lu = tangenteq.operators.dgttrf([1.0, 2.0], [4.0] * 3,"
+               " [1.0, 3.0])\n"
+               "import scipy.linalg\n"
+               "from scipy.linalg import lapack\n"
+               "assert lapack.dgttrf is tangenteq.operators._lapack().dgttrf\n"
+               "b = np.array([[1.0], [-2.0], [0.5]])\n"
+               "x, info = lapack.dgttrs(*lu[:-1], b)\n"
+               "y, _ = tangenteq.operators.dgttrs(*lu[:-1], b)\n"
+               "assert info == 0 and x.tobytes() == y.tobytes()\n"
+               "assert np.allclose(scipy.linalg.solve(np.diag([4.0] * 3)"
+               " + np.diag([1.0, 2.0], -1) + np.diag([1.0, 3.0], 1), b), x)\n")

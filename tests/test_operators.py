@@ -191,6 +191,41 @@ def test_residual_guard_rejects_a_perturbed_solve(bc, monkeypatch):
             op.solve_stationary(np.ones(31))
 
 
+def _solves_on_every_wall():
+    """Resolvent and stationary solves on freshly factored systems, over
+    stacked right-hand sides, as bytes."""
+    rng = np.random.default_rng(3)
+    out = []
+    for bc, n in [(bc, 31) for bc in WALLS] + [("dirichlet", 3)]:
+        op = _varying_op(bc, n)
+        F = rng.standard_normal((n, 2))
+        out.append(op.resolvent(0.1, F).tobytes())
+        if bc == "dirichlet":
+            out.append(op.solve_stationary(F).tobytes())
+    return out
+
+
+@pytest.mark.parametrize("failure", ["missing", "not_an_extension"])
+def test_scipy_linalg_lapack_fallback_gives_the_same_bytes(
+        failure, tmp_path, monkeypatch):
+    direct = _solves_on_every_wall()
+    assert operators._lapack().__name__ == "scipy.linalg._flapack"
+
+    def missing():
+        raise ImportError("no _flapack")
+
+    junk = tmp_path / "_flapack.so"
+    junk.write_text("not a shared object")
+    monkeypatch.setattr(operators, "_flapack_file",
+                        missing if failure == "missing" else lambda: junk)
+    operators._lapack.cache_clear()
+    try:
+        assert operators._lapack() is sla.lapack
+        assert _solves_on_every_wall() == direct
+    finally:
+        operators._lapack.cache_clear()
+
+
 def test_zero_column_right_hand_sides_solve_to_empty_arrays():
     # run in a child process: a heap corruption kills the process, which
     # then fails this test instead of ending the whole test run

@@ -269,6 +269,10 @@ def test_a_relay_simulation_draws_its_probe_table_once(monkeypatch):
 
 def test_a_seed_that_is_not_an_integer_is_refused():
     field = fields.SingleValued(lambda x, u, p: u)
-    for seed in (None, 0.5, [1, 2]):
-        with pytest.raises(TypeError):
+    for seed in (None, 0.5, [1, 2], 2.0):
+        with pytest.raises(TypeError, match=r"^seed must be an integer"):
             fields.semicontinuity_probe(field, 0.0, 0.5, 0.0, 0.1, seed=seed)
+        with pytest.raises(TypeError, match=r"^base_seed must be an integer"):
+            fields.FilippovHull(lambda x, u, p: u, 0.1, base_seed=seed)
+    assert fields.FilippovHull(lambda x, u, p: u, 0.1,
+                               base_seed=np.int64(2)).base_seed == 2
