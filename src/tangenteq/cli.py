@@ -31,8 +31,7 @@ from .convex import Ball, Box, MovingBox, Simplex
 from .equilibrium import (resolvent_iterate, truncation_iterate,
                           viability_simulate)
 from .errors import (BoundViolated, CertificateFailed, EmptyIntersection,
-                     InvalidSpec, NoSignChange, PointNotInSet, SingularSystem,
-                     TangentEqError)
+                     InvalidSpec, NoSignChange, PointNotInSet, TangentEqError)
 from .miranda import Cube, miranda_solve
 from .operators import invariance_audit
 from .problems import (ConditionReport, verify_bernstein, verify_subsuper,
@@ -302,7 +301,7 @@ def run_cli(argv):
     except _HYPOTHESIS_ERRORS as exc:
         print("hypothesis failure: %s" % exc, file=sys.stderr)
         return 2
-    except (SingularSystem, TangentEqError) as exc:
+    except TangentEqError as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return 3
 

@@ -282,9 +282,9 @@ def _canon_constraint(kind, c):
 
 def _canon_nonlinearity(f):
     """The canonical ``[nonlinearity]`` table: the catalog name, ``bound``
-    and ``seed`` when given, and the name's own parameters (a non-finite
-    one fails when ``ProblemSpec`` builds the field, after the catalog's
-    own checks)."""
+    and a non-negative ``seed`` when given, and the name's own parameters
+    (a non-finite one fails when ``ProblemSpec`` builds the field, after
+    the catalog's own checks)."""
     fname = f.get("name", "linear").strip().lower()
     if fname not in NONLINEARITY_NAMES:
         raise InvalidSpec("unknown nonlinearity %r" % (fname,))
@@ -292,6 +292,9 @@ def _canon_nonlinearity(f):
     for key, canon in (("bound", _canon_float), ("seed", _INT[0])):
         if key in f:
             out[key] = _canon_value("nonlinearity", key, canon, f[key])
+    if not _NON_NEGATIVE[0](int(out.get("seed", 0))):
+        raise InvalidSpec("[nonlinearity] %s" % (_NON_NEGATIVE[1]
+                                                 % {"key": "seed"}))
     for key, val in f.items():
         if key in ("name", "bound", "seed"):
             continue

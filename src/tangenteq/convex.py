@@ -1,14 +1,13 @@
 """Convex constraint sets: distances, projections and tangent cones.
 
 Rows are the only primitive: a set implements ``project_rows`` (the
-metric projection of each row, a 1-Lipschitz retraction) and
-``tangent_project_rows`` (the metric projection onto the tangent cone at
-each row), and states in closed form how far a scaled copy ``s K``
-reaches past K (``overshoot``, which decides the invariance audit).
+metric projection of each row, a 1-Lipschitz retraction),
+``tangent_project_rows`` (onto the tangent cone at each row) and
+``_select_rows`` (the minimal-norm point of each value box in that
+cone), and states in closed form how far a scaled copy ``s K`` reaches
+past K (``overshoot``, which decides the invariance audit).
 ``ConvexBody`` builds the rest on them once: the one-point ``project``
-and ``tangent_project``, distances, cone membership and ``select`` (the
-minimal-norm point of each value box ``[vlo[j], vhi[j]]`` in the tangent
-cone at row ``j``, by one Dykstra run over every row).
+and ``tangent_project``, distances, cone membership and ``select``.
 
 A constraint is its own grid lift: ``lift(n, N)`` checks it against
 ``n`` nodes of ``N`` components.  A body returns itself, since its row
@@ -17,8 +16,9 @@ its tiled bounds, the one nodewise box, which selects by clipping to
 its interval face cones.
 
 The tangent cone of a convex set at ``x`` is the closure of the feasible
-rays ``h*(K - x)``, ``h > 0``.  For every set below both projections are
-exact:
+rays ``h*(K - x)``, ``h > 0``.  For every set below both projections
+and the selection are exact (a ball or a simplex selects by one
+multiplier, ``_multiplier_rows``):
 
 * ``Box``      clipping; sign rules on the active faces,
 * ``Ball``     radial scaling; a halfspace through the outward normal,
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (PointNotInSet, TangentEqError, check_bounds,
-                     check_count, check_finite, check_positive)
+from .errors import (PointNotInSet, check_bounds, check_count, check_finite,
+                     check_positive)
 
 try:
     # the ufunc behind np.clip, called without np.clip's Python wrapper
@@ -117,11 +117,11 @@ class _Lifted:
         """Euclidean distance of each nodal state to the set."""
         return self._distances_at(U, self.project_rows(U))
 
-    def select(self, U, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
+    def select(self, U, vlo, vhi, tol=CONE_TOL):
         """Minimal-norm values in ``[vlo, vhi]`` tangent to the set at
         ``proj U``.  Returns ``(V, None)``, or ``(None, (node, reason))``
         for the first node without an admissible value."""
-        return self._select_at(self.project_rows(U), vlo, vhi, tol, gap_tol)
+        return self._select_at(self.project_rows(U), vlo, vhi, tol)
 
     def tangency(self, U, V, tol=CONE_TOL):
         """``max_j dist(V_j, T(proj U_j))``: the largest nodal directional
@@ -136,10 +136,11 @@ class _Lifted:
 
 
 class ConvexBody(_Lifted):
-    """Shared plumbing for the concrete sets, built once on the two row
-    methods each set implements: ``project_rows(X)`` and
+    """Shared plumbing for the concrete sets, built once on the row
+    methods each set implements: ``project_rows(X)``,
     ``tangent_project_rows(X, V, tol)`` (faces within ``tol`` of ``X[j]``
-    are active).  The one-point methods are their one-row case."""
+    are active) and ``_select_rows(W, vlo, vhi, tol)``.  The one-point
+    methods are their one-row case."""
 
     dim = None
 
@@ -186,9 +187,30 @@ class ConvexBody(_Lifted):
                              % (self.dim, N))
         return self
 
-    def _select_at(self, W, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
-        """By ``_dykstra_select``."""
-        return _dykstra_select(self, W, vlo, vhi, tol, gap_tol)
+    def _select_at(self, W, vlo, vhi, tol=CONE_TOL):
+        """Each box's shortest value ``V = clip(0, vlo, vhi)`` where it fits
+        the cone, else the exact ``_select_rows``; the first row whose
+        value still misses by more than ``tol`` is the miss."""
+        V = _clip(0.0, vlo, vhi)
+        Y, fits, gaps = _fit(self, W, V, vlo, vhi, tol)
+        rest = np.flatnonzero(~fits)
+        if rest.size:
+            W, vlo, vhi = W[rest], vlo[rest], vhi[rest]
+            Y[rest], fits, gaps = _fit(self, W, self._select_rows(
+                W, vlo, vhi, tol), vlo, vhi, tol)
+            if not fits.all():
+                k = np.argmin(fits)
+                return None, (int(rest[k]), "no admissible tangent value: "
+                              "cone gap %.3g, box gap %.3g" % tuple(gaps[k]))
+        return Y, None
+
+
+def _fit(body, W, V, vlo, vhi, tol):
+    """The cone projections ``Y`` of ``V``, and whether ``|V - Y|`` and the
+    distance of ``Y`` to its box, the two gaps, are at most ``tol``."""
+    Y = body.tangent_project_rows(W, V, tol)
+    gaps = np.stack([_row_norms(V - Y), _box_distances(Y, vlo, vhi)], axis=1)
+    return Y, np.all(gaps <= tol, axis=1), gaps
 
 
 class Box(ConvexBody):
@@ -215,6 +237,10 @@ class Box(ConvexBody):
     def overshoot(self, s):
         return np.max((s - 1.0)[:, None] * np.append(self.hi, -self.lo),
                       axis=1)
+
+    def _select_rows(self, W, vlo, vhi, tol):
+        return selection_on_intervals(
+            vlo, vhi, *_face_cone(W, self.lo, self.hi, tol))[0]
 
     def lift(self, n, N):
         """The same box at each of ``n`` grid nodes, as a ``MovingBox``."""
@@ -271,110 +297,18 @@ class MovingBox(_Lifted):
         """The face-cone clip of ``V`` at states ``W`` inside the bounds."""
         return _clip(V, *_face_cone(W, self.alpha, self.beta, tol))
 
-    def _select_at(self, W, vlo, vhi, tol=CONE_TOL, gap_tol=CONE_TOL):
+    def _select_at(self, W, vlo, vhi, tol=CONE_TOL):
         """The face cones are intervals, so selection is componentwise
         clipping.  A node misses when its values miss its face cone by
-        more than ``gap_tol``; the default matches ``tol``, so a state
-        within ``tol`` of a face may overshoot it by as much."""
+        more than ``tol``, so a state within ``tol`` of a face may
+        overshoot it by as much."""
         V, empty = selection_on_intervals(
-            vlo, vhi, *_face_cone(W, self.alpha, self.beta, tol), gap_tol)
+            vlo, vhi, *_face_cone(W, self.alpha, self.beta, tol), tol)
         if empty.any():
             j, k = np.argwhere(empty)[0]
             return None, (int(j), "component %d: values [%.6g, %.6g] miss "
                           "the face cone" % (k, vlo[j, k], vhi[j, k]))
         return V, None
-
-
-#: the stall test compares each Dykstra gap with the one this many
-#: iterations earlier
-_STALL_WINDOW = 50
-
-#: Dykstra iterations after which a row still above ``gap_tol`` is empty
-_SELECT_MAX_ITER = 5000
-
-
-def _dykstra_select(body, X, vlo, vhi, tol, gap_tol):
-    """Minimal-norm point of ``[vlo[j], vhi[j]]`` in the tangent cone of
-    ``body`` at ``X[j]``, for every row ``j`` at once.
-
-    Dykstra's alternating projections between the value box and the
-    tangent cone run from the origin; Dykstra converges to the projection
-    of the start point onto the intersection, which is exactly the
-    minimal-norm point.  A row stops when its box-to-cone gap is at most
-    ``gap_tol``, and its intersection is declared empty when the gap
-    stalls above it (reduction below 1e-14 across ``_STALL_WINDOW``
-    iterations) or ``_SELECT_MAX_ITER`` iterations end above it.  Each
-    row sees the same arithmetic as it would alone; rows past the first
-    failure stop early, since only the first failing row is reported.
-    The loop ends in the iteration where every live row is done, with no
-    stall bookkeeping for it.
-
-    Returns ``(V, None)``, or ``(None, (node, reason))`` for the first
-    node without an admissible value.  Raises TangentEqError when, before
-    that node, a selection fails its a-posteriori check against the cone
-    and the value box at ``max(tol, 100 gap_tol)``; the message names the
-    first such node, its state, both gaps and the check tolerance.
-    """
-    n = X.shape[0]
-    V = np.empty_like(X)
-    failed = {}
-    rows = np.arange(n)
-    x, lo, hi = X, vlo, vhi
-    y = np.zeros_like(X)
-    corr_box = np.zeros_like(X)
-    corr_cone = np.zeros_like(X)
-    # the last _STALL_WINDOW + 1 gaps of each live row, by iteration
-    gaps = np.empty((_STALL_WINDOW + 1, n))
-    for i in range(_SELECT_MAX_ITER):
-        if rows.size == 0:
-            break
-        z = y + corr_box
-        b = _clip(z, lo, hi)
-        corr_box = z - b
-        z = b + corr_cone
-        y = body.tangent_project_rows(x, z, tol)
-        corr_cone = z - y
-        gap = _row_norms(b - y)
-        done = gap <= gap_tol
-        if done.all():
-            V[rows] = y
-            break
-        gaps[i % gaps.shape[0]] = gap
-        stalled = ~done & (i >= _STALL_WINDOW) & (
-            gaps[(i + 1) % gaps.shape[0]] - gap < 1e-14)
-        V[rows[done]] = y[done]
-        for k in np.flatnonzero(stalled):
-            failed[int(rows[k])] = ("alternating projections stalled at "
-                                    "gap %.3g" % gap[k])
-        live = ~(done | stalled)
-        if failed:
-            live &= rows < min(failed)
-        if not np.all(live):
-            rows, x, lo, hi = rows[live], x[live], lo[live], hi[live]
-            y, corr_box, corr_cone = y[live], corr_box[live], corr_cone[live]
-            gaps, gap = gaps[:, live], gap[live]
-    else:
-        short = gap > gap_tol
-        for k in np.flatnonzero(short):
-            failed[int(rows[k])] = ("no admissible tangent value found "
-                                    "(gap %.3g)" % gap[k])
-        V[rows[~short]] = y[~short]
-
-    first = min(failed, default=n)
-    check_tol = max(tol, 100.0 * gap_tol)
-    cone_gap = _cone_gaps(body, X[:first], V[:first], tol)
-    box_gap = _box_distances(V[:first], vlo[:first], vhi[:first])
-    bad = np.flatnonzero(~(cone_gap <= check_tol) | (box_gap > check_tol))
-    if bad.size:
-        j = bad[0]
-        raise TangentEqError(
-            "selection failed its a-posteriori validation at node %d, "
-            "state %s: cone gap %.3g, box gap %.3g, check_tol %.3g"
-            % (j, np.array2string(X[j], precision=6), cone_gap[j],
-               box_gap[j], check_tol))
-    if failed:
-        return None, (first, failed[first])
-    return V, None
 
 
 def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=CONE_TOL):
@@ -389,6 +323,30 @@ def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=CONE_TOL):
     empty = ilo > ihi + gap_tol
     v = _clip(0.0, ilo, np.maximum(ilo, ihi))
     return v, empty
+
+
+def _multiplier_rows(a, lo, hi):
+    """The shortest ``v`` in each ``[lo[j], hi[j]]`` with ``a[j] . v = 0``,
+    else the nearest.  By KKT ``v = clip(-lam a, lo, hi)``; ``phi(lam) =
+    a . v`` falls, linear between the breakpoints ``-lo_i / a_i``, ``-hi_i
+    / a_i`` (Condat, Math. Prog. 2016), so sampled there and past either
+    end its root is exact on the line through two neighbouring samples."""
+    c, aa = np.hstack([lo, hi]), np.hstack([a, a])
+    B = np.divide(-c, aa, out=np.zeros_like(c), where=aa != 0.0)
+    B[~np.isfinite(B)] = 0.0        # a bound at infinity is never reached
+    far = 1.0 + 2.0 * np.max(np.abs(B), axis=1, keepdims=True)
+    B = np.sort(np.hstack([B, -far, far]), axis=1)
+    phi = _row_sums(a[:, :, None] * _clip(
+        -B[:, None, :] * a[:, :, None], lo[:, :, None], hi[:, :, None]))
+    down, m = phi <= 0.0, B.shape[1]
+    k = np.clip(np.where(down.any(axis=1), np.argmax(down, axis=1), m), 1,
+                m - 1)
+    rows = np.arange(len(B))
+    b0, b1, p0, p1 = B[rows, k - 1], B[rows, k], phi[rows, k - 1], phi[rows, k]
+    slope = p0 > p1
+    lam = np.where(slope, b0 + p0 * (b1 - b0) / np.where(slope, p0 - p1, 1.0),
+                   np.where(p1 > 0.0, b1, b0))
+    return _clip(-lam[:, None] * a, lo, hi)
 
 
 class Ball(ConvexBody):
@@ -409,13 +367,22 @@ class Ball(ConvexBody):
         return np.where((nr <= self.radius)[:, None], X,
                         self.center + scale[:, None] * R)
 
-    def tangent_project_rows(self, X, V, tol=CONE_TOL):
+    def _outward(self, X, tol):
+        """Unit outward normals, zero more than ``tol`` inside the sphere."""
         R = X - self.center
         nr = _row_norms(R)
         inner = self.radius - nr > tol
-        normal = R / np.where(inner, 1.0, nr)[:, None]
-        push = _positive_part(_row_dots(normal, V))
-        return np.where(inner[:, None], V, V - push[:, None] * normal)
+        return np.where(inner[:, None], 0.0,
+                        R / np.where(inner, 1.0, nr)[:, None])
+
+    def tangent_project_rows(self, X, V, tol=CONE_TOL):
+        normal = self._outward(X, tol)
+        return V - _positive_part(_row_dots(normal, V))[:, None] * normal
+
+    def _select_rows(self, W, vlo, vhi, tol):
+        """``clip(-lam a, vlo, vhi)``, ``a`` the outward normal (zero inside),
+        at the root of ``a . v``: the rows asked for fail at ``lam = 0``."""
+        return _multiplier_rows(self._outward(W, tol), vlo, vhi)
 
     def overshoot(self, s):
         return np.abs(s - 1.0) * _row_norms(self.center[None])[0] \
@@ -472,6 +439,12 @@ class Simplex(ConvexBody):
         W = V - lam
         return np.where(act, np.maximum(W, 0.0), W)
 
+    def _select_rows(self, W, vlo, vhi, tol):
+        """``clip(-lam, lo, vhi)`` with ``sum v = 0``, ``lo`` the lower bound
+        raised to 0 on the zeros of ``W[j]``."""
+        lo = np.where(W <= tol, np.maximum(vlo, 0.0), vlo)
+        return _multiplier_rows(np.ones_like(W), lo, vhi)
+
     def overshoot(self, s):
         """The faces ``u_i >= 0`` never move; ``sum(u) = total_mass`` has
         the normals ``+-1/sqrt(dim)``."""
@@ -510,23 +483,41 @@ class HalfspaceIntersection(ConvexBody):
         return np.array([x - _least_distance(P, P @ x - a)
                          for x in X]).reshape(X.shape)
 
+    def _active(self, X, tol):
+        """Each row's active halfspaces: those within ``tol`` of ``X[j]``."""
+        return [self.normals @ x - self.offsets >= -tol for x in X]
+
     def tangent_project_rows(self, X, V, tol=CONE_TOL):
-        P, a = self.normals, self.offsets
-        active = [P @ x - a >= -tol for x in X]
+        P = self.normals
         return np.array([v - _least_distance(P[act], P[act] @ v)
-                         for act, v in zip(active, V)]).reshape(V.shape)
+                         for act, v in zip(self._active(X, tol), V)]
+                        ).reshape(V.shape)
+
+    def _select_rows(self, W, vlo, vhi, tol):
+        """The shortest ``z`` in ``[vlo, vhi]`` with ``P_act z <= 0``, one
+        least-distance program per row; the box's shortest value where
+        there is none."""
+        P, eye = self.normals, np.eye(self.dim)
+        Z = np.array([_least_distance(
+            np.vstack([eye, -eye, -P[act]]),
+            np.concatenate([lo, -hi, np.zeros(np.count_nonzero(act))]))
+            for act, lo, hi in zip(self._active(W, tol), vlo, vhi)]
+        ).reshape(W.shape)
+        return np.where(np.isnan(Z), _clip(0.0, vlo, vhi), Z)
 
     def overshoot(self, s):
         return np.max((s - 1.0)[:, None] * self.offsets, axis=1)
 
 
 def _least_distance(G, h):
-    """The shortest ``z`` with ``G z >= h`` (a feasible system), by Lawson
-    and Hanson's least-distance program (*Solving Least Squares Problems*,
-    1974, ch. 23): with ``u >= 0`` the least-squares solution of
-    ``E u = f``, ``E = [G^T; h^T]``, ``f = (0, ..., 0, 1)``, the residual
+    """The shortest ``z`` with ``G z >= h``, by Lawson and Hanson's
+    least-distance program (*Solving Least Squares Problems*, 1974,
+    ch. 23): with ``u >= 0`` the least-squares solution of ``E u = f``,
+    ``E = [G^T; h^T]``, ``f = (0, ..., 0, 1)``, the residual
     ``r = E u - f`` gives ``z = -r[:-1] / r[-1]``; no positive ``h`` gives
-    exactly ``z = 0``."""
+    exactly ``z = 0``, and a system without a solution, whose last
+    residual is zero, NaNs.  Rows with ``h = -inf`` hold for every ``z``."""
+    G, h = G[h > -np.inf], h[h > -np.inf]
     if not np.any(h > 0.0):
         return np.zeros(G.shape[1])
     # imported here because scipy.optimize adds about 0.3 s to
@@ -536,7 +527,7 @@ def _least_distance(G, h):
     f = np.zeros(E.shape[0])
     f[-1] = 1.0
     r = E @ nnls(E, f)[0] - f
-    return -r[:-1] / r[-1]
+    return -r[:-1] / r[-1] if r[-1] < 0.0 else np.full(G.shape[1], np.nan)
 
 
 def numeric_tangent_quotient(body, x, v, h):

@@ -70,13 +70,17 @@ def check_count(error, minimum, **value):
 
 def check_seed(**value):
     """The one keyword argument as an ``int``; raise TypeError naming it
-    unless it is an integer (a float, even an integral one, is not)."""
+    unless it is an integer (a float, even an integral one, is not), and
+    ValueError naming it when it is negative."""
     [(name, seed)] = value.items()
     try:
-        return operator.index(seed)
+        seed = operator.index(seed)
     except TypeError:
         raise TypeError("%s must be an integer, got %r"
                         % (name, seed)) from None
+    if seed < 0:
+        raise ValueError("%s must be non-negative, got %d" % (name, seed))
+    return seed
 
 
 def check_bounds(error, strict, **pair):

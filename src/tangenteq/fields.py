@@ -284,7 +284,7 @@ def _probe_grid(seed, count, radius, xs, U, P):
     return probes[0], probes[1:1 + k].T, probes[1 + k:].T
 
 
-def tangent_selection(field, body, x, u, p, tol=CONE_TOL, gap_tol=CONE_TOL):
+def tangent_selection(field, body, x, u, p, tol=CONE_TOL):
     """Minimal-norm admissible value tangent to ``body`` at ``u``: the
     field's value box at ``(x, u, p)`` handed to the one-node lift's
     ``select``.
@@ -294,7 +294,7 @@ def tangent_selection(field, body, x, u, p, tol=CONE_TOL, gap_tol=CONE_TOL):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     val = field.evaluate(x, u, p)
     v, miss = body.lift(1, u.size).select(u[None], val.lo[None],
-                                          val.hi[None], tol, gap_tol)
+                                          val.hi[None], tol)
     if miss is not None:
         raise EmptyIntersection(miss[1])
     return v[0]
@@ -309,9 +309,9 @@ def semicontinuity_probe(field, x, u, p, delta, sample_count=64, seed=0):
     state and its probes are evaluated in one ``evaluate_grid`` call, so
     a state or probe that breaches the envelope raises as ``evaluate``
     would at the first such one.  A delta that is not finite and
-    positive, or a ``sample_count`` that is not an integer of at least 1,
-    raises ValueError, and a ``seed`` that is not an integer TypeError,
-    as a hull's ``base_seed`` does.
+    positive, a ``sample_count`` that is not an integer of at least 1, or
+    a negative ``seed`` raises ValueError, and a ``seed`` that is not an
+    integer TypeError, as a hull's ``base_seed`` does.
     A NaN excess is no evidence and never wins; when every probe's excess
     is NaN the probe returns NaN, not 0.0.
     """

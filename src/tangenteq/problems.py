@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import Ball, Box, MovingBox, _row_dots, _row_norms, _row_sums
-from .errors import InvalidSpec, check_count
+from .errors import InvalidSpec, check_count, check_seed
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
                      SingleValued, _sup_norms)
 
@@ -278,11 +278,12 @@ def verify_tangency(field, C, grid, samples=10000, seed=42):
     Boxes and nodewise bound pairs are checked face by face; balls over
     sampled boundary directions.  Gradient arguments at a face follow the
     bound's own slope, since a touching state has to share it.  Any other
-    body, and fewer than one or a fractional sample, raise InvalidSpec.
+    body, and fewer than one or a fractional sample, raise InvalidSpec;
+    ``seed`` is checked as a hull's ``base_seed`` is.
     """
     # an empty sample would pass every condition with margin inf
     samples = check_count(InvalidSpec, 1, samples=samples)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed=seed))
     if isinstance(C, Ball):
         items = _ball_items(field, C, grid, samples, rng)
     elif isinstance(C, (Box, MovingBox)):
@@ -306,12 +307,13 @@ def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42):
     * sphere: some admissible y has  y . u <= c R^2  when |u| = R and
               u . p = 0.
 
-    Fewer than one or a fractional sample raises InvalidSpec.
+    Fewer than one or a fractional sample raises InvalidSpec; ``seed`` is
+    checked as a hull's ``base_seed`` is.
     """
     samples = check_count(InvalidSpec, 1, samples=samples)
     fld = as_field(phi)
     N = fld.components
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed=seed))
     xs = rng.random(samples) * length
     pmax = max(1.0, 2.0 * R)
 

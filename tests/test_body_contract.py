@@ -1,18 +1,20 @@
 """The contract every convex body offers the grid solvers: ``lift(n, N)``,
 ``select`` and ``overshoot``."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-
-from test_convex import _simplex_cone_bisection
+from scipy.optimize import linprog
 
 from tangenteq import (CONE_TOL, Ball, EmptyIntersection, Grid1D,
                        HalfspaceIntersection, IntervalValued, OperatorSpec,
                        Simplex, SingleValued, SolverConfig, assemble,
                        invariance_audit, resolvent_iterate,
                        tangent_selection)
+from tangenteq.convex import _box_distances, _cone_gaps
 
 _VALUES = (-1.0, -0.5, -1e-4, 0.0, 1e-4, 0.5, 1.0)
 _COORDS = (-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5)
@@ -53,94 +55,187 @@ def body_problems(draw):
     return body, np.array(rows), vlo, vhi
 
 
-def _scalar_selection(body, u, lo, hi, gap_tol, cone=None, tol=CONE_TOL,
-                      max_iter=5000):
-    """The minimal tangent value at one node by a scalar Dykstra loop
-    over ``cone(u, z)``, by default ``body.tangent_project``: the per-row
-    reference for the batched selection, with the same stall rule,
-    messages and a-posteriori check.
+def _cone_rows(body, w, tol=CONE_TOL):
+    """The tangent cone of ``body`` at ``w`` as ``{v: C v <= 0, E v = 0}``,
+    with the faces within ``tol`` of ``w`` active."""
+    none = np.zeros((0, body.dim))
+    if isinstance(body, Ball):
+        r = w - body.center
+        nr = np.linalg.norm(r)
+        return none if body.radius - nr > tol else (r / nr)[None], none
+    if isinstance(body, Simplex):
+        return -np.eye(body.dim)[w <= tol], np.ones((1, body.dim))
+    return body.normals[body.normals @ w - body.offsets >= -tol], none
+
+
+def _shortest_admissible(C, E, lo, hi, slack=1e-14):
+    """The shortest ``v`` with ``lo <= v <= hi``, ``C v <= 0`` and
+    ``E v = 0`` (to ``slack``), or None, by enumerating active sets.
+
+    By KKT the optimum is the least-norm solution of its active
+    constraints taken as equations, and each such solution that is
+    feasible is admissible, so the shortest feasible one is the optimum.
+    """
+    N = lo.size
+    A = np.vstack([np.eye(N), -np.eye(N), C])
+    b = np.concatenate([hi, -lo, np.zeros(len(C))])
+    best = None
+    for size in range(N + 1):
+        for S in itertools.combinations(range(len(A)), size):
+            if any(i + N in S for i in S if i < N):
+                continue    # both bounds of one coordinate
+            M = np.vstack([A[list(S)], E])
+            rhs = np.concatenate([b[list(S)], np.zeros(len(E))])
+            v = np.linalg.lstsq(M, rhs, rcond=None)[0] if len(M) \
+                else np.zeros(N)
+            if (np.all(np.abs(M @ v - rhs) <= slack)
+                    and np.all(A @ v - b <= slack)
+                    and np.all(np.abs(E @ v) <= slack)
+                    and (best is None or v @ v < best @ best)):
+                best = v
+    return best
+
+
+def _scalar_selection(body, u, lo, hi):
+    """The minimal tangent value at one node by active-set enumeration:
+    the per-row reference for the batched selection.
 
     Raises EmptyIntersection when the node has no admissible value.
     """
-    cone = cone or (lambda u, z: body.tangent_project(u, z, tol=tol))
-    projectors = [lambda z: np.clip(z, lo, hi), lambda z: cone(u, z)]
-    y = np.zeros(lo.size)
-    corr = [np.zeros_like(y) for _ in projectors]
-    gaps = []
-    gap = np.inf
-    for i in range(max_iter):
-        outs = []
-        for k, proj in enumerate(projectors):
-            z = y + corr[k]
-            y = proj(z)
-            corr[k] = z - y
-            outs.append(y)
-        b, y = outs
-        gap = float(np.linalg.norm(b - y))
-        gaps.append(gap)
-        if gap <= gap_tol:
-            break
-        if i >= 50 and gaps[i - 50] - gap < 1e-14 and gap > gap_tol:
-            raise EmptyIntersection(
-                "alternating projections stalled at gap %.3g" % gap)
-    if gap > gap_tol:
-        raise EmptyIntersection(
-            "no admissible tangent value found (gap %.3g)" % gap)
-    check_tol = max(tol, 100.0 * gap_tol)
-    assert body.tangent_cone_contains(u, y, tol=check_tol).contains
-    assert np.linalg.norm(y - np.clip(y, lo, hi)) <= check_tol
+    y = _shortest_admissible(*_cone_rows(body, u), lo, hi)
+    if y is None:
+        raise EmptyIntersection("no admissible tangent value")
     return y
 
 
-def _node_selection(body, U, vlo, vhi, j, gap_tol, cone=None):
-    return _scalar_selection(body, body.project(U[j]), vlo[j], vhi[j],
-                             gap_tol, cone)
+def _node_selection(body, U, vlo, vhi, j):
+    return _scalar_selection(body, body.project(U[j]), vlo[j], vhi[j])
 
 
 @settings(max_examples=120, deadline=None)
-@given(body_problems(), st.sampled_from((1e-10, CONE_TOL)))
-def test_lifted_rows_are_the_single_node_selections(problem, gap_tol):
+@given(body_problems())
+def test_lifted_rows_are_the_single_node_selections(problem):
     body, U, vlo, vhi = problem
     lifted = body.lift(U.shape[0], body.dim)
-    V, miss = lifted.select(U, vlo, vhi, gap_tol=gap_tol)
+    V, miss = lifted.select(U, vlo, vhi)
     assume(miss is None)
-    check_tol = max(CONE_TOL, 100.0 * gap_tol)
     for j in range(U.shape[0]):
-        if isinstance(body, Simplex):
-            # against the loop over the bisected cone projection
-            want = _node_selection(
-                body, U, vlo, vhi, j, gap_tol,
-                lambda u, z: _simplex_cone_bisection(body, u, z))
-            assert np.max(np.abs(V[j] - want)) <= 1e-12
-        else:
-            want = _node_selection(body, U, vlo, vhi, j, gap_tol)
-            assert np.array_equal(V[j], want)
-        assert np.all(V[j] >= vlo[j] - 100.0 * gap_tol)
-        assert np.all(V[j] <= vhi[j] + 100.0 * gap_tol)
-        assert body.tangent_cone_contains(body.project(U[j]), V[j],
-                                          tol=check_tol).contains
-    assert lifted.tangency(U, V, tol=check_tol) <= check_tol
+        want = _node_selection(body, U, vlo, vhi, j)
+        assert np.max(np.abs(V[j] - want), initial=0.0) <= 1e-12
+        assert np.all(V[j] >= vlo[j] - CONE_TOL)
+        assert np.all(V[j] <= vhi[j] + CONE_TOL)
+        assert body.tangent_cone_contains(body.project(U[j]), V[j]).contains
+    assert lifted.tangency(U, V) <= 1e-12
     # one node through the public single-node entry point
     one = tangent_selection(IntervalValued(
         lambda x, u, p: vlo[0], lambda x, u, p: vhi[0],
-        components=body.dim), body, 0.0, U[0], np.zeros(body.dim),
-        gap_tol=gap_tol)
+        components=body.dim), body, 0.0, U[0], np.zeros(body.dim))
     assert np.array_equal(one, V[0])
 
 
 @settings(max_examples=120, deadline=None)
-@given(body_problems(), st.sampled_from((1e-10, CONE_TOL)))
-def test_a_miss_names_the_first_empty_node(problem, gap_tol):
+@given(body_problems())
+def test_a_miss_names_the_first_empty_node(problem):
     body, U, vlo, vhi = problem
-    V, miss = body.lift(*U.shape).select(U, vlo, vhi, gap_tol=gap_tol)
+    V, miss = body.lift(*U.shape).select(U, vlo, vhi)
     assume(miss is not None)
     assert V is None
     node, reason = miss
     for j in range(node):
-        _node_selection(body, U, vlo, vhi, j, gap_tol)
+        _node_selection(body, U, vlo, vhi, j)
+    with pytest.raises(EmptyIntersection):
+        _node_selection(body, U, vlo, vhi, node)
     with pytest.raises(EmptyIntersection) as exc:
-        _node_selection(body, U, vlo, vhi, node, gap_tol)
+        tangent_selection(IntervalValued(
+            lambda x, u, p: vlo[node], lambda x, u, p: vhi[node],
+            components=body.dim), body, 0.0, U[node], np.zeros(body.dim))
     assert str(exc.value) == reason
+    assert reason.startswith("no admissible tangent value: cone gap ")
+
+
+def _infeasibility(C, E, lo, hi):
+    """The least ``s >= 0`` by which the bounds, ``C v <= 0`` and
+    ``E v = 0`` must all be relaxed to meet: a linear program."""
+    N = lo.size
+    rows = np.vstack([np.eye(N), -np.eye(N), C, E, -E])
+    A = np.hstack([rows, -np.ones((len(rows), 1))])
+    b = np.concatenate([hi, -lo, np.zeros(len(C) + 2 * len(E))])
+    return linprog(np.eye(N + 1)[N], A_ub=A, b_ub=b,
+                   bounds=[(None, None)] * N + [(0.0, None)]).fun
+
+
+_REALS = st.floats(-1.5, 1.5)
+_SHARES = st.floats(0.0, 1.0)
+
+
+@st.composite
+def exact_problems(draw, kind):
+    """A ball, simplex or polytope of dimension 1 to 4, one state and a
+    value box: a single point, an interval about a point, or a box that
+    reaches from a tangent value towards the origin."""
+    dim = draw(st.integers(1, 4))
+
+    def reals(size, values=_REALS):
+        return np.array(draw(st.lists(values, min_size=size,
+                                      max_size=size)))
+    if kind == "ball":
+        body = Ball(reals(dim, st.floats(-0.5, 0.5)),
+                    draw(st.floats(0.25, 1.5)))
+    elif kind == "simplex":
+        body = Simplex(draw(st.floats(0.25, 1.5)), dim)
+    else:
+        k = draw(st.integers(1, dim + 2))
+        normals = reals(k * dim, st.floats(-1.0, 1.0)).reshape(k, dim)
+        assume(np.all(np.linalg.norm(normals, axis=1) > 0.1))
+        body = HalfspaceIntersection(normals, reals(k, st.floats(0.0, 1.0)),
+                                     np.zeros(dim))
+    u = reals(dim, st.floats(-3.0, 3.0))
+    v = reals(dim)
+    if draw(st.booleans()) and draw(st.booleans()):
+        return body, u, v, v
+    if draw(st.booleans()):
+        return body, u, v - reals(dim, _SHARES), v + reals(dim, _SHARES)
+    # from a tangent value towards the origin by a share of each
+    # coordinate: the box meets the cone, and its shortest value is
+    # seldom tangent
+    v = body.tangent_project(body.project(u), v)
+    w = v * reals(dim, _SHARES)
+    return body, u, np.minimum(v, w), np.maximum(v, w)
+
+
+@pytest.mark.parametrize("kind", ["ball", "simplex", "polytope"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_selection_is_exact_where_the_box_meets_the_cone(kind, data):
+    body, u, lo, hi = data.draw(exact_problems(kind))
+    w = body.project(u)
+    cone = _cone_rows(body, w)
+    best = _shortest_admissible(*cone, lo, hi)
+    if best is None:
+        # a box missing the cone by at most 10 tol may be taken as met
+        assume(_infeasibility(*cone, lo, hi) > 10.0 * CONE_TOL)
+    V, miss = body.select(u[None], lo[None], hi[None])
+    assert (miss is None) == (best is not None)
+    if miss is None:
+        assert _cone_gaps(body, w[None], V, CONE_TOL)[0] <= 1e-12
+        assert _box_distances(V, lo[None], hi[None])[0] <= CONE_TOL
+        assert np.linalg.norm(V[0]) <= np.linalg.norm(best) + 1e-12
+
+
+@pytest.mark.parametrize("body, u, vlo, vhi, want", [
+    # the root lies past every finite breakpoint
+    (Ball([0.0, 0.0], 1.0), [0.6, 0.8], [0.5, -np.inf], [np.inf, np.inf],
+     [0.5, -0.375]),
+    (Simplex(1.0, 2), [1.0, 0.0], [-np.inf, 0.5], [np.inf, np.inf],
+     [-0.5, 0.5]),
+    (HalfspaceIntersection([[0.6, 0.8]], [1.0], [0.0, 0.0]), [0.6, 0.8],
+     [0.5, -np.inf], [np.inf, np.inf], [0.5, -0.375]),
+], ids=["ball", "simplex", "halfspaces"])
+def test_a_value_box_unbounded_on_one_side_still_selects(body, u, vlo, vhi,
+                                                         want):
+    V, miss = body.select(np.array([u]), np.array([vlo]), np.array([vhi]))
+    assert miss is None
+    assert np.max(np.abs(V[0] - want)) <= 1e-12
 
 
 def test_lift_rejects_a_component_count_other_than_the_body_dimension():

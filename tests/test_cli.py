@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import tangenteq
-from tangenteq import CONE_TOL, Ball, ProblemSpec, load_config
+from tangenteq import CONE_TOL, Ball, ProblemSpec, load_config, operators
 from tangenteq.cli import run_cli
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -109,25 +109,41 @@ def test_solve_nonconvergent_box_exits_three(tmp_path):
     assert rep["constraint_violation"] >= 0.5 - 1e-9
 
 
-def test_a_selection_failing_its_check_exits_three_with_a_witness(
+def test_a_selection_off_the_cone_exits_three_with_a_witness(
         tmp_path, capsys, monkeypatch):
-    # the ball's second cone projection disagrees with its first, so the
-    # first sweep's selection fails its a-posteriori check
+    # every cone projection lands one unit off, so no value fits at node 0
     project = Ball.tangent_project_rows
-    calls = []
 
-    def disagrees(self, X, V, tol=CONE_TOL):
-        calls.append(1)
-        Y = project(self, X, V, tol)
-        return Y + 1.0 if len(calls) == 2 else Y
+    def off_by_one(self, X, V, tol=CONE_TOL):
+        return project(self, X, V, tol) + 1.0
 
-    monkeypatch.setattr(Ball, "tangent_project_rows", disagrees)
+    monkeypatch.setattr(Ball, "tangent_project_rows", off_by_one)
     code = run_cli(["simulate", _cfg("bernstein.cfg"), "--out",
                     str(tmp_path)])
-    assert code == 3 and len(calls) == 2
+    assert code == 3
+    rep = _report(tmp_path)["report"]
+    assert rep["status"] == "tangency_failure"
+    assert rep["failure"] == {
+        "node": 0, "x": 0.0, "u": [0.0],
+        "reason": "no admissible tangent value: cone gap 1, box gap 1"}
+    assert capsys.readouterr().out.startswith("status tangency_failure ")
+
+
+def test_a_singular_system_exits_three_as_a_solver_failure(
+        tmp_path, capsys, monkeypatch):
+    exact = operators.dgttrs
+
+    def perturbed(*args):
+        x, info = exact(*args)
+        return x + 1e-6, info
+
+    monkeypatch.setattr(operators, "dgttrs", perturbed)
+    code = run_cli(["solve", _cfg("neumann_linear.cfg"), "--out",
+                    str(tmp_path)])
+    assert code == 3
     assert capsys.readouterr().err == (
-        "solver failure: selection failed its a-posteriori validation at "
-        "node 0, state [0.]: cone gap 1, box gap 0, check_tol 1e-07\n")
+        "solver failure: resolvent residual 1e-06 exceeds 1e-10 * |F| "
+        "(system near singular at h=0.5)\n")
 
 
 def test_solve_moving_rectangles(tmp_path):
@@ -535,6 +551,12 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
      "seed = -1\n", 1, "[verify] seed must be non-negative"),
     ("check-invariance", "[problem]\nkind = neumann_rd\n\n[invariance]\n"
      "seed = -1\n", 1, "unknown option 'seed' in [invariance]"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = heaviside\nseed = -1\n", 1,
+     "error: [nonlinearity] seed must be non-negative"),
+    ("check-conditions", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = heaviside\nseed = -1\n", 1,
+     "error: [nonlinearity] seed must be non-negative"),
     # [miranda] values that would fail mid-run
     ("miranda", MIRANDA_HEAD + "lo = -1,-1\nhi = 1,1\nresolution = 0\n", 1,
      "[miranda] resolution must be at least 2 on a cube of dimension 2"),
@@ -595,7 +617,8 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
         "profile_argument_inf", "box_lo_nan", "linear_a_nan",
         "linear_b_minus_inf", "solver_tol_residual_nan", "invariance_tol_nan",
         "bound_nan", "miranda_hi_inf", "verify_negative_seed",
-        "invariance_negative_seed", "miranda_resolution_zero",
+        "invariance_negative_seed", "heaviside_negative_seed_solve",
+        "heaviside_negative_seed_check", "miranda_resolution_zero",
         "miranda_resolution_one", "miranda_tol_zero", "miranda_tol_negative",
         "invariance_tol_negative", "invariance_h_zero",
         "solver_tol_residual_negative", "solver_tol_step_negative",

@@ -280,9 +280,9 @@ def test_selection_minimality_and_membership_by_sampling():
     assert total_z >= 500
 
 
-def test_selection_dykstra_agrees_with_box_shortcut():
-    # same box, two representations: the HalfspaceIntersection forces the
-    # generic alternating-projection path
+def test_selection_on_a_box_polytope_agrees_with_the_box_shortcut():
+    # same box, two representations: the HalfspaceIntersection takes the
+    # least-distance program where the box takes its face cones
     rng = np.random.default_rng(53)
     box = Box([0.0, 0.0], [1.0, 1.0])
     poly = HalfspaceIntersection([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
@@ -304,7 +304,7 @@ def test_selection_dykstra_agrees_with_box_shortcut():
                 tangent_selection(f, poly, 0.0, u, np.zeros(2))
             continue
         yp = tangent_selection(f, poly, 0.0, u, np.zeros(2))
-        assert np.max(np.abs(yb - yp)) <= 1e-7
+        assert np.max(np.abs(yb - yp)) <= 1e-12
 
 
 def test_selection_on_ball_boundary():
@@ -316,8 +316,22 @@ def test_selection_on_ball_boundary():
     # origin is in both sets, so the minimal-norm point is zero
     assert np.linalg.norm(y) <= 1e-9
     g = SingleValued(lambda x, u, p: np.array([0.4, 0.1]), components=2)
-    with pytest.raises(EmptyIntersection):
-        tangent_selection(g, ball, 0.0, u, np.zeros(2), gap_tol=1e-10)
+    with pytest.raises(EmptyIntersection, match="^no admissible tangent "
+                       "value: cone gap 0.4, box gap 0.4$"):
+        tangent_selection(g, ball, 0.0, u, np.zeros(2))
+
+
+def test_a_box_beside_the_shortest_value_still_meets_the_ball_cone():
+    # the box's shortest value points out of the ball, yet its corner
+    # (2.5, -0.49, -0.24) is tangent, so the box meets the cone
+    u = np.array([-0.276, -0.845, 0.458])
+    u /= np.linalg.norm(u)
+    lo, hi = np.array([1.08, -1.82, -0.24]), np.array([2.5, -0.49, 2.14])
+    f = IntervalValued(lambda x, u, p: lo, lambda x, u, p: hi, components=3)
+    y = tangent_selection(f, Ball(np.zeros(3), 1.0), 0.0, u, np.zeros(3))
+    assert u @ y <= 1e-15
+    assert np.all(lo <= y) and np.all(y <= hi)
+    assert np.linalg.norm(y) <= np.linalg.norm([2.5, -0.49, -0.24])
 
 
 def test_selection_on_intervals_componentwise():

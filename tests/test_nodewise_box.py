@@ -39,11 +39,11 @@ def box_problems(draw):
     return Box(lo, hi), U, vlo, vhi
 
 
-def _node_selection(box, U, vlo, vhi, j, gap_tol):
+def _node_selection(box, U, vlo, vhi, j):
     field = IntervalValued(lambda x, u, p: vlo[j], lambda x, u, p: vhi[j],
                            components=U.shape[1])
     return tangent_selection(field, box, 0.0, U[j], np.zeros(U.shape[1]),
-                             tol=CONE_TOL, gap_tol=gap_tol)
+                             tol=CONE_TOL)
 
 
 def _smallest_tangent_value(box, u, lo, hi, k):
@@ -59,14 +59,14 @@ def _smallest_tangent_value(box, u, lo, hi, k):
 
 
 @settings(max_examples=150, deadline=None)
-@given(box_problems(), st.sampled_from((1e-10, CONE_TOL)))
-def test_lifted_rows_match_the_single_node_selection(problem, gap_tol):
+@given(box_problems())
+def test_lifted_rows_match_the_single_node_selection(problem):
     box, U, vlo, vhi = problem
     lifted = box.lift(*U.shape)
-    V, miss = lifted.select(U, vlo, vhi, gap_tol=gap_tol)
+    V, miss = lifted.select(U, vlo, vhi)
     assume(miss is None)
     for j in range(U.shape[0]):
-        v = _node_selection(box, U, vlo, vhi, j, gap_tol)
+        v = _node_selection(box, U, vlo, vhi, j)
         assert np.array_equal(V[j], v)
         u = box.project(U[j])
         for k in range(box.dim):
@@ -77,17 +77,17 @@ def test_lifted_rows_match_the_single_node_selection(problem, gap_tol):
 
 
 @settings(max_examples=150, deadline=None)
-@given(box_problems(), st.sampled_from((1e-10, CONE_TOL)))
-def test_failure_witness_is_the_first_empty_node(problem, gap_tol):
+@given(box_problems())
+def test_failure_witness_is_the_first_empty_node(problem):
     box, U, vlo, vhi = problem
-    V, miss = box.lift(*U.shape).select(U, vlo, vhi, gap_tol=gap_tol)
+    V, miss = box.lift(*U.shape).select(U, vlo, vhi)
     assume(miss is not None)
     assert V is None
     node, reason = miss
     for j in range(node):
-        _node_selection(box, U, vlo, vhi, j, gap_tol)
+        _node_selection(box, U, vlo, vhi, j)
     try:
-        _node_selection(box, U, vlo, vhi, node, gap_tol)
+        _node_selection(box, U, vlo, vhi, node)
     except EmptyIntersection as exc:
         assert str(exc) == reason
     else:

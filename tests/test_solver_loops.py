@@ -22,13 +22,13 @@ each of its functions at one site, through ``_call``, and
 
 In ``convex`` a lifted constraint works on all grid nodes at once: no
 sweep method of ``ConvexBody`` (a body is its own lift) or
-``MovingBox`` (what a box lifts to) loops over rows, and the one Dykstra
-loop is ``_dykstra_select``.  Bodies implement only their row methods,
-and ``ConvexBody`` builds the rest on them without a loop; only
-``HalfspaceIntersection`` loops over rows, one least-distance program
-per row.  No module of the package lifts a constraint in two steps:
-every ``.lift(`` call passes the node and component counts, and nothing
-calls ``.broadcast(``.
+``MovingBox`` (what a box lifts to) loops over rows, and no selection
+iterates: the only loop statement is the column sum of ``_row_sums``.
+Bodies implement only their row methods, and ``ConvexBody`` builds the
+rest on them without a loop; only ``HalfspaceIntersection`` loops over
+rows, one least-distance program per row, in comprehensions.  No module
+of the package lifts a constraint in two steps: every ``.lift(`` call
+passes the node and component counts, and nothing calls ``.broadcast(``.
 
 Every row norm and row sum in the package goes through ``convex``'s one
 row-sum rule (``_row_sums``, ``_row_norms``), so a one-point measure and
@@ -97,7 +97,11 @@ def _methods_with_row_loops(cls):
 
 def test_the_row_loop_check_sees_comprehensions():
     assert _methods_with_row_loops(convex.HalfspaceIntersection) == [
-        "project_rows", "tangent_project_rows"]
+        "_active", "_select_rows", "project_rows", "tangent_project_rows"]
+
+
+def test_no_selection_iterates():
+    assert _functions_with_loops(inspect.getsource(convex)) == ["_row_sums"]
 
 
 @pytest.mark.parametrize("cls", [
