@@ -28,12 +28,15 @@ pointwise ``g`` that takes one state at a time is wrapped as
     lambda x, u, p: np.array([g(a, b, c)
                               for a, b, c in zip(x[:, 0], u, p)])
 
-Every probe comes from one table, ``_probe_table(seed, count, dim)``:
-the ``2 * dim`` axis points ``+-e_i`` first, then unit-ball rays drawn
-from ``seed``, cut to ``count`` rows.  A relay hull probes every state
-with the same table, scaled by delta, and calls ``g`` on every state's
-centre and probes together; ``semicontinuity_probe`` draws its probes
-from the same table.  Both reach it through ``_probe_offsets``, which
+Every seeded draw of the package comes from ``SplitMix64``, a counter
+hash in numpy ``uint64`` arithmetic, so no module loads
+``numpy.random``.  Every probe comes from one table,
+``_probe_table(seed, count, dim)``: the ``2 * dim`` axis points
+``+-e_i`` first, then unit-ball rays drawn from ``SplitMix64(seed)``,
+cut to ``count`` rows.  A relay hull probes every state with the same
+table, scaled by delta, and calls ``g`` on every state's centre and
+probes together; ``semicontinuity_probe`` draws its probes from the
+same table.  Both reach it through ``_probe_offsets``, which
 scales it once per ``(seed, count, radius, dim)`` and keeps it
 coordinate-first, so a probe grid is one array add.
 
@@ -232,6 +235,52 @@ class FilippovHull(NonlinearityField):
         return y.min(axis=1), y.max(axis=1)
 
 
+class SplitMix64:
+    """The package's seeded draws, with no ``numpy.random``: word ``k``
+    (from 1) of the stream is SplitMix64's mix of ``seed + k * gamma``
+    (Steele, Lea and Flood, "Fast splittable pseudorandom number
+    generators", OOPSLA 2014), computed in numpy ``uint64`` arithmetic;
+    seed 0 gives ``0xe220a8397b1dcdaf`` first.  A seed is taken modulo
+    2**64.  Each draw takes the next words in row-major order, so a
+    longer draw extends a shorter one, and draws row by row consume the
+    stream as one whole-array draw does."""
+
+    def __init__(self, seed):
+        self.seed = np.uint64(seed % 2 ** 64)
+        self.drawn = 0
+
+    def words(self, count):
+        z = np.arange(self.drawn + 1, self.drawn + count + 1, dtype=np.uint64)
+        self.drawn += count
+        z *= np.uint64(0x9e3779b97f4a7c15)
+        z += self.seed
+        z ^= z >> 30
+        z *= np.uint64(0xbf58476d1ce4e5b9)
+        z ^= z >> 27
+        z *= np.uint64(0x94d049bb133111eb)
+        z ^= z >> 31
+        return z
+
+    def random(self, shape):
+        """Uniforms in [0, 1): the top 53 bits of a word, ``(z >> 11) *
+        2**-53``."""
+        z = self.words(int(np.prod(shape)))
+        z >>= 11
+        # below 2**53, so int64 holds it and converts to float exactly
+        return (z.view(np.int64) * 2.0 ** -53).reshape(shape)
+
+    def integers(self, n, size):
+        """Integers in ``[0, n)``: ``floor(u * n)`` of a uniform ``u``."""
+        return (self.random(size) * n).astype(np.intp)
+
+    def standard_normal(self, shape):
+        """Box-Muller on consecutive word pairs, one normal per pair: the
+        first uniform gives the radius, the second the angle."""
+        u = self.random((int(np.prod(shape)), 2))
+        r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+        return (r * np.cos(2.0 * np.pi * u[:, 1])).reshape(shape)
+
+
 def unit_ball_rays(rng, count, dim):
     """``count`` points of the closed unit ball in one draw.
 
@@ -239,7 +288,9 @@ def unit_ball_rays(rng, count, dim):
     S^(dim+1) are uniform in the ``dim``-ball (Voelker, Gosmann and
     Stewart, "Efficiently sampling vectors and coordinates from the
     n-sphere and n-ball", 2017).  The normals are drawn row-major, so a
-    larger ``count`` extends a smaller one.
+    larger ``count`` extends a smaller one.  ``rng`` is a ``SplitMix64``
+    or anything else with ``standard_normal(shape)``, such as a numpy
+    Generator.
     """
     d = rng.standard_normal((count, dim + 2))
     nd = _row_norms(d)
@@ -250,12 +301,11 @@ def unit_ball_rays(rng, count, dim):
 def _probe_table(seed, count, dim):
     """The probe table: ``count`` points of the closed unit ball in
     ``dim`` dimensions.  The axis points ``e_0, -e_0, e_1, -e_1, ...``
-    come first, then ``unit_ball_rays`` drawn from ``seed``, and the
-    table is cut to ``count`` rows, so a larger ``count`` extends a
-    smaller table."""
+    come first, then ``unit_ball_rays`` drawn from ``SplitMix64(seed)``,
+    and the table is cut to ``count`` rows, so a larger ``count``
+    extends a smaller table."""
     axes = np.stack([np.eye(dim), -np.eye(dim)], axis=1).reshape(-1, dim)
-    rays = unit_ball_rays(np.random.default_rng(seed),
-                          max(count - 2 * dim, 0), dim)
+    rays = unit_ball_rays(SplitMix64(seed), max(count - 2 * dim, 0), dim)
     return np.vstack([axes, rays])[:count]
 
 

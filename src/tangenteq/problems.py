@@ -6,7 +6,7 @@ and the state shift that ``ProblemSpec`` wraps around the field of a
 gradient-dependent problem on a ball constraint (``bernstein_bvp``).
 
 The verifier side turns the structural hypotheses behind the solvers into
-sampled checks with margins and witnesses:
+checks with margins and witnesses:
 
 * ``verify_tangency``   - admissible values meet the constraint's tangent
   cone on every face of the boundary; boxes, nodewise bound pairs and
@@ -18,9 +18,15 @@ sampled checks with margins and witnesses:
   nodewise bound pairs.
 
 A margin is always "distance to violation": positive means the condition
-holds strictly, negative means a witness was found.  Every sampled check
-draws its states in whole arrays and folds them through
-``_sampled_item``, which states the margin and witness rules once.
+holds strictly, negative means a witness was found.  A face of a
+one-component box or nodewise bound pair holds exactly one state per
+node (the bound and its slope there), so it is checked on every node,
+with no draw: that check is exhaustive on the grid, and ``samples`` and
+``seed`` do not change it.  The faces of a box of several components,
+the ball's sphere and the Bernstein items are sampled: ``samples``
+states drawn from ``fields.SplitMix64(seed)``.  Every check takes its
+states in whole arrays and folds them through ``_sampled_item``, which
+states the margin and witness rules once.
 """
 
 from dataclasses import dataclass
@@ -30,7 +36,7 @@ import numpy as np
 from .convex import Ball, Box, MovingBox, _row_dots, _row_norms, _row_sums
 from .errors import InvalidSpec, check_count, check_seed
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
-                     SingleValued, _sup_norms)
+                     SingleValued, SplitMix64, _sup_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +250,19 @@ def _node_bounds(C, grid, components):
 def _box_face_items(field, C, grid, samples, rng):
     # At a state touching a bound from inside, the touching component's
     # gradient matches the bound's; free components carry the bound mean
-    # slope as a neutral stand-in.
+    # slope as a neutral stand-in.  With no free component a face is
+    # exactly the n node states, and every one is checked.
     components = field.components
     lo, hi, glo, ghi = _node_bounds(C, grid, components)
     mean_slope = 0.5 * (glo + ghi)
 
     def face(i, side, bound, slope, margin):
-        J = rng.integers(grid.n, size=samples)
-        U = lo[J] + rng.random((samples, components)) * (hi[J] - lo[J])
+        if components == 1:
+            J = np.arange(grid.n)
+            U = lo[J]
+        else:
+            J = rng.integers(grid.n, size=samples)
+            U = lo[J] + rng.random((samples, components)) * (hi[J] - lo[J])
         P = mean_slope[J]
         U[:, i] = bound[J, i]
         P[:, i] = slope[J, i]
@@ -273,17 +284,20 @@ def _ball_items(field, C, grid, samples, rng):
 
 
 def verify_tangency(field, C, grid, samples=10000, seed=42):
-    """Sampled check that admissible values point into the constraint.
+    """Check that admissible values point into the constraint.
 
     Boxes and nodewise bound pairs are checked face by face; balls over
     sampled boundary directions.  Gradient arguments at a face follow the
-    bound's own slope, since a touching state has to share it.  Any other
+    bound's own slope, since a touching state has to share it.  A face of
+    a one-component field is checked at every node, whatever ``samples``
+    and ``seed``; the faces of several components and the ball's sphere
+    take ``samples`` states drawn from ``SplitMix64(seed)``.  Any other
     body, and fewer than one or a fractional sample, raise InvalidSpec;
     ``seed`` is checked as a hull's ``base_seed`` is.
     """
     # an empty sample would pass every condition with margin inf
     samples = check_count(InvalidSpec, 1, samples=samples)
-    rng = np.random.default_rng(check_seed(seed=seed))
+    rng = SplitMix64(check_seed(seed=seed))
     if isinstance(C, Ball):
         items = _ball_items(field, C, grid, samples, rng)
     elif isinstance(C, (Box, MovingBox)):
@@ -307,13 +321,14 @@ def verify_bernstein(phi, R, a, b, c, length=1.0, samples=10000, seed=42):
     * sphere: some admissible y has  y . u <= c R^2  when |u| = R and
               u . p = 0.
 
+    Each item takes ``samples`` states drawn from ``SplitMix64(seed)``.
     Fewer than one or a fractional sample raises InvalidSpec; ``seed`` is
     checked as a hull's ``base_seed`` is.
     """
     samples = check_count(InvalidSpec, 1, samples=samples)
     fld = as_field(phi)
     N = fld.components
-    rng = np.random.default_rng(check_seed(seed=seed))
+    rng = SplitMix64(check_seed(seed=seed))
     xs = rng.random(samples) * length
     pmax = max(1.0, 2.0 * R)
 

@@ -271,8 +271,14 @@ def _deciding_points(body):
     if isinstance(body, Simplex):
         return body.total_mass * np.eye(body.dim)
     c, r = body.center, body.radius
-    norm = np.linalg.norm(c)
-    u = c / norm if norm > 0 else np.eye(body.dim)[0]
+    # scaled by max|c| first: the square of a tiny centre's norm would be
+    # subnormal, and its "unit" vector visibly short
+    scale = np.max(np.abs(c))
+    if scale == 0.0:
+        u = np.eye(body.dim)[0]
+    else:
+        u = c / scale
+        u /= np.linalg.norm(u)
     return np.array([c - r * u, c + r * u])
 
 
@@ -299,6 +305,7 @@ def scaled_bodies(draw):
 @given(scaled_bodies())
 @example((Ball([np.cos(np.pi / 64), np.sin(np.pi / 64)], 0.9995),
           np.array([0.0, 0.5, 1.0])))
+@example((Ball([1.6717343149540802e-160], 1.0), np.array([2.0])))
 def test_overshoot_decides_whether_s_K_stays_in_K(case):
     body, s = case
     points = _deciding_points(body)

@@ -10,7 +10,7 @@ from tangenteq import (SetValue, SingleValued, IntervalValued,
                        selection_on_intervals, tangent_selection,
                        semicontinuity_probe, make_nonlinearity, BoundViolated,
                        EmptyIntersection)
-from tangenteq.fields import _probe_table, unit_ball_rays
+from tangenteq.fields import SplitMix64, _probe_table, unit_ball_rays
 
 ALPHA = 0.4
 
@@ -108,9 +108,7 @@ def test_ray_draws_are_prefix_stable():
     assert np.all(np.linalg.norm(long, axis=1) <= 1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("dim", [1, 3, 5])
-def test_rays_are_uniform_in_the_ball(dim):
-    rays = unit_ball_rays(np.random.default_rng(2017), 200_000, dim)
+def _assert_uniform_in_the_ball(rays, dim):
     assert rays.shape == (200_000, dim)
     r = np.linalg.norm(rays, axis=1)
     assert np.all(r <= 1.0)
@@ -119,6 +117,80 @@ def test_rays_are_uniform_in_the_ball(dim):
     cdf = np.searchsorted(np.sort(r), t, side="right") / r.size
     assert np.max(np.abs(cdf - t ** dim)) <= 0.01
     assert np.max(np.abs(rays.mean(axis=0))) <= 0.01
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_rays_are_uniform_in_the_ball(dim):
+    rays = unit_ball_rays(np.random.default_rng(2017), 200_000, dim)
+    _assert_uniform_in_the_ball(rays, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_splitmix_rays_are_uniform_in_the_ball(dim):
+    # the probe table's own source: Box-Muller normals on SplitMix64
+    _assert_uniform_in_the_ball(unit_ball_rays(SplitMix64(2017), 200_000,
+                                               dim), dim)
+
+
+# ---------------------------------------------------------------------------
+# the seeded draw source
+
+
+def test_splitmix_gives_the_reference_words():
+    # SplitMix64 from state 0 (Steele, Lea and Flood, OOPSLA 2014)
+    assert SplitMix64(0).words(3).tolist() == [
+        0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+    # a seed is taken modulo 2**64
+    assert np.array_equal(SplitMix64(2 ** 64 + 5).words(4),
+                          SplitMix64(5).words(4))
+
+
+class _ExtremeWords(SplitMix64):
+    """A stream of the smallest and largest words, alternately."""
+
+    def words(self, count):
+        return np.resize(np.array([0, 2 ** 64 - 1], dtype=np.uint64), count)
+
+
+def test_uniforms_lie_in_the_half_open_unit_interval():
+    u = SplitMix64(3).random(100_000)
+    assert u.dtype == np.float64 and u.min() >= 0.0 and u.max() < 1.0
+    assert _ExtremeWords(0).random(2).tolist() == [0.0, 1.0 - 2.0 ** -53]
+    z = _ExtremeWords(0).standard_normal(3)
+    assert np.all(np.isfinite(z))
+
+
+@pytest.mark.parametrize("n", [1, 2 ** 10, 101, 2 ** 53 - 1])
+def test_integers_stay_below_n(n):
+    for rng in (SplitMix64(11), _ExtremeWords(0)):
+        k = rng.integers(n, 10_000)
+        assert k.dtype == np.intp and k.min() >= 0 and k.max() < n
+
+
+@pytest.mark.parametrize("draw", ["random", "integers", "standard_normal"])
+def test_a_longer_draw_extends_a_shorter_one(draw):
+    def take(rng, count):
+        if draw == "integers":
+            return rng.integers(1000, count)
+        return getattr(rng, draw)(count)
+    short, long = take(SplitMix64(9), 17), take(SplitMix64(9), 40)
+    assert np.array_equal(short, long[:17])
+    # draws row by row consume the stream as one whole-array draw does
+    rng = SplitMix64(9)
+    rows = np.concatenate([take(rng, 5) for _ in range(8)])
+    assert np.array_equal(rows, long)
+    # a normal takes a word pair
+    assert rng.drawn == (80 if draw == "standard_normal" else 40)
+
+
+def test_the_same_seed_gives_the_same_bytes():
+    for shape in ((4, 3), 7):
+        a = SplitMix64(42).standard_normal(shape)
+        assert a.shape == np.empty(shape).shape
+        assert a.tobytes() == SplitMix64(42).standard_normal(shape).tobytes()
+        assert a.tobytes() != SplitMix64(43).standard_normal(shape).tobytes()
+    assert SplitMix64(42).random((2, 5)).tobytes() \
+        == SplitMix64(42).random(10).tobytes()
 
 
 def test_filippov_hull_seeds_signed_zeros_alike():
@@ -146,7 +218,7 @@ def test_probe_table_puts_the_axis_points_first_and_extends():
     axes = np.zeros((2 * dim, dim))
     axes[np.arange(2 * dim), np.arange(2 * dim) // 2] = [1.0, -1.0] * dim
     assert np.array_equal(table[:2 * dim], axes)
-    rays = unit_ball_rays(np.random.default_rng(7), 40 - 2 * dim, dim)
+    rays = unit_ball_rays(SplitMix64(7), 40 - 2 * dim, dim)
     assert np.array_equal(table[2 * dim:], rays)
     assert np.all(np.linalg.norm(table, axis=1) <= 1.0)
     # a larger count extends a smaller table, a short one cuts the axes

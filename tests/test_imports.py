@@ -2,7 +2,9 @@
 uses (the package re-exports from ``__init__`` only), and ``__all__``
 lists exactly what ``__init__`` imports.  Neither importing the package
 nor factoring loads the ``scipy.linalg`` package: LAPACK's extension
-loads from its file, and a later ``import scipy.linalg`` shares it."""
+loads from its file, and a later ``import scipy.linalg`` shares it.  No
+command loads ``numpy.random``: every seeded draw comes from
+``fields.SplitMix64``."""
 
 import ast
 import os
@@ -98,3 +100,35 @@ def test_scipy_linalg_imported_after_a_factorization_shares_its_routines():
                "assert info == 0 and x.tobytes() == y.tobytes()\n"
                "assert np.allclose(scipy.linalg.solve(np.diag([4.0] * 3)"
                " + np.diag([1.0, 2.0], -1) + np.diag([1.0, 3.0], 1), b), x)\n")
+
+
+def test_no_module_names_numpy_random():
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE_DIR, module), encoding="utf-8") as fh:
+            assert "np.random" not in fh.read(), module
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # numpy.random imports secrets, and secrets OpenSSL's _hashlib
+    from tangenteq.cli import _COMMANDS
+    config_dir = os.path.join(os.path.dirname(__file__), "..", "configs")
+    configs = sorted(os.path.join(config_dir, f)
+                     for f in os.listdir(config_dir) if f.endswith(".cfg"))
+    assert len(configs) == 8
+    _run_fresh("import contextlib, io, os, sys\n"
+               "import numpy as np\n"
+               "from tangenteq import make_nonlinearity\n"
+               "from tangenteq.cli import run_cli\n"
+               "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+               "        contextlib.redirect_stderr(io.StringIO()):\n"
+               "    codes = [run_cli([cmd, cfg, '--out', os.path.join(%r,"
+               " os.path.basename(cfg) + cmd)]) for cfg in %r for cmd in %r]\n"
+               "# every applicable pair but the three designed failures\n"
+               "assert codes.count(0) == 26, codes\n"
+               "relay = make_nonlinearity('heaviside', {}, seed=3)\n"
+               "lo, hi = relay.evaluate_grid(np.linspace(0, 1, 5),"
+               " np.full((5, 1), 0.5), np.zeros((5, 1)))\n"
+               "assert (lo == -1.0).all() and (hi == 1.0).all()\n"
+               "for name in ('numpy.random', 'secrets', '_hashlib'):\n"
+               "    assert name not in sys.modules, name\n"
+               % (str(tmp_path), configs, sorted(_COMMANDS)))

@@ -15,7 +15,7 @@ from tangenteq import (Ball, BoundViolated, Box, Grid1D, InvalidSpec,
                        verify_tangency)
 from tangenteq.config import _CONSTRAINT_OPTIONS, _KIND_BC, _SCHEMA
 from tangenteq.convex import _row_dots
-from tangenteq.fields import _sup_norms
+from tangenteq.fields import SplitMix64, _sup_norms
 from tangenteq.problems import (ConditionItem, ConditionReport,
                                 NONLINEARITY_NAMES, _min_dot, _sampled_item,
                                 as_field)
@@ -230,6 +230,30 @@ def test_single_column_moving_box_checks_every_component():
         "face[0].low", "face[0].high", "face[1].low", "face[1].high"]
 
 
+@pytest.mark.parametrize("samples, seed", [
+    (1, 0), (1, 42), (1, 2017), (3, 7), (10000, 42)])
+@pytest.mark.parametrize("moving", [False, True], ids=["box", "moving"])
+def test_a_one_node_violation_fails_at_that_node_for_every_draw(
+        samples, seed, moving):
+    # a one-component face is exactly its n node states, all checked
+    grid = _grid()
+    bad = grid.nodes[37]
+    # inward everywhere but at one node, where the value pushes up and out
+    field = as_field(lambda x, u, p: np.where(x == bad, 1.0, 0.5 - u))
+    body = (MovingBox(np.zeros((grid.n, 1)), np.ones((grid.n, 1)))
+            if moving else Box([0.0], [1.0]))
+    rep = verify_tangency(field, body, grid, samples=samples, seed=seed)
+    low, high = rep.items[:2]
+    assert (low.name, low.passed, low.margin) == ("face[0].low", True, 0.5)
+    assert (high.name, high.passed, high.margin) == (
+        "face[0].high", False, -1.0)
+    assert high.witness == {"x": bad, "u": [1.0], "p": [0.0],
+                            "value": [[1.0], [1.0]], "violation": 1.0}
+    # neither the sample count nor the seed reaches a one-component face
+    assert rep.to_dict() == verify_tangency(field, body, grid, samples=1,
+                                            seed=0).to_dict()
+
+
 def test_tangency_needs_a_constraint():
     for body in (None, Simplex(1.0, 1)):
         with pytest.raises(InvalidSpec, match="no tangency verifier"):
@@ -317,20 +341,22 @@ def test_bernstein_sign_violation_carries_a_witness():
 
 def _per_sample_bernstein(phi, R, a, b, c, samples, seed):
     """The Bernstein items from per-sample draws, one state at a time in
-    the order of the original sampling loop."""
+    the order of the original sampling loop.  Every draw takes one row of
+    ``SplitMix64(seed)``, which consumes the stream as the verifier's
+    whole-array draws do."""
     fld = as_field(phi)
     N = fld.components
-    rng = np.random.default_rng(seed)
-    xs = rng.random(samples)
+    rng = SplitMix64(seed)
+    xs = np.array([rng.random(1)[0] for _ in range(samples)])
     pmax = max(1.0, 2.0 * R)
 
     def directions():
-        d = rng.standard_normal((samples, N))
+        d = np.array([rng.standard_normal(N) for _ in range(samples)])
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
     def outside():
         for d in directions():
-            u = (R + rng.random() * (R + 1.0)) * d
+            u = (R + rng.random(1)[0] * (R + 1.0)) * d
             yield u, np.zeros(N), u
 
     def inside():

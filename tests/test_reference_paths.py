@@ -69,16 +69,16 @@ def test_a_relay_simulation_draws_its_probe_table_once(monkeypatch):
     n = 101
     op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, n))
     relay = make_nonlinearity("heaviside", {}, seed=5)
-    u0 = np.random.default_rng(5).random(n)
+    u0 = fields.SplitMix64(5).random(n)
     draws = []
-    default_rng = np.random.default_rng
 
-    def counted(*args, **kwargs):
-        draws.append(args)
-        return default_rng(*args, **kwargs)
+    class Counted(fields.SplitMix64):
+        def __init__(self, seed):
+            draws.append(seed)
+            super().__init__(seed)
 
     fields._probe_offsets.cache_clear()
-    monkeypatch.setattr(np.random, "default_rng", counted)
+    monkeypatch.setattr(fields, "SplitMix64", Counted)
     rep = viability_simulate(op, relay, Box([0.0], [1.0]), u0, 1.0, 0.05)
     assert rep.status == "completed" and rep.steps == 20
     # 21 hull evaluations, one per step and the terminal measure

@@ -171,9 +171,9 @@ def _called_names(function):
 def test_probe_grids_take_the_memoised_offsets():
     called = _called_names(fields._probe_grid)
     assert "_probe_offsets" in called
-    assert not {"default_rng", "_probe_table", "unit_ball_rays"} & called
+    assert not {"SplitMix64", "_probe_table", "unit_ball_rays"} & called
     assert hasattr(fields._probe_offsets, "cache_info")
-    assert "default_rng" in _called_names(fields._probe_table)
+    assert "SplitMix64" in _called_names(fields._probe_table)
 
 
 def _field_classes(cls=fields.NonlinearityField):
