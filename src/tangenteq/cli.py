@@ -117,7 +117,9 @@ def _write_state_csv(out, name, grid, U):
 
 
 def _gate_report(spec, seed_override):
-    """All hypothesis verifiers that apply to the problem kind."""
+    """All hypothesis verifiers that apply to the problem kind: the
+    sub/supersolution pair only to moving bounds, since a fixed box is
+    a ``MovingBox`` of one row too."""
     params = spec.params("verify")
     if seed_override is not None:
         params["seed"] = seed_override
@@ -131,7 +133,7 @@ def _gate_report(spec, seed_override):
     if C is None:
         raise InvalidSpec("this command needs a constraint set")
     report = verify_tangency(spec.field, C, grid, **params)
-    if isinstance(C, MovingBox):
+    if spec.kind == "moving_rectangles":
         shape = verify_subsuper(C.alpha, C.beta, grid)
         report = ConditionReport(items=report.items + shape.items)
     return report
@@ -164,10 +166,10 @@ def _cmd_solve(spec, args, out):
             return 2
 
     if spec.method == "truncation":
-        if not isinstance(C, (Box, MovingBox)):
+        if not isinstance(C, MovingBox):
             raise InvalidSpec("truncation method needs box bounds")
-        box = C.lift(grid.n, op.spec.components)
-        report = truncation_iterate(op, field, box.alpha, box.beta,
+        # a box's one row of bounds holds at every node
+        report = truncation_iterate(op, field, C.alpha, C.beta,
                                     spec.solver, u0=spec.initial_state())
     else:
         if C is None:

@@ -6,21 +6,21 @@ metric projection of each row, a 1-Lipschitz retraction),
 ``_select_rows`` (the minimal-norm point of each value box in that
 cone), and states in closed form how far a scaled copy ``s K`` reaches
 past K (``overshoot``, which decides the invariance audit).
-``ConvexBody`` builds the rest on them once: the one-point ``project``
-and ``tangent_project``, distances, cone membership and ``select``.
+``ConvexBody`` builds the rest on them once: distances, cone membership
+and ``select`` over every node, and their one-point forms.
 
 A constraint is its own grid lift: ``lift(n, N)`` checks it against
-``n`` nodes of ``N`` components.  A body returns itself, since its row
-methods take every node at once; a ``Box`` lifts to a ``MovingBox`` of
-its tiled bounds, the one nodewise box, which selects by clipping to
-its interval face cones.
+``n`` nodes of ``N`` components, and a one-point method works on
+``lift(1, N)``.  A body returns itself, since its row methods take every
+node at once.  ``MovingBox`` is the one nodewise box, which selects by
+clipping to its interval face cones; a ``Box`` is its one-row case.
 
 The tangent cone of a convex set at ``x`` is the closure of the feasible
 rays ``h*(K - x)``, ``h > 0``.  For every set below both projections
 and the selection are exact (a ball or a simplex selects by one
 multiplier, ``_multiplier_rows``):
 
-* ``Box``      clipping; sign rules on the active faces,
+* ``MovingBox``  clipping; sign rules on the active faces,
 * ``Ball``     radial scaling; a halfspace through the outward normal,
 * ``Simplex``  a sort-based pivot rule; zero-sum directions,
   nonnegative on the zero coordinates,
@@ -106,12 +106,17 @@ def _positive_part(a):
     return np.where(a > 0.0, a, 0.0)
 
 
-class _Lifted:
-    """The state-level methods of a set lifted to the grid, built on its
-    ``project_rows`` and on the same methods taken at a state's
-    projection, ``_distances_at(U, W)``, ``_select_at(W, ...)`` and
-    ``_tangency_at(W, ...)``.  A sweep that already holds
-    ``W = project_rows(U)`` calls those directly."""
+class ConvexBody:
+    """Shared plumbing for the constraint sets, built once on the row
+    methods each set implements: ``project_rows(X)``,
+    ``tangent_project_rows(X, V, tol)`` (faces within ``tol`` of ``X[j]``
+    are active) and ``_select_rows(W, vlo, vhi, tol)``.  A state-level
+    method takes every node and projects it once, for the same method at
+    the projection (``_distances_at(U, W)``, ``_select_at(W, ...)``,
+    ``_tangency_at(W, ...)``, which a sweep holding ``W`` calls); a
+    one-point method is the one-row case of ``lift(1, N)``."""
+
+    dim = None
 
     def distances(self, U):
         """Euclidean distance of each nodal state to the set."""
@@ -134,25 +139,15 @@ class _Lifted:
     def _tangency_at(self, W, V, tol=CONE_TOL):
         return float(np.max(_cone_gaps(self, W, V, tol)))
 
-
-class ConvexBody(_Lifted):
-    """Shared plumbing for the concrete sets, built once on the row
-    methods each set implements: ``project_rows(X)``,
-    ``tangent_project_rows(X, V, tol)`` (faces within ``tol`` of ``X[j]``
-    are active) and ``_select_rows(W, vlo, vhi, tol)``.  The one-point
-    methods are their one-row case."""
-
-    dim = None
-
     def distance(self, x):
-        return float(self.distances(_as1d(x)[None])[0])
+        return float(self.lift(1, np.size(x)).distances(_as1d(x)[None])[0])
 
     def project(self, x):
-        return self.project_rows(_as1d(x)[None])[0]
+        return self.lift(1, np.size(x)).project_rows(_as1d(x)[None])[0]
 
     def tangent_project(self, x, v, tol=CONE_TOL):
-        return self.tangent_project_rows(_as1d(x)[None], _as1d(v)[None],
-                                         tol)[0]
+        return self.lift(1, np.size(x)).tangent_project_rows(
+            _as1d(x)[None], _as1d(v)[None], tol)[0]
 
     def contains(self, x):
         return self.distance(x) <= CONE_TOL
@@ -169,7 +164,8 @@ class ConvexBody(_Lifted):
         Raises PointNotInSet when ``x`` is not a member (up to ``tol``).
         """
         self._require_member(x, tol)
-        dd = float(_cone_gaps(self, _as1d(x)[None], _as1d(v)[None], tol)[0])
+        dd = float(_cone_gaps(self.lift(1, np.size(x)), _as1d(x)[None],
+                              _as1d(v)[None], tol)[0])
         return ConeQueryResult(contains=dd <= tol, directional_derivative=dd)
 
     def overshoot(self, s):
@@ -213,41 +209,6 @@ def _fit(body, W, V, vlo, vhi, tol):
     return Y, np.all(gaps <= tol, axis=1), gaps
 
 
-class Box(ConvexBody):
-    """Axis-aligned box ``[lo, hi]``; degenerate components are allowed.
-
-    On an active lower face the cone admits directions with nonnegative
-    component, on an active upper face nonpositive; a degenerate component
-    (``lo_i == hi_i``) forces the component to zero.
-    """
-
-    def __init__(self, lo, hi):
-        self.lo = _as1d(lo)
-        self.hi = _as1d(hi)
-        check_bounds(ValueError, False, lo=self.lo, hi=self.hi)
-        self.dim = self.lo.size
-
-    def project_rows(self, X):
-        return _clip(X, self.lo, self.hi)
-
-    def tangent_project_rows(self, X, V, tol=CONE_TOL):
-        return _clip(V, *_face_cone(self.project_rows(X), self.lo, self.hi,
-                                    tol))
-
-    def overshoot(self, s):
-        return np.max((s - 1.0)[:, None] * np.append(self.hi, -self.lo),
-                      axis=1)
-
-    def _select_rows(self, W, vlo, vhi, tol):
-        return selection_on_intervals(
-            vlo, vhi, *_face_cone(W, self.lo, self.hi, tol))[0]
-
-    def lift(self, n, N):
-        """The same box at each of ``n`` grid nodes, as a ``MovingBox``."""
-        return MovingBox(np.tile(self.lo, (n, 1)),
-                         np.tile(self.hi, (n, 1))).lift(n, N)
-
-
 def _face_cone(W, lo, hi, tol):
     """Interval bounds ``(clo, chi)`` of the tangent cone of the box
     ``[lo, hi]`` at ``W``, a state in it: ``clo = 0`` on an active lower
@@ -256,15 +217,16 @@ def _face_cone(W, lo, hi, tol):
             np.where(hi - W <= tol, 0.0, np.inf))
 
 
-@dataclass
-class MovingBox(_Lifted):
+@dataclass(eq=False)
+class MovingBox(ConvexBody):
     """Nodewise box bounds alpha(x) <= u(x) <= beta(x).
 
-    ``alpha`` and ``beta`` are arrays over grid nodes, one row per node
-    (scalar problems may pass flat arrays, and a single column bounds
-    every component alike).  The equilibrium solvers treat this exactly
-    like a box constraint whose faces move with x.  The row methods take
-    ``(n, N)`` grid functions and need the bounds as ``lift`` gives them.
+    ``alpha`` and ``beta`` are arrays over grid nodes, one row per node,
+    or one row for every node (scalar problems may pass flat arrays, and
+    a single column bounds every component alike).  The cone admits
+    nonnegative components on an active lower face, nonpositive on an
+    upper one.  The row methods take ``(n, N)`` grid functions and need
+    the bounds as ``lift`` gives them.
     """
 
     alpha: np.ndarray
@@ -276,14 +238,14 @@ class MovingBox(_Lifted):
         check_bounds(ValueError, False, alpha=self.alpha, beta=self.beta)
 
     def lift(self, n, N):
-        """The bounds with one row per node, ``(n, 1)`` or ``(n, N)``;
-        scalars hold at every node."""
+        """The bounds with one row per node or one row for every node,
+        of one column or ``N``; a scalar is one row."""
         def rows(b):
-            b = np.full(n, float(b)) if b.ndim == 0 else b
-            if b.shape[0] != n:
+            b = np.atleast_1d(b)
+            if b.shape[0] not in (1, n):
                 raise ValueError("bounds have %d rows for %d grid nodes"
                                  % (b.shape[0], n))
-            return b.reshape(n, -1)
+            return b.reshape(b.shape[0], -1)
         lo, hi = rows(self.alpha), rows(self.beta)
         if lo.shape[1] not in (1, N):
             raise ValueError("constraint dimension %d != components %d"
@@ -293,9 +255,10 @@ class MovingBox(_Lifted):
     def project_rows(self, U):
         return _clip(U, self.alpha, self.beta)
 
-    def tangent_project_rows(self, W, V, tol=CONE_TOL):
-        """The face-cone clip of ``V`` at states ``W`` inside the bounds."""
-        return _clip(V, *_face_cone(W, self.alpha, self.beta, tol))
+    def tangent_project_rows(self, X, V, tol=CONE_TOL):
+        """The face-cone clip of ``V`` at the projections of ``X``."""
+        lo, hi = self.alpha, self.beta
+        return _clip(V, *_face_cone(_clip(X, lo, hi), lo, hi, tol))
 
     def _select_at(self, W, vlo, vhi, tol=CONE_TOL):
         """The face cones are intervals, so selection is componentwise
@@ -309,6 +272,23 @@ class MovingBox(_Lifted):
             return None, (int(j), "component %d: values [%.6g, %.6g] miss "
                           "the face cone" % (k, vlo[j, k], vhi[j, k]))
         return V, None
+
+
+class Box(MovingBox):
+    """Axis-aligned box ``[lo, hi]``, degenerate components allowed: the
+    ``MovingBox`` of the one row ``lo``, ``hi``, which holds at every
+    node."""
+
+    def __init__(self, lo, hi):
+        self.lo = _as1d(lo)
+        self.hi = _as1d(hi)
+        check_bounds(ValueError, False, lo=self.lo, hi=self.hi)
+        self.dim = self.lo.size
+        self.alpha, self.beta = self.lo[None], self.hi[None]
+
+    def overshoot(self, s):
+        return np.max((s - 1.0)[:, None] * np.append(self.hi, -self.lo),
+                      axis=1)
 
 
 def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=CONE_TOL):
@@ -513,10 +493,12 @@ def _least_distance(G, h):
     """The shortest ``z`` with ``G z >= h``, by Lawson and Hanson's
     least-distance program (*Solving Least Squares Problems*, 1974,
     ch. 23): with ``u >= 0`` the least-squares solution of ``E u = f``,
-    ``E = [G^T; h^T]``, ``f = (0, ..., 0, 1)``, the residual
-    ``r = E u - f`` gives ``z = -r[:-1] / r[-1]``; no positive ``h`` gives
-    exactly ``z = 0``, and a system without a solution, whose last
-    residual is zero, NaNs.  Rows with ``h = -inf`` hold for every ``z``."""
+    ``E = [G^T; h^T]``, ``f = (0, ..., 0, 1)``, a solution exists exactly
+    when ``h . u < 1``, and ``z`` is then the least-norm solution of the
+    rows with ``u > 0`` taken as equations (the same point as the
+    residual's ``-r[:-1] / r[-1]``, which loses digits on nearly parallel
+    rows).  No positive ``h`` gives exactly ``z = 0``, no solution NaNs,
+    and rows with ``h = -inf`` hold for every ``z``."""
     G, h = G[h > -np.inf], h[h > -np.inf]
     if not np.any(h > 0.0):
         return np.zeros(G.shape[1])
@@ -526,8 +508,10 @@ def _least_distance(G, h):
     E = np.vstack([G.T, h])
     f = np.zeros(E.shape[0])
     f[-1] = 1.0
-    r = E @ nnls(E, f)[0] - f
-    return -r[:-1] / r[-1] if r[-1] < 0.0 else np.full(G.shape[1], np.nan)
+    u = nnls(E, f)[0]
+    if h @ u >= 1.0:
+        return np.full(G.shape[1], np.nan)
+    return np.linalg.lstsq(G[u > 0.0], h[u > 0.0], rcond=None)[0]
 
 
 def numeric_tangent_quotient(body, x, v, h):

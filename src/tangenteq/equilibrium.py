@@ -306,10 +306,11 @@ def resolvent_iterate(op, field_, C, u0, config=None):
 def truncation_iterate(op, field_, alpha, beta, config=None, u0=None):
     """Picard iteration ``u -> A^{-1}(-v(clamp(u)))`` on Dirichlet problems.
 
-    ``alpha`` and ``beta`` are nodewise lower/upper bounds (scalars
-    broadcast).  The clamp localizes every field evaluation inside the
-    bounds; once the iteration settles, the solution itself must sit
-    inside them or the report flags ``localization_failed``.
+    ``alpha`` and ``beta`` are nodewise lower/upper bounds (scalars and
+    one row hold at every node).  The clamp localizes every field
+    evaluation inside the bounds; once the iteration settles, the
+    solution itself must sit inside them or the report flags
+    ``localization_failed``.
     """
     config = config or SolverConfig()
 

@@ -463,8 +463,9 @@ def invariance_audit(op, body, h_list, overshoot_tol=1e-10):
     Z-matrix or s is not positive; InvalidSpec on an empty ``h_list``.
     """
     if body.dim != op.spec.components:
-        raise InvalidSpec("body dimension %d != operator components %d"
-                          % (body.dim, op.spec.components))
+        raise InvalidSpec("%s of dimension %s != operator components %d"
+                          % (type(body).__name__, body.dim,
+                             op.spec.components))
     if len(h_list) == 0:
         raise InvalidSpec("h_list must hold at least one step")
     eq = op.equation_mask()

@@ -9,9 +9,10 @@ The verifier side turns the structural hypotheses behind the solvers into
 checks with margins and witnesses:
 
 * ``verify_tangency``   - admissible values meet the constraint's tangent
-  cone on every face of the boundary; boxes, nodewise bound pairs and
-  balls have a verifier, any other body (a simplex) raises InvalidSpec,
-  so simplex configs run only through ``solve --force``,
+  cone on every face of the boundary; nodewise bound pairs (a box is
+  the pair of one row, which holds at every node) and balls have a
+  verifier, any other body (a simplex) raises InvalidSpec, so simplex
+  configs run only through ``solve --force``,
 * ``verify_bernstein``  - sign, quadratic-growth, and sphere conditions
   for gradient-dependent two-point problems,
 * ``verify_subsuper``   - discrete sub/supersolution inequalities for
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import Ball, Box, MovingBox, _row_dots, _row_norms, _row_sums
+from .convex import Ball, MovingBox, _row_dots, _row_norms, _row_sums
 from .errors import InvalidSpec, check_count, check_seed
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
                      SingleValued, SplitMix64, _sup_norms)
@@ -300,7 +301,7 @@ def verify_tangency(field, C, grid, samples=10000, seed=42):
     rng = SplitMix64(check_seed(seed=seed))
     if isinstance(C, Ball):
         items = _ball_items(field, C, grid, samples, rng)
-    elif isinstance(C, (Box, MovingBox)):
+    elif isinstance(C, MovingBox):
         items = _box_face_items(field, C, grid, samples, rng)
     else:
         raise InvalidSpec("no tangency verifier for %r (box, nodewise bound"

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -203,11 +203,7 @@ def exact_problems(draw, kind):
     return body, u, np.minimum(v, w), np.maximum(v, w)
 
 
-@pytest.mark.parametrize("kind", ["ball", "simplex", "polytope"])
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_the_selection_is_exact_where_the_box_meets_the_cone(kind, data):
-    body, u, lo, hi = data.draw(exact_problems(kind))
+def _assert_the_selection_is_exact(body, u, lo, hi):
     w = body.project(u)
     cone = _cone_rows(body, w)
     best = _shortest_admissible(*cone, lo, hi)
@@ -220,6 +216,31 @@ def test_the_selection_is_exact_where_the_box_meets_the_cone(kind, data):
         assert _cone_gaps(body, w[None], V, CONE_TOL)[0] <= 1e-12
         assert _box_distances(V, lo[None], hi[None])[0] <= CONE_TOL
         assert np.linalg.norm(V[0]) <= np.linalg.norm(best) + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["ball", "simplex", "polytope"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_selection_is_exact_where_the_box_meets_the_cone(kind, data):
+    _assert_the_selection_is_exact(*data.draw(exact_problems(kind)))
+
+
+@settings(phases=[Phase.explicit], deadline=None)
+@given(problem=exact_problems("polytope"))
+# two nearly parallel faces: read from the least-distance residual, the
+# selection came out 1.5e-5 longer than the shortest admissible value
+@example(problem=(
+    HalfspaceIntersection(
+        [[0.0, -1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+         [0.0, 1.0, 1e-12, -8.989574533766758e-12], [0.0, 0.0, 0.0, 1.0],
+         [0.4082482904638631, 0.4082482904638631, 0.0, 0.8164965809277261]],
+        [0.0, 0.0, 0.5, 0.0, 0.0], np.zeros(4)),
+    np.array([0.0, 1.0, 0.0, 0.0]),
+    np.array([0.59999999999823173, -2.5959234761785410e-12,
+              -1.0000000000008, -0.39999999999752367]),
+    np.array([0.7999999999976424, -0.0, -0.0, -0.0])))
+def test_the_polytope_selection_is_exact_on_pinned_draws(problem):
+    _assert_the_selection_is_exact(*problem)
 
 
 @pytest.mark.parametrize("body, u, vlo, vhi, want", [

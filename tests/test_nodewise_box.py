@@ -125,16 +125,19 @@ def test_projection_is_an_idempotent_contraction(case):
 @settings(max_examples=150, deadline=None)
 @given(box_problems())
 def test_constant_moving_box_selects_like_the_box(problem):
+    # the box itself, its lift and the box of its bounds on every node
     box, U, vlo, vhi = problem
     n, N = U.shape
     moving = MovingBox(np.tile(box.lo, (n, 1)), np.tile(box.hi, (n, 1)))
     a, b = box.lift(n, N), moving.lift(n, N)
     assert np.array_equal(a.project_rows(U), b.project_rows(U))
-    (Va, miss_a), (Vb, miss_b) = a.select(U, vlo, vhi), b.select(U, vlo, vhi)
-    assert miss_a == miss_b
+    assert np.array_equal(box.project_rows(U), b.project_rows(U))
+    (Va, miss_a), (Vb, miss_b), (Vc, miss_c) = (
+        K.select(U, vlo, vhi) for K in (a, b, box))
+    assert miss_a == miss_b == miss_c
     if miss_a is None:
-        assert np.array_equal(Va, Vb)
-        assert a.tangency(U, Va) == b.tangency(U, Vb)
+        assert np.array_equal(Va, Vb) and np.array_equal(Va, Vc)
+        assert a.tangency(U, Va) == b.tangency(U, Vb) == box.tangency(U, Vc)
 
 
 _SPECIAL = np.array([-np.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, np.inf,
@@ -164,6 +167,39 @@ def test_bounds_with_another_row_count_than_the_grid_raise(size):
         with pytest.raises(ValueError, match="^bounds have %d rows for 11 "
                                              "grid nodes$" % size):
             moving.lift(11, N)
+
+
+def test_one_row_bounds_hold_on_every_node():
+    moving = MovingBox(np.zeros((1, 2)), np.ones((1, 2))).lift(4, 2)
+    assert moving.alpha.shape == moving.beta.shape == (1, 2)
+    U = np.array([[-1.0, 0.5], [2.0, 0.25], [0.5, -3.0], [1.0, 1.5]])
+    assert np.array_equal(moving.project_rows(U), np.clip(U, 0.0, 1.0))
+    assert np.array_equal(Box([0.0, 0.0], [1.0, 1.0]).lift(4, 2).alpha,
+                          moving.alpha)
+
+
+@pytest.mark.parametrize("query", [
+    lambda K: K.distance([2.0]), lambda K: K.project([2.0]),
+    lambda K: K.contains([0.5]), lambda K: K.tangent_project([0.5], [1.0]),
+    lambda K: K.tangent_cone_contains([0.5], [1.0]),
+], ids=["distance", "project", "contains", "tangent_project",
+        "tangent_cone_contains"])
+def test_a_one_point_query_needs_bounds_of_one_row(query):
+    # five rows of bounds are five nodes, not five bounds on one point
+    with pytest.raises(ValueError, match="^bounds have 5 rows for 1 grid "
+                                         "nodes$"):
+        query(MovingBox(np.zeros(5), np.ones(5)))
+    assert query(MovingBox(np.zeros(1), np.ones(1))) is not None
+
+
+def test_an_outside_point_takes_the_cone_at_its_projection():
+    # [0.2] projects to the degenerate face 0.5, where only 0 is tangent
+    assert np.array_equal(Box([0.5], [0.5]).tangent_project([0.2], [1.0]),
+                          [0.0])
+    W = np.array([[0.2], [0.7], [-1.0]])
+    lifted = MovingBox(np.full(3, 0.5), np.full(3, 0.5)).lift(3, 1)
+    assert np.array_equal(lifted.tangent_project_rows(W, np.ones((3, 1))),
+                          np.zeros((3, 1)))
 
 
 def test_one_column_bounds_stay_one_column_on_every_component():

@@ -15,7 +15,8 @@ import tangenteq
 from tangenteq import operators
 from tangenteq import (Grid1D, OperatorSpec, DiscreteOperator, assemble,
                        semigroup_powers, invariance_audit, Ball, Box,
-                       CertificateFailed, InvalidSpec, SingularSystem)
+                       CertificateFailed, InvalidSpec, MovingBox,
+                       SingularSystem)
 
 
 def _dense_matrix(op):
@@ -552,6 +553,17 @@ def test_invariance_audit_needs_a_step():
     op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, 11))
     with pytest.raises(InvalidSpec, match="h_list must hold at least one"):
         invariance_audit(op, Box([0.0], [1.0]), [])
+
+
+def test_invariance_audit_names_a_body_it_cannot_audit():
+    # nodewise bounds have no one dimension and no closed-form overshoot
+    op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, 11))
+    with pytest.raises(InvalidSpec, match="^MovingBox of dimension None "
+                                          "!= operator components 1$"):
+        invariance_audit(op, MovingBox(np.zeros(11), np.ones(11)), [0.1])
+    with pytest.raises(InvalidSpec, match="^Box of dimension 2 != "
+                                          "operator components 1$"):
+        invariance_audit(op, Box([0.0, 0.0], [1.0, 1.0]), [0.1])
 
 
 def test_invariance_audit_periodic_with_drift_passes():

@@ -22,13 +22,16 @@ each of its functions at one site, through ``_call``, and
 
 In ``convex`` a lifted constraint works on all grid nodes at once: no
 sweep method of ``ConvexBody`` (a body is its own lift) or
-``MovingBox`` (what a box lifts to) loops over rows, and no selection
+``MovingBox`` (the one nodewise box) loops over rows, and no selection
 iterates: the only loop statement is the column sum of ``_row_sums``.
 Bodies implement only their row methods, and ``ConvexBody`` builds the
 rest on them without a loop; only ``HalfspaceIntersection`` loops over
 rows, one least-distance program per row, in comprehensions.  No module
 of the package lifts a constraint in two steps: every ``.lift(`` call
 passes the node and component counts, and nothing calls ``.broadcast(``.
+A ``Box`` is a ``MovingBox`` of one row: ``convex`` never tiles bounds
+(no ``np.tile``), and no module tells the two apart in one
+``isinstance`` tuple.
 
 Every row norm and row sum in the package goes through ``convex``'s one
 row-sum rule (``_row_sums``, ``_row_norms``), so a one-point measure and
@@ -112,8 +115,41 @@ def test_closed_form_bodies_hold_no_row_loop(cls):
 
 
 def test_no_sweep_method_of_a_lifted_constraint_loops_over_rows():
-    for cls in (convex._Lifted, convex.ConvexBody, convex.MovingBox):
+    for cls in (convex.ConvexBody, convex.MovingBox):
         assert _methods_with_row_loops(cls) == []
+
+
+def _package_trees():
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(Path(tangenteq.__file__).parent.glob("*.py"))}
+
+
+def _box_pair_checks(tree):
+    """Lines of the ``isinstance`` calls whose class tuple names both
+    ``Box`` and ``MovingBox``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _dotted(node.func) == "isinstance" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Tuple)
+            and {"Box", "MovingBox"} <= {_dotted(e).rsplit(".", 1)[-1]
+                                         for e in node.args[1].elts}]
+
+
+def test_the_box_pair_check_sees_every_form():
+    source = ("isinstance(C, (Box, MovingBox))\n"
+              "isinstance(C, (Ball, convex.MovingBox, convex.Box))\n"
+              "isinstance(C, MovingBox)\n"
+              "isinstance(C, (Box, Ball))\n")
+    assert _box_pair_checks(ast.parse(source)) == [1, 2]
+
+
+def test_a_box_is_one_row_of_the_one_nodewise_box():
+    trees = _package_trees()
+    assert {name: _box_pair_checks(tree) for name, tree in trees.items()
+            if _box_pair_checks(tree)} == {}
+    assert not [node.lineno for node in ast.walk(trees["convex.py"])
+                if isinstance(node, ast.Call)
+                and _dotted(node.func) in ("np.tile", "numpy.tile")]
 
 
 def _method_calls(name):
