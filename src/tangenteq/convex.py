@@ -26,6 +26,15 @@ multiplier, ``_multiplier_rows``):
   nonnegative on the zero coordinates,
 * ``HalfspaceIntersection``  one least-distance program per row.
 
+The cone only acts on the boundary, so the row kernels do their face
+work only on the rows that touch a face.  At an interior point the cone
+is the whole space and a value is its own cone projection (a ball's
+inner rows, a polytope's rows with no active halfspace); on the
+simplex's relative interior the cone is the hyperplane ``sum w = 0``, so
+a row with no zero coordinate takes ``v - mean(v)``.  A ball projects
+only the rows outside it.  Each kernel gives those rows the bits the
+full boundary algebra gives them.
+
 For a convex set the one-sided derivative of ``d_K`` at ``x in K`` along
 ``v`` is the distance from ``v`` to the tangent cone, so cone membership
 at ``tol`` is exactly ``derivative <= tol``.  Each quantity has one row
@@ -188,25 +197,27 @@ class ConvexBody:
         the cone, else the exact ``_select_rows``; the first row whose
         value still misses by more than ``tol`` is the miss."""
         V = _clip(0.0, vlo, vhi)
-        Y, fits, gaps = _fit(self, W, V, vlo, vhi, tol)
+        Y, fits, _, _ = _fit(self, W, V, vlo, vhi, tol)
         rest = np.flatnonzero(~fits)
         if rest.size:
             W, vlo, vhi = W[rest], vlo[rest], vhi[rest]
-            Y[rest], fits, gaps = _fit(self, W, self._select_rows(
+            Y[rest], fits, cone, box = _fit(self, W, self._select_rows(
                 W, vlo, vhi, tol), vlo, vhi, tol)
             if not fits.all():
                 k = np.argmin(fits)
                 return None, (int(rest[k]), "no admissible tangent value: "
-                              "cone gap %.3g, box gap %.3g" % tuple(gaps[k]))
+                              "cone gap %.3g, box gap %.3g"
+                              % (cone[k], box[k]))
         return Y, None
 
 
 def _fit(body, W, V, vlo, vhi, tol):
-    """The cone projections ``Y`` of ``V``, and whether ``|V - Y|`` and the
-    distance of ``Y`` to its box, the two gaps, are at most ``tol``."""
+    """The cone projections ``Y`` of ``V``, whether ``|V - Y|`` and the
+    distance of ``Y`` to its box are both at most ``tol``, and those two
+    gaps."""
     Y = body.tangent_project_rows(W, V, tol)
-    gaps = np.stack([_row_norms(V - Y), _box_distances(Y, vlo, vhi)], axis=1)
-    return Y, np.all(gaps <= tol, axis=1), gaps
+    cone, box = _row_norms(V - Y), _box_distances(Y, vlo, vhi)
+    return Y, (cone <= tol) & (box <= tol), cone, box
 
 
 def _face_cone(W, lo, hi, tol):
@@ -265,8 +276,14 @@ class MovingBox(ConvexBody):
         clipping.  A node misses when its values miss its face cone by
         more than ``tol``, so a state within ``tol`` of a face may
         overshoot it by as much."""
-        V, empty = selection_on_intervals(
-            vlo, vhi, *_face_cone(W, self.alpha, self.beta, tol), tol)
+        # the face cones met with the value boxes: an active lower face
+        # raises vlo to 0, an active upper face lowers vhi to 0
+        lower, upper = W - self.alpha <= tol, self.beta - W <= tol
+        ilo, ihi = np.empty(lower.shape), np.empty(upper.shape)
+        ilo[...], ihi[...] = vlo, vhi
+        np.maximum(ilo, 0.0, out=ilo, where=lower)
+        np.minimum(ihi, 0.0, out=ihi, where=upper)
+        V, empty = _shortest_in(ilo, ihi, tol)
         if empty.any():
             j, k = np.argwhere(empty)[0]
             return None, (int(j), "component %d: values [%.6g, %.6g] miss "
@@ -298,11 +315,13 @@ def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=CONE_TOL):
     ``empty`` flags components whose intervals miss each other by more
     than ``gap_tol``.
     """
-    ilo = np.maximum(vlo, clo)
-    ihi = np.minimum(vhi, chi)
-    empty = ilo > ihi + gap_tol
-    v = _clip(0.0, ilo, np.maximum(ilo, ihi))
-    return v, empty
+    return _shortest_in(np.maximum(vlo, clo), np.minimum(vhi, chi), gap_tol)
+
+
+def _shortest_in(ilo, ihi, gap_tol):
+    """The shortest point of each interval ``[ilo, ihi]`` (its nearer end
+    where it is empty), and where it is empty by more than ``gap_tol``."""
+    return _clip(0.0, ilo, np.maximum(ilo, ihi)), ilo > ihi + gap_tol
 
 
 def _multiplier_rows(a, lo, hi):
@@ -331,7 +350,9 @@ def _multiplier_rows(a, lo, hi):
 
 class Ball(ConvexBody):
     """Euclidean ball.  The cone at a boundary point is the halfspace of
-    directions with nonpositive product against the outward normal."""
+    directions with nonpositive product against the outward normal; more
+    than ``tol`` inside the sphere it is the whole space, so an interior
+    row takes its value unchanged."""
 
     def __init__(self, center, radius):
         self.center = _as1d(center)
@@ -341,28 +362,41 @@ class Ball(ConvexBody):
         self.dim = self.center.size
 
     def project_rows(self, X):
+        """Rows inside the ball stay; the rest scale onto the sphere."""
         R = X - self.center
         nr = _row_norms(R)
-        scale = self.radius / np.maximum(nr, self.radius)
-        return np.where((nr <= self.radius)[:, None], X,
-                        self.center + scale[:, None] * R)
+        Y = X.copy()
+        out = (~(nr <= self.radius)).nonzero()[0]
+        if out.size:
+            Y[out] = self.center + (self.radius / nr[out])[:, None] * R[out]
+        return Y
 
-    def _outward(self, X, tol):
-        """Unit outward normals, zero more than ``tol`` inside the sphere."""
+    def _rim(self, X, tol):
+        """The rows within ``tol`` of the sphere or past it, and their unit
+        outward normals."""
         R = X - self.center
         nr = _row_norms(R)
-        inner = self.radius - nr > tol
-        return np.where(inner[:, None], 0.0,
-                        R / np.where(inner, 1.0, nr)[:, None])
+        rim = (~(self.radius - nr > tol)).nonzero()[0]
+        return rim, R[rim] / nr[rim, None]
 
     def tangent_project_rows(self, X, V, tol=CONE_TOL):
-        normal = self._outward(X, tol)
-        return V - _positive_part(_row_dots(normal, V))[:, None] * normal
+        """``V`` less its outward normal part on the rim rows; an interior
+        row's cone is the whole space, so its ``V`` stays."""
+        rim, normal = self._rim(X, tol)
+        Y = V.copy()
+        if rim.size:
+            Vr = V[rim]
+            Y[rim] = Vr - _positive_part(_row_dots(normal, Vr))[:, None] \
+                * normal
+        return Y
 
     def _select_rows(self, W, vlo, vhi, tol):
         """``clip(-lam a, vlo, vhi)``, ``a`` the outward normal (zero inside),
         at the root of ``a . v``: the rows asked for fail at ``lam = 0``."""
-        return _multiplier_rows(self._outward(W, tol), vlo, vhi)
+        rim, normal = self._rim(W, tol)
+        a = np.zeros_like(W)
+        a[rim] = normal
+        return _multiplier_rows(a, vlo, vhi)
 
     def overshoot(self, s):
         return np.abs(s - 1.0) * _row_norms(self.center[None])[0] \
@@ -370,7 +404,11 @@ class Ball(ConvexBody):
 
 
 class Simplex(ConvexBody):
-    """Scaled probability simplex ``{u >= 0, sum(u) = total_mass}``."""
+    """Scaled probability simplex ``{u >= 0, sum(u) = total_mass}``.  The
+    cone at a point with no coordinate within ``tol`` of zero is the
+    hyperplane ``sum w = 0``, onto which a value projects by subtracting
+    its mean; only the rows with a zero coordinate take the active-set
+    solve."""
 
     def __init__(self, total_mass, dim):
         self.total_mass = float(total_mass)
@@ -380,44 +418,27 @@ class Simplex(ConvexBody):
     def project_rows(self, X):
         # sort-based exact projection (Held/Wolfe/Crowder pivot rule)
         s = self.total_mass
-        u = np.sort(X, axis=1)[:, ::-1]
-        cssv = np.cumsum(u, axis=1) - s
+        u = X.copy()
+        u.sort(axis=1)
+        u = u[:, ::-1]
+        cssv = u.cumsum(axis=1) - s
         idx = np.arange(1, X.shape[1] + 1)
-        rho = X.shape[1] - 1 - np.argmax((u * idx > cssv)[:, ::-1], axis=1)
+        rho = X.shape[1] - 1 - (u * idx > cssv)[:, ::-1].argmax(axis=1)
         theta = cssv[np.arange(X.shape[0]), rho] / (rho + 1.0)
         return np.maximum(X - theta[:, None], 0.0)
 
     def tangent_project_rows(self, X, V, tol=CONE_TOL):
         """Exact projection of each ``V[j]`` onto the cone at ``X[j]``,
-        ``{w: sum w = 0, w_i >= 0 on the zeros of X[j]}``.
-
-        KKT reduces to one scalar equation: free components give
-        ``w_i = v_i - lam``, active ones ``w_i = max(v_i - lam, 0)``, and
-        ``lam`` makes the sum zero.  That sum is piecewise linear and
-        decreasing in ``lam``, with breakpoints at the active ``v_i``.
-        With the ``k`` largest active ``v_i`` above it,
-        ``lam_k = (sum of free v_i + sum of those k) / (free + k)``; over
-        the active values sorted in descending order ``lam_k`` rises
-        while the ``k``-th value lies above the root and falls after, so
-        the root is the largest ``lam_k`` (the pivot rule of ``project``;
-        Condat, Math. Prog. 2016).  ``k = 0`` is a candidate only when
-        some component is free.
-        """
+        ``{w: sum w = 0, w_i >= 0 on the zeros of X[j]}``.  A row with no
+        coordinate within ``tol`` of zero lies in the relative interior,
+        where the cone is the hyperplane ``sum w = 0``: ``V[j]`` less its
+        mean.  Only the rows with a zero coordinate take ``_face_rows``."""
         act = X <= tol
-        n_act = np.count_nonzero(act, axis=1)[:, None]
-        n_free = X.shape[1] - n_act
-        k = np.arange(1, X.shape[1] + 1)
-        top = -np.sort(np.where(act, -V, np.inf), axis=1)
-        within = k <= n_act
-        free_sum = _row_sums(np.where(act, 0.0, V))[:, None]
-        lam_k = (free_sum + np.cumsum(np.where(within, top, 0.0), axis=1)) \
-            / (n_free + k)
-        # lam_0 fills the columns past the active count, which exist
-        # exactly when some component is free
-        lam_0 = free_sum / np.maximum(n_free, 1)
-        lam = np.max(np.where(within, lam_k, lam_0), axis=1)[:, None]
-        W = V - lam
-        return np.where(act, np.maximum(W, 0.0), W)
+        Y = V - _row_sums(V)[:, None] / X.shape[1]
+        face = act.any(axis=1).nonzero()[0]
+        if face.size:
+            Y[face] = _face_rows(act[face], V[face])
+        return Y
 
     def _select_rows(self, W, vlo, vhi, tol):
         """``clip(-lam, lo, vhi)`` with ``sum v = 0``, ``lo`` the lower bound
@@ -429,6 +450,40 @@ class Simplex(ConvexBody):
         """The faces ``u_i >= 0`` never move; ``sum(u) = total_mass`` has
         the normals ``+-1/sqrt(dim)``."""
         return np.abs(s - 1.0) * (self.total_mass / np.sqrt(self.dim))
+
+
+def _face_rows(act, V):
+    """The projection of each ``V[j]`` onto ``{w: sum w = 0, w_i >= 0 where
+    act[j, i]}``.
+
+    KKT reduces to one scalar equation: free components give ``w_i = v_i
+    - lam``, active ones ``w_i = max(v_i - lam, 0)``, and ``lam`` makes the
+    sum zero.  That sum is piecewise linear and decreasing in ``lam``,
+    with breakpoints at the active ``v_i``.  With the ``k`` largest active
+    ``v_i`` above it, ``lam_k = (sum of free v_i + sum of those k) / (free
+    + k)``; over the active values sorted in descending order ``lam_k``
+    rises while the ``k``-th value lies above the root and falls after,
+    so the root is the largest ``lam_k`` (the pivot rule of
+    ``Simplex.project_rows``; Condat, Math. Prog. 2016).  ``k = 0`` is a
+    candidate only when some component is free; with no active component
+    it is the only one, and ``w`` is ``v`` less its mean.
+    """
+    n_act = np.count_nonzero(act, axis=1)[:, None]
+    n_free = V.shape[1] - n_act
+    k = np.arange(1, V.shape[1] + 1)
+    top = np.where(act, -V, np.inf)
+    top.sort(axis=1)
+    top = -top
+    within = k <= n_act
+    free_sum = _row_sums(np.where(act, 0.0, V))[:, None]
+    lam_k = (free_sum + np.where(within, top, 0.0).cumsum(axis=1)) \
+        / (n_free + k)
+    # lam_0 fills the columns past the active count, which exist exactly
+    # when some component is free
+    lam_0 = free_sum / np.maximum(n_free, 1)
+    lam = np.where(within, lam_k, lam_0).max(axis=1)[:, None]
+    W = V - lam
+    return np.where(act, np.maximum(W, 0.0), W)
 
 
 class HalfspaceIntersection(ConvexBody):
@@ -468,8 +523,11 @@ class HalfspaceIntersection(ConvexBody):
         return [self.normals @ x - self.offsets >= -tol for x in X]
 
     def tangent_project_rows(self, X, V, tol=CONE_TOL):
+        # a row with no active halfspace is interior: its cone is the
+        # whole space, so its ``v`` stays
         P = self.normals
         return np.array([v - _least_distance(P[act], P[act] @ v)
+                         if act.any() else v
                          for act, v in zip(self._active(X, tol), V)]
                         ).reshape(V.shape)
 

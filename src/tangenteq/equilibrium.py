@@ -146,7 +146,7 @@ def _equation_norm(op, R):
     """Grid norm of the nodal values ``R`` over the equation rows."""
     if op.equation_rows == slice(None):
         return op.grid.norm(R)
-    return op.grid.norm(R, mask=op.equation_mask())
+    return op.grid.norm(R, mask=op._equation_mask)
 
 
 def _equation_residual(op, AU, vlo, vhi):

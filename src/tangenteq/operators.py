@@ -123,10 +123,13 @@ class Grid1D:
     def norm(self, U, mask=None):
         """Grid-weighted L2 norm; ``mask`` restricts the nodes counted."""
         U = np.asarray(U, dtype=float)
-        sq = U * U if U.ndim == 1 else _row_sums(U * U)
+        sq = U * U
+        if U.ndim > 1:
+            sq = _row_sums(sq)
         if mask is not None:
-            sq = sq * mask
-        return math.sqrt(np.add.reduce(self._weights * sq))
+            sq *= mask
+        sq *= self._weights
+        return math.sqrt(sq.sum())
 
 
 @dataclass
@@ -204,9 +207,16 @@ class DiscreteOperator:
                 (dx, 2.0 * self.d_floor / self.gamma_sup))
 
         self._build_bands()
-        # the nodes that carry an equation row
+        # the bands as columns, which scale every component alike
+        self._columns = (self.sub[:, None], self.diag[:, None],
+                         self.sup[:, None])
+        # the nodes that carry an equation row, as a slice and a read-only
+        # mask shared by every residual norm
         self.equation_rows = slice(1, -1) if spec.bc == "dirichlet" \
             else slice(None)
+        self._equation_mask = np.zeros(n, dtype=bool)
+        self._equation_mask[self.equation_rows] = True
+        self._equation_mask.flags.writeable = False
         self._factored = None    # ((a0, c), solve) of the last system
 
     # -- assembly ---------------------------------------------------------
@@ -243,9 +253,7 @@ class DiscreteOperator:
 
     def equation_mask(self):
         """Nodes carrying an equation row (False at Dirichlet walls)."""
-        mask = np.zeros(self.grid.n, dtype=bool)
-        mask[self.equation_rows] = True
-        return mask
+        return self._equation_mask.copy()
 
     # -- action -----------------------------------------------------------
 
@@ -253,20 +261,20 @@ class DiscreteOperator:
         """A U, rows zeroed at eliminated Dirichlet boundary nodes."""
         U = np.asarray(U, dtype=float)
         flat = U.reshape(self.grid.n, -1)
+        sub, diag, sup = self._columns
         if self.grid.periodic:
             # sub * u_{j-1} + diag * u_j + sup * u_{j+1}, summed in that
             # order, with the wrapped neighbours taken by slicing
-            sub, sup = self.sub[:, None], self.sup[:, None]
             out = np.empty_like(flat)
             np.multiply(sub[1:], flat[:-1], out=out[1:])
             np.multiply(sub[0], flat[-1], out=out[0])
-            out += self.diag[:, None] * flat
+            out += diag * flat
             out[:-1] += sup[:-1] * flat[1:]
             out[-1] += sup[-1] * flat[0]
         else:
-            out = self.diag[:, None] * flat
-            out[:-1] += self.sup[:-1, None] * flat[1:]
-            out[1:] += self.sub[1:, None] * flat[:-1]
+            out = diag * flat
+            out[:-1] += sup[:-1] * flat[1:]
+            out[1:] += sub[1:] * flat[:-1]
             if self.spec.bc == "dirichlet":
                 out[0] = 0.0
                 out[-1] = 0.0
@@ -297,13 +305,12 @@ class DiscreteOperator:
     # -- linear solves ----------------------------------------------------
 
     def _factor(self, a0, c):
-        """``solve(B)`` for ``(a0 I - c A) u = B`` on the equation rows,
-        kept in one slot: every caller holds one step at a time (the
-        harmonic schedule only lowers h, the audit visits each h once).
-        Periodic grids move the corners into a Sherman-Morrison update
-        whose ``q = T^-1 u`` and ``1 + v.q`` are computed here, once."""
-        if self._factored is not None and self._factored[0] == (a0, c):
-            return self._factored[1]
+        """Factor ``(a0 I - c A) u = B`` on the equation rows and keep
+        ``solve(B)`` in the one slot ``_solve`` looks up: every caller
+        holds one step at a time (the harmonic schedule only lowers h,
+        the audit visits each h once).  Periodic grids move the corners
+        into a Sherman-Morrison update whose ``q = T^-1 u`` and ``1 + v.q``
+        are computed here, once."""
         rows = self.equation_rows
         dl = -c * self.sub[rows][1:]
         d = a0 - c * self.diag[rows]
@@ -345,7 +352,9 @@ class DiscreteOperator:
         F = np.asarray(F, dtype=float)
         flat = F.reshape(self.grid.n, -1)
         rows = self.equation_rows
-        solve = self._factor(a0, c)
+        slot = self._factored
+        solve = slot[1] if slot is not None and slot[0] == (a0, c) \
+            else self._factor(a0, c)
         if rows == slice(None):
             out = solve(flat)
         else:
@@ -355,9 +364,8 @@ class DiscreteOperator:
         r = a0 * out
         r -= c * AU
         r -= flat
-        worst = np.maximum.reduce(np.abs(r[rows]), axis=None, initial=0.0)
-        scale = np.maximum.reduce(np.abs(flat[rows]), axis=None,
-                                  initial=0.0)
+        worst = np.abs(r, out=r)[rows].max(initial=0.0)
+        scale = np.abs(flat[rows]).max(initial=0.0)
         if not worst <= _RESIDUAL_RTOL * max(scale, 1e-30) + 1e-300:
             raise SingularSystem(
                 "%s residual %.3g exceeds %.3g * |F| (system near singular%s)"

@@ -241,11 +241,18 @@ def _unit_rows(rng, count, dim):
 
 
 def _node_bounds(C, grid, components):
+    """The lifted bounds and their slopes along the grid.  A bound of one
+    row holds at every node and stays one row, of slope exactly 0.0 (as
+    ``np.gradient`` takes a constant); one of ``n`` rows is ``n`` rows."""
+    def rows(b):
+        b = np.broadcast_to(b, (b.shape[0], components))
+        if b.shape[0] == 1:
+            return b, np.zeros((1, components))
+        return b, np.gradient(b, grid.dx, axis=0)
+
     box = C.lift(grid.n, components)
-    lo = np.broadcast_to(box.alpha, (grid.n, components))
-    hi = np.broadcast_to(box.beta, (grid.n, components))
-    return lo, hi, np.gradient(lo, grid.dx, axis=0), \
-        np.gradient(hi, grid.dx, axis=0)
+    (lo, glo), (hi, ghi) = rows(box.alpha), rows(box.beta)
+    return lo, hi, glo, ghi
 
 
 def _box_face_items(field, C, grid, samples, rng):
@@ -257,16 +264,22 @@ def _box_face_items(field, C, grid, samples, rng):
     lo, hi, glo, ghi = _node_bounds(C, grid, components)
     mean_slope = 0.5 * (glo + ghi)
 
+    def at(b, J):
+        # a bound of one row needs no gather: it broadcasts over the states
+        return b if b.shape[0] == 1 else b[J]
+
     def face(i, side, bound, slope, margin):
         if components == 1:
             J = np.arange(grid.n)
-            U = lo[J]
+            U = np.empty((grid.n, 1))    # its one column is the bound
         else:
             J = rng.integers(grid.n, size=samples)
-            U = lo[J] + rng.random((samples, components)) * (hi[J] - lo[J])
-        P = mean_slope[J]
-        U[:, i] = bound[J, i]
-        P[:, i] = slope[J, i]
+            lo_J = at(lo, J)
+            U = lo_J + rng.random((samples, components)) * (at(hi, J) - lo_J)
+        P = np.empty_like(U)
+        P[:] = at(mean_slope, J)
+        U[:, i] = at(bound, J)[:, i]
+        P[:, i] = at(slope, J)[:, i]
         return _sampled_item("face[%d].%s" % (i, side), field, grid.nodes[J],
                              U, P, None, margin)
 

@@ -4,7 +4,8 @@ lists exactly what ``__init__`` imports.  Neither importing the package
 nor factoring loads the ``scipy.linalg`` package: LAPACK's extension
 loads from its file, and a later ``import scipy.linalg`` shares it.  No
 command loads ``numpy.random``: every seeded draw comes from
-``fields.SplitMix64``."""
+``fields.SplitMix64``.  Neither a command nor a ball or simplex solve
+loads ``scipy.optimize``."""
 
 import ast
 import os
@@ -109,7 +110,9 @@ def test_no_module_names_numpy_random():
 
 
 def test_no_command_loads_numpy_random(tmp_path):
-    # numpy.random imports secrets, and secrets OpenSSL's _hashlib
+    # numpy.random imports secrets, and secrets OpenSSL's _hashlib; nor
+    # does a command, a ball solve or a simplex solve load scipy.optimize,
+    # which only a half-space intersection's least-distance programs need
     from tangenteq.cli import _COMMANDS
     config_dir = os.path.join(os.path.dirname(__file__), "..", "configs")
     configs = sorted(os.path.join(config_dir, f)
@@ -117,7 +120,8 @@ def test_no_command_loads_numpy_random(tmp_path):
     assert len(configs) == 8
     _run_fresh("import contextlib, io, os, sys\n"
                "import numpy as np\n"
-               "from tangenteq import make_nonlinearity\n"
+               "from tangenteq import (Ball, Grid1D, OperatorSpec, Simplex,"
+               " assemble, make_nonlinearity, resolvent_iterate)\n"
                "from tangenteq.cli import run_cli\n"
                "with contextlib.redirect_stdout(io.StringIO()), \\\n"
                "        contextlib.redirect_stderr(io.StringIO()):\n"
@@ -129,6 +133,15 @@ def test_no_command_loads_numpy_random(tmp_path):
                "lo, hi = relay.evaluate_grid(np.linspace(0, 1, 5),"
                " np.full((5, 1), 0.5), np.zeros((5, 1)))\n"
                "assert (lo == -1.0).all() and (hi == 1.0).all()\n"
-               "for name in ('numpy.random', 'secrets', '_hashlib'):\n"
+               "for body in (Ball(np.zeros(2), 1.0), Simplex(1.0, 2)):\n"
+               "    op = assemble(OperatorSpec(components=2),"
+               " Grid1D(1.0, 21))\n"
+               "    field = make_nonlinearity('linear', {'a': 0.5,"
+               " 'b': -1.0}, components=2)\n"
+               "    rep = resolvent_iterate(op, field, body,"
+               " np.full((21, 2), 0.25))\n"
+               "    assert rep.status == 'converged', rep.status\n"
+               "for name in ('numpy.random', 'secrets', '_hashlib',"
+               " 'scipy.optimize'):\n"
                "    assert name not in sys.modules, name\n"
                % (str(tmp_path), configs, sorted(_COMMANDS)))

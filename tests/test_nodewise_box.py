@@ -9,7 +9,7 @@ import pytest
 
 from tangenteq import (CONE_TOL, Box, EmptyIntersection, IntervalValued,
                        MovingBox, selection_on_intervals, tangent_selection)
-from tangenteq.convex import _clip
+from tangenteq.convex import _clip, _face_cone
 
 _VALUES = (-1.0, -0.5, -1e-4, 0.0, 1e-4, 0.5, 1.0)
 # where a state component sits relative to its interval
@@ -157,6 +157,30 @@ def test_the_clip_kernels_equal_np_clip():
     ilo, ihi = np.maximum(U, lo), np.minimum(U, hi)
     assert np.array_equal(v, np.clip(0.0, ilo, np.maximum(ilo, ihi)),
                           equal_nan=True)
+
+
+def test_the_box_selection_is_the_interval_rule_on_its_face_cones():
+    # every special value as state and as value bounds, on the faces of
+    # [0, 1] and off them; the masked face cones give the interval rule's
+    # bytes and its first miss
+    W, vlo, vhi = (a.reshape(-1, 1) for a in np.meshgrid(
+        np.append(_SPECIAL, CONE_TOL), _SPECIAL, _SPECIAL, indexing="ij"))
+    box = MovingBox(0.0, 1.0).lift(len(W), 1)
+    want, empty = selection_on_intervals(
+        vlo, vhi, *_face_cone(W, 0.0, 1.0, CONE_TOL), CONE_TOL)
+    assert box._select_at(W, vlo, vhi)[1][0] == np.argwhere(empty)[0][0]
+    keep = ~empty[:, 0]
+    V, miss = box._select_at(W[keep], vlo[keep], vhi[keep])
+    assert miss is None and V.tobytes() == want[keep].tobytes()
+
+
+def test_value_bounds_broadcast_over_the_nodes_and_components():
+    box = MovingBox(np.zeros((3, 2)), np.ones((3, 2)))
+    U = np.array([[0.0, 0.5], [1.0, 0.5], [0.5, 1.0]])
+    want = box.select(U, np.full((3, 2), -1.0), np.full((3, 2), 0.5))[0]
+    for lo, hi in ((np.full((3, 1), -1.0), np.full((3, 1), 0.5)),
+                   (np.full(2, -1.0), np.full(2, 0.5)), (-1.0, 0.5)):
+        assert np.array_equal(box.select(U, lo, hi)[0], want)
 
 
 @pytest.mark.parametrize("size", [22, 7])

@@ -1,7 +1,10 @@
-"""The probe grid against the form it replaced, byte for byte.
+"""Kernels against the forms they replaced, byte for byte.
 
 ``_row_major_probe_grid`` builds the probe grid state-first, drawing the
-probe table at every call.  The current code must return the same bytes.
+probe table at every call.  ``_full_ball_projection``,
+``_full_ball_cone`` and ``_full_simplex_cone`` run the boundary algebra
+on every row, interior rows included.  The current code must return the
+same bytes.
 """
 
 import numpy as np
@@ -9,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tangenteq import (Box, Grid1D, OperatorSpec, assemble,
-                       make_nonlinearity, verify_bernstein, verify_tangency,
-                       viability_simulate)
-from tangenteq import fields
+from tangenteq import (Ball, Box, Grid1D, HalfspaceIntersection,
+                       OperatorSpec, Simplex, assemble, make_nonlinearity,
+                       verify_bernstein, verify_tangency, viability_simulate)
+from tangenteq import convex, fields
+from tangenteq.convex import _positive_part, _row_dots, _row_norms, _row_sums
 from tangenteq.fields import _probe_grid, _probe_table
 
 
@@ -109,3 +113,147 @@ def test_a_negative_seed_is_refused_where_it_enters():
     with pytest.raises(ValueError, match=r"^seed must be non-negative"):
         verify_bernstein(lambda x, u, p: -u, 1.0, 0.0, 1.0, 1.0, samples=4,
                          seed=-1)
+
+
+def _full_ball_projection(ball, X):
+    """Every row scaled by ``radius / max(|x - c|, radius)``, and the
+    inside rows then taken from ``X``."""
+    R = X - ball.center
+    nr = _row_norms(R)
+    scale = ball.radius / np.maximum(nr, ball.radius)
+    return np.where((nr <= ball.radius)[:, None], X,
+                    ball.center + scale[:, None] * R)
+
+
+def _full_ball_cone(ball, X, V, tol):
+    """Every row less the positive part of its outward normal component,
+    with a zero normal more than ``tol`` inside the sphere."""
+    R = X - ball.center
+    nr = _row_norms(R)
+    inner = ball.radius - nr > tol
+    normal = np.where(inner[:, None], 0.0,
+                      R / np.where(inner, 1.0, nr)[:, None])
+    return V - _positive_part(_row_dots(normal, V))[:, None] * normal
+
+
+def _full_simplex_cone(X, V, tol):
+    """The active-set solve on every row, rows without an active
+    coordinate included."""
+    act = X <= tol
+    n_act = np.count_nonzero(act, axis=1)[:, None]
+    n_free = X.shape[1] - n_act
+    k = np.arange(1, X.shape[1] + 1)
+    top = -np.sort(np.where(act, -V, np.inf), axis=1)
+    within = k <= n_act
+    free_sum = _row_sums(np.where(act, 0.0, V))[:, None]
+    lam_k = (free_sum + np.cumsum(np.where(within, top, 0.0), axis=1)) \
+        / (n_free + k)
+    lam_0 = free_sum / np.maximum(n_free, 1)
+    lam = np.max(np.where(within, lam_k, lam_0), axis=1)[:, None]
+    W = V - lam
+    return np.where(act, np.maximum(W, 0.0), W)
+
+
+def _same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# entries that sit on a rule's edge, then ordinary ones
+_EDGES = st.sampled_from((0.0, -0.0, 1e-9, -1e-9, 1.0, np.nan))
+_ENTRIES = st.one_of(_EDGES, st.floats(-3.0, 3.0))
+
+
+@st.composite
+def ball_rows(draw):
+    """A ball of dimension 1 to 4 and rows inside it, on or near its
+    sphere and outside it, a row with a NaN among them; ``tol`` is drawn, or is
+    exactly how far one row lies inside the sphere, and the radius is
+    drawn, or is exactly one row's distance from the centre."""
+    dim, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    center = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim,
+                                    max_size=dim)))
+    radius = draw(st.floats(0.25, 2.0))
+    D = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m * dim,
+                               max_size=m * dim))).reshape(m, dim)
+    D[_row_norms(D) == 0.0, 0] = 1.0
+    reach = np.array(draw(st.lists(st.one_of(
+        st.sampled_from((0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5)),
+        st.floats(0.0, 2.0)), min_size=m, max_size=m)))
+    X = center + (radius * reach / _row_norms(D))[:, None] * D
+    if draw(st.booleans()):
+        X[draw(st.integers(0, m - 1)), draw(st.integers(0, dim - 1))] = np.nan
+    V = np.array(draw(st.lists(_ENTRIES, min_size=m * dim,
+                               max_size=m * dim))).reshape(m, dim)
+    nr = _row_norms(X - center)
+    j = draw(st.integers(0, m - 1))
+    if draw(st.booleans()) and np.isfinite(nr[j]) and nr[j] > 0.0:
+        radius = float(nr[j])
+    tol = draw(st.sampled_from((0.0, 1e-9, 1e-3, None)))
+    if tol is None:
+        tol = float(radius - nr[j]) if np.isfinite(nr[j]) else 1e-9
+    return Ball(center, radius), X, V, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_rows())
+@example((Ball([0.0, 0.0], 1.0), np.array([[0.6, 0.8], [0.3, 0.0],
+                                           [np.nan, 0.5], [2.0, 0.0]]),
+          np.array([[1.0, -0.0], [-0.0, 2.0], [0.5, 0.5], [1.0, 1.0]]),
+          1e-9))
+# a row exactly on the sphere stays, although c + (x - c) is not x
+@example((Ball([1.0], float(_row_norms(np.array([[0.1 - 1.0]]))[0])),
+          np.array([[0.1], [3.0]]), np.array([[-1.0], [1.0]]), 0.0))
+def test_ball_kernels_are_the_full_row_forms(case):
+    ball, X, V, tol = case
+    _same_bytes(ball.project_rows(X), _full_ball_projection(ball, X))
+    _same_bytes(ball.tangent_project_rows(X, V, tol),
+                _full_ball_cone(ball, X, V, tol))
+
+
+@st.composite
+def simplex_rows(draw):
+    """Rows of dimension 1 to 4 whose entries sit on the zero-face rule's
+    edge (exactly ``tol``, zero, ``-0.0``, NaN) or anywhere near it."""
+    dim, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    tol = draw(st.sampled_from((0.0, 1e-9, 1e-3)))
+    entries = st.one_of(st.just(tol), _ENTRIES)
+    X = np.array(draw(st.lists(entries, min_size=m * dim,
+                               max_size=m * dim))).reshape(m, dim)
+    V = np.array(draw(st.lists(_ENTRIES, min_size=m * dim,
+                               max_size=m * dim))).reshape(m, dim)
+    return Simplex(1.0, dim), X, V, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_rows())
+@example((Simplex(1.0, 3), np.array([[0.2, 0.3, 0.5], [1e-9, 0.5, 0.5],
+                                     [np.nan, 0.5, 0.5], [0.0, -0.0, 1.0]]),
+          np.array([[-0.0, 1.0, -1.0], [-1.0, 0.5, 0.5], [1.0, 2.0, -0.0],
+                    [-1.0, -2.0, 3.0]]), 1e-9))
+def test_simplex_cone_is_the_full_row_form(case):
+    simplex, X, V, tol = case
+    _same_bytes(simplex.tangent_project_rows(X, V, tol),
+                _full_simplex_cone(X, V, tol))
+
+
+def test_interior_polytope_rows_solve_no_program(monkeypatch):
+    square = HalfspaceIntersection([[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                   [1, 1, 1, 1], [0, 0])
+    calls = []
+    least_distance = convex._least_distance
+
+    def counted(G, h):
+        calls.append(len(h))
+        return least_distance(G, h)
+
+    monkeypatch.setattr(convex, "_least_distance", counted)
+    X = np.array([[0.0, 0.0], [0.5, -0.5], [-0.9, 0.9]])
+    V = np.array([[1.0, -0.0], [-2.0, 3.0], [np.nan, 1.0]])
+    _same_bytes(square.tangent_project_rows(X, V), V)
+    assert calls == []
+    # a row on a face still solves its program, over that face alone
+    Y = square.tangent_project_rows(np.array([[1.0, 0.0], [0.0, 0.0]]),
+                                    np.array([[2.0, 1.0], [2.0, 1.0]]))
+    assert calls == [1]
+    assert np.array_equal(Y, [[0.0, 1.0], [2.0, 1.0]])
