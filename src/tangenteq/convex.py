@@ -33,7 +33,9 @@ inner rows, a polytope's rows with no active halfspace); on the
 simplex's relative interior the cone is the hyperplane ``sum w = 0``, so
 a row with no zero coordinate takes ``v - mean(v)``.  A ball projects
 only the rows outside it.  Each kernel gives those rows the bits the
-full boundary algebra gives them.
+full boundary algebra gives them.  The simplex projects a row with no
+entry at or below its shift ``theta`` in closed form, ``x - theta``,
+which sums the row in its own order, not in the pivot's sorted order.
 
 For a convex set the one-sided derivative of ``d_K`` at ``x in K`` along
 ``v`` is the distance from ``v`` to the tangent cone, so cone membership
@@ -198,7 +200,7 @@ class ConvexBody:
         value still misses by more than ``tol`` is the miss."""
         V = _clip(0.0, vlo, vhi)
         Y, fits, _, _ = _fit(self, W, V, vlo, vhi, tol)
-        rest = np.flatnonzero(~fits)
+        rest = (~fits).nonzero()[0]
         if rest.size:
             W, vlo, vhi = W[rest], vlo[rest], vhi[rest]
             Y[rest], fits, cone, box = _fit(self, W, self._select_rows(
@@ -286,8 +288,10 @@ class MovingBox(ConvexBody):
         V, empty = _shortest_in(ilo, ihi, tol)
         if empty.any():
             j, k = np.argwhere(empty)[0]
+            # the value bounds may broadcast against the nodes
+            lo, hi = np.broadcast_arrays(vlo, vhi, empty)[:2]
             return None, (int(j), "component %d: values [%.6g, %.6g] miss "
-                          "the face cone" % (k, vlo[j, k], vhi[j, k]))
+                          "the face cone" % (k, lo[j, k], hi[j, k]))
         return V, None
 
 
@@ -373,11 +377,11 @@ class Ball(ConvexBody):
 
     def _rim(self, X, tol):
         """The rows within ``tol`` of the sphere or past it, and their unit
-        outward normals."""
+        outward normals (None when there is no such row)."""
         R = X - self.center
         nr = _row_norms(R)
         rim = (~(self.radius - nr > tol)).nonzero()[0]
-        return rim, R[rim] / nr[rim, None]
+        return rim, R[rim] / nr[rim, None] if rim.size else None
 
     def tangent_project_rows(self, X, V, tol=CONE_TOL):
         """``V`` less its outward normal part on the rim rows; an interior
@@ -395,7 +399,8 @@ class Ball(ConvexBody):
         at the root of ``a . v``: the rows asked for fail at ``lam = 0``."""
         rim, normal = self._rim(W, tol)
         a = np.zeros_like(W)
-        a[rim] = normal
+        if rim.size:
+            a[rim] = normal
         return _multiplier_rows(a, vlo, vhi)
 
     def overshoot(self, s):
@@ -416,16 +421,17 @@ class Simplex(ConvexBody):
         self.dim = check_count(ValueError, 1, dim=dim)
 
     def project_rows(self, X):
-        # sort-based exact projection (Held/Wolfe/Crowder pivot rule)
-        s = self.total_mass
-        u = X.copy()
-        u.sort(axis=1)
-        u = u[:, ::-1]
-        cssv = u.cumsum(axis=1) - s
-        idx = np.arange(1, X.shape[1] + 1)
-        rho = X.shape[1] - 1 - (u * idx > cssv)[:, ::-1].argmax(axis=1)
-        theta = cssv[np.arange(X.shape[0]), rho] / (rho + 1.0)
-        return np.maximum(X - theta[:, None], 0.0)
+        """``X[j] - theta`` with ``theta = (sum X[j] - total_mass) / dim``
+        on the rows with no entry at or below ``theta``: that point lies in
+        the simplex, and ``X[j]`` less it is a multiple of the normal
+        ``1``, which spans the normal cone where no coordinate is zero.
+        Only the other rows take the pivot rule, ``_pivot_rows``."""
+        Y = X - ((_row_sums(X) - self.total_mass) / X.shape[1])[:, None]
+        inner = Y > 0.0
+        if not inner.all():
+            rest = (~inner.all(axis=1)).nonzero()[0]
+            Y[rest] = _pivot_rows(X[rest], self.total_mass)
+        return Y
 
     def tangent_project_rows(self, X, V, tol=CONE_TOL):
         """Exact projection of each ``V[j]`` onto the cone at ``X[j]``,
@@ -452,6 +458,21 @@ class Simplex(ConvexBody):
         return np.abs(s - 1.0) * (self.total_mass / np.sqrt(self.dim))
 
 
+def _pivot_rows(X, s):
+    """The projection of each row of ``X`` onto ``{u >= 0, sum u = s}`` by
+    the sort-based pivot rule (Held, Wolfe and Crowder, Math. Prog. 1974):
+    ``max(x - theta, 0)``, with ``theta`` the largest ``(sum of the k
+    largest x_i - s) / k`` whose ``k``-th largest entry exceeds it."""
+    u = X.copy()
+    u.sort(axis=1)
+    u = u[:, ::-1]
+    cssv = u.cumsum(axis=1) - s
+    idx = np.arange(1, X.shape[1] + 1)
+    rho = X.shape[1] - 1 - (u * idx > cssv)[:, ::-1].argmax(axis=1)
+    theta = cssv[np.arange(X.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(X - theta[:, None], 0.0)
+
+
 def _face_rows(act, V):
     """The projection of each ``V[j]`` onto ``{w: sum w = 0, w_i >= 0 where
     act[j, i]}``.
@@ -464,7 +485,7 @@ def _face_rows(act, V):
     + k)``; over the active values sorted in descending order ``lam_k``
     rises while the ``k``-th value lies above the root and falls after,
     so the root is the largest ``lam_k`` (the pivot rule of
-    ``Simplex.project_rows``; Condat, Math. Prog. 2016).  ``k = 0`` is a
+    ``_pivot_rows``; Condat, Math. Prog. 2016).  ``k = 0`` is a
     candidate only when some component is free; with no active component
     it is the only one, and ``w`` is ``v`` less its mean.
     """

@@ -285,13 +285,12 @@ def resolvent_iterate(op, field_, C, u0, config=None):
                            "residual_norm": float(lhs),
                            "distance_bound": float(d_lift / h)})
         prev_defect = defect
-        # near the fixed point the undamped step is the checkpointed one
-        if defect <= cp_tol:
+        # an undamped step, and any step near the fixed point, is the
+        # resolvent's output z, whose image A z the solve computed; a
+        # damped one blends and hands on no image
+        if config.damping == 1.0 or defect <= cp_tol:
             return z, Az
-        # at damping 1 the step is z up to the sign of a zero, so A z
-        # equals its image
-        return (1.0 - config.damping) * u + config.damping * z, \
-            Az if config.damping == 1.0 else None
+        return (1.0 - config.damping) * u + config.damping * z, None
 
     report = _drive(op, field_, C, u0, config, step, project_start=True,
                     accept=lambda distances: float(np.max(distances))

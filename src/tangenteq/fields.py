@@ -232,7 +232,7 @@ class FilippovHull(NonlinearityField):
         y = _call(self.g, *_probe_grid(self.base_seed, self.sample_count,
                                        self.delta, xs, U, P), N)
         y = y.reshape(len(xs), -1, N)
-        return y.min(axis=1), y.max(axis=1)
+        return np.minimum.reduce(y, axis=1), np.maximum.reduce(y, axis=1)
 
 
 class SplitMix64:
@@ -327,7 +327,7 @@ def _probe_grid(seed, count, radius, xs, U, P):
     ``seed``.  Returned as arrays ``(X, U, P)`` with ``1 + count`` rows
     per state, the state first; each coordinate is one contiguous
     column."""
-    S = np.vstack([xs, np.transpose(U), np.transpose(P)])
+    S = np.concatenate((xs[None], U.T, P.T))
     offsets = _probe_offsets(seed, count, radius, S.shape[0])
     probes = (S[:, :, None] + offsets[:, None, :]).reshape(S.shape[0], -1)
     k = np.shape(U)[1]

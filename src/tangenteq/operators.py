@@ -129,7 +129,7 @@ class Grid1D:
         if mask is not None:
             sq *= mask
         sq *= self._weights
-        return math.sqrt(sq.sum())
+        return math.sqrt(np.add.reduce(sq, axis=None))
 
 
 @dataclass
@@ -207,9 +207,14 @@ class DiscreteOperator:
                 (dx, 2.0 * self.d_floor / self.gamma_sup))
 
         self._build_bands()
-        # the bands as columns, which scale every component alike
+        # the bands as columns, which scale every component alike, and
+        # repeated to the spec's width, where a product of equal shapes
+        # skips the broadcast
         self._columns = (self.sub[:, None], self.diag[:, None],
                          self.sup[:, None])
+        N = spec.components
+        self._bands = self._columns if N == 1 else tuple(
+            np.repeat(b, N, axis=1) for b in self._columns)
         # the nodes that carry an equation row, as a slice and a read-only
         # mask shared by every residual norm
         self.equation_rows = slice(1, -1) if spec.bc == "dirichlet" \
@@ -258,10 +263,14 @@ class DiscreteOperator:
     # -- action -----------------------------------------------------------
 
     def apply(self, U):
-        """A U, rows zeroed at eliminated Dirichlet boundary nodes."""
+        """A U, rows zeroed at eliminated Dirichlet boundary nodes.  A state
+        of the spec's width takes the bands at that width, any other
+        column count (stacked right-hand sides, extra trailing axes) the
+        bands as columns; the products are the same."""
         U = np.asarray(U, dtype=float)
         flat = U.reshape(self.grid.n, -1)
-        sub, diag, sup = self._columns
+        sub, diag, sup = self._bands \
+            if flat.shape[1] == self.spec.components else self._columns
         if self.grid.periodic:
             # sub * u_{j-1} + diag * u_j + sup * u_{j+1}, summed in that
             # order, with the wrapped neighbours taken by slicing
@@ -361,11 +370,15 @@ class DiscreteOperator:
             out = np.zeros_like(flat)
             out[rows] = solve(flat[rows])
         AU = self.apply(out)
-        r = a0 * out
-        r -= c * AU
+        if a0 == 1.0:
+            r = out - c * AU
+        else:
+            r = a0 * out
+            r -= c * AU
         r -= flat
-        worst = np.abs(r, out=r)[rows].max(initial=0.0)
-        scale = np.abs(flat[rows]).max(initial=0.0)
+        worst = np.maximum.reduce(np.abs(r, out=r)[rows], axis=None,
+                                  initial=0.0)
+        scale = np.maximum.reduce(np.abs(flat[rows]), axis=None, initial=0.0)
         if not worst <= _RESIDUAL_RTOL * max(scale, 1e-30) + 1e-300:
             raise SingularSystem(
                 "%s residual %.3g exceeds %.3g * |F| (system near singular%s)"

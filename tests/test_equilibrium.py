@@ -196,6 +196,34 @@ def test_undamped_sweep_makes_one_banded_product(bc, monkeypatch):
     assert len(calls) == rep.iterations + 1
 
 
+@pytest.mark.parametrize("damping", [1.0, 0.7])
+def test_the_step_is_the_resolvent_output_or_its_blend(damping,
+                                                       monkeypatch):
+    # the resolvent's output carries a signed zero, which a blend with
+    # weight 0 on the old state would turn into +0.0; only a damped step
+    # blends
+    op = _neumann_op()
+    outputs = []
+    resolvent = op._resolvent
+
+    def recorded(h, F):
+        z, Az = resolvent(h, F)
+        z = z.copy()
+        z[0] = -0.0
+        outputs.append(z)
+        return z, Az
+
+    monkeypatch.setattr(op, "_resolvent", recorded)
+    u0 = np.linspace(0.0, 1.0, 101)
+    rep = resolvent_iterate(op, _relaxing_field(), UNIT_BOX, u0,
+                            SolverConfig(max_iter=1, damping=damping))
+    (z,) = outputs
+    want = z if damping == 1.0 \
+        else (1.0 - damping) * u0[:, None] + damping * z
+    assert rep.u_star.tobytes() == want[:, 0].tobytes()
+    assert np.signbit(rep.u_star[0]) == (damping == 1.0)
+
+
 def test_damped_sweep_heads_see_the_image_of_their_state(monkeypatch):
     op = _neumann_op()
     seen = []

@@ -183,6 +183,19 @@ def test_value_bounds_broadcast_over_the_nodes_and_components():
         assert np.array_equal(box.select(U, lo, hi)[0], want)
 
 
+def test_a_miss_with_broadcast_value_bounds_names_its_values():
+    # component 1 sits on its lower face, where [-2, -1] meets no
+    # nonnegative value
+    box = MovingBox(np.zeros((3, 1)), np.ones((3, 1))).lift(3, 2)
+    W = np.array([[0.5, 0.0]] * 3)
+    want = (None, (0, "component 1: values [-2, -1] miss the face cone"))
+    assert box.select(W, np.full((3, 2), -2.0), np.full((3, 2), -1.0)) \
+        == want
+    for lo, hi in ((np.full((3, 1), -2.0), np.full((3, 1), -1.0)),
+                   (np.full(2, -2.0), np.full(2, -1.0)), (-2.0, -1.0)):
+        assert box.select(W, lo, hi) == want
+
+
 @pytest.mark.parametrize("size", [22, 7])
 def test_bounds_with_another_row_count_than_the_grid_raise(size):
     # 22 flat entries on 11 nodes used to be read as two columns

@@ -3,8 +3,12 @@
 ``_row_major_probe_grid`` builds the probe grid state-first, drawing the
 probe table at every call.  ``_full_ball_projection``,
 ``_full_ball_cone`` and ``_full_simplex_cone`` run the boundary algebra
-on every row, interior rows included.  The current code must return the
-same bytes.
+on every row, interior rows included.  ``_column_apply`` multiplies the
+stencil's bands as ``(n, 1)`` columns into every state.  The current
+code must return the same bytes.  ``_pivot_projection`` is the simplex
+projection's pivot rule on every row: the rows that still take it must
+get its bytes, and the rows projected in closed form must lie within a
+few ulps of it.
 """
 
 import numpy as np
@@ -14,7 +18,8 @@ from hypothesis import strategies as st
 
 from tangenteq import (Ball, Box, Grid1D, HalfspaceIntersection,
                        OperatorSpec, Simplex, assemble, make_nonlinearity,
-                       verify_bernstein, verify_tangency, viability_simulate)
+                       resolvent_iterate, verify_bernstein, verify_tangency,
+                       viability_simulate)
 from tangenteq import convex, fields
 from tangenteq.convex import _positive_part, _row_dots, _row_norms, _row_sums
 from tangenteq.fields import _probe_grid, _probe_table
@@ -257,3 +262,144 @@ def test_interior_polytope_rows_solve_no_program(monkeypatch):
                                     np.array([[2.0, 1.0], [2.0, 1.0]]))
     assert calls == [1]
     assert np.array_equal(Y, [[0.0, 1.0], [2.0, 1.0]])
+
+
+def _pivot_projection(X, s):
+    """The sort-based pivot rule on every row, rows inside the simplex
+    included."""
+    u = np.sort(X, axis=1)[:, ::-1]
+    cssv = np.cumsum(u, axis=1) - s
+    idx = np.arange(1, X.shape[1] + 1)
+    rho = X.shape[1] - 1 - np.argmax((u * idx > cssv)[:, ::-1], axis=1)
+    theta = cssv[np.arange(X.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(X - theta[:, None], 0.0)
+
+
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def simplex_projection_rows(draw):
+    """Rows of dimension 1 to 5: on the simplex up to roundoff or shifted
+    off its plane, with one entry exactly at the shift ``theta`` of the
+    others (dyadic entries make that exact where ``dim - 1`` is a power of
+    two), with ``0.0``, ``-0.0``, ``1e-9`` and NaN entries, and anywhere
+    outside."""
+    dim, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("inner", "theta", "edges")))
+        if kind == "inner":
+            w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=dim,
+                                       max_size=dim)))
+            row = w / np.sum(w) + draw(st.one_of(
+                st.sampled_from((0.0, 2e-14, -2e-14)), st.floats(-0.2, 2.0)))
+        elif kind == "theta" and dim > 1:
+            rest = [k / 8.0 for k in draw(st.lists(
+                st.integers(-24, 24), min_size=dim - 1, max_size=dim - 1))]
+            at = (sum(rest) - 1.0) / (dim - 1)
+            rest.insert(draw(st.integers(0, dim - 1)), at)
+            row = np.array(rest)
+        else:
+            row = np.array(draw(st.lists(_ENTRIES, min_size=dim,
+                                         max_size=dim)))
+        rows.append(row)
+    return Simplex(1.0, dim), np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_projection_rows())
+@example((Simplex(1.0, 3), np.array([
+    [0.2, 0.3, 0.5], [1.0, 0.5, 0.25], [-0.0, 0.5, 0.5], [0.0, 0.0, 1.0],
+    [np.nan, 0.5, 0.5], [3.0, -1.0, 0.25], [0.4, 0.4, 0.4]])))
+@example((Simplex(1.0, 1), np.array([[0.25], [-0.0], [np.nan]])))
+def test_simplex_projection_is_the_pivot_rule_or_its_closed_form(case):
+    simplex, X = case
+    taken, pivot = [], convex._pivot_rows
+
+    def recorded(Xr, s):
+        taken.append(Xr.copy())
+        return pivot(Xr, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convex, "_pivot_rows", recorded)
+        got = simplex.project_rows(X)
+    want = _pivot_projection(X, simplex.total_mass)
+    theta = (_row_sums(X) - simplex.total_mass) / X.shape[1]
+    closed = np.all(X - theta[:, None] > 0.0, axis=1)
+    # exactly the rows with an entry at or below theta take the pivot
+    pivoted = np.concatenate(taken) if taken else X[:0]
+    _same_bytes(pivoted, X[~closed])
+    _same_bytes(got[~closed], want[~closed])
+    # the other rows are x - theta, a few ulps from the pivot's sorted sum
+    _same_bytes(got[closed], (X - theta[:, None])[closed])
+    scale = np.maximum(1.0, np.max(np.abs(X[closed]), axis=1, initial=0.0))
+    assert np.all(np.abs(got[closed] - want[closed])
+                  <= 4.0 * _EPS * scale[:, None])
+
+
+def test_a_simplex_solve_inside_the_simplex_takes_no_pivot(monkeypatch):
+    # the simplex job of the nonbox_relay benchmark: its states keep every
+    # coordinate far from zero, so every projection is the closed form
+    calls = []
+    pivot = convex._pivot_rows
+
+    def counted(X, s):
+        calls.append(len(X))
+        return pivot(X, s)
+
+    monkeypatch.setattr(convex, "_pivot_rows", counted)
+    op = assemble(OperatorSpec(d=1.0, bc="neumann", components=3),
+                  Grid1D(1.0, 51))
+    field = make_nonlinearity("linear", {"a": 1.0 / 3.0, "b": -1.0},
+                              components=3)
+    e = -np.log1p(-fields.SplitMix64(3).random((51, 3)))
+    rep = resolvent_iterate(op, field, Simplex(1.0, 3),
+                            e / _row_sums(e)[:, None])
+    assert rep.status == "converged" and rep.iterations > 10
+    assert calls == []
+    # a row with an entry at its shift takes the pivot, alone
+    Y = Simplex(1.0, 3).project_rows(np.array([[0.2, 0.3, 0.5],
+                                               [1.0, 0.5, 0.25]]))
+    assert calls == [1]
+    assert Y[1].tolist() == [0.75, 0.25, 0.0]
+
+
+def _column_apply(op, U):
+    """``A U`` with the bands as ``(n, 1)`` columns, broadcast over every
+    column of the state."""
+    U = np.asarray(U, dtype=float)
+    flat = U.reshape(op.grid.n, -1)
+    sub, diag, sup = op.sub[:, None], op.diag[:, None], op.sup[:, None]
+    if op.grid.periodic:
+        out = np.empty_like(flat)
+        np.multiply(sub[1:], flat[:-1], out=out[1:])
+        np.multiply(sub[0], flat[-1], out=out[0])
+        out += diag * flat
+        out[:-1] += sup[:-1] * flat[1:]
+        out[-1] += sup[-1] * flat[0]
+    else:
+        out = diag * flat
+        out[:-1] += sup[:-1] * flat[1:]
+        out[1:] += sub[1:] * flat[:-1]
+        if op.spec.bc == "dirichlet":
+            out[0] = 0.0
+            out[-1] = 0.0
+    return out.reshape(U.shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("neumann", "dirichlet", "periodic")),
+       st.integers(1, 3), st.integers(3, 9), st.sampled_from((0.0, 0.3)),
+       st.sampled_from((None, 0.0, 0.7)), st.data())
+def test_the_stencil_bands_give_the_column_products(bc, N, n, gamma, shift,
+                                                    data):
+    spec = OperatorSpec(d=lambda x: 1.0 + 0.4 * np.sin(2 * np.pi * x),
+                        gamma=gamma, bc=bc, shift=shift, components=N)
+    op = assemble(spec, Grid1D(1.0, n, periodic=bc == "periodic"))
+    # the state's width, then stacked and extra-axis column counts
+    for shape in ((n, N), (n,), (n, N + 1), (n, N, 2), (n, 0)):
+        size = int(np.prod(shape))
+        U = np.array(data.draw(st.lists(_ENTRIES, min_size=size,
+                                        max_size=size))).reshape(shape)
+        _same_bytes(op.apply(U), _column_apply(op, U))
