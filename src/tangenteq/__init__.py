@@ -12,8 +12,8 @@ from .errors import (TangentEqError, PointNotInSet, BoundViolated,
                      EmptyIntersection, NoSignChange, CertificateFailed,
                      InvalidSpec, SingularSystem)
 from .convex import (CONE_TOL, ConeQueryResult, ConvexBody, Box, Ball,
-                     Simplex, HalfspaceIntersection, MovingBox,
-                     numeric_tangent_quotient, selection_on_intervals)
+                     Simplex, MovingBox, numeric_tangent_quotient,
+                     selection_on_intervals)
 from .fields import (SetValue, NonlinearityField, SingleValued,
                      IntervalValued, FilippovHull, tangent_selection,
                      semicontinuity_probe)
@@ -37,7 +37,7 @@ __all__ = [
     "TangentEqError", "PointNotInSet", "BoundViolated", "EmptyIntersection",
     "NoSignChange", "CertificateFailed", "InvalidSpec", "SingularSystem",
     "CONE_TOL", "ConeQueryResult", "ConvexBody", "Box", "Ball", "Simplex",
-    "HalfspaceIntersection", "MovingBox", "numeric_tangent_quotient",
+    "MovingBox", "numeric_tangent_quotient",
     "SetValue", "NonlinearityField", "SingleValued", "IntervalValued",
     "FilippovHull", "selection_on_intervals", "tangent_selection",
     "semicontinuity_probe",

@@ -23,19 +23,27 @@ multiplier, ``_multiplier_rows``):
 * ``MovingBox``  clipping; sign rules on the active faces,
 * ``Ball``     radial scaling; a halfspace through the outward normal,
 * ``Simplex``  a sort-based pivot rule; zero-sum directions,
-  nonnegative on the zero coordinates,
-* ``HalfspaceIntersection``  one least-distance program per row.
+  nonnegative on the zero coordinates.
 
 The cone only acts on the boundary, so the row kernels do their face
 work only on the rows that touch a face.  At an interior point the cone
 is the whole space and a value is its own cone projection (a ball's
-inner rows, a polytope's rows with no active halfspace); on the
+inner rows); on the
 simplex's relative interior the cone is the hyperplane ``sum w = 0``, so
 a row with no zero coordinate takes ``v - mean(v)``.  A ball projects
 only the rows outside it.  Each kernel gives those rows the bits the
 full boundary algebra gives them.  The simplex projects a row with no
 entry at or below its shift ``theta`` in closed form, ``x - theta``,
 which sums the row in its own order, not in the pivot's sorted order.
+A ball's row kernels do not broadcast its centre against an ``(n, N)``
+state: a ball keeps a read-only copy of its centre and holds it at the
+state's shape, built when that shape or the centre changes.
+
+A single-valued field gives its value box ``[y, y]`` as one array,
+``vlo is vhi``, and a selection then skips what the box already knows:
+its shortest value ``clip(0, y, y)`` is ``y``, and a value ``y``'s gap
+to the box is its cone gap, bit for bit as the two-array path computes
+them.
 
 For a convex set the one-sided derivative of ``d_K`` at ``x in K`` along
 ``v`` is the distance from ``v`` to the tangent cone, so cone membership
@@ -197,8 +205,9 @@ class ConvexBody:
     def _select_at(self, W, vlo, vhi, tol=CONE_TOL):
         """Each box's shortest value ``V = clip(0, vlo, vhi)`` where it fits
         the cone, else the exact ``_select_rows``; the first row whose
-        value still misses by more than ``tol`` is the miss."""
-        V = _clip(0.0, vlo, vhi)
+        value still misses by more than ``tol`` is the miss.  A box
+        ``[y, y]`` given as one array (``vlo is vhi``) has ``V = y``."""
+        V = vlo if vlo is vhi else _clip(0.0, vlo, vhi)
         Y, fits, _, _ = _fit(self, W, V, vlo, vhi, tol)
         rest = (~fits).nonzero()[0]
         if rest.size:
@@ -216,9 +225,13 @@ class ConvexBody:
 def _fit(body, W, V, vlo, vhi, tol):
     """The cone projections ``Y`` of ``V``, whether ``|V - Y|`` and the
     distance of ``Y`` to its box are both at most ``tol``, and those two
-    gaps."""
+    gaps.  When ``V`` is the one array of a box ``[V, V]`` the two gaps
+    are one."""
     Y = body.tangent_project_rows(W, V, tol)
-    cone, box = _row_norms(V - Y), _box_distances(Y, vlo, vhi)
+    cone = _row_norms(V - Y)
+    if V is vlo is vhi:
+        return Y, cone <= tol, cone, cone
+    box = _box_distances(Y, vlo, vhi)
     return Y, (cone <= tol) & (box <= tol), cone, box
 
 
@@ -285,7 +298,13 @@ class MovingBox(ConvexBody):
         ilo[...], ihi[...] = vlo, vhi
         np.maximum(ilo, 0.0, out=ilo, where=lower)
         np.minimum(ihi, 0.0, out=ihi, where=upper)
-        V, empty = _shortest_in(ilo, ihi, tol)
+        if vlo is vhi:
+            # from a box [y, y], ilo is y or max(y, 0) and ihi is y or
+            # min(y, 0), never above ilo: the shortest point is ilo, taken
+            # as max(ilo, ihi) for the sign of its zero
+            V, empty = np.maximum(ilo, ihi), ilo > ihi + tol
+        else:
+            V, empty = _shortest_in(ilo, ihi, tol)
         if empty.any():
             j, k = np.argwhere(empty)[0]
             # the value bounds may broadcast against the nodes
@@ -359,15 +378,28 @@ class Ball(ConvexBody):
     row takes its value unchanged."""
 
     def __init__(self, center, radius):
-        self.center = _as1d(center)
+        # a read-only copy, which the row kernels hold at the state's shape
+        self.center = _as1d(center).copy()
+        self.center.flags.writeable = False
         self.radius = float(radius)
         check_positive(radius=self.radius)
         check_finite(center=self.center)
         self.dim = self.center.size
+        self._centres = (self.center, self.center[None])
+
+    def _offsets(self, X):
+        """``X - center``, with the centre held at ``X``'s shape (built when
+        that shape or the centre changes), so the subtraction does not
+        broadcast."""
+        center, C = self._centres
+        if C.shape != X.shape or center is not self.center:
+            C = np.broadcast_to(self.center, X.shape).copy()
+            self._centres = (self.center, C)
+        return X - C
 
     def project_rows(self, X):
         """Rows inside the ball stay; the rest scale onto the sphere."""
-        R = X - self.center
+        R = self._offsets(X)
         nr = _row_norms(R)
         Y = X.copy()
         out = (~(nr <= self.radius)).nonzero()[0]
@@ -378,7 +410,7 @@ class Ball(ConvexBody):
     def _rim(self, X, tol):
         """The rows within ``tol`` of the sphere or past it, and their unit
         outward normals (None when there is no such row)."""
-        R = X - self.center
+        R = self._offsets(X)
         nr = _row_norms(R)
         rim = (~(self.radius - nr > tol)).nonzero()[0]
         return rim, R[rim] / nr[rim, None] if rim.size else None
@@ -505,92 +537,6 @@ def _face_rows(act, V):
     lam = np.where(within, lam_k, lam_0).max(axis=1)[:, None]
     W = V - lam
     return np.where(act, np.maximum(W, 0.0), W)
-
-
-class HalfspaceIntersection(ConvexBody):
-    """Finite intersection of halfspaces ``p_k . x <= a_k``.
-
-    Normals are normalized at construction and a feasible point must be
-    supplied as a certificate of nonemptiness.  Both projections are
-    exact: each row is one least-distance program, ``x - z`` for the
-    shortest ``z`` with ``P z >= P x - a``, and ``v - z`` for the shortest
-    ``z`` with ``P_act z >= P_act v`` on the active halfspaces.
-    """
-
-    def __init__(self, normals, offsets, point):
-        P = np.atleast_2d(np.asarray(normals, dtype=float))
-        a = _as1d(offsets).astype(float)
-        self.point = _as1d(point)
-        check_finite(normals=P, offsets=a, point=self.point)
-        if P.shape[0] != a.size:
-            raise ValueError("one offset per normal required")
-        norms = _row_norms(P)
-        if np.any(norms <= 0):
-            raise ValueError("zero normal supplied")
-        self.normals = P / norms[:, None]
-        self.offsets = a / norms
-        self.dim = P.shape[1]
-        slack = self.normals @ self.point - self.offsets
-        if np.max(slack) > 1e-9:
-            raise ValueError("certificate point is not feasible")
-
-    def project_rows(self, X):
-        P, a = self.normals, self.offsets
-        return np.array([x - _least_distance(P, P @ x - a)
-                         for x in X]).reshape(X.shape)
-
-    def _active(self, X, tol):
-        """Each row's active halfspaces: those within ``tol`` of ``X[j]``."""
-        return [self.normals @ x - self.offsets >= -tol for x in X]
-
-    def tangent_project_rows(self, X, V, tol=CONE_TOL):
-        # a row with no active halfspace is interior: its cone is the
-        # whole space, so its ``v`` stays
-        P = self.normals
-        return np.array([v - _least_distance(P[act], P[act] @ v)
-                         if act.any() else v
-                         for act, v in zip(self._active(X, tol), V)]
-                        ).reshape(V.shape)
-
-    def _select_rows(self, W, vlo, vhi, tol):
-        """The shortest ``z`` in ``[vlo, vhi]`` with ``P_act z <= 0``, one
-        least-distance program per row; the box's shortest value where
-        there is none."""
-        P, eye = self.normals, np.eye(self.dim)
-        Z = np.array([_least_distance(
-            np.vstack([eye, -eye, -P[act]]),
-            np.concatenate([lo, -hi, np.zeros(np.count_nonzero(act))]))
-            for act, lo, hi in zip(self._active(W, tol), vlo, vhi)]
-        ).reshape(W.shape)
-        return np.where(np.isnan(Z), _clip(0.0, vlo, vhi), Z)
-
-    def overshoot(self, s):
-        return np.max((s - 1.0)[:, None] * self.offsets, axis=1)
-
-
-def _least_distance(G, h):
-    """The shortest ``z`` with ``G z >= h``, by Lawson and Hanson's
-    least-distance program (*Solving Least Squares Problems*, 1974,
-    ch. 23): with ``u >= 0`` the least-squares solution of ``E u = f``,
-    ``E = [G^T; h^T]``, ``f = (0, ..., 0, 1)``, a solution exists exactly
-    when ``h . u < 1``, and ``z`` is then the least-norm solution of the
-    rows with ``u > 0`` taken as equations (the same point as the
-    residual's ``-r[:-1] / r[-1]``, which loses digits on nearly parallel
-    rows).  No positive ``h`` gives exactly ``z = 0``, no solution NaNs,
-    and rows with ``h = -inf`` hold for every ``z``."""
-    G, h = G[h > -np.inf], h[h > -np.inf]
-    if not np.any(h > 0.0):
-        return np.zeros(G.shape[1])
-    # imported here because scipy.optimize adds about 0.3 s to
-    # ``import tangenteq``, which no box or ball run needs
-    from scipy.optimize import nnls
-    E = np.vstack([G.T, h])
-    f = np.zeros(E.shape[0])
-    f[-1] = 1.0
-    u = nnls(E, f)[0]
-    if h @ u >= 1.0:
-        return np.full(G.shape[1], np.nan)
-    return np.linalg.lstsq(G[u > 0.0], h[u > 0.0], rcond=None)[0]
 
 
 def numeric_tangent_quotient(body, x, v, h):

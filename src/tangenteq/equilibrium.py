@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import MovingBox, _box_distances
+from .convex import MovingBox, _box_distances, _row_norms
 from .errors import EmptyIntersection, check_count, check_positive
 
 _CHECKPOINT_FACTOR = 1e-9
@@ -150,6 +150,10 @@ def _equation_norm(op, R):
 
 
 def _equation_residual(op, AU, vlo, vhi):
+    """The norm of the distances of ``-A u`` to the value boxes; a box
+    ``[y, y]`` given as one array is at distance ``|A u + y|``."""
+    if vlo is vhi:
+        return _equation_norm(op, _row_norms(AU + vlo))
     return _equation_norm(op, _box_distances(-AU, vlo, vhi))
 
 

@@ -17,11 +17,12 @@ envelope, and the first row that breaches it raises BoundViolated.
 
 A field calls each of its functions once per grid: a function receives
 the positions as an ``(m, 1)`` column and ``U``, ``P`` as they are, and
-must return an array of at most two dims that broadcasts to ``(m, N)``.
-A 0-d or ``(N,)`` result is one value for every row, so a function
-written for one state that returns a scalar gives every row the value
-at the first: ``lambda x, u, p: 0.0 if np.atleast_1d(u)[0] < 0.4 else
-1.0`` returns ``[0, 0, 0]`` on the rows u = 0.1, 0.5, 0.9.  A callable
+must return one row per state, an array of shape ``(m, N)``, or
+``(m,)`` when ``N = 1``; any other shape raises ValueError naming both.
+So a function written for one state, ``lambda x, u, p: 0.0 if
+np.atleast_1d(u)[0] < 0.4 else 1.0``, raises on a grid instead of giving
+every row the value at the first.  A single-valued field returns its
+box ``[y, y]`` as one read-only array, ``lo is hi``.  A callable
 ``bound`` is called once, on the length-``m`` position vector.  A
 pointwise ``g`` that takes one state at a time is wrapped as
 
@@ -38,7 +39,10 @@ table, scaled by delta, and calls ``g`` on every state's centre and
 probes together; ``semicontinuity_probe`` draws its probes from the
 same table.  Both reach it through ``_probe_offsets``, which
 scales it once per ``(seed, count, radius, dim)`` and keeps it
-coordinate-first, so a probe grid is one array add.
+coordinate-first, so a probe grid is one array add.  The probes'
+positions depend on the nodes alone, so a hull builds them once per
+read-only node array (a grid's nodes), and takes each state's hull over
+a contiguous axis.
 
 ``tangent_selection`` picks the minimal-norm admissible value that is also
 tangent to the constraint set at ``u``: it evaluates the field once and
@@ -104,24 +108,17 @@ def _excesses(lo, hi, olo, ohi):
 
 
 def _call(g, xs, U, P, N):
-    """``g`` at the states ``(xs[j], U[j], P[j])`` as an ``(m, N)`` array,
-    from one call on the whole grid.
-
-    The result must broadcast to ``(m, N)`` with at most two dims, so a
-    0-d or ``(N,)`` result is taken as one value for every row.  A
-    function written for one state can therefore go wrong without an
-    error: ``lambda x, u, p: 0.0 if np.atleast_1d(u)[0] < 0.4 else 1.0``
-    looks at the first row only and gives every row its value."""
+    """``g`` at the states ``(xs[j], U[j], P[j])`` as a new ``(m, N)``
+    array, from one call on the whole grid.  The result must hold one row
+    per state: shape ``(m, N)``, or ``(m,)`` when ``N = 1``; any other
+    shape raises ValueError naming both."""
     v = np.asarray(g(xs[:, None], U, P), dtype=float)
     out = np.empty((len(xs), N))
-    if v.ndim <= 2:
-        try:
-            out[...] = v
-            return out
-        except ValueError:
-            pass
-    raise ValueError("field returned shape %s, expected %s"
-                     % (v.shape, out.shape))
+    if v.shape != out.shape and (N != 1 or v.shape != out.shape[:1]):
+        raise ValueError("field returned shape %s, expected %s"
+                         % (v.shape, out.shape))
+    out.reshape(v.shape)[...] = v
+    return out
 
 
 class NonlinearityField:
@@ -171,7 +168,8 @@ class NonlinearityField:
 
 
 class SingleValued(NonlinearityField):
-    """Pointwise function ``g(x, u, p)`` seen as a singleton interval."""
+    """Pointwise function ``g(x, u, p)`` seen as a singleton interval: its
+    value box ``[y, y]`` is one read-only array, returned as both ends."""
 
     def __init__(self, g, components=1, bound=None):
         super().__init__(components, bound)
@@ -179,7 +177,8 @@ class SingleValued(NonlinearityField):
 
     def _grid_value(self, xs, U, P):
         y = _call(self.g, xs, U, P, self.components)
-        return y, y.copy()
+        y.flags.writeable = False
+        return y, y
 
 
 class IntervalValued(NonlinearityField):
@@ -215,7 +214,10 @@ class FilippovHull(NonlinearityField):
     put into the hull a jump along any one coordinate within delta of
     the state.  Every state uses the same table, so the hull is a pure
     function of the state.  ``g`` is called once per grid, on every
-    state's centre and probes together.
+    state's centre and probes together.  The positions of the probes
+    depend on the nodes alone, so they are built once for a read-only
+    node array (a grid's nodes), which is taken as fixed, and kept
+    read-only.
     """
 
     def __init__(self, g, delta, sample_count=64, components=1,
@@ -226,13 +228,22 @@ class FilippovHull(NonlinearityField):
         self.delta = float(delta)
         self.sample_count = check_count(ValueError, 1, samples=sample_count)
         self.base_seed = check_seed(base_seed=base_seed)
+        # read-only nodes, the probe table's parameters, their positions
+        self._positions = (None, None, None)
 
     def _grid_value(self, xs, U, P):
         N = self.components
-        y = _call(self.g, *_probe_grid(self.base_seed, self.sample_count,
-                                       self.delta, xs, U, P), N)
-        y = y.reshape(len(xs), -1, N)
-        return np.minimum.reduce(y, axis=1), np.maximum.reduce(y, axis=1)
+        probes = (self.base_seed, self.sample_count, self.delta)
+        nodes, kept, X = self._positions
+        X, U, P = _probe_grid(*probes, xs, U, P,
+                              X if nodes is xs and kept == probes else None)
+        if not xs.flags.writeable:
+            self._positions = xs, probes, X
+        # each state's values with its probes along the last, contiguous
+        # axis
+        y = _call(self.g, X, U, P, N).reshape(len(xs), -1, N)
+        y = np.ascontiguousarray(y.transpose(0, 2, 1))
+        return np.minimum.reduce(y, axis=2), np.maximum.reduce(y, axis=2)
 
 
 class SplitMix64:
@@ -321,17 +332,23 @@ def _probe_offsets(seed, count, radius, dim):
     return offsets
 
 
-def _probe_grid(seed, count, radius, xs, U, P):
+def _probe_grid(seed, count, radius, xs, U, P, X=None):
     """Every state ``(xs[j], U[j], P[j])``, then its ``count`` probes: the
     state plus ``radius`` times each row of the probe table drawn from
     ``seed``.  Returned as arrays ``(X, U, P)`` with ``1 + count`` rows
     per state, the state first; each coordinate is one contiguous
-    column."""
-    S = np.concatenate((xs[None], U.T, P.T))
-    offsets = _probe_offsets(seed, count, radius, S.shape[0])
-    probes = (S[:, :, None] + offsets[:, None, :]).reshape(S.shape[0], -1)
+    column.  ``X``, the positions, depends on ``xs`` and the table alone:
+    a caller that kept it from an earlier call on the same ``xs`` and
+    table hands it in, and a new one is read-only."""
+    S = np.concatenate((U.T, P.T))
+    offsets = _probe_offsets(seed, count, radius, 1 + S.shape[0])
+    if X is None:
+        X = (xs[:, None] + offsets[0]).reshape(-1)
+        X.flags.writeable = False
+    probes = (S[:, :, None] + offsets[1:, None, :]).reshape(S.shape[0],
+                                                            X.size)
     k = np.shape(U)[1]
-    return probes[0], probes[1:1 + k].T, probes[1 + k:].T
+    return X, probes[:k].T, probes[k:].T
 
 
 def tangent_selection(field, body, x, u, p, tol=CONE_TOL):

@@ -20,7 +20,10 @@ Each solve checks its residual against the assembled stencil, and that
 check is the solve's one banded product ``A u``.  The sweeps take it
 with the solution (``_resolvent``), so a sweep that starts from a
 resolvent's output measures its equation residual without applying
-``A`` again: one banded product per sweep.
+``A`` again: one banded product per sweep.  The bands, the operator's
+lifted constants, are held at the grid's shape, and a solution comes
+back in C order, as the sweeps' states are, so a sweep's product
+neither broadcasts a column nor mixes two memory layouts.
 
 The centered drift stencil is an M-matrix only while
 ``dx <= 2 d0 / max|gamma|``; assembly warns when a grid violates that.
@@ -370,11 +373,9 @@ class DiscreteOperator:
             out = np.zeros_like(flat)
             out[rows] = solve(flat[rows])
         AU = self.apply(out)
-        if a0 == 1.0:
-            r = out - c * AU
-        else:
-            r = a0 * out
-            r -= c * AU
+        # the residual a0 u - c A u - F, formed in one buffer
+        r = c * AU
+        np.subtract(out if a0 == 1.0 else a0 * out, r, out=r)
         r -= flat
         worst = np.maximum.reduce(np.abs(r, out=r)[rows], axis=None,
                                   initial=0.0)
@@ -388,7 +389,8 @@ class DiscreteOperator:
 
     def _resolvent(self, h, F):
         """``resolvent(h, F)`` together with ``A u``."""
-        check_positive(InvalidSpec, h=h)
+        if not 0.0 < h < math.inf:
+            check_positive(InvalidSpec, h=h)
         if self.shift > 0 and h * self.shift >= 1.0:
             raise SingularSystem(
                 "step h=%.3g violates h * shift < 1 (shift %.3g)"
@@ -432,7 +434,9 @@ def _tridiagonal_solver(dl, d, du):
         # dgttrs corrupts the heap on a right-hand side without columns
         if B.shape[1] == 0:
             return np.zeros_like(B)
-        return dgttrs(dl, d, du, du2, ipiv, B)[0]
+        # its solution comes in Fortran order; in C order, as every state
+        # of the sweeps is, no later product mixes the two layouts
+        return np.ascontiguousarray(dgttrs(dl, d, du, du2, ipiv, B)[0])
     return solve
 
 

@@ -61,8 +61,8 @@ def _logistic(params, components, bound, seed):
 def _constant(params, components, bound, seed):
     lo = float(params.get("lo", 0.0))
     hi = float(params.get("hi", lo))
-    return IntervalValued(lambda x, u, p: np.full(components, lo),
-                          lambda x, u, p: np.full(components, hi),
+    return IntervalValued(lambda x, u, p: np.full((len(x), components), lo),
+                          lambda x, u, p: np.full((len(x), components), hi),
                           components=components, bound=bound)
 
 
@@ -138,8 +138,15 @@ class StateShiftedField(NonlinearityField):
         self.c = float(c)
 
     def evaluate_grid(self, xs, U, P):
+        """The base's value boxes less ``c U``; a one-array box ``[y, y]``
+        gives the one read-only array ``y - c U``."""
         lo, hi = self.base.evaluate_grid(xs, U, P)
-        return lo - self.c * U, hi - self.c * U
+        cU = self.c * U
+        if lo is not hi:
+            return lo - cU, hi - cU
+        y = lo - cU
+        y.flags.writeable = False
+        return y, y
 
 
 def as_field(phi, components=1, bound=None):

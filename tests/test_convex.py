@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tangenteq import (CONE_TOL, Box, Ball, Simplex, HalfspaceIntersection,
-                       PointNotInSet, numeric_tangent_quotient)
+from tangenteq import (CONE_TOL, Box, Ball, Simplex, PointNotInSet,
+                       numeric_tangent_quotient)
 from tangenteq.convex import _row_norms, _row_sums
 
 
@@ -321,98 +321,6 @@ def test_overshoot_decides_whether_s_K_stays_in_K(case):
         assert far <= np.sqrt(body.dim) * max(o, 0.0) + tol
         assert (o > tol) == (far > tol) \
             or tol < far <= (np.sqrt(body.dim) + 1.0) * tol
-
-
-def test_halfspace_intersection_reproduces_box():
-    rng = np.random.default_rng(31)
-    for _ in range(25):
-        dim = int(rng.integers(1, 5))
-        lo = rng.uniform(-1.0, 0.0, dim)
-        hi = lo + rng.uniform(0.5, 1.5, dim)
-        box = Box(lo, hi)
-        eye = np.eye(dim)
-        poly = HalfspaceIntersection(np.vstack([eye, -eye]),
-                                     np.append(hi, -lo), 0.5 * (lo + hi))
-        for _ in range(4):
-            x = rng.uniform(-2.0, 2.0, dim)
-            assert np.max(np.abs(poly.project(x) - box.project(x))) <= 1e-8
-            assert abs(poly.distance(x) - box.distance(x)) <= 1e-8
-        xb = box.project(rng.uniform(-2.0, 2.0, dim))
-        v = rng.uniform(-1.0, 1.0, dim)
-        wb = box.tangent_project(xb, v)
-        wp = poly.tangent_project(xb, v, tol=1e-9)
-        assert np.max(np.abs(wb - wp)) <= 1e-8
-
-
-def _polyhedron_projection_oracle(P, a, x, tol=1e-9):
-    """Projection of ``x`` onto ``{z: P z <= a}`` by active-set
-    enumeration: the nearest feasible one among ``x`` and its projections
-    onto the affine sets ``{P_S z = a_S}`` of every independent subset
-    ``S`` of at most ``dim`` rows (some such subset carries the KKT
-    multipliers of the true projection)."""
-    m, dim = P.shape
-    best = x if np.max(P @ x - a, initial=-np.inf) <= tol else None
-    for k in range(1, min(m, dim) + 1):
-        for S in map(list, itertools.combinations(range(m), k)):
-            Q = P[S]
-            if np.linalg.matrix_rank(Q) < k:
-                continue
-            z = x - Q.T @ np.linalg.solve(Q @ Q.T, Q @ x - a[S])
-            if np.max(P @ z - a) <= tol and (
-                    best is None
-                    or np.linalg.norm(x - z) < np.linalg.norm(x - best)):
-                best = z
-    return best
-
-
-@st.composite
-def polytope_queries(draw):
-    """A seeded random polytope in dimension 1 to 3 with up to 6
-    halfspaces, its certificate point on some of them, two points and two
-    directions.  Integer normals make every rank decision of the oracle
-    exact."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    dim = int(rng.integers(1, 4))
-    m = int(rng.integers(1, 7))
-    P = rng.integers(-3, 4, (m, dim)).astype(float)
-    P[~P.any(axis=1), 0] = 1.0
-    point = rng.uniform(-1.0, 1.0, dim)
-    slack = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 1.0, m))
-    x, y, v, w = rng.uniform(-4.0, 4.0, (4, dim))
-    return HalfspaceIntersection(P, P @ point + slack, point), x, y, v, w
-
-
-@settings(max_examples=300, deadline=None)
-@given(polytope_queries())
-@example((HalfspaceIntersection([[-1.9, 0.7], [-0.5, -1.2], [0.8, -1.1]],
-                                [0.4, 1.0, 0.2], [0.0, 0.0]),
-          np.array([-2.0, -2.0]), np.array([1.0, -3.0]),
-          np.array([-1.0, 0.5]), np.array([0.3, -2.0])))
-def test_exact_polytope_projections(query):
-    body, x, y, v, w = query
-    P, a = body.normals, body.offsets
-    px, py = body.project(x), body.project(y)
-    assert np.max(P @ px - a) <= 1e-11
-    assert np.linalg.norm(body.project(px) - px) <= 1e-11
-    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
-    want = _polyhedron_projection_oracle(P, a, x)
-    assert np.linalg.norm(px - want) <= 1e-10
-    assert abs(body.distance(x) - np.linalg.norm(x - want)) <= 1e-10
-    # the cone at px: the active halfspaces moved to the origin
-    Q = P[P @ px - a >= -CONE_TOL]
-    tv, tw = body.tangent_project(px, v), body.tangent_project(px, w)
-    assert np.max(Q @ tv, initial=0.0) <= 1e-11
-    assert np.linalg.norm(body.tangent_project(px, tv) - tv) <= 1e-11
-    assert np.linalg.norm(tv - tw) <= np.linalg.norm(v - w) + 1e-12
-    assert np.linalg.norm(
-        tv - _polyhedron_projection_oracle(Q, np.zeros(len(Q)), v)) <= 1e-10
-
-
-def test_halfspace_intersection_validates_inputs():
-    with pytest.raises(ValueError):
-        HalfspaceIntersection([[1.0, 0.0]], [0.0], [1.0, 0.0])  # infeasible
-    with pytest.raises(ValueError):
-        HalfspaceIntersection([[0.0, 0.0]], [1.0], [0.0, 0.0])  # zero normal
 
 
 def test_simplex_dimension_must_be_integral():

@@ -13,7 +13,7 @@ from tangenteq import (Grid1D, OperatorSpec, assemble, Ball, Box, Simplex,
                        SingleValued, SolverConfig, resolvent_iterate,
                        truncation_iterate, viability_simulate, residual,
                        EmptyIntersection, InvalidSpec, MovingBox, Cube,
-                       HalfspaceIntersection, make_nonlinearity,
+                       make_nonlinearity,
                        semigroup_powers, FilippovHull, semicontinuity_probe,
                        verify_tangency, verify_bernstein, bolzano_bisect,
                        miranda_check, miranda_solve, brute_force_zero)
@@ -445,12 +445,6 @@ _CONSTRUCTORS = {
     "Simplex.total_mass": (lambda v: Simplex(v, 2), "total_mass",
                            _NOT_POSITIVE),
     "Simplex.dim": (lambda v: Simplex(1.0, v), "dim", _not_counts(1)),
-    "HalfspaceIntersection.normals": (
-        lambda v: HalfspaceIntersection([[v]], [1.0], [0.0]), "normals", ()),
-    "HalfspaceIntersection.offsets": (
-        lambda v: HalfspaceIntersection([[1.0]], [v], [0.0]), "offsets", ()),
-    "HalfspaceIntersection.point": (
-        lambda v: HalfspaceIntersection([[1.0]], [1.0], [v]), "point", ()),
     "Cube.lo": (lambda v: Cube(v, [1.0]), "lo", (1.0, 2.0, [0.0, 0.0])),
     "Cube.hi": (lambda v: Cube([0.0], v), "hi", (0.0, -1.0, [1.0, 1.0])),
     "SolverConfig.h0": (lambda v: SolverConfig(h0=v), "h0", _NOT_POSITIVE),

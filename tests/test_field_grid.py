@@ -128,25 +128,33 @@ def test_shape_errors_name_what_the_field_returned(name):
         _wrong_fields()[name].evaluate(0.5, [0.0, 0.0], [0.0, 0.0])
 
 
-def test_a_result_without_rows_is_one_value_for_every_row():
+def test_a_result_needs_one_row_per_state():
     xs, U = np.zeros(3), np.array([[0.1], [0.5], [0.9]])
-    # written for one state, it looks at the first row only
+    # written for one state, it would look at the first row only
     per_state = SingleValued(
         lambda x, u, p: 0.0 if np.atleast_1d(u)[0] < 0.4 else 1.0)
-    lo, hi = per_state.evaluate_grid(xs, U, U)
-    assert lo.tolist() == hi.tolist() == [[0.0], [0.0], [0.0]]
+    with pytest.raises(ValueError, match=r"^field returned shape \(\), "
+                       r"expected \(3, 1\)$"):
+        per_state.evaluate_grid(xs, U, U)
     rowwise = SingleValued(lambda x, u, p: np.where(u < 0.4, 0.0, 1.0))
     assert rowwise.evaluate_grid(xs, U, U)[0].tolist() == [[0.0], [1.0],
                                                            [1.0]]
-    pair = np.array([1.0, 2.0])
-    lo, _ = SingleValued(lambda x, u, p: pair, components=2).evaluate_grid(
-        xs, np.zeros((3, 2)), np.zeros((3, 2)))
-    assert lo.tolist() == [[1.0, 2.0]] * 3
+    # one component may come as a flat vector of one value per state
+    flat = SingleValued(lambda x, u, p: np.where(u[:, 0] < 0.4, 0.0, 1.0))
+    assert flat.evaluate_grid(xs, U, U)[0].tolist() == [[0.0], [1.0], [1.0]]
+    pair = SingleValued(lambda x, u, p: np.array([1.0, 2.0]), components=2)
+    with pytest.raises(ValueError, match=r"^field returned shape \(2,\), "
+                       r"expected \(3, 2\)$"):
+        pair.evaluate_grid(xs, np.zeros((3, 2)), np.zeros((3, 2)))
+    per_row = SingleValued(lambda x, u, p: u[:, 0], components=2)
+    with pytest.raises(ValueError, match=r"^field returned shape \(3,\), "
+                       r"expected \(3, 2\)$"):
+        per_row.evaluate_grid(xs, np.zeros((3, 2)), np.zeros((3, 2)))
     # the value box is the field's own array, not the function's
     full = np.ones((3, 2))
     lo, hi = SingleValued(lambda x, u, p: full, components=2).evaluate_grid(
         xs, np.zeros((3, 2)), np.zeros((3, 2)))
-    assert not np.shares_memory(lo, full) and lo.flags.writeable
+    assert not np.shares_memory(lo, full) and lo is hi
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 2), (1, 3, 2), (3, 2, 1),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tangenteq import (SetValue, SingleValued, IntervalValued,
-                       FilippovHull, Box, Ball, HalfspaceIntersection,
+                       FilippovHull, Box, Ball,
                        selection_on_intervals, tangent_selection,
                        semicontinuity_probe, make_nonlinearity, BoundViolated,
                        EmptyIntersection)
@@ -308,8 +308,8 @@ def test_selection_interior_point_is_value_box_min_norm():
         n = int(rng.integers(1, 5))
         lo = rng.uniform(-2.0, 1.0, n)
         hi = lo + rng.uniform(0.1, 2.0, n)
-        f = IntervalValued(lambda x, u, p, lo=lo: lo,
-                           lambda x, u, p, hi=hi: hi, components=n)
+        f = IntervalValued(lambda x, u, p, lo=lo: lo[None],
+                           lambda x, u, p, hi=hi: hi[None], components=n)
         body = Box(np.full(n, -10.0), np.full(n, 10.0))
         u = rng.uniform(-1.0, 1.0, n)
         y = tangent_selection(f, body, 0.0, u, np.zeros(n))
@@ -330,8 +330,8 @@ def test_selection_minimality_and_membership_by_sampling():
         u = np.clip(u, 0.0, 1.0)
         vlo = rng.uniform(-1.0, 0.5, n)
         vhi = vlo + rng.uniform(0.2, 1.5, n)
-        f = IntervalValued(lambda x, u, p, vlo=vlo: vlo,
-                           lambda x, u, p, vhi=vhi: vhi, components=n)
+        f = IntervalValued(lambda x, u, p, vlo=vlo: vlo[None],
+                           lambda x, u, p, vhi=vhi: vhi[None], components=n)
         try:
             y = tangent_selection(f, body, 0.0, u, np.zeros(n))
         except EmptyIntersection:
@@ -352,42 +352,15 @@ def test_selection_minimality_and_membership_by_sampling():
     assert total_z >= 500
 
 
-def test_selection_on_a_box_polytope_agrees_with_the_box_shortcut():
-    # same box, two representations: the HalfspaceIntersection takes the
-    # least-distance program where the box takes its face cones
-    rng = np.random.default_rng(53)
-    box = Box([0.0, 0.0], [1.0, 1.0])
-    poly = HalfspaceIntersection([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
-                                  [0.0, -1.0]], [1.0, 0.0, 1.0, 0.0],
-                                 [0.5, 0.5])
-    for _ in range(25):
-        u = rng.uniform(0.0, 1.0, 2)
-        snap = rng.random(2) < 0.5
-        u[snap] = np.round(u[snap])
-        u = np.clip(u, 0.0, 1.0)
-        vlo = rng.uniform(-1.0, 0.3, 2)
-        vhi = vlo + rng.uniform(0.3, 1.2, 2)
-        f = IntervalValued(lambda x, u, p, vlo=vlo: vlo,
-                           lambda x, u, p, vhi=vhi: vhi, components=2)
-        try:
-            yb = tangent_selection(f, box, 0.0, u, np.zeros(2))
-        except EmptyIntersection:
-            with pytest.raises(EmptyIntersection):
-                tangent_selection(f, poly, 0.0, u, np.zeros(2))
-            continue
-        yp = tangent_selection(f, poly, 0.0, u, np.zeros(2))
-        assert np.max(np.abs(yb - yp)) <= 1e-12
-
-
 def test_selection_on_ball_boundary():
     ball = Ball([0.0, 0.0], 1.0)
     u = np.array([1.0, 0.0])
-    f = IntervalValued(lambda x, u, p: np.array([-0.5, -0.2]),
-                       lambda x, u, p: np.array([0.5, 0.2]), components=2)
+    f = IntervalValued(lambda x, u, p: np.array([[-0.5, -0.2]]),
+                       lambda x, u, p: np.array([[0.5, 0.2]]), components=2)
     y = tangent_selection(f, ball, 0.0, u, np.zeros(2))
     # origin is in both sets, so the minimal-norm point is zero
     assert np.linalg.norm(y) <= 1e-9
-    g = SingleValued(lambda x, u, p: np.array([0.4, 0.1]), components=2)
+    g = SingleValued(lambda x, u, p: np.array([[0.4, 0.1]]), components=2)
     with pytest.raises(EmptyIntersection, match="^no admissible tangent "
                        "value: cone gap 0.4, box gap 0.4$"):
         tangent_selection(g, ball, 0.0, u, np.zeros(2))
@@ -399,7 +372,8 @@ def test_a_box_beside_the_shortest_value_still_meets_the_ball_cone():
     u = np.array([-0.276, -0.845, 0.458])
     u /= np.linalg.norm(u)
     lo, hi = np.array([1.08, -1.82, -0.24]), np.array([2.5, -0.49, 2.14])
-    f = IntervalValued(lambda x, u, p: lo, lambda x, u, p: hi, components=3)
+    f = IntervalValued(lambda x, u, p: lo[None], lambda x, u, p: hi[None],
+                       components=3)
     y = tangent_selection(f, Ball(np.zeros(3), 1.0), 0.0, u, np.zeros(3))
     assert u @ y <= 1e-15
     assert np.all(lo <= y) and np.all(y <= hi)

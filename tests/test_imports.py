@@ -4,8 +4,8 @@ lists exactly what ``__init__`` imports.  Neither importing the package
 nor factoring loads the ``scipy.linalg`` package: LAPACK's extension
 loads from its file, and a later ``import scipy.linalg`` shares it.  No
 command loads ``numpy.random``: every seeded draw comes from
-``fields.SplitMix64``.  Neither a command nor a ball or simplex solve
-loads ``scipy.optimize``."""
+``fields.SplitMix64``.  No module names ``scipy.optimize``, and neither
+a command nor a ball or simplex solve loads it."""
 
 import ast
 import os
@@ -109,10 +109,15 @@ def test_no_module_names_numpy_random():
             assert "np.random" not in fh.read(), module
 
 
+def test_no_module_names_scipy_optimize():
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE_DIR, module), encoding="utf-8") as fh:
+            assert "scipy.optimize" not in fh.read(), module
+
+
 def test_no_command_loads_numpy_random(tmp_path):
     # numpy.random imports secrets, and secrets OpenSSL's _hashlib; nor
-    # does a command, a ball solve or a simplex solve load scipy.optimize,
-    # which only a half-space intersection's least-distance programs need
+    # does a command, a ball solve or a simplex solve load scipy.optimize
     from tangenteq.cli import _COMMANDS
     config_dir = os.path.join(os.path.dirname(__file__), "..", "configs")
     configs = sorted(os.path.join(config_dir, f)

@@ -40,7 +40,8 @@ def box_problems(draw):
 
 
 def _node_selection(box, U, vlo, vhi, j):
-    field = IntervalValued(lambda x, u, p: vlo[j], lambda x, u, p: vhi[j],
+    field = IntervalValued(lambda x, u, p: vlo[j:j + 1],
+                           lambda x, u, p: vhi[j:j + 1],
                            components=U.shape[1])
     return tangent_selection(field, box, 0.0, U[j], np.zeros(U.shape[1]),
                              tol=CONE_TOL)

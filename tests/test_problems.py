@@ -115,10 +115,12 @@ def test_state_shift_moves_mass_between_parts():
 
 def test_state_shift_enforces_the_base_envelope():
     # the envelope bounds phi itself, before the shift by c * u
-    fld = StateShiftedField(as_field(lambda x, u, p: 5.0, bound=0.1), 1.0)
+    fld = StateShiftedField(as_field(lambda x, u, p: np.full_like(u, 5.0),
+                                    bound=0.1), 1.0)
     with pytest.raises(BoundViolated, match="exceeds envelope 0.1"):
         fld.evaluate(0.5, np.zeros(1), np.zeros(1))
-    ok = StateShiftedField(as_field(lambda x, u, p: 0.05, bound=0.1), 1.0)
+    ok = StateShiftedField(as_field(lambda x, u, p: np.full_like(u, 0.05),
+                                   bound=0.1), 1.0)
     assert ok.evaluate(0.5, np.array([1.0]), np.zeros(1)).lo[0] == -0.95
 
 

@@ -4,11 +4,14 @@
 probe table at every call.  ``_full_ball_projection``,
 ``_full_ball_cone`` and ``_full_simplex_cone`` run the boundary algebra
 on every row, interior rows included.  ``_column_apply`` multiplies the
-stencil's bands as ``(n, 1)`` columns into every state.  The current
-code must return the same bytes.  ``_pivot_projection`` is the simplex
-projection's pivot rule on every row: the rows that still take it must
-get its bytes, and the rows projected in closed form must lie within a
-few ulps of it.
+stencil's bands as ``(n, 1)`` columns into every state.
+``_rebuilt_hull`` probes the positions with the states at every call and
+takes the hull across the middle axis.  A value box ``[y, y]`` given as
+one array must select, and measure its equation residual, as the same
+box given as two arrays.  The current code must return the same bytes.
+``_pivot_projection`` is the simplex projection's pivot rule on every
+row: the rows that still take it must get its bytes, and the rows
+projected in closed form must lie within a few ulps of it.
 """
 
 import numpy as np
@@ -16,11 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tangenteq import (Ball, Box, Grid1D, HalfspaceIntersection,
-                       OperatorSpec, Simplex, assemble, make_nonlinearity,
-                       resolvent_iterate, verify_bernstein, verify_tangency,
-                       viability_simulate)
-from tangenteq import convex, fields
+from tangenteq import (Ball, Box, FilippovHull, Grid1D, MovingBox,
+                       OperatorSpec, Simplex, StateShiftedField, assemble,
+                       make_nonlinearity, resolvent_iterate, verify_bernstein,
+                       verify_tangency, viability_simulate)
+from tangenteq import convex, equilibrium, fields
 from tangenteq.convex import _positive_part, _row_dots, _row_norms, _row_sums
 from tangenteq.fields import _probe_grid, _probe_table
 
@@ -242,28 +245,6 @@ def test_simplex_cone_is_the_full_row_form(case):
                 _full_simplex_cone(X, V, tol))
 
 
-def test_interior_polytope_rows_solve_no_program(monkeypatch):
-    square = HalfspaceIntersection([[1, 0], [-1, 0], [0, 1], [0, -1]],
-                                   [1, 1, 1, 1], [0, 0])
-    calls = []
-    least_distance = convex._least_distance
-
-    def counted(G, h):
-        calls.append(len(h))
-        return least_distance(G, h)
-
-    monkeypatch.setattr(convex, "_least_distance", counted)
-    X = np.array([[0.0, 0.0], [0.5, -0.5], [-0.9, 0.9]])
-    V = np.array([[1.0, -0.0], [-2.0, 3.0], [np.nan, 1.0]])
-    _same_bytes(square.tangent_project_rows(X, V), V)
-    assert calls == []
-    # a row on a face still solves its program, over that face alone
-    Y = square.tangent_project_rows(np.array([[1.0, 0.0], [0.0, 0.0]]),
-                                    np.array([[2.0, 1.0], [2.0, 1.0]]))
-    assert calls == [1]
-    assert np.array_equal(Y, [[0.0, 1.0], [2.0, 1.0]])
-
-
 def _pivot_projection(X, s):
     """The sort-based pivot rule on every row, rows inside the simplex
     included."""
@@ -403,3 +384,230 @@ def test_the_stencil_bands_give_the_column_products(bc, N, n, gamma, shift,
         U = np.array(data.draw(st.lists(_ENTRIES, min_size=size,
                                         max_size=size))).reshape(shape)
         _same_bytes(op.apply(U), _column_apply(op, U))
+
+
+def _rebuilt_hull(hull, xs, U, P):
+    """The relay hull as it was built: the positions probed with the
+    states at every call, and each state's hull taken across the middle
+    axis of ``(states, probes, N)``."""
+    S = np.concatenate((xs[None], U.T, P.T))
+    offsets = fields._probe_offsets(hull.base_seed, hull.sample_count,
+                                    hull.delta, S.shape[0])
+    probes = (S[:, :, None] + offsets[:, None, :]).reshape(S.shape[0], -1)
+    k, N = U.shape[1], hull.components
+    y = np.empty((probes.shape[1], N))
+    y[...] = np.asarray(hull.g(probes[0][:, None], probes[1:1 + k].T,
+                               probes[1 + k:].T), dtype=float)
+    y = y.reshape(len(xs), -1, N)
+    return np.minimum.reduce(y, axis=1), np.maximum.reduce(y, axis=1)
+
+
+def _same_or_nan(got, want):
+    """The bytes of ``want`` wherever it is a number, NaN where it is NaN
+    (whatever the NaN's sign)."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# values where a sign, an infinity, a subnormal or a NaN could tell two
+# forms apart, then ordinary ones
+_SPECIALS = st.sampled_from((0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                             2.0 ** -1030, np.nan))
+_VALUES = st.one_of(_SPECIALS, st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 3), st.integers(0, 2),
+       st.integers(1, 9), st.sampled_from((1e-3, 0.05, 0.7)), st.data())
+@example(1, 1, 1, 4, 0.05, None)
+def test_the_hull_is_the_rebuilt_form_on_every_node_array(N, k, q, count,
+                                                          delta, data):
+    # one value per component, a signed zero and a NaN among them, picked
+    # by the sign of a sum over every probe coordinate
+    if data is None:
+        off, on = np.zeros(N), -np.zeros(N)
+    else:
+        off, on = (np.array(data.draw(st.lists(_VALUES, min_size=N,
+                                               max_size=N)))
+                   for _ in range(2))
+
+    def g(x, u, p):
+        s = x[:, 0] + u.sum(axis=1) + p.sum(axis=1)
+        return np.where((s < 0.5)[:, None], off, on)
+
+    hull = FilippovHull(g, delta, sample_count=count, components=N,
+                        base_seed=7)
+    grids = [Grid1D(1.0, m).nodes for m in (3, 5)]
+    writable = np.linspace(0.0, 1.0, 3)
+    rng = fields.SplitMix64(count)
+    # a grid swapped for another and back, then a writable node array,
+    # which changes between two calls
+    for xs in (grids[0], grids[1], grids[0], writable, writable):
+        U = rng.random((len(xs), k)) - 0.25
+        P = rng.random((len(xs), q)) - 0.25
+        for got, want in zip(hull.evaluate_grid(xs, U, P),
+                             _rebuilt_hull(hull, xs, U, P)):
+            _same_or_nan(got, want)
+        writable += 0.3
+
+
+def test_a_read_only_node_array_keeps_its_probe_positions():
+    hull = make_nonlinearity("heaviside", {}, seed=2)
+    xs, U = Grid1D(1.0, 5).nodes, np.full((5, 1), 0.5)
+    hull.evaluate_grid(xs, U, U)
+    nodes, _, X = hull._positions
+    assert nodes is xs and not X.flags.writeable
+    hull.evaluate_grid(xs, U + 0.1, U)
+    assert hull._positions[2] is X
+    # a writable array is probed afresh and leaves the kept positions
+    hull.evaluate_grid(xs.copy(), U, U)
+    assert hull._positions[2] is X
+    # a hull whose probe table changes probes its nodes afresh
+    hull.delta = 0.2
+    for got, want in zip(hull.evaluate_grid(xs, U, U),
+                         _rebuilt_hull(hull, xs, U, U)):
+        _same_bytes(got, want)
+    assert hull._positions[2] is not X
+
+
+def test_ball_kernels_keep_their_bytes_as_the_state_shape_changes():
+    centre = np.array([0.3, -0.2])
+    ball = Ball(centre, 0.8)
+    # the ball keeps a read-only copy of its centre
+    centre[0] = 5.0
+    assert ball.center.tolist() == [0.3, -0.2]
+    with pytest.raises(ValueError, match="read-only"):
+        ball.center[0] = 5.0
+    rng = fields.SplitMix64(4)
+    # the lifted shape, others, and back
+    for n in (7, 7, 3, 1, 0, 7):
+        X = 2.0 * rng.random((n, 2)) - 1.0
+        V = rng.random((n, 2)) - 0.5
+        _same_bytes(ball.project_rows(X), _full_ball_projection(ball, X))
+        _same_bytes(ball.tangent_project_rows(X, V, 1e-3),
+                    _full_ball_cone(ball, X, V, 1e-3))
+        # the centre the kernels subtract is held at the state's shape
+        assert ball._centres[1].shape == (n, 2)
+    # a new centre is taken up at once
+    ball.center = np.array([-0.3, 0.2])
+    _same_bytes(ball.project_rows(X), _full_ball_projection(ball, X))
+
+
+@st.composite
+def one_array_boxes(draw):
+    """A box, a nodewise box, a ball or a simplex of dimension 1 to 5,
+    lifted to 1 to 6 nodes, its states at the projections of drawn ones
+    (so on faces too), value rows ``y`` and a tolerance, zero among
+    them."""
+    kind = draw(st.sampled_from(("box", "moving", "ball", "simplex")))
+    n, N = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+
+    def grid(shape, values=st.floats(-2.0, 2.0)):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(values, min_size=size,
+                                      max_size=size))).reshape(shape)
+    if kind in ("box", "moving"):
+        a, b = grid((2, N) if kind == "box" else (2, n, N))
+        body = (Box if kind == "box" else MovingBox)(np.minimum(a, b),
+                                                     np.maximum(a, b))
+    elif kind == "ball":
+        body = Ball(grid(N, st.floats(-1.0, 1.0)),
+                    draw(st.floats(0.25, 2.0)))
+    else:
+        body = Simplex(draw(st.floats(0.25, 2.0)), N)
+    K = body.lift(n, N)
+    return K, K.project_rows(grid((n, N), st.floats(-3.0, 3.0))), \
+        grid((n, N), _VALUES), draw(st.sampled_from((1e-9, 0.0, 1e-3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_array_boxes())
+def test_a_one_array_box_selects_as_its_two_arrays(case):
+    K, W, y, tol = case
+    got = K._select_at(W, y, y, tol)
+    want = K._select_at(W, y, y.copy(), tol)
+    assert (got[0] is None) == (want[0] is None)
+    if got[0] is None:
+        assert got[1] == want[1]
+    else:
+        _same_or_nan(got[0], want[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("neumann", "dirichlet", "periodic")),
+       st.integers(1, 5), st.integers(3, 6), st.data())
+def test_a_one_array_box_has_the_equation_residual_of_its_two_arrays(
+        bc, N, n, data):
+    op = assemble(OperatorSpec(bc=bc, components=N),
+                  Grid1D(1.0, n, periodic=bc == "periodic"))
+    AU, y = (np.array(data.draw(st.lists(_VALUES, min_size=n * N,
+                                         max_size=n * N))).reshape(n, N)
+             for _ in range(2))
+    got = equilibrium._equation_residual(op, AU, y, y)
+    want = equilibrium._equation_residual(op, AU, y, y.copy())
+    assert got == want or np.isnan(got) and np.isnan(want)
+
+
+def test_a_single_valued_box_is_one_read_only_array():
+    xs, U = Grid1D(1.0, 4).nodes, np.full((4, 2), 0.25)
+    field = make_nonlinearity("linear", {"a": 0.5, "b": -1.0}, components=2)
+    for f in (field, StateShiftedField(field, 2.0)):
+        lo, hi = f.evaluate_grid(xs, U, U)
+        assert lo is hi and not lo.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            lo[0, 0] = 1.0
+    assert StateShiftedField(field, 2.0).evaluate_grid(xs, U, U)[0].tolist() \
+        == [[0.5 - 0.25 - 2.0 * 0.25] * 2] * 4
+    # an interval base keeps its two arrays
+    box = make_nonlinearity("constant", {"lo": -1.0, "hi": 1.0}, components=2)
+    lo, hi = StateShiftedField(box, 2.0).evaluate_grid(xs, U, U)
+    assert lo is not hi and lo.tolist() == [[-1.5] * 2] * 4 \
+        and hi.tolist() == [[0.5] * 2] * 4
+
+
+def test_single_valued_sweeps_take_no_box_gap_and_no_zero_clip(monkeypatch):
+    # the simplex and ball jobs of the nonbox_relay benchmark: every value
+    # box is [y, y], so each shortest value is y and every box gap is the
+    # cone gap
+    calls = []
+    box_distances, clip = convex._box_distances, convex._clip
+
+    def counted_distances(Y, lo, hi):
+        calls.append("box gap")
+        return box_distances(Y, lo, hi)
+
+    def counted_clip(x, lo, hi, *args, **kwargs):
+        if np.ndim(x) == 0 and x == 0.0:
+            calls.append("clip(0, ...)")
+        return clip(x, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(convex, "_box_distances", counted_distances)
+    monkeypatch.setattr(convex, "_clip", counted_clip)
+    rng = fields.SplitMix64(11)
+    e = -np.log1p(-rng.random((51, 3)))
+    d = rng.standard_normal((201, 2))
+    for body, a, u0 in (
+            (Simplex(1.0, 3), 1.0 / 3.0, e / _row_sums(e)[:, None]),
+            (Ball(np.zeros(2), 1.0), 0.5,
+             rng.random((201, 1)) ** 0.5 * d / _row_norms(d)[:, None])):
+        N, n = u0.shape[1], u0.shape[0]
+        op = assemble(OperatorSpec(d=1.0, bc="neumann", components=N),
+                      Grid1D(1.0, n))
+        field = make_nonlinearity("linear", {"a": a, "b": -1.0},
+                                  components=N)
+        rep = resolvent_iterate(op, field, body, u0)
+        assert rep.status == "converged" and rep.iterations > 10
+    assert calls == []
+    # a two-array box still measures both gaps
+    Simplex(1.0, 2).select(np.array([[0.5, 0.5]]), np.zeros((1, 2)),
+                           np.ones((1, 2)))
+    assert calls == ["clip(0, ...)", "box gap"]
+
+
+def test_a_resolvent_returns_c_ordered_states():
+    for N in (1, 3):
+        op = assemble(OperatorSpec(components=N), Grid1D(1.0, 11))
+        for u in op._resolvent(0.5, np.ones((11, N))):
+            assert u.flags.c_contiguous

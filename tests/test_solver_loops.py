@@ -25,8 +25,7 @@ sweep method of ``ConvexBody`` (a body is its own lift) or
 ``MovingBox`` (the one nodewise box) loops over rows, and no selection
 iterates: the only loop statement is the column sum of ``_row_sums``.
 Bodies implement only their row methods, and ``ConvexBody`` builds the
-rest on them without a loop; only ``HalfspaceIntersection`` loops over
-rows, one least-distance program per row, in comprehensions.  No module
+rest on them without a loop, in a comprehension or otherwise.  No module
 of the package lifts a constraint in two steps: every ``.lift(`` call
 passes the node and component counts, and nothing calls ``.broadcast(``.
 A ``Box`` is a ``MovingBox`` of one row: ``convex`` never tiles bounds
@@ -98,9 +97,30 @@ def _methods_with_row_loops(cls):
                           for inner in ast.walk(node)))
 
 
+class _RowLoops:
+    """A body whose methods loop over rows in each way the check looks
+    for, and one that does not."""
+
+    def listed(self, X):
+        return [x for x in X]
+
+    def keyed(self, X):
+        return {i: x for i, x in enumerate(X)}
+
+    def summed(self, X):
+        return sum(x for x in X)
+
+    def walked(self, X):
+        while X:
+            X = X[1:]
+
+    def whole(self, X):
+        return X + 1.0
+
+
 def test_the_row_loop_check_sees_comprehensions():
-    assert _methods_with_row_loops(convex.HalfspaceIntersection) == [
-        "_active", "_select_rows", "project_rows", "tangent_project_rows"]
+    assert _methods_with_row_loops(_RowLoops) == [
+        "keyed", "listed", "summed", "walked"]
 
 
 def test_no_selection_iterates():
