@@ -22,8 +22,9 @@ multiplier, ``_multiplier_rows``):
 
 * ``MovingBox``  clipping; sign rules on the active faces,
 * ``Ball``     radial scaling; a halfspace through the outward normal,
-* ``Simplex``  a sort-based pivot rule; zero-sum directions,
-  nonnegative on the zero coordinates.
+* ``Simplex``  one sort-based pivot rule, ``_face_rows``, for both:
+  the projection has every coordinate active, the cone (zero-sum
+  directions) its zero coordinates.
 
 The cone only acts on the boundary, so the row kernels do their face
 work only on the rows that touch a face.  At an interior point the cone
@@ -457,12 +458,14 @@ class Simplex(ConvexBody):
         on the rows with no entry at or below ``theta``: that point lies in
         the simplex, and ``X[j]`` less it is a multiple of the normal
         ``1``, which spans the normal cone where no coordinate is zero.
-        Only the other rows take the pivot rule, ``_pivot_rows``."""
+        Only the other rows take the pivot rule, ``_face_rows`` with every
+        coordinate active."""
         Y = X - ((_row_sums(X) - self.total_mass) / X.shape[1])[:, None]
         inner = Y > 0.0
         if not inner.all():
             rest = (~inner.all(axis=1)).nonzero()[0]
-            Y[rest] = _pivot_rows(X[rest], self.total_mass)
+            Y[rest] = _face_rows(np.ones((rest.size, X.shape[1]), bool),
+                                 X[rest], self.total_mass)
         return Y
 
     def tangent_project_rows(self, X, V, tol=CONE_TOL):
@@ -490,36 +493,22 @@ class Simplex(ConvexBody):
         return np.abs(s - 1.0) * (self.total_mass / np.sqrt(self.dim))
 
 
-def _pivot_rows(X, s):
-    """The projection of each row of ``X`` onto ``{u >= 0, sum u = s}`` by
-    the sort-based pivot rule (Held, Wolfe and Crowder, Math. Prog. 1974):
-    ``max(x - theta, 0)``, with ``theta`` the largest ``(sum of the k
-    largest x_i - s) / k`` whose ``k``-th largest entry exceeds it."""
-    u = X.copy()
-    u.sort(axis=1)
-    u = u[:, ::-1]
-    cssv = u.cumsum(axis=1) - s
-    idx = np.arange(1, X.shape[1] + 1)
-    rho = X.shape[1] - 1 - (u * idx > cssv)[:, ::-1].argmax(axis=1)
-    theta = cssv[np.arange(X.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(X - theta[:, None], 0.0)
-
-
-def _face_rows(act, V):
-    """The projection of each ``V[j]`` onto ``{w: sum w = 0, w_i >= 0 where
-    act[j, i]}``.
+def _face_rows(act, V, s=0.0):
+    """The projection of each ``V[j]`` onto ``{w: sum w = s, w_i >= 0 where
+    act[j, i]}``: the simplex of mass ``s`` when every coordinate is
+    active, the simplex's cone at a point with zeros ``act`` when ``s = 0``.
 
     KKT reduces to one scalar equation: free components give ``w_i = v_i
     - lam``, active ones ``w_i = max(v_i - lam, 0)``, and ``lam`` makes the
-    sum zero.  That sum is piecewise linear and decreasing in ``lam``,
+    sum ``s``.  That sum is piecewise linear and decreasing in ``lam``,
     with breakpoints at the active ``v_i``.  With the ``k`` largest active
-    ``v_i`` above it, ``lam_k = (sum of free v_i + sum of those k) / (free
-    + k)``; over the active values sorted in descending order ``lam_k``
-    rises while the ``k``-th value lies above the root and falls after,
-    so the root is the largest ``lam_k`` (the pivot rule of
-    ``_pivot_rows``; Condat, Math. Prog. 2016).  ``k = 0`` is a
-    candidate only when some component is free; with no active component
-    it is the only one, and ``w`` is ``v`` less its mean.
+    ``v_i`` above it, ``lam_k = (sum of free v_i - s + sum of those k) /
+    (free + k)``; over the active values sorted in descending order
+    ``lam_k`` rises while the ``k``-th value lies above the root and falls
+    after, so the root is the largest ``lam_k``: the sort-based pivot rule
+    (Held, Wolfe and Crowder, Math. Prog. 1974; Condat, Math. Prog. 2016).
+    ``k = 0`` is a candidate only when some component is free; with no
+    active component it is the only one.
     """
     n_act = np.count_nonzero(act, axis=1)[:, None]
     n_free = V.shape[1] - n_act
@@ -528,7 +517,7 @@ def _face_rows(act, V):
     top.sort(axis=1)
     top = -top
     within = k <= n_act
-    free_sum = _row_sums(np.where(act, 0.0, V))[:, None]
+    free_sum = _row_sums(np.where(act, 0.0, V))[:, None] - s
     lam_k = (free_sum + np.where(within, top, 0.0).cumsum(axis=1)) \
         / (n_free + k)
     # lam_0 fills the columns past the active count, which exist exactly

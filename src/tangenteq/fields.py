@@ -40,9 +40,9 @@ probes together; ``semicontinuity_probe`` draws its probes from the
 same table.  Both reach it through ``_probe_offsets``, which
 scales it once per ``(seed, count, radius, dim)`` and keeps it
 coordinate-first, so a probe grid is one array add.  The probes'
-positions depend on the nodes alone, so a hull builds them once per
-read-only node array (a grid's nodes), and takes each state's hull over
-a contiguous axis.
+positions depend on the nodes and the table alone, so a hull builds
+them once per read-only node array (a grid's nodes) and table, and
+takes each state's hull over a contiguous axis.
 
 ``tangent_selection`` picks the minimal-norm admissible value that is also
 tangent to the constraint set at ``u``: it evaluates the field once and
@@ -215,9 +215,9 @@ class FilippovHull(NonlinearityField):
     the state.  Every state uses the same table, so the hull is a pure
     function of the state.  ``g`` is called once per grid, on every
     state's centre and probes together.  The positions of the probes
-    depend on the nodes alone, so they are built once for a read-only
-    node array (a grid's nodes), which is taken as fixed, and kept
-    read-only.
+    depend on the nodes and the table (whose width is the state's) alone,
+    so they are built once for a read-only node array (a grid's nodes),
+    which is taken as fixed, and kept read-only.  A zero end is ``+0.0``.
     """
 
     def __init__(self, g, delta, sample_count=64, components=1,
@@ -228,22 +228,25 @@ class FilippovHull(NonlinearityField):
         self.delta = float(delta)
         self.sample_count = check_count(ValueError, 1, samples=sample_count)
         self.base_seed = check_seed(base_seed=base_seed)
-        # read-only nodes, the probe table's parameters, their positions
+        # read-only nodes, the probe table's parameters and width, positions
         self._positions = (None, None, None)
 
     def _grid_value(self, xs, U, P):
         N = self.components
         probes = (self.base_seed, self.sample_count, self.delta)
+        # the table, and so the positions, change with the state's width
+        table = probes + (U.shape[1] + P.shape[1],)
         nodes, kept, X = self._positions
         X, U, P = _probe_grid(*probes, xs, U, P,
-                              X if nodes is xs and kept == probes else None)
+                              X if nodes is xs and kept == table else None)
         if not xs.flags.writeable:
-            self._positions = xs, probes, X
+            self._positions = xs, table, X
         # each state's values with its probes along the last, contiguous
-        # axis
+        # axis; a zero end is +0.0, whichever zero the reduction kept
         y = _call(self.g, X, U, P, N).reshape(len(xs), -1, N)
         y = np.ascontiguousarray(y.transpose(0, 2, 1))
-        return np.minimum.reduce(y, axis=2), np.maximum.reduce(y, axis=2)
+        return (np.minimum.reduce(y, axis=2) + 0.0,
+                np.maximum.reduce(y, axis=2) + 0.0)
 
 
 class SplitMix64:
@@ -292,6 +295,16 @@ class SplitMix64:
         return (r * np.cos(2.0 * np.pi * u[:, 1])).reshape(shape)
 
 
+def _unit_rows(rng, count, dim):
+    """``count`` normalised standard-normal rows drawn row-major from
+    ``rng``, uniform unit vectors in ``dim`` dimensions; a zero row stays
+    zero."""
+    d = rng.standard_normal((count, dim))
+    nd = _row_norms(d)
+    nd[nd == 0.0] = 1.0
+    return d / nd[:, None]
+
+
 def unit_ball_rays(rng, count, dim):
     """``count`` points of the closed unit ball in one draw.
 
@@ -303,10 +316,7 @@ def unit_ball_rays(rng, count, dim):
     or anything else with ``standard_normal(shape)``, such as a numpy
     Generator.
     """
-    d = rng.standard_normal((count, dim + 2))
-    nd = _row_norms(d)
-    nd[nd == 0.0] = 1.0
-    return d[:, :dim] / nd[:, None]
+    return _unit_rows(rng, count, dim + 2)[:, :dim]
 
 
 def _probe_table(seed, count, dim):

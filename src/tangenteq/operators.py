@@ -233,20 +233,14 @@ class DiscreteOperator:
         n = self.grid.n
         dx = self.grid.dx
         g = self.gamma_nodes
-        if self.grid.periodic:
-            dm = self.d_mid                      # edge j -> j+1 (wrapping)
-            dp = np.roll(self.d_mid, 1)          # edge j-1 -> j
-            self.sub = dp / dx ** 2 + g / (2 * dx)      # couples to j-1
-            self.sup = dm / dx ** 2 - g / (2 * dx)      # couples to j+1
-            self.diag = -(dm + dp) / dx ** 2 - self.shift
-            return
-        dm = self.d_mid
+        dm = self.d_mid                          # edge j -> j+1
         sub = np.zeros(n)
         sup = np.zeros(n)
         diag = np.zeros(n)
-        j = np.arange(1, n - 1)
-        sub[j] = dm[j - 1] / dx ** 2 + g[j] / (2 * dx)
-        sup[j] = dm[j] / dx ** 2 - g[j] / (2 * dx)
+        # every row of a periodic grid (dm[-1] wraps), else the inner rows
+        j = np.arange(n) if self.grid.periodic else np.arange(1, n - 1)
+        sub[j] = dm[j - 1] / dx ** 2 + g[j] / (2 * dx)      # couples to j-1
+        sup[j] = dm[j] / dx ** 2 - g[j] / (2 * dx)          # couples to j+1
         diag[j] = -(dm[j] + dm[j - 1]) / dx ** 2 - self.shift
         if self.spec.bc == "neumann":
             # ghost reflection u_{-1} = u_1: doubled flux, drift cancels

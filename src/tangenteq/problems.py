@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import Ball, MovingBox, _row_dots, _row_norms, _row_sums
+from .convex import Ball, MovingBox, _row_dots, _row_sums
 from .errors import InvalidSpec, check_count, check_seed
 from .fields import (FilippovHull, IntervalValued, NonlinearityField,
-                     SingleValued, SplitMix64, _sup_norms)
+                     SingleValued, SplitMix64, _sup_norms, _unit_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +235,6 @@ def _min_dot(W, lo, hi):
     """``min w . y`` over the values ``y`` in the box ``[lo, hi]``, row by
     row, summed by the one row-sum rule ``_row_sums``."""
     return _row_sums(np.minimum(W * lo, W * hi))
-
-
-def _unit_rows(rng, count, dim):
-    """``count`` normalised standard-normal rows: uniform unit vectors."""
-    d = rng.standard_normal((count, dim))
-    return d / _row_norms(d)[:, None]
 
 
 # ---------------------------------------------------------------------------

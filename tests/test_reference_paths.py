@@ -6,13 +6,19 @@ probe table at every call.  ``_full_ball_projection``,
 on every row, interior rows included.  ``_column_apply`` multiplies the
 stencil's bands as ``(n, 1)`` columns into every state.
 ``_rebuilt_hull`` probes the positions with the states at every call and
-takes the hull across the middle axis.  A value box ``[y, y]`` given as
-one array must select, and measure its equation residual, as the same
-box given as two arrays.  The current code must return the same bytes.
-``_pivot_projection`` is the simplex projection's pivot rule on every
-row: the rows that still take it must get its bytes, and the rows
-projected in closed form must lie within a few ulps of it.
+takes the hull across the middle axis.  ``_wall_bands`` builds the
+stencil's bands with one formula per wall, and ``_unit_draw`` draws unit
+vectors and unit-ball rays as each once did on its own.  A value box
+``[y, y]`` given as one array must select, and measure its equation
+residual, as the same box given as two arrays.  The current code must
+return the same bytes.
+``_pivot_projection`` is the classical pivot rule of the simplex
+projection on every row, an oracle: the rows that take the face rule
+with every coordinate active get ``_full_simplex_cone``'s bytes, and
+every row must lie within a few ulps of the oracle.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -144,16 +150,18 @@ def _full_ball_cone(ball, X, V, tol):
     return V - _positive_part(_row_dots(normal, V))[:, None] * normal
 
 
-def _full_simplex_cone(X, V, tol):
+def _full_simplex_cone(act, V, s=0.0):
     """The active-set solve on every row, rows without an active
-    coordinate included."""
-    act = X <= tol
+    coordinate included: the projection onto ``{sum w = s, w_i >= 0 where
+    act}``, the simplex's cone at a point whose zeros are ``act`` when
+    ``s = 0``, the simplex of mass ``s`` when every coordinate is
+    active."""
     n_act = np.count_nonzero(act, axis=1)[:, None]
-    n_free = X.shape[1] - n_act
-    k = np.arange(1, X.shape[1] + 1)
+    n_free = V.shape[1] - n_act
+    k = np.arange(1, V.shape[1] + 1)
     top = -np.sort(np.where(act, -V, np.inf), axis=1)
     within = k <= n_act
-    free_sum = _row_sums(np.where(act, 0.0, V))[:, None]
+    free_sum = _row_sums(np.where(act, 0.0, V))[:, None] - s
     lam_k = (free_sum + np.cumsum(np.where(within, top, 0.0), axis=1)) \
         / (n_free + k)
     lam_0 = free_sum / np.maximum(n_free, 1)
@@ -242,7 +250,7 @@ def simplex_rows(draw):
 def test_simplex_cone_is_the_full_row_form(case):
     simplex, X, V, tol = case
     _same_bytes(simplex.tangent_project_rows(X, V, tol),
-                _full_simplex_cone(X, V, tol))
+                _full_simplex_cone(X <= tol, V))
 
 
 def _pivot_projection(X, s):
@@ -296,40 +304,64 @@ def simplex_projection_rows(draw):
 @example((Simplex(1.0, 1), np.array([[0.25], [-0.0], [np.nan]])))
 def test_simplex_projection_is_the_pivot_rule_or_its_closed_form(case):
     simplex, X = case
-    taken, pivot = [], convex._pivot_rows
+    mass = simplex.total_mass
+    taken, face = [], convex._face_rows
 
-    def recorded(Xr, s):
-        taken.append(Xr.copy())
-        return pivot(Xr, s)
+    def recorded(act, V, s=0.0):
+        taken.append((act.copy(), V.copy(), s))
+        return face(act, V, s)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convex, "_pivot_rows", recorded)
+        mp.setattr(convex, "_face_rows", recorded)
         got = simplex.project_rows(X)
-    want = _pivot_projection(X, simplex.total_mass)
-    theta = (_row_sums(X) - simplex.total_mass) / X.shape[1]
+    theta = (_row_sums(X) - mass) / X.shape[1]
     closed = np.all(X - theta[:, None] > 0.0, axis=1)
-    # exactly the rows with an entry at or below theta take the pivot
-    pivoted = np.concatenate(taken) if taken else X[:0]
-    _same_bytes(pivoted, X[~closed])
-    _same_bytes(got[~closed], want[~closed])
-    # the other rows are x - theta, a few ulps from the pivot's sorted sum
+    # exactly the rows with an entry at or below theta take the face rule,
+    # once, with every coordinate active and the simplex's mass
+    assert len(taken) == int(not closed.all())
+    for act, V, s in taken:
+        assert act.all() and s == mass
+        _same_bytes(V, X[~closed])
+    everything = np.ones(X.shape, dtype=bool)
+    _same_bytes(got[~closed], _full_simplex_cone(everything, X, mass)[~closed])
+    # the other rows are x - theta, which sums in the row's own order
     _same_bytes(got[closed], (X - theta[:, None])[closed])
-    scale = np.maximum(1.0, np.max(np.abs(X[closed]), axis=1, initial=0.0))
-    assert np.all(np.abs(got[closed] - want[closed])
-                  <= 4.0 * _EPS * scale[:, None])
+    _assert_the_pivot_projection(got, X, mass)
+
+
+def _assert_the_pivot_projection(got, X, s):
+    """``got`` is the classical pivot rule's projection of ``X`` onto
+    ``{u >= 0, sum u = s}`` within ``4 eps max(1, |x|)``, NaN on the same
+    rows, and on every other row nonnegative, summing to ``s`` within a
+    few eps, and ``x`` less one common shift on its positive entries."""
+    want = _pivot_projection(X, s)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(X).any(axis=1)
+    got, want, X = got[ok], want[ok], X[ok]
+    scale = np.maximum(1.0, np.max(np.abs(X), axis=1, initial=0.0))
+    assert np.all(np.abs(got - want) <= 4.0 * _EPS * scale[:, None])
+    assert np.all(got >= 0.0)
+    assert np.all(np.abs(_row_sums(got) - s)
+                  <= 2.0 * X.shape[1] * _EPS * (scale + s))
+    shift, pos = X - got, got > 0.0
+    spread = np.max(np.where(pos, shift, -np.inf), axis=1) \
+        - np.min(np.where(pos, shift, np.inf), axis=1)
+    # a row sums to s > 0, so it has a positive entry
+    assert np.all(spread <= 4.0 * _EPS * scale)
 
 
 def test_a_simplex_solve_inside_the_simplex_takes_no_pivot(monkeypatch):
     # the simplex job of the nonbox_relay benchmark: its states keep every
-    # coordinate far from zero, so every projection is the closed form
+    # coordinate far from zero, so every projection is the closed form and
+    # every cone projection the hyperplane's
     calls = []
-    pivot = convex._pivot_rows
+    face = convex._face_rows
 
-    def counted(X, s):
-        calls.append(len(X))
-        return pivot(X, s)
+    def counted(act, V, s=0.0):
+        calls.append(len(V))
+        return face(act, V, s)
 
-    monkeypatch.setattr(convex, "_pivot_rows", counted)
+    monkeypatch.setattr(convex, "_face_rows", counted)
     op = assemble(OperatorSpec(d=1.0, bc="neumann", components=3),
                   Grid1D(1.0, 51))
     field = make_nonlinearity("linear", {"a": 1.0 / 3.0, "b": -1.0},
@@ -399,7 +431,9 @@ def _rebuilt_hull(hull, xs, U, P):
     y[...] = np.asarray(hull.g(probes[0][:, None], probes[1:1 + k].T,
                                probes[1 + k:].T), dtype=float)
     y = y.reshape(len(xs), -1, N)
-    return np.minimum.reduce(y, axis=1), np.maximum.reduce(y, axis=1)
+    # a zero end is +0.0, whichever zero the reduction kept
+    return (np.minimum.reduce(y, axis=1) + 0.0,
+            np.maximum.reduce(y, axis=1) + 0.0)
 
 
 def _same_or_nan(got, want):
@@ -422,12 +456,17 @@ _VALUES = st.one_of(_SPECIALS, st.floats(-3.0, 3.0))
 @given(st.integers(1, 2), st.integers(0, 3), st.integers(0, 2),
        st.integers(1, 9), st.sampled_from((1e-3, 0.05, 0.7)), st.data())
 @example(1, 1, 1, 4, 0.05, None)
+# both ends zero, -0.0 where the middle-axis reduce and the contiguous one
+# kept different zeros
+@example(2, 0, 0, 8, 0.001, "zeros")
 def test_the_hull_is_the_rebuilt_form_on_every_node_array(N, k, q, count,
                                                           delta, data):
     # one value per component, a signed zero and a NaN among them, picked
     # by the sign of a sum over every probe coordinate
     if data is None:
         off, on = np.zeros(N), -np.zeros(N)
+    elif data == "zeros":
+        off, on = np.zeros(N), np.array([0.0, -0.0])
     else:
         off, on = (np.array(data.draw(st.lists(_VALUES, min_size=N,
                                                max_size=N)))
@@ -470,6 +509,30 @@ def test_a_read_only_node_array_keeps_its_probe_positions():
                          _rebuilt_hull(hull, xs, U, U)):
         _same_bytes(got, want)
     assert hull._positions[2] is not X
+
+
+def test_a_hull_keeps_positions_only_for_the_probe_table_of_their_width():
+    # the probe table, and so the positions, change with 1 + k + q
+    def g(x, u, p):
+        return (x - 0.5) * (u[:, :1] - 0.3)
+
+    hull = FilippovHull(g, 0.2, sample_count=64)
+    xs = Grid1D(1.0, 5).nodes
+    U = np.full((5, 1), 0.3)
+    for q in (1, 3, 1, 2, 2, 0, 3):
+        P = np.zeros((5, q))
+        for got, want in zip(hull.evaluate_grid(xs, U, P),
+                             _rebuilt_hull(hull, xs, U, P)):
+            _same_bytes(got, want)
+    for k in (2, 1, 3):
+        U, P = np.full((5, k), 0.3), np.zeros((5, 1))
+        for got, want in zip(hull.evaluate_grid(xs, U, P),
+                             _rebuilt_hull(hull, xs, U, P)):
+            _same_bytes(got, want)
+    # positions kept for the last width serve that width again
+    X = hull._positions[2]
+    hull.evaluate_grid(xs, U + 0.1, P)
+    assert hull._positions[2] is X
 
 
 def test_ball_kernels_keep_their_bytes_as_the_state_shape_changes():
@@ -611,3 +674,74 @@ def test_a_resolvent_returns_c_ordered_states():
         op = assemble(OperatorSpec(components=N), Grid1D(1.0, 11))
         for u in op._resolvent(0.5, np.ones((11, N))):
             assert u.flags.c_contiguous
+
+
+def _wall_bands(op):
+    """The stencil's bands ``(sub, diag, sup)`` with one formula per wall:
+    on a periodic grid every row from the edges and their roll, otherwise
+    the inner rows, then the Neumann rows."""
+    n, dx, g, dm = op.grid.n, op.grid.dx, op.gamma_nodes, op.d_mid
+    if op.grid.periodic:
+        dp = np.roll(dm, 1)
+        return (dp / dx ** 2 + g / (2 * dx),
+                -(dm + dp) / dx ** 2 - op.shift,
+                dm / dx ** 2 - g / (2 * dx))
+    sub, diag, sup = np.zeros(n), np.zeros(n), np.zeros(n)
+    j = np.arange(1, n - 1)
+    sub[j] = dm[j - 1] / dx ** 2 + g[j] / (2 * dx)
+    sup[j] = dm[j] / dx ** 2 - g[j] / (2 * dx)
+    diag[j] = -(dm[j] + dm[j - 1]) / dx ** 2 - op.shift
+    if op.spec.bc == "neumann":
+        sup[0] = 2.0 * dm[0] / dx ** 2
+        diag[0] = -2.0 * dm[0] / dx ** 2 - op.shift
+        sub[-1] = 2.0 * dm[-1] / dx ** 2
+        diag[-1] = -2.0 * dm[-1] / dx ** 2 - op.shift
+    return sub, diag, sup
+
+
+@pytest.mark.filterwarnings("ignore:dx=")
+@pytest.mark.parametrize("bc", ("neumann", "dirichlet", "periodic"))
+def test_the_stencil_row_is_the_per_wall_formulas(bc):
+    for n, d, gamma, shift in itertools.product(
+            (3, 4, 5, 11), (1.0, lambda x: 1.0 + 0.4 * np.sin(7.0 * x)),
+            (0.0, 0.8, lambda x: 3.0 * np.cos(5.0 * x) - 0.5),
+            (None, -0.3, 0.0, 0.7)):
+        op = assemble(OperatorSpec(d=d, gamma=gamma, bc=bc, shift=shift),
+                      Grid1D(1.3, n, periodic=bc == "periodic"))
+        for got, want in zip((op.sub, op.diag, op.sup), _wall_bands(op)):
+            _same_bytes(got, want)
+
+
+def _unit_draw(rng, count, dim, ball):
+    """Unit vectors as the tangency and Bernstein verifiers drew them, or,
+    with ``ball``, unit-ball rays as the probe table drew them."""
+    if not ball:
+        d = rng.standard_normal((count, dim))
+        return d / _row_norms(d)[:, None]
+    d = rng.standard_normal((count, dim + 2))
+    nd = _row_norms(d)
+    nd[nd == 0.0] = 1.0
+    return d[:, :dim] / nd[:, None]
+
+
+def test_one_unit_draw_gives_the_rays_and_the_unit_vectors():
+    for seed, dim, count in itertools.product((0, 7, 42, 2017), (1, 2, 3, 5),
+                                              (0, 1, 64)):
+        _same_bytes(fields._unit_rows(fields.SplitMix64(seed), count, dim),
+                    _unit_draw(fields.SplitMix64(seed), count, dim, False))
+        _same_bytes(fields.unit_ball_rays(fields.SplitMix64(seed), count,
+                                          dim),
+                    _unit_draw(fields.SplitMix64(seed), count, dim, True))
+
+
+def test_a_zero_normal_row_stays_zero():
+    class Zeros:
+        def standard_normal(self, shape):
+            d = np.ones(shape)
+            d[1] = 0.0
+            return d
+
+    for draw in (fields._unit_rows, fields.unit_ball_rays):
+        rows = draw(Zeros(), 3, 2)
+        assert rows[1].tolist() == [0.0, 0.0]
+        assert np.all(np.isfinite(rows))
