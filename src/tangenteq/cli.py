@@ -13,7 +13,8 @@ hypothesis failed (verifier gate, certificate, or admissibility), 3 the
 iteration ran but did not converge.
 
 Output files land in --out, the TANGENT_EQ_OUT directory, or the working
-directory, in that order.  All outputs are byte-deterministic for a
+directory, in that order; an output directory that cannot be created or
+written is an error (exit 1).  All outputs are byte-deterministic for a
 fixed config: JSON is written with sorted keys and no timestamps, CSV
 with fixed float formatting.
 """
@@ -297,6 +298,11 @@ def run_cli(argv):
     try:
         os.makedirs(out, exist_ok=True)
         return _COMMANDS[args.command](spec, args, out)
+    except OSError as exc:
+        # the config is read above, so a command touches files only to
+        # write its outputs
+        print("error: cannot write outputs: %s" % exc, file=sys.stderr)
+        return 1
     except InvalidSpec as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

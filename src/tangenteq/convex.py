@@ -29,7 +29,8 @@ multiplier, ``_multiplier_rows``):
 The cone only acts on the boundary, so the row kernels do their face
 work only on the rows that touch a face.  At an interior point the cone
 is the whole space and a value is its own cone projection (a ball's
-inner rows); on the
+inner rows; a box whose state has no entry at a face selects each value
+box's shortest value); on the
 simplex's relative interior the cone is the hyperplane ``sum w = 0``, so
 a row with no zero coordinate takes ``v - mean(v)``.  A ball projects
 only the rows outside it.  Each kernel gives those rows the bits the
@@ -291,14 +292,27 @@ class MovingBox(ConvexBody):
         """The face cones are intervals, so selection is componentwise
         clipping.  A node misses when its values miss its face cone by
         more than ``tol``, so a state within ``tol`` of a face may
-        overshoot it by as much."""
-        # the face cones met with the value boxes: an active lower face
-        # raises vlo to 0, an active upper face lowers vhi to 0
+        overshoot it by as much.
+
+        Only rows at a face do face work.  When no entry of ``W`` lies
+        within ``tol`` of a face, every cone is the whole space and the
+        selection is each box's shortest value, at the state's shape: a
+        box ``[y, y]`` given as one array (``vlo is vhi``) gives ``y``,
+        which cannot miss at ``tol >= 0``.  The result is always a new
+        array, never the caller's ``vlo``."""
         lower, upper = W - self.alpha <= tol, self.beta - W <= tol
-        ilo, ihi = np.empty(lower.shape), np.empty(upper.shape)
-        ilo[...], ihi[...] = vlo, vhi
-        np.maximum(ilo, 0.0, out=ilo, where=lower)
-        np.minimum(ihi, 0.0, out=ihi, where=upper)
+        face = lower.any() or upper.any()
+        ilo = np.empty(lower.shape)
+        ilo[...] = vlo
+        if vlo is vhi and not face and tol >= 0.0:
+            return ilo, None
+        ihi = np.empty(upper.shape)
+        ihi[...] = vhi
+        if face:
+            # the face cones met with the value boxes: an active lower face
+            # raises vlo to 0, an active upper face lowers vhi to 0
+            np.maximum(ilo, 0.0, out=ilo, where=lower)
+            np.minimum(ihi, 0.0, out=ihi, where=upper)
         if vlo is vhi:
             # from a box [y, y], ilo is y or max(y, 0) and ihi is y or
             # min(y, 0), never above ilo: the shortest point is ilo, taken

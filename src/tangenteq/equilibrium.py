@@ -117,13 +117,14 @@ def _witness(node, x, u, reason):
 def _select(op, field_, K, X, W):
     """The sweep kernel at state ``X``, whose projection onto ``K`` is
     ``W``: gradients, value boxes of the field and, unless ``K`` is None,
-    the tangent selection at ``W``.
+    the tangent selection at ``W``.  A slope-free field (``slopes``
+    False) gets no gradient: its functions see ``p = None``.
 
     Returns ``(vlo, vhi, v, failure)``; ``failure`` is None or the witness
     of the first node whose admissible values miss the tangent cone.
     """
     xs = op.grid.nodes
-    P = op.gradient(X)
+    P = op.gradient(X) if field_.slopes else None
     vlo, vhi = field_.evaluate_grid(xs, X, P)
     if K is None:
         return vlo, vhi, None, None

@@ -29,6 +29,16 @@ pointwise ``g`` that takes one state at a time is wrapped as
     lambda x, u, p: np.array([g(a, b, c)
                               for a, b, c in zip(x[:, 0], u, p)])
 
+A field says whether its functions read the slopes ``p``: ``slopes``,
+True unless ``SingleValued`` or ``IntervalValued`` is built with
+``slopes=False``.  The catalog's ``linear``, ``logistic``, ``constant``
+and ``tabulated`` fields are slope-free, and a state shift takes its
+base's value.  The sweeps take no gradient for a slope-free field and
+call its functions with ``p = None``; the verifiers still hand every
+field its ``P``, since their witnesses print it.  A relay hull always
+reads the slopes: its probes move the state and the slopes together,
+so its probe table's width, and so every probe, depends on them.
+
 Every seeded draw of the package comes from ``SplitMix64``, a counter
 hash in numpy ``uint64`` arithmetic, so no module loads
 ``numpy.random``.  Every probe comes from one table,
@@ -122,16 +132,19 @@ def _call(g, xs, U, P, N):
 
 
 class NonlinearityField:
-    """Base field: holds the component count and an optional envelope.
+    """Base field: holds the component count, an optional envelope and
+    whether its functions read the slopes ``p``.
 
     ``bound`` may be a constant or a function of position; when set,
     every evaluation is checked against it and BoundViolated is raised
-    on escape.
+    on escape.  A field with ``slopes`` False never reads ``p``, so the
+    sweeps take no gradient for it and hand it ``P = None``.
     """
 
-    def __init__(self, components, bound=None):
+    def __init__(self, components, bound=None, slopes=True):
         self.components = check_count(ValueError, 1, components=components)
         self.bound = bound
+        self.slopes = bool(slopes)
 
     def evaluate(self, x, u, p):
         """The value box at the one state ``(x, u, p)``: the one-row case
@@ -171,8 +184,8 @@ class SingleValued(NonlinearityField):
     """Pointwise function ``g(x, u, p)`` seen as a singleton interval: its
     value box ``[y, y]`` is one read-only array, returned as both ends."""
 
-    def __init__(self, g, components=1, bound=None):
-        super().__init__(components, bound)
+    def __init__(self, g, components=1, bound=None, slopes=True):
+        super().__init__(components, bound, slopes)
         self.g = g
 
     def _grid_value(self, xs, U, P):
@@ -184,8 +197,8 @@ class SingleValued(NonlinearityField):
 class IntervalValued(NonlinearityField):
     """Explicit interval bounds ``[g_lo(x,u,p), g_hi(x,u,p)]``."""
 
-    def __init__(self, g_lo, g_hi, components=1, bound=None):
-        super().__init__(components, bound)
+    def __init__(self, g_lo, g_hi, components=1, bound=None, slopes=True):
+        super().__init__(components, bound, slopes)
         self.g_lo = g_lo
         self.g_hi = g_hi
 
@@ -218,6 +231,7 @@ class FilippovHull(NonlinearityField):
     depend on the nodes and the table (whose width is the state's) alone,
     so they are built once for a read-only node array (a grid's nodes),
     which is taken as fixed, and kept read-only.  A zero end is ``+0.0``.
+    A hull always reads the slopes, as the table's width counts them.
     """
 
     def __init__(self, g, delta, sample_count=64, components=1,

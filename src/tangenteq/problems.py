@@ -4,6 +4,10 @@ The catalog side builds the pieces a concrete run needs: named
 nonlinearities (single-valued, interval, relay hulls, tabulated data)
 and the state shift that ``ProblemSpec`` wraps around the field of a
 gradient-dependent problem on a ball constraint (``bernstein_bvp``).
+The catalog's ``linear``, ``logistic``, ``constant`` and ``tabulated``
+fields never read the slopes and are built slope-free
+(``slopes=False``), so the sweeps take no gradient for them; the relay
+hull (``heaviside``) reads them.
 
 The verifier side turns the structural hypotheses behind the solvers into
 checks with margins and witnesses:
@@ -48,14 +52,14 @@ def _linear(params, components, bound, seed):
     a = float(params.get("a", 0.5))
     b = float(params.get("b", -1.0))
     return SingleValued(lambda x, u, p: a + b * u,
-                        components=components, bound=bound)
+                        components=components, bound=bound, slopes=False)
 
 
 def _logistic(params, components, bound, seed):
     r = float(params.get("r", 1.0))
     theta = float(params.get("theta", 0.4))
     return SingleValued(lambda x, u, p: r * u * (1.0 - u) * (u - theta),
-                        components=components, bound=bound)
+                        components=components, bound=bound, slopes=False)
 
 
 def _constant(params, components, bound, seed):
@@ -63,7 +67,7 @@ def _constant(params, components, bound, seed):
     hi = float(params.get("hi", lo))
     return IntervalValued(lambda x, u, p: np.full((len(x), components), lo),
                           lambda x, u, p: np.full((len(x), components), hi),
-                          components=components, bound=bound)
+                          components=components, bound=bound, slopes=False)
 
 
 def _heaviside(params, components, bound, seed):
@@ -87,7 +91,7 @@ def _tabulated(params, components, bound, seed):
     order = np.argsort(data[:, 0])
     knots, vals = data[order, 0], data[order, 1]
     return SingleValued(lambda x, u, p: np.interp(u, knots, vals),
-                        components=components, bound=bound)
+                        components=components, bound=bound, slopes=False)
 
 
 _CATALOG = {
@@ -129,11 +133,13 @@ class StateShiftedField(NonlinearityField):
 
     Pairing this with an operator whose zeroth-order coefficient absorbs
     ``+c * u`` leaves the modeled equation unchanged while moving mass
-    between the linear and nonlinear parts.
+    between the linear and nonlinear parts.  It reads the slopes exactly
+    when its base does.
     """
 
     def __init__(self, base, c):
-        super().__init__(components=base.components, bound=None)
+        super().__init__(components=base.components, bound=None,
+                         slopes=base.slopes)
         self.base = base
         self.c = float(c)
 

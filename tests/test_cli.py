@@ -666,6 +666,24 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     assert (target / "report.json").exists()
 
 
+@pytest.mark.parametrize("where", ["file", "below_file", "env_file"])
+def test_an_unusable_output_path_exits_one(tmp_path, monkeypatch, capsys,
+                                           where):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" if where == "below_file" else taken
+    argv = ["check-invariance", _cfg("neumann_linear.cfg")]
+    if where == "env_file":
+        monkeypatch.setenv("TANGENT_EQ_OUT", str(out))
+    else:
+        argv += ["--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs: ")
+    assert str(out) in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_usage_and_config_errors_exit_one(tmp_path, capsys):
     assert run_cli([]) == 1
     assert run_cli(["frobnicate", "x.cfg"]) == 1

@@ -1,5 +1,6 @@
 """Constrained equilibrium sweeps, truncation scheme, viability runs."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -10,9 +11,11 @@ import pytest
 
 from tangenteq import equilibrium, operators
 from tangenteq import (Grid1D, OperatorSpec, assemble, Ball, Box, Simplex,
-                       SingleValued, SolverConfig, resolvent_iterate,
+                       SingleValued, SolverConfig, StateShiftedField,
+                       resolvent_iterate,
                        truncation_iterate, viability_simulate, residual,
                        EmptyIntersection, InvalidSpec, MovingBox, Cube,
+                       SingularSystem,
                        make_nonlinearity,
                        semigroup_powers, FilippovHull, semicontinuity_probe,
                        verify_tangency, verify_bernstein, bolzano_bisect,
@@ -194,6 +197,114 @@ def test_undamped_sweep_makes_one_banded_product(bc, monkeypatch):
     rep = resolvent_iterate(op, field, UNIT_BOX, u0)
     assert rep.status == "converged"
     assert len(calls) == rep.iterations + 1
+
+
+def _count_gradients(monkeypatch):
+    calls = []
+    gradient = operators.DiscreteOperator.gradient
+
+    def counted(self, U):
+        calls.append(1)
+        return gradient(self, U)
+
+    monkeypatch.setattr(operators.DiscreteOperator, "gradient", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet", "periodic"])
+@pytest.mark.parametrize("name, params, d, start", [
+    ("linear", {"a": 0.5, "b": -1.0}, 1.0, 0.0),
+    ("logistic", {"r": 1.0, "theta": 0.4}, 0.02, 0.25)])
+def test_catalog_box_solves_take_no_gradient(bc, name, params, d, start,
+                                             monkeypatch):
+    # the grid-refinement benchmark's n = 1001 solves, cut to 40 sweeps;
+    # as there, the resolvent guard may stop a solve (SingularSystem)
+    n = 1001
+    op = assemble(OperatorSpec(d=d, bc=bc),
+                  Grid1D(1.0, n, periodic=bc == "periodic"))
+    u0 = np.clip(start + np.random.default_rng(3).uniform(-0.05, 0.05, n),
+                 0.0, 1.0)
+    field = make_nonlinearity(name, params)
+    sweeps = []
+    evaluate_grid = field.evaluate_grid
+
+    def counted(xs, U, P):
+        sweeps.append(P)
+        return evaluate_grid(xs, U, P)
+
+    monkeypatch.setattr(field, "evaluate_grid", counted)
+    calls = _count_gradients(monkeypatch)
+    with contextlib.suppress(SingularSystem):
+        resolvent_iterate(op, field, UNIT_BOX, u0, SolverConfig(max_iter=40))
+    assert not field.slopes
+    assert sweeps and sweeps == [None] * len(sweeps)
+    assert calls == []
+
+
+def test_simplex_ball_and_viability_runs_of_slope_free_fields_take_no_gradient(
+        monkeypatch):
+    # the non-box benchmark's simplex and ball solves, and a box viability
+    # run of a catalog field
+    rng = np.random.default_rng(3)
+    calls = _count_gradients(monkeypatch)
+    e = rng.exponential(1.0, (51, 3))
+    simplex = resolvent_iterate(
+        _neumann_op(51, 3),
+        make_nonlinearity("linear", {"a": 1.0 / 3.0, "b": -1.0},
+                          components=3),
+        Simplex(1.0, 3), e / np.sum(e, axis=1, keepdims=True))
+    d = rng.standard_normal((201, 2))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    ball = resolvent_iterate(
+        _neumann_op(201, 2),
+        make_nonlinearity("linear", {"a": 0.5, "b": -1.0}, components=2),
+        Ball(np.zeros(2), 1.0), rng.random((201, 1)) ** 0.5 * d)
+    run = viability_simulate(_neumann_op(), make_nonlinearity("logistic"),
+                             UNIT_BOX, rng.random(101), 1.0, 0.05)
+    assert simplex.status == ball.status == "converged"
+    assert run.status == "completed" and run.steps == 20
+    assert calls == []
+
+
+def _slope_reading_fields():
+    """Fields whose functions read ``p``, each with the field that the
+    sweep's slopes reach: itself, or the base under a state shift."""
+    single = SingleValued(lambda x, u, p: 0.5 - u - 0.01 * p)
+    hull = FilippovHull(lambda x, u, p: np.where(u < 0.5, 1.0, -1.0), 0.05,
+                        sample_count=8)
+    return {"single": (single, single), "hull": (hull, hull),
+            "shifted_single": (StateShiftedField(single, 0.5), single),
+            "shifted_hull": (StateShiftedField(hull, 0.5), hull)}
+
+
+@pytest.mark.parametrize("solver", ["resolvent", "viability"])
+@pytest.mark.parametrize("name", sorted(_slope_reading_fields()))
+def test_fields_that_read_slopes_get_the_gradient_at_every_sweep(
+        name, solver, monkeypatch):
+    field, reader = _slope_reading_fields()[name]
+    op = _neumann_op()
+    seen = []
+    evaluate_grid = reader.evaluate_grid
+
+    def recorded(xs, U, P):
+        seen.append((U.copy(), None if P is None else P.copy()))
+        return evaluate_grid(xs, U, P)
+
+    monkeypatch.setattr(reader, "evaluate_grid", recorded)
+    u0 = 0.25 + 0.5 * op.grid.nodes
+    if solver == "resolvent":
+        rep = resolvent_iterate(op, field, UNIT_BOX, u0,
+                                SolverConfig(max_iter=15))
+        # every sweep's head, then the final tangency residual
+        assert len(seen) == rep.iterations + 1
+    else:
+        rep = viability_simulate(op, field, UNIT_BOX, u0, 0.5, 0.05)
+        # every step's selection, then the terminal residual
+        assert rep.status == "completed"
+        assert len(seen) == rep.steps + 1 == 11
+    assert field.slopes
+    for U, P in seen:
+        assert P is not None and P.tobytes() == op.gradient(U).tobytes()
 
 
 @pytest.mark.parametrize("damping", [1.0, 0.7])

@@ -2,14 +2,14 @@
 solvers share."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
 from tangenteq import (CONE_TOL, Box, EmptyIntersection, IntervalValued,
                        MovingBox, selection_on_intervals, tangent_selection)
-from tangenteq.convex import _clip, _face_cone
+from tangenteq.convex import _clip, _face_cone, _shortest_in
 
 _VALUES = (-1.0, -0.5, -1e-4, 0.0, 1e-4, 0.5, 1.0)
 # where a state component sits relative to its interval
@@ -248,3 +248,111 @@ def test_one_column_bounds_stay_one_column_on_every_component():
     with pytest.raises(ValueError, match="constraint dimension 2 != "
                                          "components 3"):
         MovingBox(np.zeros((4, 2)), np.ones((4, 2))).lift(4, 3)
+
+
+def _select_at_with_face_work(box, W, vlo, vhi, tol=CONE_TOL):
+    """The box selection with face work on every grid: the face cones met
+    with the value boxes at every entry, the reference the no-face path
+    of ``MovingBox._select_at`` must give the bytes of."""
+    lower, upper = W - box.alpha <= tol, box.beta - W <= tol
+    ilo, ihi = np.empty(lower.shape), np.empty(upper.shape)
+    ilo[...], ihi[...] = vlo, vhi
+    np.maximum(ilo, 0.0, out=ilo, where=lower)
+    np.minimum(ihi, 0.0, out=ihi, where=upper)
+    if vlo is vhi:
+        V, empty = np.maximum(ilo, ihi), ilo > ihi + tol
+    else:
+        V, empty = _shortest_in(ilo, ihi, tol)
+    if empty.any():
+        j, k = np.argwhere(empty)[0]
+        lo, hi = np.broadcast_arrays(vlo, vhi, empty)[:2]
+        return None, (int(j), "component %d: values [%.6g, %.6g] miss "
+                      "the face cone" % (k, lo[j, k], hi[j, k]))
+    return V, None
+
+
+_ENTRIES = (-np.inf, -1.0, -0.5, -0.0, 0.0, 1e-300, 0.5, 1.0, np.inf, np.nan)
+# where a state entry sits: mostly strictly inside, so that many grids
+# have no entry at a face
+_AT = ("inside", "inside", "inside", "lo", "hi", "lo+tol", "hi-tol",
+       "lo+2tol", "hi-2tol", "nan", "-inf", "inf")
+
+
+@st.composite
+def no_face_selections(draw):
+    """A lifted box with bounds of one row or ``n``, a state with entries
+    inside, at, exactly ``tol`` from and past its faces, a tolerance, and
+    value bounds of one array or two (crossed or not), at ``(n, N)`` or
+    broadcast."""
+    n, N = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rows = draw(st.sampled_from((1, n)))
+    cols = draw(st.sampled_from((1, N)))
+    lo = np.array(draw(st.lists(st.sampled_from((-1.0, 0.0, 0.5)),
+                                min_size=rows * cols,
+                                max_size=rows * cols))).reshape(rows, cols)
+    width = np.array(draw(st.lists(st.sampled_from((0.0, 0.25, 1.0)),
+                                   min_size=rows * cols,
+                                   max_size=rows * cols))).reshape(rows, cols)
+    box = MovingBox(lo, lo + width).lift(n, N)
+    tol = draw(st.sampled_from((0.0, CONE_TOL, 0.25, -CONE_TOL)))
+    a, b = (np.broadcast_to(x, (n, N)) for x in (box.alpha, box.beta))
+    place = {"inside": lambda j, k: 0.5 * (a[j, k] + b[j, k]),
+             "lo": lambda j, k: a[j, k], "hi": lambda j, k: b[j, k],
+             "lo+tol": lambda j, k: a[j, k] + tol,
+             "hi-tol": lambda j, k: b[j, k] - tol,
+             "lo+2tol": lambda j, k: a[j, k] + 2.0 * tol,
+             "hi-2tol": lambda j, k: b[j, k] - 2.0 * tol,
+             "nan": lambda j, k: np.nan, "-inf": lambda j, k: -np.inf,
+             "inf": lambda j, k: np.inf}
+    W = np.array([[place[draw(st.sampled_from(_AT))](j, k) for k in range(N)]
+                  for j in range(n)])
+    shape = draw(st.sampled_from(((n, N), (n, 1), (N,), ())))
+    size = int(np.prod(shape))
+
+    def values():
+        return np.array(draw(st.lists(st.sampled_from(_ENTRIES),
+                                      min_size=size,
+                                      max_size=size))).reshape(shape)
+
+    vlo = values()
+    if draw(st.booleans()):
+        return box, W, vlo, vlo, tol
+    vhi = values()
+    if draw(st.booleans()):
+        vlo, vhi = np.fmin(vlo, vhi), np.fmax(vlo, vhi)
+    return box, W, vlo, vhi, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(no_face_selections())
+# boxes crossed by less than tol keep their lower end, not clip(0, lo, hi)
+@example((MovingBox(0.0, 1.0).lift(3, 1), np.full((3, 1), 0.5),
+          np.array([[1e-300], [0.0], [-1e-12]]),
+          np.array([[0.0], [-0.0], [-2e-12]]), CONE_TOL))
+def test_a_selection_with_no_row_at_a_face_keeps_its_bytes(case):
+    box, W, vlo, vhi, tol = case
+    want = _select_at_with_face_work(box, W, vlo, vhi, tol)
+    V, miss = box._select_at(W, vlo, vhi, tol)
+    assert miss == want[1]
+    if miss is None:
+        assert V.shape == want[0].shape == W.shape
+        assert V.dtype == want[0].dtype and V.tobytes() == want[0].tobytes()
+        assert V is not vlo and not np.shares_memory(V, vlo)
+        assert not np.shares_memory(V, vhi)
+
+
+def test_a_box_of_one_array_at_no_face_is_its_value_at_the_state_shape():
+    # a read-only [y, y] with no state entry at a face comes back as a new,
+    # writeable array of the same bytes; a broadcast y at the state's shape
+    box = MovingBox(0.0, 1.0).lift(3, 2)
+    W = np.full((3, 2), 0.5)
+    y = np.array([[-0.0, np.nan], [np.inf, 1.0], [-np.inf, 0.25]])
+    y.flags.writeable = False
+    V, miss = box._select_at(W, y, y)
+    assert miss is None and V is not y and V.flags.writeable
+    assert V.tobytes() == y.tobytes()
+    col = np.array([[2.0], [-0.0], [3.0]])
+    V, miss = box._select_at(W, col, col)
+    assert miss is None and V.tobytes() == np.repeat(col, 2, axis=1).tobytes()
+    # a negative tolerance empties [y, y] and keeps the miss
+    assert box._select_at(W, y, y, -CONE_TOL)[1][0] == 0
