@@ -49,7 +49,7 @@ them.
 
 For a convex set the one-sided derivative of ``d_K`` at ``x in K`` along
 ``v`` is the distance from ``v`` to the tangent cone, so cone membership
-at ``tol`` is exactly ``derivative <= tol``.  Each quantity has one row
+at ``CONE_TOL`` is ``derivative <= CONE_TOL``.  Each quantity has one row
 kernel on ``_row_sums``: that derivative is ``_cone_gaps``, a distance to
 a value box ``_box_distances``; every one-point form is its one-row case.
 """
@@ -67,7 +67,7 @@ try:
 except ImportError:     # numpy < 2 keeps its ufuncs in numpy.core
     from numpy.core.umath import clip as _clip
 
-#: default tolerance for active-face detection and cone membership
+#: tolerance of active faces, cone membership, misses and interval gaps
 CONE_TOL = 1e-9
 
 
@@ -76,7 +76,7 @@ class ConeQueryResult:
     """Outcome of a tangent-cone membership query.
 
     Attributes:
-        contains: whether the direction lies in the cone (at tolerance).
+        contains: whether the direction lies in the cone (at ``CONE_TOL``).
         directional_derivative: one-sided derivative of the distance
             function along the queried direction; zero iff contained.
     """
@@ -110,10 +110,10 @@ def _row_norms(A):
     return np.sqrt(_row_sums(A * A))
 
 
-def _cone_gaps(body, X, V, tol):
+def _cone_gaps(body, X, V):
     """Each row's tangency residual: the distance of ``V[j]`` to the
     tangent cone of ``body`` at ``X[j]``."""
-    return _row_norms(V - body.tangent_project_rows(X, V, tol))
+    return _row_norms(V - body.tangent_project_rows(X, V))
 
 
 def _box_distances(Y, lo, hi):
@@ -130,8 +130,8 @@ def _positive_part(a):
 class ConvexBody:
     """Shared plumbing for the constraint sets, built once on the row
     methods each set implements: ``project_rows(X)``,
-    ``tangent_project_rows(X, V, tol)`` (faces within ``tol`` of ``X[j]``
-    are active) and ``_select_rows(W, vlo, vhi, tol)``.  A state-level
+    ``tangent_project_rows(X, V)`` (faces within ``CONE_TOL`` of ``X[j]``
+    are active) and ``_select_rows(W, vlo, vhi)``.  A state-level
     method takes every node and projects it once, for the same method at
     the projection (``_distances_at(U, W)``, ``_select_at(W, ...)``,
     ``_tangency_at(W, ...)``, which a sweep holding ``W`` calls); a
@@ -143,22 +143,22 @@ class ConvexBody:
         """Euclidean distance of each nodal state to the set."""
         return self._distances_at(U, self.project_rows(U))
 
-    def select(self, U, vlo, vhi, tol=CONE_TOL):
+    def select(self, U, vlo, vhi):
         """Minimal-norm values in ``[vlo, vhi]`` tangent to the set at
         ``proj U``.  Returns ``(V, None)``, or ``(None, (node, reason))``
         for the first node without an admissible value."""
-        return self._select_at(self.project_rows(U), vlo, vhi, tol)
+        return self._select_at(self.project_rows(U), vlo, vhi)
 
-    def tangency(self, U, V, tol=CONE_TOL):
+    def tangency(self, U, V):
         """``max_j dist(V_j, T(proj U_j))``: the largest nodal directional
         derivative of the distance to the set along ``V``."""
-        return self._tangency_at(self.project_rows(U), V, tol)
+        return self._tangency_at(self.project_rows(U), V)
 
     def _distances_at(self, U, W):
         return _row_norms(U - W)
 
-    def _tangency_at(self, W, V, tol=CONE_TOL):
-        return float(np.max(_cone_gaps(self, W, V, tol)))
+    def _tangency_at(self, W, V):
+        return float(np.max(_cone_gaps(self, W, V)))
 
     def distance(self, x):
         return float(self.lift(1, np.size(x)).distances(_as1d(x)[None])[0])
@@ -166,28 +166,26 @@ class ConvexBody:
     def project(self, x):
         return self.lift(1, np.size(x)).project_rows(_as1d(x)[None])[0]
 
-    def tangent_project(self, x, v, tol=CONE_TOL):
+    def tangent_project(self, x, v):
         return self.lift(1, np.size(x)).tangent_project_rows(
-            _as1d(x)[None], _as1d(v)[None], tol)[0]
+            _as1d(x)[None], _as1d(v)[None])[0]
 
     def contains(self, x):
         return self.distance(x) <= CONE_TOL
 
-    def _require_member(self, x, tol):
-        d = self.distance(x)
-        if d > max(tol, CONE_TOL):
-            raise PointNotInSet(
-                "point at distance %.3g from the set (tol %.3g)" % (d, tol))
-
-    def tangent_cone_contains(self, x, v, tol=CONE_TOL):
+    def tangent_cone_contains(self, x, v):
         """Query whether ``v`` is tangent to the set at ``x``.
 
-        Raises PointNotInSet when ``x`` is not a member (up to ``tol``).
+        Raises PointNotInSet when ``x`` is farther than ``CONE_TOL`` from it.
         """
-        self._require_member(x, tol)
+        d = self.distance(x)
+        if d > CONE_TOL:
+            raise PointNotInSet(
+                "point at distance %.3g from the set (tol %.3g)"
+                % (d, CONE_TOL))
         dd = float(_cone_gaps(self.lift(1, np.size(x)), _as1d(x)[None],
-                              _as1d(v)[None], tol)[0])
-        return ConeQueryResult(contains=dd <= tol, directional_derivative=dd)
+                              _as1d(v)[None])[0])
+        return ConeQueryResult(dd <= CONE_TOL, dd)
 
     def overshoot(self, s):
         """How far ``s_j K`` reaches past K, for node factors ``s_j >= 0``:
@@ -204,18 +202,18 @@ class ConvexBody:
                              % (self.dim, N))
         return self
 
-    def _select_at(self, W, vlo, vhi, tol=CONE_TOL):
+    def _select_at(self, W, vlo, vhi):
         """Each box's shortest value ``V = clip(0, vlo, vhi)`` where it fits
         the cone, else the exact ``_select_rows``; the first row whose
-        value still misses by more than ``tol`` is the miss.  A box
+        value still misses by more than ``CONE_TOL`` is the miss.  A box
         ``[y, y]`` given as one array (``vlo is vhi``) has ``V = y``."""
         V = vlo if vlo is vhi else _clip(0.0, vlo, vhi)
-        Y, fits, _, _ = _fit(self, W, V, vlo, vhi, tol)
+        Y, fits, _, _ = _fit(self, W, V, vlo, vhi)
         rest = (~fits).nonzero()[0]
         if rest.size:
             W, vlo, vhi = W[rest], vlo[rest], vhi[rest]
             Y[rest], fits, cone, box = _fit(self, W, self._select_rows(
-                W, vlo, vhi, tol), vlo, vhi, tol)
+                W, vlo, vhi), vlo, vhi)
             if not fits.all():
                 k = np.argmin(fits)
                 return None, (int(rest[k]), "no admissible tangent value: "
@@ -224,25 +222,25 @@ class ConvexBody:
         return Y, None
 
 
-def _fit(body, W, V, vlo, vhi, tol):
+def _fit(body, W, V, vlo, vhi):
     """The cone projections ``Y`` of ``V``, whether ``|V - Y|`` and the
-    distance of ``Y`` to its box are both at most ``tol``, and those two
-    gaps.  When ``V`` is the one array of a box ``[V, V]`` the two gaps
-    are one."""
-    Y = body.tangent_project_rows(W, V, tol)
+    distance of ``Y`` to its box are both at most ``CONE_TOL``, and those
+    two gaps.  When ``V`` is the one array of a box ``[V, V]`` the two
+    gaps are one."""
+    Y = body.tangent_project_rows(W, V)
     cone = _row_norms(V - Y)
     if V is vlo is vhi:
-        return Y, cone <= tol, cone, cone
+        return Y, cone <= CONE_TOL, cone, cone
     box = _box_distances(Y, vlo, vhi)
-    return Y, (cone <= tol) & (box <= tol), cone, box
+    return Y, (cone <= CONE_TOL) & (box <= CONE_TOL), cone, box
 
 
-def _face_cone(W, lo, hi, tol):
+def _face_cone(W, lo, hi):
     """Interval bounds ``(clo, chi)`` of the tangent cone of the box
     ``[lo, hi]`` at ``W``, a state in it: ``clo = 0`` on an active lower
     face, ``chi = 0`` on an upper one."""
-    return (np.where(W - lo <= tol, 0.0, -np.inf),
-            np.where(hi - W <= tol, 0.0, np.inf))
+    return (np.where(W - lo <= CONE_TOL, 0.0, -np.inf),
+            np.where(hi - W <= CONE_TOL, 0.0, np.inf))
 
 
 @dataclass(eq=False)
@@ -283,28 +281,27 @@ class MovingBox(ConvexBody):
     def project_rows(self, U):
         return _clip(U, self.alpha, self.beta)
 
-    def tangent_project_rows(self, X, V, tol=CONE_TOL):
+    def tangent_project_rows(self, X, V):
         """The face-cone clip of ``V`` at the projections of ``X``."""
         lo, hi = self.alpha, self.beta
-        return _clip(V, *_face_cone(_clip(X, lo, hi), lo, hi, tol))
+        return _clip(V, *_face_cone(_clip(X, lo, hi), lo, hi))
 
-    def _select_at(self, W, vlo, vhi, tol=CONE_TOL):
+    def _select_at(self, W, vlo, vhi):
         """The face cones are intervals, so selection is componentwise
         clipping.  A node misses when its values miss its face cone by
-        more than ``tol``, so a state within ``tol`` of a face may
-        overshoot it by as much.
+        more than ``CONE_TOL``, so a state within ``CONE_TOL`` of a face
+        may overshoot it by as much.
 
         Only rows at a face do face work.  When no entry of ``W`` lies
-        within ``tol`` of a face, every cone is the whole space and the
-        selection is each box's shortest value, at the state's shape: a
-        box ``[y, y]`` given as one array (``vlo is vhi``) gives ``y``,
-        which cannot miss at ``tol >= 0``.  The result is always a new
-        array, never the caller's ``vlo``."""
-        lower, upper = W - self.alpha <= tol, self.beta - W <= tol
+        within ``CONE_TOL`` of a face, every cone is the whole space and
+        the selection is each box's shortest value, at the state's shape:
+        a box ``[y, y]`` given as one array (``vlo is vhi``) gives ``y``.
+        The result is always a new array, never the caller's ``vlo``."""
+        lower, upper = W - self.alpha <= CONE_TOL, self.beta - W <= CONE_TOL
         face = lower.any() or upper.any()
         ilo = np.empty(lower.shape)
         ilo[...] = vlo
-        if vlo is vhi and not face and tol >= 0.0:
+        if vlo is vhi and not face:
             return ilo, None
         ihi = np.empty(upper.shape)
         ihi[...] = vhi
@@ -317,9 +314,9 @@ class MovingBox(ConvexBody):
             # from a box [y, y], ilo is y or max(y, 0) and ihi is y or
             # min(y, 0), never above ilo: the shortest point is ilo, taken
             # as max(ilo, ihi) for the sign of its zero
-            V, empty = np.maximum(ilo, ihi), ilo > ihi + tol
+            V, empty = np.maximum(ilo, ihi), ilo > ihi + CONE_TOL
         else:
-            V, empty = _shortest_in(ilo, ihi, tol)
+            V, empty = _shortest_in(ilo, ihi)
         if empty.any():
             j, k = np.argwhere(empty)[0]
             # the value bounds may broadcast against the nodes
@@ -346,20 +343,20 @@ class Box(MovingBox):
                       axis=1)
 
 
-def selection_on_intervals(vlo, vhi, clo, chi, gap_tol=CONE_TOL):
+def selection_on_intervals(vlo, vhi, clo, chi):
     """Minimal-norm point of ``[vlo,vhi] & [clo,chi]``, componentwise.
 
     Works on arrays of any matching shape.  Returns ``(v, empty)`` where
     ``empty`` flags components whose intervals miss each other by more
-    than ``gap_tol``.
+    than ``CONE_TOL``.
     """
-    return _shortest_in(np.maximum(vlo, clo), np.minimum(vhi, chi), gap_tol)
+    return _shortest_in(np.maximum(vlo, clo), np.minimum(vhi, chi))
 
 
-def _shortest_in(ilo, ihi, gap_tol):
+def _shortest_in(ilo, ihi):
     """The shortest point of each interval ``[ilo, ihi]`` (its nearer end
-    where it is empty), and where it is empty by more than ``gap_tol``."""
-    return _clip(0.0, ilo, np.maximum(ilo, ihi)), ilo > ihi + gap_tol
+    where it is empty), and where it is empty by more than ``CONE_TOL``."""
+    return _clip(0.0, ilo, np.maximum(ilo, ihi)), ilo > ihi + CONE_TOL
 
 
 def _multiplier_rows(a, lo, hi):
@@ -389,7 +386,7 @@ def _multiplier_rows(a, lo, hi):
 class Ball(ConvexBody):
     """Euclidean ball.  The cone at a boundary point is the halfspace of
     directions with nonpositive product against the outward normal; more
-    than ``tol`` inside the sphere it is the whole space, so an interior
+    than ``CONE_TOL`` inside the sphere it is the whole space, so an interior
     row takes its value unchanged."""
 
     def __init__(self, center, radius):
@@ -422,18 +419,18 @@ class Ball(ConvexBody):
             Y[out] = self.center + (self.radius / nr[out])[:, None] * R[out]
         return Y
 
-    def _rim(self, X, tol):
-        """The rows within ``tol`` of the sphere or past it, and their unit
-        outward normals (None when there is no such row)."""
+    def _rim(self, X):
+        """The rows within ``CONE_TOL`` of the sphere or past it, and their
+        unit outward normals (None when there is no such row)."""
         R = self._offsets(X)
         nr = _row_norms(R)
-        rim = (~(self.radius - nr > tol)).nonzero()[0]
+        rim = (~(self.radius - nr > CONE_TOL)).nonzero()[0]
         return rim, R[rim] / nr[rim, None] if rim.size else None
 
-    def tangent_project_rows(self, X, V, tol=CONE_TOL):
+    def tangent_project_rows(self, X, V):
         """``V`` less its outward normal part on the rim rows; an interior
         row's cone is the whole space, so its ``V`` stays."""
-        rim, normal = self._rim(X, tol)
+        rim, normal = self._rim(X)
         Y = V.copy()
         if rim.size:
             Vr = V[rim]
@@ -441,10 +438,10 @@ class Ball(ConvexBody):
                 * normal
         return Y
 
-    def _select_rows(self, W, vlo, vhi, tol):
+    def _select_rows(self, W, vlo, vhi):
         """``clip(-lam a, vlo, vhi)``, ``a`` the outward normal (zero inside),
         at the root of ``a . v``: the rows asked for fail at ``lam = 0``."""
-        rim, normal = self._rim(W, tol)
+        rim, normal = self._rim(W)
         a = np.zeros_like(W)
         if rim.size:
             a[rim] = normal
@@ -457,7 +454,7 @@ class Ball(ConvexBody):
 
 class Simplex(ConvexBody):
     """Scaled probability simplex ``{u >= 0, sum(u) = total_mass}``.  The
-    cone at a point with no coordinate within ``tol`` of zero is the
+    cone at a point with no coordinate within ``CONE_TOL`` of zero is the
     hyperplane ``sum w = 0``, onto which a value projects by subtracting
     its mean; only the rows with a zero coordinate take the active-set
     solve."""
@@ -482,23 +479,23 @@ class Simplex(ConvexBody):
                                  X[rest], self.total_mass)
         return Y
 
-    def tangent_project_rows(self, X, V, tol=CONE_TOL):
+    def tangent_project_rows(self, X, V):
         """Exact projection of each ``V[j]`` onto the cone at ``X[j]``,
         ``{w: sum w = 0, w_i >= 0 on the zeros of X[j]}``.  A row with no
-        coordinate within ``tol`` of zero lies in the relative interior,
+        coordinate within ``CONE_TOL`` of zero lies in the relative interior,
         where the cone is the hyperplane ``sum w = 0``: ``V[j]`` less its
         mean.  Only the rows with a zero coordinate take ``_face_rows``."""
-        act = X <= tol
+        act = X <= CONE_TOL
         Y = V - _row_sums(V)[:, None] / X.shape[1]
         face = act.any(axis=1).nonzero()[0]
         if face.size:
             Y[face] = _face_rows(act[face], V[face])
         return Y
 
-    def _select_rows(self, W, vlo, vhi, tol):
+    def _select_rows(self, W, vlo, vhi):
         """``clip(-lam, lo, vhi)`` with ``sum v = 0``, ``lo`` the lower bound
         raised to 0 on the zeros of ``W[j]``."""
-        lo = np.where(W <= tol, np.maximum(vlo, 0.0), vlo)
+        lo = np.where(W <= CONE_TOL, np.maximum(vlo, 0.0), vlo)
         return _multiplier_rows(np.ones_like(W), lo, vhi)
 
     def overshoot(self, s):
@@ -544,5 +541,7 @@ def _face_rows(act, V, s=0.0):
 
 def numeric_tangent_quotient(body, x, v, h):
     """Finite difference quotient ``d_K(x + h v) / h`` (cross-check of the
-    closed-form directional derivative; nondecreasing in h by convexity)."""
+    closed-form directional derivative; nondecreasing in h by convexity) at
+    a finite step ``h > 0``; any other ``h`` raises ValueError."""
+    check_positive(h=h)
     return body.distance(_as1d(x) + h * _as1d(v)) / h

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import CONE_TOL, _box_distances, _row_norms
+from .convex import _box_distances, _row_norms
 from .errors import (BoundViolated, EmptyIntersection, check_count,
                      check_positive, check_seed)
 
@@ -375,7 +375,7 @@ def _probe_grid(seed, count, radius, xs, U, P, X=None):
     return X, probes[:k].T, probes[k:].T
 
 
-def tangent_selection(field, body, x, u, p, tol=CONE_TOL):
+def tangent_selection(field, body, x, u, p):
     """Minimal-norm admissible value tangent to ``body`` at ``u``: the
     field's value box at ``(x, u, p)`` handed to the one-node lift's
     ``select``.
@@ -385,7 +385,7 @@ def tangent_selection(field, body, x, u, p, tol=CONE_TOL):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     val = field.evaluate(x, u, p)
     v, miss = body.lift(1, u.size).select(u[None], val.lo[None],
-                                          val.hi[None], tol)
+                                          val.hi[None])
     if miss is not None:
         raise EmptyIntersection(miss[1])
     return v[0]

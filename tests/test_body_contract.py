@@ -195,7 +195,7 @@ def _assert_the_selection_is_exact(body, u, lo, hi):
     V, miss = body.select(u[None], lo[None], hi[None])
     assert (miss is None) == (best is not None)
     if miss is None:
-        assert _cone_gaps(body, w[None], V, CONE_TOL)[0] <= 1e-12
+        assert _cone_gaps(body, w[None], V)[0] <= 1e-12
         assert _box_distances(V, lo[None], hi[None])[0] <= CONE_TOL
         assert np.linalg.norm(V[0]) <= np.linalg.norm(best) + 1e-12
 

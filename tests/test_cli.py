@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import tangenteq
-from tangenteq import CONE_TOL, Ball, ProblemSpec, load_config, operators
+from tangenteq import Ball, ProblemSpec, load_config, operators
 from tangenteq.cli import run_cli
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -114,8 +114,8 @@ def test_a_selection_off_the_cone_exits_three_with_a_witness(
     # every cone projection lands one unit off, so no value fits at node 0
     project = Ball.tangent_project_rows
 
-    def off_by_one(self, X, V, tol=CONE_TOL):
-        return project(self, X, V, tol) + 1.0
+    def off_by_one(self, X, V):
+        return project(self, X, V) + 1.0
 
     monkeypatch.setattr(Ball, "tangent_project_rows", off_by_one)
     code = run_cli(["simulate", _cfg("bernstein.cfg"), "--out",

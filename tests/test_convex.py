@@ -1,5 +1,6 @@
 """Constraint-set geometry: projections, tangent cones, overshoots."""
 
+import inspect
 import itertools
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tangenteq import (CONE_TOL, Box, Ball, Simplex, PointNotInSet,
+from tangenteq import (CONE_TOL, Box, Ball, MovingBox, Simplex,
+                       PointNotInSet, convex, fields,
                        numeric_tangent_quotient)
 from tangenteq.convex import _row_norms, _row_sums
 
@@ -192,6 +194,53 @@ def test_quotient_limit_matches_derivative_all_bodies():
         assert abs(q - dd) <= 1e-5
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
+def test_the_quotient_refuses_a_step_that_is_not_finite_and_positive(h):
+    with pytest.raises(ValueError, match="^h must be"):
+        numeric_tangent_quotient(Box([0.0], [1.0]), [1.0], [1.0], h)
+
+
+def test_the_quotient_at_a_positive_step_is_the_scaled_distance():
+    box = Box([0.0], [1.0])
+    for h in (1e-6, 1e-3, 0.5):
+        assert numeric_tangent_quotient(box, [1.0], [1.0], h) \
+            == box.distance([1.0 + h]) / h
+    assert numeric_tangent_quotient(box, [1.0], [1.0], 1e-3) \
+        == pytest.approx(1.0)
+
+
+def _signatures(module):
+    """``(name, parameters)`` of each function ``module`` defines and of
+    each method of the classes it defines."""
+    own = [v for v in vars(module).values()
+           if getattr(v, "__module__", None) == module.__name__]
+    for obj in own:
+        if inspect.isfunction(obj):
+            yield obj.__name__, inspect.signature(obj).parameters
+        elif inspect.isclass(obj):
+            for name, fn in inspect.getmembers(obj, inspect.isfunction):
+                yield (obj.__name__ + "." + name,
+                       inspect.signature(fn).parameters)
+
+
+def test_the_cone_tolerance_is_one_constant():
+    # CONE_TOL is read where the cone rule needs it; no function or body
+    # method of convex or fields takes a tolerance of its own
+    found = [name for module in (convex, fields)
+             for name, params in _signatures(module)
+             if {"tol", "gap_tol"} & set(params)]
+    assert found == []
+    assert "Box.tangent_cone_contains" in dict(_signatures(convex))
+    y = np.full((3, 2), 0.25)
+    with pytest.raises(TypeError):
+        MovingBox(0.0, 1.0).lift(3, 2).select(np.full((3, 2), 0.5), y, y,
+                                              tol=-1e-9)
+    with pytest.raises(TypeError):
+        Box([0.0], [1.0]).tangent_cone_contains([0.5], [0.25], tol=-1e-9)
+    assert Box([0.0], [1.0]).tangent_cone_contains(
+        [1.0], [CONE_TOL]).contains
+
+
 def test_tangent_project_output_is_tangent_and_shorter():
     rng = np.random.default_rng(5)
     kinds = ["box", "ball", "simplex"]
@@ -202,7 +251,7 @@ def test_tangent_project_output_is_tangent_and_shorter():
         v = rng.uniform(-2.0, 2.0, dim)
         w = body.tangent_project(x, v)
         assert np.linalg.norm(w) <= np.linalg.norm(v) + 1e-12
-        assert body.tangent_cone_contains(x, w, tol=1e-8).contains
+        assert body.tangent_cone_contains(x, w).contains
 
 
 def test_tangent_project_minimality_by_sampling():

@@ -293,7 +293,7 @@ def test_selection_empty_second_component_grid_oracle():
     feasible = [
         (y1, y2)
         for y1 in grid for y2 in grid
-        if box.tangent_cone_contains(u, np.array([y1, y2]), tol=1e-9).contains
+        if box.tangent_cone_contains(u, np.array([y1, y2])).contains
     ]
     assert feasible == []
     f = IntervalValued(lambda x, u, p: np.full_like(u, 0.3),
@@ -338,7 +338,7 @@ def test_selection_minimality_and_membership_by_sampling():
             continue
         val = f.evaluate(0.0, u, np.zeros(n))
         assert val.distance(y) <= 1e-10
-        assert body.tangent_cone_contains(u, y, tol=1e-8).contains
+        assert body.tangent_cone_contains(u, y).contains
         # the admissible set is itself a box here, so sample it directly
         low, up = u - body.lo <= 1e-9, body.hi - u <= 1e-9
         ilo = np.maximum(vlo, np.where(low, 0.0, -np.inf))

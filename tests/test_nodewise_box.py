@@ -43,8 +43,7 @@ def _node_selection(box, U, vlo, vhi, j):
     field = IntervalValued(lambda x, u, p: vlo[j:j + 1],
                            lambda x, u, p: vhi[j:j + 1],
                            components=U.shape[1])
-    return tangent_selection(field, box, 0.0, U[j], np.zeros(U.shape[1]),
-                             tol=CONE_TOL)
+    return tangent_selection(field, box, 0.0, U[j], np.zeros(U.shape[1]))
 
 
 def _smallest_tangent_value(box, u, lo, hi, k):
@@ -167,8 +166,7 @@ def test_the_box_selection_is_the_interval_rule_on_its_face_cones():
     W, vlo, vhi = (a.reshape(-1, 1) for a in np.meshgrid(
         np.append(_SPECIAL, CONE_TOL), _SPECIAL, _SPECIAL, indexing="ij"))
     box = MovingBox(0.0, 1.0).lift(len(W), 1)
-    want, empty = selection_on_intervals(
-        vlo, vhi, *_face_cone(W, 0.0, 1.0, CONE_TOL), CONE_TOL)
+    want, empty = selection_on_intervals(vlo, vhi, *_face_cone(W, 0.0, 1.0))
     assert box._select_at(W, vlo, vhi)[1][0] == np.argwhere(empty)[0][0]
     keep = ~empty[:, 0]
     V, miss = box._select_at(W[keep], vlo[keep], vhi[keep])
@@ -250,19 +248,19 @@ def test_one_column_bounds_stay_one_column_on_every_component():
         MovingBox(np.zeros((4, 2)), np.ones((4, 2))).lift(4, 3)
 
 
-def _select_at_with_face_work(box, W, vlo, vhi, tol=CONE_TOL):
+def _select_at_with_face_work(box, W, vlo, vhi):
     """The box selection with face work on every grid: the face cones met
     with the value boxes at every entry, the reference the no-face path
     of ``MovingBox._select_at`` must give the bytes of."""
-    lower, upper = W - box.alpha <= tol, box.beta - W <= tol
+    lower, upper = W - box.alpha <= CONE_TOL, box.beta - W <= CONE_TOL
     ilo, ihi = np.empty(lower.shape), np.empty(upper.shape)
     ilo[...], ihi[...] = vlo, vhi
     np.maximum(ilo, 0.0, out=ilo, where=lower)
     np.minimum(ihi, 0.0, out=ihi, where=upper)
     if vlo is vhi:
-        V, empty = np.maximum(ilo, ihi), ilo > ihi + tol
+        V, empty = np.maximum(ilo, ihi), ilo > ihi + CONE_TOL
     else:
-        V, empty = _shortest_in(ilo, ihi, tol)
+        V, empty = _shortest_in(ilo, ihi)
     if empty.any():
         j, k = np.argwhere(empty)[0]
         lo, hi = np.broadcast_arrays(vlo, vhi, empty)[:2]
@@ -281,9 +279,9 @@ _AT = ("inside", "inside", "inside", "lo", "hi", "lo+tol", "hi-tol",
 @st.composite
 def no_face_selections(draw):
     """A lifted box with bounds of one row or ``n``, a state with entries
-    inside, at, exactly ``tol`` from and past its faces, a tolerance, and
-    value bounds of one array or two (crossed or not), at ``(n, N)`` or
-    broadcast."""
+    inside, at, exactly ``CONE_TOL`` and ``2 CONE_TOL`` from and past its
+    faces, and value bounds of one array or two (crossed or not), at
+    ``(n, N)`` or broadcast."""
     n, N = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     rows = draw(st.sampled_from((1, n)))
     cols = draw(st.sampled_from((1, N)))
@@ -294,14 +292,13 @@ def no_face_selections(draw):
                                    min_size=rows * cols,
                                    max_size=rows * cols))).reshape(rows, cols)
     box = MovingBox(lo, lo + width).lift(n, N)
-    tol = draw(st.sampled_from((0.0, CONE_TOL, 0.25, -CONE_TOL)))
     a, b = (np.broadcast_to(x, (n, N)) for x in (box.alpha, box.beta))
     place = {"inside": lambda j, k: 0.5 * (a[j, k] + b[j, k]),
              "lo": lambda j, k: a[j, k], "hi": lambda j, k: b[j, k],
-             "lo+tol": lambda j, k: a[j, k] + tol,
-             "hi-tol": lambda j, k: b[j, k] - tol,
-             "lo+2tol": lambda j, k: a[j, k] + 2.0 * tol,
-             "hi-2tol": lambda j, k: b[j, k] - 2.0 * tol,
+             "lo+tol": lambda j, k: a[j, k] + CONE_TOL,
+             "hi-tol": lambda j, k: b[j, k] - CONE_TOL,
+             "lo+2tol": lambda j, k: a[j, k] + 2.0 * CONE_TOL,
+             "hi-2tol": lambda j, k: b[j, k] - 2.0 * CONE_TOL,
              "nan": lambda j, k: np.nan, "-inf": lambda j, k: -np.inf,
              "inf": lambda j, k: np.inf}
     W = np.array([[place[draw(st.sampled_from(_AT))](j, k) for k in range(N)]
@@ -316,23 +313,24 @@ def no_face_selections(draw):
 
     vlo = values()
     if draw(st.booleans()):
-        return box, W, vlo, vlo, tol
+        return box, W, vlo, vlo
     vhi = values()
     if draw(st.booleans()):
         vlo, vhi = np.fmin(vlo, vhi), np.fmax(vlo, vhi)
-    return box, W, vlo, vhi, tol
+    return box, W, vlo, vhi
 
 
 @settings(max_examples=400, deadline=None)
 @given(no_face_selections())
-# boxes crossed by less than tol keep their lower end, not clip(0, lo, hi)
+# boxes crossed by less than CONE_TOL keep their lower end, not
+# clip(0, lo, hi)
 @example((MovingBox(0.0, 1.0).lift(3, 1), np.full((3, 1), 0.5),
           np.array([[1e-300], [0.0], [-1e-12]]),
-          np.array([[0.0], [-0.0], [-2e-12]]), CONE_TOL))
+          np.array([[0.0], [-0.0], [-2e-12]])))
 def test_a_selection_with_no_row_at_a_face_keeps_its_bytes(case):
-    box, W, vlo, vhi, tol = case
-    want = _select_at_with_face_work(box, W, vlo, vhi, tol)
-    V, miss = box._select_at(W, vlo, vhi, tol)
+    box, W, vlo, vhi = case
+    want = _select_at_with_face_work(box, W, vlo, vhi)
+    V, miss = box._select_at(W, vlo, vhi)
     assert miss == want[1]
     if miss is None:
         assert V.shape == want[0].shape == W.shape
@@ -354,5 +352,3 @@ def test_a_box_of_one_array_at_no_face_is_its_value_at_the_state_shape():
     col = np.array([[2.0], [-0.0], [3.0]])
     V, miss = box._select_at(W, col, col)
     assert miss is None and V.tobytes() == np.repeat(col, 2, axis=1).tobytes()
-    # a negative tolerance empties [y, y] and keeps the miss
-    assert box._select_at(W, y, y, -CONE_TOL)[1][0] == 0

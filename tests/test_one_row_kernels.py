@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tangenteq import CONE_TOL, Ball, Box, SetValue, Simplex
+from tangenteq import Ball, Box, SetValue, Simplex
 from tangenteq.convex import _box_distances, _cone_gaps
 from tangenteq.fields import _excesses, _sup_norms
 
@@ -73,7 +73,7 @@ def test_cone_and_distance_queries_are_their_one_row_case(kind, seed, width,
     U = _grid(rng, width, order, scale=3.0)
     X = np.asarray(body.project_rows(U), order=order)
     V = _grid(rng, width, order)
-    gaps = _cone_gaps(body, X, V, CONE_TOL)
+    gaps = _cone_gaps(body, X, V)
     distances = body.distances(U)
     lift = body.lift(1, width)
     for j in range(_ROWS):

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tangenteq import (Ball, Box, FilippovHull, Grid1D, MovingBox,
+from tangenteq import (CONE_TOL, Ball, Box, FilippovHull, Grid1D, MovingBox,
                        OperatorSpec, Simplex, StateShiftedField, assemble,
                        make_nonlinearity, resolvent_iterate, verify_bernstein,
                        verify_tangency, viability_simulate)
@@ -139,12 +139,12 @@ def _full_ball_projection(ball, X):
                     ball.center + scale[:, None] * R)
 
 
-def _full_ball_cone(ball, X, V, tol):
+def _full_ball_cone(ball, X, V):
     """Every row less the positive part of its outward normal component,
-    with a zero normal more than ``tol`` inside the sphere."""
+    with a zero normal more than ``CONE_TOL`` inside the sphere."""
     R = X - ball.center
     nr = _row_norms(R)
-    inner = ball.radius - nr > tol
+    inner = ball.radius - nr > CONE_TOL
     normal = np.where(inner[:, None], 0.0,
                       R / np.where(inner, 1.0, nr)[:, None])
     return V - _positive_part(_row_dots(normal, V))[:, None] * normal
@@ -183,9 +183,9 @@ _ENTRIES = st.one_of(_EDGES, st.floats(-3.0, 3.0))
 @st.composite
 def ball_rows(draw):
     """A ball of dimension 1 to 4 and rows inside it, on or near its
-    sphere and outside it, a row with a NaN among them; ``tol`` is drawn, or is
-    exactly how far one row lies inside the sphere, and the radius is
-    drawn, or is exactly one row's distance from the centre."""
+    sphere and outside it, a row with a NaN among them; the radius is
+    drawn, or is one row's distance from the centre exactly or plus
+    ``CONE_TOL`` or ``2 CONE_TOL``."""
     dim, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     center = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim,
                                     max_size=dim)))
@@ -204,41 +204,43 @@ def ball_rows(draw):
     nr = _row_norms(X - center)
     j = draw(st.integers(0, m - 1))
     if draw(st.booleans()) and np.isfinite(nr[j]) and nr[j] > 0.0:
-        radius = float(nr[j])
-    tol = draw(st.sampled_from((0.0, 1e-9, 1e-3, None)))
-    if tol is None:
-        tol = float(radius - nr[j]) if np.isfinite(nr[j]) else 1e-9
-    return Ball(center, radius), X, V, tol
+        radius = float(nr[j]) + draw(st.sampled_from((0.0, CONE_TOL,
+                                                       2.0 * CONE_TOL)))
+    return Ball(center, radius), X, V
 
 
 @settings(max_examples=300, deadline=None)
 @given(ball_rows())
 @example((Ball([0.0, 0.0], 1.0), np.array([[0.6, 0.8], [0.3, 0.0],
                                            [np.nan, 0.5], [2.0, 0.0]]),
-          np.array([[1.0, -0.0], [-0.0, 2.0], [0.5, 0.5], [1.0, 1.0]]),
-          1e-9))
+          np.array([[1.0, -0.0], [-0.0, 2.0], [0.5, 0.5], [1.0, 1.0]])))
 # a row exactly on the sphere stays, although c + (x - c) is not x
 @example((Ball([1.0], float(_row_norms(np.array([[0.1 - 1.0]]))[0])),
-          np.array([[0.1], [3.0]]), np.array([[-1.0], [1.0]]), 0.0))
+          np.array([[0.1], [3.0]]), np.array([[-1.0], [1.0]])))
+# rows exactly CONE_TOL and 2 CONE_TOL inside the sphere, and one past it
+@example((Ball([0.0, 0.0], 2.0 * CONE_TOL),
+          np.array([[CONE_TOL, 0.0], [0.0, -CONE_TOL], [0.0, 0.0],
+                    [0.0, 3.0 * CONE_TOL]]),
+          np.array([[1.0, 1.0], [0.5, -1.0], [1.0, -0.0], [-1.0, 2.0]])))
 def test_ball_kernels_are_the_full_row_forms(case):
-    ball, X, V, tol = case
+    ball, X, V = case
     _same_bytes(ball.project_rows(X), _full_ball_projection(ball, X))
-    _same_bytes(ball.tangent_project_rows(X, V, tol),
-                _full_ball_cone(ball, X, V, tol))
+    _same_bytes(ball.tangent_project_rows(X, V), _full_ball_cone(ball, X, V))
 
 
 @st.composite
 def simplex_rows(draw):
     """Rows of dimension 1 to 4 whose entries sit on the zero-face rule's
-    edge (exactly ``tol``, zero, ``-0.0``, NaN) or anywhere near it."""
+    edge (exactly ``CONE_TOL`` or ``2 CONE_TOL``, zero, ``-0.0``, NaN) or
+    anywhere near it."""
     dim, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    tol = draw(st.sampled_from((0.0, 1e-9, 1e-3)))
-    entries = st.one_of(st.just(tol), _ENTRIES)
+    entries = st.one_of(st.sampled_from((CONE_TOL, 2.0 * CONE_TOL)),
+                        _ENTRIES)
     X = np.array(draw(st.lists(entries, min_size=m * dim,
                                max_size=m * dim))).reshape(m, dim)
     V = np.array(draw(st.lists(_ENTRIES, min_size=m * dim,
                                max_size=m * dim))).reshape(m, dim)
-    return Simplex(1.0, dim), X, V, tol
+    return Simplex(1.0, dim), X, V
 
 
 @settings(max_examples=300, deadline=None)
@@ -246,11 +248,11 @@ def simplex_rows(draw):
 @example((Simplex(1.0, 3), np.array([[0.2, 0.3, 0.5], [1e-9, 0.5, 0.5],
                                      [np.nan, 0.5, 0.5], [0.0, -0.0, 1.0]]),
           np.array([[-0.0, 1.0, -1.0], [-1.0, 0.5, 0.5], [1.0, 2.0, -0.0],
-                    [-1.0, -2.0, 3.0]]), 1e-9))
+                    [-1.0, -2.0, 3.0]])))
 def test_simplex_cone_is_the_full_row_form(case):
-    simplex, X, V, tol = case
-    _same_bytes(simplex.tangent_project_rows(X, V, tol),
-                _full_simplex_cone(X <= tol, V))
+    simplex, X, V = case
+    _same_bytes(simplex.tangent_project_rows(X, V),
+                _full_simplex_cone(X <= CONE_TOL, V))
 
 
 def _pivot_projection(X, s):
@@ -549,8 +551,8 @@ def test_ball_kernels_keep_their_bytes_as_the_state_shape_changes():
         X = 2.0 * rng.random((n, 2)) - 1.0
         V = rng.random((n, 2)) - 0.5
         _same_bytes(ball.project_rows(X), _full_ball_projection(ball, X))
-        _same_bytes(ball.tangent_project_rows(X, V, 1e-3),
-                    _full_ball_cone(ball, X, V, 1e-3))
+        _same_bytes(ball.tangent_project_rows(X, V),
+                    _full_ball_cone(ball, X, V))
         # the centre the kernels subtract is held at the state's shape
         assert ball._centres[1].shape == (n, 2)
     # a new centre is taken up at once
@@ -562,8 +564,7 @@ def test_ball_kernels_keep_their_bytes_as_the_state_shape_changes():
 def one_array_boxes(draw):
     """A box, a nodewise box, a ball or a simplex of dimension 1 to 5,
     lifted to 1 to 6 nodes, its states at the projections of drawn ones
-    (so on faces too), value rows ``y`` and a tolerance, zero among
-    them."""
+    (so on faces too), and value rows ``y``."""
     kind = draw(st.sampled_from(("box", "moving", "ball", "simplex")))
     n, N = draw(st.integers(1, 6)), draw(st.integers(1, 5))
 
@@ -582,15 +583,15 @@ def one_array_boxes(draw):
         body = Simplex(draw(st.floats(0.25, 2.0)), N)
     K = body.lift(n, N)
     return K, K.project_rows(grid((n, N), st.floats(-3.0, 3.0))), \
-        grid((n, N), _VALUES), draw(st.sampled_from((1e-9, 0.0, 1e-3)))
+        grid((n, N), _VALUES)
 
 
 @settings(max_examples=400, deadline=None)
 @given(one_array_boxes())
 def test_a_one_array_box_selects_as_its_two_arrays(case):
-    K, W, y, tol = case
-    got = K._select_at(W, y, y, tol)
-    want = K._select_at(W, y, y.copy(), tol)
+    K, W, y = case
+    got = K._select_at(W, y, y)
+    want = K._select_at(W, y, y.copy())
     assert (got[0] is None) == (want[0] is None)
     if got[0] is None:
         assert got[1] == want[1]
