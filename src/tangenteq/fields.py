@@ -31,13 +31,14 @@ pointwise ``g`` that takes one state at a time is wrapped as
 
 A field says whether its functions read the slopes ``p``: ``slopes``,
 True unless ``SingleValued`` or ``IntervalValued`` is built with
-``slopes=False``.  The catalog's ``linear``, ``logistic``, ``constant``
-and ``tabulated`` fields are slope-free, and a state shift takes its
-base's value.  The sweeps take no gradient for a slope-free field and
-call its functions with ``p = None``; the verifiers still hand every
-field its ``P``, since their witnesses print it.  A relay hull always
-reads the slopes: its probes move the state and the slopes together,
-so its probe table's width, and so every probe, depends on them.
+``slopes=False``.  Every catalog field is slope-free (its relay
+``heaviside`` is the exact hull of a step, an ``IntervalValued``), and a
+state shift takes its base's value.  The sweeps take no gradient for a
+slope-free field and call its functions with ``p = None``; the verifiers
+still hand every field its ``P``, since their witnesses print it.  A
+sampled hull (``FilippovHull``) always reads the slopes: its probes move
+the state and the slopes together, so its probe table's width, and so
+every probe, depends on them.
 
 Every seeded draw of the package comes from ``SplitMix64``, a counter
 hash in numpy ``uint64`` arithmetic, so no module loads

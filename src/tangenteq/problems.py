@@ -4,10 +4,13 @@ The catalog side builds the pieces a concrete run needs: named
 nonlinearities (single-valued, interval, relay hulls, tabulated data)
 and the state shift that ``ProblemSpec`` wraps around the field of a
 gradient-dependent problem on a ball constraint (``bernstein_bvp``).
-The catalog's ``linear``, ``logistic``, ``constant`` and ``tabulated``
-fields never read the slopes and are built slope-free
-(``slopes=False``), so the sweeps take no gradient for them; the relay
-hull (``heaviside``) reads them.
+Every catalog field is built slope-free (``slopes=False``), so the
+sweeps take no gradient for it.  The relay ``heaviside`` is the exact
+(Filippov) hull of its step in ``u`` over the closed delta-interval, in
+closed form, with no probes and no call of the step itself; its
+``samples`` and ``seed`` are checked but no longer change its value.
+A ``fields.FilippovHull`` of the same step, with a probe table that holds
+the axis points of ``u``, gives the same bytes.
 
 The verifier side turns the structural hypotheses behind the solvers into
 checks with margins and witnesses:
@@ -39,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import Ball, MovingBox, _row_dots, _row_sums
-from .errors import InvalidSpec, check_count, check_seed
-from .fields import (FilippovHull, IntervalValued, NonlinearityField,
-                     SingleValued, SplitMix64, _sup_norms, _unit_rows)
+from .errors import InvalidSpec, check_count, check_positive, check_seed
+from .fields import (IntervalValued, NonlinearityField, SingleValued,
+                     SplitMix64, _sup_norms, _unit_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +78,23 @@ def _heaviside(params, components, bound, seed):
     on = float(params.get("on", -1.0))
     threshold = float(params.get("threshold", 0.5))
     delta = float(params.get("delta", 0.05))
+    check_positive(delta=delta)
+    check_count(ValueError, 1, samples=params.get("samples", 64))
+    check_seed(seed=seed)
 
-    return FilippovHull(lambda x, u, p: np.where(u < threshold, off, on),
-                        delta, sample_count=params.get("samples", 64),
-                        components=components, bound=bound, base_seed=seed)
+    # the exact hull of the step over the closed delta-interval in u: off
+    # is in it where u - delta < threshold, on where not u + delta <
+    # threshold (a NaN state gives [on, on]); np.minimum and np.maximum
+    # keep a NaN value, and a zero end is +0.0
+    off, on = off + 0.0, on + 0.0
+
+    def end(both):
+        return lambda x, u, p: np.where(
+            u + delta < threshold, off,
+            np.where(u - delta < threshold, both, on))
+
+    return IntervalValued(end(np.minimum(off, on)), end(np.maximum(off, on)),
+                          components=components, bound=bound, slopes=False)
 
 
 def _tabulated(params, components, bound, seed):

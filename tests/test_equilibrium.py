@@ -243,8 +243,8 @@ def test_catalog_box_solves_take_no_gradient(bc, name, params, d, start,
 
 def test_simplex_ball_and_viability_runs_of_slope_free_fields_take_no_gradient(
         monkeypatch):
-    # the non-box benchmark's simplex and ball solves, and a box viability
-    # run of a catalog field
+    # the non-box benchmark's simplex and ball solves and relay viability
+    # run, and a box viability run of a catalog field
     rng = np.random.default_rng(3)
     calls = _count_gradients(monkeypatch)
     e = rng.exponential(1.0, (51, 3))
@@ -259,10 +259,14 @@ def test_simplex_ball_and_viability_runs_of_slope_free_fields_take_no_gradient(
         _neumann_op(201, 2),
         make_nonlinearity("linear", {"a": 0.5, "b": -1.0}, components=2),
         Ball(np.zeros(2), 1.0), rng.random((201, 1)) ** 0.5 * d)
+    relay = viability_simulate(
+        _neumann_op(), make_nonlinearity("heaviside", {}, seed=3), UNIT_BOX,
+        rng.random(101), 1.0, 0.05)
     run = viability_simulate(_neumann_op(), make_nonlinearity("logistic"),
                              UNIT_BOX, rng.random(101), 1.0, 0.05)
     assert simplex.status == ball.status == "converged"
-    assert run.status == "completed" and run.steps == 20
+    assert relay.status == run.status == "completed"
+    assert relay.steps == run.steps == 20
     assert calls == []
 
 

@@ -12,6 +12,7 @@ from tangenteq import (Ball, Box, BoundViolated, FilippovHull, Grid1D,
                        SolverConfig, StateShiftedField, assemble,
                        make_nonlinearity, resolvent_iterate,
                        verify_bernstein, verify_tangency, viability_simulate)
+from tangenteq import fields
 
 _PARAMS = {
     "linear": {"a": 0.5, "b": -1.0},
@@ -254,15 +255,41 @@ def test_batched_hull_calls_g_once_per_grid_on_centres_and_probes():
 def test_relay_simulation_calls_g_once_per_sweep():
     n = 101
     op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, n))
-    relay = make_nonlinearity("heaviside", {}, seed=5)
-    g = _CountingGrid(relay.g)
-    relay.g = g
+    g = _CountingGrid(lambda x, u, p: np.where(u < 0.5, 1.0, -1.0))
+    relay = FilippovHull(g, 0.05, base_seed=5)
     u0 = np.random.default_rng(5).random(n)
     rep = viability_simulate(op, relay, Box([0.0], [1.0]), u0, 1.0, 0.05)
     assert rep.status == "completed"
     assert rep.max_constraint_distance == 0.0
     # one call per step plus one for the terminal measure
     assert g.rows == [n * 65] * 21
+
+
+def test_the_catalog_relay_calls_each_end_once_per_step_and_draws_nothing(
+        monkeypatch):
+    n = 101
+    op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, n))
+    relay = make_nonlinearity("heaviside", {}, seed=5)
+    relay.g_lo = _CountingGrid(relay.g_lo)
+    relay.g_hi = _CountingGrid(relay.g_hi)
+    draws = []
+    init = fields.SplitMix64.__init__
+
+    def counted(self, seed):
+        draws.append(seed)
+        init(self, seed)
+
+    # a cold probe-table cache, so that any table draw would show
+    fields._probe_offsets.cache_clear()
+    monkeypatch.setattr(fields.SplitMix64, "__init__", counted)
+    u0 = np.random.default_rng(5).random(n)
+    rep = viability_simulate(op, relay, Box([0.0], [1.0]), u0, 1.0, 0.05)
+    assert rep.status == "completed" and rep.steps == 20
+    assert rep.max_constraint_distance == 0.0
+    # one call of each end per step plus one for the terminal measure, on
+    # the states alone, and no probe table is drawn
+    assert relay.g_lo.rows == relay.g_hi.rows == [n] * 21
+    assert draws == []
 
 
 def test_relay_simulation_projects_and_applies_once_per_step(monkeypatch):

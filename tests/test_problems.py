@@ -67,6 +67,19 @@ def test_heaviside_hull_straddles_the_threshold():
     assert at.lo[0] == -1.0 and at.hi[0] == 1.0
 
 
+@pytest.mark.parametrize("samples", [1, 2, 3, 64])
+@pytest.mark.parametrize("u", [0.475, 0.525])
+def test_a_relay_of_any_sample_count_spans_its_jump_within_delta(samples, u):
+    # a sampled hull of fewer than 2 + 2N probes lacks the axis points of
+    # u and can miss the jump; the exact hull over the delta interval
+    # spans both values, whatever samples and seed
+    for seed in (0, 5):
+        fld = make_nonlinearity("heaviside", {"samples": samples}, seed=seed)
+        assert not fld.slopes
+        val = fld.evaluate(0.3, np.array([u]), np.zeros(1))
+        assert val.lo[0] == -1.0 and val.hi[0] == 1.0
+
+
 def test_tabulated_interpolates_csv(tmp_path):
     knots = np.linspace(-1.0, 1.0, 9)
     path = tmp_path / "curve.csv"

@@ -6,9 +6,10 @@ probe table at every call.  ``_full_ball_projection``,
 on every row, interior rows included.  ``_column_apply`` multiplies the
 stencil's bands as ``(n, 1)`` columns into every state.
 ``_rebuilt_hull`` probes the positions with the states at every call and
-takes the hull across the middle axis.  ``_wall_bands`` builds the
-stencil's bands with one formula per wall, and ``_unit_draw`` draws unit
-vectors and unit-ball rays as each once did on its own.  A value box
+takes the hull across the middle axis.  The catalog relay's closed form
+must give the bytes of the sampled hull of its step.  ``_wall_bands``
+builds the stencil's bands with one formula per wall, and ``_unit_draw``
+draws unit vectors and unit-ball rays as each once did on its own.  A value box
 ``[y, y]`` given as one array must select, and measure its equation
 residual, as the same box given as two arrays.  The current code must
 return the same bytes.
@@ -86,7 +87,8 @@ def test_the_cached_offsets_are_read_only_and_shared():
 def test_a_relay_simulation_draws_its_probe_table_once(monkeypatch):
     n = 101
     op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, n))
-    relay = make_nonlinearity("heaviside", {}, seed=5)
+    relay = FilippovHull(lambda x, u, p: np.where(u < 0.5, 1.0, -1.0), 0.05,
+                         base_seed=5)
     u0 = fields.SplitMix64(5).random(n)
     draws = []
 
@@ -495,7 +497,8 @@ def test_the_hull_is_the_rebuilt_form_on_every_node_array(N, k, q, count,
 
 
 def test_a_read_only_node_array_keeps_its_probe_positions():
-    hull = make_nonlinearity("heaviside", {}, seed=2)
+    hull = FilippovHull(lambda x, u, p: np.where(u < 0.5, 1.0, -1.0), 0.05,
+                        base_seed=2)
     xs, U = Grid1D(1.0, 5).nodes, np.full((5, 1), 0.5)
     hull.evaluate_grid(xs, U, U)
     nodes, _, X = hull._positions
@@ -535,6 +538,55 @@ def test_a_hull_keeps_positions_only_for_the_probe_table_of_their_width():
     X = hull._positions[2]
     hull.evaluate_grid(xs, U + 0.1, P)
     assert hull._positions[2] is X
+
+
+# relay values where an order, a sign, an infinity or a NaN could tell the
+# closed form from the sampled hull, then ordinary ones
+_RELAY_VALUES = st.one_of(
+    st.sampled_from((1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan)),
+    st.floats(-3.0, 3.0))
+
+
+@st.composite
+def relay_states(draw):
+    """A relay's threshold and delta, and a grid of states at, one ulp
+    from and between ``threshold +- delta``, with infinities and NaN."""
+    threshold = draw(st.sampled_from((0.5, 0.0, -1.25))
+                     | st.floats(-2.0, 2.0))
+    delta = draw(st.sampled_from((1e-3, 0.05, 0.7)) | st.floats(1e-4, 1.0))
+    edges = [threshold - delta, threshold + delta, threshold]
+    edges += [np.nextafter(e, side) for e in edges[:2]
+              for side in (-np.inf, np.inf)]
+    states = st.one_of(st.sampled_from(edges + [np.inf, -np.inf, np.nan]),
+                       st.floats(threshold - 2.0 * delta,
+                                 threshold + 2.0 * delta))
+    N, m = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    U = np.array(draw(st.lists(states, min_size=m * N, max_size=m * N)))
+    return threshold, delta, U.reshape(m, N)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relay_states(), _RELAY_VALUES, _RELAY_VALUES, st.integers(0, 20))
+@example((0.5, 0.05, np.array([[0.45, 0.55, np.nan, np.inf, -np.inf]]).T),
+         0.0, -0.0, 3)
+@example((0.5, 0.05, np.array([[0.5, 0.45, 0.55], [np.nan, 0.0, 1.0]])),
+         np.nan, 1.0, 11)
+def test_the_catalog_relay_is_its_sampled_hull(relay, off, on, seed):
+    # the sampled hull of 64 probes: its axis points hold u +- delta, and
+    # rounding u + delta r is monotone in r, so no other probe adds a value
+    threshold, delta, U = relay
+    N = U.shape[1]
+    closed = make_nonlinearity("heaviside", {"off": off, "on": on,
+                                             "threshold": threshold,
+                                             "delta": delta},
+                               components=N, seed=seed)
+    sampled = FilippovHull(lambda x, u, p: np.where(u < threshold, off, on),
+                           delta, 64, components=N, base_seed=seed)
+    rng = fields.SplitMix64(seed)
+    xs, P = rng.random(len(U)), rng.random(U.shape) - 0.5
+    for got, want in zip(closed.evaluate_grid(xs, U, P),
+                         sampled.evaluate_grid(xs, U, P)):
+        _same_bytes(got, want)
 
 
 def test_ball_kernels_keep_their_bytes_as_the_state_shape_changes():
