@@ -367,9 +367,12 @@ class ProblemSpec:
         name, bound = sec.pop("name"), sec.pop("bound", None)
         seed = int(sec.pop("seed", "0"))
         params = {k: v if k == "path" else float(v) for k, v in sec.items()}
-        base = make_nonlinearity(name, params, components=self.components,
-                                 bound=None if bound is None else float(bound),
-                                 seed=seed)
+        try:
+            base = make_nonlinearity(
+                name, params, components=self.components,
+                bound=None if bound is None else float(bound), seed=seed)
+        except ValueError as exc:
+            raise InvalidSpec("[nonlinearity] %s" % (exc,)) from None
         for key, val in params.items():
             if key != "path" and not math.isfinite(val):
                 raise InvalidSpec("[nonlinearity] %s must be finite, got %r"

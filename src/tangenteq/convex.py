@@ -26,20 +26,24 @@ multiplier, ``_multiplier_rows``):
   the projection has every coordinate active, the cone (zero-sum
   directions) its zero coordinates.
 
-The cone only acts on the boundary, so the row kernels do their face
-work only on the rows that touch a face.  At an interior point the cone
-is the whole space and a value is its own cone projection (a ball's
-inner rows; a box whose state has no entry at a face selects each value
-box's shortest value); on the
-simplex's relative interior the cone is the hyperplane ``sum w = 0``, so
-a row with no zero coordinate takes ``v - mean(v)``.  A ball projects
-only the rows outside it.  Each kernel gives those rows the bits the
-full boundary algebra gives them.  The simplex projects a row with no
-entry at or below its shift ``theta`` in closed form, ``x - theta``,
-which sums the row in its own order, not in the pivot's sorted order.
-A ball's row kernels do not broadcast its centre against an ``(n, N)``
-state: a ball keeps a read-only copy of its centre and holds it at the
-state's shape, built when that shape or the centre changes.
+The cone only acts on the boundary, so the row kernels and selections do
+their cone work only on the rows that touch it: the rows at a face for a
+box, the rim rows of a ball (within ``CONE_TOL`` of its sphere or past
+it), and the rows with a zero coordinate for a simplex.  At an interior
+point the cone is the whole space and a value is its own cone
+projection, so a box whose state has no entry at a face, and a ball with
+no rim row and finite values, select each value box's shortest value in
+one whole-array step; on the simplex's relative interior the cone is the
+hyperplane ``sum w = 0``, so a row with no zero coordinate takes ``v -
+mean(v)``.  Each such shortcut asks one whole-array question first and
+looks for the rows that need work only when its answer is no.  A ball
+projects only the rows outside it.  Each kernel gives those rows the
+bits the full boundary algebra gives them.  The simplex projects a row
+with no entry at or below its shift ``theta`` in closed form, ``x -
+theta``, which sums the row in its own order, not in the pivot's sorted
+order.  A ball's row kernels do not broadcast its centre against an
+``(n, N)`` state: a ball keeps a read-only copy of its centre and holds
+it at the state's shape, built when that shape or the centre changes.
 
 A single-valued field gives its value box ``[y, y]`` as one array,
 ``vlo is vhi``, and a selection then skips what the box already knows:
@@ -206,19 +210,22 @@ class ConvexBody:
         """Each box's shortest value ``V = clip(0, vlo, vhi)`` where it fits
         the cone, else the exact ``_select_rows``; the first row whose
         value still misses by more than ``CONE_TOL`` is the miss.  A box
-        ``[y, y]`` given as one array (``vlo is vhi``) has ``V = y``."""
+        ``[y, y]`` given as one array (``vlo is vhi``) has ``V = y``.
+        Cone work falls on the rows the cone acts on (a simplex's rows
+        with a zero coordinate, a ball's rim rows), and only the rows
+        that miss take ``_select_rows``."""
         V = vlo if vlo is vhi else _clip(0.0, vlo, vhi)
         Y, fits, _, _ = _fit(self, W, V, vlo, vhi)
+        if fits.all():
+            return Y, None
         rest = (~fits).nonzero()[0]
-        if rest.size:
-            W, vlo, vhi = W[rest], vlo[rest], vhi[rest]
-            Y[rest], fits, cone, box = _fit(self, W, self._select_rows(
-                W, vlo, vhi), vlo, vhi)
-            if not fits.all():
-                k = np.argmin(fits)
-                return None, (int(rest[k]), "no admissible tangent value: "
-                              "cone gap %.3g, box gap %.3g"
-                              % (cone[k], box[k]))
+        W, vlo, vhi = W[rest], vlo[rest], vhi[rest]
+        Y[rest], fits, cone, box = _fit(self, W, self._select_rows(
+            W, vlo, vhi), vlo, vhi)
+        if not fits.all():
+            k = np.argmin(fits)
+            return None, (int(rest[k]), "no admissible tangent value: "
+                          "cone gap %.3g, box gap %.3g" % (cone[k], box[k]))
         return Y, None
 
 
@@ -294,22 +301,28 @@ class MovingBox(ConvexBody):
 
         Only rows at a face do face work.  When no entry of ``W`` lies
         within ``CONE_TOL`` of a face, every cone is the whole space and
-        the selection is each box's shortest value, at the state's shape:
-        a box ``[y, y]`` given as one array (``vlo is vhi``) gives ``y``.
-        The result is always a new array, never the caller's ``vlo``."""
+        the selection is each box's shortest value, at the state's shape,
+        read from the value arrays with no copy of them: a box ``[y, y]``
+        given as one array (``vlo is vhi``) gives ``y``.  The result is
+        always a new array, never the caller's ``vlo`` or ``vhi``."""
         lower, upper = W - self.alpha <= CONE_TOL, self.beta - W <= CONE_TOL
         face = lower.any() or upper.any()
+        if not face and vlo is not vhi:
+            # no face cone to meet, so no copy to raise or lower: the
+            # value boxes are read at the state's shape
+            if vlo.shape != lower.shape or vhi.shape != lower.shape:
+                vlo, vhi = np.broadcast_arrays(vlo, vhi, lower)[:2]
+            return _miss_or(*_shortest_in(vlo, vhi), vlo, vhi)
         ilo = np.empty(lower.shape)
         ilo[...] = vlo
-        if vlo is vhi and not face:
+        if not face:
             return ilo, None
         ihi = np.empty(upper.shape)
         ihi[...] = vhi
-        if face:
-            # the face cones met with the value boxes: an active lower face
-            # raises vlo to 0, an active upper face lowers vhi to 0
-            np.maximum(ilo, 0.0, out=ilo, where=lower)
-            np.minimum(ihi, 0.0, out=ihi, where=upper)
+        # the face cones met with the value boxes: an active lower face
+        # raises vlo to 0, an active upper face lowers vhi to 0
+        np.maximum(ilo, 0.0, out=ilo, where=lower)
+        np.minimum(ihi, 0.0, out=ihi, where=upper)
         if vlo is vhi:
             # from a box [y, y], ilo is y or max(y, 0) and ihi is y or
             # min(y, 0), never above ilo: the shortest point is ilo, taken
@@ -317,13 +330,19 @@ class MovingBox(ConvexBody):
             V, empty = np.maximum(ilo, ihi), ilo > ihi + CONE_TOL
         else:
             V, empty = _shortest_in(ilo, ihi)
-        if empty.any():
-            j, k = np.argwhere(empty)[0]
-            # the value bounds may broadcast against the nodes
-            lo, hi = np.broadcast_arrays(vlo, vhi, empty)[:2]
-            return None, (int(j), "component %d: values [%.6g, %.6g] miss "
-                          "the face cone" % (k, lo[j, k], hi[j, k]))
-        return V, None
+        return _miss_or(V, empty, vlo, vhi)
+
+
+def _miss_or(V, empty, vlo, vhi):
+    """``(V, None)``, or ``(None, (node, reason))`` for the first entry
+    of ``empty``, whose values ``[vlo, vhi]`` miss the face cone."""
+    if empty.any():
+        j, k = np.argwhere(empty)[0]
+        # the value bounds may broadcast against the nodes
+        lo, hi = np.broadcast_arrays(vlo, vhi, empty)[:2]
+        return None, (int(j), "component %d: values [%.6g, %.6g] miss "
+                      "the face cone" % (k, lo[j, k], hi[j, k]))
+    return V, None
 
 
 class Box(MovingBox):
@@ -438,6 +457,20 @@ class Ball(ConvexBody):
                 * normal
         return Y
 
+    def _select_at(self, W, vlo, vhi):
+        """Only rim rows do cone work.  When no row of ``W`` lies within
+        ``CONE_TOL`` of the sphere or past it, every cone is the whole
+        space, and with every value finite the selection is each box's
+        shortest value: a copy of ``y`` for a box ``[y, y]`` given as one
+        array.  Otherwise the ``ConvexBody`` path runs, where an infinite
+        value's cone gap is NaN, a miss."""
+        # a finite sum has only finite terms (an overflow only sends the
+        # values the long way)
+        if self.radius - _row_norms(self._offsets(W)).max(initial=0.0) \
+                > CONE_TOL and np.isfinite(vlo.sum() + vhi.sum()):
+            return (vlo.copy() if vlo is vhi else _clip(0.0, vlo, vhi)), None
+        return super()._select_at(W, vlo, vhi)
+
     def _select_rows(self, W, vlo, vhi):
         """``clip(-lam a, vlo, vhi)``, ``a`` the outward normal (zero inside),
         at the root of ``a . v``: the rows asked for fail at ``lam = 0``."""
@@ -487,8 +520,8 @@ class Simplex(ConvexBody):
         mean.  Only the rows with a zero coordinate take ``_face_rows``."""
         act = X <= CONE_TOL
         Y = V - _row_sums(V)[:, None] / X.shape[1]
-        face = act.any(axis=1).nonzero()[0]
-        if face.size:
+        if act.any():
+            face = act.any(axis=1).nonzero()[0]
             Y[face] = _face_rows(act[face], V[face])
         return Y
 

@@ -32,13 +32,13 @@ pointwise ``g`` that takes one state at a time is wrapped as
 A field says whether its functions read the slopes ``p``: ``slopes``,
 True unless ``SingleValued`` or ``IntervalValued`` is built with
 ``slopes=False``.  Every catalog field is slope-free (its relay
-``heaviside`` is the exact hull of a step, an ``IntervalValued``), and a
-state shift takes its base's value.  The sweeps take no gradient for a
-slope-free field and call its functions with ``p = None``; the verifiers
-still hand every field its ``P``, since their witnesses print it.  A
-sampled hull (``FilippovHull``) always reads the slopes: its probes move
-the state and the slopes together, so its probe table's width, and so
-every probe, depends on them.
+``heaviside`` is the exact hull of a step, both ends from one pass over
+the states), and a state shift takes its base's value.  The sweeps take
+no gradient for a slope-free field and call its functions with ``p =
+None``; the verifiers still hand every field its ``P``, since their
+witnesses print it.  A sampled hull (``FilippovHull``) always reads the
+slopes: its probes move the state and the slopes together, so its probe
+table's width, and so every probe, depends on them.
 
 Every seeded draw of the package comes from ``SplitMix64``, a counter
 hash in numpy ``uint64`` arithmetic, so no module loads
@@ -196,7 +196,9 @@ class SingleValued(NonlinearityField):
 
 
 class IntervalValued(NonlinearityField):
-    """Explicit interval bounds ``[g_lo(x,u,p), g_hi(x,u,p)]``."""
+    """Explicit interval bounds ``[g_lo(x,u,p), g_hi(x,u,p)]``; ends that
+    cross raise ValueError, after the envelope check of the rows before
+    the first crossing."""
 
     def __init__(self, g_lo, g_hi, components=1, bound=None, slopes=True):
         super().__init__(components, bound, slopes)
@@ -206,10 +208,10 @@ class IntervalValued(NonlinearityField):
     def _grid_value(self, xs, U, P):
         lo = _call(self.g_lo, xs, U, P, self.components)
         hi = _call(self.g_hi, xs, U, P, self.components)
-        crossed = np.flatnonzero(np.any(lo > hi, axis=1))
-        if crossed.size:
+        crossed = lo > hi
+        if crossed.any():
             # the rows before the crossing meet the envelope first
-            j = crossed[0]
+            j = np.flatnonzero(crossed.any(axis=1))[0]
             self._check_bound(xs[:j], lo[:j], hi[:j])
             raise ValueError("interval endpoints crossed (lo > hi)")
         return lo, hi

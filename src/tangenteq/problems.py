@@ -7,8 +7,12 @@ gradient-dependent problem on a ball constraint (``bernstein_bvp``).
 Every catalog field is built slope-free (``slopes=False``), so the
 sweeps take no gradient for it.  The relay ``heaviside`` is the exact
 (Filippov) hull of its step in ``u`` over the closed delta-interval, in
-closed form, with no probes and no call of the step itself; its
-``samples`` and ``seed`` are checked but no longer change its value.
+closed form, with no probes and no call of the step itself; it builds
+both ends in one pass over the states, ordered by construction, so it
+runs no crossing scan.  Its ``samples`` and ``seed`` are checked but no
+longer change its value.  A ``constant`` whose ``lo`` lies above its
+``hi``, and a ``tabulated`` table with a NaN or infinite entry, raise
+ValueError when built.
 A ``fields.FilippovHull`` of the same step, with a probe table that holds
 the axis points of ``u``, gives the same bytes.
 
@@ -42,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import Ball, MovingBox, _row_dots, _row_sums
-from .errors import InvalidSpec, check_count, check_positive, check_seed
+from .errors import (InvalidSpec, check_bounds, check_count, check_finite,
+                     check_positive, check_seed)
 from .fields import (IntervalValued, NonlinearityField, SingleValued,
                      SplitMix64, _sup_norms, _unit_rows)
 
@@ -68,33 +73,48 @@ def _logistic(params, components, bound, seed):
 def _constant(params, components, bound, seed):
     lo = float(params.get("lo", 0.0))
     hi = float(params.get("hi", lo))
+    check_bounds(ValueError, False, lo=lo, hi=hi)
     return IntervalValued(lambda x, u, p: np.full((len(x), components), lo),
                           lambda x, u, p: np.full((len(x), components), hi),
                           components=components, bound=bound, slopes=False)
 
 
 def _heaviside(params, components, bound, seed):
-    off = float(params.get("off", 1.0))
-    on = float(params.get("on", -1.0))
-    threshold = float(params.get("threshold", 0.5))
     delta = float(params.get("delta", 0.05))
     check_positive(delta=delta)
     check_count(ValueError, 1, samples=params.get("samples", 64))
     check_seed(seed=seed)
+    return _Relay(float(params.get("off", 1.0)), float(params.get("on", -1.0)),
+                  float(params.get("threshold", 0.5)), delta, components,
+                  bound)
 
-    # the exact hull of the step over the closed delta-interval in u: off
-    # is in it where u - delta < threshold, on where not u + delta <
-    # threshold (a NaN state gives [on, on]); np.minimum and np.maximum
-    # keep a NaN value, and a zero end is +0.0
-    off, on = off + 0.0, on + 0.0
 
-    def end(both):
-        return lambda x, u, p: np.where(
-            u + delta < threshold, off,
-            np.where(u - delta < threshold, both, on))
+class _Relay(NonlinearityField):
+    """The exact hull of the step ``where(u < threshold, off, on)`` over
+    the closed delta-interval in ``u``, both ends in one pass.  ``off`` is
+    in the hull where ``u - delta < threshold``, ``on`` where not ``u +
+    delta < threshold``, so the count ``k`` of the interval's ends below
+    the threshold picks each end: ``on`` at ``k = 0`` (a NaN state too),
+    ``[min(off, on), max(off, on)]`` at 1 and ``off`` at 2.  The ends are
+    ordered (``np.minimum`` and ``np.maximum`` keep a NaN value), and a
+    zero end is ``+0.0``."""
 
-    return IntervalValued(end(np.minimum(off, on)), end(np.maximum(off, on)),
-                          components=components, bound=bound, slopes=False)
+    def __init__(self, off, on, threshold, delta, components, bound):
+        super().__init__(components, bound, slopes=False)
+        off, on = off + 0.0, on + 0.0
+        self.threshold, self.delta = threshold, delta
+        self._ends = (np.array([on, np.minimum(off, on), off]),
+                      np.array([on, np.maximum(off, on), off]))
+
+    def _grid_value(self, xs, U, P):
+        if U.shape != (len(xs), self.components):
+            raise ValueError("field returned shape %s, expected %s"
+                             % (U.shape, (len(xs), self.components)))
+        # u + delta below the threshold puts u - delta below it too
+        k = np.add(U - self.delta < self.threshold,
+                   U + self.delta < self.threshold, dtype=np.intp)
+        lo, hi = self._ends
+        return lo[k], hi[k]
 
 
 def _tabulated(params, components, bound, seed):
@@ -104,6 +124,8 @@ def _tabulated(params, components, bound, seed):
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     if data.shape[1] < 2:
         raise ValueError("expected two CSV columns: state, value")
+    # a NaN or infinite entry would reach the sweeps as a NaN value
+    check_finite(states=data[:, 0], values=data[:, 1])
     order = np.argsort(data[:, 0])
     knots, vals = data[order, 0], data[order, 1]
     return SingleValued(lambda x, u, p: np.interp(u, knots, vals),

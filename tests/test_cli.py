@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import tangenteq
-from tangenteq import Ball, ProblemSpec, load_config, operators
+from tangenteq import (Ball, ConvexBody, ProblemSpec, load_config,
+                       operators)
 from tangenteq.cli import run_cli
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -111,13 +112,17 @@ def test_solve_nonconvergent_box_exits_three(tmp_path):
 
 def test_a_selection_off_the_cone_exits_three_with_a_witness(
         tmp_path, capsys, monkeypatch):
-    # every cone projection lands one unit off, so no value fits at node 0
+    # every cone projection lands one unit off, so no value fits at node 0;
+    # the states stay inside the ball, where a ball selects its shortest
+    # values with no cone projection, so the selection is made by the
+    # general path, which projects every row
     project = Ball.tangent_project_rows
 
     def off_by_one(self, X, V):
         return project(self, X, V) + 1.0
 
     monkeypatch.setattr(Ball, "tangent_project_rows", off_by_one)
+    monkeypatch.setattr(Ball, "_select_at", ConvexBody._select_at)
     code = run_cli(["simulate", _cfg("bernstein.cfg"), "--out",
                     str(tmp_path)])
     assert code == 3
@@ -459,6 +464,15 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
      "name = heaviside\ndelta = 0\n", 1, "delta must be positive"),
     ("check-invariance", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
      "name = tabulated\n", 1, "needs a 'path' parameter"),
+    ("check-conditions", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = constant\nlo = 1.0\nhi = 0.0\n", 1,
+     "error: [nonlinearity] lo must stay below hi"),
+    ("solve", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = constant\nlo = 1.0\nhi = 0.0\n", 1,
+     "error: [nonlinearity] lo must stay below hi"),
+    ("simulate", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+     "name = constant\nlo = 1.0\nhi = 0.0\n", 1,
+     "error: [nonlinearity] lo must stay below hi"),
     ("check-invariance", "[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
      "name = tabulated\npath = no_such_table.csv\n", 1, "no_such_table.csv"),
     ("check-conditions", "[problem]\nkind = neumann_rd\n\n[simulate]\n"
@@ -603,7 +617,9 @@ MIRANDA_HEAD = "[problem]\nkind = miranda\n\n[miranda]\nmatrix = 1,0;0,1\n" \
     ("solve", "[problem]\nkind = neumann_rd\n\n[grid]\nnodes = 2\n", 1,
      "error: [grid] nodes must be at least 3"),
 ], ids=["box_lo_above_hi", "negative_radius", "heaviside_delta_zero",
-        "tabulated_without_path", "tabulated_missing_file",
+        "tabulated_without_path", "constant_lo_above_hi",
+        "constant_lo_above_hi_solve", "constant_lo_above_hi_simulate",
+        "tabulated_missing_file",
         "simulate_h_zero", "miranda_hi_short", "miranda_hi_not_above_lo",
         "verify_no_samples", "invariance_no_samples", "sin_extra_argument",
         "const_extra_argument", "sin_short_list", "max_iter_zero",
@@ -636,6 +652,25 @@ def test_bad_config_values_fail_at_parse_time(tmp_path, capsys, command,
         assert err == ""
     else:
         assert "error: " in err and message in err
+
+
+@pytest.mark.parametrize("command", ["check-conditions", "solve", "simulate"])
+@pytest.mark.parametrize("table,name", [
+    ("0.0,1.0\n0.5,nan\n1.0,2.0\n", "values"),
+    ("0.0,1.0\ninf,0.5\n1.0,2.0\n", "states")], ids=["nan_value", "inf_state"])
+def test_a_non_finite_table_fails_at_parse_time(tmp_path, capsys, command,
+                                                table, name):
+    # a NaN or infinite entry would reach the sweeps as a NaN value, which
+    # a solve reports as a singular system
+    path = tmp_path / "table.csv"
+    path.write_text(table)
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text("[problem]\nkind = neumann_rd\n\n[nonlinearity]\n"
+                   "name = tabulated\npath = %s\n" % (path,))
+    assert run_cli([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [nonlinearity] %s must be finite\n" % name
 
 
 # ---------------------------------------------------------------------------

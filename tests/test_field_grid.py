@@ -270,8 +270,14 @@ def test_the_catalog_relay_calls_each_end_once_per_step_and_draws_nothing(
     n = 101
     op = assemble(OperatorSpec(bc="neumann"), Grid1D(1.0, n))
     relay = make_nonlinearity("heaviside", {}, seed=5)
-    relay.g_lo = _CountingGrid(relay.g_lo)
-    relay.g_hi = _CountingGrid(relay.g_hi)
+    value, calls = relay._grid_value, []
+
+    def counted_value(xs, U, P):
+        calls.append((len(U), P))
+        return value(xs, U, P)
+
+    # both ends come from one evaluation, so counting it counts each end
+    relay._grid_value = counted_value
     draws = []
     init = fields.SplitMix64.__init__
 
@@ -286,9 +292,9 @@ def test_the_catalog_relay_calls_each_end_once_per_step_and_draws_nothing(
     rep = viability_simulate(op, relay, Box([0.0], [1.0]), u0, 1.0, 0.05)
     assert rep.status == "completed" and rep.steps == 20
     assert rep.max_constraint_distance == 0.0
-    # one call of each end per step plus one for the terminal measure, on
-    # the states alone, and no probe table is drawn
-    assert relay.g_lo.rows == relay.g_hi.rows == [n] * 21
+    # one evaluation, which builds both ends, per step plus one for the
+    # terminal measure, on the states alone, and no probe table is drawn
+    assert calls == [(n, None)] * 21
     assert draws == []
 
 

@@ -17,6 +17,11 @@ return the same bytes.
 projection on every row, an oracle: the rows that take the face rule
 with every coordinate active get ``_full_simplex_cone``'s bytes, and
 every row must lie within a few ulps of the oracle.
+Each shortcut that skips row work must give the bytes of the path it
+skips: a face-free box of two arrays those of ``_copying_box_select``,
+which copies both value arrays first; a ball with no rim row those of
+``ConvexBody._select_at``; the one-pass relay those of
+``_two_closure_relay``, one pass over the states per end.
 """
 
 import itertools
@@ -26,8 +31,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tangenteq import (CONE_TOL, Ball, Box, FilippovHull, Grid1D, MovingBox,
-                       OperatorSpec, Simplex, StateShiftedField, assemble,
+from tangenteq import (CONE_TOL, Ball, Box, ConvexBody, FilippovHull, Grid1D,
+                       IntervalValued, MovingBox, OperatorSpec, Simplex,
+                       StateShiftedField, assemble,
                        make_nonlinearity, resolvent_iterate, verify_bernstein,
                        verify_tangency, viability_simulate)
 from tangenteq import convex, equilibrium, fields
@@ -798,3 +804,180 @@ def test_a_zero_normal_row_stays_zero():
         rows = draw(Zeros(), 3, 2)
         assert rows[1].tolist() == [0.0, 0.0]
         assert np.all(np.isfinite(rows))
+
+
+# ---------------------------------------------------------------------------
+# shortcuts that skip row work, against the general paths they skip
+
+
+def _copying_box_select(box, W, vlo, vhi):
+    """``MovingBox._select_at`` as it was before a face-free box of two
+    arrays read its values in place: both value arrays copied to the
+    state's shape first, on every path."""
+    lower, upper = W - box.alpha <= CONE_TOL, box.beta - W <= CONE_TOL
+    face = lower.any() or upper.any()
+    ilo = np.empty(lower.shape)
+    ilo[...] = vlo
+    if vlo is vhi and not face:
+        return ilo, None
+    ihi = np.empty(upper.shape)
+    ihi[...] = vhi
+    if face:
+        np.maximum(ilo, 0.0, out=ilo, where=lower)
+        np.minimum(ihi, 0.0, out=ihi, where=upper)
+    if vlo is vhi:
+        V, empty = np.maximum(ilo, ihi), ilo > ihi + CONE_TOL
+    else:
+        V, empty = convex._shortest_in(ilo, ihi)
+    if empty.any():
+        j, k = np.argwhere(empty)[0]
+        lo, hi = np.broadcast_arrays(vlo, vhi, empty)[:2]
+        return None, (int(j), "component %d: values [%.6g, %.6g] miss "
+                      "the face cone" % (k, lo[j, k], hi[j, k]))
+    return V, None
+
+
+def _same_selection(got, want):
+    assert (got[0] is None) == (want[0] is None)
+    assert got[1] == want[1]
+    if got[0] is not None:
+        _same_bytes(got[0], want[0])
+
+
+def _near_tol(draw, at):
+    """``at`` plus ``CONE_TOL``, one ulp either side of it, or a drawn
+    offset: states on and beside the edge of a face or rim test."""
+    edge = at + CONE_TOL
+    return draw(st.sampled_from((edge, np.nextafter(edge, -np.inf),
+                                 np.nextafter(edge, np.inf)))
+                | st.floats(at - 0.5, at + 1.5))
+
+
+@st.composite
+def value_boxes(draw, n, N, broadcast):
+    """Value boxes of ``n`` rows, or with ``broadcast`` of one row for
+    every node too: one array ``[y, y]`` or two (ordered, crossed or NaN),
+    with signed zeros, infinities and NaN among them."""
+    m = draw(st.sampled_from((n, 1))) if broadcast else n
+    values = st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan, 1.0)) \
+        | st.floats(-3.0, 3.0)
+
+    def grid():
+        return np.array(draw(st.lists(values, min_size=m * N,
+                                      max_size=m * N))).reshape(m, N)
+    vlo = grid()
+    if draw(st.booleans()):
+        return vlo, vlo
+    vhi = grid()
+    if draw(st.booleans()):
+        vlo, vhi = np.minimum(vlo, vhi), np.maximum(vlo, vhi)
+    return vlo, vhi
+
+
+@st.composite
+def box_selections(draw):
+    """A box of 1 to 3 components at 1 to 4 nodes, states at, one ulp
+    beside or away from ``CONE_TOL`` off a face, and value boxes."""
+    n, N = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lo = draw(st.sampled_from((0.0, -1.0)) | st.floats(-2.0, 2.0))
+    hi = lo + draw(st.sampled_from((1.0, 4.0 * CONE_TOL))
+                   | st.floats(0.0, 2.0))
+    box = Box(np.full(N, lo), np.full(N, hi))
+    # a state above the lower face or below the upper one by about CONE_TOL
+    W = np.array([draw(st.sampled_from((1.0, -1.0))) for _ in range(n * N)])
+    W = np.where(W > 0, [_near_tol(draw, lo) for _ in W],
+                 [-_near_tol(draw, -hi) for _ in W])
+    W = box.project_rows(W.reshape(n, N))
+    return box, W, draw(value_boxes(n, N, True))
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_selections())
+# every row CONE_TOL inside its faces, so no row is at a face
+@example((Box([0.0, 0.0], [4.0 * CONE_TOL] * 2),
+          np.array([[CONE_TOL, 3.0 * CONE_TOL]]),
+          (np.array([[-0.0, np.inf]]), np.array([[0.0, -np.inf]]))))
+# no row at a face, and value rows that hold for every node
+@example((Box([0.0, 0.0], [1.0, 1.0]), np.array([[0.5, 0.5], [0.25, 0.75]]),
+          (np.array([[-1.0, 0.5]]), np.array([[1.0, 2.0]]))))
+@example((Box([0.0, 0.0], [1.0, 1.0]), np.array([[0.5, 0.5], [0.25, 0.75]]),
+          (np.array([[-1.0, 0.5]]), np.array([[1.0, 2.0], [-0.0, 0.25]]))))
+def test_a_face_free_box_selects_as_its_copies(case):
+    box, W, (vlo, vhi) = case
+    _same_selection(box._select_at(W, vlo, vhi),
+                    _copying_box_select(box, W, vlo, vhi))
+    # the selection is never the caller's array
+    V = box._select_at(W, vlo, vhi)[0]
+    assert V is None or not np.shares_memory(V, vlo) \
+        and not np.shares_memory(V, vhi)
+
+
+@st.composite
+def ball_selections(draw):
+    """A ball of dimension 1 to 3, rows along an axis ``CONE_TOL`` inside
+    its sphere, one ulp either side of it, or elsewhere inside or out
+    (a NaN row too), and value boxes."""
+    n, N = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    radius = draw(st.sampled_from((2.0 * CONE_TOL, 1.0))
+                  | st.floats(0.25, 2.0))
+    # about the origin a row on an axis is exactly its distance away
+    center = np.zeros(N) if draw(st.booleans()) else np.array(
+        draw(st.lists(st.floats(-1.0, 1.0), min_size=N, max_size=N)))
+    W = np.tile(center, (n, 1))
+    for j in range(n):
+        k = draw(st.integers(0, N - 1))
+        W[j, k] += draw(st.sampled_from((1.0, -1.0))) \
+            * -_near_tol(draw, -radius)
+    if draw(st.booleans()):
+        W[draw(st.integers(0, n - 1)), 0] = np.nan
+    # the general path takes one value row per node
+    return Ball(center, radius), W, draw(value_boxes(n, N, False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ball_selections())
+# rows exactly CONE_TOL inside the sphere (on its rim) and one ulp further
+# in (inside it), with finite values, then with an infinite one
+@example((Ball([0.0], 2.0 * CONE_TOL), np.array([[CONE_TOL], [-CONE_TOL]]),
+          (np.array([[1.0], [-0.0]]),) * 2))
+@example((Ball([0.0, 0.0], 2.0 * CONE_TOL),
+          np.array([[np.nextafter(CONE_TOL, 0.0), 0.0]]),
+          (np.array([[0.5, -0.0]]), np.array([[1.0, 0.0]]))))
+@example((Ball([0.0, 0.0], 2.0 * CONE_TOL),
+          np.array([[np.nextafter(CONE_TOL, 0.0), 0.0]]),
+          (np.array([[np.inf, 0.0]]),) * 2))
+def test_a_rim_free_ball_selects_as_the_general_path(case):
+    ball, W, (vlo, vhi) = case
+    _same_selection(ball._select_at(W, vlo, vhi),
+                    ConvexBody._select_at(ball, W, vlo, vhi))
+
+
+def _two_closure_relay(off, on, threshold, delta, components):
+    """The catalog relay as two ends, each a function of its own pass
+    over the states."""
+    off, on = off + 0.0, on + 0.0
+
+    def end(both):
+        return lambda x, u, p: np.where(
+            u + delta < threshold, off,
+            np.where(u - delta < threshold, both, on))
+
+    return IntervalValued(end(np.minimum(off, on)), end(np.maximum(off, on)),
+                          components=components, slopes=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relay_states(), _RELAY_VALUES, _RELAY_VALUES)
+@example((0.5, 0.05, np.array([[0.45, 0.55, np.nan, np.inf, -np.inf]]).T),
+         -0.0, np.nan)
+def test_the_one_pass_relay_is_its_two_closures(relay, off, on):
+    threshold, delta, U = relay
+    N = U.shape[1]
+    one_pass = make_nonlinearity("heaviside", {
+        "off": off, "on": on, "threshold": threshold, "delta": delta},
+        components=N)
+    closures = _two_closure_relay(off, on, threshold, delta, N)
+    xs = np.linspace(0.0, 1.0, len(U))
+    for got, want in zip(one_pass.evaluate_grid(xs, U, None),
+                         closures.evaluate_grid(xs, U, None)):
+        _same_bytes(got, want)
